@@ -77,6 +77,9 @@ def _flatten(prefix: str, value, rows: list[tuple[str, str]]) -> None:
     if isinstance(value, dict):
         for key in sorted(value):
             _flatten(f"{prefix}.{key}" if prefix else key, value[key], rows)
+    elif isinstance(value, (list, tuple)) and any(isinstance(v, dict) for v in value):
+        for index, item in enumerate(value):
+            _flatten(f"{prefix}.{index}", item, rows)
     elif isinstance(value, (list, tuple)):
         rows.append((prefix, ";".join(_fmt(v) for v in value)))
     elif isinstance(value, bool):

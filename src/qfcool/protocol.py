@@ -11,6 +11,7 @@ closed-form trigonometric blocks (no general matrix exponential).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +35,10 @@ class ProtocolParams:
     ``eps_s`` and ``eps_a`` are the register and ancilla polarization
     biases (ground minus excited population), ``phi`` the measurement
     angle in radians (axis ``(sin phi, 0, cos phi)`` in the x-z plane),
-    ``temperature`` the bath temperature with k_B = 1.  The limit cases
-    ``eps_s == eps_a`` and ``eps_s == 0`` are accepted.
+    ``temperature`` the bath temperature with k_B = 1.  Any finite real
+    number except ``bool`` is accepted (numpy scalars included) and stored
+    as ``float``.  The limit cases ``eps_s == eps_a`` and ``eps_s == 0``
+    are accepted.
     """
 
     eps_s: float
@@ -46,8 +49,9 @@ class ProtocolParams:
     def __post_init__(self):
         for name in ("eps_s", "eps_a", "phi", "temperature"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v)):
+            if isinstance(v, bool) or not (isinstance(v, numbers.Real) and math.isfinite(v)):
                 raise ValueError(f"{name} must be a finite number")
+            object.__setattr__(self, name, float(v))
         if not 0.0 <= self.eps_s < 1.0:
             raise ValueError("eps_s must be in [0, 1)")
         if not 0.0 <= self.eps_a < 1.0:

@@ -52,7 +52,7 @@ class SweepGrid:
                 raise ValueError(f"{name} must not be empty")
             if any(b <= a for a, b in zip(values, values[1:])):
                 raise ValueError(f"{name} must be strictly increasing")
-        if not 0.0 <= self.phi_values[0] and self.phi_values[-1] <= math.pi / 2:
+        if not (0.0 <= self.phi_values[0] and self.phi_values[-1] <= math.pi / 2):
             raise ValueError("phi values must lie in [0, pi/2]")
         if self.eps_a_values[0] < self.eps_s:
             raise ValueError("eps_a values must not fall below eps_s")

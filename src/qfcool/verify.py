@@ -101,7 +101,14 @@ def point_deviations(params: ProtocolParams) -> dict[str, float]:
 
 def run_suite(grid_n: int = 12, discord_stride: int = 3,
               temperature: float = 1.0) -> list[Check]:
-    """Run every invariant class on the standard grid; return one Check each."""
+    """Run every invariant class on the standard grid; return one Check each.
+
+    Raises ValueError unless ``grid_n >= 2`` and ``discord_stride >= 1``.
+    """
+    if grid_n < 2:
+        raise ValueError(f"grid_n must be at least 2, got {grid_n}")
+    if discord_stride < 1:
+        raise ValueError(f"discord_stride must be at least 1, got {discord_stride}")
     grid = standard_grid(grid_n, temperature=temperature)
     names = [
         "work_measurement", "work_feedback", "heat_reset", "delta_e_system",

@@ -96,6 +96,18 @@ def test_run_csv_key_value_format(capsys):
     assert any(line.startswith("thermo.cooling_load,") for line in lines)
 
 
+def test_run_verify_csv_flattens_check_list(capsys):
+    code, out, err = run_cli(capsys, "run", "--eps-s", "0.4", "--eps-a", "0.8",
+                             "--phi", "1.0", "--verify", "--format", "csv")
+    assert code == 0
+    assert "Traceback" not in out + err
+    rows = dict(line.split(",", 1) for line in out.splitlines()[1:])
+    assert rows["verification.checks.0.name"] == "work_measurement"
+    assert rows["verification.passed"] == "true"
+    # lists of scalars keep their ';'-joined single row
+    assert len(rows["trace.marginals.rho_f_s.bloch"].split(";")) == 3
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
@@ -227,6 +239,17 @@ def test_verify_passes_on_small_grid(capsys):
     assert machine["passed"] is True and machine["failed"] == 0
 
 
+@pytest.mark.parametrize("flag,value,bound", [
+    ("--discord-stride", "0", "discord_stride must be at least 1"),
+    ("--grid-n", "1", "grid_n must be at least 2"),
+])
+def test_verify_rejects_degenerate_grid_flags(capsys, flag, value, bound):
+    code, out, err = run_cli(capsys, "verify", flag, value)
+    assert code == 2
+    assert out == ""
+    assert bound in err
+
+
 def test_verify_json_document(capsys):
     code, out, _ = run_cli(capsys, "verify", "--grid-n", "4",
                            "--discord-stride", "4", "--format", "json")
@@ -303,6 +326,15 @@ def test_console_script_entrypoint():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert abs(json.loads(proc.stdout)["delta_min"] - 1.35e-2) <= 5e-4
+
+
+def test_cli_import_does_not_load_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, qfcool.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_worker_count_parsing(monkeypatch):

@@ -14,6 +14,7 @@ from qfcool.correlations import (
 )
 from qfcool.densmat import hermitian_eig, psd_sqrt, SIGMA_Y
 from qfcool.protocol import ProtocolParams, run_protocol
+from qfcool.verify import standard_grid
 
 HALF_PI = math.pi / 2
 LN2 = math.log(2.0)
@@ -201,7 +202,30 @@ def test_optimizer_iteration_cap_raises():
 
 def test_discord_numeric_is_deterministic():
     rho = rho_m_at(0.3, 0.7, 1.1)
-    assert discord_numeric(rho, "A") == discord_numeric(rho, "A")
+    for side in ("A", "S"):
+        (basis_1, gain_1), (basis_2, gain_2) = (optimal_measurement(rho, side) for _ in range(2))
+        assert basis_1 == basis_2
+        assert gain_1.hex() == gain_2.hex()
+        assert discord_numeric(rho, side).hex() == discord_numeric(rho, side).hex()
+
+
+def test_discord_numeric_matches_closed_form_on_standard_grid():
+    for params in standard_grid(5):
+        rho = run_protocol(params).rho_m
+        closed = discord_analytic(params.eps_s, params.phi)
+        for side in ("A", "S"):
+            assert abs(discord_numeric(rho, side) - closed) <= 1e-12, (params, side)
+
+
+@pytest.mark.parametrize("eps_s,eps_a", [
+    (0.0, 0.0), (0.0, 0.6), (0.5, 0.5), (0.9, 0.9), (0.4, 1.0 - 1e-9), (0.0, 1.0 - 1e-9),
+])
+@pytest.mark.parametrize("phi", [0.0, 0.6, HALF_PI])
+def test_discord_numeric_matches_closed_form_at_domain_edges(eps_s, eps_a, phi):
+    rho = rho_m_at(eps_s, eps_a, phi)
+    closed = discord_analytic(eps_s, phi)
+    for side in ("A", "S"):
+        assert abs(discord_numeric(rho, side) - closed) <= 1e-12
 
 
 def test_scan_objective_agrees_with_projector_route(random_density, rng):
@@ -214,7 +238,7 @@ def test_scan_objective_agrees_with_projector_route(random_density, rng):
         basis = MeasurementBasis(polar, azimuth)
         axis = basis.axis()[None, :]
         for side in ("S", "A"):
-            fast = correlations._conditional_entropy_scan(rho, side, axis)[0]
+            fast = correlations._conditional_entropy_scan(bloch_components(rho), side, axis)[0]
             exact = correlations._conditional_entropy_exact(rho, side, basis)
             assert abs(fast - exact) <= 1e-11
 

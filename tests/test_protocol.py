@@ -48,6 +48,22 @@ def test_params_accept_limit_cases():
     ProtocolParams(0.5, 0.5, HALF_PI)
 
 
+@pytest.mark.parametrize("kind", [np.float32, np.float64, np.int64, int])
+def test_params_accept_real_scalars(kind):
+    params = ProtocolParams(kind(0), kind(0), kind(1), temperature=kind(2))
+    assert params == ProtocolParams(0.0, 0.0, 1.0, 2.0)
+    assert all(type(v) is float for v in vars(params).values())
+
+
+@pytest.mark.parametrize("name", ["eps_s", "eps_a", "phi", "temperature"])
+@pytest.mark.parametrize("flag", [True, False, np.bool_(True)])
+def test_params_reject_booleans(name, flag):
+    kwargs = dict(eps_s=0.0, eps_a=0.5, phi=0.5, temperature=1.0)
+    kwargs[name] = flag
+    with pytest.raises(ValueError, match=f"{name} must be a finite number"):
+        ProtocolParams(**kwargs)
+
+
 # ---------------------------------------------------------------------------
 # thermal qubit and initial state
 # ---------------------------------------------------------------------------

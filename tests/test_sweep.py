@@ -47,6 +47,12 @@ def test_sweep_grid_validation():
         SweepGrid(0.4, (), (0.5,))
 
 
+@pytest.mark.parametrize("phi_values", [(0.0, 2.0), (-0.1, 1.0), (2.0,)])
+def test_sweep_grid_rejects_phi_outside_quarter_turn(phi_values):
+    with pytest.raises(ValueError, match=r"phi values must lie in \[0, pi/2\]"):
+        SweepGrid(0.4, phi_values, (0.5, 0.6))
+
+
 # ---------------------------------------------------------------------------
 # characteristic curves
 # ---------------------------------------------------------------------------
