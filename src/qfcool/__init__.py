@@ -39,6 +39,7 @@ from .protocol import (
     feedback_unitary,
     initial_state,
     measurement_unitary,
+    post_measurement_state,
     run_protocol,
     thermal_qubit,
 )
@@ -83,7 +84,7 @@ __all__ = [
     "figures_of_merit", "heat_reset", "hermitian_eig", "initial_state",
     "landscape", "measurement_unitary", "mutual_information",
     "mutual_information_analytic", "optimize_working_point", "partial_trace",
-    "phi_crit", "psd_sqrt", "run_protocol", "separability_boundary", "tensor",
-    "thermal_qubit", "total_work", "vn_entropy", "work_feedback",
-    "work_measurement",
+    "phi_crit", "post_measurement_state", "psd_sqrt", "run_protocol",
+    "separability_boundary", "tensor", "thermal_qubit", "total_work",
+    "vn_entropy", "work_feedback", "work_measurement",
 ]

@@ -4,8 +4,8 @@ Subcommands: run | sweep | optimize | threshold | verify.
 Exit codes: 0 ok, 2 usage/domain error, 3 verification failure.
 
 Output is deterministic: identical invocations produce byte-identical
-documents, regardless of the worker count (QFC_THREADS; 0 = auto,
-unset = serial).  Angles are radians unless --phi-degrees is given.
+documents; every command runs in-process.  Angles are radians unless
+--phi-degrees is given.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -149,43 +148,24 @@ class _Resolver:
 # summaries
 # ---------------------------------------------------------------------------
 
-def _qubit_summary(rho2) -> dict:
-    return {
-        "bloch": [float(v) for v in densmat.bloch_vector(rho2)],
-        "purity": densmat.purity(rho2),
-        "entropy": densmat.vn_entropy(rho2),
-    }
-
-
-def _joint_summary(rho4) -> dict:
-    return {"purity": densmat.purity(rho4), "entropy": densmat.vn_entropy(rho4)}
+def _state_summary(rho: np.ndarray) -> dict:
+    """Purity, entropy and (for a qubit) Bloch vector of a trace state, read unchecked."""
+    doc = {"purity": densmat._expectation(rho, rho), "entropy": densmat._vn_entropy(rho)}
+    if rho.shape == (2, 2):
+        doc["bloch"] = [densmat._expectation(s, rho) for s in densmat.PAULI]
+    return doc
 
 
 def _trace_summary(trace: protocol.ProtocolTrace) -> dict:
-    return {
-        "rho0": _joint_summary(trace.rho0),
-        "rho_m": _joint_summary(trace.rho_m),
-        "rho_f": _joint_summary(trace.rho_f),
-        "rho_reset": _joint_summary(trace.rho_reset),
-        "marginals": {
-            "rho0_s": _qubit_summary(trace.rho0_s),
-            "rho0_a": _qubit_summary(trace.rho0_a),
-            "rho_m_s": _qubit_summary(trace.rho_m_s),
-            "rho_m_a": _qubit_summary(trace.rho_m_a),
-            "rho_f_s": _qubit_summary(trace.rho_f_s),
-            "rho_f_a": _qubit_summary(trace.rho_f_a),
-        },
-    }
+    joint = ("rho0", "rho_m", "rho_f", "rho_reset")
+    doc = {name: _state_summary(getattr(trace, name)) for name in joint}
+    doc["marginals"] = {name: _state_summary(rho)
+                        for name, rho in vars(trace).items() if name not in joint}
+    return doc
 
 
 def _check_dict(check: verify.Check) -> dict:
-    return {
-        "name": check.name,
-        "points": check.points,
-        "max_deviation": check.max_deviation,
-        "tolerance": check.tolerance,
-        "passed": check.passed,
-    }
+    return {**dataclasses.asdict(check), "passed": check.passed}
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +186,7 @@ def cmd_run(config: RunConfig) -> int:
     }
     failed = False
     if config.verify:
-        checks = verify.point_checks(config.params)
+        checks = verify.point_checks(config.params, trace)
         failed = any(not c.passed for c in checks)
         doc["verification"] = {
             "checks": [_check_dict(c) for c in checks],
@@ -266,9 +246,8 @@ def _boundary_csv(eps_s: float, series: Sequence[sweep.BoundaryPoint]) -> str:
 
 
 def cmd_sweep(grid: sweep.SweepGrid, landscape_mode: bool, output_format: str,
-              output: Optional[str], max_workers: int) -> int:
-    result = sweep.landscape(grid, quantities={"thermo", "correlations"},
-                             max_workers=max_workers)
+              output: Optional[str]) -> int:
+    result = sweep.landscape(grid, quantities={"thermo", "correlations"})
     if output_format == "json":
         doc = {
             "schema_version": SCHEMA_VERSION,
@@ -450,16 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("QFC_THREADS", "").strip()
-    if not raw:
-        return 1
-    n = int(raw)
-    if n == 0:
-        return os.cpu_count() or 1
-    return max(1, n)
-
-
 def _require(value, flag: str):
     if value is None:
         raise ValueError(f"missing required option {flag}")
@@ -528,7 +497,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             grid = sweep.SweepGrid(eps_s=eps_s, phi_values=tuple(sorted(phis)),
                                    eps_a_values=tuple(eps_a_values),
                                    temperature=temperature)
-            return cmd_sweep(grid, landscape_mode, output_format, output, _worker_count())
+            return cmd_sweep(grid, landscape_mode, output_format, output)
 
         if args.command == "threshold":
             eps_s = _require(resolver.get("eps_s", None, float), "--eps-s")

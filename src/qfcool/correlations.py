@@ -22,7 +22,7 @@ from . import densmat, protocol
 from .densmat import ID2, PAULI, SIGMA_Y
 from .protocol import ProtocolParams
 
-_SPIN_FLIP = np.kron(SIGMA_Y, SIGMA_Y)
+_SPIN_FLIP = densmat.tensor(SIGMA_Y, SIGMA_Y)
 # Measurement branches with probability below this contribute zero to the
 # average conditional entropy (degenerate outcome).
 _PROB_FLOOR = 1e-12
@@ -34,7 +34,7 @@ _ZOOM_ANGLE_TOL = 1e-7
 _SIGNS = np.array([[1.0], [-1.0]])
 # The 16 products sigma_mu x sigma_nu (sigma_0 = I), contracted with a
 # state in one step: tr(rho sigma_mu x sigma_nu).
-_PAULI_PRODUCTS = np.array([np.kron(p, q) for p in (ID2, *PAULI) for q in (ID2, *PAULI)])
+_PAULI_PRODUCTS = np.array([densmat.tensor(p, q) for p in (ID2, *PAULI) for q in (ID2, *PAULI)])
 
 
 class DiscordOptimizationError(RuntimeError):
@@ -98,6 +98,13 @@ def thermal_entropy(eps: float) -> float:
 # entanglement
 # ---------------------------------------------------------------------------
 
+def _two_qubit_state(rho, caller: str) -> np.ndarray:
+    r = densmat.validate_density_matrix(rho)
+    if r.shape != (4, 4):
+        raise ValueError(f"{caller} expects a 4x4 density matrix")
+    return r
+
+
 def concurrence(rho) -> float:
     """Wootters concurrence of a two-qubit state.
 
@@ -105,9 +112,10 @@ def concurrence(rho) -> float:
     tr R and lambda1 - lambda2 - lambda3 - lambda4) are evaluated and
     must agree to 1e-9.
     """
-    r = densmat.validate_density_matrix(rho)
-    if r.shape != (4, 4):
-        raise ValueError("concurrence expects a 4x4 density matrix")
+    return _concurrence(_two_qubit_state(rho, "concurrence"))
+
+
+def _concurrence(r: np.ndarray) -> float:
     sq = densmat.psd_sqrt(r)
     inner = sq @ _SPIN_FLIP @ densmat.conjugate(r) @ _SPIN_FLIP @ sq
     flip_spectrum = densmat.psd_sqrt(0.5 * (inner + inner.conj().T))
@@ -138,10 +146,14 @@ def entanglement_of_formation(rho) -> float:
 
 def mutual_information(rho) -> float:
     """S(rho_S) + S(rho_A) - S(rho), from matrix entropies."""
+    return _mutual_information(_two_qubit_state(rho, "mutual_information"))
+
+
+def _mutual_information(r: np.ndarray) -> float:
     return (
-        densmat.vn_entropy(densmat.partial_trace(rho, "S"))
-        + densmat.vn_entropy(densmat.partial_trace(rho, "A"))
-        - densmat.vn_entropy(rho)
+        densmat._vn_entropy(densmat._partial_trace(r, "S"))
+        + densmat._vn_entropy(densmat._partial_trace(r, "A"))
+        - densmat._vn_entropy(r)
     )
 
 
@@ -171,9 +183,10 @@ def mutual_information_analytic(params: ProtocolParams) -> float:
 
 def bloch_components(rho) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Local Bloch vectors (register, ancilla) and 3x3 correlation tensor."""
-    r = densmat.validate_density_matrix(rho)
-    if r.shape != (4, 4):
-        raise ValueError("bloch_components expects a 4x4 density matrix")
+    return _bloch_components(_two_qubit_state(rho, "bloch_components"))
+
+
+def _bloch_components(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     c = np.einsum("kij,ji->k", _PAULI_PRODUCTS, r).real.reshape(4, 4)
     return c[1:, 0], c[0, 1:], c[1:, 1:]
 
@@ -238,12 +251,9 @@ def _reduced_entropy(conditional, keep: str) -> float:
     noise, so the reduction is raw and the spectrum is clipped instead of
     running the strict state validator.
     """
-    r = conditional.reshape(2, 2, 2, 2)
-    marginal = np.trace(r, axis1=1, axis2=3) if keep == "S" else np.trace(r, axis1=0, axis2=2)
+    marginal = densmat._partial_trace(conditional, keep)
     w = np.clip(np.linalg.eigvalsh(0.5 * (marginal + marginal.conj().T)), 0.0, None)
-    w = w / w.sum()
-    w = w[w > densmat.ENTROPY_CUTOFF]
-    return float(-(w * np.log(w)).sum())
+    return densmat._spectrum_entropy(w / w.sum())
 
 
 def optimal_measurement(rho, measured_side: str = "A",
@@ -260,9 +270,13 @@ def optimal_measurement(rho, measured_side: str = "A",
     Raises ``DiscordOptimizationError`` if the zoom has not converged
     after ``opts.max_iter`` levels.
     """
+    _check_side(measured_side)
+    return _optimal_measurement(bloch_components(rho), measured_side, opts)
+
+
+def _optimal_measurement(bloch, measured_side: str,
+                         opts: OptimizerOptions | None) -> tuple[MeasurementBasis, float]:
     opts = opts or _DEFAULT_OPTS
-    other = _check_side(measured_side)
-    bloch = bloch_components(rho)
 
     def best_of(polar, azimuth):
         values = _conditional_entropy_scan(bloch, measured_side, _axes(polar, azimuth))
@@ -293,7 +307,7 @@ def optimal_measurement(rho, measured_side: str = "A",
         raise DiscordOptimizationError(
             f"basis search did not converge within {opts.max_iter} zoom levels")
     a, b, _ = bloch
-    s_other = thermal_entropy(float(np.linalg.norm(a if other == "S" else b)))
+    s_other = thermal_entropy(float(np.linalg.norm(a if measured_side == "A" else b)))
     return MeasurementBasis(polar, azimuth), s_other - conditional
 
 
@@ -304,8 +318,14 @@ def discord_numeric(rho, measured_side: str = "A",
     I(rho) minus the maximal one-sided classical correlation found by
     the basis search.  Deterministic for fixed options.
     """
-    _, gain = optimal_measurement(rho, measured_side, opts)
-    delta = mutual_information(rho) - gain
+    _check_side(measured_side)
+    r = _two_qubit_state(rho, "discord_numeric")
+    return _discord(_mutual_information(r), _bloch_components(r), measured_side, opts)
+
+
+def _discord(mi: float, bloch, measured_side: str, opts: OptimizerOptions | None) -> float:
+    _, gain = _optimal_measurement(bloch, measured_side, opts)
+    delta = mi - gain
     if delta < -1e-9:
         raise RuntimeError(f"discord optimization exceeded mutual information: {delta!r}")
     return max(0.0, delta)
@@ -339,7 +359,10 @@ def discord_analytic(eps_s: float, phi: float) -> float:
 def classical_correlations(rho, measured_side: str = "A",
                            opts: OptimizerOptions | None = None) -> float:
     """Classical share of correlations: I(rho) - discord for the given side."""
-    return mutual_information(rho) - discord_numeric(rho, measured_side, opts)
+    _check_side(measured_side)
+    r = _two_qubit_state(rho, "classical_correlations")
+    mi = _mutual_information(r)
+    return mi - _discord(mi, _bloch_components(r), measured_side, opts)
 
 
 def discord_threshold(eps_s: float) -> float:
@@ -374,12 +397,13 @@ class CorrelationReport:
 def correlation_report(params: ProtocolParams, *, numeric_discord: bool = True,
                        opts: OptimizerOptions | None = None) -> CorrelationReport:
     """Evaluate all correlation measures on the post-measurement state."""
-    rho_m = protocol.run_protocol(params).rho_m
-    conc = concurrence(rho_m)
-    mi = mutual_information(rho_m)
+    rho_m = protocol.post_measurement_state(params)
+    conc = _concurrence(rho_m)
+    mi = _mutual_information(rho_m)
     if numeric_discord:
-        d_a = discord_numeric(rho_m, "A", opts)
-        d_s = discord_numeric(rho_m, "S", opts)
+        bloch = _bloch_components(rho_m)
+        d_a = _discord(mi, bloch, "A", opts)
+        d_s = _discord(mi, bloch, "S", opts)
         classical_a = mi - d_a
     else:
         d_a = d_s = classical_a = None

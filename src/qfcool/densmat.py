@@ -49,14 +49,22 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
-def matrices_equal(a, b, atol: float = ATOL) -> bool:
-    """Elementwise equality within an absolute tolerance."""
-    return bool(np.all(np.abs(as_matrix(a) - as_matrix(b)) <= atol))
-
-
 def is_hermitian(m, atol: float = ATOL) -> bool:
     a = as_matrix(m)
     return bool(np.max(np.abs(a - a.conj().T)) <= atol)
+
+
+def _checked(rho, atol: float = ATOL) -> tuple[np.ndarray, np.ndarray]:
+    """Validate a caller's density matrix; return it and its ascending eigenvalues."""
+    a = as_matrix(rho)
+    if not is_hermitian(a, atol):
+        raise ValueError("density matrix must be Hermitian")
+    if abs(np.trace(a) - 1.0) > atol:
+        raise ValueError("density matrix must have unit trace")
+    w = np.linalg.eigvalsh(a)
+    if w[0] < -atol:
+        raise ValueError(f"density matrix must be positive semidefinite (min eigenvalue {w[0]:.3e})")
+    return a, w
 
 
 def validate_density_matrix(rho, atol: float = ATOL) -> np.ndarray:
@@ -64,15 +72,7 @@ def validate_density_matrix(rho, atol: float = ATOL) -> np.ndarray:
 
     Raises ValueError naming the violated property.
     """
-    a = as_matrix(rho)
-    if not is_hermitian(a, atol):
-        raise ValueError("density matrix must be Hermitian")
-    if abs(np.trace(a) - 1.0) > atol:
-        raise ValueError("density matrix must have unit trace")
-    smallest = np.linalg.eigvalsh(a)[0]
-    if smallest < -atol:
-        raise ValueError(f"density matrix must be positive semidefinite (min eigenvalue {smallest:.3e})")
-    return a
+    return _checked(rho, atol)[0]
 
 
 def validate_unitary(u, atol: float = ATOL) -> np.ndarray:
@@ -89,7 +89,28 @@ def tensor(a, b) -> np.ndarray:
     ma, mb = as_matrix(a), as_matrix(b)
     if ma.shape != (2, 2) or mb.shape != (2, 2):
         raise ValueError("tensor expects two 2x2 factors")
-    return np.kron(ma, mb)
+    return (ma[:, None, :, None] * mb[None, :, None, :]).reshape(4, 4)
+
+
+# Unchecked kernels for states the package builds itself (valid by
+# construction); the public functions below validate and then call them.
+
+def _partial_trace(a: np.ndarray, keep: str) -> np.ndarray:
+    r = a.reshape(2, 2, 2, 2)
+    return np.trace(r, axis1=1, axis2=3) if keep == "S" else np.trace(r, axis1=0, axis2=2)
+
+
+def _spectrum_entropy(w: np.ndarray) -> float:
+    w = w[w > ENTROPY_CUTOFF]
+    return float(-(w * np.log(w)).sum())
+
+
+def _vn_entropy(a: np.ndarray) -> float:
+    return _spectrum_entropy(np.linalg.eigvalsh(a))
+
+
+def _expectation(h: np.ndarray, a: np.ndarray) -> float:
+    return float(np.trace(h @ a).real)
 
 
 def partial_trace(rho, keep: str) -> np.ndarray:
@@ -101,20 +122,14 @@ def partial_trace(rho, keep: str) -> np.ndarray:
     a = validate_density_matrix(rho)
     if a.shape != (4, 4):
         raise ValueError("partial_trace expects a 4x4 density matrix")
-    r = a.reshape(2, 2, 2, 2)
-    if keep == "S":
-        return np.trace(r, axis1=1, axis2=3)
-    if keep == "A":
-        return np.trace(r, axis1=0, axis2=2)
-    raise ValueError(f"keep must be 'S' or 'A', got {keep!r}")
+    if keep not in ("S", "A"):
+        raise ValueError(f"keep must be 'S' or 'A', got {keep!r}")
+    return _partial_trace(a, keep)
 
 
 def vn_entropy(rho) -> float:
     """Von Neumann entropy in nats, with 0 ln 0 = 0."""
-    a = validate_density_matrix(rho)
-    w = np.linalg.eigvalsh(a)
-    w = w[w > ENTROPY_CUTOFF]
-    return float(-(w * np.log(w)).sum())
+    return _spectrum_entropy(_checked(rho)[1])
 
 
 def hermitian_eig(m) -> Spectrum:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densmat import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, partial_trace, tensor
+from .densmat import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, _partial_trace, tensor
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 
@@ -70,6 +70,8 @@ class ProtocolTrace:
 
     ``rho_reset`` is the product state left after the ancilla reset:
     (register marginal of ``rho_f``) tensor (fresh thermal ancilla).
+    Every field is a valid density matrix by construction, so consumers
+    read them without re-validating.
     """
 
     rho0: np.ndarray
@@ -113,13 +115,23 @@ def measurement_unitary(phi: float) -> np.ndarray:
     """
     if not 0.0 <= phi <= math.pi / 2:
         raise ValueError("phi must be in [0, pi/2]")
-    coupling = np.kron(measurement_axis(phi), SIGMA_Y)
+    coupling = tensor(measurement_axis(phi), SIGMA_Y)
     return _SQRT1_2 * (np.eye(4, dtype=complex) - 1j * coupling)
+
+
+_FEEDBACK = tensor(_ROT_PLUS, _PROJ_X_PLUS) + tensor(_ROT_MINUS, _PROJ_X_MINUS)
 
 
 def feedback_unitary() -> np.ndarray:
     """Register rotation by -+pi/2 about y, controlled on the ancilla x-basis."""
-    return np.kron(_ROT_PLUS, _PROJ_X_PLUS) + np.kron(_ROT_MINUS, _PROJ_X_MINUS)
+    return _FEEDBACK.copy()
+
+
+def post_measurement_state(params: ProtocolParams) -> np.ndarray:
+    """rho_m = U_m rho0 U_m+, bit for bit the ``rho_m`` of ``run_protocol``."""
+    rho0 = initial_state(params)
+    u_m = measurement_unitary(params.phi)
+    return u_m @ rho0 @ u_m.conj().T
 
 
 def run_protocol(params: ProtocolParams) -> ProtocolTrace:
@@ -127,18 +139,17 @@ def run_protocol(params: ProtocolParams) -> ProtocolTrace:
     rho0 = initial_state(params)
     u_m = measurement_unitary(params.phi)
     rho_m = u_m @ rho0 @ u_m.conj().T
-    u_f = feedback_unitary()
-    rho_f = u_f @ rho_m @ u_f.conj().T
-    rho_f_s = partial_trace(rho_f, "S")
+    rho_f = _FEEDBACK @ rho_m @ _FEEDBACK.conj().T
+    rho_f_s = _partial_trace(rho_f, "S")
     return ProtocolTrace(
         rho0=rho0,
         rho_m=rho_m,
         rho_f=rho_f,
         rho_reset=tensor(rho_f_s, thermal_qubit(params.eps_a)),
-        rho0_s=partial_trace(rho0, "S"),
-        rho0_a=partial_trace(rho0, "A"),
-        rho_m_s=partial_trace(rho_m, "S"),
-        rho_m_a=partial_trace(rho_m, "A"),
+        rho0_s=_partial_trace(rho0, "S"),
+        rho0_a=_partial_trace(rho0, "A"),
+        rho_m_s=_partial_trace(rho_m, "S"),
+        rho_m_a=_partial_trace(rho_m, "A"),
         rho_f_s=rho_f_s,
-        rho_f_a=partial_trace(rho_f, "A"),
+        rho_f_a=_partial_trace(rho_f, "A"),
     )

@@ -2,14 +2,13 @@
 working-point optimization and boundary curves.
 
 All outputs are pure functions of their inputs: recomputing any emitted
-point from scratch reproduces it bit for bit, and grid points may be
-evaluated in any order (assembly is index-ordered).
+point from scratch reproduces it bit for bit.  Everything runs
+in-process on the calling thread.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -129,28 +128,13 @@ def _evaluate(eps_s: float, eps_a: float, phi: float, temperature: float,
     return CurvePoint(eps_a=eps_a, phi=phi, thermo=thermo.figures_of_merit(params), correlations=corr)
 
 
-def _evaluate_task(task: tuple) -> CurvePoint:
-    return _evaluate(*task)
-
-
-def evaluate_grid(grid: SweepGrid, include_correlations: bool = False,
-                  max_workers: int = 1) -> list[CurvePoint]:
-    """Evaluate every (phi, eps_a) grid point, phi outer and eps_a inner.
-
-    Points are independent; with ``max_workers > 1`` they are fanned out
-    to a process pool, and assembly stays index-ordered so the result is
-    identical to the serial one.
-    """
-    tasks = [
-        (grid.eps_s, eps_a, phi, grid.temperature, include_correlations)
+def evaluate_grid(grid: SweepGrid, include_correlations: bool = False) -> list[CurvePoint]:
+    """Evaluate every (phi, eps_a) grid point, phi outer and eps_a inner."""
+    return [
+        _evaluate(grid.eps_s, eps_a, phi, grid.temperature, include_correlations)
         for phi in grid.phi_values
         for eps_a in grid.eps_a_values
     ]
-    if max_workers > 1:
-        chunk = max(1, len(tasks) // (4 * max_workers))
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(_evaluate_task, tasks, chunksize=chunk))
-    return [_evaluate_task(t) for t in tasks]
 
 
 def characteristic_curve(eps_s: float, phi: float, n_points: int,
@@ -232,8 +216,7 @@ def _golden_max(f: Callable[[float], float], lo: float, hi: float,
 
 
 def landscape(grid: SweepGrid,
-              quantities: frozenset[str] | set[str] = frozenset({"thermo"}),
-              max_workers: int = 1) -> Landscape:
+              quantities: frozenset[str] | set[str] = frozenset({"thermo"})) -> Landscape:
     """Evaluate the full (phi, eps_a) grid plus the regime boundary curves.
 
     ``quantities`` may contain "thermo" (always computed) and
@@ -245,7 +228,7 @@ def landscape(grid: SweepGrid,
     if unknown:
         raise ValueError(f"unknown quantity selectors: {sorted(unknown)}")
     include_corr = "correlations" in quantities
-    points = evaluate_grid(grid, include_corr, max_workers)
+    points = evaluate_grid(grid, include_corr)
 
     cooling = []
     if grid.eps_s > 0.0:
@@ -279,7 +262,7 @@ def separability_boundary(eps_s: float, eps_a: float, temperature: float = 1.0,
         raise ValueError("eps_s must be strictly below eps_a")
 
     def entangled(phi: float) -> bool:
-        rho_m = protocol.run_protocol(ProtocolParams(eps_s, eps_a, phi, temperature)).rho_m
+        rho_m = protocol.post_measurement_state(ProtocolParams(eps_s, eps_a, phi, temperature))
         return correlations.concurrence(rho_m) > 1e-12
 
     phis = np.linspace(0.0, math.pi / 2, scan_points)

@@ -4,6 +4,8 @@ Each energetic quantity exists in two routes: a closed-form expression in
 (eps_s, eps_a, phi, T), and a matrix-oracle counterpart (suffix
 ``_matrix``) computed from the actual state sequence.  Production code
 uses the closed forms; the ``*_matrix`` routes back every verification.
+The oracles read the ``ProtocolTrace`` states through densmat's
+unchecked kernels: those states are valid by construction.
 
 Units: k_B = hbar = 1; the temperature enters as a multiplicative scale.
 
@@ -29,11 +31,12 @@ from typing import Optional
 import numpy as np
 
 from . import densmat, protocol
-from .densmat import ID2, SIGMA_Z
+from .densmat import ID2, SIGMA_Z, tensor
 from .protocol import ProtocolParams, ProtocolTrace
 
-# Total work below this floor marks a reversible limit point, where the
-# performance ratios P/W, P/Q are 0/0 and reported as undefined.
+# Total work over temperature (W / T, which does not depend on T) below
+# this floor marks a reversible limit point, where the performance ratios
+# P/W, P/Q are 0/0 and reported as undefined.
 REVERSIBLE_WORK_FLOOR = 1e-14
 
 
@@ -57,7 +60,7 @@ class ThermoReport:
     """Complete energy/entropy bookkeeping of one parameter point.
 
     ``cop``, ``eta`` and ``chi`` are None when ``reversible_limit`` is
-    set (total work below REVERSIBLE_WORK_FLOOR), never infinities.
+    set (W / T below REVERSIBLE_WORK_FLOOR), never infinities.
     ``phi_crit_defined`` is False for eps_s = 0, where the feedback never
     strictly extracts work and the threshold angle degenerates to 0.
     """
@@ -95,7 +98,7 @@ def energy_model(params: ProtocolParams) -> EnergyModel:
     return EnergyModel(
         omega_s=omega_s,
         omega_a=omega_a,
-        hamiltonian=np.kron(h_s, ID2) + np.kron(ID2, h_a),
+        hamiltonian=tensor(h_s, ID2) + tensor(ID2, h_a),
         h_system=h_s,
         h_ancilla=h_a,
     )
@@ -134,11 +137,17 @@ def phi_crit(params: ProtocolParams) -> float:
 
 
 def _phi_crit(eps_s: float, eps_a: float) -> float:
-    if eps_s == 0.0:
-        return 0.0
     a = eps_s * math.atanh(eps_s)
+    if a == 0.0:  # eps_s = 0, or small enough for a to underflow
+        return 0.0
     y = eps_a * math.atanh(eps_s) + eps_s * math.atanh(eps_a)
-    return math.asin((-y + math.sqrt(y * y + 4.0 * a * a)) / (2.0 * a))
+    # The direct form loses about (y/a)^2 ulps to cancellation and its
+    # squares underflow for a tiny eps_s; there the same root comes from
+    # the ratio r = y / a.  Elsewhere it stays, keeping emitted digits.
+    if y <= 100.0 * a and a > 1e-100:
+        return math.asin((-y + math.sqrt(y * y + 4.0 * a * a)) / (2.0 * a))
+    r = y / a
+    return math.asin(2.0 / (r + math.sqrt(r * r + 4.0)))
 
 
 def heat_reset(params: ProtocolParams) -> float:
@@ -174,20 +183,26 @@ def total_work(params: ProtocolParams) -> float:
 
 
 def figures_of_merit(params: ProtocolParams) -> ThermoReport:
-    """All energetic quantities, performance ratios and regime flags."""
+    """All energetic quantities, performance ratios and regime flags.
+
+    Raises ValueError naming the temperature when an energy overflows.
+    """
     load = cooling_load(params)
     q = heat_reset(params)
     de_s = delta_e_system(params)
     w = -de_s + q
-    reversible = w <= REVERSIBLE_WORK_FLOOR
+    w_m, w_f = work_measurement(params), work_feedback(params)
+    if not all(math.isfinite(v) for v in (load, q, de_s, w, w_m, w_f)):
+        raise ValueError(f"temperature {params.temperature!r} makes the cycle energies overflow")
+    reversible = w / params.temperature <= REVERSIBLE_WORK_FLOOR
     cop = None if reversible else load / w
     eta = None if reversible else load / q
     chi = None if reversible else cop * load
     pc = _phi_crit(params.eps_s, params.eps_a)
     pc_defined = params.eps_s > 0.0
     return ThermoReport(
-        work_measurement=work_measurement(params),
-        work_feedback=work_feedback(params),
+        work_measurement=w_m,
+        work_feedback=w_f,
         heat_reset=q,
         delta_e_system=de_s,
         entropy_reduction=entropy_reduction(params),
@@ -210,14 +225,12 @@ def ergotropy(rho, hamiltonian) -> float:
     tr(H rho) - tr(H rho_passive), where the passive state pairs the
     descending eigenvalues of rho with the ascending eigenvalues of H.
     """
-    r = densmat.validate_density_matrix(rho)
+    r, populations = densmat._checked(rho)
     h = densmat.as_matrix(hamiltonian)
     if not densmat.is_hermitian(h):
         raise ValueError("ergotropy expects a Hermitian Hamiltonian")
-    populations = np.linalg.eigvalsh(r)[::-1]
-    levels = np.linalg.eigvalsh(h)
-    passive_energy = float((populations * levels).sum())
-    return max(0.0, densmat.expectation(h, r) - passive_energy)
+    passive_energy = float((populations[::-1] * np.linalg.eigvalsh(h)).sum())
+    return max(0.0, densmat._expectation(h, r) - passive_energy)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +251,7 @@ def work_measurement_matrix(params: ProtocolParams,
     """tr{H (rho0 - rho_m)} from the actual states."""
     trace, model = _trace_and_model(params, trace, model)
     h = model.hamiltonian
-    return densmat.expectation(h, trace.rho0) - densmat.expectation(h, trace.rho_m)
+    return densmat._expectation(h, trace.rho0) - densmat._expectation(h, trace.rho_m)
 
 
 def work_feedback_matrix(params: ProtocolParams,
@@ -247,7 +260,7 @@ def work_feedback_matrix(params: ProtocolParams,
     """tr{H (rho_m - rho_f)} from the actual states."""
     trace, model = _trace_and_model(params, trace, model)
     h = model.hamiltonian
-    return densmat.expectation(h, trace.rho_m) - densmat.expectation(h, trace.rho_f)
+    return densmat._expectation(h, trace.rho_m) - densmat._expectation(h, trace.rho_f)
 
 
 def heat_reset_matrix(params: ProtocolParams,
@@ -256,7 +269,7 @@ def heat_reset_matrix(params: ProtocolParams,
     """tr{H_A (rho_f_a - rho0_a)} from the actual marginals."""
     trace, model = _trace_and_model(params, trace, model)
     h = model.h_ancilla
-    return densmat.expectation(h, trace.rho_f_a) - densmat.expectation(h, trace.rho0_a)
+    return densmat._expectation(h, trace.rho_f_a) - densmat._expectation(h, trace.rho0_a)
 
 
 def delta_e_system_matrix(params: ProtocolParams,
@@ -265,7 +278,7 @@ def delta_e_system_matrix(params: ProtocolParams,
     """tr{H_S (rho0_s - rho_f_s)} from the actual marginals."""
     trace, model = _trace_and_model(params, trace, model)
     h = model.h_system
-    return densmat.expectation(h, trace.rho0_s) - densmat.expectation(h, trace.rho_f_s)
+    return densmat._expectation(h, trace.rho0_s) - densmat._expectation(h, trace.rho_f_s)
 
 
 def entropy_reduction_matrix(params: ProtocolParams,
@@ -273,7 +286,7 @@ def entropy_reduction_matrix(params: ProtocolParams,
     """S(rho0_s) - S(rho_f_s) from matrix entropies."""
     if trace is None:
         trace = protocol.run_protocol(params)
-    return densmat.vn_entropy(trace.rho0_s) - densmat.vn_entropy(trace.rho_f_s)
+    return densmat._vn_entropy(trace.rho0_s) - densmat._vn_entropy(trace.rho_f_s)
 
 
 def total_work_matrix(params: ProtocolParams,
@@ -282,4 +295,4 @@ def total_work_matrix(params: ProtocolParams,
     """-tr{H (rho0 - rho_f)} from the actual states."""
     trace, model = _trace_and_model(params, trace, model)
     h = model.hamiltonian
-    return -(densmat.expectation(h, trace.rho0) - densmat.expectation(h, trace.rho_f))
+    return -(densmat._expectation(h, trace.rho0) - densmat._expectation(h, trace.rho_f))

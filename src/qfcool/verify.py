@@ -48,24 +48,45 @@ def standard_grid(n: int = 12, eps_s_max: float = 0.9, eps_a_max: float = 0.95,
     return grid
 
 
-class _Acc:
-    """Running maximum of per-point deviations, with a point count."""
+# Tolerance of every invariant class that is not held to TOL_CLOSED_FORM;
+# run_suite and point_checks both read it.
+TOLERANCES = {
+    "thermal_entropy": TOL_ENTROPY_FORM,
+    "reset_marginals": TOL_MARGINAL,
+    "post_measurement_ancilla_marginal": TOL_MARGINAL,
+    "work_positive": 0.0,
+    "heat_bounds_load": 1e-12,
+    "entropy_reduction_nonnegative": 1e-12,
+    "eta_bounded": 1e-12,
+    "ergotropy_bound": 1e-12,
+    "cooling_window_sign": 0.0,
+    "no_cooling_below_bias": 1e-12,
+    "phi_crit_root": TOL_ROOT,
+    "cop_monotone_phi": 1e-9,
+    "eta_monotone_phi": 1e-9,
+    "chi_monotone_phi": 1e-9,
+    "discord_symmetry": TOL_DISCORD_NUMERIC,
+    "discord_numeric_vs_closed": TOL_DISCORD_NUMERIC,
+    "entangled_implies_discordant": 0.0,
+}
 
-    def __init__(self):
-        self.max = 0.0
-        self.points = 0
 
-    def add(self, deviation: float):
-        self.points += 1
-        if deviation > self.max:
-            self.max = deviation
+def _check(name: str, deviations: list[float]) -> Check:
+    """Worst of a class's per-point deviations (0.0 when it checked none)."""
+    return Check(name=name, points=len(deviations), max_deviation=max([0.0, *deviations]),
+                 tolerance=TOLERANCES.get(name, TOL_CLOSED_FORM))
 
 
-def point_deviations(params: ProtocolParams) -> dict[str, float]:
-    """Closed-form vs matrix-oracle deviations at a single parameter point."""
-    trace = protocol.run_protocol(params)
-    model = thermo.energy_model(params)
-    dev = {
+def point_deviations(params: ProtocolParams,
+                     trace: protocol.ProtocolTrace | None = None,
+                     model: thermo.EnergyModel | None = None) -> dict[str, float]:
+    """Closed-form vs matrix-oracle deviations at a single parameter point.
+
+    ``trace`` and ``model`` default to a fresh run and energy model of
+    ``params``; callers that already hold them pass them in.
+    """
+    trace, model = thermo._trace_and_model(params, trace, model)
+    return {
         "work_measurement": abs(
             thermo.work_measurement(params)
             - thermo.work_measurement_matrix(params, trace, model)),
@@ -86,37 +107,33 @@ def point_deviations(params: ProtocolParams) -> dict[str, float]:
             + thermo.total_work_matrix(params, trace, model)),
         "mutual_information": abs(
             correlations.mutual_information_analytic(params)
-            - correlations.mutual_information(trace.rho_m)),
+            - correlations._mutual_information(trace.rho_m)),
         "discord_closed_form": abs(
             correlations.discord_analytic(params.eps_s, params.phi)
-            - (densmat.vn_entropy(trace.rho_m_s)
-               - densmat.vn_entropy(protocol.thermal_qubit(params.eps_s)))),
+            - (densmat._vn_entropy(trace.rho_m_s)
+               - densmat._vn_entropy(protocol.thermal_qubit(params.eps_s)))),
         "thermal_entropy": abs(
             0.5 * math.log(4.0 / (1.0 - params.eps_a ** 2))
             - params.eps_a * math.atanh(params.eps_a)
-            - densmat.vn_entropy(protocol.thermal_qubit(params.eps_a))),
+            - densmat._vn_entropy(protocol.thermal_qubit(params.eps_a))),
     }
-    return dev
 
 
 def run_suite(grid_n: int = 12, discord_stride: int = 3,
               temperature: float = 1.0) -> list[Check]:
     """Run every invariant class on the standard grid; return one Check each.
 
-    Raises ValueError unless ``grid_n >= 2`` and ``discord_stride >= 1``.
+    Each grid point is simulated once; its trace and energy model feed
+    both the closed-form comparisons and the property checks.  Raises
+    ValueError unless ``grid_n >= 2`` and ``discord_stride >= 1``.
     """
     if grid_n < 2:
         raise ValueError(f"grid_n must be at least 2, got {grid_n}")
     if discord_stride < 1:
         raise ValueError(f"discord_stride must be at least 1, got {discord_stride}")
     grid = standard_grid(grid_n, temperature=temperature)
-    names = [
-        "work_measurement", "work_feedback", "heat_reset", "delta_e_system",
-        "entropy_reduction", "total_work", "energy_conservation",
-        "mutual_information", "discord_closed_form", "thermal_entropy",
-    ]
-    acc = {name: _Acc() for name in names}
-    extra = {name: _Acc() for name in (
+    acc: dict[str, list[float]] = {}
+    extra: dict[str, list[float]] = {name: [] for name in (
         "purity_transfer", "swap_limit", "entropy_invariance", "reset_marginals",
         "post_measurement_ancilla_marginal", "work_positive", "heat_bounds_load",
         "entropy_reduction_nonnegative", "eta_bounded", "ergotropy_bound",
@@ -128,54 +145,52 @@ def run_suite(grid_n: int = 12, discord_stride: int = 3,
     half_pi = math.pi / 2
     by_bias: dict[tuple[float, float], list] = {}
     for params in grid:
-        for name, value in point_deviations(params).items():
-            acc[name].add(value)
-
         trace = protocol.run_protocol(params)
         model = thermo.energy_model(params)
+        for name, value in point_deviations(params, trace, model).items():
+            acc.setdefault(name, []).append(value)
         report = thermo.figures_of_merit(params)
 
-        rho_f_s = trace.rho_f_s
-        extra["purity_transfer"].add(abs(
-            float(np.trace(rho_f_s @ rho_f_s).real) - 0.5 * (1.0 + params.eps_a ** 2)))
+        extra["purity_transfer"].append(abs(
+            densmat._expectation(trace.rho_f_s, trace.rho_f_s) - 0.5 * (1.0 + params.eps_a ** 2)))
 
         if abs(params.phi - half_pi) < 1e-12:
-            extra["swap_limit"].add(max(
+            extra["swap_limit"].append(max(
                 float(np.max(np.abs(trace.rho_f_s - protocol.thermal_qubit(params.eps_a)))),
                 float(np.max(np.abs(trace.rho_f_a - protocol.thermal_qubit(params.eps_s))))))
 
-        s0 = densmat.vn_entropy(trace.rho0)
-        extra["entropy_invariance"].add(max(
-            abs(densmat.vn_entropy(trace.rho_m) - s0),
-            abs(densmat.vn_entropy(trace.rho_f) - s0)))
+        s0 = densmat._vn_entropy(trace.rho0)
+        extra["entropy_invariance"].append(max(
+            abs(densmat._vn_entropy(trace.rho_m) - s0),
+            abs(densmat._vn_entropy(trace.rho_f) - s0)))
 
-        expected_reset = np.kron(trace.rho_f_s, protocol.thermal_qubit(params.eps_a))
-        extra["reset_marginals"].add(float(np.max(np.abs(trace.rho_reset - expected_reset))))
+        expected_reset = densmat.tensor(trace.rho_f_s, protocol.thermal_qubit(params.eps_a))
+        extra["reset_marginals"].append(float(np.max(np.abs(trace.rho_reset - expected_reset))))
 
-        z = densmat.expectation(densmat.SIGMA_Z, trace.rho_m_a)
-        x = densmat.expectation(densmat.SIGMA_X, trace.rho_m_a)
+        z = densmat._expectation(densmat.SIGMA_Z, trace.rho_m_a)
+        x = densmat._expectation(densmat.SIGMA_X, trace.rho_m_a)
         expected_x = params.eps_s * params.eps_a * math.cos(params.phi)
-        extra["post_measurement_ancilla_marginal"].add(max(abs(z), abs(x - expected_x)))
+        extra["post_measurement_ancilla_marginal"].append(max(abs(z), abs(x - expected_x)))
 
         if params.eps_a > params.eps_s + 1e-12:
-            extra["work_positive"].add(max(0.0, -report.total_work))
-        extra["heat_bounds_load"].add(max(0.0, report.cooling_load - report.heat_reset))
-        extra["entropy_reduction_nonnegative"].add(max(0.0, -report.entropy_reduction))
+            extra["work_positive"].append(max(0.0, -report.total_work))
+        extra["heat_bounds_load"].append(max(0.0, report.cooling_load - report.heat_reset))
+        extra["entropy_reduction_nonnegative"].append(max(0.0, -report.entropy_reduction))
         if report.eta is not None:
-            extra["eta_bounded"].add(max(0.0, report.eta - 1.0, -report.eta))
-        extra["ergotropy_bound"].add(max(
+            extra["eta_bounded"].append(max(0.0, report.eta - 1.0, -report.eta))
+        extra["ergotropy_bound"].append(max(
             0.0, report.work_feedback - thermo.ergotropy(trace.rho_m, model.hamiltonian)))
 
         in_window = params.eps_a * math.sin(params.phi) > params.eps_s
         de = report.delta_e_system
         if abs(de) > 1e-12:
-            extra["cooling_window_sign"].add(0.0 if (de > 0.0) == in_window else 1.0)
+            extra["cooling_window_sign"].append(0.0 if (de > 0.0) == in_window else 1.0)
         if math.sin(params.phi) < params.eps_s:
-            extra["no_cooling_below_bias"].add(max(0.0, de))
+            extra["no_cooling_below_bias"].append(max(0.0, de))
 
         if params.eps_s > 0.0:
             root = ProtocolParams(params.eps_s, params.eps_a, report.phi_crit, temperature)
-            extra["phi_crit_root"].add(abs(thermo.work_feedback(root)))
+            extra["phi_crit_root"].append(abs(thermo.work_feedback(root)))
 
         by_bias.setdefault((params.eps_s, params.eps_a), []).append((params.phi, report))
 
@@ -185,58 +200,26 @@ def run_suite(grid_n: int = 12, discord_stride: int = 3,
             for name in ("cop", "eta", "chi"):
                 a, b = getattr(lo, name), getattr(hi, name)
                 if a is not None and b is not None:
-                    extra[f"{name}_monotone_phi"].add(max(0.0, a - b))
+                    extra[f"{name}_monotone_phi"].append(max(0.0, a - b))
 
-    # Numeric-discord checks on a thinned subgrid.
+    # Numeric-discord checks on a thinned subgrid (post-measurement state only).
     eps_list = np.linspace(0.0, 0.9, grid_n)[::discord_stride]
     phi_list = np.linspace(0.0, half_pi, grid_n)[::discord_stride]
     for eps_s in eps_list:
         for eps_a in np.linspace(eps_s, 0.95, grid_n)[::discord_stride]:
             for phi in phi_list:
                 params = ProtocolParams(float(eps_s), float(eps_a), float(phi), temperature)
-                rho_m = protocol.run_protocol(params).rho_m
-                d_a = correlations.discord_numeric(rho_m, "A")
-                d_s = correlations.discord_numeric(rho_m, "S")
-                closed = correlations.discord_analytic(params.eps_s, params.phi)
-                extra["discord_symmetry"].add(abs(d_a - d_s))
-                extra["discord_numeric_vs_closed"].add(max(abs(d_a - closed), abs(d_s - closed)))
-                if correlations.concurrence(rho_m) > 1e-6:
-                    extra["entangled_implies_discordant"].add(max(0.0, 1e-9 - d_a))
+                corr = correlations.correlation_report(params)
+                d_a, d_s, closed = corr.discord_a, corr.discord_s, corr.discord_analytic
+                extra["discord_symmetry"].append(abs(d_a - d_s))
+                extra["discord_numeric_vs_closed"].append(max(abs(d_a - closed), abs(d_s - closed)))
+                if corr.concurrence > 1e-6:
+                    extra["entangled_implies_discordant"].append(max(0.0, 1e-9 - d_a))
 
-    tolerances = {
-        "thermal_entropy": TOL_ENTROPY_FORM,
-        "reset_marginals": TOL_MARGINAL,
-        "post_measurement_ancilla_marginal": TOL_MARGINAL,
-        "work_positive": 0.0,
-        "heat_bounds_load": 1e-12,
-        "entropy_reduction_nonnegative": 1e-12,
-        "eta_bounded": 1e-12,
-        "ergotropy_bound": 1e-12,
-        "cooling_window_sign": 0.0,
-        "no_cooling_below_bias": 1e-12,
-        "phi_crit_root": TOL_ROOT,
-        "cop_monotone_phi": 1e-9,
-        "eta_monotone_phi": 1e-9,
-        "chi_monotone_phi": 1e-9,
-        "discord_symmetry": TOL_DISCORD_NUMERIC,
-        "discord_numeric_vs_closed": TOL_DISCORD_NUMERIC,
-        "entangled_implies_discordant": 0.0,
-    }
-    checks = []
-    for name in names:
-        checks.append(Check(name=name, points=acc[name].points,
-                            max_deviation=acc[name].max,
-                            tolerance=tolerances.get(name, TOL_CLOSED_FORM)))
-    for name, a in extra.items():
-        checks.append(Check(name=name, points=a.points, max_deviation=a.max,
-                            tolerance=tolerances.get(name, TOL_CLOSED_FORM)))
-    return checks
+    return [_check(name, values) for name, values in {**acc, **extra}.items()]
 
 
-def point_checks(params: ProtocolParams) -> list[Check]:
+def point_checks(params: ProtocolParams,
+                 trace: protocol.ProtocolTrace | None = None) -> list[Check]:
     """Single-point closed-form vs oracle comparison (for run --verify)."""
-    out = []
-    for name, value in point_deviations(params).items():
-        tol = TOL_ENTROPY_FORM if name == "thermal_entropy" else TOL_CLOSED_FORM
-        out.append(Check(name=name, points=1, max_deviation=value, tolerance=tol))
-    return out
+    return [_check(name, [value]) for name, value in point_deviations(params, trace).items()]

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from qfcool import cli, thermo
+from qfcool import thermo
 from qfcool.cli import CSV_HEADER, main
 
 HALF_PI_STR = "1.5707963267948966"
@@ -337,10 +337,14 @@ def test_cli_import_does_not_load_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-def test_worker_count_parsing(monkeypatch):
-    monkeypatch.delenv("QFC_THREADS", raising=False)
-    assert cli._worker_count() == 1
-    monkeypatch.setenv("QFC_THREADS", "4")
-    assert cli._worker_count() == 4
-    monkeypatch.setenv("QFC_THREADS", "0")
-    assert cli._worker_count() >= 1
+@pytest.mark.parametrize("args", [
+    ("run", "--eps-s", "0.3", "--eps-a", "0.999999999", "--phi", "1.0"),
+    ("run", "--eps-s", "0.3", "--eps-a", "0.999999999", "--phi", "1.0", "--format", "csv"),
+    ("sweep", "--eps-s", "0.3"),
+    ("optimize", "--objective", "chi", "--eps-s", "0.3", "--phi", "1.0"),
+], ids=["run-json", "run-csv", "sweep", "optimize"])
+def test_energy_overflow_is_a_domain_error(capsys, args):
+    code, out, err = run_cli(capsys, *args, "--temperature", "1e308")
+    assert code == 2
+    assert "temperature" in err
+    assert "Infinity" not in out and "inf" not in out

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qfcool import densmat
+from qfcool import correlations, densmat
 from qfcool.densmat import (
     ID2, SIGMA_X, SIGMA_Y, SIGMA_Z,
     conjugate, expectation, hermitian_eig, partial_trace, psd_sqrt, tensor,
@@ -215,3 +215,46 @@ def test_validate_density_matrix_rejects_bad_inputs():
         densmat.validate_density_matrix(np.eye(2))
     with pytest.raises(ValueError, match="positive semidefinite"):
         densmat.validate_density_matrix(np.diag([1.5, -0.5]))
+
+
+# Every public function that takes a caller's matrix validates it once, at
+# the boundary, with the same messages as validate_density_matrix.
+_BAD_STATES = [
+    ("Hermitian", np.diag([0.25, 0.25, 0.25, 0.25]) + np.triu(np.full((4, 4), 0.1), 1)),
+    ("unit trace", np.eye(4) / 2.0),
+    ("positive semidefinite", np.diag([0.75, 0.5, -0.25, 0.0])),
+]
+_CALLER_MATRIX_FUNCTIONS = {
+    "partial_trace": lambda rho: densmat.partial_trace(rho, "S"),
+    "vn_entropy": densmat.vn_entropy,
+    "expectation": lambda rho: densmat.expectation(np.eye(4), rho),
+    "purity": densmat.purity,
+    "bloch_vector": densmat.bloch_vector,
+    "concurrence": correlations.concurrence,
+    "mutual_information": correlations.mutual_information,
+    "bloch_components": correlations.bloch_components,
+    "discord_numeric": correlations.discord_numeric,
+}
+
+
+@pytest.mark.parametrize("function", sorted(_CALLER_MATRIX_FUNCTIONS))
+@pytest.mark.parametrize("message, state", _BAD_STATES, ids=[m for m, _ in _BAD_STATES])
+def test_public_functions_reject_invalid_states(function, message, state):
+    with pytest.raises(ValueError, match=message):
+        _CALLER_MATRIX_FUNCTIONS[function](state)
+
+
+def test_tensor_is_bit_identical_to_kron(rng):
+    for _ in range(50):
+        a, b = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(2))
+        assert tensor(a, b).tobytes() == np.kron(a, b).tobytes()
+
+
+def test_vn_entropy_reuses_the_validation_spectrum(random_density, monkeypatch):
+    rho = random_density(4)
+    expected = vn_entropy(rho)
+    calls = []
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or real(a))
+    assert vn_entropy(rho) == expected
+    assert len(calls) == 1

@@ -11,7 +11,7 @@ from qfcool.densmat import (
 )
 from qfcool.protocol import (
     ProtocolParams, feedback_unitary, initial_state, measurement_unitary,
-    run_protocol, thermal_qubit,
+    post_measurement_state, run_protocol, thermal_qubit,
 )
 
 HALF_PI = math.pi / 2
@@ -216,3 +216,18 @@ def test_protocol_grid_invariants():
         from qfcool.densmat import partial_trace
         assert np.max(np.abs(partial_trace(trace.rho_reset, "S") - trace.rho_f_s)) <= 1e-12
         assert np.max(np.abs(partial_trace(trace.rho_reset, "A") - thermal_qubit(ea))) <= 1e-12
+
+
+@pytest.mark.parametrize("es, ea, phi", [
+    (0.4, 0.8, 1.0), (0.0, 0.6, 0.7), (0.5, 0.5, HALF_PI), (0.3, 1.0 - 1e-9, 1.2),
+    (0.3, 0.7, 0.0),
+])
+def test_post_measurement_state_is_bit_identical_to_trace(es, ea, phi):
+    params = ProtocolParams(es, ea, phi)
+    assert post_measurement_state(params).tobytes() == run_protocol(params).rho_m.tobytes()
+
+
+def test_feedback_unitary_returns_a_fresh_copy():
+    u = feedback_unitary()
+    u[:] = 0.0
+    validate_unitary(feedback_unitary())  # raises unless still unitary

@@ -6,7 +6,7 @@ import pytest
 from qfcool import sweep
 from qfcool.protocol import ProtocolParams
 from qfcool.sweep import (
-    SweepGrid, characteristic_curve, eps_a_for_cooling_load, evaluate_grid,
+    SweepGrid, characteristic_curve, eps_a_for_cooling_load,
     landscape, optimize_working_point, separability_boundary,
 )
 from qfcool.thermo import delta_e_system, figures_of_merit, work_feedback
@@ -187,13 +187,6 @@ def test_landscape_columns_are_iso_discord():
 def test_landscape_rejects_unknown_selector():
     with pytest.raises(ValueError):
         landscape(landscape_grid(), quantities={"thermo", "plots"})
-
-
-def test_evaluate_grid_parallel_matches_serial():
-    grid = SweepGrid(0.3, (0.2, 1.0), tuple(np.linspace(0.3, 0.9, 5)))
-    serial = evaluate_grid(grid, include_correlations=True, max_workers=1)
-    parallel = evaluate_grid(grid, include_correlations=True, max_workers=2)
-    assert serial == parallel
 
 
 def test_fixed_load_figures_grow_with_phi():

@@ -1,10 +1,14 @@
 import math
 
 import numpy as np
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from qfcool.densmat import SIGMA_Z
 from qfcool.protocol import ProtocolParams, run_protocol, thermal_qubit
 from qfcool.thermo import (
+    REVERSIBLE_WORK_FLOOR,
     delta_e_system, delta_e_system_matrix, energy_model, entropy_reduction,
     entropy_reduction_matrix, ergotropy, figures_of_merit, heat_reset,
     heat_reset_matrix, phi_crit, total_work, total_work_matrix, work_feedback,
@@ -143,6 +147,17 @@ def test_phi_crit_is_feedback_work_root():
     assert below < 0.0 < above
 
 
+@pytest.mark.parametrize("eps_s", [1e-200, 1e-109, 7.870918860507277e-101, 1e-6, 1e-3, 0.05])
+def test_phi_crit_is_a_root_at_small_register_bias(eps_s):
+    # a = eps_s atanh(eps_s) underflows, or -y + sqrt(y^2 + 4a^2) cancels
+    params = ProtocolParams(eps_s, 0.5, 0.0)
+    pc = phi_crit(params)
+    assert 0.0 <= pc < 0.1
+    residual = work_feedback(ProtocolParams(eps_s, 0.5, pc))
+    assert abs(residual) <= 1e-12 * eps_s * math.atanh(eps_s)
+    assert figures_of_merit(params).phi_crit_defined
+
+
 def test_phi_crit_decreases_with_ancilla_bias():
     values = [phi_crit(ProtocolParams(0.4, float(ea), 0.0))
               for ea in np.linspace(0.4, 0.95, 12)]
@@ -237,3 +252,42 @@ def test_ergotropy_bounds_feedback_work():
     assert gap > 0.1
     assert abs(ergotropy(run_protocol(p).rho_m, energy_model(p).hamiltonian)
                - 1.0483494030119285) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# temperature scaling and overflow
+# ---------------------------------------------------------------------------
+
+_FLAGS = ("in_cooling_window", "work_extracting_feedback", "phi_crit_defined")
+
+
+def test_reversible_flag_scales_with_temperature():
+    cold = figures_of_merit(ProtocolParams(0.4, 0.8, 1.0, 1e-15))
+    unit = figures_of_merit(ProtocolParams(0.4, 0.8, 1.0))
+    assert not cold.reversible_limit
+    assert cold.cop == pytest.approx(unit.cop, rel=1e-12)
+    assert round(cold.cop, 4) == 0.7265
+
+
+@given(eps_s=st.floats(0.0, 0.9), fraction=st.floats(0.0, 1.0),
+       phi=st.floats(0.0, HALF_PI), log10_t=st.floats(-300.0, 300.0))
+@example(eps_s=0.4, fraction=1.0, phi=1.0, log10_t=-15.0)
+@example(eps_s=0.5, fraction=0.0, phi=HALF_PI, log10_t=300.0)
+@example(eps_s=0.0, fraction=0.5, phi=0.3, log10_t=-300.0)
+def test_figures_of_merit_do_not_depend_on_temperature(eps_s, fraction, phi, log10_t):
+    eps_a = eps_s + fraction * (0.95 - eps_s)
+    unit = figures_of_merit(ProtocolParams(eps_s, eps_a, phi))
+    scaled = figures_of_merit(ProtocolParams(eps_s, eps_a, phi, 10.0 ** log10_t))
+    for flag in _FLAGS:
+        assert getattr(scaled, flag) == getattr(unit, flag), flag
+    w = unit.total_work  # W / T at T = 1
+    if not 0.5 * REVERSIBLE_WORK_FLOOR <= w <= 2.0 * REVERSIBLE_WORK_FLOOR:
+        assert scaled.reversible_limit == unit.reversible_limit
+    if w > 1e-6:
+        assert scaled.cop == pytest.approx(unit.cop, rel=1e-9)
+        assert scaled.eta == pytest.approx(unit.eta, rel=1e-9)
+
+
+def test_figures_of_merit_reject_energy_overflow():
+    with pytest.raises(ValueError, match="temperature"):
+        figures_of_merit(ProtocolParams(0.3, 0.999999999, 1.0, 1e308))
