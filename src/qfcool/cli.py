@@ -83,9 +83,7 @@ def _flatten(prefix: str, value, rows: list[tuple[str, str]]) -> None:
         rows.append((prefix, ";".join(_fmt(v) for v in value)))
     elif isinstance(value, bool):
         rows.append((prefix, _fmt_bool(value)))
-    elif value is None:
-        rows.append((prefix, ""))
-    elif isinstance(value, (int, float)):
+    elif value is None or isinstance(value, (int, float)):
         rows.append((prefix, _fmt(value)))
     else:
         rows.append((prefix, str(value)))
@@ -150,9 +148,9 @@ class _Resolver:
 
 def _state_summary(rho: np.ndarray) -> dict:
     """Purity, entropy and (for a qubit) Bloch vector of a trace state, read unchecked."""
-    doc = {"purity": densmat._expectation(rho, rho), "entropy": densmat._vn_entropy(rho)}
+    doc = {"purity": densmat._purity(rho), "entropy": densmat._vn_entropy(rho)}
     if rho.shape == (2, 2):
-        doc["bloch"] = [densmat._expectation(s, rho) for s in densmat.PAULI]
+        doc["bloch"] = densmat._bloch_vector(rho).tolist()
     return doc
 
 
@@ -193,10 +191,8 @@ def cmd_run(config: RunConfig) -> int:
             "max_deviation": max(c.max_deviation for c in checks),
             "passed": not failed,
         }
-    if config.output_format == "json":
-        _emit(_json_doc(doc), config.output)
-    else:
-        _emit(_key_value_csv(doc), config.output)
+    render = _json_doc if config.output_format == "json" else _key_value_csv
+    _emit(render(doc), config.output)
     return 3 if failed else 0
 
 
@@ -239,10 +235,8 @@ def _sweep_csv_rows(eps_s: float, temperature: float,
 
 
 def _boundary_csv(eps_s: float, series: Sequence[sweep.BoundaryPoint]) -> str:
-    lines = ["eps_s,eps_a,phi"]
-    for point in series:
-        lines.append(",".join([_fmt(eps_s), _fmt(point.eps_a), _fmt(point.phi)]))
-    return "\n".join(lines) + "\n"
+    rows = [f"{_fmt(eps_s)},{_fmt(p.eps_a)},{_fmt(p.phi)}" for p in series]
+    return "\n".join(["eps_s,eps_a,phi", *rows]) + "\n"
 
 
 def cmd_sweep(grid: sweep.SweepGrid, landscape_mode: bool, output_format: str,
@@ -256,10 +250,8 @@ def cmd_sweep(grid: sweep.SweepGrid, landscape_mode: bool, output_format: str,
             "points": [_point_doc(p) for p in result.points],
         }
         if landscape_mode:
-            doc["cooling_window_boundary"] = [
-                {"phi": b.phi, "eps_a": b.eps_a} for b in result.cooling_window_boundary]
-            doc["work_extraction_boundary"] = [
-                {"phi": b.phi, "eps_a": b.eps_a} for b in result.work_extraction_boundary]
+            doc["cooling_window_boundary"] = [b._asdict() for b in result.cooling_window_boundary]
+            doc["work_extraction_boundary"] = [b._asdict() for b in result.work_extraction_boundary]
         _emit(_json_doc(doc), output)
         return 0
     _emit(_sweep_csv_rows(grid.eps_s, grid.temperature, result.points), output)

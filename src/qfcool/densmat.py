@@ -113,6 +113,14 @@ def _expectation(h: np.ndarray, a: np.ndarray) -> float:
     return float(np.trace(h @ a).real)
 
 
+def _purity(a: np.ndarray) -> float:
+    return _expectation(a, a)
+
+
+def _bloch_vector(a: np.ndarray) -> np.ndarray:
+    return np.array([_expectation(s, a) for s in PAULI])
+
+
 def partial_trace(rho, keep: str) -> np.ndarray:
     """Reduce a 4x4 density matrix to the marginal of one subsystem.
 
@@ -176,8 +184,7 @@ def expectation(h, rho) -> float:
 
 def purity(rho) -> float:
     """tr(rho^2)."""
-    a = validate_density_matrix(rho)
-    return float(np.trace(a @ a).real)
+    return _purity(validate_density_matrix(rho))
 
 
 def bloch_vector(rho) -> np.ndarray:
@@ -185,4 +192,4 @@ def bloch_vector(rho) -> np.ndarray:
     a = validate_density_matrix(rho)
     if a.shape != (2, 2):
         raise ValueError("bloch_vector expects a 2x2 density matrix")
-    return np.array([np.trace(s @ a).real for s in PAULI])
+    return _bloch_vector(a)

@@ -230,7 +230,7 @@ def landscape(grid: SweepGrid,
     include_corr = "correlations" in quantities
     points = evaluate_grid(grid, include_corr)
 
-    cooling = []
+    cooling, extraction = [], []
     if grid.eps_s > 0.0:
         for phi in grid.phi_values:
             s = math.sin(phi)
@@ -238,9 +238,6 @@ def landscape(grid: SweepGrid,
                 eps_a = grid.eps_s / s
                 if grid.eps_a_values[0] <= eps_a <= grid.eps_a_values[-1]:
                     cooling.append(BoundaryPoint(phi=phi, eps_a=eps_a))
-
-    extraction = []
-    if grid.eps_s > 0.0:
         for eps_a in grid.eps_a_values:
             pc = thermo._phi_crit(grid.eps_s, eps_a)
             if grid.phi_values[0] <= pc <= grid.phi_values[-1]:

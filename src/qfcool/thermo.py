@@ -143,11 +143,11 @@ def _phi_crit(eps_s: float, eps_a: float) -> float:
     y = eps_a * math.atanh(eps_s) + eps_s * math.atanh(eps_a)
     # The direct form loses about (y/a)^2 ulps to cancellation and its
     # squares underflow for a tiny eps_s; there the same root comes from
-    # the ratio r = y / a.  Elsewhere it stays, keeping emitted digits.
+    # the rationalised form, whose hypot neither overflows nor underflows.
+    # Elsewhere the direct form stays, keeping emitted digits.
     if y <= 100.0 * a and a > 1e-100:
         return math.asin((-y + math.sqrt(y * y + 4.0 * a * a)) / (2.0 * a))
-    r = y / a
-    return math.asin(2.0 / (r + math.sqrt(r * r + 4.0)))
+    return math.asin(2.0 * a / (y + math.hypot(y, 2.0 * a)))
 
 
 def heat_reset(params: ProtocolParams) -> float:
@@ -185,14 +185,17 @@ def total_work(params: ProtocolParams) -> float:
 def figures_of_merit(params: ProtocolParams) -> ThermoReport:
     """All energetic quantities, performance ratios and regime flags.
 
-    Raises ValueError naming the temperature when an energy overflows.
+    Raises ValueError naming the temperature when an energy or a level
+    splitting overflows.
     """
     load = cooling_load(params)
     q = heat_reset(params)
     de_s = delta_e_system(params)
     w = -de_s + q
     w_m, w_f = work_measurement(params), work_feedback(params)
-    if not all(math.isfinite(v) for v in (load, q, de_s, w, w_m, w_f)):
+    omegas = (level_splitting(params.eps_s, params.temperature),
+              level_splitting(params.eps_a, params.temperature))
+    if not all(math.isfinite(v) for v in (load, q, de_s, w, w_m, w_f, *omegas)):
         raise ValueError(f"temperature {params.temperature!r} makes the cycle energies overflow")
     reversible = w / params.temperature <= REVERSIBLE_WORK_FLOOR
     cop = None if reversible else load / w
@@ -238,11 +241,11 @@ def ergotropy(rho, hamiltonian) -> float:
 # ---------------------------------------------------------------------------
 
 def _trace_and_model(params, trace, model):
-    if trace is None:
-        trace = protocol.run_protocol(params)
-    if model is None:
-        model = energy_model(params)
-    return trace, model
+    return trace or protocol.run_protocol(params), model or energy_model(params)
+
+
+def _energy_drop(h: np.ndarray, before: np.ndarray, after: np.ndarray) -> float:
+    return densmat._expectation(h, before) - densmat._expectation(h, after)
 
 
 def work_measurement_matrix(params: ProtocolParams,
@@ -250,8 +253,7 @@ def work_measurement_matrix(params: ProtocolParams,
                             model: EnergyModel | None = None) -> float:
     """tr{H (rho0 - rho_m)} from the actual states."""
     trace, model = _trace_and_model(params, trace, model)
-    h = model.hamiltonian
-    return densmat._expectation(h, trace.rho0) - densmat._expectation(h, trace.rho_m)
+    return _energy_drop(model.hamiltonian, trace.rho0, trace.rho_m)
 
 
 def work_feedback_matrix(params: ProtocolParams,
@@ -259,8 +261,7 @@ def work_feedback_matrix(params: ProtocolParams,
                          model: EnergyModel | None = None) -> float:
     """tr{H (rho_m - rho_f)} from the actual states."""
     trace, model = _trace_and_model(params, trace, model)
-    h = model.hamiltonian
-    return densmat._expectation(h, trace.rho_m) - densmat._expectation(h, trace.rho_f)
+    return _energy_drop(model.hamiltonian, trace.rho_m, trace.rho_f)
 
 
 def heat_reset_matrix(params: ProtocolParams,
@@ -268,8 +269,7 @@ def heat_reset_matrix(params: ProtocolParams,
                       model: EnergyModel | None = None) -> float:
     """tr{H_A (rho_f_a - rho0_a)} from the actual marginals."""
     trace, model = _trace_and_model(params, trace, model)
-    h = model.h_ancilla
-    return densmat._expectation(h, trace.rho_f_a) - densmat._expectation(h, trace.rho0_a)
+    return _energy_drop(model.h_ancilla, trace.rho_f_a, trace.rho0_a)
 
 
 def delta_e_system_matrix(params: ProtocolParams,
@@ -277,15 +277,13 @@ def delta_e_system_matrix(params: ProtocolParams,
                           model: EnergyModel | None = None) -> float:
     """tr{H_S (rho0_s - rho_f_s)} from the actual marginals."""
     trace, model = _trace_and_model(params, trace, model)
-    h = model.h_system
-    return densmat._expectation(h, trace.rho0_s) - densmat._expectation(h, trace.rho_f_s)
+    return _energy_drop(model.h_system, trace.rho0_s, trace.rho_f_s)
 
 
 def entropy_reduction_matrix(params: ProtocolParams,
                              trace: ProtocolTrace | None = None) -> float:
     """S(rho0_s) - S(rho_f_s) from matrix entropies."""
-    if trace is None:
-        trace = protocol.run_protocol(params)
+    trace = trace or protocol.run_protocol(params)
     return densmat._vn_entropy(trace.rho0_s) - densmat._vn_entropy(trace.rho_f_s)
 
 
@@ -294,5 +292,4 @@ def total_work_matrix(params: ProtocolParams,
                       model: EnergyModel | None = None) -> float:
     """-tr{H (rho0 - rho_f)} from the actual states."""
     trace, model = _trace_and_model(params, trace, model)
-    h = model.hamiltonian
-    return -(densmat._expectation(h, trace.rho0) - densmat._expectation(h, trace.rho_f))
+    return -_energy_drop(model.hamiltonian, trace.rho0, trace.rho_f)

@@ -72,8 +72,13 @@ TOLERANCES = {
 
 
 def _check(name: str, deviations: list[float]) -> Check:
-    """Worst of a class's per-point deviations (0.0 when it checked none)."""
-    return Check(name=name, points=len(deviations), max_deviation=max([0.0, *deviations]),
+    """Worst of a class's per-point deviations (0.0 when it checked none).
+
+    A NaN deviation is the worst of all: it makes the class fail.
+    """
+    worst = (math.nan if any(math.isnan(d) for d in deviations)
+             else max([0.0, *deviations]))
+    return Check(name=name, points=len(deviations), max_deviation=worst,
                  tolerance=TOLERANCES.get(name, TOL_CLOSED_FORM))
 
 

@@ -342,7 +342,9 @@ def test_cli_import_does_not_load_scipy():
     ("run", "--eps-s", "0.3", "--eps-a", "0.999999999", "--phi", "1.0", "--format", "csv"),
     ("sweep", "--eps-s", "0.3"),
     ("optimize", "--objective", "chi", "--eps-s", "0.3", "--phi", "1.0"),
-], ids=["run-json", "run-csv", "sweep", "optimize"])
+    # the energies stay finite but omega_a = 2 T atanh(0.9) overflows
+    ("run", "--eps-s", "0.3", "--eps-a", "0.9", "--phi", "1.0", "--verify"),
+], ids=["run-json", "run-csv", "sweep", "optimize", "run-verify-splitting"])
 def test_energy_overflow_is_a_domain_error(capsys, args):
     code, out, err = run_cli(capsys, *args, "--temperature", "1e308")
     assert code == 2

@@ -147,7 +147,8 @@ def test_phi_crit_is_feedback_work_root():
     assert below < 0.0 < above
 
 
-@pytest.mark.parametrize("eps_s", [1e-200, 1e-109, 7.870918860507277e-101, 1e-6, 1e-3, 0.05])
+@pytest.mark.parametrize("eps_s", [1e-200, 1e-158, 1e-109, 7.870918860507277e-101,
+                                   1e-6, 1e-3, 0.05])
 def test_phi_crit_is_a_root_at_small_register_bias(eps_s):
     # a = eps_s atanh(eps_s) underflows, or -y + sqrt(y^2 + 4a^2) cancels
     params = ProtocolParams(eps_s, 0.5, 0.0)

@@ -1,3 +1,5 @@
+import math
+
 from qfcool import protocol, verify
 from qfcool.protocol import ProtocolParams
 
@@ -31,3 +33,9 @@ def test_check_without_points_reports_zero_deviation():
     check = verify._check("entangled_implies_discordant", [])
     assert (check.points, check.max_deviation, check.passed) == (0, 0.0, True)
 
+
+
+def test_check_fails_on_a_nan_deviation():
+    check = verify._check("work_feedback", [0.0, float("nan"), 1e-15])
+    assert math.isnan(check.max_deviation)
+    assert not check.passed
