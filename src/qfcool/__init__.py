@@ -16,6 +16,7 @@ from .correlations import (
     classical_correlations,
     concurrence,
     correlation_report,
+    correlation_reports,
     discord_analytic,
     discord_numeric,
     discord_threshold,
@@ -78,6 +79,7 @@ __all__ = [
     "ProtocolTrace", "SeparabilityBoundary", "Spectrum", "SweepGrid",
     "ThermoReport", "WorkingPoint", "characteristic_curve",
     "classical_correlations", "concurrence", "conjugate", "correlation_report",
+    "correlation_reports",
     "delta_e_system", "discord_analytic", "discord_numeric", "discord_threshold",
     "energy_model", "entanglement_of_formation", "entropy_reduction",
     "eps_a_for_cooling_load", "ergotropy", "expectation", "feedback_unitary",

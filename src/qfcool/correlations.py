@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -112,20 +112,28 @@ def concurrence(rho) -> float:
     tr R and lambda1 - lambda2 - lambda3 - lambda4) are evaluated and
     must agree to 1e-9.
     """
-    return _concurrence(_two_qubit_state(rho, "concurrence"))
+    return float(_concurrence(_two_qubit_state(rho, "concurrence")))
 
 
-def _concurrence(r: np.ndarray) -> float:
-    sq = densmat.psd_sqrt(r)
-    inner = sq @ _SPIN_FLIP @ densmat.conjugate(r) @ _SPIN_FLIP @ sq
-    flip_spectrum = densmat.psd_sqrt(0.5 * (inner + inner.conj().T))
-    lam = densmat.hermitian_eig(flip_spectrum).eigenvalues[::-1]
-    from_trace = 2.0 * lam[0] - float(np.trace(flip_spectrum).real)
-    from_eigs = float(lam[0] - lam[1] - lam[2] - lam[3])
-    if abs(from_trace - from_eigs) > 1e-9:
+def _concurrence(r: np.ndarray) -> np.ndarray:
+    """Concurrence of a state or of each state in a stack ``(..., 4, 4)``.
+
+    Raises if any state fails a check: Hermitian input to each square
+    root and to the final eigendecomposition, the PSD clamp, and the
+    agreement of the two reductions.
+    """
+    sq = densmat._psd_sqrt(r)
+    inner = sq @ _SPIN_FLIP @ r.conj() @ _SPIN_FLIP @ sq
+    flip_spectrum = densmat._psd_sqrt(0.5 * (inner + densmat._dagger(inner)))
+    lam = densmat._hermitian_eig(flip_spectrum).eigenvalues[..., ::-1]
+    from_trace = 2.0 * lam[..., 0] - np.trace(flip_spectrum, axis1=-2, axis2=-1).real
+    from_eigs = lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]
+    disagree = np.abs(from_trace - from_eigs) > 1e-9
+    if disagree.any():
         raise RuntimeError(
-            f"concurrence forms disagree: {from_trace!r} vs {from_eigs!r}")
-    return max(0.0, from_eigs)
+            f"concurrence forms disagree: {float(from_trace[disagree].flat[0])!r}"
+            f" vs {float(from_eigs[disagree].flat[0])!r}")
+    return np.where(from_eigs > 0.0, from_eigs, 0.0)
 
 
 def eof_from_concurrence(c: float) -> float:
@@ -146,14 +154,15 @@ def entanglement_of_formation(rho) -> float:
 
 def mutual_information(rho) -> float:
     """S(rho_S) + S(rho_A) - S(rho), from matrix entropies."""
-    return _mutual_information(_two_qubit_state(rho, "mutual_information"))
+    return float(_mutual_information(_two_qubit_state(rho, "mutual_information")))
 
 
-def _mutual_information(r: np.ndarray) -> float:
+def _mutual_information(r: np.ndarray) -> np.ndarray:
+    """Mutual information of a state or of each state in a stack ``(..., 4, 4)``."""
     return (
-        densmat._vn_entropy(densmat._partial_trace(r, "S"))
-        + densmat._vn_entropy(densmat._partial_trace(r, "A"))
-        - densmat._vn_entropy(r)
+        densmat._vn_entropies(densmat._partial_trace(r, "S"))
+        + densmat._vn_entropies(densmat._partial_trace(r, "A"))
+        - densmat._vn_entropies(r)
     )
 
 
@@ -253,7 +262,7 @@ def _reduced_entropy(conditional, keep: str) -> float:
     """
     marginal = densmat._partial_trace(conditional, keep)
     w = np.clip(np.linalg.eigvalsh(0.5 * (marginal + marginal.conj().T)), 0.0, None)
-    return densmat._spectrum_entropy(w / w.sum())
+    return float(densmat._spectrum_entropy(w / w.sum()))
 
 
 def optimal_measurement(rho, measured_side: str = "A",
@@ -320,7 +329,7 @@ def discord_numeric(rho, measured_side: str = "A",
     """
     _check_side(measured_side)
     r = _two_qubit_state(rho, "discord_numeric")
-    return _discord(_mutual_information(r), _bloch_components(r), measured_side, opts)
+    return _discord(float(_mutual_information(r)), _bloch_components(r), measured_side, opts)
 
 
 def _discord(mi: float, bloch, measured_side: str, opts: OptimizerOptions | None) -> float:
@@ -361,7 +370,7 @@ def classical_correlations(rho, measured_side: str = "A",
     """Classical share of correlations: I(rho) - discord for the given side."""
     _check_side(measured_side)
     r = _two_qubit_state(rho, "classical_correlations")
-    mi = _mutual_information(r)
+    mi = float(_mutual_information(r))
     return mi - _discord(mi, _bloch_components(r), measured_side, opts)
 
 
@@ -398,15 +407,30 @@ def correlation_report(params: ProtocolParams, *, numeric_discord: bool = True,
                        opts: OptimizerOptions | None = None) -> CorrelationReport:
     """Evaluate all correlation measures on the post-measurement state."""
     rho_m = protocol.post_measurement_state(params)
-    conc = _concurrence(rho_m)
-    mi = _mutual_information(rho_m)
+    conc, mi = float(_concurrence(rho_m)), float(_mutual_information(rho_m))
+    d_a = d_s = None
     if numeric_discord:
         bloch = _bloch_components(rho_m)
         d_a = _discord(mi, bloch, "A", opts)
         d_s = _discord(mi, bloch, "S", opts)
-        classical_a = mi - d_a
-    else:
-        d_a = d_s = classical_a = None
+    return _report(params, conc, mi, d_a, d_s)
+
+
+def correlation_reports(points: Sequence[ProtocolParams]) -> list[CorrelationReport]:
+    """``correlation_report(p, numeric_discord=False)`` for every point.
+
+    The post-measurement states are built, and their concurrence and
+    mutual information evaluated, as one ``(n, 4, 4)`` stack; each value
+    equals the single-point one bit for bit.
+    """
+    rho_m = protocol._post_measurement_states(
+        [p.eps_s for p in points], [p.eps_a for p in points], [p.phi for p in points])
+    return [_report(p, conc, mi) for p, conc, mi in
+            zip(points, _concurrence(rho_m).tolist(), _mutual_information(rho_m).tolist())]
+
+
+def _report(params: ProtocolParams, conc: float, mi: float,
+            d_a: Optional[float] = None, d_s: Optional[float] = None) -> CorrelationReport:
     return CorrelationReport(
         concurrence=conc,
         eof=eof_from_concurrence(conc),
@@ -414,5 +438,5 @@ def correlation_report(params: ProtocolParams, *, numeric_discord: bool = True,
         discord_a=d_a,
         discord_s=d_s,
         discord_analytic=discord_analytic(params.eps_s, params.phi),
-        classical_a=classical_a,
+        classical_a=None if d_a is None else mi - d_a,
     )

@@ -49,15 +49,24 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
+def _dagger(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix in a stack."""
+    return a.conj().swapaxes(-1, -2)
+
+
+def _all_hermitian(a: np.ndarray, atol: float = ATOL) -> bool:
+    """True when every matrix of a stack ``(..., d, d)`` is Hermitian within ``atol``."""
+    return bool((np.abs(a - _dagger(a)) <= atol).all())
+
+
 def is_hermitian(m, atol: float = ATOL) -> bool:
-    a = as_matrix(m)
-    return bool(np.max(np.abs(a - a.conj().T)) <= atol)
+    return _all_hermitian(as_matrix(m), atol)
 
 
 def _checked(rho, atol: float = ATOL) -> tuple[np.ndarray, np.ndarray]:
     """Validate a caller's density matrix; return it and its ascending eigenvalues."""
     a = as_matrix(rho)
-    if not is_hermitian(a, atol):
+    if not _all_hermitian(a, atol):
         raise ValueError("density matrix must be Hermitian")
     if abs(np.trace(a) - 1.0) > atol:
         raise ValueError("density matrix must have unit trace")
@@ -89,24 +98,41 @@ def tensor(a, b) -> np.ndarray:
     ma, mb = as_matrix(a), as_matrix(b)
     if ma.shape != (2, 2) or mb.shape != (2, 2):
         raise ValueError("tensor expects two 2x2 factors")
-    return (ma[:, None, :, None] * mb[None, :, None, :]).reshape(4, 4)
+    return _tensor(ma, mb)
 
 
 # Unchecked kernels for states the package builds itself (valid by
 # construction); the public functions below validate and then call them.
+# Each kernel takes one matrix or a stack ``(..., d, d)`` of them and
+# treats every matrix of a stack exactly as it treats a single one.
+
+def _tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    prod = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return prod.reshape(prod.shape[:-4] + (4, 4))
+
 
 def _partial_trace(a: np.ndarray, keep: str) -> np.ndarray:
-    r = a.reshape(2, 2, 2, 2)
-    return np.trace(r, axis1=1, axis2=3) if keep == "S" else np.trace(r, axis1=0, axis2=2)
+    r = a.reshape(a.shape[:-2] + (2, 2, 2, 2))
+    return np.trace(r, axis1=-3, axis2=-1) if keep == "S" else np.trace(r, axis1=-4, axis2=-2)
 
 
-def _spectrum_entropy(w: np.ndarray) -> float:
-    w = w[w > ENTROPY_CUTOFF]
-    return float(-(w * np.log(w)).sum())
+def _spectrum_entropy(w: np.ndarray) -> np.ndarray:
+    """Entropies of ascending spectra ``(..., d)``.
+
+    Eigenvalues at or below the cutoff are replaced by 1, whose term
+    1 ln 1 is an exact zero; they lead each spectrum, so the sum equals
+    the sum over the kept eigenvalues alone bit for bit.
+    """
+    kept = np.where(w > ENTROPY_CUTOFF, w, 1.0)
+    return -(kept * np.log(kept)).sum(axis=-1)
+
+
+def _vn_entropies(a: np.ndarray) -> np.ndarray:
+    return _spectrum_entropy(np.linalg.eigvalsh(a))
 
 
 def _vn_entropy(a: np.ndarray) -> float:
-    return _spectrum_entropy(np.linalg.eigvalsh(a))
+    return float(_spectrum_entropy(np.linalg.eigvalsh(a)))
 
 
 def _expectation(h: np.ndarray, a: np.ndarray) -> float:
@@ -137,13 +163,16 @@ def partial_trace(rho, keep: str) -> np.ndarray:
 
 def vn_entropy(rho) -> float:
     """Von Neumann entropy in nats, with 0 ln 0 = 0."""
-    return _spectrum_entropy(_checked(rho)[1])
+    return float(_spectrum_entropy(_checked(rho)[1]))
 
 
 def hermitian_eig(m) -> Spectrum:
     """Eigendecomposition of a Hermitian matrix (ascending eigenvalues)."""
-    a = as_matrix(m)
-    if not is_hermitian(a):
+    return _hermitian_eig(as_matrix(m))
+
+
+def _hermitian_eig(a: np.ndarray) -> Spectrum:
+    if not _all_hermitian(a):
         raise ValueError("hermitian_eig expects a Hermitian matrix")
     w, v = np.linalg.eigh(a)
     return Spectrum(eigenvalues=w, eigenvectors=v)
@@ -155,15 +184,21 @@ def psd_sqrt(rho) -> np.ndarray:
     Eigenvalues in [-PSD_CLAMP, 0) are clamped to zero; anything below
     -PSD_CLAMP raises.
     """
-    a = as_matrix(rho)
-    if not is_hermitian(a):
+    return _psd_sqrt(as_matrix(rho))
+
+
+def _psd_sqrt(a: np.ndarray) -> np.ndarray:
+    """``psd_sqrt`` of a matrix or a stack; raises if any matrix fails a check."""
+    if not _all_hermitian(a):
         raise ValueError("psd_sqrt expects a Hermitian matrix")
     w, v = np.linalg.eigh(a)
-    if w[0] < -PSD_CLAMP:
-        raise ValueError(f"psd_sqrt expects a PSD matrix (min eigenvalue {w[0]:.3e})")
-    w = np.clip(w, 0.0, None)
-    s = (v * np.sqrt(w)) @ v.conj().T
-    return 0.5 * (s + s.conj().T)
+    low = w[..., 0]
+    negative = low < -PSD_CLAMP
+    if negative.any():
+        raise ValueError(
+            f"psd_sqrt expects a PSD matrix (min eigenvalue {low[negative].flat[0]:.3e})")
+    s = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ _dagger(v)
+    return 0.5 * (s + _dagger(s))
 
 
 def conjugate(m) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densmat import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, _partial_trace, tensor
+from .densmat import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, _dagger, _partial_trace, _tensor, tensor
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 
@@ -26,6 +26,9 @@ _ROT_PLUS = _SQRT1_2 * (ID2 + 1j * SIGMA_Y)
 _ROT_MINUS = _SQRT1_2 * (ID2 - 1j * SIGMA_Y)
 _PROJ_X_PLUS = 0.5 * (ID2 + SIGMA_X)
 _PROJ_X_MINUS = 0.5 * (ID2 - SIGMA_X)
+_ID4 = np.eye(4, dtype=complex)
+# -1 and +1, so that (sign * eps + 1) / 2 gives both thermal populations.
+_SIGNS = np.array([-1.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -99,12 +102,12 @@ def thermal_qubit(eps: float) -> np.ndarray:
 
 def initial_state(params: ProtocolParams) -> np.ndarray:
     """Uncorrelated thermal pair: thermal(eps_s) tensor thermal(eps_a)."""
-    return tensor(thermal_qubit(params.eps_s), thermal_qubit(params.eps_a))
+    return _initial_states((params.eps_s,), (params.eps_a,))[0]
 
 
 def measurement_axis(phi: float) -> np.ndarray:
     """sigma along the unit axis (sin phi, 0, cos phi)."""
-    return math.sin(phi) * SIGMA_X + math.cos(phi) * SIGMA_Z
+    return _measurement_axes((phi,))[0]
 
 
 def measurement_unitary(phi: float) -> np.ndarray:
@@ -115,8 +118,7 @@ def measurement_unitary(phi: float) -> np.ndarray:
     """
     if not 0.0 <= phi <= math.pi / 2:
         raise ValueError("phi must be in [0, pi/2]")
-    coupling = tensor(measurement_axis(phi), SIGMA_Y)
-    return _SQRT1_2 * (np.eye(4, dtype=complex) - 1j * coupling)
+    return _measurement_unitaries((phi,))[0]
 
 
 _FEEDBACK = tensor(_ROT_PLUS, _PROJ_X_PLUS) + tensor(_ROT_MINUS, _PROJ_X_MINUS)
@@ -127,18 +129,53 @@ def feedback_unitary() -> np.ndarray:
     return _FEEDBACK.copy()
 
 
+# Stacked kernels: 1-D sequences of n parameter values in, (n, d, d)
+# stacks out.  The single-point functions are their n = 1 calls; callers
+# pass parameters already validated (by ProtocolParams or SweepGrid).
+
+def _initial_states(eps_s, eps_a) -> np.ndarray:
+    # Thermal populations ((1 - eps)/2, (1 + eps)/2) of both qubits, shape
+    # (2, n, 2).  thermal(eps_s) tensor thermal(eps_a) is diagonal: its
+    # entries are the products of the populations, exactly as the complex
+    # Kronecker product computes them (imaginary parts and off-diagonal
+    # entries are +0).
+    pops = (np.multiply.outer((eps_s, eps_a), _SIGNS) + 1.0) / 2.0
+    joint = pops[0, :, :, None] * pops[1, :, None, :]
+    return joint.reshape(len(joint), 4, 1) * _ID4
+
+
+def _measurement_axes(phi) -> np.ndarray:
+    # math.sin/cos per angle: numpy's vectorised sin/cos may differ from
+    # the C library's in the last bit, and so move output bytes.
+    sin_cos = np.array([(math.sin(p), math.cos(p)) for p in phi])
+    return sin_cos[:, 0, None, None] * SIGMA_X + sin_cos[:, 1, None, None] * SIGMA_Z
+
+
+def _measurement_unitaries(phi) -> np.ndarray:
+    coupling = _tensor(_measurement_axes(phi), SIGMA_Y)
+    return _SQRT1_2 * (_ID4 - 1j * coupling)
+
+
+def _measured(rho0: np.ndarray, phi) -> np.ndarray:
+    u_m = _measurement_unitaries(phi)
+    return u_m @ rho0 @ _dagger(u_m)
+
+
+def _post_measurement_states(eps_s, eps_a, phi) -> np.ndarray:
+    """rho_m = U_m rho0 U_m+ at each of n points, shape (n, 4, 4)."""
+    return _measured(_initial_states(eps_s, eps_a), phi)
+
+
 def post_measurement_state(params: ProtocolParams) -> np.ndarray:
     """rho_m = U_m rho0 U_m+, bit for bit the ``rho_m`` of ``run_protocol``."""
-    rho0 = initial_state(params)
-    u_m = measurement_unitary(params.phi)
-    return u_m @ rho0 @ u_m.conj().T
+    return _post_measurement_states((params.eps_s,), (params.eps_a,), (params.phi,))[0]
 
 
 def run_protocol(params: ProtocolParams) -> ProtocolTrace:
     """Execute one full cycle and return all stage states and marginals."""
-    rho0 = initial_state(params)
-    u_m = measurement_unitary(params.phi)
-    rho_m = u_m @ rho0 @ u_m.conj().T
+    rho0 = _initial_states((params.eps_s,), (params.eps_a,))
+    rho_m = _measured(rho0, (params.phi,))[0]
+    rho0 = rho0[0]
     rho_f = _FEEDBACK @ rho_m @ _FEEDBACK.conj().T
     rho_f_s = _partial_trace(rho_f, "S")
     return ProtocolTrace(

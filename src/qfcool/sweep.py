@@ -2,15 +2,19 @@
 working-point optimization and boundary curves.
 
 All outputs are pure functions of their inputs: recomputing any emitted
-point from scratch reproduces it bit for bit.  Everything runs
-in-process on the calling thread.
+point from scratch reproduces it bit for bit.  Grid correlations and the
+separability scan run on ``(n, 4, 4)`` stacks of post-measurement states
+(grids in chunks of ``CHUNK_POINTS``), through the same kernels that a
+single-point call runs with ``n = 1``.  Everything runs in-process on
+the calling thread.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -26,6 +30,9 @@ OBJECTIVES = ("cop", "eta", "chi")
 # A maximizer within this fraction of the search span from an endpoint is
 # reported as a boundary supremum.
 _BOUNDARY_WINDOW = 1e-4
+# Grid correlations are evaluated on (n, 4, 4) state stacks of at most this
+# many points, which bounds the memory of a stack whatever the grid size.
+CHUNK_POINTS = 256
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -42,6 +49,13 @@ class SweepGrid:
     def __post_init__(self):
         object.__setattr__(self, "phi_values", tuple(float(v) for v in self.phi_values))
         object.__setattr__(self, "eps_a_values", tuple(float(v) for v in self.eps_a_values))
+        # NaN fails no comparison, so finiteness is checked before the bounds.
+        for name in ("eps_s", "temperature"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number")
+        for name in ("phi_values", "eps_a_values"):
+            if not all(map(math.isfinite, getattr(self, name))):
+                raise ValueError(f"{name} must all be finite numbers")
         if not 0.0 <= self.eps_s < 1.0:
             raise ValueError("eps_s must be in [0, 1)")
         if self.temperature <= 0.0:
@@ -112,6 +126,18 @@ class SeparabilityBoundary:
     status: str
 
 
+def _require_tolerance(name: str, value: float) -> None:
+    """A zero, negative or non-finite tolerance would never end a search."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be a finite positive number, got {value!r}")
+
+
+def _require_points(name: str, value: int) -> None:
+    """A scan needs both endpoints of its interval."""
+    if value < 2:
+        raise ValueError(f"{name} must be at least 2, got {value!r}")
+
+
 def objective_value(name: str, report: ThermoReport) -> Optional[float]:
     """Extract one figure of merit from a report; None when undefined."""
     if name not in OBJECTIVES:
@@ -119,22 +145,23 @@ def objective_value(name: str, report: ThermoReport) -> Optional[float]:
     return getattr(report, name)
 
 
-def _evaluate(eps_s: float, eps_a: float, phi: float, temperature: float,
-              include_correlations: bool) -> CurvePoint:
-    params = ProtocolParams(eps_s, eps_a, phi, temperature)
-    corr = None
-    if include_correlations:
-        corr = correlations.correlation_report(params, numeric_discord=False)
-    return CurvePoint(eps_a=eps_a, phi=phi, thermo=thermo.figures_of_merit(params), correlations=corr)
+def _evaluate(params: Iterator[ProtocolParams], include_correlations: bool) -> list[CurvePoint]:
+    """Evaluate CHUNK_POINTS points at a time: closed-form thermo per point,
+    correlations on one state stack per chunk."""
+    points = []
+    while chunk := list(itertools.islice(params, CHUNK_POINTS)):
+        corr = (correlations.correlation_reports(chunk) if include_correlations
+                else [None] * len(chunk))
+        points.extend(CurvePoint(eps_a=p.eps_a, phi=p.phi, thermo=thermo.figures_of_merit(p),
+                                 correlations=c) for p, c in zip(chunk, corr))
+    return points
 
 
 def evaluate_grid(grid: SweepGrid, include_correlations: bool = False) -> list[CurvePoint]:
     """Evaluate every (phi, eps_a) grid point, phi outer and eps_a inner."""
-    return [
-        _evaluate(grid.eps_s, eps_a, phi, grid.temperature, include_correlations)
-        for phi in grid.phi_values
-        for eps_a in grid.eps_a_values
-    ]
+    return _evaluate((ProtocolParams(grid.eps_s, eps_a, phi, grid.temperature)
+                      for phi in grid.phi_values for eps_a in grid.eps_a_values),
+                     include_correlations)
 
 
 def characteristic_curve(eps_s: float, phi: float, n_points: int,
@@ -144,10 +171,8 @@ def characteristic_curve(eps_s: float, phi: float, n_points: int,
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
     eps_a_values = np.linspace(eps_s, 1.0 - EPS_A_CLAMP, n_points)
-    return [
-        _evaluate(eps_s, float(ea), phi, temperature, include_correlations)
-        for ea in eps_a_values
-    ]
+    return _evaluate((ProtocolParams(eps_s, float(ea), phi, temperature) for ea in eps_a_values),
+                     include_correlations)
 
 
 def optimize_working_point(objective: str, eps_s: float, phi: float,
@@ -162,6 +187,8 @@ def optimize_working_point(objective: str, eps_s: float, phi: float,
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
+    _require_points("coarse_points", coarse_points)
+    _require_tolerance("xtol", xtol)
     lo = eps_s + EPS_A_CLAMP
     hi = 1.0 - EPS_A_CLAMP
     if lo >= hi:
@@ -203,6 +230,7 @@ def _golden_max(f: Callable[[float], float], lo: float, hi: float,
     d = a + _GOLDEN * (b - a)
     fc, fd = f(c), f(d)
     while b - a > xtol:
+        width = b - a
         if fc < fd:
             a, c, fc = c, d, fd
             d = a + _GOLDEN * (b - a)
@@ -211,6 +239,8 @@ def _golden_max(f: Callable[[float], float], lo: float, hi: float,
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
             fc = f(c)
+        if b - a >= width:
+            break  # the bracket is at float resolution
     x = 0.5 * (a + b)
     return x, f(x)
 
@@ -254,16 +284,25 @@ def separability_boundary(eps_s: float, eps_a: float, temperature: float = 1.0,
 
     Bisection on the first sign change of the concurrence along an
     ascending phi scan (monotonicity of the concurrence is not assumed).
+    Raises ValueError unless ``tol`` is finite and positive and
+    ``scan_points >= 2``.
     """
     if not eps_s < eps_a:
         raise ValueError("eps_s must be strictly below eps_a")
+    _require_tolerance("tol", tol)
+    _require_points("scan_points", scan_points)
+    ProtocolParams(eps_s, eps_a, 0.0, temperature)  # validates the fixed parameters
 
     def entangled(phi: float) -> bool:
         rho_m = protocol.post_measurement_state(ProtocolParams(eps_s, eps_a, phi, temperature))
         return correlations.concurrence(rho_m) > 1e-12
 
+    # The scan scores every angle as one stack; each bisection step is
+    # the single-point call of the same kernels.
     phis = np.linspace(0.0, math.pi / 2, scan_points)
-    flags = [entangled(float(p)) for p in phis]
+    rho_m = protocol._post_measurement_states(
+        [eps_s] * scan_points, [eps_a] * scan_points, phis.tolist())
+    flags = (correlations._concurrence(rho_m) > 1e-12).tolist()
     if flags[0]:
         return SeparabilityBoundary(phi=0.0, status="always_entangled")
     if not any(flags):
@@ -272,6 +311,8 @@ def separability_boundary(eps_s: float, eps_a: float, temperature: float = 1.0,
     a, b = float(phis[first - 1]), float(phis[first])
     while b - a > tol:
         mid = 0.5 * (a + b)
+        if not a < mid < b:
+            break  # the bracket is at float resolution
         if entangled(mid):
             b = mid
         else:
@@ -288,6 +329,7 @@ def eps_a_for_cooling_load(eps_s: float, load: float, temperature: float = 1.0,
     """
     if load < 0.0:
         raise ValueError("cooling load must be nonnegative")
+    _require_tolerance("tol", tol)
 
     def f(eps_a: float) -> float:
         return thermo.cooling_load(ProtocolParams(eps_s, eps_a, 0.0, temperature)) - load
@@ -297,6 +339,8 @@ def eps_a_for_cooling_load(eps_s: float, load: float, temperature: float = 1.0,
         raise ValueError("cooling load is not attainable below eps_a = 1")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # the bracket is at float resolution
         if f(mid) < 0.0:
             lo = mid
         else:

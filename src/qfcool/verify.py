@@ -112,7 +112,7 @@ def point_deviations(params: ProtocolParams,
             + thermo.total_work_matrix(params, trace, model)),
         "mutual_information": abs(
             correlations.mutual_information_analytic(params)
-            - correlations._mutual_information(trace.rho_m)),
+            - float(correlations._mutual_information(trace.rho_m))),
         "discord_closed_form": abs(
             correlations.discord_analytic(params.eps_s, params.phi)
             - (densmat._vn_entropy(trace.rho_m_s)

@@ -1,0 +1,197 @@
+"""The stacked (n, 4, 4) kernels behind landscapes and the separability scan.
+
+Every stacked value must equal its single-point call bit for bit (floats
+are compared by ``repr``, which tells every distinct double apart), and a
+stack with one bad matrix must raise the single-matrix message.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from qfcool import correlations, densmat, protocol, sweep
+from qfcool.correlations import concurrence, correlation_report, mutual_information
+from qfcool.protocol import ProtocolParams, post_measurement_state
+from qfcool.sweep import SeparabilityBoundary, SweepGrid, characteristic_curve, landscape
+from qfcool.thermo import figures_of_merit
+
+HALF_PI = math.pi / 2
+TOP = 1.0 - sweep.EPS_A_CLAMP
+
+
+def edge_grid(eps_s, temperature=0.8):
+    """17 x 31 = 527 points (three chunks) with the domain edges on the grid."""
+    return SweepGrid(eps_s, tuple(np.linspace(0.0, HALF_PI, 17)),
+                     tuple(np.linspace(eps_s, TOP, 31)), temperature)
+
+
+def phi_stack(eps_s, eps_a, phis):
+    n = len(phis)
+    return protocol._post_measurement_states([eps_s] * n, [eps_a] * n, list(phis))
+
+
+# ---------------------------------------------------------------------------
+# landscapes and curves equal their single-point calls
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("eps_s", [0.0, 0.37])
+def test_landscape_equals_single_point_reports(eps_s):
+    grid = edge_grid(eps_s)
+    assert (grid.phi_values[0], grid.phi_values[-1]) == (0.0, HALF_PI)
+    assert (grid.eps_a_values[0], grid.eps_a_values[-1]) == (eps_s, TOP)
+    result = landscape(grid, {"thermo", "correlations"})
+    assert len(result.points) == 527 > 2 * sweep.CHUNK_POINTS
+    for pt in result.points:
+        params = ProtocolParams(eps_s, pt.eps_a, pt.phi, grid.temperature)
+        assert pt.thermo == figures_of_merit(params)
+        single = correlation_report(params, numeric_discord=False)
+        assert pt.correlations == single
+        assert repr(pt.correlations) == repr(single)
+
+
+def test_characteristic_curve_equals_single_point_reports():
+    curve = characteristic_curve(0.25, 1.1, 300, temperature=2.0, include_correlations=True)
+    for pt in curve:
+        params = ProtocolParams(0.25, pt.eps_a, 1.1, 2.0)
+        assert repr(pt.correlations) == repr(correlation_report(params, numeric_discord=False))
+        assert pt.thermo == figures_of_merit(params)
+
+
+def test_landscape_runs_each_decomposition_once_per_chunk(monkeypatch):
+    calls = {"eigh": 0, "eigvalsh": 0}
+    for name in calls:
+        real = getattr(np.linalg, name)
+
+        def counted(a, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(a)
+        monkeypatch.setattr(np.linalg, name, counted)
+    landscape(edge_grid(0.4), {"thermo", "correlations"})
+    # 527 points in 3 chunks: 3 eigh (two square roots and the flip
+    # spectrum) and 3 eigvalsh (both marginals and the joint state) each
+    assert calls == {"eigh": 9, "eigvalsh": 9}
+
+
+# ---------------------------------------------------------------------------
+# separability scan
+# ---------------------------------------------------------------------------
+
+def reference_boundary(eps_s, eps_a, tol=1e-6, scan_points=181):
+    """The per-angle algorithm: one concurrence call per scanned angle."""
+    def entangled(phi):
+        return concurrence(post_measurement_state(ProtocolParams(eps_s, eps_a, phi))) > 1e-12
+
+    phis = np.linspace(0.0, HALF_PI, scan_points)
+    flags = [entangled(float(p)) for p in phis]
+    if flags[0]:
+        return SeparabilityBoundary(phi=0.0, status="always_entangled")
+    if not any(flags):
+        return SeparabilityBoundary(phi=HALF_PI, status="never_entangled")
+    first = flags.index(True)
+    a, b = float(phis[first - 1]), float(phis[first])
+    while b - a > tol:
+        mid = 0.5 * (a + b)
+        if entangled(mid):
+            b = mid
+        else:
+            a = mid
+    return SeparabilityBoundary(phi=0.5 * (a + b), status="interior")
+
+
+@pytest.mark.parametrize("eps_s, eps_a", [
+    (0.4, 0.8), (0.4, 0.9), (0.0, 0.5), (0.05, TOP), (0.7, 0.75), (0.2, 0.6),
+])
+def test_separability_boundary_equals_per_angle_scan(eps_s, eps_a):
+    assert repr(sweep.separability_boundary(eps_s, eps_a)) == repr(reference_boundary(eps_s, eps_a))
+
+
+def test_separability_scan_is_one_stack(monkeypatch):
+    sizes = []
+    real = correlations._concurrence
+    monkeypatch.setattr(correlations, "_concurrence",
+                        lambda r: sizes.append(r.shape[:-2]) or real(r))
+    sweep.separability_boundary(0.4, 0.8)
+    assert sizes[0] == (181,)
+    assert all(size == () for size in sizes[1:])  # the bisection steps
+
+
+# ---------------------------------------------------------------------------
+# kernels on stacks
+# ---------------------------------------------------------------------------
+
+def test_stacked_kernels_equal_single_state_calls():
+    phis = np.linspace(0.0, HALF_PI, 181)
+    stack = phi_stack(0.3, 0.85, phis.tolist())
+    conc = correlations._concurrence(stack)
+    mi = correlations._mutual_information(stack)
+    for k, phi in enumerate(phis):
+        rho = post_measurement_state(ProtocolParams(0.3, 0.85, float(phi)))
+        assert stack[k].tobytes() == rho.tobytes()
+        assert repr(float(conc[k])) == repr(concurrence(rho))
+        assert repr(float(mi[k])) == repr(mutual_information(rho))
+
+
+def test_stacked_kernels_on_random_states(random_density):
+    stack = np.array([random_density(4) for _ in range(64)])
+    roots = densmat._psd_sqrt(stack)
+    conc = correlations._concurrence(stack)
+    mi = correlations._mutual_information(stack)
+    for k, rho in enumerate(stack):
+        assert roots[k].tobytes() == densmat.psd_sqrt(rho).tobytes()
+        assert repr(float(conc[k])) == repr(concurrence(rho))
+        assert repr(float(mi[k])) == repr(mutual_information(rho))
+
+
+def test_spectrum_entropy_of_a_stack_matches_the_masked_sum(rng):
+    spectra = []
+    for kept in (1, 2, 3, 4, 4, 4):
+        for _ in range(20):
+            w = np.concatenate([rng.dirichlet(np.ones(kept)),
+                                rng.choice([0.0, 1e-16, -1e-17], size=4 - kept)])
+            spectra.append(np.sort(w))
+    stack = densmat._spectrum_entropy(np.array(spectra))
+    for w, value in zip(spectra, stack):
+        live = w[w > densmat.ENTROPY_CUTOFF]
+        assert repr(float(value)) == repr(float(-(live * np.log(live)).sum()))
+
+
+_NON_HERMITIAN = np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex)
+_NON_HERMITIAN[0, 1] = 0.1
+_NON_PSD = np.diag([0.75, 0.5, -0.25, 0.0]).astype(complex)
+
+
+@pytest.mark.parametrize("message, bad", [
+    ("psd_sqrt expects a Hermitian matrix", _NON_HERMITIAN),
+    (r"psd_sqrt expects a PSD matrix \(min eigenvalue -2\.500e-01\)", _NON_PSD),
+], ids=["hermitian", "psd"])
+@pytest.mark.parametrize("position", [0, 4, 9])
+def test_stack_with_one_invalid_matrix_raises(message, bad, position):
+    stack = phi_stack(0.4, 0.8, np.linspace(0.0, HALF_PI, 10).tolist())
+    stack[position] = bad
+    with pytest.raises(ValueError, match=message):
+        densmat._psd_sqrt(stack)
+    with pytest.raises(ValueError, match=message):
+        correlations._concurrence(stack)
+
+
+def test_hermitian_eig_of_a_stack_rejects_one_non_hermitian_matrix():
+    stack = phi_stack(0.4, 0.8, np.linspace(0.0, HALF_PI, 10).tolist())
+    stack[7] = _NON_HERMITIAN
+    with pytest.raises(ValueError, match="hermitian_eig expects a Hermitian matrix"):
+        densmat._hermitian_eig(stack)
+
+
+def test_stacked_concurrence_cross_check_fails_on_one_point(monkeypatch):
+    stack = phi_stack(0.4, 0.8, np.linspace(0.0, HALF_PI, 10).tolist())
+    real = densmat._hermitian_eig
+
+    def skewed(a):
+        spectrum = real(a)
+        w = spectrum.eigenvalues.copy()
+        w[3, 0] += 1e-6  # the smallest eigenvalue of one state only
+        return densmat.Spectrum(w, spectrum.eigenvectors)
+
+    monkeypatch.setattr(densmat, "_hermitian_eig", skewed)
+    with pytest.raises(RuntimeError, match="concurrence forms disagree"):
+        correlations._concurrence(stack)

@@ -1,10 +1,13 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import qfcool
 from qfcool import thermo
 from qfcool.cli import CSV_HEADER, main
 
@@ -185,6 +188,18 @@ def test_sweep_invalid_grid_is_domain_error(capsys):
     assert "eps_a" in err
 
 
+@pytest.mark.parametrize("flag, field", [
+    ("--temperature", "temperature"), ("--eps-s", "eps_s"), ("--eps-a-max", "eps_a_values"),
+])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_sweep_non_finite_input_is_domain_error(capsys, flag, field, value):
+    code, out, err = run_cli(capsys, "sweep", flag, value)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {field} must")
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # threshold / optimize
 # ---------------------------------------------------------------------------
@@ -320,19 +335,23 @@ def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["melt"]) == 2
 
 
+def python_subprocess(*args):
+    """Run the interpreter on ``args`` with this qfcool checkout importable."""
+    src = str(Path(qfcool.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
 def test_console_script_entrypoint():
-    proc = subprocess.run(
-        [sys.executable, "-m", "qfcool.cli", "threshold", "--eps-s", "0.4"],
-        capture_output=True, text=True)
+    proc = python_subprocess("-m", "qfcool.cli", "threshold", "--eps-s", "0.4")
     assert proc.returncode == 0
     assert abs(json.loads(proc.stdout)["delta_min"] - 1.35e-2) <= 5e-4
 
 
 def test_cli_import_does_not_load_scipy():
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, qfcool.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
-        capture_output=True, text=True)
+    proc = python_subprocess(
+        "-c", "import sys, qfcool.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 

@@ -1,4 +1,5 @@
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -45,6 +46,22 @@ def test_sweep_grid_validation():
         SweepGrid(0.4, (0.5,), (0.5, 1.0))
     with pytest.raises(ValueError, match="must not be empty"):
         SweepGrid(0.4, (), (0.5,))
+
+
+@pytest.mark.parametrize("field, kwargs", [
+    ("eps_s", {"eps_s": math.nan}),
+    ("eps_s", {"eps_s": math.inf}),
+    ("temperature", {"temperature": math.nan}),
+    ("temperature", {"temperature": math.inf}),
+    ("phi_values", {"phi_values": (0.1, math.nan, 0.5)}),
+    ("eps_a_values", {"eps_a_values": (0.5, math.nan, 0.9)}),
+    ("eps_a_values", {"eps_a_values": (0.5, math.inf)}),
+])
+def test_sweep_grid_rejects_non_finite_values(field, kwargs):
+    fields = {"eps_s": 0.2, "phi_values": (0.1, 0.5), "eps_a_values": (0.5, 0.9),
+              "temperature": 1.0, **kwargs}
+    with pytest.raises(ValueError, match=f"^{field} must"):
+        SweepGrid(**fields)
 
 
 @pytest.mark.parametrize("phi_values", [(0.0, 2.0), (-0.1, 1.0), (2.0,)])
@@ -221,10 +238,57 @@ def test_separability_boundary_never_entangled():
 
 
 def test_separability_boundary_always_entangled(monkeypatch):
-    monkeypatch.setattr(sweep.correlations, "concurrence", lambda rho: 1.0)
+    # the scan scores all angles with the stacked kernel
+    monkeypatch.setattr(sweep.correlations, "_concurrence", lambda r: np.ones(r.shape[:-2]))
     result = separability_boundary(0.4, 0.8)
     assert result.status == "always_entangled"
     assert result.phi == 0.0
+
+
+@pytest.mark.parametrize("call, argument", [
+    (lambda: separability_boundary(0.4, 0.9, tol=0.0), "tol"),
+    (lambda: separability_boundary(0.4, 0.9, tol=-1e-6), "tol"),
+    (lambda: separability_boundary(0.4, 0.9, tol=math.nan), "tol"),
+    (lambda: separability_boundary(0.4, 0.9, scan_points=0), "scan_points"),
+    (lambda: separability_boundary(0.4, 0.9, scan_points=1), "scan_points"),
+    (lambda: optimize_working_point("cop", 0.3, 1.0, xtol=0.0), "xtol"),
+    (lambda: optimize_working_point("cop", 0.3, 1.0, xtol=math.inf), "xtol"),
+    (lambda: optimize_working_point("cop", 0.3, 1.0, coarse_points=1), "coarse_points"),
+    (lambda: eps_a_for_cooling_load(0.3, 0.1, tol=0.0), "tol"),
+    (lambda: eps_a_for_cooling_load(0.3, 0.1, tol=math.nan), "tol"),
+])
+def test_searches_reject_tolerances_and_scans_that_never_end(call, argument):
+    with pytest.raises(ValueError, match=f"^{argument} must"):
+        call()
+
+
+def test_searches_stop_at_float_resolution():
+    # a positive tolerance below the float spacing of the bracket used to
+    # loop forever; the searches now stop when the bracket stops shrinking
+    # (the alarm turns a regression into a failure instead of a hang)
+    from qfcool.thermo import cooling_load
+
+    def hang(signum, frame):
+        raise TimeoutError("search did not stop at float resolution")
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(30)
+    try:
+        assert separability_boundary(0.4, 0.9, tol=1e-300).phi == pytest.approx(0.121, abs=1e-3)
+        wp = optimize_working_point("chi", 0.3, 1.0, xtol=1e-300)
+        reference = optimize_working_point("chi", 0.3, 1.0)
+        assert wp.eps_a_star == pytest.approx(reference.eps_a_star, abs=1e-6)
+        eps_a = eps_a_for_cooling_load(0.3, 0.1, tol=1e-300)
+        assert abs(cooling_load(ProtocolParams(0.3, eps_a, 0.0)) - 0.1) <= 1e-12
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_separability_boundary_two_point_scan_finds_interior_boundary():
+    # the 181-angle scan puts the boundary near 0.121; two angles bracket it too
+    result = separability_boundary(0.4, 0.9, scan_points=2)
+    assert result.status == "interior"
+    assert abs(result.phi - separability_boundary(0.4, 0.9).phi) <= 2e-6
 
 
 def test_separability_boundary_requires_bias_gap():
