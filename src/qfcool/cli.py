@@ -15,7 +15,6 @@ import dataclasses
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -30,17 +29,6 @@ CSV_HEADER = ("eps_s,eps_a,phi,T,P,W,Q,cop,eta,chi,"
               "in_cooling_window,work_extracting,discord,mutual_info,concurrence,eof")
 
 _DEFAULT_SWEEP_PHIS = (0.0, math.pi / 4, 2 * math.pi / 5)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved configuration of a single-point run."""
-
-    params: ProtocolParams
-    output_format: str = "json"
-    verify: bool = False
-    optimizer: OptimizerOptions = OptimizerOptions()
-    output: Optional[str] = None
 
 
 # ---------------------------------------------------------------------------
@@ -126,29 +114,13 @@ def _config_floats(raw: str) -> list[float]:
     return [float(part) for part in raw.split(",") if part.strip()]
 
 
-class _Resolver:
-    """Merge precedence: explicit flag > config file > hard default."""
-
-    def __init__(self, args: argparse.Namespace, config: dict[str, str]):
-        self.args = args
-        self.config = config
-
-    def get(self, key: str, default, convert):
-        value = getattr(self.args, key, None)
-        if value is not None:
-            return value
-        if key in self.config:
-            return convert(self.config[key])
-        return default
-
-
 # ---------------------------------------------------------------------------
 # summaries
 # ---------------------------------------------------------------------------
 
 def _state_summary(rho: np.ndarray) -> dict:
     """Purity, entropy and (for a qubit) Bloch vector of a trace state, read unchecked."""
-    doc = {"purity": densmat._purity(rho), "entropy": densmat._vn_entropy(rho)}
+    doc = {"purity": densmat._purity(rho), "entropy": float(densmat._vn_entropies(rho))}
     if rho.shape == (2, 2):
         doc["bloch"] = densmat._bloch_vector(rho).tolist()
     return doc
@@ -170,29 +142,30 @@ def _check_dict(check: verify.Check) -> dict:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_run(config: RunConfig) -> int:
-    trace = protocol.run_protocol(config.params)
-    report = thermo.figures_of_merit(config.params)
-    corr = correlations.correlation_report(config.params, opts=config.optimizer)
+def cmd_run(params: ProtocolParams, output_format: str, verify_checks: bool,
+            optimizer: OptimizerOptions, output: Optional[str]) -> int:
+    trace = protocol.run_protocol(params)
+    report = thermo.figures_of_merit(params)
+    corr = correlations.correlation_report(params, opts=optimizer)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": "run",
-        "params": dataclasses.asdict(config.params),
+        "params": dataclasses.asdict(params),
         "trace": _trace_summary(trace),
         "thermo": dataclasses.asdict(report),
         "correlations": dataclasses.asdict(corr),
     }
     failed = False
-    if config.verify:
-        checks = verify.point_checks(config.params, trace)
+    if verify_checks:
+        checks = verify.point_checks(params)
         failed = any(not c.passed for c in checks)
         doc["verification"] = {
             "checks": [_check_dict(c) for c in checks],
             "max_deviation": max(c.max_deviation for c in checks),
             "passed": not failed,
         }
-    render = _json_doc if config.output_format == "json" else _key_value_csv
-    _emit(render(doc), config.output)
+    render = _json_doc if output_format == "json" else _key_value_csv
+    _emit(render(doc), output)
     return 3 if failed else 0
 
 
@@ -305,9 +278,10 @@ def cmd_optimize(objective: str, eps_s: float, phi: float, temperature: float,
     return 0
 
 
-def cmd_verify(grid_n: int, discord_stride: int, output_format: str,
+def cmd_verify(grid_n: int, discord_stride: int, temperature: float, output_format: str,
                output: Optional[str]) -> int:
-    checks = verify.run_suite(grid_n=grid_n, discord_stride=discord_stride)
+    checks = verify.run_suite(grid_n=grid_n, discord_stride=discord_stride,
+                              temperature=temperature)
     failed = [c for c in checks if not c.passed]
     if output_format == "json":
         doc = {
@@ -436,50 +410,56 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         config = _load_config(args.config) if args.config else {}
-        resolver = _Resolver(args, config)
-        output_format = resolver.get("format", "json", str)
-        output = resolver.get("output", None, str)
-        temperature = resolver.get("temperature", 1.0, float)
-        in_degrees = bool(resolver.get("phi_degrees", False, _config_bool))
+
+        def get(key: str, default, convert):
+            """Merge precedence: explicit flag > config file > hard default."""
+            value = getattr(args, key, None)
+            if value is not None:
+                return value
+            return convert(config[key]) if key in config else default
+
+        output_format = get("format", "json", str)
+        output = get("output", None, str)
+        temperature = get("temperature", 1.0, float)
+        in_degrees = bool(get("phi_degrees", False, _config_bool))
 
         def to_radians(value: float) -> float:
             return math.radians(value) if in_degrees else value
 
         if args.command == "run":
             params = ProtocolParams(
-                eps_s=_require(resolver.get("eps_s", None, float), "--eps-s"),
-                eps_a=_require(resolver.get("eps_a", None, float), "--eps-a"),
-                phi=to_radians(_require(resolver.get("phi", None, float), "--phi")),
+                eps_s=_require(get("eps_s", None, float), "--eps-s"),
+                eps_a=_require(get("eps_a", None, float), "--eps-a"),
+                phi=to_radians(_require(get("phi", None, float), "--phi")),
                 temperature=temperature,
             )
-            opts = OptimizerOptions(
-                n_polar=int(resolver.get("discord_polar", 64, int)),
-                n_azimuth=int(resolver.get("discord_azimuth", 32, int)),
-                objective_tol=float(resolver.get("discord_tol", 1e-9, float)),
-            )
-            return cmd_run(RunConfig(
+            return cmd_run(
                 params=params,
                 output_format=output_format,
-                verify=bool(resolver.get("verify", False, _config_bool)),
-                optimizer=opts,
+                verify_checks=bool(get("verify", False, _config_bool)),
+                optimizer=OptimizerOptions(
+                    n_polar=int(get("discord_polar", 64, int)),
+                    n_azimuth=int(get("discord_azimuth", 32, int)),
+                    objective_tol=float(get("discord_tol", 1e-9, float)),
+                ),
                 output=output,
-            ))
+            )
 
         if args.command == "sweep":
-            eps_s = float(resolver.get("eps_s", 0.4, float))
-            landscape_mode = bool(resolver.get("landscape", False, _config_bool))
-            phis = resolver.get("phi", None, _config_floats)
+            eps_s = float(get("eps_s", 0.4, float))
+            landscape_mode = bool(get("landscape", False, _config_bool))
+            phis = get("phi", None, _config_floats)
             if phis is None:
                 if landscape_mode:
-                    n_phi = int(resolver.get("n_phi", 25, int))
+                    n_phi = int(get("n_phi", 25, int))
                     phis = [float(v) for v in np.linspace(0.0, math.pi / 2, n_phi)]
                 else:
                     phis = list(_DEFAULT_SWEEP_PHIS)
             else:
                 phis = [to_radians(v) for v in phis]
-            eps_a_min = float(resolver.get("eps_a_min", eps_s, float))
-            eps_a_max = float(resolver.get("eps_a_max", 1.0 - sweep.EPS_A_CLAMP, float))
-            n_eps_a = int(resolver.get("n_eps_a", 101, int))
+            eps_a_min = float(get("eps_a_min", eps_s, float))
+            eps_a_max = float(get("eps_a_max", 1.0 - sweep.EPS_A_CLAMP, float))
+            n_eps_a = int(get("n_eps_a", 101, int))
             if n_eps_a < 2:
                 raise ValueError("n_eps_a must be at least 2")
             eps_a_values = [
@@ -492,14 +472,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return cmd_sweep(grid, landscape_mode, output_format, output)
 
         if args.command == "threshold":
-            eps_s = _require(resolver.get("eps_s", None, float), "--eps-s")
+            eps_s = _require(get("eps_s", None, float), "--eps-s")
             return cmd_threshold(float(eps_s), output_format, output)
 
         if args.command == "optimize":
             return cmd_optimize(
-                objective=_require(resolver.get("objective", None, str), "--objective"),
-                eps_s=float(_require(resolver.get("eps_s", None, float), "--eps-s")),
-                phi=to_radians(float(_require(resolver.get("phi", None, float), "--phi"))),
+                objective=_require(get("objective", None, str), "--objective"),
+                eps_s=float(_require(get("eps_s", None, float), "--eps-s")),
+                phi=to_radians(float(_require(get("phi", None, float), "--phi"))),
                 temperature=temperature,
                 output_format=output_format,
                 output=output,
@@ -508,10 +488,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "verify":
             # default is the human-readable table with a trailing one-line
             # machine summary; --format json/csv switches representation
-            verify_format = resolver.get("format", "table", str)
+            verify_format = get("format", "table", str)
             return cmd_verify(
-                grid_n=int(resolver.get("grid_n", 12, int)),
-                discord_stride=int(resolver.get("discord_stride", 3, int)),
+                grid_n=int(get("grid_n", 12, int)),
+                discord_stride=int(get("discord_stride", 3, int)),
+                temperature=temperature,
                 output_format=verify_format,
                 output=output,
             )

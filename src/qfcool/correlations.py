@@ -69,12 +69,21 @@ class OptimizerOptions:
     objective by at most ``objective_tol / 10``.  ``max_iter`` caps the
     number of zoom levels; a search that needs more raises
     ``DiscordOptimizationError`` (the defaults converge in about 20).
+    Raises ValueError naming the field for grid sizes or ``max_iter``
+    below 1 and for an ``objective_tol`` that is negative or not finite.
     """
 
     n_polar: int = 64
     n_azimuth: int = 32
     objective_tol: float = 1e-9
     max_iter: int = 400
+
+    def __post_init__(self):
+        for name in ("n_polar", "n_azimuth", "max_iter"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)!r}")
+        if not 0.0 <= self.objective_tol < math.inf:
+            raise ValueError(f"objective_tol must be finite and non-negative, got {self.objective_tol!r}")
 
 
 _DEFAULT_OPTS = OptimizerOptions()

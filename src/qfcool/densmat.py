@@ -131,16 +131,12 @@ def _vn_entropies(a: np.ndarray) -> np.ndarray:
     return _spectrum_entropy(np.linalg.eigvalsh(a))
 
 
-def _vn_entropy(a: np.ndarray) -> float:
-    return float(_spectrum_entropy(np.linalg.eigvalsh(a)))
-
-
-def _expectation(h: np.ndarray, a: np.ndarray) -> float:
-    return float(np.trace(h @ a).real)
+def _expectation(h: np.ndarray, a: np.ndarray) -> np.ndarray:
+    return np.trace(h @ a, axis1=-2, axis2=-1).real
 
 
 def _purity(a: np.ndarray) -> float:
-    return _expectation(a, a)
+    return float(_expectation(a, a))
 
 
 def _bloch_vector(a: np.ndarray) -> np.ndarray:

@@ -74,7 +74,7 @@ class ProtocolTrace:
     ``rho_reset`` is the product state left after the ancilla reset:
     (register marginal of ``rho_f``) tensor (fresh thermal ancilla).
     Every field is a valid density matrix by construction, so consumers
-    read them without re-validating.
+    read them without re-validating; ``_run_protocols`` stacks n runs.
     """
 
     rho0: np.ndarray
@@ -97,17 +97,12 @@ def thermal_qubit(eps: float) -> np.ndarray:
     """
     if not 0.0 <= eps < 1.0:
         raise ValueError("eps must be in [0, 1)")
-    return np.array([[(1.0 - eps) / 2.0, 0.0], [0.0, (1.0 + eps) / 2.0]], dtype=complex)
+    return _thermal_qubits((eps,))[0]
 
 
 def initial_state(params: ProtocolParams) -> np.ndarray:
     """Uncorrelated thermal pair: thermal(eps_s) tensor thermal(eps_a)."""
     return _initial_states((params.eps_s,), (params.eps_a,))[0]
-
-
-def measurement_axis(phi: float) -> np.ndarray:
-    """sigma along the unit axis (sin phi, 0, cos phi)."""
-    return _measurement_axes((phi,))[0]
 
 
 def measurement_unitary(phi: float) -> np.ndarray:
@@ -133,27 +128,31 @@ def feedback_unitary() -> np.ndarray:
 # stacks out.  The single-point functions are their n = 1 calls; callers
 # pass parameters already validated (by ProtocolParams or SweepGrid).
 
+def _populations(*eps) -> np.ndarray:
+    # Thermal populations ((1 - eps)/2, (1 + eps)/2), shape (len(eps), n, 2).
+    return (np.multiply.outer(eps, _SIGNS) + 1.0) / 2.0
+
+
+def _thermal_qubits(eps) -> np.ndarray:
+    return _populations(eps)[0, :, :, None] * ID2
+
+
 def _initial_states(eps_s, eps_a) -> np.ndarray:
-    # Thermal populations ((1 - eps)/2, (1 + eps)/2) of both qubits, shape
-    # (2, n, 2).  thermal(eps_s) tensor thermal(eps_a) is diagonal: its
-    # entries are the products of the populations, exactly as the complex
-    # Kronecker product computes them (imaginary parts and off-diagonal
-    # entries are +0).
-    pops = (np.multiply.outer((eps_s, eps_a), _SIGNS) + 1.0) / 2.0
+    # thermal(eps_s) tensor thermal(eps_a) is diagonal: its entries are
+    # the products of the populations, exactly as the complex Kronecker
+    # product computes them (imaginary parts and off-diagonal entries
+    # are +0).
+    pops = _populations(eps_s, eps_a)
     joint = pops[0, :, :, None] * pops[1, :, None, :]
     return joint.reshape(len(joint), 4, 1) * _ID4
 
 
-def _measurement_axes(phi) -> np.ndarray:
+def _measurement_unitaries(phi) -> np.ndarray:
     # math.sin/cos per angle: numpy's vectorised sin/cos may differ from
     # the C library's in the last bit, and so move output bytes.
     sin_cos = np.array([(math.sin(p), math.cos(p)) for p in phi])
-    return sin_cos[:, 0, None, None] * SIGMA_X + sin_cos[:, 1, None, None] * SIGMA_Z
-
-
-def _measurement_unitaries(phi) -> np.ndarray:
-    coupling = _tensor(_measurement_axes(phi), SIGMA_Y)
-    return _SQRT1_2 * (_ID4 - 1j * coupling)
+    axes = sin_cos[:, 0, None, None] * SIGMA_X + sin_cos[:, 1, None, None] * SIGMA_Z
+    return _SQRT1_2 * (_ID4 - 1j * _tensor(axes, SIGMA_Y))
 
 
 def _measured(rho0: np.ndarray, phi) -> np.ndarray:
@@ -171,18 +170,17 @@ def post_measurement_state(params: ProtocolParams) -> np.ndarray:
     return _post_measurement_states((params.eps_s,), (params.eps_a,), (params.phi,))[0]
 
 
-def run_protocol(params: ProtocolParams) -> ProtocolTrace:
-    """Execute one full cycle and return all stage states and marginals."""
-    rho0 = _initial_states((params.eps_s,), (params.eps_a,))
-    rho_m = _measured(rho0, (params.phi,))[0]
-    rho0 = rho0[0]
+def _run_protocols(eps_s, eps_a, phi) -> ProtocolTrace:
+    """``run_protocol`` at each of n points, every field an (n, d, d) stack."""
+    rho0 = _initial_states(eps_s, eps_a)
+    rho_m = _measured(rho0, phi)
     rho_f = _FEEDBACK @ rho_m @ _FEEDBACK.conj().T
     rho_f_s = _partial_trace(rho_f, "S")
     return ProtocolTrace(
         rho0=rho0,
         rho_m=rho_m,
         rho_f=rho_f,
-        rho_reset=tensor(rho_f_s, thermal_qubit(params.eps_a)),
+        rho_reset=_tensor(rho_f_s, _thermal_qubits(eps_a)),
         rho0_s=_partial_trace(rho0, "S"),
         rho0_a=_partial_trace(rho0, "A"),
         rho_m_s=_partial_trace(rho_m, "S"),
@@ -190,3 +188,9 @@ def run_protocol(params: ProtocolParams) -> ProtocolTrace:
         rho_f_s=rho_f_s,
         rho_f_a=_partial_trace(rho_f, "A"),
     )
+
+
+def run_protocol(params: ProtocolParams) -> ProtocolTrace:
+    """Execute one full cycle and return all stage states and marginals."""
+    stack = _run_protocols((params.eps_s,), (params.eps_a,), (params.phi,))
+    return ProtocolTrace(**{name: rho[0] for name, rho in vars(stack).items()})

@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from . import densmat, protocol
-from .densmat import ID2, SIGMA_Z, tensor
+from .densmat import ID2, SIGMA_Z, _tensor
 from .protocol import ProtocolParams, ProtocolTrace
 
 # Total work over temperature (W / T, which does not depend on T) below
@@ -45,7 +45,8 @@ class EnergyModel:
     """Level splittings and Hamiltonians matching the thermal biases.
 
     The gaps satisfy omega = 2 T atanh(eps), i.e. a qubit thermalized at
-    ``temperature`` has polarization bias ``eps``.
+    ``temperature`` has polarization bias ``eps``.  The model of n points
+    at once (``_energy_models``) holds a stack in each field.
     """
 
     omega_s: float
@@ -91,14 +92,20 @@ def level_splitting(eps: float, temperature: float) -> float:
 
 def energy_model(params: ProtocolParams) -> EnergyModel:
     """H = (omega_s/2) sigma_z x I + (omega_a/2) I x sigma_z."""
-    omega_s = level_splitting(params.eps_s, params.temperature)
-    omega_a = level_splitting(params.eps_a, params.temperature)
-    h_s = 0.5 * omega_s * SIGMA_Z
-    h_a = 0.5 * omega_a * SIGMA_Z
+    model = _energy_models([params])
+    return EnergyModel(**{name: field[0] for name, field in vars(model).items()})
+
+
+def _energy_models(points) -> EnergyModel:
+    """``energy_model`` of each of n points, every field stacked."""
+    omegas = np.array([(level_splitting(p.eps_s, p.temperature),
+                        level_splitting(p.eps_a, p.temperature)) for p in points]).reshape(-1, 2)
+    h_s = 0.5 * omegas[:, 0, None, None] * SIGMA_Z
+    h_a = 0.5 * omegas[:, 1, None, None] * SIGMA_Z
     return EnergyModel(
-        omega_s=omega_s,
-        omega_a=omega_a,
-        hamiltonian=tensor(h_s, ID2) + tensor(ID2, h_a),
+        omega_s=omegas[:, 0],
+        omega_a=omegas[:, 1],
+        hamiltonian=_tensor(h_s, ID2) + _tensor(ID2, h_a),
         h_system=h_s,
         h_ancilla=h_a,
     )
@@ -232,64 +239,67 @@ def ergotropy(rho, hamiltonian) -> float:
     h = densmat.as_matrix(hamiltonian)
     if not densmat.is_hermitian(h):
         raise ValueError("ergotropy expects a Hermitian Hamiltonian")
-    passive_energy = float((populations[::-1] * np.linalg.eigvalsh(h)).sum())
-    return max(0.0, densmat._expectation(h, r) - passive_energy)
+    return float(_ergotropy(r, h, populations))
+
+
+def _ergotropy(rho: np.ndarray, h: np.ndarray, populations: np.ndarray) -> np.ndarray:
+    """Ergotropy of a state or of each state in a stack, from its eigenvalues."""
+    passive_energy = (populations[..., ::-1] * np.linalg.eigvalsh(h)).sum(axis=-1)
+    return np.maximum(0.0, densmat._expectation(h, rho) - passive_energy)
 
 
 # ---------------------------------------------------------------------------
 # matrix oracles
 # ---------------------------------------------------------------------------
 
-def _trace_and_model(params, trace, model):
-    return trace or protocol.run_protocol(params), model or energy_model(params)
-
-
-def _energy_drop(h: np.ndarray, before: np.ndarray, after: np.ndarray) -> float:
+def _energy_drop(h: np.ndarray, before: np.ndarray, after: np.ndarray) -> np.ndarray:
     return densmat._expectation(h, before) - densmat._expectation(h, after)
 
 
-def work_measurement_matrix(params: ProtocolParams,
-                            trace: ProtocolTrace | None = None,
-                            model: EnergyModel | None = None) -> float:
+def _oracles(trace: ProtocolTrace, model: EnergyModel) -> dict[str, np.ndarray]:
+    """Each closed form's matrix oracle, by name, on stacked states: one value per point."""
+    h = model.hamiltonian
+    return {
+        "work_measurement": _energy_drop(h, trace.rho0, trace.rho_m),
+        "work_feedback": _energy_drop(h, trace.rho_m, trace.rho_f),
+        "heat_reset": _energy_drop(model.h_ancilla, trace.rho_f_a, trace.rho0_a),
+        "delta_e_system": _energy_drop(model.h_system, trace.rho0_s, trace.rho_f_s),
+        "entropy_reduction": (densmat._vn_entropies(trace.rho0_s)
+                              - densmat._vn_entropies(trace.rho_f_s)),
+        "total_work": -_energy_drop(h, trace.rho0, trace.rho_f),
+    }
+
+
+def _oracle(name: str, params: ProtocolParams) -> float:
+    trace = protocol._run_protocols((params.eps_s,), (params.eps_a,), (params.phi,))
+    return float(_oracles(trace, _energy_models([params]))[name][0])
+
+
+def work_measurement_matrix(params: ProtocolParams) -> float:
     """tr{H (rho0 - rho_m)} from the actual states."""
-    trace, model = _trace_and_model(params, trace, model)
-    return _energy_drop(model.hamiltonian, trace.rho0, trace.rho_m)
+    return _oracle("work_measurement", params)
 
 
-def work_feedback_matrix(params: ProtocolParams,
-                         trace: ProtocolTrace | None = None,
-                         model: EnergyModel | None = None) -> float:
+def work_feedback_matrix(params: ProtocolParams) -> float:
     """tr{H (rho_m - rho_f)} from the actual states."""
-    trace, model = _trace_and_model(params, trace, model)
-    return _energy_drop(model.hamiltonian, trace.rho_m, trace.rho_f)
+    return _oracle("work_feedback", params)
 
 
-def heat_reset_matrix(params: ProtocolParams,
-                      trace: ProtocolTrace | None = None,
-                      model: EnergyModel | None = None) -> float:
+def heat_reset_matrix(params: ProtocolParams) -> float:
     """tr{H_A (rho_f_a - rho0_a)} from the actual marginals."""
-    trace, model = _trace_and_model(params, trace, model)
-    return _energy_drop(model.h_ancilla, trace.rho_f_a, trace.rho0_a)
+    return _oracle("heat_reset", params)
 
 
-def delta_e_system_matrix(params: ProtocolParams,
-                          trace: ProtocolTrace | None = None,
-                          model: EnergyModel | None = None) -> float:
+def delta_e_system_matrix(params: ProtocolParams) -> float:
     """tr{H_S (rho0_s - rho_f_s)} from the actual marginals."""
-    trace, model = _trace_and_model(params, trace, model)
-    return _energy_drop(model.h_system, trace.rho0_s, trace.rho_f_s)
+    return _oracle("delta_e_system", params)
 
 
-def entropy_reduction_matrix(params: ProtocolParams,
-                             trace: ProtocolTrace | None = None) -> float:
+def entropy_reduction_matrix(params: ProtocolParams) -> float:
     """S(rho0_s) - S(rho_f_s) from matrix entropies."""
-    trace = trace or protocol.run_protocol(params)
-    return densmat._vn_entropy(trace.rho0_s) - densmat._vn_entropy(trace.rho_f_s)
+    return _oracle("entropy_reduction", params)
 
 
-def total_work_matrix(params: ProtocolParams,
-                      trace: ProtocolTrace | None = None,
-                      model: EnergyModel | None = None) -> float:
+def total_work_matrix(params: ProtocolParams) -> float:
     """-tr{H (rho0 - rho_f)} from the actual states."""
-    trace, model = _trace_and_model(params, trace, model)
-    return -_energy_drop(model.hamiltonian, trace.rho0, trace.rho_f)
+    return _oracle("total_work", params)

@@ -283,6 +283,27 @@ def test_verify_detects_corrupted_closed_form(capsys, monkeypatch):
     assert "FIRST FAILURE: heat_reset" in out
 
 
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+def test_verify_rejects_a_bad_temperature(capsys, value):
+    code, out, err = run_cli(capsys, "verify", "--grid-n", "3", "--temperature", value)
+    assert code == 2
+    assert out == ""
+    assert "temperature" in err
+
+
+def test_verify_runs_at_the_given_temperature(capsys):
+    docs = {}
+    for temperature in ("1", "5"):
+        code, out, _ = run_cli(capsys, "verify", "--grid-n", "3", "--format", "json",
+                               "--temperature", temperature)
+        assert code == 0
+        docs[temperature] = json.loads(out)
+    assert docs["5"]["passed"] is True
+    assert ([(c["name"], c["points"]) for c in docs["5"]["checks"]]
+            == [(c["name"], c["points"]) for c in docs["1"]["checks"]])
+    assert docs["5"] != docs["1"]
+
+
 def test_run_verify_fails_on_corrupted_closed_form(capsys, monkeypatch):
     honest = thermo.work_measurement
     monkeypatch.setattr(thermo, "work_measurement", lambda p: honest(p) - 1e-6)
@@ -369,3 +390,18 @@ def test_energy_overflow_is_a_domain_error(capsys, args):
     assert code == 2
     assert "temperature" in err
     assert "Infinity" not in out and "inf" not in out
+
+
+@pytest.mark.parametrize("flag,value,field", [
+    ("--discord-tol", "nan", "objective_tol"),
+    ("--discord-tol", "-1", "objective_tol"),
+    ("--discord-tol", "inf", "objective_tol"),
+    ("--discord-polar", "0", "n_polar"),
+    ("--discord-azimuth", "0", "n_azimuth"),
+])
+def test_run_rejects_bad_discord_search_options(capsys, flag, value, field):
+    code, out, err = run_cli(capsys, "run", "--eps-s", "0.4", "--eps-a", "0.8",
+                             "--phi", "1.0", flag, value)
+    assert code == 2
+    assert out == ""
+    assert field in err

@@ -345,3 +345,19 @@ def test_bloch_components_of_product_state():
     assert np.allclose(a, [0, 0, -0.4], atol=1e-12)
     assert np.allclose(b, [0, 0, -0.8], atol=1e-12)
     assert np.allclose(t, np.outer(a, b), atol=1e-12)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("n_polar", 0), ("n_azimuth", -1), ("max_iter", 0),
+    ("objective_tol", -1e-9), ("objective_tol", math.nan), ("objective_tol", math.inf),
+])
+def test_optimizer_options_reject_bad_fields(field, value):
+    with pytest.raises(ValueError, match=field):
+        OptimizerOptions(**{field: value})
+
+
+def test_optimizer_options_accept_a_zero_tolerance_and_one_point_grids():
+    rho = rho_m_at(0.4, 0.8, 1.0)
+    exact = discord_analytic(0.4, 1.0)
+    assert abs(discord_numeric(rho, "A", OptimizerOptions(objective_tol=0.0)) - exact) <= 1e-12
+    assert discord_numeric(rho, "A", OptimizerOptions(n_polar=1, n_azimuth=1, max_iter=1000)) >= 0.0

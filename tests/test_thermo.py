@@ -104,17 +104,15 @@ def test_entropy_reduction_values_and_phi_independence():
 
 def test_closed_forms_match_matrix_oracles_on_grid():
     for params in params_grid(6):
-        trace = run_protocol(params)
-        model = energy_model(params)
-        assert abs(work_measurement(params) - work_measurement_matrix(params, trace, model)) <= 1e-10
-        assert abs(work_feedback(params) - work_feedback_matrix(params, trace, model)) <= 1e-10
-        assert abs(heat_reset(params) - heat_reset_matrix(params, trace, model)) <= 1e-10
-        assert abs(delta_e_system(params) - delta_e_system_matrix(params, trace, model)) <= 1e-10
-        assert abs(entropy_reduction(params) - entropy_reduction_matrix(params, trace)) <= 1e-10
-        assert abs(total_work(params) - total_work_matrix(params, trace, model)) <= 1e-10
+        assert abs(work_measurement(params) - work_measurement_matrix(params)) <= 1e-10
+        assert abs(work_feedback(params) - work_feedback_matrix(params)) <= 1e-10
+        assert abs(heat_reset(params) - heat_reset_matrix(params)) <= 1e-10
+        assert abs(delta_e_system(params) - delta_e_system_matrix(params)) <= 1e-10
+        assert abs(entropy_reduction(params) - entropy_reduction_matrix(params)) <= 1e-10
+        assert abs(total_work(params) - total_work_matrix(params)) <= 1e-10
         # bookkeeping: energy lost by the pair equals minus the total work
         combined = work_measurement(params) + work_feedback(params)
-        assert abs(combined + total_work_matrix(params, trace, model)) <= 1e-10
+        assert abs(combined + total_work_matrix(params)) <= 1e-10
 
 
 def test_temperature_is_a_multiplicative_scale():

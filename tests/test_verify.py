@@ -1,17 +1,147 @@
 import math
 
-from qfcool import protocol, verify
+import numpy as np
+import pytest
+
+from qfcool import correlations, densmat, protocol, thermo, verify
 from qfcool.protocol import ProtocolParams
 
 
-def test_run_suite_simulates_each_grid_point_once(monkeypatch):
+def test_run_suite_evaluates_the_grid_as_one_stacked_trace(monkeypatch):
     calls = []
-    real = protocol.run_protocol
-    monkeypatch.setattr(protocol, "run_protocol",
-                        lambda params: calls.append(params) or real(params))
+    real = protocol._run_protocols
+    monkeypatch.setattr(protocol, "_run_protocols",
+                        lambda *columns: calls.append(columns) or real(*columns))
+    monkeypatch.setattr(protocol, "run_protocol", None)
     checks = verify.run_suite(grid_n=3, discord_stride=2)
-    assert calls == verify.standard_grid(3)
+    grid = verify.standard_grid(3)
+    assert calls == [tuple(tuple(getattr(p, f) for p in grid) for f in ("eps_s", "eps_a", "phi"))]
     assert all(c.passed for c in checks)
+
+
+def _count_eig_calls(monkeypatch, grid_n):
+    counts = {"eigvalsh": 0, "eigh": 0}
+    for name in counts:
+        real = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    verify.run_suite(grid_n=grid_n, discord_stride=3)
+    monkeypatch.undo()
+    return counts
+
+
+def test_run_suite_eigensolver_calls_do_not_grow_with_the_grid(monkeypatch):
+    small = _count_eig_calls(monkeypatch, 4)
+    large = _count_eig_calls(monkeypatch, 7)
+    assert small == large
+    assert 0 < small["eigvalsh"] and 0 < small["eigh"]
+
+
+def _reference_deviations(points):
+    """Deviations of the pointwise classes, from the public single-point functions."""
+    dev = {name: [] for name in verify.CLASSES}
+    for params in points:
+        trace = protocol.run_protocol(params)
+        model = thermo.energy_model(params)
+        report = thermo.figures_of_merit(params)
+        es, ea, phi = params.eps_s, params.eps_a, params.phi
+        for name in ("work_measurement", "work_feedback", "heat_reset", "delta_e_system",
+                     "entropy_reduction", "total_work"):
+            closed = getattr(thermo, name)(params)
+            dev[name].append(abs(closed - getattr(thermo, f"{name}_matrix")(params)))
+        dev["energy_conservation"].append(abs(
+            thermo.work_measurement(params) + thermo.work_feedback(params)
+            + thermo.total_work_matrix(params)))
+        dev["mutual_information"].append(abs(
+            correlations.mutual_information_analytic(params)
+            - correlations.mutual_information(trace.rho_m)))
+        dev["discord_closed_form"].append(abs(
+            correlations.discord_analytic(es, phi)
+            - (densmat.vn_entropy(trace.rho_m_s) - densmat.vn_entropy(protocol.thermal_qubit(es)))))
+        dev["thermal_entropy"].append(abs(
+            0.5 * math.log(4.0 / (1.0 - ea ** 2)) - ea * math.atanh(ea)
+            - densmat.vn_entropy(protocol.thermal_qubit(ea))))
+        dev["purity_transfer"].append(abs(densmat.purity(trace.rho_f_s) - 0.5 * (1.0 + ea ** 2)))
+        if abs(phi - math.pi / 2) < 1e-12:
+            dev["swap_limit"].append(max(
+                float(np.max(np.abs(trace.rho_f_s - protocol.thermal_qubit(ea)))),
+                float(np.max(np.abs(trace.rho_f_a - protocol.thermal_qubit(es))))))
+        s0 = densmat.vn_entropy(trace.rho0)
+        dev["entropy_invariance"].append(max(abs(densmat.vn_entropy(trace.rho_m) - s0),
+                                             abs(densmat.vn_entropy(trace.rho_f) - s0)))
+        expected_reset = densmat.tensor(trace.rho_f_s, protocol.thermal_qubit(ea))
+        dev["reset_marginals"].append(float(np.max(np.abs(trace.rho_reset - expected_reset))))
+        z = densmat.expectation(densmat.SIGMA_Z, trace.rho_m_a)
+        x = densmat.expectation(densmat.SIGMA_X, trace.rho_m_a)
+        dev["post_measurement_ancilla_marginal"].append(
+            max(abs(z), abs(x - es * ea * math.cos(phi))))
+        if ea > es + 1e-12:
+            dev["work_positive"].append(max(0.0, -report.total_work))
+        dev["heat_bounds_load"].append(max(0.0, report.cooling_load - report.heat_reset))
+        dev["entropy_reduction_nonnegative"].append(max(0.0, -report.entropy_reduction))
+        if report.eta is not None:
+            dev["eta_bounded"].append(max(0.0, report.eta - 1.0, -report.eta))
+        dev["ergotropy_bound"].append(max(
+            0.0, report.work_feedback - thermo.ergotropy(trace.rho_m, model.hamiltonian)))
+        de = report.delta_e_system
+        if abs(de) > 1e-12:
+            dev["cooling_window_sign"].append(
+                0.0 if (de > 0.0) == (ea * math.sin(phi) > es) else 1.0)
+        if math.sin(phi) < es:
+            dev["no_cooling_below_bias"].append(max(0.0, de))
+        if es > 0.0:
+            root = ProtocolParams(es, ea, report.phi_crit, params.temperature)
+            dev["phi_crit_root"].append(abs(thermo.work_feedback(root)))
+    return dev
+
+
+def _reference_suite(grid_n, discord_stride, temperature):
+    """Every invariant class point by point, as the suite ran before it was stacked."""
+    grid = verify.standard_grid(grid_n, temperature=temperature)
+    dev = _reference_deviations(grid)
+    for start in range(0, len(grid), grid_n):
+        series = [thermo.figures_of_merit(p) for p in grid[start:start + grid_n]]
+        for lo, hi in zip(series, series[1:]):
+            for name in ("cop", "eta", "chi"):
+                a, b = getattr(lo, name), getattr(hi, name)
+                if a is not None and b is not None:
+                    dev[f"{name}_monotone_phi"].append(max(0.0, a - b))
+    for eps_s in np.linspace(0.0, 0.9, grid_n)[::discord_stride]:
+        for eps_a in np.linspace(eps_s, 0.95, grid_n)[::discord_stride]:
+            for phi in np.linspace(0.0, math.pi / 2, grid_n)[::discord_stride]:
+                corr = correlations.correlation_report(
+                    ProtocolParams(float(eps_s), float(eps_a), float(phi), temperature))
+                d_a, d_s, closed = corr.discord_a, corr.discord_s, corr.discord_analytic
+                dev["discord_symmetry"].append(abs(d_a - d_s))
+                dev["discord_numeric_vs_closed"].append(max(abs(d_a - closed), abs(d_s - closed)))
+                if corr.concurrence > 1e-6:
+                    dev["entangled_implies_discordant"].append(max(0.0, 1e-9 - d_a))
+    return [verify._check(name, values) for name, values in dev.items()]
+
+
+@pytest.mark.parametrize("grid_n", [4, 5])
+@pytest.mark.parametrize("temperature", [1.0, 2.5])
+def test_run_suite_equals_a_per_point_reference(grid_n, temperature):
+    checks = verify.run_suite(grid_n, 3, temperature)
+    assert checks == _reference_suite(grid_n, 3, temperature)
+
+
+def test_run_suite_honours_the_temperature():
+    cold = verify.run_suite(grid_n=3)
+    hot = verify.run_suite(grid_n=3, temperature=5.0)
+    assert [(c.name, c.points) for c in hot] == [(c.name, c.points) for c in cold]
+    assert all(c.passed for c in hot)
+    assert hot != cold
+
+
+@pytest.mark.parametrize("temperature", [-1.0, math.nan, math.inf])
+def test_run_suite_rejects_a_bad_temperature(temperature):
+    with pytest.raises(ValueError, match="temperature"):
+        verify.run_suite(grid_n=2, temperature=temperature)
 
 
 def test_point_checks_share_the_suite_tolerances():
@@ -23,10 +153,12 @@ def test_point_checks_share_the_suite_tolerances():
     assert {c.name: c.tolerance for c in point}["thermal_entropy"] == verify.TOL_ENTROPY_FORM
 
 
-def test_point_checks_reuse_a_given_trace():
-    params = ProtocolParams(0.3, 0.7, 1.2)
-    trace = protocol.run_protocol(params)
-    assert verify.point_checks(params, trace) == verify.point_checks(params)
+def test_point_checks_equal_the_oracle_classes_on_a_one_point_grid():
+    params = ProtocolParams(0.3, 0.7, 1.2, 0.8)
+    point = verify.point_checks(params)
+    assert [c.name for c in point] == list(verify.ORACLE_CLASSES)
+    dev = _reference_deviations([params])
+    assert point == [verify._check(name, dev[name]) for name in verify.ORACLE_CLASSES]
 
 
 def test_check_without_points_reports_zero_deviation():
