@@ -288,6 +288,7 @@ def cmd_verify(grid_n: int, discord_stride: int, temperature: float, output_form
             "schema_version": SCHEMA_VERSION,
             "command": "verify",
             "grid_n": grid_n,
+            "temperature": temperature,
             "checks": [_check_dict(c) for c in checks],
             "passed": not failed,
         }
@@ -452,6 +453,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if phis is None:
                 if landscape_mode:
                     n_phi = int(get("n_phi", 25, int))
+                    if n_phi < 1:
+                        raise ValueError("n_phi must be at least 1")
                     phis = [float(v) for v in np.linspace(0.0, math.pi / 2, n_phi)]
                 else:
                     phis = list(_DEFAULT_SWEEP_PHIS)

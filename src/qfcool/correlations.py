@@ -349,6 +349,18 @@ def _discord(mi: float, bloch, measured_side: str, opts: OptimizerOptions | None
     return max(0.0, delta)
 
 
+def _discord_direct(eps_s: float, x: float) -> float:
+    """The direct logarithmic form of ``discord_analytic`` at ``x = eps_s cos phi``."""
+    # log1p keeps 1 - eps^2 free of cancellation as eps_s approaches 1
+    direct = 0.5 * ((math.log1p(-eps_s) + math.log1p(eps_s))
+                    - (math.log1p(-x) + math.log1p(x)))
+    if eps_s > 0.0:
+        direct += eps_s * math.atanh(eps_s)
+    if x > 0.0:
+        direct += 0.5 * x * math.log((1.0 - x) / (1.0 + x))
+    return direct
+
+
 def discord_analytic(eps_s: float, phi: float) -> float:
     """Closed-form discord of the post-measurement state.
 
@@ -363,11 +375,7 @@ def discord_analytic(eps_s: float, phi: float) -> float:
         raise ValueError("phi must be in [0, pi/2]")
     x = eps_s * math.cos(phi)
     via_entropies = thermal_entropy(x) - thermal_entropy(eps_s)
-    direct = 0.5 * math.log((eps_s * eps_s - 1.0) / (x * x - 1.0))
-    if eps_s > 0.0:
-        direct += eps_s * math.atanh(eps_s)
-    if x > 0.0:
-        direct += 0.5 * x * math.log((1.0 - x) / (1.0 + x))
+    direct = _discord_direct(eps_s, x)
     if abs(direct - via_entropies) > 1e-10:
         raise RuntimeError(
             f"discord closed forms disagree: {direct!r} vs {via_entropies!r}")

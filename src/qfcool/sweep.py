@@ -2,11 +2,12 @@
 working-point optimization and boundary curves.
 
 All outputs are pure functions of their inputs: recomputing any emitted
-point from scratch reproduces it bit for bit.  Grid correlations and the
-separability scan run on ``(n, 4, 4)`` stacks of post-measurement states
-(grids in chunks of ``CHUNK_POINTS``), through the same kernels that a
-single-point call runs with ``n = 1``.  Everything runs in-process on
-the calling thread.
+point from scratch reproduces it bit for bit.  Grid correlations run on
+``(n, 4, 4)`` stacks of post-measurement states in chunks of
+``CHUNK_POINTS``, through the same kernels that a single-point call runs
+with ``n = 1``.  The separability boundary is the closed-form X-state
+angle and runs no matrix algebra.  Everything runs in-process on the
+calling thread.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from . import correlations, protocol, thermo
+from . import correlations, thermo
 from .correlations import CorrelationReport
 from .protocol import ProtocolParams
 from .thermo import ThermoReport
@@ -117,9 +118,10 @@ class Landscape:
 class SeparabilityBoundary:
     """First angle at which the post-measurement state becomes entangled.
 
-    ``status`` is "interior" when a sign change was bracketed,
-    "never_entangled" (phi pinned to pi/2) when no angle produces
-    entanglement, "always_entangled" (phi pinned to 0) otherwise.
+    ``status`` is "interior" when the state is entangled for every angle
+    above ``phi``, and "never_entangled" (phi pinned to pi/2) when no
+    angle produces entanglement.  The state at phi = 0 is separable for
+    every pair of biases.
     """
 
     phi: float
@@ -278,46 +280,27 @@ def landscape(grid: SweepGrid,
                      work_extraction_boundary=tuple(extraction))
 
 
-def separability_boundary(eps_s: float, eps_a: float, temperature: float = 1.0,
-                          tol: float = 1e-6, scan_points: int = 181) -> SeparabilityBoundary:
+def separability_boundary(eps_s: float, eps_a: float,
+                          temperature: float = 1.0) -> SeparabilityBoundary:
     """Angle at which the post-measurement state first becomes entangled.
 
-    Bisection on the first sign change of the concurrence along an
-    ascending phi scan (monotonicity of the concurrence is not assumed).
-    Raises ValueError unless ``tol`` is finite and positive and
-    ``scan_points >= 2``.
+    ``rho_m`` is an X-state, so its concurrence has the closed form
+    ``max(0, [(1 + eps_a) eps_s sin phi - (1 - eps_a) sqrt(1 - eps_s^2 cos^2 phi)] / 2)``
+    (Wootters, PRL 80, 2245 (1998); Yu and Eberly, QIC 7, 459 (2007)),
+    which is positive exactly for
+    ``sin phi > (1 - eps_a) sqrt(1 - eps_s^2) / (2 eps_s sqrt(eps_a))``.
+    The temperature is validated but does not move the angle.
     """
     if not eps_s < eps_a:
         raise ValueError("eps_s must be strictly below eps_a")
-    _require_tolerance("tol", tol)
-    _require_points("scan_points", scan_points)
-    ProtocolParams(eps_s, eps_a, 0.0, temperature)  # validates the fixed parameters
-
-    def entangled(phi: float) -> bool:
-        rho_m = protocol.post_measurement_state(ProtocolParams(eps_s, eps_a, phi, temperature))
-        return correlations.concurrence(rho_m) > 1e-12
-
-    # The scan scores every angle as one stack; each bisection step is
-    # the single-point call of the same kernels.
-    phis = np.linspace(0.0, math.pi / 2, scan_points)
-    rho_m = protocol._post_measurement_states(
-        [eps_s] * scan_points, [eps_a] * scan_points, phis.tolist())
-    flags = (correlations._concurrence(rho_m) > 1e-12).tolist()
-    if flags[0]:
-        return SeparabilityBoundary(phi=0.0, status="always_entangled")
-    if not any(flags):
-        return SeparabilityBoundary(phi=math.pi / 2, status="never_entangled")
-    first = flags.index(True)
-    a, b = float(phis[first - 1]), float(phis[first])
-    while b - a > tol:
-        mid = 0.5 * (a + b)
-        if not a < mid < b:
-            break  # the bracket is at float resolution
-        if entangled(mid):
-            b = mid
-        else:
-            a = mid
-    return SeparabilityBoundary(phi=0.5 * (a + b), status="interior")
+    p = ProtocolParams(eps_s, eps_a, 0.0, temperature)  # validates the fixed parameters
+    num = (1.0 - p.eps_a) * math.sqrt((1.0 - p.eps_s) * (1.0 + p.eps_s))
+    den = 2.0 * p.eps_s * math.sqrt(p.eps_a)
+    # The verdict compares before dividing, so eps_s = 0 and an
+    # underflowing den need no branch of their own.
+    if num < den:
+        return SeparabilityBoundary(phi=math.asin(num / den), status="interior")
+    return SeparabilityBoundary(phi=math.pi / 2, status="never_entangled")
 
 
 def eps_a_for_cooling_load(eps_s: float, load: float, temperature: float = 1.0,

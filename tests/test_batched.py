@@ -1,4 +1,5 @@
-"""The stacked (n, 4, 4) kernels behind landscapes and the separability scan.
+"""The stacked (n, 4, 4) kernels behind landscapes, and the closed-form
+separability boundary against the per-angle matrix route.
 
 Every stacked value must equal its single-point call bit for bit (floats
 are compared by ``repr``, which tells every distinct double apart), and a
@@ -74,22 +75,22 @@ def test_landscape_runs_each_decomposition_once_per_chunk(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# separability scan
+# the closed-form separability boundary against the matrix route
 # ---------------------------------------------------------------------------
 
 def reference_boundary(eps_s, eps_a, tol=1e-6, scan_points=181):
-    """The per-angle algorithm: one concurrence call per scanned angle."""
+    """The per-angle algorithm: Wootters concurrence of each scanned angle up
+    to the first entangled one, then bisection of that bracket."""
     def entangled(phi):
         return concurrence(post_measurement_state(ProtocolParams(eps_s, eps_a, phi))) > 1e-12
 
-    phis = np.linspace(0.0, HALF_PI, scan_points)
-    flags = [entangled(float(p)) for p in phis]
-    if flags[0]:
+    phis = np.linspace(0.0, HALF_PI, scan_points).tolist()
+    first = next((k for k, phi in enumerate(phis) if entangled(phi)), None)
+    if first == 0:
         return SeparabilityBoundary(phi=0.0, status="always_entangled")
-    if not any(flags):
+    if first is None:
         return SeparabilityBoundary(phi=HALF_PI, status="never_entangled")
-    first = flags.index(True)
-    a, b = float(phis[first - 1]), float(phis[first])
+    a, b = phis[first - 1], phis[first]
     while b - a > tol:
         mid = 0.5 * (a + b)
         if entangled(mid):
@@ -99,21 +100,49 @@ def reference_boundary(eps_s, eps_a, tol=1e-6, scan_points=181):
     return SeparabilityBoundary(phi=0.5 * (a + b), status="interior")
 
 
+def assert_boundary_matches_reference(eps_s, eps_a):
+    result = sweep.separability_boundary(eps_s, eps_a)
+    expected = reference_boundary(eps_s, eps_a)
+    assert result.status == expected.status, (eps_s, eps_a)
+    assert abs(result.phi - expected.phi) <= 2e-6, (eps_s, eps_a)
+
+
 @pytest.mark.parametrize("eps_s, eps_a", [
     (0.4, 0.8), (0.4, 0.9), (0.0, 0.5), (0.05, TOP), (0.7, 0.75), (0.2, 0.6),
 ])
 def test_separability_boundary_equals_per_angle_scan(eps_s, eps_a):
-    assert repr(sweep.separability_boundary(eps_s, eps_a)) == repr(reference_boundary(eps_s, eps_a))
+    assert_boundary_matches_reference(eps_s, eps_a)
 
 
-def test_separability_scan_is_one_stack(monkeypatch):
-    sizes = []
-    real = correlations._concurrence
-    monkeypatch.setattr(correlations, "_concurrence",
-                        lambda r: sizes.append(r.shape[:-2]) or real(r))
-    sweep.separability_boundary(0.4, 0.8)
-    assert sizes[0] == (181,)
-    assert all(size == () for size in sizes[1:])  # the bisection steps
+def test_separability_boundary_equals_per_angle_scan_on_seeded_pairs():
+    rng = np.random.default_rng(6)
+    eps_s = rng.uniform(0.0, 1.0, 300)
+    eps_a = eps_s + (1.0 - eps_s) * rng.uniform(0.0, 1.0, 300)
+    checked = 0
+    for es, ea in zip(eps_s.tolist(), eps_a.tolist()):
+        # at the edge the oracle's 1e-12 concurrence floor decides the verdict
+        if es < ea < 1.0 and abs(ea - (1.0 - es) / (1.0 + es)) > 1e-9:
+            assert_boundary_matches_reference(es, ea)
+            checked += 1
+    assert checked >= 290
+
+
+def closed_form_concurrence(eps_s, eps_a, phi):
+    """X-state concurrence of rho_m (Wootters 1998; Yu and Eberly 2007)."""
+    return max(0.0, ((1.0 + eps_a) * eps_s * math.sin(phi)
+                     - (1.0 - eps_a) * math.sqrt(1.0 - (eps_s * math.cos(phi)) ** 2)) / 2.0)
+
+
+def test_closed_form_concurrence_matches_wootters_route():
+    from qfcool.verify import standard_grid
+    edges = [ProtocolParams(es, ea, phi)
+             for es in (0.0, 0.3, 0.9, 0.9999) for ea in (es, 0.5, 0.99, 0.9999, TOP)
+             for phi in (0.0, 0.7, HALF_PI) if es <= ea]
+    points = [p for p in standard_grid(6) + edges if 1.0 - p.eps_a > 1e-4]
+    assert len(points) > 216
+    for p in points:
+        matrix = concurrence(post_measurement_state(p))
+        assert abs(closed_form_concurrence(p.eps_s, p.eps_a, p.phi) - matrix) <= 1e-10, p
 
 
 # ---------------------------------------------------------------------------

@@ -181,6 +181,32 @@ def test_landscape_csv_writes_boundary_files(capsys, tmp_path):
     assert work.read_text().startswith("eps_s,eps_a,phi")
 
 
+@pytest.mark.parametrize("n_phi", ["0", "-1"])
+def test_sweep_landscape_rejects_fewer_than_one_angle(capsys, n_phi):
+    code, out, err = run_cli(capsys, "sweep", "--landscape", "--n-phi", n_phi)
+    assert code == 2
+    assert out == ""
+    assert err == "error: n_phi must be at least 1\n"
+
+
+def test_sweep_landscape_accepts_one_angle(capsys):
+    code, out, _ = run_cli(capsys, "sweep", "--landscape", "--n-phi", "1", "--n-eps-a", "3")
+    assert code == 0
+    assert [p["phi"] for p in json.loads(out)["points"]] == [0.0] * 3
+
+
+@pytest.mark.parametrize("args", [
+    ("threshold", "--eps-s", "0.999999999"),
+    ("run", "--eps-s", "0.999999999", "--eps-a", "0.999999999", "--phi", "0.7"),
+])
+def test_discord_near_unit_register_bias_passes_its_self_check(capsys, args):
+    # the closed-form cross-check used to lose 2.5e-10 to cancellation here
+    code, out, err = run_cli(capsys, *args)
+    assert code == 0
+    assert "Traceback" not in err
+    assert json.loads(out)["command"] == args[0]
+
+
 def test_sweep_invalid_grid_is_domain_error(capsys):
     code, _, err = run_cli(capsys, "sweep", "--eps-s", "0.4",
                            "--eps-a-min", "0.2", "--n-eps-a", "5")
@@ -302,6 +328,7 @@ def test_verify_runs_at_the_given_temperature(capsys):
     assert ([(c["name"], c["points"]) for c in docs["5"]["checks"]]
             == [(c["name"], c["points"]) for c in docs["1"]["checks"]])
     assert docs["5"] != docs["1"]
+    assert (docs["1"]["temperature"], docs["5"]["temperature"]) == (1.0, 5.0)
 
 
 def test_run_verify_fails_on_corrupted_closed_form(capsys, monkeypatch):

@@ -1,6 +1,7 @@
 import inspect
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -257,6 +258,20 @@ def test_discord_analytic_frozen_values():
         assert abs(discord_analytic(0.4, phi) - expected) <= 1e-12
     # x-measurement value equals ln2 minus the thermal register entropy
     assert abs(discord_analytic(0.4, HALF_PI) - (LN2 - 0.6108643020548935)) <= 1e-12
+
+
+@pytest.mark.parametrize("eps_s", [1 - 1e-7, 1 - 1e-9, 1 - 1e-12])
+@pytest.mark.parametrize("phi", [0.0, 0.7, HALF_PI])
+def test_discord_closed_forms_match_mpmath_near_unit_bias(eps_s, phi):
+    # 1 - eps_s^2 cancels here; both forms must keep their digits
+    def entropy(e):
+        return -sum(q * mpmath.log(q) for q in ((1 + e) / 2, (1 - e) / 2) if q > 0)
+
+    with mpmath.workdps(50):
+        x = mpmath.mpf(eps_s) * mpmath.cos(mpmath.mpf(phi))
+        exact = float(entropy(x) - entropy(mpmath.mpf(eps_s)))
+    assert abs(discord_analytic(eps_s, phi) - exact) <= 1e-12
+    assert abs(correlations._discord_direct(eps_s, eps_s * math.cos(phi)) - exact) <= 1e-12
 
 
 def test_discord_analytic_ignores_ancilla_bias_by_signature():

@@ -1,8 +1,11 @@
 import math
 import signal
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from qfcool import sweep
 from qfcool.protocol import ProtocolParams
@@ -13,6 +16,7 @@ from qfcool.sweep import (
 from qfcool.thermo import delta_e_system, figures_of_merit, work_feedback
 
 HALF_PI = math.pi / 2
+TOP = 1.0 - sweep.EPS_A_CLAMP
 
 
 def brute_force_working_point(objective, eps_s, phi, n=1_000_001):
@@ -237,20 +241,7 @@ def test_separability_boundary_never_entangled():
     assert result.phi == HALF_PI
 
 
-def test_separability_boundary_always_entangled(monkeypatch):
-    # the scan scores all angles with the stacked kernel
-    monkeypatch.setattr(sweep.correlations, "_concurrence", lambda r: np.ones(r.shape[:-2]))
-    result = separability_boundary(0.4, 0.8)
-    assert result.status == "always_entangled"
-    assert result.phi == 0.0
-
-
 @pytest.mark.parametrize("call, argument", [
-    (lambda: separability_boundary(0.4, 0.9, tol=0.0), "tol"),
-    (lambda: separability_boundary(0.4, 0.9, tol=-1e-6), "tol"),
-    (lambda: separability_boundary(0.4, 0.9, tol=math.nan), "tol"),
-    (lambda: separability_boundary(0.4, 0.9, scan_points=0), "scan_points"),
-    (lambda: separability_boundary(0.4, 0.9, scan_points=1), "scan_points"),
     (lambda: optimize_working_point("cop", 0.3, 1.0, xtol=0.0), "xtol"),
     (lambda: optimize_working_point("cop", 0.3, 1.0, xtol=math.inf), "xtol"),
     (lambda: optimize_working_point("cop", 0.3, 1.0, coarse_points=1), "coarse_points"),
@@ -273,7 +264,6 @@ def test_searches_stop_at_float_resolution():
     previous = signal.signal(signal.SIGALRM, hang)
     signal.alarm(30)
     try:
-        assert separability_boundary(0.4, 0.9, tol=1e-300).phi == pytest.approx(0.121, abs=1e-3)
         wp = optimize_working_point("chi", 0.3, 1.0, xtol=1e-300)
         reference = optimize_working_point("chi", 0.3, 1.0)
         assert wp.eps_a_star == pytest.approx(reference.eps_a_star, abs=1e-6)
@@ -284,28 +274,70 @@ def test_searches_stop_at_float_resolution():
         signal.signal(signal.SIGALRM, previous)
 
 
-def test_separability_boundary_two_point_scan_finds_interior_boundary():
-    # the 181-angle scan puts the boundary near 0.121; two angles bracket it too
-    result = separability_boundary(0.4, 0.9, scan_points=2)
-    assert result.status == "interior"
-    assert abs(result.phi - separability_boundary(0.4, 0.9).phi) <= 2e-6
-
-
 def test_separability_boundary_requires_bias_gap():
     with pytest.raises(ValueError):
         separability_boundary(0.5, 0.5)
 
 
+def mp_boundary(eps_s, eps_a):
+    """The closed-form angle at 50 digits from the same double inputs."""
+    with mpmath.workdps(50):
+        es, ea = mpmath.mpf(eps_s), mpmath.mpf(eps_a)
+        num = (1 - ea) * mpmath.sqrt(1 - es * es)
+        den = 2 * es * mpmath.sqrt(ea)
+        if num < den:
+            return float(mpmath.asin(num / den)), "interior"
+        return HALF_PI, "never_entangled"
+
+
+def test_separability_boundary_matches_mpmath_at_the_edges(rng):
+    pairs = [(5e-324, 0.5), (5e-324, TOP), (1e-6, 0.5)]
+    pairs += [(es, TOP) for es in (0.0, 1e-9, 0.05, 0.4, 0.9, 0.999)]
+    for es in (1e-6, 0.01, 0.1, 0.3, 0.4):
+        edge = (1.0 - es) / (1.0 + es)  # where the verdict flips
+        pairs += [(es, edge + sign * d) for d in (1e-12, 1e-9, 1e-6) for sign in (-1, 1)]
+    es = rng.uniform(0.0, 1.0, 300)
+    pairs += zip(es.tolist(), (es + (1.0 - es) * rng.uniform(0.0, 1.0, 300)).tolist())
+    statuses = set()
+    for eps_s, eps_a in pairs:
+        if not eps_s < eps_a < 1.0:
+            continue
+        result = separability_boundary(eps_s, eps_a)
+        phi, status = mp_boundary(eps_s, eps_a)
+        assert result.status == status, (eps_s, eps_a)
+        assert abs(result.phi - phi) <= 1e-10, (eps_s, eps_a)
+        statuses.add(status)
+    assert statuses == {"interior", "never_entangled"}
+
+
+def test_separability_boundary_runs_no_eigendecomposition(monkeypatch):
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda a, _real=real, _name=name: calls.append(_name) or _real(a))
+    for eps_s, eps_a in ((0.4, 0.8), (0.0, 0.5), (0.05, TOP)):
+        separability_boundary(eps_s, eps_a)
+    assert calls == []
+
+
+@given(eps_s=st.floats(0.0, 1.0, exclude_max=True), eps_a=st.floats(0.0, 1.0, exclude_max=True),
+       log10_t=st.floats(-300.0, 300.0))
+def test_separability_boundary_does_not_depend_on_temperature(eps_s, eps_a, log10_t):
+    assume(eps_s < eps_a)
+    assert separability_boundary(eps_s, eps_a, 10.0 ** log10_t) == separability_boundary(eps_s, eps_a)
+
+
 def test_zero_concurrence_points_sit_below_the_boundary():
     # along each eps_a column, entanglement appears exactly above the
-    # bisected boundary angle
+    # boundary angle
     from qfcool.correlations import concurrence
     from qfcool.protocol import run_protocol
     for eps_a in (0.6, 0.9):
         boundary = separability_boundary(0.4, eps_a).phi
         for phi in np.linspace(0.0, HALF_PI, 15):
             if abs(phi - boundary) < 1e-3:
-                continue  # skip the bisection window itself
+                continue  # skip the angles next to the boundary
             rho_m = run_protocol(ProtocolParams(0.4, eps_a, float(phi))).rho_m
             if concurrence(rho_m) <= 1e-12:
                 assert phi < boundary
