@@ -242,6 +242,9 @@ def test_separability_boundary_never_entangled():
 
 
 @pytest.mark.parametrize("call, argument", [
+    (lambda: eps_a_for_cooling_load(0.3, 0.1, tol=-1e-6), "tol"),
+    (lambda: eps_a_for_cooling_load(0.3, 0.1, tol=math.inf), "tol"),
+    (lambda: eps_a_for_cooling_load(0.3, 0.1, tol=-math.inf), "tol"),
     (lambda: optimize_working_point("cop", 0.3, 1.0, xtol=0.0), "xtol"),
     (lambda: optimize_working_point("cop", 0.3, 1.0, xtol=math.inf), "xtol"),
     (lambda: optimize_working_point("cop", 0.3, 1.0, coarse_points=1), "coarse_points"),
