@@ -3,8 +3,9 @@
 Covers the Wootters concurrence and entanglement of formation, quantum
 mutual information (matrix route and closed form for post-measurement
 states), quantum discord via a deterministic search over projective
-measurements, the closed-form discord of post-measurement states, and
-the discord threshold that guarantees real cooling.
+measurements (on a stack of (state, side) rows; a row's result does not
+depend on the stack), the closed-form discord of post-measurement states,
+and the discord threshold that guarantees real cooling.
 
 All quantities are in nats, including the entanglement of formation (a
 maximally entangled pair has EoF = ln 2).
@@ -30,8 +31,8 @@ _PROB_FLOOR = 1e-12
 # grid, and the half-width (radians) below which the search may stop.
 _ZOOM_POINTS = 9
 _ZOOM_ANGLE_TOL = 1e-7
-# Outcome signs of a two-outcome projective measurement, as a column.
-_SIGNS = np.array([[1.0], [-1.0]])
+# Most (row, axis) pairs one kernel call scores: bounds a stacked search's memory.
+_SCAN_BUDGET = 4096
 # The 16 products sigma_mu x sigma_nu (sigma_0 = I), contracted with a
 # state in one step: tr(rho sigma_mu x sigma_nu).
 _PAULI_PRODUCTS = np.array([densmat.tensor(p, q) for p in (ID2, *PAULI) for q in (ID2, *PAULI)])
@@ -61,11 +62,14 @@ class MeasurementBasis:
 class OptimizerOptions:
     """Deterministic settings for the discord basis search.
 
-    An ``n_polar`` x ``n_azimuth`` scan of the Bloch sphere seeds a zoom
-    refinement.  Each zoom level scores a 9x9 (polar, azimuth) grid
-    centred on the best axis so far, then halves the grid's half-widths,
-    which start at one seed-grid step.  The search converges once the
-    half-widths are below 1e-7 rad and the last level improved the
+    The first ``(n_polar + 1) // 2`` polar rows of an ``n_polar`` x
+    ``n_azimuth`` Bloch-sphere grid (a hemisphere: an axis and its opposite
+    are one measurement) seed a zoom refinement.  Each zoom level scores a
+    9x9 (polar, azimuth) grid centred on the best axis so far, then halves
+    the half-widths, which start at one grid step.  A kernel call scores at
+    most 4096 (state, axis) pairs, or one state's seed if that has more,
+    which bounds the memory of a stacked search.  The search converges once
+    the half-widths are below 1e-7 rad and the last level improved the
     objective by at most ``objective_tol / 10``.  ``max_iter`` caps the
     number of zoom levels; a search that needs more raises
     ``DiscordOptimizationError`` (the defaults converge in about 20).
@@ -216,29 +220,35 @@ def _check_side(measured_side: str) -> str:
 
 
 def _axes(polar: np.ndarray, azimuth: np.ndarray) -> np.ndarray:
-    """Unit measurement axes, shape (n, 3), from flat arrays of Bloch angles."""
+    """Unit measurement axes, shape ``polar.shape + (3,)``, from arrays of Bloch angles."""
     st = np.sin(polar)
-    return np.column_stack([st * np.cos(azimuth), st * np.sin(azimuth), np.cos(polar)])
+    return np.stack([st * np.cos(azimuth), st * np.sin(azimuth), np.cos(polar)], axis=-1)
 
 
-def _conditional_entropy_scan(bloch, measured_side: str, axes: np.ndarray) -> np.ndarray:
-    """Average conditional entropy for a batch of measurement axes.
+def _conditional_entropy_scan(local: np.ndarray, other: np.ndarray, m: np.ndarray,
+                              axes: np.ndarray) -> np.ndarray:
+    """Average conditional entropy of each row for a batch of measurement axes.
 
-    Exact Bloch-space reformulation of the projector route, vectorized
-    over axes of shape (n, 3); ``bloch`` is ``bloch_components(rho)``.
+    Exact Bloch-space reformulation of the projector route.  Row i measures
+    the side with Bloch vector ``local[i]`` along ``axes[i]`` (``(r, k, 3)``,
+    or ``(k, 3)`` for all rows); ``other[i]`` is the other side's vector and
+    ``m[i]`` the correlation tensor with the measured side first (``t.T``
+    for side A, ``t`` for S).  The 3-term contractions are explicit sums,
+    so a row's ``(r, k)`` values do not depend on the other rows.
     """
-    a, b, t = bloch
-    if measured_side == "A":
-        local, other, corr = b, a, axes @ t.T
-    else:
-        local, other, corr = a, b, axes @ t
-    # Both outcomes at once: axis 0 runs over the projectors (1 + sign n.sigma)/2.
-    p = 0.5 * (1.0 + _SIGNS * (axes @ local))
-    shifted = other + _SIGNS[..., None] * corr
-    lengths = np.sqrt((shifted * shifted).sum(axis=-1))
+    # dot[:, c] = n . v[:, c]: n . local for c = 0 and (n @ m)_j for c = 1 + j
+    v = np.concatenate([local[:, None], m.transpose(0, 2, 1)], axis=1)
+    x = axes[..., None, :, :]
+    dot = x[..., 0] * v[:, :, 0, None] + x[..., 1] * v[:, :, 1, None] + x[..., 2] * v[:, :, 2, None]
+    # Both outcomes at once: axis 0 runs over the projectors (1 +- n.sigma)/2.
+    dot = np.array([dot, -dot])
+    p = 0.5 * (1.0 + dot[:, :, 0])
+    shifted = other[:, :, None] + dot[:, :, 1:]
+    shifted *= shifted
+    lengths = np.sqrt(shifted[:, :, 0] + shifted[:, :, 1] + shifted[:, :, 2])
     live = p > _PROB_FLOOR
     ratio = np.where(live, np.minimum(1.0, lengths / np.where(live, 2.0 * p, 1.0)), 0.0)
-    q = np.stack([(1.0 + ratio) / 2.0, (1.0 - ratio) / 2.0])
+    q = np.array([(1.0 + ratio) / 2.0, (1.0 - ratio) / 2.0])
     kept = q > densmat.ENTROPY_CUTOFF
     h = -np.where(kept, q * np.log(np.where(kept, q, 1.0)), 0.0).sum(axis=0)
     return np.where(live, p * h, 0.0).sum(axis=0)
@@ -274,59 +284,67 @@ def _reduced_entropy(conditional, keep: str) -> float:
     return float(densmat._spectrum_entropy(w / w.sum()))
 
 
-def optimal_measurement(rho, measured_side: str = "A",
-                        opts: OptimizerOptions | None = None,
+def optimal_measurement(rho, measured_side: str = "A", opts: OptimizerOptions | None = None,
                         ) -> tuple[MeasurementBasis, float]:
     """Projective basis maximizing the one-sided classical correlation.
 
     Returns the optimal basis and the maximized information gain
-    J = S(rho_other) - min average conditional entropy.  The state is
-    validated and reduced to its Bloch data once; the seed scan over the
-    whole sphere and every zoom level (see ``OptimizerOptions``) score
-    their axes with the same vectorized Bloch-space kernel, and
-    S(rho_other) comes from the length of the other side's Bloch vector.
-    Raises ``DiscordOptimizationError`` if the zoom has not converged
-    after ``opts.max_iter`` levels.
+    J = S(rho_other) - min average conditional entropy, from one search
+    (see ``OptimizerOptions``) on the state's Bloch data.  Raises
+    ``DiscordOptimizationError`` if the zoom has not converged after
+    ``opts.max_iter`` levels.
     """
     _check_side(measured_side)
-    return _optimal_measurement(bloch_components(rho), measured_side, opts)
+    [(polar, azimuth, gain)] = _optimal_measurements([bloch_components(rho)], [measured_side], opts)
+    return MeasurementBasis(polar, azimuth), gain
 
 
-def _optimal_measurement(bloch, measured_side: str,
-                         opts: OptimizerOptions | None) -> tuple[MeasurementBasis, float]:
+def _optimal_measurements(blochs, sides: Sequence[str], opts: OptimizerOptions | None) -> list:
+    """``(polar, azimuth, gain)`` per (``_bloch_components``, measured side) row; the
+    rows share the zoom levels, and each leaves the search once it meets the stop rule."""
     opts = opts or _DEFAULT_OPTS
+    a, b, t = (np.array(c) for c in zip(*blochs))
+    on_a = np.array([side == "A" for side in sides])[:, None]
+    local, other = np.where(on_a, b, a), np.where(on_a, a, b)
+    m = np.where(on_a[..., None], t.transpose(0, 2, 1), t)
+    conditional = np.empty(len(local))
 
-    def best_of(polar, azimuth):
-        values = _conditional_entropy_scan(bloch, measured_side, _axes(polar, azimuth))
-        i = int(np.argmin(values))
-        return float(polar[i]), float(azimuth[i]), float(values[i])
+    def best(rows, per_call, axes_of):
+        # index of each row's best candidate axis (first minimum on ties)
+        pick = np.empty(len(rows), dtype=int)
+        for lo in range(0, len(rows), per_call):
+            chunk = rows[lo:lo + per_call]
+            values = _conditional_entropy_scan(local[chunk], other[chunk], m[chunk], axes_of(chunk))
+            pick[lo:lo + per_call] = values.argmin(axis=1)
+            conditional[chunk] = values[np.arange(len(chunk)), pick[lo:lo + per_call]]
+        return pick
 
-    tt, aa = np.meshgrid(np.linspace(0.0, math.pi, opts.n_polar),
-                         np.linspace(0.0, 2.0 * math.pi, opts.n_azimuth, endpoint=False),
-                         indexing="ij")
-    polar, azimuth, conditional = best_of(tt.ravel(), aa.ravel())
+    grid = np.array(np.meshgrid(
+        np.linspace(0.0, math.pi, opts.n_polar)[:(opts.n_polar + 1) // 2],
+        np.linspace(0.0, 2.0 * math.pi, opts.n_azimuth, endpoint=False), indexing="ij")).reshape(2, -1)
+    seed = _axes(*grid)
+    active = np.arange(len(local))
+    angles = grid[:, best(active, max(1, _SCAN_BUDGET // len(seed)), lambda _: seed)]
 
-    # Offsets in units of the half-widths; the centre (exactly 0) is kept,
+    # Offsets in units of the half-widths h; the centre (exactly 0) is kept,
     # so no level can lose the best axis found so far.
-    offsets = np.linspace(-1.0, 1.0, _ZOOM_POINTS)
-    d_polar, d_azimuth = (g.ravel() for g in np.meshgrid(offsets, offsets, indexing="ij"))
-    h_polar = math.pi / max(opts.n_polar - 1, 1)
-    h_azimuth = 2.0 * math.pi / opts.n_azimuth
+    offsets = np.array(np.meshgrid(*[np.linspace(-1.0, 1.0, _ZOOM_POINTS)] * 2, indexing="ij")).reshape(2, -1)
+    h = np.array([math.pi / max(opts.n_polar - 1, 1), 2.0 * math.pi / opts.n_azimuth])
     for _ in range(opts.max_iter):
-        previous = conditional
-        polar, azimuth, conditional = best_of(polar + h_polar * d_polar,
-                                              azimuth + h_azimuth * d_azimuth)
-        if (max(h_polar, h_azimuth) < _ZOOM_ANGLE_TOL
-                and previous - conditional <= 0.1 * opts.objective_tol):
+        previous = conditional[active]
+        step = h[:, None] * offsets
+        pick = best(active, _SCAN_BUDGET // _ZOOM_POINTS ** 2,
+                    lambda rows: _axes(*(angles[:, rows, None] + step[:, None])))
+        angles[:, active] += step[:, pick]
+        if h.max() < _ZOOM_ANGLE_TOL:
+            active = active[~(previous - conditional[active] <= 0.1 * opts.objective_tol)]
+        if not active.size:
             break
-        h_polar *= 0.5
-        h_azimuth *= 0.5
+        h *= 0.5
     else:
-        raise DiscordOptimizationError(
-            f"basis search did not converge within {opts.max_iter} zoom levels")
-    a, b, _ = bloch
-    s_other = thermal_entropy(float(np.linalg.norm(a if measured_side == "A" else b)))
-    return MeasurementBasis(polar, azimuth), s_other - conditional
+        raise DiscordOptimizationError(f"basis search did not converge within {opts.max_iter} zoom levels")
+    return [(p, az, thermal_entropy(float(np.linalg.norm(o))) - c) for p, az, o, c in
+            zip(angles[0].tolist(), angles[1].tolist(), other, conditional.tolist())]
 
 
 def discord_numeric(rho, measured_side: str = "A",
@@ -338,11 +356,11 @@ def discord_numeric(rho, measured_side: str = "A",
     """
     _check_side(measured_side)
     r = _two_qubit_state(rho, "discord_numeric")
-    return _discord(float(_mutual_information(r)), _bloch_components(r), measured_side, opts)
+    [(_, _, gain)] = _optimal_measurements([_bloch_components(r)], [measured_side], opts)
+    return _discord(float(_mutual_information(r)), gain)
 
 
-def _discord(mi: float, bloch, measured_side: str, opts: OptimizerOptions | None) -> float:
-    _, gain = _optimal_measurement(bloch, measured_side, opts)
+def _discord(mi: float, gain: float) -> float:
     delta = mi - gain
     if delta < -1e-9:
         raise RuntimeError(f"discord optimization exceeded mutual information: {delta!r}")
@@ -388,7 +406,8 @@ def classical_correlations(rho, measured_side: str = "A",
     _check_side(measured_side)
     r = _two_qubit_state(rho, "classical_correlations")
     mi = float(_mutual_information(r))
-    return mi - _discord(mi, _bloch_components(r), measured_side, opts)
+    [(_, _, gain)] = _optimal_measurements([_bloch_components(r)], [measured_side], opts)
+    return mi - _discord(mi, gain)
 
 
 def discord_threshold(eps_s: float) -> float:
@@ -427,9 +446,8 @@ def correlation_report(params: ProtocolParams, *, numeric_discord: bool = True,
     conc, mi = float(_concurrence(rho_m)), float(_mutual_information(rho_m))
     d_a = d_s = None
     if numeric_discord:
-        bloch = _bloch_components(rho_m)
-        d_a = _discord(mi, bloch, "A", opts)
-        d_s = _discord(mi, bloch, "S", opts)
+        d_a, d_s = (_discord(mi, gain) for _, _, gain in _optimal_measurements(
+            [_bloch_components(rho_m)] * 2, ["A", "S"], opts))
     return _report(params, conc, mi, d_a, d_s)
 
 

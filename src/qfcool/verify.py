@@ -2,8 +2,8 @@
 
 ``run_suite`` evaluates a standard (eps_s, eps_a, phi) grid in one stacked
 pass, closed forms kept scalar per point, and reads it through one table of
-invariant classes, ``CLASSES``.  ``point_checks`` (``run --verify``)
-evaluates the closed-form-versus-oracle rows on a one-point grid.
+invariant classes, ``CLASSES``.  ``point_checks`` (``run --verify``) evaluates
+the oracle rows on a one-point grid.  Energy deviations are in units of T.
 """
 
 from __future__ import annotations
@@ -79,24 +79,25 @@ class _Grid:
         n, stride = self.n, self.discord_stride
         index = np.arange(n ** 3).reshape(n, n, n)[::stride, ::stride, ::stride].ravel()
         rho_m = self.trace.rho_m[index]
-        out = []
-        for i, rho, conc in zip(index.tolist(), rho_m, correlations._concurrence(rho_m).tolist()):
-            params, mi = self.points[i], float(self.mutual_information[i])
-            bloch = correlations._bloch_components(rho)
-            out.append((conc, correlations._discord(mi, bloch, "A", None),
-                        correlations._discord(mi, bloch, "S", None),
-                        correlations.discord_analytic(params.eps_s, params.phi)))
-        return out
+        blochs = [correlations._bloch_components(r) for r in rho_m]
+        gains = [g for _, _, g in correlations._optimal_measurements(
+            blochs * 2, ["A"] * len(blochs) + ["S"] * len(blochs), None)]
+        return [(conc, correlations._discord(mi, g_a), correlations._discord(mi, g_s),
+                 correlations.discord_analytic(self.points[i].eps_s, self.points[i].phi))
+                for i, conc, mi, g_a, g_s in zip(
+                    index.tolist(), correlations._concurrence(rho_m).tolist(),
+                    self.mutual_information[index].tolist(), gains, gains[len(blochs):])]
 
 
 def _pointwise(grid: _Grid, closed: Callable[[ProtocolParams], float],
-               matrix: np.ndarray) -> list[float]:
-    return [abs(closed(p) - m) for p, m in zip(grid.points, matrix.tolist())]
+               matrix: np.ndarray, energy: bool = False) -> list[float]:
+    return [abs(closed(p) - m) / (p.temperature if energy else 1.0)
+            for p, m in zip(grid.points, matrix.tolist())]
 
 
-def _versus_oracle(name: str) -> Callable[[_Grid], list[float]]:
+def _versus_oracle(name: str, energy: bool) -> Callable[[_Grid], list[float]]:
     """``thermo.<name>``, looked up when the class runs, against its matrix oracle."""
-    return lambda g: _pointwise(g, getattr(thermo, name), g.oracles[name])
+    return lambda g: _pointwise(g, getattr(thermo, name), g.oracles[name], energy)
 
 
 def _max_abs(stack: np.ndarray) -> np.ndarray:
@@ -124,7 +125,8 @@ def _ancilla_marginal(g: _Grid) -> list[float]:
 def _ergotropy_bound(g: _Grid) -> list[float]:
     rho_m = g.trace.rho_m
     bound = thermo._ergotropy(rho_m, g.model.hamiltonian, np.linalg.eigvalsh(rho_m))
-    return [max(0.0, r.work_feedback - e) for r, e in zip(g.reports, bound.tolist())]
+    return [max(0.0, r.work_feedback - e) / p.temperature
+            for p, r, e in zip(g.points, g.reports, bound.tolist())]
 
 
 def _monotone_in_phi(field: str) -> Callable[[_Grid], list[float]]:
@@ -140,11 +142,11 @@ def _monotone_in_phi(field: str) -> Callable[[_Grid], list[float]]:
 # Invariant classes: name -> (tolerance, deviations of the grid points the
 # class checks).  First closed form versus matrix oracle, run --verify's.
 ORACLE_CLASSES = {
-    **{name: (TOL_CLOSED_FORM, _versus_oracle(name)) for name in (
-        "work_measurement", "work_feedback", "heat_reset", "delta_e_system",
-        "entropy_reduction", "total_work")},
+    **{name: (TOL_CLOSED_FORM, _versus_oracle(name, energy=name != "entropy_reduction"))
+       for name in ("work_measurement", "work_feedback", "heat_reset", "delta_e_system",
+                    "entropy_reduction", "total_work")},
     "energy_conservation": (TOL_CLOSED_FORM, lambda g: [
-        abs(thermo.work_measurement(p) + thermo.work_feedback(p) + w)
+        abs(thermo.work_measurement(p) + thermo.work_feedback(p) + w) / p.temperature
         for p, w in zip(g.points, g.oracles["total_work"].tolist())]),
     "mutual_information": (TOL_CLOSED_FORM, lambda g: _pointwise(
         g, correlations.mutual_information_analytic, g.mutual_information)),
@@ -167,10 +169,10 @@ CLASSES = {
         g.trace.rho_reset - densmat._tensor(g.trace.rho_f_s, g.thermal_a)).tolist()),
     "post_measurement_ancilla_marginal": (TOL_MARGINAL, _ancilla_marginal),
     "work_positive": (0.0, lambda g: [
-        max(0.0, -r.total_work) for p, r in zip(g.points, g.reports)
+        max(0.0, -r.total_work) / p.temperature for p, r in zip(g.points, g.reports)
         if p.eps_a > p.eps_s + 1e-12]),
     "heat_bounds_load": (1e-12, lambda g: [
-        max(0.0, r.cooling_load - r.heat_reset) for r in g.reports]),
+        max(0.0, r.cooling_load - r.heat_reset) / p.temperature for p, r in zip(g.points, g.reports)]),
     "entropy_reduction_nonnegative": (1e-12, lambda g: [
         max(0.0, -r.entropy_reduction) for r in g.reports]),
     "eta_bounded": (1e-12, lambda g: [
@@ -178,13 +180,13 @@ CLASSES = {
     "ergotropy_bound": (1e-12, _ergotropy_bound),
     "cooling_window_sign": (0.0, lambda g: [
         0.0 if (r.delta_e_system > 0.0) == r.in_cooling_window else 1.0
-        for r in g.reports if abs(r.delta_e_system) > 1e-12]),
+        for p, r in zip(g.points, g.reports) if abs(r.delta_e_system) > 1e-12 * p.temperature]),
     "no_cooling_below_bias": (1e-12, lambda g: [
-        max(0.0, r.delta_e_system) for p, r in zip(g.points, g.reports)
+        max(0.0, r.delta_e_system) / p.temperature for p, r in zip(g.points, g.reports)
         if math.sin(p.phi) < p.eps_s]),
     "phi_crit_root": (TOL_ROOT, lambda g: [
         abs(thermo.work_feedback(ProtocolParams(p.eps_s, p.eps_a, r.phi_crit, p.temperature)))
-        for p, r in zip(g.points, g.reports) if p.eps_s > 0.0]),
+        / p.temperature for p, r in zip(g.points, g.reports) if p.eps_s > 0.0]),
     **{f"{field}_monotone_phi": (1e-9, _monotone_in_phi(field))
        for field in ("cop", "eta", "chi")},
     "discord_symmetry": (TOL_DISCORD_NUMERIC, lambda g: [

@@ -331,6 +331,19 @@ def test_verify_runs_at_the_given_temperature(capsys):
     assert (docs["1"]["temperature"], docs["5"]["temperature"]) == (1.0, 5.0)
 
 
+@pytest.mark.parametrize("args", [
+    ("run", "--eps-s", "0.4", "--eps-a", "0.8", "--phi", "1.0", "--temperature", "1e6",
+     "--verify"),
+    ("verify", "--grid-n", "3", "--temperature", "1e5"),
+    ("verify", "--grid-n", "3", "--temperature", "1e7", "--format", "csv"),
+], ids=["run-verify-1e6", "verify-1e5", "verify-1e7-csv"])
+def test_verify_passes_at_large_temperatures(capsys, args):
+    # energies scale with T; their deviations are checked in units of T
+    code, out, err = run_cli(capsys, *args)
+    assert (code, err) == (0, "")
+    assert "FAIL" not in out
+
+
 def test_run_verify_fails_on_corrupted_closed_form(capsys, monkeypatch):
     honest = thermo.work_measurement
     monkeypatch.setattr(thermo, "work_measurement", lambda p: honest(p) - 1e-6)

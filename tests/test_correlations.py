@@ -239,9 +239,75 @@ def test_scan_objective_agrees_with_projector_route(random_density, rng):
         basis = MeasurementBasis(polar, azimuth)
         axis = basis.axis()[None, :]
         for side in ("S", "A"):
-            fast = correlations._conditional_entropy_scan(bloch_components(rho), side, axis)[0]
+            a, b, t = bloch_components(rho)
+            local, other, m = (b, a, t.T) if side == "A" else (a, b, t)
+            fast = correlations._conditional_entropy_scan(
+                local[None], other[None], m[None], axis)[0, 0]
             exact = correlations._conditional_entropy_exact(rho, side, basis)
             assert abs(fast - exact) <= 1e-11
+
+
+@pytest.fixture(scope="module")
+def search_rows():
+    """(state, side) rows of 64 random states and the standard_grid(4) rho_m, with
+    the result of each row's one-row search."""
+    rng = np.random.default_rng(20261018)
+    states = []
+    for _ in range(64):
+        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        states.append(g @ g.conj().T / np.trace(g @ g.conj().T).real)
+    states += [run_protocol(p).rho_m for p in standard_grid(4)]
+    blochs = [bloch_components(rho) for rho in states] * 2
+    sides = ["A"] * len(states) + ["S"] * len(states)
+    alone = [correlations._optimal_measurements([b], [s], None)[0] for b, s in zip(blochs, sides)]
+    return blochs, sides, alone
+
+
+# 4096 is the default budget; 1000 scores one seed row and 12 zoom rows per
+# call, 300 three zoom rows per call, so chunks end mid-stack.
+@pytest.mark.parametrize("budget", [4096, 1000, 300])
+def test_stacked_search_rows_equal_one_row_searches(search_rows, budget, monkeypatch):
+    blochs, sides, alone = search_rows
+    monkeypatch.setattr(correlations, "_SCAN_BUDGET", budget)
+    stacked = correlations._optimal_measurements(blochs, sides, None)
+    assert len(stacked) == len(alone) == 256
+    for row, one in zip(stacked, alone):
+        assert [v.hex() for v in row] == [v.hex() for v in one]
+
+
+def _record_kernel_calls(monkeypatch):
+    """(rows, axes per row) of every kernel call, recorded from now on."""
+    calls = []
+    real = correlations._conditional_entropy_scan
+
+    def recorded(local, other, m, axes):
+        calls.append((len(local), axes.shape[-2]))
+        return real(local, other, m, axes)
+
+    monkeypatch.setattr(correlations, "_conditional_entropy_scan", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("n_polar,n_azimuth", [(64, 32), (7, 5), (129, 64)])
+def test_kernel_calls_stay_within_the_memory_budget(monkeypatch, n_polar, n_azimuth):
+    calls = _record_kernel_calls(monkeypatch)
+    rows = [bloch_components(rho_m_at(0.1 * k, 0.9, 0.3 * k)) for k in range(1, 6)] * 2
+    opts = OptimizerOptions(n_polar=n_polar, n_azimuth=n_azimuth)
+    correlations._optimal_measurements(rows, ["A"] * 5 + ["S"] * 5, opts)
+    seed_axes = (n_polar + 1) // 2 * n_azimuth  # the hemisphere seed
+    assert calls[0][1] == seed_axes
+    assert all(r * k <= max(4096, seed_axes) for r, k in calls)
+    assert sum(r for r, k in calls if k == seed_axes) == 10  # every row scanned its seed once
+
+
+@pytest.mark.parametrize("n_polar,n_azimuth", [(7, 5), (65, 33)])
+def test_discord_numeric_matches_closed_form_at_odd_seed_sizes(n_polar, n_azimuth):
+    opts = OptimizerOptions(n_polar=n_polar, n_azimuth=n_azimuth)
+    for params in standard_grid(4):
+        rho = run_protocol(params).rho_m
+        closed = discord_analytic(params.eps_s, params.phi)
+        for side in ("A", "S"):
+            assert abs(discord_numeric(rho, side, opts) - closed) <= 1e-12, (params, side)
 
 
 # ---------------------------------------------------------------------------

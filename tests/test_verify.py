@@ -42,20 +42,24 @@ def test_run_suite_eigensolver_calls_do_not_grow_with_the_grid(monkeypatch):
 
 
 def _reference_deviations(points):
-    """Deviations of the pointwise classes, from the public single-point functions."""
+    """Deviations of the pointwise classes, from the public single-point functions.
+
+    Energy-valued deviations are in units of the point's temperature.
+    """
     dev = {name: [] for name in verify.CLASSES}
     for params in points:
         trace = protocol.run_protocol(params)
         model = thermo.energy_model(params)
         report = thermo.figures_of_merit(params)
-        es, ea, phi = params.eps_s, params.eps_a, params.phi
+        es, ea, phi, t = params.eps_s, params.eps_a, params.phi, params.temperature
         for name in ("work_measurement", "work_feedback", "heat_reset", "delta_e_system",
                      "entropy_reduction", "total_work"):
             closed = getattr(thermo, name)(params)
-            dev[name].append(abs(closed - getattr(thermo, f"{name}_matrix")(params)))
+            unit = 1.0 if name == "entropy_reduction" else t
+            dev[name].append(abs(closed - getattr(thermo, f"{name}_matrix")(params)) / unit)
         dev["energy_conservation"].append(abs(
             thermo.work_measurement(params) + thermo.work_feedback(params)
-            + thermo.total_work_matrix(params)))
+            + thermo.total_work_matrix(params)) / t)
         dev["mutual_information"].append(abs(
             correlations.mutual_information_analytic(params)
             - correlations.mutual_information(trace.rho_m)))
@@ -80,22 +84,22 @@ def _reference_deviations(points):
         dev["post_measurement_ancilla_marginal"].append(
             max(abs(z), abs(x - es * ea * math.cos(phi))))
         if ea > es + 1e-12:
-            dev["work_positive"].append(max(0.0, -report.total_work))
-        dev["heat_bounds_load"].append(max(0.0, report.cooling_load - report.heat_reset))
+            dev["work_positive"].append(max(0.0, -report.total_work) / t)
+        dev["heat_bounds_load"].append(max(0.0, report.cooling_load - report.heat_reset) / t)
         dev["entropy_reduction_nonnegative"].append(max(0.0, -report.entropy_reduction))
         if report.eta is not None:
             dev["eta_bounded"].append(max(0.0, report.eta - 1.0, -report.eta))
         dev["ergotropy_bound"].append(max(
-            0.0, report.work_feedback - thermo.ergotropy(trace.rho_m, model.hamiltonian)))
+            0.0, report.work_feedback - thermo.ergotropy(trace.rho_m, model.hamiltonian)) / t)
         de = report.delta_e_system
-        if abs(de) > 1e-12:
+        if abs(de) > 1e-12 * t:
             dev["cooling_window_sign"].append(
                 0.0 if (de > 0.0) == (ea * math.sin(phi) > es) else 1.0)
         if math.sin(phi) < es:
-            dev["no_cooling_below_bias"].append(max(0.0, de))
+            dev["no_cooling_below_bias"].append(max(0.0, de) / t)
         if es > 0.0:
-            root = ProtocolParams(es, ea, report.phi_crit, params.temperature)
-            dev["phi_crit_root"].append(abs(thermo.work_feedback(root)))
+            root = ProtocolParams(es, ea, report.phi_crit, t)
+            dev["phi_crit_root"].append(abs(thermo.work_feedback(root)) / t)
     return dev
 
 
@@ -136,6 +140,69 @@ def test_run_suite_honours_the_temperature():
     assert [(c.name, c.points) for c in hot] == [(c.name, c.points) for c in cold]
     assert all(c.passed for c in hot)
     assert hot != cold
+
+
+@pytest.mark.parametrize("temperature", [
+    1e-300, 1e-100, 1e-6, 0.25, 1.0, 4.0, 1e5, 1e12, 1e100, 1e300])
+def test_run_suite_passes_at_any_temperature(temperature):
+    # energy deviations are in units of T, so rounding alone never fails a class
+    checks = verify.run_suite(6, 3, temperature)
+    assert [c.name for c in checks if not c.passed] == []
+    assert ([(c.name, c.points) for c in checks]
+            == [(c.name, c.points) for c in verify.run_suite(6, 3, 1.0)])
+
+
+# run_suite(4, 2, 1.0) before energy deviations were taken in units of T
+# and before the discord search was stacked: (name, points, max_deviation).
+SUITE_4_2 = [
+    ("work_measurement", 64, 6.661338147750939e-16),
+    ("work_feedback", 64, 1.3322676295501878e-15),
+    ("heat_reset", 64, 6.661338147750939e-16),
+    ("delta_e_system", 64, 6.106226635438361e-16),
+    ("entropy_reduction", 64, 4.85722573273506e-16),
+    ("total_work", 64, 1.2212453270876722e-15),
+    ("energy_conservation", 64, 8.881784197001252e-16),
+    ("mutual_information", 64, 9.992007221626409e-16),
+    ("discord_closed_form", 64, 3.885780586188048e-16),
+    ("thermal_entropy", 64, 2.7755575615628914e-16),
+    ("purity_transfer", 64, 8.881784197001252e-16),
+    ("swap_limit", 16, 4.440892098500626e-16),
+    ("entropy_invariance", 64, 1.27675647831893e-15),
+    ("reset_marginals", 64, 0.0),
+    ("post_measurement_ancilla_marginal", 64, 3.3306690738754696e-16),
+    ("work_positive", 48, 0.0),
+    ("heat_bounds_load", 64, 0.0),
+    ("entropy_reduction_nonnegative", 64, 0.0),
+    ("eta_bounded", 57, 0.0),
+    ("ergotropy_bound", 64, 4.440892098500626e-16),
+    ("cooling_window_sign", 45, 0.0),
+    ("no_cooling_below_bias", 24, 0.0),
+    ("phi_crit_root", 48, 4.440892098500626e-16),
+    ("cop_monotone_phi", 42, 0.0),
+    ("eta_monotone_phi", 42, 0.0),
+    ("chi_monotone_phi", 42, 0.0),
+    ("discord_symmetry", 8, 2.220446049250313e-16),
+    ("discord_numeric_vs_closed", 8, 2.220446049250313e-16),
+    ("entangled_implies_discordant", 2, 0.0),
+]
+
+
+def test_run_suite_at_unit_temperature_is_unchanged():
+    expected = [verify.Check(name, points, worst, verify.CLASSES[name][0])
+                for name, points, worst in SUITE_4_2]
+    assert verify.run_suite(4, 2, 1.0) == expected
+
+
+def test_run_suite_scores_the_discord_subgrid_in_few_kernel_calls(monkeypatch):
+    # 64 subgrid states x 2 sides: 32 seed calls of 4 rows and about 22 zoom
+    # levels of 3 calls (one search per row made 2944 calls)
+    calls = []
+    real = correlations._conditional_entropy_scan
+    monkeypatch.setattr(correlations, "_conditional_entropy_scan",
+                        lambda *args: calls.append(None) or real(*args))
+    checks = verify.run_suite(12, 3)
+    assert all(c.passed for c in checks)
+    assert 0 < len(calls) <= 150
 
 
 @pytest.mark.parametrize("temperature", [-1.0, math.nan, math.inf])
