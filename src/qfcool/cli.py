@@ -11,7 +11,6 @@ documents; every command runs in-process.  Angles are radians unless
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -135,7 +134,7 @@ def _trace_summary(trace: protocol.ProtocolTrace) -> dict:
 
 
 def _check_dict(check: verify.Check) -> dict:
-    return {**dataclasses.asdict(check), "passed": check.passed}
+    return {**vars(check), "passed": check.passed}
 
 
 # ---------------------------------------------------------------------------
@@ -150,10 +149,10 @@ def cmd_run(params: ProtocolParams, output_format: str, verify_checks: bool,
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": "run",
-        "params": dataclasses.asdict(params),
+        "params": dict(vars(params)),
         "trace": _trace_summary(trace),
-        "thermo": dataclasses.asdict(report),
-        "correlations": dataclasses.asdict(corr),
+        "thermo": dict(vars(report)),
+        "correlations": dict(vars(corr)),
     }
     failed = False
     if verify_checks:
@@ -183,10 +182,10 @@ def _point_doc(point: sweep.CurvePoint) -> dict:
     doc = {
         "eps_a": point.eps_a,
         "phi": point.phi,
-        "thermo": dataclasses.asdict(point.thermo),
+        "thermo": dict(vars(point.thermo)),
     }
     if point.correlations is not None:
-        doc["correlations"] = dataclasses.asdict(point.correlations)
+        doc["correlations"] = dict(vars(point.correlations))
     return doc
 
 
@@ -263,7 +262,7 @@ def cmd_optimize(objective: str, eps_s: float, phi: float, temperature: float,
             "eps_s": eps_s,
             "phi": phi,
             "temperature": temperature,
-            "working_point": dataclasses.asdict(point),
+            "working_point": dict(vars(point)),
         }
         _emit(_json_doc(doc), output)
     else:

@@ -448,7 +448,7 @@ def correlation_report(params: ProtocolParams, *, numeric_discord: bool = True,
     if numeric_discord:
         d_a, d_s = (_discord(mi, gain) for _, _, gain in _optimal_measurements(
             [_bloch_components(rho_m)] * 2, ["A", "S"], opts))
-    return _report(params, conc, mi, d_a, d_s)
+    return _report(conc, mi, discord_analytic(params.eps_s, params.phi), d_a, d_s)
 
 
 def correlation_reports(points: Sequence[ProtocolParams]) -> list[CorrelationReport]:
@@ -458,13 +458,20 @@ def correlation_reports(points: Sequence[ProtocolParams]) -> list[CorrelationRep
     mutual information evaluated, as one ``(n, 4, 4)`` stack; each value
     equals the single-point one bit for bit.
     """
-    rho_m = protocol._post_measurement_states(
-        [p.eps_s for p in points], [p.eps_a for p in points], [p.phi for p in points])
-    return [_report(p, conc, mi) for p, conc, mi in
-            zip(points, _concurrence(rho_m).tolist(), _mutual_information(rho_m).tolist())]
+    return _stacked_reports([p.eps_s for p in points], [p.eps_a for p in points],
+                            [p.phi for p in points],
+                            [discord_analytic(p.eps_s, p.phi) for p in points])
 
 
-def _report(params: ProtocolParams, conc: float, mi: float,
+def _stacked_reports(eps_s, eps_a, phi, discords) -> list[CorrelationReport]:
+    """``correlation_reports`` on validated parameter sequences, given each
+    point's closed-form discord."""
+    rho_m = protocol._post_measurement_states(eps_s, eps_a, phi)
+    return [_report(conc, mi, d) for conc, mi, d in
+            zip(_concurrence(rho_m).tolist(), _mutual_information(rho_m).tolist(), discords)]
+
+
+def _report(conc: float, mi: float, discord: float,
             d_a: Optional[float] = None, d_s: Optional[float] = None) -> CorrelationReport:
     return CorrelationReport(
         concurrence=conc,
@@ -472,6 +479,6 @@ def _report(params: ProtocolParams, conc: float, mi: float,
         mutual_info=mi,
         discord_a=d_a,
         discord_s=d_s,
-        discord_analytic=discord_analytic(params.eps_s, params.phi),
+        discord_analytic=discord,
         classical_a=None if d_a is None else mi - d_a,
     )

@@ -31,6 +31,15 @@ _ID4 = np.eye(4, dtype=complex)
 _SIGNS = np.array([-1.0, 1.0])
 
 
+def _is_finite_real(value) -> bool:
+    """A finite ``numbers.Real`` other than ``bool``, within the float range."""
+    try:
+        return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:  # an int or Fraction beyond the float range
+        return False
+
+
 @dataclass(frozen=True)
 class ProtocolParams:
     """Full configuration of one cooling cycle.
@@ -51,10 +60,9 @@ class ProtocolParams:
 
     def __post_init__(self):
         for name in ("eps_s", "eps_a", "phi", "temperature"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not (isinstance(v, numbers.Real) and math.isfinite(v)):
+            if not _is_finite_real(getattr(self, name)):
                 raise ValueError(f"{name} must be a finite number")
-            object.__setattr__(self, name, float(v))
+            object.__setattr__(self, name, float(getattr(self, name)))
         if not 0.0 <= self.eps_s < 1.0:
             raise ValueError("eps_s must be in [0, 1)")
         if not 0.0 <= self.eps_a < 1.0:

@@ -2,12 +2,15 @@
 working-point optimization and boundary curves.
 
 All outputs are pure functions of their inputs: recomputing any emitted
-point from scratch reproduces it bit for bit.  Grid correlations run on
-``(n, 4, 4)`` stacks of post-measurement states in chunks of
-``CHUNK_POINTS``, through the same kernels that a single-point call runs
-with ``n = 1``.  The separability boundary is the closed-form X-state
-angle and runs no matrix algebra.  Everything runs in-process on the
-calling thread.
+point from scratch reproduces it bit for bit.  ``SweepGrid`` is a grid's
+only validation.  Grid thermo combines closed-form factors built once per
+eps_a column and phi row.  Grid correlations run on ``(n, 4, 4)`` stacks
+of post-measurement states in chunks of ``CHUNK_POINTS``, through the same
+kernels that a single-point call runs with ``n = 1``, with one closed-form
+discord per phi row.  The scalar searches validate once and evaluate
+through the same factors.  The separability boundary is the closed-form
+X-state angle and runs no matrix algebra.  Everything runs in-process on
+the calling thread.
 """
 
 from __future__ import annotations
@@ -15,13 +18,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from . import correlations, thermo
 from .correlations import CorrelationReport
-from .protocol import ProtocolParams
+from .protocol import ProtocolParams, _is_finite_real
 from .thermo import ThermoReport
 
 # Open-interval clamp for the ancilla bias: entropies and energy gaps
@@ -48,15 +51,17 @@ class SweepGrid:
     temperature: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "phi_values", tuple(float(v) for v in self.phi_values))
-        object.__setattr__(self, "eps_a_values", tuple(float(v) for v in self.eps_a_values))
-        # NaN fails no comparison, so finiteness is checked before the bounds.
+        # Each value is checked as ProtocolParams checks it (the grid's points
+        # get no other check), finiteness first: NaN passes every bound.
         for name in ("eps_s", "temperature"):
-            if not math.isfinite(getattr(self, name)):
+            if not _is_finite_real(getattr(self, name)):
                 raise ValueError(f"{name} must be a finite number")
+            object.__setattr__(self, name, float(getattr(self, name)))
         for name in ("phi_values", "eps_a_values"):
-            if not all(map(math.isfinite, getattr(self, name))):
+            values = tuple(getattr(self, name))
+            if not all(map(_is_finite_real, values)):
                 raise ValueError(f"{name} must all be finite numbers")
+            object.__setattr__(self, name, tuple(map(float, values)))
         if not 0.0 <= self.eps_s < 1.0:
             raise ValueError("eps_s must be in [0, 1)")
         if self.temperature <= 0.0:
@@ -147,23 +152,31 @@ def objective_value(name: str, report: ThermoReport) -> Optional[float]:
     return getattr(report, name)
 
 
-def _evaluate(params: Iterator[ProtocolParams], include_correlations: bool) -> list[CurvePoint]:
-    """Evaluate CHUNK_POINTS points at a time: closed-form thermo per point,
-    correlations on one state stack per chunk."""
+def _grid_points(eps_s: float, temperature: float, phi_values, eps_a_values,
+                 include_correlations: bool) -> list[CurvePoint]:
+    """Evaluate every (phi, eps_a) point of validated axes, phi outer: thermo
+    from the factors of each eps_a column and phi row, built once, and
+    correlations on one state stack per chunk with one discord per row."""
+    columns = thermo._columns(eps_s, eps_a_values, temperature)
+    rows = [thermo._row(phi) for phi in phi_values]
+    discords = ([correlations.discord_analytic(eps_s, r.phi) for r in rows]
+                if include_correlations else None)
+    pairs = ((i, r, c) for i, r in enumerate(rows) for c in columns)
     points = []
-    while chunk := list(itertools.islice(params, CHUNK_POINTS)):
-        corr = (correlations.correlation_reports(chunk) if include_correlations
-                else [None] * len(chunk))
-        points.extend(CurvePoint(eps_a=p.eps_a, phi=p.phi, thermo=thermo.figures_of_merit(p),
-                                 correlations=c) for p, c in zip(chunk, corr))
+    while chunk := list(itertools.islice(pairs, CHUNK_POINTS)):
+        corr = (correlations._stacked_reports(
+            [eps_s] * len(chunk), [c.eps_a for _, _, c in chunk], [r.phi for _, r, _ in chunk],
+            [discords[i] for i, _, _ in chunk]) if include_correlations
+            else [None] * len(chunk))
+        points.extend(CurvePoint(eps_a=c.eps_a, phi=r.phi, thermo=thermo._report(c, r),
+                                 correlations=k) for (_, r, c), k in zip(chunk, corr))
     return points
 
 
 def evaluate_grid(grid: SweepGrid, include_correlations: bool = False) -> list[CurvePoint]:
     """Evaluate every (phi, eps_a) grid point, phi outer and eps_a inner."""
-    return _evaluate((ProtocolParams(grid.eps_s, eps_a, phi, grid.temperature)
-                      for phi in grid.phi_values for eps_a in grid.eps_a_values),
-                     include_correlations)
+    return _grid_points(grid.eps_s, grid.temperature, grid.phi_values, grid.eps_a_values,
+                        include_correlations)
 
 
 def characteristic_curve(eps_s: float, phi: float, n_points: int,
@@ -172,9 +185,11 @@ def characteristic_curve(eps_s: float, phi: float, n_points: int,
     """Sweep the ancilla bias over [eps_s, 1) at a fixed measurement angle."""
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
-    eps_a_values = np.linspace(eps_s, 1.0 - EPS_A_CLAMP, n_points)
-    return _evaluate((ProtocolParams(eps_s, float(ea), phi, temperature) for ea in eps_a_values),
-                     include_correlations)
+    eps_a_values = np.linspace(eps_s, 1.0 - EPS_A_CLAMP, n_points).tolist()
+    # The two ends validate every point: the axis runs from eps_s to the clamp.
+    p = ProtocolParams(eps_s, eps_a_values[0], phi, temperature)
+    ProtocolParams(eps_s, eps_a_values[-1], phi, temperature)
+    return _grid_points(p.eps_s, p.temperature, (p.phi,), eps_a_values, include_correlations)
 
 
 def optimize_working_point(objective: str, eps_s: float, phi: float,
@@ -195,9 +210,11 @@ def optimize_working_point(objective: str, eps_s: float, phi: float,
     hi = 1.0 - EPS_A_CLAMP
     if lo >= hi:
         raise ValueError("eps_s leaves no room for an ancilla bias below 1")
+    p = ProtocolParams(eps_s, lo, phi, temperature)  # every eps_a searched lies in [lo, hi]
+    row = thermo._row(p.phi)
 
     def evaluate(eps_a: float) -> float:
-        report = thermo.figures_of_merit(ProtocolParams(eps_s, eps_a, phi, temperature))
+        report = thermo._report(thermo._column(p.eps_s, eps_a, p.temperature), row)
         value = objective_value(objective, report)
         return -math.inf if value is None else value
 
@@ -218,7 +235,7 @@ def optimize_working_point(objective: str, eps_s: float, phi: float,
         at_boundary = "lower"
     elif hi - star <= window:
         at_boundary = "upper"
-    load = thermo.cooling_load(ProtocolParams(eps_s, star, phi, temperature))
+    load = thermo._column(p.eps_s, star, p.temperature).cooling_load
     return WorkingPoint(eps_a_star=star, objective_value=value,
                         cooling_load_star=load, at_boundary=at_boundary,
                         degenerate=degenerate)
@@ -259,8 +276,7 @@ def landscape(grid: SweepGrid,
     unknown = set(quantities) - {"thermo", "correlations"}
     if unknown:
         raise ValueError(f"unknown quantity selectors: {sorted(unknown)}")
-    include_corr = "correlations" in quantities
-    points = evaluate_grid(grid, include_corr)
+    points = evaluate_grid(grid, "correlations" in quantities)
 
     cooling, extraction = [], []
     if grid.eps_s > 0.0:
@@ -270,10 +286,11 @@ def landscape(grid: SweepGrid,
                 eps_a = grid.eps_s / s
                 if grid.eps_a_values[0] <= eps_a <= grid.eps_a_values[-1]:
                     cooling.append(BoundaryPoint(phi=phi, eps_a=eps_a))
-        for eps_a in grid.eps_a_values:
-            pc = thermo._phi_crit(grid.eps_s, eps_a)
+        # the first phi row carries each eps_a column's threshold angle
+        for point in points[:len(grid.eps_a_values)]:
+            pc = point.thermo.phi_crit
             if grid.phi_values[0] <= pc <= grid.phi_values[-1]:
-                extraction.append(BoundaryPoint(phi=pc, eps_a=eps_a))
+                extraction.append(BoundaryPoint(phi=pc, eps_a=point.eps_a))
 
     return Landscape(points=tuple(points),
                      cooling_window_boundary=tuple(cooling),
@@ -313,11 +330,12 @@ def eps_a_for_cooling_load(eps_s: float, load: float, temperature: float = 1.0,
     if load < 0.0:
         raise ValueError("cooling load must be nonnegative")
     _require_tolerance("tol", tol)
+    lo, hi = eps_s, 1.0 - EPS_A_CLAMP
+    p = ProtocolParams(eps_s, hi, 0.0, temperature)  # every eps_a searched lies in [eps_s, hi]
 
     def f(eps_a: float) -> float:
-        return thermo.cooling_load(ProtocolParams(eps_s, eps_a, 0.0, temperature)) - load
+        return thermo._column(p.eps_s, eps_a, p.temperature).cooling_load - load
 
-    lo, hi = eps_s, 1.0 - EPS_A_CLAMP
     if f(hi) < 0.0:
         raise ValueError("cooling load is not attainable below eps_a = 1")
     while hi - lo > tol:

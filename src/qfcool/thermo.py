@@ -4,6 +4,9 @@ Each energetic quantity exists in two routes: a closed-form expression in
 (eps_s, eps_a, phi, T), and a matrix-oracle counterpart (suffix
 ``_matrix``) computed from the actual state sequence.  Production code
 uses the closed forms; the ``*_matrix`` routes back every verification.
+The closed forms are written once, on factors of one grid axis each: a
+column of (eps_s, eps_a, T) and a row of phi.  A landscape builds each
+column and row once; a single-point function builds those of its point.
 The oracles read the ``ProtocolTrace`` states through densmat's
 unchecked kernels: those states are valid by construction.
 
@@ -25,6 +28,7 @@ Sign conventions:
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional
 
@@ -112,42 +116,69 @@ def _energy_models(points) -> EnergyModel:
 
 
 # ---------------------------------------------------------------------------
-# closed forms
+# closed forms, factored by grid axis
 # ---------------------------------------------------------------------------
-
-def work_measurement(params: ProtocolParams) -> float:
-    """Energy change of the pair during the measurement unitary (<= 0)."""
-    es, ea, t = params.eps_s, params.eps_a, params.temperature
-    return -t * (es * math.sin(params.phi) ** 2 * math.atanh(es) + ea * math.atanh(ea))
-
-
-def work_feedback(params: ProtocolParams) -> float:
-    """Energy released by the pair during the feedback unitary.
-
-    Positive value = work extracted by the controller.  Equals
-    tr{H (rho_m - rho_f)}; the matrix route is the ground truth and
-    ``work_feedback_matrix`` must agree to 1e-10.
-    """
-    es, ea, t = params.eps_s, params.eps_a, params.temperature
-    y = ea * math.atanh(es) + es * math.atanh(ea)
-    return t * (y * math.sin(params.phi) - es * math.atanh(es) * math.cos(params.phi) ** 2)
+# Each closed form is written once, as a function of factors that depend on
+# one grid axis: a column of (eps_s, eps_a, T), with a = eps_s atanh(eps_s)
+# and y = eps_a atanh(eps_s) + eps_s atanh(eps_a), or a row of phi.
+_Column = namedtuple("_Column", "eps_s eps_a temperature atanh_s atanh_a a y ea_atanh_a"
+                                " entropy_reduction cooling_load omega_s omega_a phi_crit")
+_Row = namedtuple("_Row", "phi sin sin2 cos2")
 
 
-def phi_crit(params: ProtocolParams) -> float:
-    """Measurement angle above which the feedback strictly extracts work.
-
-    For eps_s = 0 the feedback work is identically zero (never strictly
-    positive); the threshold degenerates and 0.0 is returned, flagged via
-    ``ThermoReport.phi_crit_defined``.
-    """
-    return _phi_crit(params.eps_s, params.eps_a)
+def _factors(eps_s: float, eps_a: float) -> tuple[float, float, float, float, float]:
+    """(atanh(eps_s), atanh(eps_a), a, y, eps_a atanh(eps_a))."""
+    atanh_s, atanh_a = math.atanh(eps_s), math.atanh(eps_a)
+    return atanh_s, atanh_a, eps_s * atanh_s, eps_a * atanh_s + eps_s * atanh_a, eps_a * atanh_a
 
 
-def _phi_crit(eps_s: float, eps_a: float) -> float:
-    a = eps_s * math.atanh(eps_s)
+def _columns(eps_s: float, eps_a_values, temperature: float) -> list[_Column]:
+    """The column of each ancilla bias; parameters already validated."""
+    omega_s = level_splitting(eps_s, temperature)
+    columns = []
+    for ea in eps_a_values:
+        atanh_s, atanh_a, a, y, ea_atanh_a = _factors(eps_s, ea)
+        reduction = _entropy_reduction(eps_s, ea, a, ea_atanh_a)
+        columns.append(_Column(eps_s, ea, temperature, atanh_s, atanh_a, a, y, ea_atanh_a,
+                               reduction, temperature * reduction, omega_s,
+                               level_splitting(ea, temperature), _phi_crit(a, y)))
+    return columns
+
+
+def _column(eps_s: float, eps_a: float, temperature: float) -> _Column:
+    return _columns(eps_s, (eps_a,), temperature)[0]
+
+
+def _row(phi: float) -> _Row:
+    s = math.sin(phi)
+    return _Row(phi, s, s ** 2, math.cos(phi) ** 2)
+
+
+def _work_measurement(t: float, eps_s: float, sin2: float, atanh_s: float,
+                      ea_atanh_a: float) -> float:
+    return -t * (eps_s * sin2 * atanh_s + ea_atanh_a)
+
+
+def _work_feedback(t: float, a: float, y: float, sin: float, cos2: float) -> float:
+    return t * (y * sin - a * cos2)
+
+
+def _heat_reset(t: float, eps_s: float, eps_a: float, sin: float, atanh_a: float) -> float:
+    return t * (eps_a - eps_s * sin) * atanh_a
+
+
+def _delta_e_system(t: float, eps_s: float, eps_a: float, sin: float, atanh_s: float) -> float:
+    return -t * (eps_s - eps_a * sin) * atanh_s
+
+
+def _entropy_reduction(eps_s: float, eps_a: float, a: float, ea_atanh_a: float) -> float:
+    return ea_atanh_a - a + 0.5 * math.log((1.0 - eps_a * eps_a) / (1.0 - eps_s * eps_s))
+
+
+def _phi_crit(a: float, y: float) -> float:
+    """Root in phi of the feedback work ``y sin(phi) - a cos(phi)^2``, 0.0 for a = 0."""
     if a == 0.0:  # eps_s = 0, or small enough for a to underflow
         return 0.0
-    y = eps_a * math.atanh(eps_s) + eps_s * math.atanh(eps_a)
     # The direct form loses about (y/a)^2 ulps to cancellation and its
     # squares underflow for a tiny eps_s; there the same root comes from
     # the rationalised form, whose hypot neither overflows nor underflows.
@@ -157,26 +188,84 @@ def _phi_crit(eps_s: float, eps_a: float) -> float:
     return math.asin(2.0 * a / (y + math.hypot(y, 2.0 * a)))
 
 
+def _report(c: _Column, r: _Row) -> ThermoReport:
+    """``figures_of_merit`` of the point (column, row)."""
+    t, load = c.temperature, c.cooling_load
+    q = _heat_reset(t, c.eps_s, c.eps_a, r.sin, c.atanh_a)
+    de_s = _delta_e_system(t, c.eps_s, c.eps_a, r.sin, c.atanh_s)
+    w = -de_s + q
+    w_m = _work_measurement(t, c.eps_s, r.sin2, c.atanh_s, c.ea_atanh_a)
+    w_f = _work_feedback(t, c.a, c.y, r.sin, r.cos2)
+    if not all(map(math.isfinite, (load, q, de_s, w, w_m, w_f, c.omega_s, c.omega_a))):
+        raise ValueError(f"temperature {t!r} makes the cycle energies overflow")
+    reversible = w / t <= REVERSIBLE_WORK_FLOOR
+    cop = None if reversible else load / w
+    pc_defined = c.eps_s > 0.0
+    return ThermoReport(
+        work_measurement=w_m,
+        work_feedback=w_f,
+        heat_reset=q,
+        delta_e_system=de_s,
+        entropy_reduction=c.entropy_reduction,
+        cooling_load=load,
+        total_work=w,
+        cop=cop,
+        eta=None if reversible else load / q,
+        chi=None if reversible else cop * load,
+        in_cooling_window=c.eps_a * r.sin > c.eps_s,
+        work_extracting_feedback=(r.phi > c.phi_crit) if pc_defined else False,
+        phi_crit=c.phi_crit,
+        phi_crit_defined=pc_defined,
+        reversible_limit=reversible,
+    )
+
+
+def work_measurement(params: ProtocolParams) -> float:
+    """Energy change of the pair during the measurement unitary (<= 0)."""
+    atanh_s, _, _, _, ea_atanh_a = _factors(params.eps_s, params.eps_a)
+    return _work_measurement(params.temperature, params.eps_s, math.sin(params.phi) ** 2,
+                             atanh_s, ea_atanh_a)
+
+
+def work_feedback(params: ProtocolParams) -> float:
+    """Energy released by the pair during the feedback unitary.
+
+    Positive value = work extracted by the controller.  Equals
+    tr{H (rho_m - rho_f)}; the matrix route is the ground truth and
+    ``work_feedback_matrix`` must agree to 1e-10.
+    """
+    _, _, a, y, _ = _factors(params.eps_s, params.eps_a)
+    return _work_feedback(params.temperature, a, y, math.sin(params.phi),
+                          math.cos(params.phi) ** 2)
+
+
+def phi_crit(params: ProtocolParams) -> float:
+    """Measurement angle above which the feedback strictly extracts work.
+
+    For eps_s = 0 the feedback work is identically zero (never strictly
+    positive); the threshold degenerates and 0.0 is returned, flagged via
+    ``ThermoReport.phi_crit_defined``.
+    """
+    _, _, a, y, _ = _factors(params.eps_s, params.eps_a)
+    return _phi_crit(a, y)
+
+
 def heat_reset(params: ProtocolParams) -> float:
     """Heat dumped into the bath while the ancilla relaxes back."""
-    es, ea, t = params.eps_s, params.eps_a, params.temperature
-    return t * (ea - es * math.sin(params.phi)) * math.atanh(ea)
+    return _heat_reset(params.temperature, params.eps_s, params.eps_a, math.sin(params.phi),
+                       math.atanh(params.eps_a))
 
 
 def delta_e_system(params: ProtocolParams) -> float:
     """Drop in the register's average energy over the full cycle."""
-    es, ea, t = params.eps_s, params.eps_a, params.temperature
-    return -t * (es - ea * math.sin(params.phi)) * math.atanh(es)
+    return _delta_e_system(params.temperature, params.eps_s, params.eps_a, math.sin(params.phi),
+                           math.atanh(params.eps_s))
 
 
 def entropy_reduction(params: ProtocolParams) -> float:
     """Register entropy drop S(rho0_s) - S(rho_f_s), in nats (phi-independent)."""
-    es, ea = params.eps_s, params.eps_a
-    return (
-        ea * math.atanh(ea)
-        - es * math.atanh(es)
-        + 0.5 * math.log((1.0 - ea * ea) / (1.0 - es * es))
-    )
+    _, _, a, _, ea_atanh_a = _factors(params.eps_s, params.eps_a)
+    return _entropy_reduction(params.eps_s, params.eps_a, a, ea_atanh_a)
 
 
 def cooling_load(params: ProtocolParams) -> float:
@@ -195,38 +284,7 @@ def figures_of_merit(params: ProtocolParams) -> ThermoReport:
     Raises ValueError naming the temperature when an energy or a level
     splitting overflows.
     """
-    load = cooling_load(params)
-    q = heat_reset(params)
-    de_s = delta_e_system(params)
-    w = -de_s + q
-    w_m, w_f = work_measurement(params), work_feedback(params)
-    omegas = (level_splitting(params.eps_s, params.temperature),
-              level_splitting(params.eps_a, params.temperature))
-    if not all(math.isfinite(v) for v in (load, q, de_s, w, w_m, w_f, *omegas)):
-        raise ValueError(f"temperature {params.temperature!r} makes the cycle energies overflow")
-    reversible = w / params.temperature <= REVERSIBLE_WORK_FLOOR
-    cop = None if reversible else load / w
-    eta = None if reversible else load / q
-    chi = None if reversible else cop * load
-    pc = _phi_crit(params.eps_s, params.eps_a)
-    pc_defined = params.eps_s > 0.0
-    return ThermoReport(
-        work_measurement=w_m,
-        work_feedback=w_f,
-        heat_reset=q,
-        delta_e_system=de_s,
-        entropy_reduction=entropy_reduction(params),
-        cooling_load=load,
-        total_work=w,
-        cop=cop,
-        eta=eta,
-        chi=chi,
-        in_cooling_window=params.eps_a * math.sin(params.phi) > params.eps_s,
-        work_extracting_feedback=(params.phi > pc) if pc_defined else False,
-        phi_crit=pc,
-        phi_crit_defined=pc_defined,
-        reversible_limit=reversible,
-    )
+    return _report(_column(params.eps_s, params.eps_a, params.temperature), _row(params.phi))
 
 
 def ergotropy(rho, hamiltonian) -> float:

@@ -2,8 +2,11 @@
 
 ``run_suite`` evaluates a standard (eps_s, eps_a, phi) grid in one stacked
 pass, closed forms kept scalar per point, and reads it through one table of
-invariant classes, ``CLASSES``.  ``point_checks`` (``run --verify``) evaluates
-the oracle rows on a one-point grid.  Energy deviations are in units of T.
+invariant classes, ``CLASSES``.  The closed-form side of a class is the
+``figures_of_merit`` report that ``run`` and ``sweep`` emit (the oracle
+classes also check the public single-point function against it).
+``point_checks`` (``run --verify``) evaluates the oracle rows on a
+one-point grid.  Energy deviations are in units of T.
 """
 
 from __future__ import annotations
@@ -96,8 +99,14 @@ def _pointwise(grid: _Grid, closed: Callable[[ProtocolParams], float],
 
 
 def _versus_oracle(name: str, energy: bool) -> Callable[[_Grid], list[float]]:
-    """``thermo.<name>``, looked up when the class runs, against its matrix oracle."""
-    return lambda g: _pointwise(g, getattr(thermo, name), g.oracles[name], energy)
+    """Report field ``name`` against its matrix oracle, plus its distance from
+    ``thermo.<name>`` (looked up when the class runs), 0.0 on working code."""
+    def deviations(g: _Grid) -> list[float]:
+        public = getattr(thermo, name)
+        return [(abs(getattr(r, name) - m) + abs(public(p) - getattr(r, name)))
+                / (p.temperature if energy else 1.0)
+                for p, r, m in zip(g.points, g.reports, g.oracles[name].tolist())]
+    return deviations
 
 
 def _max_abs(stack: np.ndarray) -> np.ndarray:
@@ -146,8 +155,8 @@ ORACLE_CLASSES = {
        for name in ("work_measurement", "work_feedback", "heat_reset", "delta_e_system",
                     "entropy_reduction", "total_work")},
     "energy_conservation": (TOL_CLOSED_FORM, lambda g: [
-        abs(thermo.work_measurement(p) + thermo.work_feedback(p) + w) / p.temperature
-        for p, w in zip(g.points, g.oracles["total_work"].tolist())]),
+        abs(r.work_measurement + r.work_feedback + w) / p.temperature
+        for p, r, w in zip(g.points, g.reports, g.oracles["total_work"].tolist())]),
     "mutual_information": (TOL_CLOSED_FORM, lambda g: _pointwise(
         g, correlations.mutual_information_analytic, g.mutual_information)),
     "discord_closed_form": (TOL_CLOSED_FORM, lambda g: _pointwise(

@@ -10,8 +10,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from qfcool import correlations, densmat, protocol, sweep
+from qfcool import correlations, densmat, protocol, sweep, thermo
 from qfcool.correlations import concurrence, correlation_report, mutual_information
 from qfcool.protocol import ProtocolParams, post_measurement_state
 from qfcool.sweep import SeparabilityBoundary, SweepGrid, characteristic_curve, landscape
@@ -45,7 +47,7 @@ def test_landscape_equals_single_point_reports(eps_s):
     assert len(result.points) == 527 > 2 * sweep.CHUNK_POINTS
     for pt in result.points:
         params = ProtocolParams(eps_s, pt.eps_a, pt.phi, grid.temperature)
-        assert pt.thermo == figures_of_merit(params)
+        assert repr(pt.thermo) == repr(figures_of_merit(params))
         single = correlation_report(params, numeric_discord=False)
         assert pt.correlations == single
         assert repr(pt.correlations) == repr(single)
@@ -56,7 +58,51 @@ def test_characteristic_curve_equals_single_point_reports():
     for pt in curve:
         params = ProtocolParams(0.25, pt.eps_a, 1.1, 2.0)
         assert repr(pt.correlations) == repr(correlation_report(params, numeric_discord=False))
-        assert pt.thermo == figures_of_merit(params)
+        assert repr(pt.thermo) == repr(figures_of_merit(params))
+
+
+EDGE_EPS_S = st.sampled_from([0.0, 1e-300, 1e-9, 0.3, 0.77, 0.999])
+EDGE_PHI = st.sampled_from([0.0, 1e-9, 0.6, HALF_PI - 1e-9, HALF_PI])
+
+
+@settings(max_examples=60, deadline=None)
+@given(eps_s=st.one_of(EDGE_EPS_S, st.floats(0.0, 0.999)),
+       fractions=st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+                          min_size=1, max_size=4, unique=True),
+       phis=st.lists(st.one_of(EDGE_PHI, st.floats(0.0, HALF_PI)),
+                     min_size=1, max_size=4, unique=True),
+       log10_t=st.floats(-300.0, 300.0))
+@example(eps_s=0.0, fractions=[0.0, 1.0], phis=[0.0, HALF_PI], log10_t=-300.0)
+@example(eps_s=0.4, fractions=[0.0, 0.5, 1.0], phis=[0.0, 0.6, HALF_PI], log10_t=300.0)
+def test_landscape_points_equal_single_point_calls_over_the_domain(eps_s, fractions, phis,
+                                                                   log10_t):
+    # eps_a from eps_s (fraction 0) to the clamp 1 - 1e-9 (fraction 1), T log-uniform
+    eps_a_values = sorted({eps_s + (TOP - eps_s) * f for f in fractions})
+    temperature = 10.0 ** log10_t
+    grid = SweepGrid(eps_s, tuple(sorted(phis)), tuple(eps_a_values), temperature)
+    result = landscape(grid, {"thermo", "correlations"})
+    assert len(result.points) == len(phis) * len(eps_a_values)
+    for pt in result.points:
+        params = ProtocolParams(eps_s, pt.eps_a, pt.phi, temperature)
+        assert repr(pt.thermo) == repr(figures_of_merit(params))
+        assert repr(pt.correlations) == repr(correlation_report(params, numeric_discord=False))
+
+
+def test_landscape_evaluates_each_axis_factor_once(monkeypatch):
+    calls = {"discord_analytic": 0, "_phi_crit": 0}
+    for module, name in ((correlations, "discord_analytic"), (thermo, "_phi_crit")):
+        real = getattr(module, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(module, name, counted)
+    grid = SweepGrid(0.4, tuple(np.linspace(0.0, HALF_PI, 25)), tuple(np.linspace(0.4, TOP, 101)))
+    result = landscape(grid, {"thermo", "correlations"})
+    assert len(result.points) == 25 * 101
+    assert result.work_extraction_boundary
+    # one closed-form discord per phi row, one threshold angle per eps_a column
+    assert calls == {"discord_analytic": 25, "_phi_crit": 101}
 
 
 def test_landscape_runs_each_decomposition_once_per_chunk(monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import qfcool
-from qfcool import thermo
+from qfcool import cli, sweep, thermo
 from qfcool.cli import CSV_HEADER, main
 
 HALF_PI_STR = "1.5707963267948966"
@@ -154,6 +155,20 @@ def test_sweep_parallel_matches_serial_bytes(capsys, monkeypatch):
     monkeypatch.setenv("QFC_THREADS", "2")
     _, parallel, _ = run_cli(capsys, *args)
     assert serial == parallel
+
+
+def test_point_documents_equal_the_deep_copied_dataclasses():
+    grid = sweep.SweepGrid(0.0, (0.0, 0.7, math.pi / 2), (0.0, 0.5, 1.0 - sweep.EPS_A_CLAMP), 0.8)
+    points = sweep.landscape(grid, {"thermo", "correlations"}).points
+    points += tuple(sweep.landscape(grid).points)  # without correlations
+    for point in points:
+        expected = {"eps_a": point.eps_a, "phi": point.phi,
+                    "thermo": dataclasses.asdict(point.thermo)}
+        if point.correlations is not None:
+            expected["correlations"] = dataclasses.asdict(point.correlations)
+        assert cli._point_doc(point) == expected
+        assert json.dumps(cli._point_doc(point), sort_keys=True) == json.dumps(
+            expected, sort_keys=True)
 
 
 def test_landscape_json_includes_boundary_series(capsys):

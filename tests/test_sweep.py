@@ -1,5 +1,6 @@
 import math
 import signal
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -72,6 +73,64 @@ def test_sweep_grid_rejects_non_finite_values(field, kwargs):
 def test_sweep_grid_rejects_phi_outside_quarter_turn(phi_values):
     with pytest.raises(ValueError, match=r"phi values must lie in \[0, pi/2\]"):
         SweepGrid(0.4, phi_values, (0.5, 0.6))
+
+
+BAD_VALUES = [True, False, np.bool_(True), "0.5", None, 0.5j, math.nan, math.inf, -math.inf,
+              10 ** 400, -0.1, 1.0, 1.5, -1.0, 0.0, 2.0]
+# ProtocolParams field -> the same value as a SweepGrid field
+AS_GRID_FIELD = {
+    "eps_s": lambda v: {"eps_s": v},
+    "eps_a": lambda v: {"eps_a_values": (v,)},
+    "phi": lambda v: {"phi_values": (v,)},
+    "temperature": lambda v: {"temperature": v},
+}
+GOOD = {"eps_s": 0.2, "eps_a": 0.5, "phi": 0.7, "temperature": 1.0}
+
+
+def grid_and_params(field, value):
+    fields = {**GOOD, field: value}
+    grid = {"eps_s": fields["eps_s"], "eps_a_values": (fields["eps_a"],),
+            "phi_values": (fields["phi"],), "temperature": fields["temperature"],
+            **AS_GRID_FIELD[field](value)}
+    return grid, fields
+
+
+@pytest.mark.parametrize("field", list(AS_GRID_FIELD))
+@pytest.mark.parametrize("value", BAD_VALUES, ids=repr)
+def test_sweep_grid_rejects_every_value_protocol_params_rejects(field, value):
+    grid, fields = grid_and_params(field, value)
+    try:
+        params = ProtocolParams(**fields)
+    except ValueError:
+        with pytest.raises(ValueError, match=f"^{field}"):
+            SweepGrid(**grid)
+    else:
+        made = SweepGrid(**grid)
+        assert (made.eps_s, made.eps_a_values, made.phi_values, made.temperature) == (
+            params.eps_s, (params.eps_a,), (params.phi,), params.temperature)
+
+
+def test_sweep_grid_stores_floats():
+    grid = SweepGrid(np.float32(0.25), (0, np.float64(0.5)), [np.float32(0.25), Fraction(1, 2)], 2)
+    assert (grid.eps_s, grid.phi_values, grid.eps_a_values, grid.temperature) == (
+        0.25, (0.0, 0.5), (0.25, 0.5), 2.0)
+    for value in (grid.eps_s, *grid.phi_values, *grid.eps_a_values, grid.temperature):
+        assert type(value) is float
+
+
+def test_scalar_searches_and_grids_validate_once(monkeypatch):
+    made = []
+    real = ProtocolParams.__post_init__
+    monkeypatch.setattr(ProtocolParams, "__post_init__",
+                        lambda self: made.append(None) or real(self))
+    landscape(SweepGrid(0.4, (0.0, 0.7, HALF_PI), (0.4, 0.6, TOP)), {"thermo", "correlations"})
+    assert len(made) == 0
+    characteristic_curve(0.3, 0.9, 50, include_correlations=True)
+    assert len(made) == 2  # the two ends of the eps_a axis
+    optimize_working_point("chi", 0.3, 1.0)
+    assert len(made) == 3
+    eps_a_for_cooling_load(0.3, 0.1)
+    assert len(made) == 4
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from qfcool import thermo
 from qfcool.densmat import SIGMA_Z
 from qfcool.protocol import ProtocolParams, run_protocol, thermal_qubit
 from qfcool.thermo import (
-    REVERSIBLE_WORK_FLOOR,
+    REVERSIBLE_WORK_FLOOR, ThermoReport,
     delta_e_system, delta_e_system_matrix, energy_model, entropy_reduction,
     entropy_reduction_matrix, ergotropy, figures_of_merit, heat_reset,
     heat_reset_matrix, phi_crit, total_work, total_work_matrix, work_feedback,
@@ -290,3 +291,54 @@ def test_figures_of_merit_do_not_depend_on_temperature(eps_s, fraction, phi, log
 def test_figures_of_merit_reject_energy_overflow():
     with pytest.raises(ValueError, match="temperature"):
         figures_of_merit(ProtocolParams(0.3, 0.999999999, 1.0, 1e308))
+
+
+# ---------------------------------------------------------------------------
+# the axis-factored closed forms against the per-quantity expressions
+# ---------------------------------------------------------------------------
+
+def per_quantity_report(es, ea, phi, t):
+    """Every figure of merit from its own closed-form expression, each
+    recomputing its transcendentals (as figures_of_merit did before the
+    closed forms were factored by grid axis)."""
+    w_m = -t * (es * math.sin(phi) ** 2 * math.atanh(es) + ea * math.atanh(ea))
+    y = ea * math.atanh(es) + es * math.atanh(ea)
+    w_f = t * (y * math.sin(phi) - es * math.atanh(es) * math.cos(phi) ** 2)
+    q = t * (ea - es * math.sin(phi)) * math.atanh(ea)
+    de_s = -t * (es - ea * math.sin(phi)) * math.atanh(es)
+    reduction = (ea * math.atanh(ea) - es * math.atanh(es)
+                 + 0.5 * math.log((1.0 - ea * ea) / (1.0 - es * es)))
+    load = t * reduction
+    w = -de_s + q
+    a = es * math.atanh(es)
+    if a == 0.0:
+        pc = 0.0
+    elif y <= 100.0 * a and a > 1e-100:
+        pc = math.asin((-y + math.sqrt(y * y + 4.0 * a * a)) / (2.0 * a))
+    else:
+        pc = math.asin(2.0 * a / (y + math.hypot(y, 2.0 * a)))
+    reversible = w / t <= REVERSIBLE_WORK_FLOOR
+    cop = None if reversible else load / w
+    return ThermoReport(
+        work_measurement=w_m, work_feedback=w_f, heat_reset=q, delta_e_system=de_s,
+        entropy_reduction=reduction, cooling_load=load, total_work=w, cop=cop,
+        eta=None if reversible else load / q, chi=None if reversible else cop * load,
+        in_cooling_window=ea * math.sin(phi) > es,
+        work_extracting_feedback=(phi > pc) if es > 0.0 else False,
+        phi_crit=pc, phi_crit_defined=es > 0.0, reversible_limit=reversible)
+
+
+@given(eps_s=st.one_of(st.sampled_from([0.0, 1e-300, 1e-9, 0.999]), st.floats(0.0, 0.999)),
+       fraction=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+       phi=st.one_of(st.sampled_from([0.0, HALF_PI]), st.floats(0.0, HALF_PI)),
+       log10_t=st.floats(-300.0, 300.0))
+@example(eps_s=0.3, fraction=1.0, phi=1.2, log10_t=0.3)
+def test_closed_forms_equal_the_per_quantity_expressions_bit_for_bit(eps_s, fraction, phi,
+                                                                     log10_t):
+    eps_a = eps_s + fraction * (1.0 - 1e-9 - eps_s)  # up to the sweep's clamp
+    params = ProtocolParams(eps_s, eps_a, phi, 10.0 ** log10_t)
+    expected = per_quantity_report(eps_s, eps_a, phi, params.temperature)
+    assert repr(figures_of_merit(params)) == repr(expected)
+    for name in ("work_measurement", "work_feedback", "heat_reset", "delta_e_system",
+                 "entropy_reduction", "cooling_load", "total_work", "phi_crit"):
+        assert repr(getattr(thermo, name)(params)) == repr(getattr(expected, name)), name

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -238,3 +239,110 @@ def test_check_fails_on_a_nan_deviation():
     check = verify._check("work_feedback", [0.0, float("nan"), 1e-15])
     assert math.isnan(check.max_deviation)
     assert not check.passed
+
+
+# The same suite and point_checks at four points, as reprs: every deviation
+# the oracle classes report is the same float whichever route produced it.
+SUITE_4_2_REPR = [
+    ("work_measurement", 64, "6.661338147750939e-16"),
+    ("work_feedback", 64, "1.3322676295501878e-15"),
+    ("heat_reset", 64, "6.661338147750939e-16"),
+    ("delta_e_system", 64, "6.106226635438361e-16"),
+    ("entropy_reduction", 64, "4.85722573273506e-16"),
+    ("total_work", 64, "1.2212453270876722e-15"),
+    ("energy_conservation", 64, "8.881784197001252e-16"),
+    ("mutual_information", 64, "9.992007221626409e-16"),
+    ("discord_closed_form", 64, "3.885780586188048e-16"),
+    ("thermal_entropy", 64, "2.7755575615628914e-16"),
+    ("purity_transfer", 64, "8.881784197001252e-16"),
+    ("swap_limit", 16, "4.440892098500626e-16"),
+    ("entropy_invariance", 64, "1.27675647831893e-15"),
+    ("reset_marginals", 64, "0.0"),
+    ("post_measurement_ancilla_marginal", 64, "3.3306690738754696e-16"),
+    ("work_positive", 48, "0.0"),
+    ("heat_bounds_load", 64, "0.0"),
+    ("entropy_reduction_nonnegative", 64, "0.0"),
+    ("eta_bounded", 57, "0.0"),
+    ("ergotropy_bound", 64, "4.440892098500626e-16"),
+    ("cooling_window_sign", 45, "0.0"),
+    ("no_cooling_below_bias", 24, "0.0"),
+    ("phi_crit_root", 48, "4.440892098500626e-16"),
+    ("cop_monotone_phi", 42, "0.0"),
+    ("eta_monotone_phi", 42, "0.0"),
+    ("chi_monotone_phi", 42, "0.0"),
+    ("discord_symmetry", 8, "2.220446049250313e-16"),
+    ("discord_numeric_vs_closed", 8, "2.220446049250313e-16"),
+    ("entangled_implies_discordant", 2, "0.0"),
+]
+POINT_CHECKS_REPR = {
+    (0.4, 0.8, 1.0, 1.0): [
+        ("work_measurement", "1.1102230246251565e-16"),
+        ("work_feedback", "1.1102230246251565e-16"),
+        ("heat_reset", "2.220446049250313e-16"),
+        ("delta_e_system", "1.3877787807814457e-17"),
+        ("entropy_reduction", "5.551115123125783e-17"),
+        ("total_work", "3.3306690738754696e-16"),
+        ("energy_conservation", "2.220446049250313e-16"),
+        ("mutual_information", "0.0"),
+        ("discord_closed_form", "0.0"),
+        ("thermal_entropy", "0.0"),
+    ],
+    (0.3, 0.999999999, 1.2, 1.0): [
+        ("work_measurement", "1.7763568394002505e-15"),
+        ("work_feedback", "1.7763568394002505e-15"),
+        ("heat_reset", "1.7763568394002505e-15"),
+        ("delta_e_system", "1.3877787807814457e-16"),
+        ("entropy_reduction", "2.500019080642346e-10"),
+        ("total_work", "8.881784197001252e-16"),
+        ("energy_conservation", "0.0"),
+        ("mutual_information", "5.551115123125783e-16"),
+        ("discord_closed_form", "1.1102230246251565e-16"),
+        ("thermal_entropy", "2.499994748638957e-10"),
+    ],
+    (0.5, 0.5, math.pi / 2, 1e300): [
+        ("work_measurement", "0.0"),
+        ("work_feedback", "7.435084542388916e-17"),
+        ("heat_reset", "1.1152626813583371e-16"),
+        ("delta_e_system", "1.1152626813583371e-16"),
+        ("entropy_reduction", "2.220446049250313e-16"),
+        ("total_work", "7.435084542388916e-17"),
+        ("energy_conservation", "7.435084542388916e-17"),
+        ("mutual_information", "4.440892098500626e-16"),
+        ("discord_closed_form", "1.1102230246251565e-16"),
+        ("thermal_entropy", "1.1102230246251565e-16"),
+    ],
+    (0.2, 0.6, 0.3, 1e-300): [
+        ("work_measurement", "0.0"),
+        ("work_feedback", "5.180653786536309e-17"),
+        ("heat_reset", "0.0"),
+        ("delta_e_system", "1.1008889296389657e-17"),
+        ("entropy_reduction", "5.551115123125783e-17"),
+        ("total_work", "0.0"),
+        ("energy_conservation", "8.289046058458094e-17"),
+        ("mutual_information", "4.440892098500626e-16"),
+        ("discord_closed_form", "2.220446049250313e-16"),
+        ("thermal_entropy", "0.0"),
+    ],
+}
+
+
+def test_oracle_deviations_are_unchanged_bit_for_bit():
+    assert [(c.name, c.points, repr(c.max_deviation))
+            for c in verify.run_suite(4, 2, 1.0)] == SUITE_4_2_REPR
+    for (es, ea, phi, t), expected in POINT_CHECKS_REPR.items():
+        checks = verify.point_checks(ProtocolParams(es, ea, phi, t))
+        assert [(c.name, repr(c.max_deviation)) for c in checks] == expected
+
+
+@pytest.mark.parametrize("field", ["heat_reset", "work_feedback", "entropy_reduction"])
+def test_oracle_classes_check_the_emitted_reports(monkeypatch, field):
+    # the reports run and sweep print carry a corrupted value; the public
+    # single-point closed forms stay honest
+    honest = thermo.figures_of_merit
+    monkeypatch.setattr(thermo, "figures_of_merit", lambda p: dataclasses.replace(
+        honest(p), **{field: getattr(honest(p), field) + 1e-6}))
+    checks = {c.name: c for c in verify.point_checks(ProtocolParams(0.4, 0.8, 1.0))}
+    assert [name for name, c in checks.items() if not c.passed] == (
+        [field, "energy_conservation"] if field == "work_feedback" else [field])
+    # 1e-6 off the oracle, and 1e-6 off the public closed form
+    assert checks[field].max_deviation == pytest.approx(2e-6, rel=1e-6)
