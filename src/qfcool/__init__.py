@@ -1,92 +1,62 @@
 """qfcool: exact simulation and analysis of a single-shot quantum feedback
 cooling cycle on a register/ancilla qubit pair.
 
-The package covers the full state-level simulation (densmat, protocol),
-the thermodynamic bookkeeping and figures of merit (thermo), correlation
+The package covers the closed forms and scalar searches in plain Python
+(closed_forms), the full state-level simulation (densmat, protocol), the
+thermodynamic bookkeeping and its matrix oracles (thermo), correlation
 measures including quantum discord (correlations), parameter-space
 tooling (sweep) and a verification suite cross-checking every closed
 form against density-matrix oracles (verify, also exposed via the CLI).
+
+``import qfcool`` loads none of these modules: each public name below
+(and each module in ``_EXPORTS``) is imported on first access (PEP 562),
+so a caller of the closed forms alone never loads numpy.
 """
 
-from .correlations import (
-    CorrelationReport,
-    DiscordOptimizationError,
-    MeasurementBasis,
-    OptimizerOptions,
-    classical_correlations,
-    concurrence,
-    correlation_report,
-    correlation_reports,
-    discord_analytic,
-    discord_numeric,
-    discord_threshold,
-    entanglement_of_formation,
-    mutual_information,
-    mutual_information_analytic,
-)
-from .densmat import (
-    Spectrum,
-    conjugate,
-    expectation,
-    hermitian_eig,
-    partial_trace,
-    psd_sqrt,
-    tensor,
-    vn_entropy,
-)
-from .protocol import (
-    ProtocolParams,
-    ProtocolTrace,
-    feedback_unitary,
-    initial_state,
-    measurement_unitary,
-    post_measurement_state,
-    run_protocol,
-    thermal_qubit,
-)
-from .sweep import (
-    CurvePoint,
-    Landscape,
-    SeparabilityBoundary,
-    SweepGrid,
-    WorkingPoint,
-    characteristic_curve,
-    eps_a_for_cooling_load,
-    landscape,
-    optimize_working_point,
-    separability_boundary,
-)
-from .thermo import (
-    EnergyModel,
-    ThermoReport,
-    delta_e_system,
-    energy_model,
-    entropy_reduction,
-    ergotropy,
-    figures_of_merit,
-    heat_reset,
-    phi_crit,
-    total_work,
-    work_feedback,
-    work_measurement,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CorrelationReport", "CurvePoint", "DiscordOptimizationError", "EnergyModel",
-    "Landscape", "MeasurementBasis", "OptimizerOptions", "ProtocolParams",
-    "ProtocolTrace", "SeparabilityBoundary", "Spectrum", "SweepGrid",
-    "ThermoReport", "WorkingPoint", "characteristic_curve",
-    "classical_correlations", "concurrence", "conjugate", "correlation_report",
-    "correlation_reports",
-    "delta_e_system", "discord_analytic", "discord_numeric", "discord_threshold",
-    "energy_model", "entanglement_of_formation", "entropy_reduction",
-    "eps_a_for_cooling_load", "ergotropy", "expectation", "feedback_unitary",
-    "figures_of_merit", "heat_reset", "hermitian_eig", "initial_state",
-    "landscape", "measurement_unitary", "mutual_information",
-    "mutual_information_analytic", "optimize_working_point", "partial_trace",
-    "phi_crit", "post_measurement_state", "psd_sqrt", "run_protocol",
-    "separability_boundary", "tensor", "thermal_qubit", "total_work",
-    "vn_entropy", "work_feedback", "work_measurement",
-]
+# Public names by the module that defines them.
+_EXPORTS = {
+    "closed_forms": (
+        "ProtocolParams", "SeparabilityBoundary", "ThermoReport", "WorkingPoint",
+        "delta_e_system", "discord_analytic", "discord_threshold", "entropy_reduction",
+        "eps_a_for_cooling_load", "figures_of_merit", "heat_reset",
+        "mutual_information_analytic", "optimize_working_point", "phi_crit",
+        "separability_boundary", "total_work", "work_feedback", "work_measurement",
+    ),
+    "correlations": (
+        "CorrelationReport", "DiscordOptimizationError", "MeasurementBasis",
+        "OptimizerOptions", "classical_correlations", "concurrence", "correlation_report",
+        "correlation_reports", "discord_numeric", "entanglement_of_formation",
+        "mutual_information",
+    ),
+    "densmat": (
+        "Spectrum", "conjugate", "expectation", "hermitian_eig", "partial_trace",
+        "psd_sqrt", "tensor", "vn_entropy",
+    ),
+    "protocol": (
+        "ProtocolTrace", "feedback_unitary", "initial_state", "measurement_unitary",
+        "post_measurement_state", "run_protocol", "thermal_qubit",
+    ),
+    "sweep": ("CurvePoint", "Landscape", "SweepGrid", "characteristic_curve", "landscape"),
+    "thermo": ("EnergyModel", "energy_model", "ergotropy"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

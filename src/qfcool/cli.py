@@ -5,7 +5,9 @@ Exit codes: 0 ok, 2 usage/domain error, 3 verification failure.
 
 Output is deterministic: identical invocations produce byte-identical
 documents; every command runs in-process.  Angles are radians unless
---phi-degrees is given.
+--phi-degrees is given.  ``threshold`` and ``optimize`` run on the
+numpy-free ``closed_forms`` module alone; ``run``, ``sweep`` and
+``verify`` import the matrix layer (and numpy) when they start.
 """
 
 from __future__ import annotations
@@ -15,13 +17,17 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-import numpy as np
+from .closed_forms import (
+    EPS_A_CLAMP, OBJECTIVES, ProtocolParams, discord_threshold, linspace, optimize_working_point,
+)
 
-from . import correlations, densmat, protocol, sweep, thermo, verify
-from .correlations import OptimizerOptions
-from .protocol import ProtocolParams
+if TYPE_CHECKING:  # annotations only: the matrix layer loads numpy
+    import numpy as np
+
+    from . import protocol, sweep, verify
+    from .correlations import OptimizerOptions
 
 SCHEMA_VERSION = 1
 CSV_HEADER = ("eps_s,eps_a,phi,T,P,W,Q,cop,eta,chi,"
@@ -119,6 +125,7 @@ def _config_floats(raw: str) -> list[float]:
 
 def _state_summary(rho: np.ndarray) -> dict:
     """Purity, entropy and (for a qubit) Bloch vector of a trace state, read unchecked."""
+    from . import densmat
     doc = {"purity": densmat._purity(rho), "entropy": float(densmat._vn_entropies(rho))}
     if rho.shape == (2, 2):
         doc["bloch"] = densmat._bloch_vector(rho).tolist()
@@ -143,6 +150,7 @@ def _check_dict(check: verify.Check) -> dict:
 
 def cmd_run(params: ProtocolParams, output_format: str, verify_checks: bool,
             optimizer: OptimizerOptions, output: Optional[str]) -> int:
+    from . import correlations, protocol, thermo, verify
     trace = protocol.run_protocol(params)
     report = thermo.figures_of_merit(params)
     corr = correlations.correlation_report(params, opts=optimizer)
@@ -174,7 +182,7 @@ def _grid_doc(grid: sweep.SweepGrid) -> dict:
         "temperature": grid.temperature,
         "phi_values": list(grid.phi_values),
         "eps_a_values": list(grid.eps_a_values),
-        "eps_a_clamp": sweep.EPS_A_CLAMP,
+        "eps_a_clamp": EPS_A_CLAMP,
     }
 
 
@@ -213,6 +221,7 @@ def _boundary_csv(eps_s: float, series: Sequence[sweep.BoundaryPoint]) -> str:
 
 def cmd_sweep(grid: sweep.SweepGrid, landscape_mode: bool, output_format: str,
               output: Optional[str]) -> int:
+    from . import sweep
     result = sweep.landscape(grid, quantities={"thermo", "correlations"})
     if output_format == "json":
         doc = {
@@ -241,7 +250,7 @@ def cmd_sweep(grid: sweep.SweepGrid, landscape_mode: bool, output_format: str,
 
 
 def cmd_threshold(eps_s: float, output_format: str, output: Optional[str]) -> int:
-    value = correlations.discord_threshold(eps_s)
+    value = discord_threshold(eps_s)
     if output_format == "json":
         doc = {"schema_version": SCHEMA_VERSION, "command": "threshold",
                "eps_s": eps_s, "delta_min": value}
@@ -253,7 +262,7 @@ def cmd_threshold(eps_s: float, output_format: str, output: Optional[str]) -> in
 
 def cmd_optimize(objective: str, eps_s: float, phi: float, temperature: float,
                  output_format: str, output: Optional[str]) -> int:
-    point = sweep.optimize_working_point(objective, eps_s, phi, temperature)
+    point = optimize_working_point(objective, eps_s, phi, temperature)
     if output_format == "json":
         doc = {
             "schema_version": SCHEMA_VERSION,
@@ -279,6 +288,7 @@ def cmd_optimize(objective: str, eps_s: float, phi: float, temperature: float,
 
 def cmd_verify(grid_n: int, discord_stride: int, temperature: float, output_format: str,
                output: Optional[str]) -> int:
+    from . import verify
     checks = verify.run_suite(grid_n=grid_n, discord_stride=discord_stride,
                               temperature=temperature)
     failed = [c for c in checks if not c.passed]
@@ -381,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_opt = sub.add_parser("optimize", help="optimal ancilla bias for a figure of merit")
     add_common(p_opt)
-    p_opt.add_argument("--objective", choices=sweep.OBJECTIVES, default=None)
+    p_opt.add_argument("--objective", choices=OBJECTIVES, default=None)
     p_opt.add_argument("--eps-s", type=float, default=None)
     p_opt.add_argument("--phi", type=float, default=None)
 
@@ -416,17 +426,25 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             value = getattr(args, key, None)
             if value is not None:
                 return value
-            return convert(config[key]) if key in config else default
+            if key not in config:
+                return default
+            try:
+                return convert(config[key])
+            except ValueError as exc:
+                raise ValueError(f"{args.config}: {key}: {exc}") from None
 
         output_format = get("format", "json", str)
         output = get("output", None, str)
         temperature = get("temperature", 1.0, float)
+        # every command checks it as ProtocolParams does (at a point valid at any T)
+        ProtocolParams(0.0, 0.0, 0.0, temperature)
         in_degrees = bool(get("phi_degrees", False, _config_bool))
 
         def to_radians(value: float) -> float:
             return math.radians(value) if in_degrees else value
 
         if args.command == "run":
+            from .correlations import OptimizerOptions
             params = ProtocolParams(
                 eps_s=_require(get("eps_s", None, float), "--eps-s"),
                 eps_a=_require(get("eps_a", None, float), "--eps-a"),
@@ -446,6 +464,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             )
 
         if args.command == "sweep":
+            from . import sweep
             eps_s = float(get("eps_s", 0.4, float))
             landscape_mode = bool(get("landscape", False, _config_bool))
             phis = get("phi", None, _config_floats)
@@ -454,13 +473,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     n_phi = int(get("n_phi", 25, int))
                     if n_phi < 1:
                         raise ValueError("n_phi must be at least 1")
-                    phis = [float(v) for v in np.linspace(0.0, math.pi / 2, n_phi)]
+                    phis = linspace(0.0, math.pi / 2, n_phi)
                 else:
                     phis = list(_DEFAULT_SWEEP_PHIS)
             else:
                 phis = [to_radians(v) for v in phis]
             eps_a_min = float(get("eps_a_min", eps_s, float))
-            eps_a_max = float(get("eps_a_max", 1.0 - sweep.EPS_A_CLAMP, float))
+            eps_a_max = float(get("eps_a_max", 1.0 - EPS_A_CLAMP, float))
             n_eps_a = int(get("n_eps_a", 101, int))
             if n_eps_a < 2:
                 raise ValueError("n_eps_a must be at least 2")

@@ -1,0 +1,572 @@
+"""The closed-form layer: parameters, closed forms and scalar searches.
+
+Everything here is plain Python on ``math`` and never imports numpy or a
+matrix module of qfcool (densmat, protocol, thermo, correlations, sweep,
+verify): those modules import from this one, never the other way round.
+So the ``threshold`` and ``optimize`` commands run without loading numpy,
+and no closed form can reach a matrix kernel, which keeps the
+density-matrix oracles that check these forms independent of them.
+``protocol``, ``thermo``, ``correlations`` and ``sweep`` re-export the
+public names under their old paths.
+
+Units: k_B = hbar = 1; the temperature enters as a multiplicative scale.
+All entropies are in nats.
+
+Sign conventions of the energies:
+
+* ``work_measurement`` / ``work_feedback`` are the energy *lost by the
+  qubit pair* during the respective unitary, i.e. positive values mean
+  the controller extracts work.  The measurement step always costs work
+  (negative value); the feedback step extracts work for ``phi`` above
+  ``phi_crit``.
+* ``heat_reset`` is the heat dumped into the bath by the ancilla reset
+  (positive inside the operating domain).
+* ``delta_e_system`` is the drop in the register's average energy;
+  positive exactly inside the cooling window ``eps_a sin(phi) > eps_s``.
+"""
+
+from __future__ import annotations
+
+import math
+import numbers
+from collections import namedtuple
+from dataclasses import dataclass
+from typing import Callable, Optional
+
+# Eigenvalues at or below this threshold count as exactly zero in entropies.
+ENTROPY_CUTOFF = 1e-15
+# Total work over temperature (W / T, which does not depend on T) below
+# this floor marks a reversible limit point, where the performance ratios
+# P/W, P/Q are 0/0 and reported as undefined.
+REVERSIBLE_WORK_FLOOR = 1e-14
+# Open-interval clamp for the ancilla bias: entropies and energy gaps
+# diverge at eps_a = 1.
+EPS_A_CLAMP = 1e-9
+OBJECTIVES = ("cop", "eta", "chi")
+# A maximizer within this fraction of the search span from an endpoint is
+# reported as a boundary supremum.
+_BOUNDARY_WINDOW = 1e-4
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+# ---------------------------------------------------------------------------
+# parameters
+# ---------------------------------------------------------------------------
+
+def _is_finite_real(value) -> bool:
+    """A finite ``numbers.Real`` other than ``bool``, within the float range."""
+    try:
+        return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:  # an int or Fraction beyond the float range
+        return False
+
+
+@dataclass(frozen=True)
+class ProtocolParams:
+    """Full configuration of one cooling cycle.
+
+    ``eps_s`` and ``eps_a`` are the register and ancilla polarization
+    biases (ground minus excited population), ``phi`` the measurement
+    angle in radians (axis ``(sin phi, 0, cos phi)`` in the x-z plane),
+    ``temperature`` the bath temperature with k_B = 1.  Any finite real
+    number except ``bool`` is accepted (numpy scalars included) and stored
+    as ``float``.  The limit cases ``eps_s == eps_a`` and ``eps_s == 0``
+    are accepted.
+    """
+
+    eps_s: float
+    eps_a: float
+    phi: float
+    temperature: float = 1.0
+
+    def __post_init__(self):
+        for name in ("eps_s", "eps_a", "phi", "temperature"):
+            if not _is_finite_real(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number")
+            object.__setattr__(self, name, float(getattr(self, name)))
+        if not 0.0 <= self.eps_s < 1.0:
+            raise ValueError("eps_s must be in [0, 1)")
+        if not 0.0 <= self.eps_a < 1.0:
+            raise ValueError("eps_a must be in [0, 1)")
+        if self.eps_s > self.eps_a:
+            raise ValueError("eps_s must not exceed eps_a")
+        if not 0.0 <= self.phi <= math.pi / 2:
+            raise ValueError("phi must be in [0, pi/2]")
+        if self.temperature <= 0.0:
+            raise ValueError("temperature must be positive")
+
+
+def linspace(start: float, stop: float, num: int) -> list[float]:
+    """``np.linspace(start, stop, num).tolist()`` bit for bit: ``i * step + start``,
+    the last value ``stop``, and ``(i / div) * (stop - start)`` where the step
+    underflows to zero, as numpy computes them."""
+    start, stop = float(start), float(stop)
+    div, delta = max(num - 1, 1), stop - start
+    step = delta / div
+    values = [(i / div * delta if step == 0.0 else i * step) + start for i in range(num)]
+    if num > 1:
+        values[-1] = stop
+    return values
+
+
+# ---------------------------------------------------------------------------
+# thermodynamics, factored by grid axis
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ThermoReport:
+    """Complete energy/entropy bookkeeping of one parameter point.
+
+    ``cop``, ``eta`` and ``chi`` are None when ``reversible_limit`` is
+    set (W / T below REVERSIBLE_WORK_FLOOR), never infinities.
+    ``phi_crit_defined`` is False for eps_s = 0, where the feedback never
+    strictly extracts work and the threshold angle degenerates to 0.
+    """
+
+    work_measurement: float
+    work_feedback: float
+    heat_reset: float
+    delta_e_system: float
+    entropy_reduction: float
+    cooling_load: float
+    total_work: float
+    cop: Optional[float]
+    eta: Optional[float]
+    chi: Optional[float]
+    in_cooling_window: bool
+    work_extracting_feedback: bool
+    phi_crit: float
+    phi_crit_defined: bool
+    reversible_limit: bool
+
+
+def level_splitting(eps: float, temperature: float) -> float:
+    """Energy gap giving bias ``eps`` at ``temperature``: 2 T atanh(eps)."""
+    if not 0.0 <= eps < 1.0:
+        raise ValueError("eps must be in [0, 1)")
+    return 2.0 * temperature * math.atanh(eps)
+
+
+# Each closed form is written once, as a function of factors that depend on
+# one grid axis: a column of (eps_s, eps_a, T), with a = eps_s atanh(eps_s)
+# and y = eps_a atanh(eps_s) + eps_s atanh(eps_a), or a row of phi.  A
+# landscape builds each column and row once; a single-point function builds
+# those of its point.
+_Column = namedtuple("_Column", "eps_s eps_a temperature atanh_s atanh_a a y ea_atanh_a"
+                                " entropy_reduction cooling_load omega_s omega_a phi_crit")
+_Row = namedtuple("_Row", "phi sin sin2 cos2")
+
+
+def _factors(eps_s: float, eps_a: float) -> tuple[float, float, float, float, float]:
+    """(atanh(eps_s), atanh(eps_a), a, y, eps_a atanh(eps_a))."""
+    atanh_s, atanh_a = math.atanh(eps_s), math.atanh(eps_a)
+    return atanh_s, atanh_a, eps_s * atanh_s, eps_a * atanh_s + eps_s * atanh_a, eps_a * atanh_a
+
+
+def _columns(eps_s: float, eps_a_values, temperature: float) -> list[_Column]:
+    """The column of each ancilla bias; parameters already validated."""
+    omega_s = level_splitting(eps_s, temperature)
+    columns = []
+    for ea in eps_a_values:
+        atanh_s, atanh_a, a, y, ea_atanh_a = _factors(eps_s, ea)
+        reduction = _entropy_reduction(eps_s, ea, a, ea_atanh_a)
+        columns.append(_Column(eps_s, ea, temperature, atanh_s, atanh_a, a, y, ea_atanh_a,
+                               reduction, temperature * reduction, omega_s,
+                               level_splitting(ea, temperature), _phi_crit(a, y)))
+    return columns
+
+
+def _column(eps_s: float, eps_a: float, temperature: float) -> _Column:
+    return _columns(eps_s, (eps_a,), temperature)[0]
+
+
+def _row(phi: float) -> _Row:
+    s = math.sin(phi)
+    return _Row(phi, s, s ** 2, math.cos(phi) ** 2)
+
+
+def _work_measurement(t: float, eps_s: float, sin2: float, atanh_s: float,
+                      ea_atanh_a: float) -> float:
+    return -t * (eps_s * sin2 * atanh_s + ea_atanh_a)
+
+
+def _work_feedback(t: float, a: float, y: float, sin: float, cos2: float) -> float:
+    return t * (y * sin - a * cos2)
+
+
+def _heat_reset(t: float, eps_s: float, eps_a: float, sin: float, atanh_a: float) -> float:
+    return t * (eps_a - eps_s * sin) * atanh_a
+
+
+def _delta_e_system(t: float, eps_s: float, eps_a: float, sin: float, atanh_s: float) -> float:
+    return -t * (eps_s - eps_a * sin) * atanh_s
+
+
+def _entropy_reduction(eps_s: float, eps_a: float, a: float, ea_atanh_a: float) -> float:
+    return ea_atanh_a - a + 0.5 * math.log((1.0 - eps_a * eps_a) / (1.0 - eps_s * eps_s))
+
+
+def _phi_crit(a: float, y: float) -> float:
+    """Root in phi of the feedback work ``y sin(phi) - a cos(phi)^2``, 0.0 for a = 0."""
+    if a == 0.0:  # eps_s = 0, or small enough for a to underflow
+        return 0.0
+    # The direct form loses about (y/a)^2 ulps to cancellation and its
+    # squares underflow for a tiny eps_s; there the same root comes from
+    # the rationalised form, whose hypot neither overflows nor underflows.
+    # Elsewhere the direct form stays, keeping emitted digits.
+    if y <= 100.0 * a and a > 1e-100:
+        return math.asin((-y + math.sqrt(y * y + 4.0 * a * a)) / (2.0 * a))
+    return math.asin(2.0 * a / (y + math.hypot(y, 2.0 * a)))
+
+
+def _report(c: _Column, r: _Row) -> ThermoReport:
+    """``figures_of_merit`` of the point (column, row)."""
+    t, load = c.temperature, c.cooling_load
+    q = _heat_reset(t, c.eps_s, c.eps_a, r.sin, c.atanh_a)
+    de_s = _delta_e_system(t, c.eps_s, c.eps_a, r.sin, c.atanh_s)
+    w = -de_s + q
+    w_m = _work_measurement(t, c.eps_s, r.sin2, c.atanh_s, c.ea_atanh_a)
+    w_f = _work_feedback(t, c.a, c.y, r.sin, r.cos2)
+    if not all(map(math.isfinite, (load, q, de_s, w, w_m, w_f, c.omega_s, c.omega_a))):
+        raise ValueError(f"temperature {t!r} makes the cycle energies overflow")
+    reversible = w / t <= REVERSIBLE_WORK_FLOOR
+    cop = None if reversible else load / w
+    pc_defined = c.eps_s > 0.0
+    return ThermoReport(
+        work_measurement=w_m,
+        work_feedback=w_f,
+        heat_reset=q,
+        delta_e_system=de_s,
+        entropy_reduction=c.entropy_reduction,
+        cooling_load=load,
+        total_work=w,
+        cop=cop,
+        eta=None if reversible else load / q,
+        chi=None if reversible else cop * load,
+        in_cooling_window=c.eps_a * r.sin > c.eps_s,
+        work_extracting_feedback=(r.phi > c.phi_crit) if pc_defined else False,
+        phi_crit=c.phi_crit,
+        phi_crit_defined=pc_defined,
+        reversible_limit=reversible,
+    )
+
+
+def work_measurement(params: ProtocolParams) -> float:
+    """Energy change of the pair during the measurement unitary (<= 0)."""
+    atanh_s, _, _, _, ea_atanh_a = _factors(params.eps_s, params.eps_a)
+    return _work_measurement(params.temperature, params.eps_s, math.sin(params.phi) ** 2,
+                             atanh_s, ea_atanh_a)
+
+
+def work_feedback(params: ProtocolParams) -> float:
+    """Energy released by the pair during the feedback unitary.
+
+    Positive value = work extracted by the controller.  Equals
+    tr{H (rho_m - rho_f)}; the matrix route is the ground truth and
+    ``thermo.work_feedback_matrix`` must agree to 1e-10.
+    """
+    _, _, a, y, _ = _factors(params.eps_s, params.eps_a)
+    return _work_feedback(params.temperature, a, y, math.sin(params.phi),
+                          math.cos(params.phi) ** 2)
+
+
+def phi_crit(params: ProtocolParams) -> float:
+    """Measurement angle above which the feedback strictly extracts work.
+
+    For eps_s = 0 the feedback work is identically zero (never strictly
+    positive); the threshold degenerates and 0.0 is returned, flagged via
+    ``ThermoReport.phi_crit_defined``.
+    """
+    _, _, a, y, _ = _factors(params.eps_s, params.eps_a)
+    return _phi_crit(a, y)
+
+
+def heat_reset(params: ProtocolParams) -> float:
+    """Heat dumped into the bath while the ancilla relaxes back."""
+    return _heat_reset(params.temperature, params.eps_s, params.eps_a, math.sin(params.phi),
+                       math.atanh(params.eps_a))
+
+
+def delta_e_system(params: ProtocolParams) -> float:
+    """Drop in the register's average energy over the full cycle."""
+    return _delta_e_system(params.temperature, params.eps_s, params.eps_a, math.sin(params.phi),
+                           math.atanh(params.eps_s))
+
+
+def entropy_reduction(params: ProtocolParams) -> float:
+    """Register entropy drop S(rho0_s) - S(rho_f_s), in nats (phi-independent)."""
+    _, _, a, _, ea_atanh_a = _factors(params.eps_s, params.eps_a)
+    return _entropy_reduction(params.eps_s, params.eps_a, a, ea_atanh_a)
+
+
+def cooling_load(params: ProtocolParams) -> float:
+    """k_B T times the register entropy reduction per cycle."""
+    return params.temperature * entropy_reduction(params)
+
+
+def total_work(params: ProtocolParams) -> float:
+    """Net work supplied by the controller: -delta_e_system + heat_reset."""
+    return -delta_e_system(params) + heat_reset(params)
+
+
+def figures_of_merit(params: ProtocolParams) -> ThermoReport:
+    """All energetic quantities, performance ratios and regime flags.
+
+    Raises ValueError naming the temperature when an energy or a level
+    splitting overflows.
+    """
+    return _report(_column(params.eps_s, params.eps_a, params.temperature), _row(params.phi))
+
+
+# ---------------------------------------------------------------------------
+# entropies and discord of the post-measurement state
+# ---------------------------------------------------------------------------
+
+def binary_entropy(x: float) -> float:
+    """-x ln x - (1-x) ln(1-x), with 0 ln 0 = 0."""
+    out = 0.0
+    for q in (x, 1.0 - x):
+        if q > ENTROPY_CUTOFF:
+            out -= q * math.log(q)
+    return out
+
+
+def thermal_entropy(eps: float) -> float:
+    """Entropy of a qubit with Bloch length |eps| (populations (1 -+ eps)/2)."""
+    return binary_entropy((1.0 - abs(eps)) / 2.0)
+
+
+def mutual_information_analytic(params: ProtocolParams) -> float:
+    """Closed-form mutual information of the post-measurement state.
+
+    The marginals after the measurement are qubits with effective biases
+    eps_s cos(phi) (register) and eps_s eps_a cos(phi) (ancilla); the
+    joint entropy is that of the initial product state, whose four
+    eigenvalues (1 +- eps_s)(1 +- eps_a)/4 each carry their full 1/4
+    weight in the lambda ln lambda sum.
+    """
+    es, ea = params.eps_s, params.eps_a
+    cos_phi = math.cos(params.phi)
+    joint = 0.0
+    for s1 in (-1.0, 1.0):
+        for s2 in (-1.0, 1.0):
+            lam = 0.25 * (1.0 + s1 * es) * (1.0 + s2 * ea)
+            if lam > ENTROPY_CUTOFF:
+                joint += lam * math.log(lam)
+    return thermal_entropy(es * cos_phi) + thermal_entropy(es * ea * cos_phi) + joint
+
+
+def _discord_direct(eps_s: float, x: float) -> float:
+    """The direct logarithmic form of ``discord_analytic`` at ``x = eps_s cos phi``."""
+    # log1p keeps 1 - eps^2 free of cancellation as eps_s approaches 1
+    direct = 0.5 * ((math.log1p(-eps_s) + math.log1p(eps_s))
+                    - (math.log1p(-x) + math.log1p(x)))
+    if eps_s > 0.0:
+        direct += eps_s * math.atanh(eps_s)
+    if x > 0.0:
+        direct += 0.5 * x * math.log((1.0 - x) / (1.0 + x))
+    return direct
+
+
+def discord_analytic(eps_s: float, phi: float) -> float:
+    """Closed-form discord of the post-measurement state.
+
+    Depends only on the register bias and measurement angle, and equals
+    the entropy gap S(thermal(eps_s cos phi)) - S(thermal(eps_s)).  Both
+    that form and the direct logarithmic expression are evaluated; any
+    disagreement beyond 1e-10 indicates a regression and raises.
+    """
+    if not 0.0 <= eps_s < 1.0:
+        raise ValueError("eps_s must be in [0, 1)")
+    if not 0.0 <= phi <= math.pi / 2:
+        raise ValueError("phi must be in [0, pi/2]")
+    x = eps_s * math.cos(phi)
+    via_entropies = thermal_entropy(x) - thermal_entropy(eps_s)
+    direct = _discord_direct(eps_s, x)
+    if abs(direct - via_entropies) > 1e-10:
+        raise RuntimeError(
+            f"discord closed forms disagree: {direct!r} vs {via_entropies!r}")
+    return via_entropies
+
+
+def discord_threshold(eps_s: float) -> float:
+    """Minimum discord guaranteeing real cooling: value at sin(phi) = eps_s."""
+    if not 0.0 < eps_s < 1.0:
+        raise ValueError("eps_s must be in (0, 1)")
+    return discord_analytic(eps_s, math.asin(eps_s))
+
+
+# ---------------------------------------------------------------------------
+# scalar searches over the ancilla bias
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class WorkingPoint:
+    """Maximizer of one figure of merit over the ancilla bias.
+
+    ``at_boundary`` is "lower"/"upper" when the search ran into an
+    endpoint of the open interval (supremum, not an attained interior
+    maximum); ``degenerate`` marks a flat objective.
+    """
+
+    eps_a_star: float
+    objective_value: float
+    cooling_load_star: float
+    at_boundary: Optional[str] = None
+    degenerate: bool = False
+
+
+@dataclass(frozen=True)
+class SeparabilityBoundary:
+    """First angle at which the post-measurement state becomes entangled.
+
+    ``status`` is "interior" when the state is entangled for every angle
+    above ``phi``, and "never_entangled" (phi pinned to pi/2) when no
+    angle produces entanglement.  The state at phi = 0 is separable for
+    every pair of biases.
+    """
+
+    phi: float
+    status: str
+
+
+def _require_tolerance(name: str, value: float) -> None:
+    """A zero, negative or non-finite tolerance would never end a search."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be a finite positive number, got {value!r}")
+
+
+def _require_points(name: str, value: int) -> None:
+    """A scan needs both endpoints of its interval."""
+    if value < 2:
+        raise ValueError(f"{name} must be at least 2, got {value!r}")
+
+
+def objective_value(name: str, report: ThermoReport) -> Optional[float]:
+    """Extract one figure of merit from a report; None when undefined."""
+    if name not in OBJECTIVES:
+        raise ValueError(f"objective must be one of {OBJECTIVES}, got {name!r}")
+    return getattr(report, name)
+
+
+def optimize_working_point(objective: str, eps_s: float, phi: float,
+                           temperature: float = 1.0,
+                           coarse_points: int = 256,
+                           xtol: float = 1e-9) -> WorkingPoint:
+    """Maximize COP, eta or chi over the ancilla bias.
+
+    Coarse scan over the open interval followed by golden-section
+    refinement of the bracket around the first best scan point; undefined
+    objective values (the reversible limit) rank below every defined one.
+    """
+    if objective not in OBJECTIVES:
+        raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
+    _require_points("coarse_points", coarse_points)
+    _require_tolerance("xtol", xtol)
+    lo = eps_s + EPS_A_CLAMP
+    hi = 1.0 - EPS_A_CLAMP
+    if lo >= hi:
+        raise ValueError("eps_s leaves no room for an ancilla bias below 1")
+    p = ProtocolParams(eps_s, lo, phi, temperature)  # every eps_a searched lies in [lo, hi]
+    row = _row(p.phi)
+
+    def evaluate(eps_a: float) -> float:
+        value = objective_value(objective, _report(_column(p.eps_s, eps_a, p.temperature), row))
+        return -math.inf if value is None else value
+
+    xs = linspace(lo, hi, coarse_points)
+    values = [evaluate(x) for x in xs]
+    finite = [v for v in values if math.isfinite(v)]
+    if not finite:
+        raise ValueError("objective is undefined on the whole search interval")
+    degenerate = len(finite) > 1 and max(finite) - min(finite) <= 1e-15
+    best = values.index(max(values))
+    star, value = _golden_max(evaluate, xs[max(0, best - 1)], xs[min(len(xs) - 1, best + 1)], xtol)
+
+    at_boundary = None
+    window = _BOUNDARY_WINDOW * (hi - lo)
+    if star - lo <= window:
+        at_boundary = "lower"
+    elif hi - star <= window:
+        at_boundary = "upper"
+    load = _column(p.eps_s, star, p.temperature).cooling_load
+    return WorkingPoint(eps_a_star=star, objective_value=value,
+                        cooling_load_star=load, at_boundary=at_boundary,
+                        degenerate=degenerate)
+
+
+def _golden_max(f: Callable[[float], float], lo: float, hi: float,
+                xtol: float) -> tuple[float, float]:
+    """Golden-section search for the maximum of f on [lo, hi]."""
+    a, b = lo, hi
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > xtol:
+        width = b - a
+        if fc < fd:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = f(d)
+        else:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = f(c)
+        if b - a >= width:
+            break  # the bracket is at float resolution
+    x = 0.5 * (a + b)
+    return x, f(x)
+
+
+def separability_boundary(eps_s: float, eps_a: float,
+                          temperature: float = 1.0) -> SeparabilityBoundary:
+    """Angle at which the post-measurement state first becomes entangled.
+
+    ``rho_m`` is an X-state, so its concurrence has the closed form
+    ``max(0, [(1 + eps_a) eps_s sin phi - (1 - eps_a) sqrt(1 - eps_s^2 cos^2 phi)] / 2)``
+    (Wootters, PRL 80, 2245 (1998); Yu and Eberly, QIC 7, 459 (2007)),
+    which is positive exactly for
+    ``sin phi > (1 - eps_a) sqrt(1 - eps_s^2) / (2 eps_s sqrt(eps_a))``.
+    The temperature is validated but does not move the angle.
+    """
+    if not eps_s < eps_a:
+        raise ValueError("eps_s must be strictly below eps_a")
+    p = ProtocolParams(eps_s, eps_a, 0.0, temperature)  # validates the fixed parameters
+    num = (1.0 - p.eps_a) * math.sqrt((1.0 - p.eps_s) * (1.0 + p.eps_s))
+    den = 2.0 * p.eps_s * math.sqrt(p.eps_a)
+    # The verdict compares before dividing, so eps_s = 0 and an
+    # underflowing den need no branch of their own.
+    if num < den:
+        return SeparabilityBoundary(phi=math.asin(num / den), status="interior")
+    return SeparabilityBoundary(phi=math.pi / 2, status="never_entangled")
+
+
+def eps_a_for_cooling_load(eps_s: float, load: float, temperature: float = 1.0,
+                           tol: float = 1e-12) -> float:
+    """Invert the cooling load for the ancilla bias by monotone bisection.
+
+    The load is strictly increasing in eps_a above eps_s, so the solution
+    on [eps_s, 1) is unique when it exists.
+    """
+    if load < 0.0:
+        raise ValueError("cooling load must be nonnegative")
+    _require_tolerance("tol", tol)
+    lo, hi = eps_s, 1.0 - EPS_A_CLAMP
+    p = ProtocolParams(eps_s, hi, 0.0, temperature)  # every eps_a searched lies in [eps_s, hi]
+
+    def f(eps_a: float) -> float:
+        return _column(p.eps_s, eps_a, p.temperature).cooling_load - load
+
+    if f(hi) < 0.0:
+        raise ValueError("cooling load is not attainable below eps_a = 1")
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # the bracket is at float resolution
+        if f(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

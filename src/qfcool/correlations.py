@@ -5,7 +5,9 @@ mutual information (matrix route and closed form for post-measurement
 states), quantum discord via a deterministic search over projective
 measurements (on a stack of (state, side) rows; a row's result does not
 depend on the stack), the closed-form discord of post-measurement states,
-and the discord threshold that guarantees real cooling.
+and the discord threshold that guarantees real cooling.  The closed
+forms live in the numpy-free ``closed_forms`` module and are re-exported
+here.
 
 All quantities are in nats, including the entanglement of formation (a
 maximally entangled pair has EoF = ln 2).
@@ -20,8 +22,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import densmat, protocol
+from .closed_forms import (  # re-exported
+    ProtocolParams, _discord_direct, binary_entropy, discord_analytic, discord_threshold,
+    mutual_information_analytic, thermal_entropy,
+)
 from .densmat import ID2, PAULI, SIGMA_Y
-from .protocol import ProtocolParams
 
 _SPIN_FLIP = densmat.tensor(SIGMA_Y, SIGMA_Y)
 # Measurement branches with probability below this contribute zero to the
@@ -91,20 +96,6 @@ class OptimizerOptions:
 
 
 _DEFAULT_OPTS = OptimizerOptions()
-
-
-def binary_entropy(x: float) -> float:
-    """-x ln x - (1-x) ln(1-x), with 0 ln 0 = 0."""
-    out = 0.0
-    for q in (x, 1.0 - x):
-        if q > densmat.ENTROPY_CUTOFF:
-            out -= q * math.log(q)
-    return out
-
-
-def thermal_entropy(eps: float) -> float:
-    """Entropy of a qubit with Bloch length |eps| (populations (1 -+ eps)/2)."""
-    return binary_entropy((1.0 - abs(eps)) / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -177,26 +168,6 @@ def _mutual_information(r: np.ndarray) -> np.ndarray:
         + densmat._vn_entropies(densmat._partial_trace(r, "A"))
         - densmat._vn_entropies(r)
     )
-
-
-def mutual_information_analytic(params: ProtocolParams) -> float:
-    """Closed-form mutual information of the post-measurement state.
-
-    The marginals after the measurement are qubits with effective biases
-    eps_s cos(phi) (register) and eps_s eps_a cos(phi) (ancilla); the
-    joint entropy is that of the initial product state, whose four
-    eigenvalues (1 +- eps_s)(1 +- eps_a)/4 each carry their full 1/4
-    weight in the lambda ln lambda sum.
-    """
-    es, ea = params.eps_s, params.eps_a
-    cos_phi = math.cos(params.phi)
-    joint = 0.0
-    for s1 in (-1.0, 1.0):
-        for s2 in (-1.0, 1.0):
-            lam = 0.25 * (1.0 + s1 * es) * (1.0 + s2 * ea)
-            if lam > densmat.ENTROPY_CUTOFF:
-                joint += lam * math.log(lam)
-    return thermal_entropy(es * cos_phi) + thermal_entropy(es * ea * cos_phi) + joint
 
 
 # ---------------------------------------------------------------------------
@@ -367,39 +338,6 @@ def _discord(mi: float, gain: float) -> float:
     return max(0.0, delta)
 
 
-def _discord_direct(eps_s: float, x: float) -> float:
-    """The direct logarithmic form of ``discord_analytic`` at ``x = eps_s cos phi``."""
-    # log1p keeps 1 - eps^2 free of cancellation as eps_s approaches 1
-    direct = 0.5 * ((math.log1p(-eps_s) + math.log1p(eps_s))
-                    - (math.log1p(-x) + math.log1p(x)))
-    if eps_s > 0.0:
-        direct += eps_s * math.atanh(eps_s)
-    if x > 0.0:
-        direct += 0.5 * x * math.log((1.0 - x) / (1.0 + x))
-    return direct
-
-
-def discord_analytic(eps_s: float, phi: float) -> float:
-    """Closed-form discord of the post-measurement state.
-
-    Depends only on the register bias and measurement angle, and equals
-    the entropy gap S(thermal(eps_s cos phi)) - S(thermal(eps_s)).  Both
-    that form and the direct logarithmic expression are evaluated; any
-    disagreement beyond 1e-10 indicates a regression and raises.
-    """
-    if not 0.0 <= eps_s < 1.0:
-        raise ValueError("eps_s must be in [0, 1)")
-    if not 0.0 <= phi <= math.pi / 2:
-        raise ValueError("phi must be in [0, pi/2]")
-    x = eps_s * math.cos(phi)
-    via_entropies = thermal_entropy(x) - thermal_entropy(eps_s)
-    direct = _discord_direct(eps_s, x)
-    if abs(direct - via_entropies) > 1e-10:
-        raise RuntimeError(
-            f"discord closed forms disagree: {direct!r} vs {via_entropies!r}")
-    return via_entropies
-
-
 def classical_correlations(rho, measured_side: str = "A",
                            opts: OptimizerOptions | None = None) -> float:
     """Classical share of correlations: I(rho) - discord for the given side."""
@@ -408,13 +346,6 @@ def classical_correlations(rho, measured_side: str = "A",
     mi = float(_mutual_information(r))
     [(_, _, gain)] = _optimal_measurements([_bloch_components(r)], [measured_side], opts)
     return mi - _discord(mi, gain)
-
-
-def discord_threshold(eps_s: float) -> float:
-    """Minimum discord guaranteeing real cooling: value at sin(phi) = eps_s."""
-    if not 0.0 < eps_s < 1.0:
-        raise ValueError("eps_s must be in (0, 1)")
-    return discord_analytic(eps_s, math.asin(eps_s))
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .closed_forms import ENTROPY_CUTOFF
+
 # Default elementwise tolerance for matrix comparisons and state validation.
 ATOL = 1e-12
-# Eigenvalues at or below this threshold count as exactly zero in entropies.
-ENTROPY_CUTOFF = 1e-15
 # Eigenvalues in [-PSD_CLAMP, 0) are clamped to zero; anything lower is an error.
 PSD_CLAMP = 1e-12
 

@@ -11,11 +11,11 @@ closed-form trigonometric blocks (no general matrix exponential).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from .closed_forms import ProtocolParams, _is_finite_real  # re-exported
 from .densmat import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, _dagger, _partial_trace, _tensor, tensor
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
@@ -29,50 +29,6 @@ _PROJ_X_MINUS = 0.5 * (ID2 - SIGMA_X)
 _ID4 = np.eye(4, dtype=complex)
 # -1 and +1, so that (sign * eps + 1) / 2 gives both thermal populations.
 _SIGNS = np.array([-1.0, 1.0])
-
-
-def _is_finite_real(value) -> bool:
-    """A finite ``numbers.Real`` other than ``bool``, within the float range."""
-    try:
-        return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-                and math.isfinite(value))
-    except OverflowError:  # an int or Fraction beyond the float range
-        return False
-
-
-@dataclass(frozen=True)
-class ProtocolParams:
-    """Full configuration of one cooling cycle.
-
-    ``eps_s`` and ``eps_a`` are the register and ancilla polarization
-    biases (ground minus excited population), ``phi`` the measurement
-    angle in radians (axis ``(sin phi, 0, cos phi)`` in the x-z plane),
-    ``temperature`` the bath temperature with k_B = 1.  Any finite real
-    number except ``bool`` is accepted (numpy scalars included) and stored
-    as ``float``.  The limit cases ``eps_s == eps_a`` and ``eps_s == 0``
-    are accepted.
-    """
-
-    eps_s: float
-    eps_a: float
-    phi: float
-    temperature: float = 1.0
-
-    def __post_init__(self):
-        for name in ("eps_s", "eps_a", "phi", "temperature"):
-            if not _is_finite_real(getattr(self, name)):
-                raise ValueError(f"{name} must be a finite number")
-            object.__setattr__(self, name, float(getattr(self, name)))
-        if not 0.0 <= self.eps_s < 1.0:
-            raise ValueError("eps_s must be in [0, 1)")
-        if not 0.0 <= self.eps_a < 1.0:
-            raise ValueError("eps_a must be in [0, 1)")
-        if self.eps_s > self.eps_a:
-            raise ValueError("eps_s must not exceed eps_a")
-        if not 0.0 <= self.phi <= math.pi / 2:
-            raise ValueError("phi must be in [0, pi/2]")
-        if self.temperature <= 0.0:
-            raise ValueError("temperature must be positive")
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,7 @@
 ``run_suite`` evaluates a standard (eps_s, eps_a, phi) grid in one stacked
 pass, closed forms kept scalar per point, and reads it through one table of
 invariant classes, ``CLASSES``.  The closed-form side of a class is the
-``figures_of_merit`` report that ``run`` and ``sweep`` emit (the oracle
-classes also check the public single-point function against it).
+``figures_of_merit`` report that ``run`` and ``sweep`` emit.
 ``point_checks`` (``run --verify``) evaluates the oracle rows on a
 one-point grid.  Energy deviations are in units of T.
 """
@@ -99,12 +98,9 @@ def _pointwise(grid: _Grid, closed: Callable[[ProtocolParams], float],
 
 
 def _versus_oracle(name: str, energy: bool) -> Callable[[_Grid], list[float]]:
-    """Report field ``name`` against its matrix oracle, plus its distance from
-    ``thermo.<name>`` (looked up when the class runs), 0.0 on working code."""
+    """Report field ``name`` against its matrix oracle."""
     def deviations(g: _Grid) -> list[float]:
-        public = getattr(thermo, name)
-        return [(abs(getattr(r, name) - m) + abs(public(p) - getattr(r, name)))
-                / (p.temperature if energy else 1.0)
+        return [abs(getattr(r, name) - m) / (p.temperature if energy else 1.0)
                 for p, r, m in zip(g.points, g.reports, g.oracles[name].tolist())]
     return deviations
 

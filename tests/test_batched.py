@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qfcool import correlations, densmat, protocol, sweep, thermo
+from qfcool import closed_forms, correlations, densmat, protocol, sweep
 from qfcool.correlations import concurrence, correlation_report, mutual_information
 from qfcool.protocol import ProtocolParams, post_measurement_state
 from qfcool.sweep import SeparabilityBoundary, SweepGrid, characteristic_curve, landscape
@@ -90,7 +90,7 @@ def test_landscape_points_equal_single_point_calls_over_the_domain(eps_s, fracti
 
 def test_landscape_evaluates_each_axis_factor_once(monkeypatch):
     calls = {"discord_analytic": 0, "_phi_crit": 0}
-    for module, name in ((correlations, "discord_analytic"), (thermo, "_phi_crit")):
+    for module, name in ((correlations, "discord_analytic"), (closed_forms, "_phi_crit")):
         real = getattr(module, name)
 
         def counted(*args, _real=real, _name=name):

@@ -4,12 +4,13 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
 import qfcool
-from qfcool import cli, sweep, thermo
+from qfcool import cli, closed_forms, sweep
 from qfcool.cli import CSV_HEADER, main
 
 HALF_PI_STR = "1.5707963267948966"
@@ -316,12 +317,27 @@ def test_verify_json_document(capsys):
 
 
 def test_verify_detects_corrupted_closed_form(capsys, monkeypatch):
-    honest = thermo.heat_reset
-    monkeypatch.setattr(thermo, "heat_reset", lambda p: honest(p) + 1e-6)
+    # the shared factor function behind every emitted heat_reset
+    honest = closed_forms._heat_reset
+    monkeypatch.setattr(closed_forms, "_heat_reset", lambda *args: honest(*args) + 1e-6)
     code, out, _ = run_cli(capsys, "verify", "--grid-n", "4",
                            "--discord-stride", "4")
     assert code == 3
     assert "FIRST FAILURE: heat_reset" in out
+
+
+@pytest.mark.parametrize("args", [
+    ("run", "--eps-s", "0.4", "--eps-a", "0.8", "--phi", "1.0"),
+    ("sweep",),
+    ("threshold", "--eps-s", "0.4"),
+    ("optimize", "--objective", "chi", "--eps-s", "0.4", "--phi", "1.0"),
+    ("verify", "--grid-n", "3"),
+], ids=lambda args: args[0])
+@pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+def test_every_command_rejects_a_bad_temperature(capsys, args, value):
+    code, out, err = run_cli(capsys, *args, "--temperature", value)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: temperature must")
 
 
 @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
@@ -360,8 +376,8 @@ def test_verify_passes_at_large_temperatures(capsys, args):
 
 
 def test_run_verify_fails_on_corrupted_closed_form(capsys, monkeypatch):
-    honest = thermo.work_measurement
-    monkeypatch.setattr(thermo, "work_measurement", lambda p: honest(p) - 1e-6)
+    honest = closed_forms._work_measurement
+    monkeypatch.setattr(closed_forms, "_work_measurement", lambda *args: honest(*args) - 1e-6)
     code, out, _ = run_cli(capsys, "run", "--eps-s", "0.4", "--eps-a", "0.8",
                            "--phi", "1.0", "--verify")
     assert code == 3
@@ -388,6 +404,18 @@ def test_config_file_supplies_defaults_and_flags_override(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "run", "--config", str(config),
                            "--phi", "0.25")
     assert json.loads(out)["params"]["phi"] == 0.25
+
+
+@pytest.mark.parametrize("line, key, message", [
+    ("eps_s = abc", "eps_s", "could not convert string to float: 'abc'"),
+    ("verify = maybe", "verify", "not a boolean: 'maybe'"),
+], ids=["float", "boolean"])
+def test_config_errors_name_the_file_and_key(capsys, tmp_path, line, key, message):
+    config = tmp_path / "c.cfg"
+    config.write_text(f"eps_s = 0.4\neps_a = 0.8\nphi = 1.0\n{line}\n")
+    code, out, err = run_cli(capsys, "run", "--config", str(config))
+    assert (code, out) == (2, "")
+    assert err == f"error: {config}: {key}: {message}\n"
 
 
 def test_config_file_rejects_malformed_lines(capsys, tmp_path):
@@ -425,11 +453,57 @@ def test_console_script_entrypoint():
     assert abs(json.loads(proc.stdout)["delta_min"] - 1.35e-2) <= 5e-4
 
 
-def test_cli_import_does_not_load_scipy():
-    proc = python_subprocess(
-        "-c", "import sys, qfcool.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+# Prints, at exit, the numpy and scipy modules the process has loaded.
+_REPORT_NUMPY = ("import atexit, sys; atexit.register(lambda: print(sorted(m for m in sys.modules"
+                 " if m.partition('.')[0] in ('numpy', 'scipy')), file=sys.stderr)); ")
+# What ``python -m qfcool.cli ARGS`` runs.
+_RUN_CLI = "import runpy; runpy.run_module('qfcool.cli', run_name='__main__', alter_sys=True)"
+
+
+@pytest.mark.parametrize("statement, args, code", [
+    ("import qfcool", (), 0),
+    ("import qfcool.cli", (), 0),
+    (_RUN_CLI, ("threshold", "--eps-s", "0.4"), 0),
+    (_RUN_CLI, ("threshold", "--eps-s", "0.4", "--format", "csv"), 0),
+    (_RUN_CLI, ("optimize", "--objective", "chi", "--eps-s", "0.4", "--phi", "1.0"), 0),
+    (_RUN_CLI, ("optimize", "--objective", "cop", "--eps-s", "0.4", "--phi", "1.0",
+                "--format", "csv"), 0),
+    (_RUN_CLI, ("threshold", "--eps-s", "0.0"), 2),
+    (_RUN_CLI, ("optimize", "--objective", "eta", "--eps-s", "0.4", "--phi", "2.0"), 2),
+], ids=["import-qfcool", "import-cli", "threshold-json", "threshold-csv", "optimize-json",
+        "optimize-csv", "threshold-bad-eps-s", "optimize-bad-phi"])
+def test_closed_form_paths_do_not_load_numpy(statement, args, code):
+    proc = python_subprocess("-c", _REPORT_NUMPY + statement, *args)
+    assert proc.returncode == code, proc.stderr
+    assert bool(proc.stdout) == (bool(args) and code == 0)
+    assert proc.stderr.splitlines()[-1] == "[]"
+
+
+def test_package_names_resolve_lazily_to_their_defining_objects():
+    proc = python_subprocess("-c", textwrap.dedent("""
+        import json, sys
+        import qfcool
+        numpy_before = "numpy" in sys.modules
+        listed = set(dir(qfcool))
+        module = qfcool.sweep.__name__
+        names = {}
+        exec("from qfcool import *", names)
+        print(json.dumps({
+            "numpy_before": numpy_before,
+            "module": module,
+            "unbound": [n for n in qfcool.__all__ if n not in names],
+            "not_defining_object": [n for n in qfcool.__all__ if n in names and getattr(
+                sys.modules[names[n].__module__], n, None) is not names[n]],
+            "not_in_dir": sorted(set(qfcool.__all__) - listed),
+            "all": len(qfcool.__all__),
+        }))"""))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert json.loads(proc.stdout) == {"numpy_before": False, "module": "qfcool.sweep",
+                                       "unbound": [],
+                                       "not_defining_object": [], "not_in_dir": [], "all": 52}
+    assert qfcool.landscape is sweep.landscape
+    with pytest.raises(AttributeError, match="has no attribute 'melt'"):
+        qfcool.melt
 
 
 @pytest.mark.parametrize("args", [

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from qfcool import sweep
+from qfcool import closed_forms, sweep
+from qfcool.closed_forms import linspace
 from qfcool.protocol import ProtocolParams
 from qfcool.sweep import (
     SweepGrid, characteristic_curve, eps_a_for_cooling_load,
@@ -212,6 +213,50 @@ def test_optimize_matches_brute_force_on_random_draws(rng):
 def test_optimize_rejects_unknown_objective():
     with pytest.raises(ValueError):
         optimize_working_point("speed", 0.4, 1.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 25, 101, 256])
+@pytest.mark.parametrize("eps_s", [0.0, 0.1, 0.4, 0.75, 0.999])
+def test_linspace_matches_numpy_bit_for_bit(eps_s, n):
+    # the optimize span, the characteristic-curve axis, the landscape phi
+    # axis, and a step that underflows to zero
+    for start, stop in ((eps_s + sweep.EPS_A_CLAMP, TOP), (eps_s, TOP), (0.0, HALF_PI),
+                        (0.0, 5e-324)):
+        assert ([v.hex() for v in linspace(start, stop, n)]
+                == [v.hex() for v in np.linspace(start, stop, n).tolist()])
+
+
+def capped_at(eps_s, eps_a):
+    """The cooling load at (eps_s, eps_a) and the first scan index that reaches it."""
+    cap = closed_forms._column(eps_s, eps_a, 1.0).cooling_load
+    xs = linspace(eps_s + sweep.EPS_A_CLAMP, TOP, 256)
+    first = next(i for i, x in enumerate(xs) if closed_forms._column(eps_s, x, 1.0).cooling_load >= cap)
+    return cap, xs[first - 1], xs[first + 1]
+
+
+def test_optimize_keeps_the_first_of_tied_maxima(monkeypatch):
+    # every scan point whose load reaches the cap ties for the maximum
+    cap, lo, hi = capped_at(0.3, 0.6)
+    monkeypatch.setattr(closed_forms, "objective_value", lambda name, r: min(r.cooling_load, cap))
+    wp = optimize_working_point("chi", 0.3, 1.0)
+    assert lo <= wp.eps_a_star <= hi
+    assert (wp.objective_value, wp.at_boundary) == (cap, None)
+
+
+def test_optimize_ranks_undefined_values_below_every_defined_one(monkeypatch):
+    # undefined below the cap, falling above it: the first defined point wins
+    cap, lo, hi = capped_at(0.3, 0.6)
+    monkeypatch.setattr(closed_forms, "objective_value",
+                        lambda name, r: None if r.cooling_load < cap else -r.cooling_load)
+    wp = optimize_working_point("cop", 0.3, 1.0)
+    assert lo <= wp.eps_a_star <= hi
+    assert -cap - 1e-6 <= wp.objective_value <= -cap
+
+
+def test_optimize_rejects_an_interval_where_the_objective_is_undefined(monkeypatch):
+    monkeypatch.setattr(closed_forms, "objective_value", lambda name, r: None)
+    with pytest.raises(ValueError, match="^objective is undefined on the whole search interval$"):
+        optimize_working_point("eta", 0.3, 1.0)
 
 
 # ---------------------------------------------------------------------------
