@@ -56,6 +56,8 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 def _is_finite_real(value) -> bool:
     """A finite ``numbers.Real`` other than ``bool``, within the float range."""
+    if type(value) is float:  # the common case, without the ABC check
+        return math.isfinite(value)
     try:
         return (isinstance(value, numbers.Real) and not isinstance(value, bool)
                 and math.isfinite(value))
@@ -140,6 +142,16 @@ class ThermoReport:
     phi_crit: float
     phi_crit_defined: bool
     reversible_limit: bool
+
+
+def _record(cls, *values):
+    """A ``cls`` instance holding ``values`` (every field, in field order), built
+    without the frozen ``__init__``, which sets each field by ``object.__setattr__``.
+    It skips ``__post_init__`` too, so it is only for the records that validate
+    nothing: ``ThermoReport``, ``CorrelationReport`` and ``CurvePoint``."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(zip(cls.__match_args__, values))
+    return obj
 
 
 def level_splitting(eps: float, temperature: float) -> float:
@@ -234,23 +246,10 @@ def _report(c: _Column, r: _Row) -> ThermoReport:
     reversible = w / t <= REVERSIBLE_WORK_FLOOR
     cop = None if reversible else load / w
     pc_defined = c.eps_s > 0.0
-    return ThermoReport(
-        work_measurement=w_m,
-        work_feedback=w_f,
-        heat_reset=q,
-        delta_e_system=de_s,
-        entropy_reduction=c.entropy_reduction,
-        cooling_load=load,
-        total_work=w,
-        cop=cop,
-        eta=None if reversible else load / q,
-        chi=None if reversible else cop * load,
-        in_cooling_window=c.eps_a * r.sin > c.eps_s,
-        work_extracting_feedback=(r.phi > c.phi_crit) if pc_defined else False,
-        phi_crit=c.phi_crit,
-        phi_crit_defined=pc_defined,
-        reversible_limit=reversible,
-    )
+    return _record(ThermoReport, w_m, w_f, q, de_s, c.entropy_reduction, load, w, cop,
+                   None if reversible else load / q, None if reversible else cop * load,
+                   c.eps_a * r.sin > c.eps_s, pc_defined and r.phi > c.phi_crit, c.phi_crit,
+                   pc_defined, reversible)
 
 
 def work_measurement(params: ProtocolParams) -> float:
@@ -471,10 +470,12 @@ def optimize_working_point(objective: str, eps_s: float, phi: float,
         raise ValueError("eps_s leaves no room for an ancilla bias below 1")
     p = ProtocolParams(eps_s, lo, phi, temperature)  # every eps_a searched lies in [lo, hi]
     row = _row(p.phi)
+    seen = {}
 
     def evaluate(eps_a: float) -> float:
         value = objective_value(objective, _report(_column(p.eps_s, eps_a, p.temperature), row))
-        return -math.inf if value is None else value
+        seen[eps_a] = -math.inf if value is None else value
+        return seen[eps_a]
 
     xs = linspace(lo, hi, coarse_points)
     values = [evaluate(x) for x in xs]
@@ -484,6 +485,8 @@ def optimize_working_point(objective: str, eps_s: float, phi: float,
     degenerate = len(finite) > 1 and max(finite) - min(finite) <= 1e-15
     best = values.index(max(values))
     star, value = _golden_max(evaluate, xs[max(0, best - 1)], xs[min(len(xs) - 1, best + 1)], xtol)
+    if value == -math.inf:  # the bracket closed on a reversible limit: best defined point
+        star, value = max(seen.items(), key=lambda item: item[1])
 
     at_boundary = None
     window = _BOUNDARY_WINDOW * (hi - lo)

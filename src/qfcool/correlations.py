@@ -23,7 +23,7 @@ import numpy as np
 
 from . import densmat, protocol
 from .closed_forms import (  # re-exported
-    ProtocolParams, _discord_direct, binary_entropy, discord_analytic, discord_threshold,
+    ProtocolParams, _discord_direct, _record, binary_entropy, discord_analytic, discord_threshold,
     mutual_information_analytic, thermal_entropy,
 )
 from .densmat import ID2, PAULI, SIGMA_Y
@@ -404,12 +404,5 @@ def _stacked_reports(eps_s, eps_a, phi, discords) -> list[CorrelationReport]:
 
 def _report(conc: float, mi: float, discord: float,
             d_a: Optional[float] = None, d_s: Optional[float] = None) -> CorrelationReport:
-    return CorrelationReport(
-        concurrence=conc,
-        eof=eof_from_concurrence(conc),
-        mutual_info=mi,
-        discord_a=d_a,
-        discord_s=d_s,
-        discord_analytic=discord,
-        classical_a=None if d_a is None else mi - d_a,
-    )
+    return _record(CorrelationReport, conc, eof_from_concurrence(conc), mi, d_a, d_s, discord,
+                   None if d_a is None else mi - d_a)

@@ -111,8 +111,9 @@ def _grid_points(eps_s: float, temperature: float, phi_values, eps_a_values,
             [eps_s] * len(chunk), [c.eps_a for _, _, c in chunk], [r.phi for _, r, _ in chunk],
             [discords[i] for i, _, _ in chunk]) if include_correlations
             else [None] * len(chunk))
-        points.extend(CurvePoint(eps_a=c.eps_a, phi=r.phi, thermo=closed_forms._report(c, r),
-                                 correlations=k) for (_, r, c), k in zip(chunk, corr))
+        points.extend(closed_forms._record(CurvePoint, c.eps_a, r.phi,
+                                           closed_forms._report(c, r), k)
+                      for (_, r, c), k in zip(chunk, corr))
     return points
 
 

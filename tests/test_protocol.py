@@ -1,10 +1,13 @@
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qfcool.closed_forms import _is_finite_real
 from qfcool.densmat import (
     ID2, SIGMA_X, SIGMA_Z, bloch_vector, expectation, purity,
     validate_unitary, vn_entropy,
@@ -62,6 +65,19 @@ def test_params_reject_booleans(name, flag):
     kwargs[name] = flag
     with pytest.raises(ValueError, match=f"{name} must be a finite number"):
         ProtocolParams(**kwargs)
+
+
+@pytest.mark.parametrize("value, expected", [
+    (0.5, True), (-0.0, True), (1e308, True), (3, True),
+    (math.nan, False), (math.inf, False), (-math.inf, False),
+    (True, False), (False, False), (10 ** 400, False), (-10 ** 400, False),
+    (np.float32(0.5), True), (np.float32("inf"), False),
+    (np.float64(0.5), True), (np.float64("nan"), False), (np.int64(3), True),
+    (Fraction(1, 3), True), (Fraction(10 ** 400), False),
+    (Decimal("0.5"), False), (complex(1.0, 0.0), False), ("0.5", False), (None, False),
+], ids=lambda v: repr(v)[:20])
+def test_is_finite_real_truth_table(value, expected):
+    assert _is_finite_real(value) is expected
 
 
 # ---------------------------------------------------------------------------

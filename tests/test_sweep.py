@@ -259,6 +259,19 @@ def test_optimize_rejects_an_interval_where_the_objective_is_undefined(monkeypat
         optimize_working_point("eta", 0.3, 1.0)
 
 
+@pytest.mark.parametrize("objective", ["cop", "eta"])
+@pytest.mark.parametrize("eps_s", [0.034965, 0.20134250225246422])
+def test_optimize_reports_a_defined_point_at_a_reversible_edge(objective, eps_s):
+    # At phi = pi/2 the supremum lies at eps_a -> eps_s, next to the reversible
+    # limit where the objective is undefined; the refined bracket can close
+    # on that edge, and the reported value must still be the defined one.
+    wp = optimize_working_point(objective, eps_s, HALF_PI)
+    assert wp.at_boundary == "lower"
+    assert math.isfinite(wp.objective_value)
+    assert wp.objective_value == getattr(
+        figures_of_merit(ProtocolParams(eps_s, wp.eps_a_star, HALF_PI)), objective)
+
+
 # ---------------------------------------------------------------------------
 # landscape
 # ---------------------------------------------------------------------------
