@@ -437,10 +437,12 @@ def _require_tolerance(name: str, value: float) -> None:
         raise ValueError(f"{name} must be a finite positive number, got {value!r}")
 
 
-def _require_points(name: str, value: int) -> None:
-    """A scan needs both endpoints of its interval."""
-    if value < 2:
-        raise ValueError(f"{name} must be at least 2, got {value!r}")
+def _require_count(name: str, value: int, least: int) -> None:
+    """A count is an integer (``int`` or numpy) of at least ``least``."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value!r}")
 
 
 def objective_value(name: str, report: ThermoReport) -> Optional[float]:
@@ -462,7 +464,7 @@ def optimize_working_point(objective: str, eps_s: float, phi: float,
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
-    _require_points("coarse_points", coarse_points)
+    _require_count("coarse_points", coarse_points, 2)  # a scan needs both endpoints
     _require_tolerance("xtol", xtol)
     lo = eps_s + EPS_A_CLAMP
     hi = 1.0 - EPS_A_CLAMP

@@ -7,7 +7,8 @@ measurements (on a stack of (state, side) rows; a row's result does not
 depend on the stack), the closed-form discord of post-measurement states,
 and the discord threshold that guarantees real cooling.  The closed
 forms live in the numpy-free ``closed_forms`` module and are re-exported
-here.
+here.  One stacked builder, ``_reports``, makes every ``CorrelationReport``:
+single point, batch, landscape chunk and verify's discord subgrid.
 
 All quantities are in nats, including the entanglement of formation (a
 maximally entangled pair has EoF = ln 2).
@@ -23,8 +24,8 @@ import numpy as np
 
 from . import densmat, protocol
 from .closed_forms import (  # re-exported
-    ProtocolParams, _discord_direct, _record, binary_entropy, discord_analytic, discord_threshold,
-    mutual_information_analytic, thermal_entropy,
+    ProtocolParams, _discord_direct, _record, _require_count, binary_entropy, discord_analytic,
+    discord_threshold, mutual_information_analytic, thermal_entropy,
 )
 from .densmat import ID2, PAULI, SIGMA_Y
 
@@ -79,7 +80,8 @@ class OptimizerOptions:
     number of zoom levels; a search that needs more raises
     ``DiscordOptimizationError`` (the defaults converge in about 20).
     Raises ValueError naming the field for grid sizes or ``max_iter``
-    below 1 and for an ``objective_tol`` that is negative or not finite.
+    that are not integers of at least 1, and for an ``objective_tol``
+    that is negative or not finite.
     """
 
     n_polar: int = 64
@@ -89,8 +91,7 @@ class OptimizerOptions:
 
     def __post_init__(self):
         for name in ("n_polar", "n_azimuth", "max_iter"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)!r}")
+            _require_count(name, getattr(self, name), 1)
         if not 0.0 <= self.objective_tol < math.inf:
             raise ValueError(f"objective_tol must be finite and non-negative, got {self.objective_tol!r}")
 
@@ -184,10 +185,9 @@ def _bloch_components(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return c[1:, 0], c[0, 1:], c[1:, 1:]
 
 
-def _check_side(measured_side: str) -> str:
+def _check_side(measured_side: str) -> None:
     if measured_side not in ("S", "A"):
         raise ValueError(f"measured_side must be 'S' or 'A', got {measured_side!r}")
-    return "A" if measured_side == "S" else "S"
 
 
 def _axes(polar: np.ndarray, azimuth: np.ndarray) -> np.ndarray:
@@ -223,36 +223,6 @@ def _conditional_entropy_scan(local: np.ndarray, other: np.ndarray, m: np.ndarra
     kept = q > densmat.ENTROPY_CUTOFF
     h = -np.where(kept, q * np.log(np.where(kept, q, 1.0)), 0.0).sum(axis=0)
     return np.where(live, p * h, 0.0).sum(axis=0)
-
-
-def _conditional_entropy_exact(rho, measured_side: str, basis: MeasurementBasis) -> float:
-    """Average post-measurement entropy of the unmeasured side (projector route).
-
-    The definitional objective, kept as an independent oracle for the
-    Bloch-space kernel the basis search runs on.
-    """
-    other = _check_side(measured_side)
-    total = 0.0
-    for proj in basis.projectors():
-        big = np.kron(ID2, proj) if measured_side == "A" else np.kron(proj, ID2)
-        branch = big @ rho @ big
-        p = float(np.trace(branch).real)
-        if p <= _PROB_FLOOR:
-            continue
-        total += p * _reduced_entropy(branch / p, other)
-    return total
-
-
-def _reduced_entropy(conditional, keep: str) -> float:
-    """Entropy of one marginal of a conditional state (PSD by construction).
-
-    Dividing a low-probability branch by its weight amplifies rounding
-    noise, so the reduction is raw and the spectrum is clipped instead of
-    running the strict state validator.
-    """
-    marginal = densmat._partial_trace(conditional, keep)
-    w = np.clip(np.linalg.eigvalsh(0.5 * (marginal + marginal.conj().T)), 0.0, None)
-    return float(densmat._spectrum_entropy(w / w.sum()))
 
 
 def optimal_measurement(rho, measured_side: str = "A", opts: OptimizerOptions | None = None,
@@ -373,13 +343,8 @@ class CorrelationReport:
 def correlation_report(params: ProtocolParams, *, numeric_discord: bool = True,
                        opts: OptimizerOptions | None = None) -> CorrelationReport:
     """Evaluate all correlation measures on the post-measurement state."""
-    rho_m = protocol.post_measurement_state(params)
-    conc, mi = float(_concurrence(rho_m)), float(_mutual_information(rho_m))
-    d_a = d_s = None
-    if numeric_discord:
-        d_a, d_s = (_discord(mi, gain) for _, _, gain in _optimal_measurements(
-            [_bloch_components(rho_m)] * 2, ["A", "S"], opts))
-    return _report(conc, mi, discord_analytic(params.eps_s, params.phi), d_a, d_s)
+    rho_m = protocol._post_measurement_states((params.eps_s,), (params.eps_a,), (params.phi,))
+    return _reports(rho_m, [discord_analytic(params.eps_s, params.phi)], numeric_discord, opts)[0]
 
 
 def correlation_reports(points: Sequence[ProtocolParams]) -> list[CorrelationReport]:
@@ -389,20 +354,24 @@ def correlation_reports(points: Sequence[ProtocolParams]) -> list[CorrelationRep
     mutual information evaluated, as one ``(n, 4, 4)`` stack; each value
     equals the single-point one bit for bit.
     """
-    return _stacked_reports([p.eps_s for p in points], [p.eps_a for p in points],
-                            [p.phi for p in points],
-                            [discord_analytic(p.eps_s, p.phi) for p in points])
+    rho_m = protocol._post_measurement_states([p.eps_s for p in points], [p.eps_a for p in points],
+                                              [p.phi for p in points])
+    return _reports(rho_m, [discord_analytic(p.eps_s, p.phi) for p in points])
 
 
-def _stacked_reports(eps_s, eps_a, phi, discords) -> list[CorrelationReport]:
-    """``correlation_reports`` on validated parameter sequences, given each
-    point's closed-form discord."""
-    rho_m = protocol._post_measurement_states(eps_s, eps_a, phi)
-    return [_report(conc, mi, d) for conc, mi, d in
-            zip(_concurrence(rho_m).tolist(), _mutual_information(rho_m).tolist(), discords)]
-
-
-def _report(conc: float, mi: float, discord: float,
-            d_a: Optional[float] = None, d_s: Optional[float] = None) -> CorrelationReport:
-    return _record(CorrelationReport, conc, eof_from_concurrence(conc), mi, d_a, d_s, discord,
-                   None if d_a is None else mi - d_a)
+def _reports(rho_m: np.ndarray, discords: Sequence[float], numeric: bool = False,
+             opts: OptimizerOptions | None = None) -> list[CorrelationReport]:
+    """One ``CorrelationReport`` per state of an ``(n, 4, 4)`` post-measurement
+    stack, given each state's closed-form discord; with ``numeric``, both one-sided
+    discords come from one basis search on the rows ``["A"] * n + ["S"] * n``.
+    No report depends on the rest of the stack."""
+    n = len(discords)
+    conc, mi = _concurrence(rho_m).tolist(), _mutual_information(rho_m).tolist()
+    d_a = d_s = [None] * n
+    if numeric:
+        gains = [g for _, _, g in _optimal_measurements(
+            [_bloch_components(r) for r in rho_m] * 2, ["A"] * n + ["S"] * n, opts)]
+        d_a, d_s = ([_discord(m, g) for m, g in zip(mi, side)] for side in (gains[:n], gains[n:]))
+    return [_record(CorrelationReport, c, eof_from_concurrence(c), m, a, s, d,
+                    None if a is None else m - a)
+            for c, m, a, s, d in zip(conc, mi, d_a, d_s, discords)]

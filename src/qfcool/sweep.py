@@ -5,12 +5,12 @@ All outputs are pure functions of their inputs: recomputing any emitted
 point from scratch reproduces it bit for bit.  ``SweepGrid`` is a grid's
 only validation.  Grid thermo combines closed-form factors built once per
 eps_a column and phi row.  Grid correlations run on ``(n, 4, 4)`` stacks
-of post-measurement states in chunks of ``CHUNK_POINTS``, through the same
-kernels that a single-point call runs with ``n = 1``, with one closed-form
-discord per phi row.  The scalar searches (working point, cooling-load
-inverse and the closed-form separability angle) live in the numpy-free
-``closed_forms`` module, evaluate through the same factors and are
-re-exported here.  Everything runs in-process on the calling thread.
+of post-measurement states in chunks of ``CHUNK_POINTS``, through the
+report builder that a single-point call runs with ``n = 1``, with one
+closed-form discord per phi row.  The scalar searches (working point,
+cooling-load inverse and the closed-form separability angle) live in the
+numpy-free ``closed_forms`` module, evaluate through the same factors and
+are re-exported here.  Everything runs in-process on the calling thread.
 """
 
 from __future__ import annotations
@@ -20,11 +20,11 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from . import closed_forms, correlations
+from . import closed_forms, correlations, protocol
 from .closed_forms import (  # re-exported
     EPS_A_CLAMP, OBJECTIVES, ProtocolParams, SeparabilityBoundary, ThermoReport, WorkingPoint,
-    _is_finite_real, eps_a_for_cooling_load, linspace, objective_value, optimize_working_point,
-    separability_boundary,
+    _is_finite_real, _require_count, eps_a_for_cooling_load, linspace, objective_value,
+    optimize_working_point, separability_boundary,
 )
 from .correlations import CorrelationReport
 
@@ -107,10 +107,9 @@ def _grid_points(eps_s: float, temperature: float, phi_values, eps_a_values,
     pairs = ((i, r, c) for i, r in enumerate(rows) for c in columns)
     points = []
     while chunk := list(itertools.islice(pairs, CHUNK_POINTS)):
-        corr = (correlations._stacked_reports(
-            [eps_s] * len(chunk), [c.eps_a for _, _, c in chunk], [r.phi for _, r, _ in chunk],
-            [discords[i] for i, _, _ in chunk]) if include_correlations
-            else [None] * len(chunk))
+        corr = (correlations._reports(protocol._post_measurement_states(
+            [eps_s] * len(chunk), [c.eps_a for _, _, c in chunk], [r.phi for _, r, _ in chunk]),
+            [discords[i] for i, _, _ in chunk]) if include_correlations else [None] * len(chunk))
         points.extend(closed_forms._record(CurvePoint, c.eps_a, r.phi,
                                            closed_forms._report(c, r), k)
                       for (_, r, c), k in zip(chunk, corr))
@@ -127,8 +126,7 @@ def characteristic_curve(eps_s: float, phi: float, n_points: int,
                          temperature: float = 1.0,
                          include_correlations: bool = False) -> list[CurvePoint]:
     """Sweep the ancilla bias over [eps_s, 1) at a fixed measurement angle."""
-    if n_points < 2:
-        raise ValueError("n_points must be at least 2")
+    _require_count("n_points", n_points, 2)
     eps_a_values = linspace(eps_s, 1.0 - EPS_A_CLAMP, n_points)
     # The two ends validate every point: the axis runs from eps_s to the clamp.
     p = ProtocolParams(eps_s, eps_a_values[0], phi, temperature)

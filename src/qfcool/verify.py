@@ -5,7 +5,9 @@ pass, closed forms kept scalar per point, and reads it through one table of
 invariant classes, ``CLASSES``.  The closed-form side of a class is the
 ``figures_of_merit`` report that ``run`` and ``sweep`` emit.
 ``point_checks`` (``run --verify``) evaluates the oracle rows on a
-one-point grid.  Energy deviations are in units of T.
+one-point grid.  The discord classes read the correlation reports that
+``run`` emits, built for the whole discord subgrid in one basis search.
+Energy deviations are in units of T.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import correlations, densmat, protocol, thermo
+from .closed_forms import _require_count
 from .protocol import ProtocolParams
 
 TOL_CLOSED_FORM = 1e-10
@@ -43,7 +46,8 @@ class Check:
 
 def standard_grid(n: int = 12, eps_s_max: float = 0.9, eps_a_max: float = 0.95,
                   temperature: float = 1.0) -> list[ProtocolParams]:
-    """n x n x n parameter grid with eps_s <= eps_a, including the limit cases."""
+    """n x n x n grid (``n`` an integer >= 0) with eps_s <= eps_a, including the limit cases."""
+    _require_count("n", n, 0)
     grid = []
     for eps_s in np.linspace(0.0, eps_s_max, n):
         for eps_a in np.linspace(eps_s, eps_a_max, n):
@@ -75,20 +79,12 @@ class _Grid:
         return [thermo.figures_of_merit(p) for p in self.points]
 
     @cached_property
-    def discords(self) -> list[tuple[float, float, float, float]]:
-        # (concurrence, discord_a, discord_s, discord_analytic) at each point
-        # whose three axis indices are multiples of discord_stride.
+    def discords(self) -> list[correlations.CorrelationReport]:
+        # run's report at each point whose three axis indices are multiples of the stride
         n, stride = self.n, self.discord_stride
-        index = np.arange(n ** 3).reshape(n, n, n)[::stride, ::stride, ::stride].ravel()
-        rho_m = self.trace.rho_m[index]
-        blochs = [correlations._bloch_components(r) for r in rho_m]
-        gains = [g for _, _, g in correlations._optimal_measurements(
-            blochs * 2, ["A"] * len(blochs) + ["S"] * len(blochs), None)]
-        return [(conc, correlations._discord(mi, g_a), correlations._discord(mi, g_s),
-                 correlations.discord_analytic(self.points[i].eps_s, self.points[i].phi))
-                for i, conc, mi, g_a, g_s in zip(
-                    index.tolist(), correlations._concurrence(rho_m).tolist(),
-                    self.mutual_information[index].tolist(), gains, gains[len(blochs):])]
+        index = np.arange(n ** 3).reshape(n, n, n)[::stride, ::stride, ::stride].ravel().tolist()
+        return correlations._reports(self.trace.rho_m[index], [correlations.discord_analytic(
+            self.points[i].eps_s, self.points[i].phi) for i in index], numeric=True)
 
 
 def _pointwise(grid: _Grid, closed: Callable[[ProtocolParams], float],
@@ -195,11 +191,11 @@ CLASSES = {
     **{f"{field}_monotone_phi": (1e-9, _monotone_in_phi(field))
        for field in ("cop", "eta", "chi")},
     "discord_symmetry": (TOL_DISCORD_NUMERIC, lambda g: [
-        abs(d_a - d_s) for _, d_a, d_s, _ in g.discords]),
+        abs(r.discord_a - r.discord_s) for r in g.discords]),
     "discord_numeric_vs_closed": (TOL_DISCORD_NUMERIC, lambda g: [
-        max(abs(d_a - closed), abs(d_s - closed)) for _, d_a, d_s, closed in g.discords]),
+        max(abs(d - r.discord_analytic) for d in (r.discord_a, r.discord_s)) for r in g.discords]),
     "entangled_implies_discordant": (0.0, lambda g: [
-        max(0.0, 1e-9 - d_a) for conc, d_a, _, _ in g.discords if conc > 1e-6]),
+        max(0.0, 1e-9 - r.discord_a) for r in g.discords if r.concurrence > 1e-6]),
 }
 
 
@@ -218,13 +214,11 @@ def run_suite(grid_n: int = 12, discord_stride: int = 3,
               temperature: float = 1.0) -> list[Check]:
     """Run every invariant class on the standard grid; return one Check each.
 
-    Raises ValueError unless ``grid_n >= 2`` and ``discord_stride >= 1``,
-    and for a temperature ``ProtocolParams`` rejects.
+    Raises ValueError unless ``grid_n >= 2`` and ``discord_stride >= 1``
+    are integers, and for a temperature ``ProtocolParams`` rejects.
     """
-    if grid_n < 2:
-        raise ValueError(f"grid_n must be at least 2, got {grid_n}")
-    if discord_stride < 1:
-        raise ValueError(f"discord_stride must be at least 1, got {discord_stride}")
+    _require_count("grid_n", grid_n, 2)
+    _require_count("discord_stride", discord_stride, 1)
     grid = _Grid(standard_grid(grid_n, temperature=temperature), grid_n, discord_stride)
     return [_check(name, deviations(grid)) for name, (_, deviations) in CLASSES.items()]
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qfcool import closed_forms, correlations, densmat, protocol, sweep
+from qfcool import closed_forms, correlations, densmat, protocol, sweep, verify
 from qfcool.correlations import concurrence, correlation_report, mutual_information
 from qfcool.protocol import ProtocolParams, post_measurement_state
 from qfcool.sweep import SeparabilityBoundary, SweepGrid, characteristic_curve, landscape
@@ -51,6 +51,23 @@ def test_landscape_equals_single_point_reports(eps_s):
         single = correlation_report(params, numeric_discord=False)
         assert pt.correlations == single
         assert repr(pt.correlations) == repr(single)
+
+
+def test_correlation_reports_equal_single_point_reports_across_biases_and_temperatures():
+    # one stack mixing eps_s and T (a landscape never mixes eps_s), edges included
+    edges = [ProtocolParams(*p) for p in [
+        (0.0, 0.0, 0.0, 1.0), (0.0, TOP, HALF_PI, 1e-300), (0.4, 0.4, HALF_PI, 1e300),
+        (0.999, TOP, 1e-9, 0.5), (1e-300, 0.5, 0.6, 3.0), (0.3, 0.85, HALF_PI - 1e-9, 7.0)]]
+    points = edges + [ProtocolParams(p.eps_s, p.eps_a, p.phi, 0.1 + i)
+                      for i, p in enumerate(verify.standard_grid(4))]
+    reports = correlations.correlation_reports(points)
+    assert len(reports) == len(points)
+    for report, params in zip(reports, points):
+        assert repr(report) == repr(correlation_report(params, numeric_discord=False))
+
+
+def test_correlation_reports_of_no_points_is_empty():
+    assert correlations.correlation_reports([]) == []
 
 
 def test_characteristic_curve_equals_single_point_reports():

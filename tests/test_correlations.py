@@ -17,6 +17,8 @@ from qfcool.densmat import hermitian_eig, psd_sqrt, SIGMA_Y
 from qfcool.protocol import ProtocolParams, run_protocol
 from qfcool.verify import standard_grid
 
+import projector_oracle
+
 HALF_PI = math.pi / 2
 LN2 = math.log(2.0)
 
@@ -243,7 +245,7 @@ def test_scan_objective_agrees_with_projector_route(random_density, rng):
             local, other, m = (b, a, t.T) if side == "A" else (a, b, t)
             fast = correlations._conditional_entropy_scan(
                 local[None], other[None], m[None], axis)[0, 0]
-            exact = correlations._conditional_entropy_exact(rho, side, basis)
+            exact = projector_oracle.conditional_entropy(rho, side, basis)
             assert abs(fast - exact) <= 1e-11
 
 
@@ -430,6 +432,7 @@ def test_bloch_components_of_product_state():
 
 @pytest.mark.parametrize("field,value", [
     ("n_polar", 0), ("n_azimuth", -1), ("max_iter", 0),
+    ("n_polar", 2.5), ("n_azimuth", 32.0), ("max_iter", math.nan),
     ("objective_tol", -1e-9), ("objective_tol", math.nan), ("objective_tol", math.inf),
 ])
 def test_optimizer_options_reject_bad_fields(field, value):
@@ -442,3 +445,9 @@ def test_optimizer_options_accept_a_zero_tolerance_and_one_point_grids():
     exact = discord_analytic(0.4, 1.0)
     assert abs(discord_numeric(rho, "A", OptimizerOptions(objective_tol=0.0)) - exact) <= 1e-12
     assert discord_numeric(rho, "A", OptimizerOptions(n_polar=1, n_azimuth=1, max_iter=1000)) >= 0.0
+
+
+def test_optimizer_options_accept_numpy_integer_counts():
+    rho = rho_m_at(0.4, 0.8, 1.0)
+    counts = OptimizerOptions(n_polar=np.int64(64), n_azimuth=np.int32(32), max_iter=np.int64(400))
+    assert discord_numeric(rho, "A", counts) == discord_numeric(rho, "A")

@@ -170,6 +170,22 @@ def test_characteristic_curve_requires_two_points():
         characteristic_curve(0.4, 0.3, 1)
 
 
+@pytest.mark.parametrize("call, argument", [
+    (lambda: characteristic_curve(0.4, 0.3, 2.5), "n_points"),
+    (lambda: characteristic_curve(0.4, 0.3, 3.0), "n_points"),
+    (lambda: optimize_working_point("cop", 0.3, 1.0, coarse_points=2.5), "coarse_points"),
+])
+def test_scan_sizes_must_be_integers(call, argument):
+    with pytest.raises(ValueError, match=f"^{argument} must be an integer"):
+        call()
+
+
+def test_scan_sizes_accept_numpy_integers():
+    assert characteristic_curve(0.4, 0.3, np.int64(3)) == characteristic_curve(0.4, 0.3, 3)
+    assert (optimize_working_point("cop", 0.3, 1.0, coarse_points=np.int64(256))
+            == optimize_working_point("cop", 0.3, 1.0))
+
+
 # ---------------------------------------------------------------------------
 # working-point optimization
 # ---------------------------------------------------------------------------

@@ -212,6 +212,36 @@ def test_run_suite_rejects_a_bad_temperature(temperature):
         verify.run_suite(grid_n=2, temperature=temperature)
 
 
+@pytest.mark.parametrize("call, argument", [
+    (lambda: verify.run_suite(grid_n=1), "grid_n"),
+    (lambda: verify.run_suite(grid_n=2.5), "grid_n"),
+    (lambda: verify.run_suite(grid_n=3, discord_stride=0), "discord_stride"),
+    (lambda: verify.run_suite(grid_n=3, discord_stride=1.5), "discord_stride"),
+    (lambda: verify.standard_grid(2.5), "n"),
+    (lambda: verify.standard_grid(-1), "n"),
+])
+def test_run_suite_and_standard_grid_reject_bad_counts(call, argument):
+    with pytest.raises(ValueError, match=f"^{argument} must"):
+        call()
+
+
+def test_numpy_integer_counts_equal_int_counts():
+    assert verify.standard_grid(np.int64(3)) == verify.standard_grid(3)
+    assert verify.run_suite(np.int64(3), np.int32(2)) == verify.run_suite(3, 2)
+
+
+def test_discord_subgrid_reports_are_the_reports_run_emits():
+    # the discord classes check exactly the CorrelationReport of run
+    n, stride = 4, 3
+    points = verify.standard_grid(n, temperature=2.0)
+    grid = verify._Grid(points, n, stride)
+    index = np.arange(n ** 3).reshape(n, n, n)[::stride, ::stride, ::stride].ravel()
+    covered = [points[i] for i in index]
+    assert len(grid.discords) == len(covered) == 8
+    for report, params in zip(grid.discords, covered):
+        assert repr(report) == repr(correlations.correlation_report(params))
+
+
 def test_point_checks_share_the_suite_tolerances():
     suite = {c.name: c.tolerance for c in verify.run_suite(grid_n=2)}
     point = verify.point_checks(ProtocolParams(0.4, 0.8, 1.0))
