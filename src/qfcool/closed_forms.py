@@ -161,29 +161,24 @@ def level_splitting(eps: float, temperature: float) -> float:
     return 2.0 * temperature * math.atanh(eps)
 
 
-# Each closed form is written once, as a function of factors that depend on
-# one grid axis: a column of (eps_s, eps_a, T), with a = eps_s atanh(eps_s)
-# and y = eps_a atanh(eps_s) + eps_s atanh(eps_a), or a row of phi.  A
-# landscape builds each column and row once; a single-point function builds
-# those of its point.
+# Each closed form is written once, in ``_columns`` or ``_report``, on factors
+# of one grid axis: a column of (eps_s, eps_a, T), with a = eps_s atanh(eps_s)
+# and y = eps_a atanh(eps_s) + eps_s atanh(eps_a), or a row of phi.  A landscape
+# builds each column and row once; a single-point function reads those of its point.
 _Column = namedtuple("_Column", "eps_s eps_a temperature atanh_s atanh_a a y ea_atanh_a"
                                 " entropy_reduction cooling_load omega_s omega_a phi_crit")
 _Row = namedtuple("_Row", "phi sin sin2 cos2")
 
 
-def _factors(eps_s: float, eps_a: float) -> tuple[float, float, float, float, float]:
-    """(atanh(eps_s), atanh(eps_a), a, y, eps_a atanh(eps_a))."""
-    atanh_s, atanh_a = math.atanh(eps_s), math.atanh(eps_a)
-    return atanh_s, atanh_a, eps_s * atanh_s, eps_a * atanh_s + eps_s * atanh_a, eps_a * atanh_a
-
-
 def _columns(eps_s: float, eps_a_values, temperature: float) -> list[_Column]:
     """The column of each ancilla bias; parameters already validated."""
-    omega_s = level_splitting(eps_s, temperature)
+    omega_s, atanh_s = level_splitting(eps_s, temperature), math.atanh(eps_s)
+    a = eps_s * atanh_s
     columns = []
     for ea in eps_a_values:
-        atanh_s, atanh_a, a, y, ea_atanh_a = _factors(eps_s, ea)
-        reduction = _entropy_reduction(eps_s, ea, a, ea_atanh_a)
+        atanh_a = math.atanh(ea)
+        y, ea_atanh_a = ea * atanh_s + eps_s * atanh_a, ea * atanh_a
+        reduction = ea_atanh_a - a + 0.5 * math.log((1.0 - ea * ea) / (1.0 - eps_s * eps_s))
         columns.append(_Column(eps_s, ea, temperature, atanh_s, atanh_a, a, y, ea_atanh_a,
                                reduction, temperature * reduction, omega_s,
                                level_splitting(ea, temperature), _phi_crit(a, y)))
@@ -197,27 +192,6 @@ def _column(eps_s: float, eps_a: float, temperature: float) -> _Column:
 def _row(phi: float) -> _Row:
     s = math.sin(phi)
     return _Row(phi, s, s ** 2, math.cos(phi) ** 2)
-
-
-def _work_measurement(t: float, eps_s: float, sin2: float, atanh_s: float,
-                      ea_atanh_a: float) -> float:
-    return -t * (eps_s * sin2 * atanh_s + ea_atanh_a)
-
-
-def _work_feedback(t: float, a: float, y: float, sin: float, cos2: float) -> float:
-    return t * (y * sin - a * cos2)
-
-
-def _heat_reset(t: float, eps_s: float, eps_a: float, sin: float, atanh_a: float) -> float:
-    return t * (eps_a - eps_s * sin) * atanh_a
-
-
-def _delta_e_system(t: float, eps_s: float, eps_a: float, sin: float, atanh_s: float) -> float:
-    return -t * (eps_s - eps_a * sin) * atanh_s
-
-
-def _entropy_reduction(eps_s: float, eps_a: float, a: float, ea_atanh_a: float) -> float:
-    return ea_atanh_a - a + 0.5 * math.log((1.0 - eps_a * eps_a) / (1.0 - eps_s * eps_s))
 
 
 def _phi_crit(a: float, y: float) -> float:
@@ -236,11 +210,11 @@ def _phi_crit(a: float, y: float) -> float:
 def _report(c: _Column, r: _Row) -> ThermoReport:
     """``figures_of_merit`` of the point (column, row)."""
     t, load = c.temperature, c.cooling_load
-    q = _heat_reset(t, c.eps_s, c.eps_a, r.sin, c.atanh_a)
-    de_s = _delta_e_system(t, c.eps_s, c.eps_a, r.sin, c.atanh_s)
+    q = t * (c.eps_a - c.eps_s * r.sin) * c.atanh_a
+    de_s = -t * (c.eps_s - c.eps_a * r.sin) * c.atanh_s
     w = -de_s + q
-    w_m = _work_measurement(t, c.eps_s, r.sin2, c.atanh_s, c.ea_atanh_a)
-    w_f = _work_feedback(t, c.a, c.y, r.sin, r.cos2)
+    w_m = -t * (c.eps_s * r.sin2 * c.atanh_s + c.ea_atanh_a)
+    w_f = t * (c.y * r.sin - c.a * r.cos2)
     if not all(map(math.isfinite, (load, q, de_s, w, w_m, w_f, c.omega_s, c.omega_a))):
         raise ValueError(f"temperature {t!r} makes the cycle energies overflow")
     reversible = w / t <= REVERSIBLE_WORK_FLOOR
@@ -252,11 +226,18 @@ def _report(c: _Column, r: _Row) -> ThermoReport:
                    pc_defined, reversible)
 
 
+def figures_of_merit(params: ProtocolParams) -> ThermoReport:
+    """All energetic quantities, performance ratios and regime flags.
+
+    Raises ValueError naming the temperature when an energy or a level
+    splitting overflows; so does every single-point energy below.
+    """
+    return _report(_column(params.eps_s, params.eps_a, params.temperature), _row(params.phi))
+
+
 def work_measurement(params: ProtocolParams) -> float:
     """Energy change of the pair during the measurement unitary (<= 0)."""
-    atanh_s, _, _, _, ea_atanh_a = _factors(params.eps_s, params.eps_a)
-    return _work_measurement(params.temperature, params.eps_s, math.sin(params.phi) ** 2,
-                             atanh_s, ea_atanh_a)
+    return figures_of_merit(params).work_measurement
 
 
 def work_feedback(params: ProtocolParams) -> float:
@@ -266,9 +247,7 @@ def work_feedback(params: ProtocolParams) -> float:
     tr{H (rho_m - rho_f)}; the matrix route is the ground truth and
     ``thermo.work_feedback_matrix`` must agree to 1e-10.
     """
-    _, _, a, y, _ = _factors(params.eps_s, params.eps_a)
-    return _work_feedback(params.temperature, a, y, math.sin(params.phi),
-                          math.cos(params.phi) ** 2)
+    return figures_of_merit(params).work_feedback
 
 
 def phi_crit(params: ProtocolParams) -> float:
@@ -278,45 +257,32 @@ def phi_crit(params: ProtocolParams) -> float:
     positive); the threshold degenerates and 0.0 is returned, flagged via
     ``ThermoReport.phi_crit_defined``.
     """
-    _, _, a, y, _ = _factors(params.eps_s, params.eps_a)
-    return _phi_crit(a, y)
+    return _column(params.eps_s, params.eps_a, params.temperature).phi_crit
 
 
 def heat_reset(params: ProtocolParams) -> float:
     """Heat dumped into the bath while the ancilla relaxes back."""
-    return _heat_reset(params.temperature, params.eps_s, params.eps_a, math.sin(params.phi),
-                       math.atanh(params.eps_a))
+    return figures_of_merit(params).heat_reset
 
 
 def delta_e_system(params: ProtocolParams) -> float:
     """Drop in the register's average energy over the full cycle."""
-    return _delta_e_system(params.temperature, params.eps_s, params.eps_a, math.sin(params.phi),
-                           math.atanh(params.eps_s))
+    return figures_of_merit(params).delta_e_system
 
 
 def entropy_reduction(params: ProtocolParams) -> float:
     """Register entropy drop S(rho0_s) - S(rho_f_s), in nats (phi-independent)."""
-    _, _, a, _, ea_atanh_a = _factors(params.eps_s, params.eps_a)
-    return _entropy_reduction(params.eps_s, params.eps_a, a, ea_atanh_a)
+    return _column(params.eps_s, params.eps_a, params.temperature).entropy_reduction
 
 
 def cooling_load(params: ProtocolParams) -> float:
     """k_B T times the register entropy reduction per cycle."""
-    return params.temperature * entropy_reduction(params)
+    return figures_of_merit(params).cooling_load
 
 
 def total_work(params: ProtocolParams) -> float:
     """Net work supplied by the controller: -delta_e_system + heat_reset."""
-    return -delta_e_system(params) + heat_reset(params)
-
-
-def figures_of_merit(params: ProtocolParams) -> ThermoReport:
-    """All energetic quantities, performance ratios and regime flags.
-
-    Raises ValueError naming the temperature when an energy or a level
-    splitting overflows.
-    """
-    return _report(_column(params.eps_s, params.eps_a, params.temperature), _row(params.phi))
+    return figures_of_merit(params).total_work
 
 
 # ---------------------------------------------------------------------------
@@ -555,6 +521,8 @@ def eps_a_for_cooling_load(eps_s: float, load: float, temperature: float = 1.0,
     The load is strictly increasing in eps_a above eps_s, so the solution
     on [eps_s, 1) is unique when it exists.
     """
+    if math.isnan(load):
+        raise ValueError(f"load must be a number, got {load!r}")
     if load < 0.0:
         raise ValueError("cooling load must be nonnegative")
     _require_tolerance("tol", tol)

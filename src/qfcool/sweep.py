@@ -143,6 +143,8 @@ def landscape(grid: SweepGrid,
     discord per point; the numeric basis search is left to dedicated
     single-point calls).
     """
+    if isinstance(quantities, str):
+        raise ValueError(f"quantities must be a set of selector names, got {quantities!r}")
     unknown = set(quantities) - {"thermo", "correlations"}
     if unknown:
         raise ValueError(f"unknown quantity selectors: {sorted(unknown)}")

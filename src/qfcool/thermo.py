@@ -5,7 +5,9 @@ Each energetic quantity exists in two routes: a closed-form expression in
 ``_matrix``) computed from the actual state sequence.  Production code
 uses the closed forms; the ``*_matrix`` routes back every verification.
 The closed forms and ``figures_of_merit`` are re-exported from the
-numpy-free ``closed_forms`` module, which states their sign conventions.
+numpy-free ``closed_forms`` module, which states their sign conventions;
+each single-quantity closed form there reads one field of
+``figures_of_merit``.
 The oracles read the ``ProtocolTrace`` states through densmat's unchecked
 kernels: those states are valid by construction.
 """
@@ -71,6 +73,8 @@ def ergotropy(rho, hamiltonian) -> float:
     """
     r, populations = densmat._checked(rho)
     h = densmat.as_matrix(hamiltonian)
+    if h.shape != r.shape:
+        raise ValueError(f"dimension mismatch: {h.shape} vs {r.shape}")
     if not densmat.is_hermitian(h):
         raise ValueError("ergotropy expects a Hermitian Hamiltonian")
     return float(_ergotropy(r, h, populations))

@@ -30,6 +30,8 @@ INVOCATIONS = {
        for objective in ("cop", "eta", "chi") for fmt in _FORMATS},
     "sweep_json": ["sweep", "--format", "json"],
     "landscape_json": ["sweep", "--landscape", "--format", "json"],
+    "verify_table": ["verify"],
+    **{f"verify_{fmt}": ["verify", "--format", fmt] for fmt in _FORMATS},
 }
 
 

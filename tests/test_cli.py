@@ -317,9 +317,14 @@ def test_verify_json_document(capsys):
 
 
 def test_verify_detects_corrupted_closed_form(capsys, monkeypatch):
-    # the shared factor function behind every emitted heat_reset
-    honest = closed_forms._heat_reset
-    monkeypatch.setattr(closed_forms, "_heat_reset", lambda *args: honest(*args) + 1e-6)
+    # the one function behind every emitted ThermoReport
+    honest = closed_forms._report
+
+    def corrupted(c, r):
+        report = honest(c, r)
+        return dataclasses.replace(report, heat_reset=report.heat_reset + 1e-6)
+
+    monkeypatch.setattr(closed_forms, "_report", corrupted)
     code, out, _ = run_cli(capsys, "verify", "--grid-n", "4",
                            "--discord-stride", "4")
     assert code == 3
@@ -376,8 +381,13 @@ def test_verify_passes_at_large_temperatures(capsys, args):
 
 
 def test_run_verify_fails_on_corrupted_closed_form(capsys, monkeypatch):
-    honest = closed_forms._work_measurement
-    monkeypatch.setattr(closed_forms, "_work_measurement", lambda *args: honest(*args) - 1e-6)
+    honest = closed_forms._report
+
+    def corrupted(c, r):
+        report = honest(c, r)
+        return dataclasses.replace(report, work_measurement=report.work_measurement - 1e-6)
+
+    monkeypatch.setattr(closed_forms, "_report", corrupted)
     code, out, _ = run_cli(capsys, "run", "--eps-s", "0.4", "--eps-a", "0.8",
                            "--phi", "1.0", "--verify")
     assert code == 3

@@ -1,8 +1,10 @@
 """Every pinned command-line invocation reproduces its stdout bytes and exit code.
 
 The pins live in tests/cli_digests.json and are written only by
-tests/make_cli_digests.py.  The sweep CSV, the landscape CSV and the
-verify structure are pinned by bench/golden.json (tests/test_golden.py).
+tests/make_cli_digests.py.  The sweep CSV and the landscape CSV are
+pinned by bench/golden.json (tests/test_golden.py), which also pins the
+names, counts and verdicts of the verify checks; the verify bytes,
+deviations included, are pinned here.
 """
 
 import json

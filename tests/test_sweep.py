@@ -343,6 +343,13 @@ def test_landscape_rejects_unknown_selector():
         landscape(landscape_grid(), quantities={"thermo", "plots"})
 
 
+@pytest.mark.parametrize("quantities", ["thermo", "correlations"])
+def test_landscape_rejects_a_selector_string(quantities):
+    # a str is iterable, and would be read as a set of one-letter selectors
+    with pytest.raises(ValueError, match="^quantities must be a set of selector names"):
+        landscape(landscape_grid(), quantities=quantities)
+
+
 def test_fixed_load_figures_grow_with_phi():
     # the cooling load depends only on the biases, so a fixed load is a
     # fixed eps_a; along it the whole performance triple rises with phi
@@ -383,6 +390,7 @@ def test_separability_boundary_never_entangled():
     (lambda: optimize_working_point("cop", 0.3, 1.0, coarse_points=1), "coarse_points"),
     (lambda: eps_a_for_cooling_load(0.3, 0.1, tol=0.0), "tol"),
     (lambda: eps_a_for_cooling_load(0.3, 0.1, tol=math.nan), "tol"),
+    (lambda: eps_a_for_cooling_load(0.3, math.nan), "load"),
 ])
 def test_searches_reject_tolerances_and_scans_that_never_end(call, argument):
     with pytest.raises(ValueError, match=f"^{argument} must"):

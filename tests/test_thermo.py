@@ -254,6 +254,11 @@ def test_ergotropy_bounds_feedback_work():
                - 1.0483494030119285) <= 1e-10
 
 
+def test_ergotropy_rejects_a_dimension_mismatch():
+    with pytest.raises(ValueError, match=r"^dimension mismatch: \(4, 4\) vs \(2, 2\)$"):
+        ergotropy(np.eye(2) / 2, np.eye(4))
+
+
 # ---------------------------------------------------------------------------
 # temperature scaling and overflow
 # ---------------------------------------------------------------------------
@@ -289,8 +294,18 @@ def test_figures_of_merit_do_not_depend_on_temperature(eps_s, fraction, phi, log
 
 
 def test_figures_of_merit_reject_energy_overflow():
-    with pytest.raises(ValueError, match="temperature"):
-        figures_of_merit(ProtocolParams(0.3, 0.999999999, 1.0, 1e308))
+    params = ProtocolParams(0.3, 0.999999999, 1.0, 1e308)
+    with pytest.raises(ValueError, match="temperature") as report_error:
+        figures_of_merit(params)
+    for scalar in (work_measurement, work_feedback, heat_reset, delta_e_system, total_work,
+                   thermo.cooling_load):
+        with pytest.raises(ValueError) as error:
+            scalar(params)
+        assert str(error.value) == str(report_error.value), scalar.__name__
+    # entropy_reduction and phi_crit do not scale with T: their T = 1 values, bit for bit
+    unit = ProtocolParams(0.3, 0.999999999, 1.0)
+    for scalar in (entropy_reduction, phi_crit):
+        assert repr(scalar(params)) == repr(scalar(unit)), scalar.__name__
 
 
 # ---------------------------------------------------------------------------
