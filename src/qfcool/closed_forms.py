@@ -158,6 +158,10 @@ def level_splitting(eps: float, temperature: float) -> float:
     """Energy gap giving bias ``eps`` at ``temperature``: 2 T atanh(eps)."""
     if not 0.0 <= eps < 1.0:
         raise ValueError("eps must be in [0, 1)")
+    if not _is_finite_real(temperature):
+        raise ValueError("temperature must be a finite number")
+    if temperature <= 0.0:
+        raise ValueError("temperature must be positive")
     return 2.0 * temperature * math.atanh(eps)
 
 
@@ -171,9 +175,10 @@ _Row = namedtuple("_Row", "phi sin sin2 cos2")
 
 
 def _columns(eps_s: float, eps_a_values, temperature: float) -> list[_Column]:
-    """The column of each ancilla bias; parameters already validated."""
-    omega_s, atanh_s = level_splitting(eps_s, temperature), math.atanh(eps_s)
-    a = eps_s * atanh_s
+    """The column of each ancilla bias; parameters already validated, so the
+    level splittings are taken here as ``level_splitting`` computes them."""
+    atanh_s = math.atanh(eps_s)
+    omega_s, a = 2.0 * temperature * atanh_s, eps_s * atanh_s
     columns = []
     for ea in eps_a_values:
         atanh_a = math.atanh(ea)
@@ -181,7 +186,7 @@ def _columns(eps_s: float, eps_a_values, temperature: float) -> list[_Column]:
         reduction = ea_atanh_a - a + 0.5 * math.log((1.0 - ea * ea) / (1.0 - eps_s * eps_s))
         columns.append(_Column(eps_s, ea, temperature, atanh_s, atanh_a, a, y, ea_atanh_a,
                                reduction, temperature * reduction, omega_s,
-                               level_splitting(ea, temperature), _phi_crit(a, y)))
+                               2.0 * temperature * atanh_a, _phi_crit(a, y)))
     return columns
 
 
@@ -245,7 +250,7 @@ def work_feedback(params: ProtocolParams) -> float:
 
     Positive value = work extracted by the controller.  Equals
     tr{H (rho_m - rho_f)}; the matrix route is the ground truth and
-    ``thermo.work_feedback_matrix`` must agree to 1e-10.
+    ``thermo.matrix_oracles(params)["work_feedback"]`` must agree to 1e-10.
     """
     return figures_of_merit(params).work_feedback
 
@@ -502,9 +507,9 @@ def separability_boundary(eps_s: float, eps_a: float,
     ``sin phi > (1 - eps_a) sqrt(1 - eps_s^2) / (2 eps_s sqrt(eps_a))``.
     The temperature is validated but does not move the angle.
     """
-    if not eps_s < eps_a:
-        raise ValueError("eps_s must be strictly below eps_a")
     p = ProtocolParams(eps_s, eps_a, 0.0, temperature)  # validates the fixed parameters
+    if not p.eps_s < p.eps_a:
+        raise ValueError("eps_s must be strictly below eps_a")
     num = (1.0 - p.eps_a) * math.sqrt((1.0 - p.eps_s) * (1.0 + p.eps_s))
     den = 2.0 * p.eps_s * math.sqrt(p.eps_a)
     # The verdict compares before dividing, so eps_s = 0 and an

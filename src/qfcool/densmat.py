@@ -18,7 +18,7 @@ import numpy as np
 
 from .closed_forms import ENTROPY_CUTOFF
 
-# Default elementwise tolerance for matrix comparisons and state validation.
+# Elementwise tolerance for matrix comparisons and state validation.
 ATOL = 1e-12
 # Eigenvalues in [-PSD_CLAMP, 0) are clamped to zero; anything lower is an error.
 PSD_CLAMP = 1e-12
@@ -54,41 +54,41 @@ def _dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
-def _all_hermitian(a: np.ndarray, atol: float = ATOL) -> bool:
-    """True when every matrix of a stack ``(..., d, d)`` is Hermitian within ``atol``."""
-    return bool((np.abs(a - _dagger(a)) <= atol).all())
+def _all_hermitian(a: np.ndarray) -> bool:
+    """True when every matrix of a stack ``(..., d, d)`` is Hermitian within ``ATOL``."""
+    return bool((np.abs(a - _dagger(a)) <= ATOL).all())
 
 
-def is_hermitian(m, atol: float = ATOL) -> bool:
-    return _all_hermitian(as_matrix(m), atol)
+def is_hermitian(m) -> bool:
+    return _all_hermitian(as_matrix(m))
 
 
-def _checked(rho, atol: float = ATOL) -> tuple[np.ndarray, np.ndarray]:
+def _checked(rho) -> tuple[np.ndarray, np.ndarray]:
     """Validate a caller's density matrix; return it and its ascending eigenvalues."""
     a = as_matrix(rho)
-    if not _all_hermitian(a, atol):
+    if not _all_hermitian(a):
         raise ValueError("density matrix must be Hermitian")
-    if abs(np.trace(a) - 1.0) > atol:
+    if abs(np.trace(a) - 1.0) > ATOL:
         raise ValueError("density matrix must have unit trace")
     w = np.linalg.eigvalsh(a)
-    if w[0] < -atol:
+    if w[0] < -ATOL:
         raise ValueError(f"density matrix must be positive semidefinite (min eigenvalue {w[0]:.3e})")
     return a, w
 
 
-def validate_density_matrix(rho, atol: float = ATOL) -> np.ndarray:
+def validate_density_matrix(rho) -> np.ndarray:
     """Check Hermiticity, unit trace and positivity; return the ndarray.
 
     Raises ValueError naming the violated property.
     """
-    return _checked(rho, atol)[0]
+    return _checked(rho)[0]
 
 
-def validate_unitary(u, atol: float = ATOL) -> np.ndarray:
-    """Check U+ U = I elementwise within ``atol``; return the ndarray."""
+def validate_unitary(u) -> np.ndarray:
+    """Check U+ U = I elementwise within ``ATOL``; return the ndarray."""
     a = as_matrix(u)
     dev = np.max(np.abs(a.conj().T @ a - np.eye(a.shape[0])))
-    if dev > atol:
+    if dev > ATOL:
         raise ValueError(f"matrix is not unitary (max |U+U - I| = {dev:.3e})")
     return a
 

@@ -1,9 +1,10 @@
 """Energy balance and figures of merit for one cooling cycle.
 
-Each energetic quantity exists in two routes: a closed-form expression in
-(eps_s, eps_a, phi, T), and a matrix-oracle counterpart (suffix
-``_matrix``) computed from the actual state sequence.  Production code
-uses the closed forms; the ``*_matrix`` routes back every verification.
+Each energetic quantity exists in two routes under one name: a closed-form
+expression in (eps_s, eps_a, phi, T), read from ``figures_of_merit(params)``,
+and a matrix oracle computed from the actual state sequence, read from
+``matrix_oracles(params)``.  Production code uses the closed forms; the
+oracles back every verification.
 The closed forms and ``figures_of_merit`` are re-exported from the
 numpy-free ``closed_forms`` module, which states their sign conventions;
 each single-quantity closed form there reads one field of
@@ -108,36 +109,12 @@ def _oracles(trace: ProtocolTrace, model: EnergyModel) -> dict[str, np.ndarray]:
     }
 
 
-def _oracle(name: str, params: ProtocolParams) -> float:
+def matrix_oracles(params: ProtocolParams) -> dict[str, float]:
+    """Each closed form's matrix oracle at one point, from one protocol run.
+
+    The keys are the ``ThermoReport`` field names, so ``matrix_oracles(p)[name]``
+    is the matrix route of ``getattr(figures_of_merit(p), name)``.
+    """
     trace = protocol._run_protocols((params.eps_s,), (params.eps_a,), (params.phi,))
-    return float(_oracles(trace, _energy_models([params]))[name][0])
-
-
-def work_measurement_matrix(params: ProtocolParams) -> float:
-    """tr{H (rho0 - rho_m)} from the actual states."""
-    return _oracle("work_measurement", params)
-
-
-def work_feedback_matrix(params: ProtocolParams) -> float:
-    """tr{H (rho_m - rho_f)} from the actual states."""
-    return _oracle("work_feedback", params)
-
-
-def heat_reset_matrix(params: ProtocolParams) -> float:
-    """tr{H_A (rho_f_a - rho0_a)} from the actual marginals."""
-    return _oracle("heat_reset", params)
-
-
-def delta_e_system_matrix(params: ProtocolParams) -> float:
-    """tr{H_S (rho0_s - rho_f_s)} from the actual marginals."""
-    return _oracle("delta_e_system", params)
-
-
-def entropy_reduction_matrix(params: ProtocolParams) -> float:
-    """S(rho0_s) - S(rho_f_s) from matrix entropies."""
-    return _oracle("entropy_reduction", params)
-
-
-def total_work_matrix(params: ProtocolParams) -> float:
-    """-tr{H (rho0 - rho_f)} from the actual states."""
-    return _oracle("total_work", params)
+    return {name: float(value[0])
+            for name, value in _oracles(trace, _energy_models([params])).items()}

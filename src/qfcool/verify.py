@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import correlations, densmat, protocol, thermo
-from .closed_forms import _require_count
+from .closed_forms import _require_count, linspace
 from .protocol import ProtocolParams
 
 TOL_CLOSED_FORM = 1e-10
@@ -28,6 +28,9 @@ TOL_ENTROPY_FORM = 1e-12
 TOL_MARGINAL = 1e-12
 TOL_DISCORD_NUMERIC = 1e-6
 TOL_ROOT = 1e-9
+# Upper ends of the standard grid's bias axes.
+EPS_S_MAX = 0.9
+EPS_A_MAX = 0.95
 
 
 @dataclass(frozen=True)
@@ -44,16 +47,13 @@ class Check:
         return self.max_deviation <= self.tolerance
 
 
-def standard_grid(n: int = 12, eps_s_max: float = 0.9, eps_a_max: float = 0.95,
-                  temperature: float = 1.0) -> list[ProtocolParams]:
+def standard_grid(n: int = 12, temperature: float = 1.0) -> list[ProtocolParams]:
     """n x n x n grid (``n`` an integer >= 0) with eps_s <= eps_a, including the limit cases."""
     _require_count("n", n, 0)
-    grid = []
-    for eps_s in np.linspace(0.0, eps_s_max, n):
-        for eps_a in np.linspace(eps_s, eps_a_max, n):
-            for phi in np.linspace(0.0, math.pi / 2, n):
-                grid.append(ProtocolParams(float(eps_s), float(eps_a), float(phi), temperature))
-    return grid
+    return [ProtocolParams(eps_s, eps_a, phi, temperature)
+            for eps_s in linspace(0.0, EPS_S_MAX, n)
+            for eps_a in linspace(eps_s, EPS_A_MAX, n)
+            for phi in linspace(0.0, math.pi / 2, n)]
 
 
 class _Grid:
@@ -87,18 +87,14 @@ class _Grid:
             self.points[i].eps_s, self.points[i].phi) for i in index], numeric=True)
 
 
-def _pointwise(grid: _Grid, closed: Callable[[ProtocolParams], float],
+def _pointwise(g: _Grid, closed: Callable[[ProtocolParams, thermo.ThermoReport], float],
                matrix: np.ndarray, energy: bool = False) -> list[float]:
-    return [abs(closed(p) - m) / (p.temperature if energy else 1.0)
-            for p, m in zip(grid.points, matrix.tolist())]
+    """|closed - matrix| at each grid point, in units of T for an energy.
 
-
-def _versus_oracle(name: str, energy: bool) -> Callable[[_Grid], list[float]]:
-    """Report field ``name`` against its matrix oracle."""
-    def deviations(g: _Grid) -> list[float]:
-        return [abs(getattr(r, name) - m) / (p.temperature if energy else 1.0)
-                for p, r, m in zip(g.points, g.reports, g.oracles[name].tolist())]
-    return deviations
+    ``closed`` reads the point and its report; ``matrix`` holds one value per point.
+    """
+    return [abs(closed(p, r) - m) / (p.temperature if energy else 1.0)
+            for p, r, m in zip(g.points, g.reports, matrix.tolist())]
 
 
 def _max_abs(stack: np.ndarray) -> np.ndarray:
@@ -130,6 +126,14 @@ def _ergotropy_bound(g: _Grid) -> list[float]:
             for p, r, e in zip(g.points, g.reports, bound.tolist())]
 
 
+def _phi_crit_root(g: _Grid) -> list[float]:
+    """Feedback work at the root angle over T, at each point with eps_s > 0.  The root
+    depends on (eps_s, eps_a, T) alone: one per phi series (``g.n`` consecutive points)."""
+    roots = [ProtocolParams(p.eps_s, p.eps_a, r.phi_crit, p.temperature)
+             for p, r in zip(g.points[::g.n], g.reports[::g.n]) if p.eps_s > 0.0]
+    return [d for p in roots for d in [abs(thermo.work_feedback(p)) / p.temperature] * g.n]
+
+
 def _monotone_in_phi(field: str) -> Callable[[_Grid], list[float]]:
     """Rise of ``field`` between neighbouring phi in each (eps_s, eps_a) series."""
     def deviations(g: _Grid) -> list[float]:
@@ -143,26 +147,27 @@ def _monotone_in_phi(field: str) -> Callable[[_Grid], list[float]]:
 # Invariant classes: name -> (tolerance, deviations of the grid points the
 # class checks).  First closed form versus matrix oracle, run --verify's.
 ORACLE_CLASSES = {
-    **{name: (TOL_CLOSED_FORM, _versus_oracle(name, energy=name != "entropy_reduction"))
+    **{name: (TOL_CLOSED_FORM, lambda g, name=name: _pointwise(
+        g, lambda p, r: getattr(r, name), g.oracles[name], energy=name != "entropy_reduction"))
        for name in ("work_measurement", "work_feedback", "heat_reset", "delta_e_system",
                     "entropy_reduction", "total_work")},
-    "energy_conservation": (TOL_CLOSED_FORM, lambda g: [
-        abs(r.work_measurement + r.work_feedback + w) / p.temperature
-        for p, r, w in zip(g.points, g.reports, g.oracles["total_work"].tolist())]),
+    "energy_conservation": (TOL_CLOSED_FORM, lambda g: _pointwise(
+        g, lambda p, r: -(r.work_measurement + r.work_feedback), g.oracles["total_work"],
+        energy=True)),
     "mutual_information": (TOL_CLOSED_FORM, lambda g: _pointwise(
-        g, correlations.mutual_information_analytic, g.mutual_information)),
+        g, lambda p, r: correlations.mutual_information_analytic(p), g.mutual_information)),
     "discord_closed_form": (TOL_CLOSED_FORM, lambda g: _pointwise(
-        g, lambda p: correlations.discord_analytic(p.eps_s, p.phi),
+        g, lambda p, r: correlations.discord_analytic(p.eps_s, p.phi),
         densmat._vn_entropies(g.trace.rho_m_s) - densmat._vn_entropies(g.thermal_s))),
     "thermal_entropy": (TOL_ENTROPY_FORM, lambda g: _pointwise(
-        g, lambda p: 0.5 * math.log(4.0 / (1.0 - p.eps_a ** 2)) - p.eps_a * math.atanh(p.eps_a),
+        g, lambda p, r: 0.5 * math.log(4.0 / (1.0 - p.eps_a ** 2)) - p.eps_a * math.atanh(p.eps_a),
         densmat._vn_entropies(g.thermal_a))),
 }
 
 CLASSES = {
     **ORACLE_CLASSES,
     "purity_transfer": (TOL_CLOSED_FORM, lambda g: _pointwise(
-        g, lambda p: 0.5 * (1.0 + p.eps_a ** 2),
+        g, lambda p, r: 0.5 * (1.0 + p.eps_a ** 2),
         densmat._expectation(g.trace.rho_f_s, g.trace.rho_f_s))),
     "swap_limit": (TOL_CLOSED_FORM, _swap_limit),
     "entropy_invariance": (TOL_CLOSED_FORM, _entropy_invariance),
@@ -185,9 +190,7 @@ CLASSES = {
     "no_cooling_below_bias": (1e-12, lambda g: [
         max(0.0, r.delta_e_system) / p.temperature for p, r in zip(g.points, g.reports)
         if math.sin(p.phi) < p.eps_s]),
-    "phi_crit_root": (TOL_ROOT, lambda g: [
-        abs(thermo.work_feedback(ProtocolParams(p.eps_s, p.eps_a, r.phi_crit, p.temperature)))
-        / p.temperature for p, r in zip(g.points, g.reports) if p.eps_s > 0.0]),
+    "phi_crit_root": (TOL_ROOT, _phi_crit_root),
     **{f"{field}_monotone_phi": (1e-9, _monotone_in_phi(field))
        for field in ("cop", "eta", "chi")},
     "discord_symmetry": (TOL_DISCORD_NUMERIC, lambda g: [

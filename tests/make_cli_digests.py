@@ -32,6 +32,8 @@ INVOCATIONS = {
     "landscape_json": ["sweep", "--landscape", "--format", "json"],
     "verify_table": ["verify"],
     **{f"verify_{fmt}": ["verify", "--format", fmt] for fmt in _FORMATS},
+    "verify_grid7_t2.3_json": ["verify", "--grid-n", "7", "--discord-stride", "3",
+                               "--temperature", "2.3", "--format", "json"],
 }
 
 

@@ -181,7 +181,7 @@ def test_criterion_8_feedback_work_sign_resolution(capsys):
     params = ProtocolParams(0.4, 0.8, HALF_PI)
     y = 0.8 * math.atanh(0.4) + 0.4 * math.atanh(0.8)
     closed = work_feedback(params)
-    oracle = thermo.work_feedback_matrix(params)
+    oracle = thermo.matrix_oracles(params)["work_feedback"]
     sign_ok = abs(closed - y) <= 1e-10 and abs(oracle - y) <= 1e-10 and closed > 0
 
     # the sign change sits exactly at the threshold angle

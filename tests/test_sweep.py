@@ -423,6 +423,16 @@ def test_separability_boundary_requires_bias_gap():
         separability_boundary(0.5, 0.5)
 
 
+@pytest.mark.parametrize("eps_s, eps_a, message", [
+    (0.2, math.nan, "eps_a must be a finite number"),
+    (math.nan, 0.5, "eps_s must be a finite number"),
+    (0.5, 0.5, "eps_s must be strictly below eps_a"),
+])
+def test_separability_boundary_names_the_bad_argument(eps_s, eps_a, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        separability_boundary(eps_s, eps_a)
+
+
 def mp_boundary(eps_s, eps_a):
     """The closed-form angle at 50 digits from the same double inputs."""
     with mpmath.workdps(50):

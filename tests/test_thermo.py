@@ -10,10 +10,8 @@ from qfcool.densmat import SIGMA_Z
 from qfcool.protocol import ProtocolParams, run_protocol, thermal_qubit
 from qfcool.thermo import (
     REVERSIBLE_WORK_FLOOR, ThermoReport,
-    delta_e_system, delta_e_system_matrix, energy_model, entropy_reduction,
-    entropy_reduction_matrix, ergotropy, figures_of_merit, heat_reset,
-    heat_reset_matrix, phi_crit, total_work, total_work_matrix, work_feedback,
-    work_feedback_matrix, work_measurement, work_measurement_matrix,
+    delta_e_system, energy_model, entropy_reduction, ergotropy, figures_of_merit,
+    heat_reset, matrix_oracles, phi_crit, total_work, work_feedback, work_measurement,
 )
 
 HALF_PI = math.pi / 2
@@ -55,6 +53,18 @@ def test_hamiltonian_contraction_with_initial_state():
     assert abs(np.trace(model.hamiltonian @ rho0).real - expected) <= 1e-12
 
 
+@pytest.mark.parametrize("temperature, message", [
+    (math.nan, "temperature must be a finite number"),
+    (math.inf, "temperature must be a finite number"),
+    (0.0, "temperature must be positive"),
+    (-0.0, "temperature must be positive"),
+    (-1.0, "temperature must be positive"),
+])
+def test_level_splitting_rejects_a_bad_temperature(temperature, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        thermo.level_splitting(0.3, temperature)
+
+
 def test_energy_model_scales_with_temperature():
     hot = energy_model(ProtocolParams(0.4, 0.8, 0.0, temperature=2.5))
     assert abs(hot.omega_s - 2.5 * 2 * ATANH_04) <= 1e-15
@@ -74,11 +84,11 @@ def test_work_feedback_sign_and_values():
     # x-measurement: work extracted, equal to the cross-bias term
     p = ProtocolParams(0.4, 0.8, HALF_PI)
     assert abs(work_feedback(p) - Y_CROSS) <= 1e-12
-    assert abs(work_feedback_matrix(p) - Y_CROSS) <= 1e-10
+    assert abs(matrix_oracles(p)["work_feedback"] - Y_CROSS) <= 1e-10
     # z-measurement: work injected
     p0 = ProtocolParams(0.4, 0.8, 0.0)
     assert abs(work_feedback(p0) + 0.16945957207744072) <= 1e-12
-    assert abs(work_feedback_matrix(p0) - work_feedback(p0)) <= 1e-10
+    assert abs(matrix_oracles(p0)["work_feedback"] - work_feedback(p0)) <= 1e-10
 
 
 def test_heat_reset_values():
@@ -105,15 +115,12 @@ def test_entropy_reduction_values_and_phi_independence():
 
 def test_closed_forms_match_matrix_oracles_on_grid():
     for params in params_grid(6):
-        assert abs(work_measurement(params) - work_measurement_matrix(params)) <= 1e-10
-        assert abs(work_feedback(params) - work_feedback_matrix(params)) <= 1e-10
-        assert abs(heat_reset(params) - heat_reset_matrix(params)) <= 1e-10
-        assert abs(delta_e_system(params) - delta_e_system_matrix(params)) <= 1e-10
-        assert abs(entropy_reduction(params) - entropy_reduction_matrix(params)) <= 1e-10
-        assert abs(total_work(params) - total_work_matrix(params)) <= 1e-10
+        oracles = matrix_oracles(params)
+        for name, oracle in oracles.items():
+            assert abs(getattr(thermo, name)(params) - oracle) <= 1e-10
         # bookkeeping: energy lost by the pair equals minus the total work
         combined = work_measurement(params) + work_feedback(params)
-        assert abs(combined + total_work_matrix(params)) <= 1e-10
+        assert abs(combined + oracles["total_work"]) <= 1e-10
 
 
 def test_temperature_is_a_multiplicative_scale():

@@ -52,15 +52,16 @@ def _reference_deviations(points):
         trace = protocol.run_protocol(params)
         model = thermo.energy_model(params)
         report = thermo.figures_of_merit(params)
+        oracles = thermo.matrix_oracles(params)
         es, ea, phi, t = params.eps_s, params.eps_a, params.phi, params.temperature
         for name in ("work_measurement", "work_feedback", "heat_reset", "delta_e_system",
                      "entropy_reduction", "total_work"):
             closed = getattr(thermo, name)(params)
             unit = 1.0 if name == "entropy_reduction" else t
-            dev[name].append(abs(closed - getattr(thermo, f"{name}_matrix")(params)) / unit)
+            dev[name].append(abs(closed - oracles[name]) / unit)
         dev["energy_conservation"].append(abs(
             thermo.work_measurement(params) + thermo.work_feedback(params)
-            + thermo.total_work_matrix(params)) / t)
+            + oracles["total_work"]) / t)
         dev["mutual_information"].append(abs(
             correlations.mutual_information_analytic(params)
             - correlations.mutual_information(trace.rho_m)))
@@ -204,6 +205,32 @@ def test_run_suite_scores_the_discord_subgrid_in_few_kernel_calls(monkeypatch):
     checks = verify.run_suite(12, 3)
     assert all(c.passed for c in checks)
     assert 0 < len(calls) <= 150
+
+
+def test_phi_crit_root_evaluates_one_root_per_phi_series(monkeypatch):
+    # the root angle depends on (eps_s, eps_a, T) alone: one per series, not per point
+    grid_n, calls = 7, []
+    real = thermo.work_feedback
+    monkeypatch.setattr(thermo, "work_feedback", lambda p: calls.append(p) or real(p))
+    checks = {c.name: c for c in verify.run_suite(grid_n, 3)}
+    assert 0 < len(calls) <= grid_n ** 2
+    assert checks["phi_crit_root"].points == grid_n ** 3 - grid_n ** 2
+
+
+def test_matrix_oracles_are_named_as_the_oracle_rows():
+    names = list(thermo.matrix_oracles(ProtocolParams(0.4, 0.8, 1.0)))
+    assert names == list(verify._Grid([ProtocolParams(0.4, 0.8, 1.0)]).oracles)
+    assert names == list(verify.ORACLE_CLASSES)[:6]
+    assert set(names) <= {f.name for f in dataclasses.fields(thermo.ThermoReport)}
+
+
+def test_matrix_oracles_equal_the_stacked_oracle_rows_bit_for_bit():
+    points = verify.standard_grid(3, temperature=1.7)
+    stacks = verify._Grid(points).oracles
+    for i, params in enumerate(points):
+        oracles = thermo.matrix_oracles(params)
+        assert {name: value.hex() for name, value in oracles.items()} == {
+            name: float(stack[i]).hex() for name, stack in stacks.items()}
 
 
 @pytest.mark.parametrize("temperature", [-1.0, math.nan, math.inf])
