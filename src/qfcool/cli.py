@@ -17,7 +17,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Optional, Sequence
 
 from .closed_forms import (
     EPS_A_CLAMP, OBJECTIVES, ProtocolParams, discord_threshold, linspace, optimize_working_point,
@@ -27,7 +27,6 @@ if TYPE_CHECKING:  # annotations only: the matrix layer loads numpy
     import numpy as np
 
     from . import protocol, sweep, verify
-    from .correlations import OptimizerOptions
 
 SCHEMA_VERSION = 1
 CSV_HEADER = ("eps_s,eps_a,phi,T,P,W,Q,cop,eta,chi,"
@@ -145,12 +144,22 @@ def _check_dict(check: verify.Check) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each reads its options, merged by _Options, in the order that
+# fixes which bad value is reported first
 # ---------------------------------------------------------------------------
 
-def cmd_run(params: ProtocolParams, output_format: str, verify_checks: bool,
-            optimizer: OptimizerOptions, output: Optional[str]) -> int:
+def _radians(opts: _Options, angle: float) -> float:
+    return math.radians(angle) if opts["phi_degrees"] else angle
+
+
+def cmd_run(opts: _Options) -> int:
     from . import correlations, protocol, thermo, verify
+    params = ProtocolParams(opts["eps_s"], opts["eps_a"], _radians(opts, opts["phi"]),
+                            opts["temperature"])
+    verify_checks = opts["verify"]
+    optimizer = correlations.OptimizerOptions(
+        n_polar=opts["discord_polar"], n_azimuth=opts["discord_azimuth"],
+        objective_tol=opts["discord_tol"])
     trace = protocol.run_protocol(params)
     report = thermo.figures_of_merit(params)
     corr = correlations.correlation_report(params, opts=optimizer)
@@ -171,8 +180,8 @@ def cmd_run(params: ProtocolParams, output_format: str, verify_checks: bool,
             "max_deviation": max(c.max_deviation for c in checks),
             "passed": not failed,
         }
-    render = _json_doc if output_format == "json" else _key_value_csv
-    _emit(render(doc), output)
+    render = _json_doc if opts["format"] == "json" else _key_value_csv
+    _emit(render(doc), opts["output"])
     return 3 if failed else 0
 
 
@@ -219,11 +228,28 @@ def _boundary_csv(eps_s: float, series: Sequence[sweep.BoundaryPoint]) -> str:
     return "\n".join(["eps_s,eps_a,phi", *rows]) + "\n"
 
 
-def cmd_sweep(grid: sweep.SweepGrid, landscape_mode: bool, output_format: str,
-              output: Optional[str]) -> int:
+def cmd_sweep(opts: _Options) -> int:
     from . import sweep
+    eps_s, landscape_mode, phis = opts["eps_s"], opts["landscape"], opts["phi"]
+    if phis is not None:
+        phis = [_radians(opts, v) for v in phis]
+    elif landscape_mode:
+        if opts["n_phi"] < 1:
+            raise ValueError("n_phi must be at least 1")
+        phis = linspace(0.0, math.pi / 2, opts["n_phi"])
+    else:
+        phis = _DEFAULT_SWEEP_PHIS
+    eps_a_min = eps_s if opts["eps_a_min"] is None else opts["eps_a_min"]
+    eps_a_max, n_eps_a = opts["eps_a_max"], opts["n_eps_a"]
+    if n_eps_a < 2:
+        raise ValueError("n_eps_a must be at least 2")
+    eps_a_values = tuple(eps_a_min + (eps_a_max - eps_a_min) * i / (n_eps_a - 1)
+                         for i in range(n_eps_a))
+    grid = sweep.SweepGrid(eps_s=eps_s, phi_values=tuple(sorted(phis)),
+                           eps_a_values=eps_a_values, temperature=opts["temperature"])
     result = sweep.landscape(grid, quantities={"thermo", "correlations"})
-    if output_format == "json":
+    output = opts["output"]
+    if opts["format"] == "json":
         doc = {
             "schema_version": SCHEMA_VERSION,
             "command": "sweep",
@@ -249,21 +275,23 @@ def cmd_sweep(grid: sweep.SweepGrid, landscape_mode: bool, output_format: str,
     return 0
 
 
-def cmd_threshold(eps_s: float, output_format: str, output: Optional[str]) -> int:
+def cmd_threshold(opts: _Options) -> int:
+    eps_s = opts["eps_s"]
     value = discord_threshold(eps_s)
-    if output_format == "json":
+    if opts["format"] == "json":
         doc = {"schema_version": SCHEMA_VERSION, "command": "threshold",
                "eps_s": eps_s, "delta_min": value}
-        _emit(_json_doc(doc), output)
+        _emit(_json_doc(doc), opts["output"])
     else:
-        _emit(f"eps_s,delta_min\n{_fmt(eps_s)},{_fmt(value)}\n", output)
+        _emit(f"eps_s,delta_min\n{_fmt(eps_s)},{_fmt(value)}\n", opts["output"])
     return 0
 
 
-def cmd_optimize(objective: str, eps_s: float, phi: float, temperature: float,
-                 output_format: str, output: Optional[str]) -> int:
+def cmd_optimize(opts: _Options) -> int:
+    objective, eps_s, phi = opts["objective"], opts["eps_s"], _radians(opts, opts["phi"])
+    temperature, output = opts["temperature"], opts["output"]
     point = optimize_working_point(objective, eps_s, phi, temperature)
-    if output_format == "json":
+    if opts["format"] == "json":
         doc = {
             "schema_version": SCHEMA_VERSION,
             "command": "optimize",
@@ -286,12 +314,13 @@ def cmd_optimize(objective: str, eps_s: float, phi: float, temperature: float,
     return 0
 
 
-def cmd_verify(grid_n: int, discord_stride: int, temperature: float, output_format: str,
-               output: Optional[str]) -> int:
+def cmd_verify(opts: _Options) -> int:
     from . import verify
-    checks = verify.run_suite(grid_n=grid_n, discord_stride=discord_stride,
+    grid_n, temperature = opts["grid_n"], opts["temperature"]
+    checks = verify.run_suite(grid_n=grid_n, discord_stride=opts["discord_stride"],
                               temperature=temperature)
     failed = [c for c in checks if not c.passed]
+    output_format, output = opts["format"], opts["output"]
     if output_format == "json":
         doc = {
             "schema_version": SCHEMA_VERSION,
@@ -337,8 +366,75 @@ def cmd_verify(grid_n: int, discord_stride: int, temperature: float, output_form
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# options: each declared once; the declarations make the flags and check
+# the config file's values
 # ---------------------------------------------------------------------------
+
+_REQUIRED = object()  # the default of an option the command cannot run without
+
+
+class _Option(NamedTuple):
+    """Flag ``--name`` (dashes for underscores) and config key ``name``.  ``convert``
+    parses a config value and is the flag's type, except that ``_config_bool`` makes a
+    store_true switch and ``_config_floats`` a float flag given once per value."""
+    name: str
+    convert: Callable[[str], Any]
+    default: Any = None
+    help: Optional[str] = None
+    choices: Optional[tuple] = None
+
+
+_FLAG_KINDS = {_config_bool: {"action": "store_true"},
+               _config_floats: {"action": "append", "type": float}}
+
+_COMMON = (
+    _Option("config", str, None, "flat key = value config file; flags override it"),
+    _Option("format", str, "json", "output format (default json)", ("json", "csv")),
+    _Option("output", str, None, "output path (default stdout)"),
+    _Option("temperature", float, 1.0, "bath temperature, k_B = 1 (default 1.0)"),
+    _Option("phi_degrees", _config_bool, False, "interpret --phi values in degrees"),
+)
+
+
+def _command(handler: Callable[[_Options], int], help_text: str, *own: _Option) -> tuple:
+    """Handler, help and options of a subcommand; its own option replaces a common one in place."""
+    return handler, help_text, {option.name: option for option in (*_COMMON, *own)}
+
+
+_COMMANDS = {
+    "run": _command(
+        cmd_run, "single protocol run with full reports",
+        _Option("eps_s", float, _REQUIRED, "register bias in [0, 1)"),
+        _Option("eps_a", float, _REQUIRED, "ancilla bias in [eps_s, 1)"),
+        _Option("phi", float, _REQUIRED, "measurement angle"),
+        _Option("verify", _config_bool, False, "pair every closed form with its matrix oracle"),
+        _Option("discord_polar", int, 64, "coarse polar grid of the discord search (default 64)"),
+        _Option("discord_azimuth", int, 32, "coarse azimuth grid of the discord search (default 32)"),
+        _Option("discord_tol", float, 1e-9, "objective tolerance of the discord search (default 1e-9)")),
+    "sweep": _command(
+        cmd_sweep, "characteristic-curve or landscape data",
+        _Option("eps_s", float, 0.4),
+        _Option("phi", _config_floats, None, "measurement angle; repeat for several curves"),
+        _Option("n_phi", int, 25, "size of the phi grid in landscape mode (default 25)"),
+        _Option("eps_a_min", float, None),  # None: eps_s
+        _Option("eps_a_max", float, 1.0 - EPS_A_CLAMP),
+        _Option("n_eps_a", int, 101, "number of ancilla-bias points (default 101)"),
+        _Option("landscape", _config_bool, False, "full (phi, eps_a) grid plus boundary series")),
+    "threshold": _command(
+        cmd_threshold, "minimum discord guaranteeing cooling",
+        _Option("eps_s", float, _REQUIRED)),
+    "optimize": _command(
+        cmd_optimize, "optimal ancilla bias for a figure of merit",
+        _Option("objective", str, _REQUIRED, choices=OBJECTIVES),
+        _Option("eps_s", float, _REQUIRED),
+        _Option("phi", float, _REQUIRED)),
+    "verify": _command(
+        cmd_verify, "run the oracle/property suite on a grid",
+        _Option("format", str, "table", "output format (default table)", ("table", "json", "csv")),
+        _Option("grid_n", int, 12, "points per parameter axis (default 12)"),
+        _Option("discord_stride", int, 3, "subsampling stride of the numeric-discord checks (default 3)")),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -346,179 +442,56 @@ def build_parser() -> argparse.ArgumentParser:
         description="Single-shot quantum feedback cooling: exact simulation, "
                     "thermodynamics, correlations.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--config", help="flat key = value config file; flags override it")
-        p.add_argument("--format", choices=("json", "csv"), default=None,
-                       help="output format (default json)")
-        p.add_argument("--output", default=None, help="output path (default stdout)")
-        p.add_argument("--temperature", type=float, default=None,
-                       help="bath temperature, k_B = 1 (default 1.0)")
-        p.add_argument("--phi-degrees", action="store_true", default=None,
-                       help="interpret --phi values in degrees")
-
-    p_run = sub.add_parser("run", help="single protocol run with full reports")
-    add_common(p_run)
-    p_run.add_argument("--eps-s", type=float, default=None, help="register bias in [0, 1)")
-    p_run.add_argument("--eps-a", type=float, default=None, help="ancilla bias in [eps_s, 1)")
-    p_run.add_argument("--phi", type=float, default=None, help="measurement angle")
-    p_run.add_argument("--verify", action="store_true", default=None,
-                       help="pair every closed form with its matrix oracle")
-    p_run.add_argument("--discord-polar", type=int, default=None,
-                       help="coarse polar grid of the discord search (default 64)")
-    p_run.add_argument("--discord-azimuth", type=int, default=None,
-                       help="coarse azimuth grid of the discord search (default 32)")
-    p_run.add_argument("--discord-tol", type=float, default=None,
-                       help="objective tolerance of the discord search (default 1e-9)")
-
-    p_sweep = sub.add_parser("sweep", help="characteristic-curve or landscape data")
-    add_common(p_sweep)
-    p_sweep.add_argument("--eps-s", type=float, default=None)
-    p_sweep.add_argument("--phi", type=float, action="append", default=None,
-                         help="measurement angle; repeat for several curves")
-    p_sweep.add_argument("--n-phi", type=int, default=None,
-                         help="size of the phi grid in landscape mode (default 25)")
-    p_sweep.add_argument("--eps-a-min", type=float, default=None)
-    p_sweep.add_argument("--eps-a-max", type=float, default=None)
-    p_sweep.add_argument("--n-eps-a", type=int, default=None,
-                         help="number of ancilla-bias points (default 101)")
-    p_sweep.add_argument("--landscape", action="store_true", default=None,
-                         help="full (phi, eps_a) grid plus boundary series")
-
-    p_thr = sub.add_parser("threshold", help="minimum discord guaranteeing cooling")
-    add_common(p_thr)
-    p_thr.add_argument("--eps-s", type=float, default=None)
-
-    p_opt = sub.add_parser("optimize", help="optimal ancilla bias for a figure of merit")
-    add_common(p_opt)
-    p_opt.add_argument("--objective", choices=OBJECTIVES, default=None)
-    p_opt.add_argument("--eps-s", type=float, default=None)
-    p_opt.add_argument("--phi", type=float, default=None)
-
-    p_ver = sub.add_parser("verify", help="run the oracle/property suite on a grid")
-    add_common(p_ver)
-    p_ver.add_argument("--grid-n", type=int, default=None,
-                       help="points per parameter axis (default 12)")
-    p_ver.add_argument("--discord-stride", type=int, default=None,
-                       help="subsampling stride of the numeric-discord checks (default 3)")
-
+    for name, (_, help_text, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for option in options.values():
+            kind = _FLAG_KINDS.get(option.convert, {"type": option.convert, "choices": option.choices})
+            p.add_argument("--" + option.name.replace("_", "-"), default=None,
+                           help=option.help, **kind)
     return parser
 
 
-def _require(value, flag: str):
-    if value is None:
-        raise ValueError(f"missing required option {flag}")
-    return value
+class _Options(dict):
+    """A subcommand's option values by name, each merged when first read:
+    flag > config file > declared default."""
+
+    def __init__(self, args: argparse.Namespace, declared: dict[str, _Option]):
+        super().__init__()
+        self.args, self.declared = args, declared
+        self.config = _load_config(args.config) if args.config else {}
+
+    def __missing__(self, name: str):
+        option, value = self.declared[name], getattr(self.args, name)
+        if value is None and name in self.config:
+            try:  # the flag's own converter and choices
+                value = option.convert(self.config[name])
+                if option.choices and value not in option.choices:
+                    raise ValueError(f"invalid choice: {value!r} (choose from "
+                                     f"{', '.join(map(repr, option.choices))})")
+            except ValueError as exc:
+                raise ValueError(f"{self.args.config}: {name}: {exc}") from None
+        if value is None:
+            value = option.default
+        if value is _REQUIRED:
+            raise ValueError(f"missing required option --{name.replace('_', '-')}")
+        self[name] = value
+        return value
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-
     try:
-        config = _load_config(args.config) if args.config else {}
-
-        def get(key: str, default, convert):
-            """Merge precedence: explicit flag > config file > hard default."""
-            value = getattr(args, key, None)
-            if value is not None:
-                return value
-            if key not in config:
-                return default
-            try:
-                return convert(config[key])
-            except ValueError as exc:
-                raise ValueError(f"{args.config}: {key}: {exc}") from None
-
-        output_format = get("format", "json", str)
-        output = get("output", None, str)
-        temperature = get("temperature", 1.0, float)
-        # every command checks it as ProtocolParams does (at a point valid at any T)
-        ProtocolParams(0.0, 0.0, 0.0, temperature)
-        in_degrees = bool(get("phi_degrees", False, _config_bool))
-
-        def to_radians(value: float) -> float:
-            return math.radians(value) if in_degrees else value
-
-        if args.command == "run":
-            from .correlations import OptimizerOptions
-            params = ProtocolParams(
-                eps_s=_require(get("eps_s", None, float), "--eps-s"),
-                eps_a=_require(get("eps_a", None, float), "--eps-a"),
-                phi=to_radians(_require(get("phi", None, float), "--phi")),
-                temperature=temperature,
-            )
-            return cmd_run(
-                params=params,
-                output_format=output_format,
-                verify_checks=bool(get("verify", False, _config_bool)),
-                optimizer=OptimizerOptions(
-                    n_polar=int(get("discord_polar", 64, int)),
-                    n_azimuth=int(get("discord_azimuth", 32, int)),
-                    objective_tol=float(get("discord_tol", 1e-9, float)),
-                ),
-                output=output,
-            )
-
-        if args.command == "sweep":
-            from . import sweep
-            eps_s = float(get("eps_s", 0.4, float))
-            landscape_mode = bool(get("landscape", False, _config_bool))
-            phis = get("phi", None, _config_floats)
-            if phis is None:
-                if landscape_mode:
-                    n_phi = int(get("n_phi", 25, int))
-                    if n_phi < 1:
-                        raise ValueError("n_phi must be at least 1")
-                    phis = linspace(0.0, math.pi / 2, n_phi)
-                else:
-                    phis = list(_DEFAULT_SWEEP_PHIS)
-            else:
-                phis = [to_radians(v) for v in phis]
-            eps_a_min = float(get("eps_a_min", eps_s, float))
-            eps_a_max = float(get("eps_a_max", 1.0 - EPS_A_CLAMP, float))
-            n_eps_a = int(get("n_eps_a", 101, int))
-            if n_eps_a < 2:
-                raise ValueError("n_eps_a must be at least 2")
-            eps_a_values = [
-                eps_a_min + (eps_a_max - eps_a_min) * i / (n_eps_a - 1)
-                for i in range(n_eps_a)
-            ]
-            grid = sweep.SweepGrid(eps_s=eps_s, phi_values=tuple(sorted(phis)),
-                                   eps_a_values=tuple(eps_a_values),
-                                   temperature=temperature)
-            return cmd_sweep(grid, landscape_mode, output_format, output)
-
-        if args.command == "threshold":
-            eps_s = _require(get("eps_s", None, float), "--eps-s")
-            return cmd_threshold(float(eps_s), output_format, output)
-
-        if args.command == "optimize":
-            return cmd_optimize(
-                objective=_require(get("objective", None, str), "--objective"),
-                eps_s=float(_require(get("eps_s", None, float), "--eps-s")),
-                phi=to_radians(float(_require(get("phi", None, float), "--phi"))),
-                temperature=temperature,
-                output_format=output_format,
-                output=output,
-            )
-
-        if args.command == "verify":
-            # default is the human-readable table with a trailing one-line
-            # machine summary; --format json/csv switches representation
-            verify_format = get("format", "table", str)
-            return cmd_verify(
-                grid_n=int(get("grid_n", 12, int)),
-                discord_stride=int(get("discord_stride", 3, int)),
-                temperature=temperature,
-                output_format=verify_format,
-                output=output,
-            )
-
-        raise ValueError(f"unknown command {args.command!r}")
+        handler, _, declared = _COMMANDS[args.command]
+        opts = _Options(args, declared)
+        # every command checks these two, also where its output depends on neither:
+        # the temperature as ProtocolParams does (at a point valid at any T), and
+        # a phi_degrees from the config file as a boolean
+        ProtocolParams(0.0, 0.0, 0.0, opts["temperature"])
+        opts["phi_degrees"]
+        return handler(opts)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import densmat, protocol
 from .closed_forms import (  # re-exported
-    ProtocolParams, _discord_direct, _record, _require_count, binary_entropy, discord_analytic,
+    ProtocolParams, _record, _require_count, binary_entropy, discord_analytic,
     discord_threshold, mutual_information_analytic, thermal_entropy,
 )
 from .densmat import ID2, PAULI, SIGMA_Y
@@ -150,7 +150,8 @@ def eof_from_concurrence(c: float) -> float:
 
 def entanglement_of_formation(rho) -> float:
     """Entanglement of formation of a two-qubit state, in nats."""
-    return eof_from_concurrence(concurrence(rho))
+    r = _two_qubit_state(rho, "entanglement_of_formation")
+    return eof_from_concurrence(float(_concurrence(r)))
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +237,8 @@ def optimal_measurement(rho, measured_side: str = "A", opts: OptimizerOptions | 
     ``opts.max_iter`` levels.
     """
     _check_side(measured_side)
-    [(polar, azimuth, gain)] = _optimal_measurements([bloch_components(rho)], [measured_side], opts)
+    r = _two_qubit_state(rho, "optimal_measurement")
+    [(polar, azimuth, gain)] = _optimal_measurements([_bloch_components(r)], [measured_side], opts)
     return MeasurementBasis(polar, azimuth), gain
 
 

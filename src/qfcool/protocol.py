@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_forms import ProtocolParams, _is_finite_real  # re-exported
+from .closed_forms import ProtocolParams  # re-exported
 from .densmat import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, _dagger, _partial_trace, _tensor, tensor
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)

@@ -11,7 +11,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 from pathlib import Path
+from unittest import mock
 
 from qfcool.cli import main
 
@@ -34,13 +36,19 @@ INVOCATIONS = {
     **{f"verify_{fmt}": ["verify", "--format", fmt] for fmt in _FORMATS},
     "verify_grid7_t2.3_json": ["verify", "--grid-n", "7", "--discord-stride", "3",
                                "--temperature", "2.3", "--format", "json"],
+    "help": ["--help"],
+    **{f"help_{command}": [command, "--help"]
+       for command in ("run", "sweep", "threshold", "optimize", "verify")},
 }
 
 
 def run(argv: list[str]) -> tuple[int, str]:
-    """Exit code and sha256 of the stdout of ``qfcool.cli.main(argv)``."""
+    """Exit code and sha256 of the stdout of ``qfcool.cli.main(argv)``.
+
+    COLUMNS is fixed because argparse wraps help text to the terminal width.
+    """
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    with contextlib.redirect_stdout(out), mock.patch.dict(os.environ, {"COLUMNS": "80"}):
         code = main(list(argv))
     return code, hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
 

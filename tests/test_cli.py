@@ -428,6 +428,38 @@ def test_config_errors_name_the_file_and_key(capsys, tmp_path, line, key, messag
     assert err == f"error: {config}: {key}: {message}\n"
 
 
+@pytest.mark.parametrize("command, line, key", [
+    (("run", "--eps-s", "0.4", "--eps-a", "0.8", "--phi", "1.0"), "format = JSON", "format"),
+    (("threshold", "--eps-s", "0.4"), "format = xml", "format"),
+    (("verify", "--grid-n", "3"), "format = xml", "format"),
+    (("optimize", "--eps-s", "0.4", "--phi", "1.0"), "objective = foo", "objective"),
+], ids=["run-format", "threshold-format", "verify-format", "optimize-objective"])
+def test_config_values_are_checked_against_the_flag_choices(capsys, tmp_path, command, line, key):
+    config = tmp_path / "c.cfg"
+    config.write_text(f"{line}\n")
+    code, out, err = run_cli(capsys, *command, "--config", str(config))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {config}: {key}: invalid choice: ")
+
+
+def test_verify_table_format_can_be_requested(capsys, tmp_path):
+    config = tmp_path / "c.cfg"
+    config.write_text("format = table\n")
+    outputs = [run_cli(capsys, "verify", "--grid-n", "3", *extra)
+               for extra in ((), ("--format", "table"), ("--config", str(config)))]
+    assert outputs[0][0] == 0 and "SUMMARY" in outputs[0][1]
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+@pytest.mark.parametrize("config_line", ["", "eps_s = abc"], ids=["missing", "malformed"])
+def test_a_bad_temperature_is_reported_before_a_bad_command_option(capsys, tmp_path,
+                                                                   config_line):
+    config = tmp_path / "c.cfg"
+    config.write_text(f"{config_line}\n")
+    code, out, err = run_cli(capsys, "run", "--config", str(config), "--temperature", "-1")
+    assert (code, out, err) == (2, "", "error: temperature must be positive\n")
+
+
 def test_config_file_rejects_malformed_lines(capsys, tmp_path):
     config = tmp_path / "bad.cfg"
     config.write_text("eps-s 0.4\n")

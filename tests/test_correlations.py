@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from qfcool import correlations
+from qfcool import closed_forms, correlations
 from qfcool.correlations import (
     DiscordOptimizationError, MeasurementBasis, OptimizerOptions,
     binary_entropy, bloch_components, classical_correlations, concurrence,
@@ -339,7 +339,7 @@ def test_discord_closed_forms_match_mpmath_near_unit_bias(eps_s, phi):
         x = mpmath.mpf(eps_s) * mpmath.cos(mpmath.mpf(phi))
         exact = float(entropy(x) - entropy(mpmath.mpf(eps_s)))
     assert abs(discord_analytic(eps_s, phi) - exact) <= 1e-12
-    assert abs(correlations._discord_direct(eps_s, eps_s * math.cos(phi)) - exact) <= 1e-12
+    assert abs(closed_forms._discord_direct(eps_s, eps_s * math.cos(phi)) - exact) <= 1e-12
 
 
 def test_discord_analytic_ignores_ancilla_bias_by_signature():

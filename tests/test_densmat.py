@@ -234,6 +234,9 @@ _CALLER_MATRIX_FUNCTIONS = {
     "mutual_information": correlations.mutual_information,
     "bloch_components": correlations.bloch_components,
     "discord_numeric": correlations.discord_numeric,
+    "optimal_measurement": correlations.optimal_measurement,
+    "classical_correlations": correlations.classical_correlations,
+    "entanglement_of_formation": correlations.entanglement_of_formation,
 }
 
 
@@ -242,6 +245,14 @@ _CALLER_MATRIX_FUNCTIONS = {
 def test_public_functions_reject_invalid_states(function, message, state):
     with pytest.raises(ValueError, match=message):
         _CALLER_MATRIX_FUNCTIONS[function](state)
+
+
+@pytest.mark.parametrize("function", [
+    "partial_trace", "concurrence", "mutual_information", "bloch_components", "discord_numeric",
+    "optimal_measurement", "classical_correlations", "entanglement_of_formation"])
+def test_two_qubit_functions_name_themselves_when_given_one_qubit(function):
+    with pytest.raises(ValueError, match=f"^{function} expects a 4x4 density matrix$"):
+        _CALLER_MATRIX_FUNCTIONS[function](np.eye(2) / 2)
 
 
 def test_tensor_is_bit_identical_to_kron(rng):
