@@ -16,8 +16,11 @@ import argparse
 import json
 import math
 import sys
+from operator import attrgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Optional, Sequence
+from typing import (
+    TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence,
+)
 
 from .closed_forms import (
     EPS_A_CLAMP, OBJECTIVES, ProtocolParams, discord_threshold, linspace, optimize_working_point,
@@ -33,24 +36,48 @@ CSV_HEADER = ("eps_s,eps_a,phi,T,P,W,Q,cop,eta,chi,"
               "in_cooling_window,work_extracting,discord,mutual_info,concurrence,eof")
 
 _DEFAULT_SWEEP_PHIS = (0.0, math.pi / 4, 2 * math.pi / 5)
+# The CSV columns of a sweep point after eps_s, eps_a, phi and T.
+_THERMO_COLUMNS = attrgetter("cooling_load", "total_work", "heat_reset", "cop", "eta", "chi",
+                             "in_cooling_window", "work_extracting_feedback")
+_CORRELATION_COLUMNS = attrgetter("discord_analytic", "mutual_info", "concurrence", "eof")
 
 
 # ---------------------------------------------------------------------------
 # formatting
 # ---------------------------------------------------------------------------
 
-def _fmt(value: Optional[float]) -> str:
-    """12-significant-digit decimal; empty field for undefined values."""
-    if value is None:
-        return ""
-    value = float(value)
-    if value == 0.0:
-        value = 0.0  # normalize -0.0
-    return format(value, ".12g")
+def _field(value: Any) -> str:
+    """One CSV field: a number to 12 significant digits (-0 written as 0), a bool
+    as true/false, a str as is and None (an undefined value) as an empty field."""
+    if type(value) is not float:  # a float skips these: a 25x101 landscape CSV has 40,400
+        if value is None:
+            return ""
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if isinstance(value, str):
+            return value
+        value = float(value)
+    return format(value or 0.0, ".12g")  # -0.0 is falsy: written as 0
 
 
-def _fmt_bool(value: bool) -> str:
-    return "true" if value else "false"
+def _csv(header: str, rows: Iterable[Sequence]) -> str:
+    """The header line, then one line of ``_field``s per row."""
+    return "\n".join([header, *(",".join(map(_field, row)) for row in rows)]) + "\n"
+
+
+def _flatten(prefix: str, value: Any) -> Iterator[tuple[str, Any]]:
+    """(dotted key, leaf) rows of a document, keys sorted; a list of numbers is one
+    ';'-joined leaf."""
+    if isinstance(value, dict):
+        for key in sorted(value):
+            yield from _flatten(f"{prefix}.{key}" if prefix else key, value[key])
+    elif isinstance(value, (list, tuple)) and any(isinstance(v, dict) for v in value):
+        for index, item in enumerate(value):
+            yield from _flatten(f"{prefix}.{index}", item)
+    elif isinstance(value, (list, tuple)):
+        yield prefix, ";".join(map(_field, value))
+    else:
+        yield prefix, value
 
 
 def _emit(text: str, output: Optional[str]) -> None:
@@ -60,31 +87,13 @@ def _emit(text: str, output: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+def _envelope(command: str, **fields: Any) -> dict:
+    """The document of ``command``: its fields under the schema version and command name."""
+    return {"schema_version": SCHEMA_VERSION, "command": command, **fields}
+
+
 def _json_doc(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def _flatten(prefix: str, value, rows: list[tuple[str, str]]) -> None:
-    if isinstance(value, dict):
-        for key in sorted(value):
-            _flatten(f"{prefix}.{key}" if prefix else key, value[key], rows)
-    elif isinstance(value, (list, tuple)) and any(isinstance(v, dict) for v in value):
-        for index, item in enumerate(value):
-            _flatten(f"{prefix}.{index}", item, rows)
-    elif isinstance(value, (list, tuple)):
-        rows.append((prefix, ";".join(_fmt(v) for v in value)))
-    elif isinstance(value, bool):
-        rows.append((prefix, _fmt_bool(value)))
-    elif value is None or isinstance(value, (int, float)):
-        rows.append((prefix, _fmt(value)))
-    else:
-        rows.append((prefix, str(value)))
-
-
-def _key_value_csv(doc: dict) -> str:
-    rows: list[tuple[str, str]] = []
-    _flatten("", doc, rows)
-    return "key,value\n" + "\n".join(f"{k},{v}" for k, v in rows) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -144,35 +153,26 @@ def _check_dict(check: verify.Check) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each reads its options, merged by _Options, in the order that
-# fixes which bad value is reported first
+# subcommands: each takes its options, merged by _merge
 # ---------------------------------------------------------------------------
 
-def _radians(opts: _Options, angle: float) -> float:
+def _radians(opts: dict, angle: float) -> float:
     return math.radians(angle) if opts["phi_degrees"] else angle
 
 
-def cmd_run(opts: _Options) -> int:
+def cmd_run(opts: dict) -> int:
     from . import correlations, protocol, thermo, verify
     params = ProtocolParams(opts["eps_s"], opts["eps_a"], _radians(opts, opts["phi"]),
                             opts["temperature"])
-    verify_checks = opts["verify"]
     optimizer = correlations.OptimizerOptions(
         n_polar=opts["discord_polar"], n_azimuth=opts["discord_azimuth"],
         objective_tol=opts["discord_tol"])
-    trace = protocol.run_protocol(params)
-    report = thermo.figures_of_merit(params)
-    corr = correlations.correlation_report(params, opts=optimizer)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "run",
-        "params": dict(vars(params)),
-        "trace": _trace_summary(trace),
-        "thermo": dict(vars(report)),
-        "correlations": dict(vars(corr)),
-    }
+    doc = _envelope(
+        "run", params=dict(vars(params)), trace=_trace_summary(protocol.run_protocol(params)),
+        thermo=dict(vars(thermo.figures_of_merit(params))),
+        correlations=dict(vars(correlations.correlation_report(params, opts=optimizer))))
     failed = False
-    if verify_checks:
+    if opts["verify"]:
         checks = verify.point_checks(params)
         failed = any(not c.passed for c in checks)
         doc["verification"] = {
@@ -180,8 +180,8 @@ def cmd_run(opts: _Options) -> int:
             "max_deviation": max(c.max_deviation for c in checks),
             "passed": not failed,
         }
-    render = _json_doc if opts["format"] == "json" else _key_value_csv
-    _emit(render(doc), opts["output"])
+    _emit(_json_doc(doc) if opts["format"] == "json" else _csv("key,value", _flatten("", doc)),
+          opts["output"])
     return 3 if failed else 0
 
 
@@ -206,29 +206,7 @@ def _point_doc(point: sweep.CurvePoint) -> dict:
     return doc
 
 
-def _sweep_csv_rows(eps_s: float, temperature: float,
-                    points: Sequence[sweep.CurvePoint]) -> str:
-    lines = [CSV_HEADER]
-    for point in points:
-        th = point.thermo
-        corr = point.correlations
-        lines.append(",".join([
-            _fmt(eps_s), _fmt(point.eps_a), _fmt(point.phi), _fmt(temperature),
-            _fmt(th.cooling_load), _fmt(th.total_work), _fmt(th.heat_reset),
-            _fmt(th.cop), _fmt(th.eta), _fmt(th.chi),
-            _fmt_bool(th.in_cooling_window), _fmt_bool(th.work_extracting_feedback),
-            _fmt(corr.discord_analytic), _fmt(corr.mutual_info),
-            _fmt(corr.concurrence), _fmt(corr.eof),
-        ]))
-    return "\n".join(lines) + "\n"
-
-
-def _boundary_csv(eps_s: float, series: Sequence[sweep.BoundaryPoint]) -> str:
-    rows = [f"{_fmt(eps_s)},{_fmt(p.eps_a)},{_fmt(p.phi)}" for p in series]
-    return "\n".join(["eps_s,eps_a,phi", *rows]) + "\n"
-
-
-def cmd_sweep(opts: _Options) -> int:
+def cmd_sweep(opts: dict) -> int:
     from . import sweep
     eps_s, landscape_mode, phis = opts["eps_s"], opts["landscape"], opts["phi"]
     if phis is not None:
@@ -250,94 +228,67 @@ def cmd_sweep(opts: _Options) -> int:
     result = sweep.landscape(grid, quantities={"thermo", "correlations"})
     output = opts["output"]
     if opts["format"] == "json":
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "sweep",
-            "grid": _grid_doc(grid),
-            "points": [_point_doc(p) for p in result.points],
-        }
+        doc = _envelope("sweep", grid=_grid_doc(grid), points=[_point_doc(p) for p in result.points])
         if landscape_mode:
             doc["cooling_window_boundary"] = [b._asdict() for b in result.cooling_window_boundary]
             doc["work_extraction_boundary"] = [b._asdict() for b in result.work_extraction_boundary]
         _emit(_json_doc(doc), output)
         return 0
-    _emit(_sweep_csv_rows(grid.eps_s, grid.temperature, result.points), output)
+    eps_s, temperature = grid.eps_s, grid.temperature
+    _emit(_csv(CSV_HEADER, [(eps_s, p.eps_a, p.phi, temperature, *_THERMO_COLUMNS(p.thermo),
+                             *_CORRELATION_COLUMNS(p.correlations)) for p in result.points]),
+          output)
     if landscape_mode:
         if output:
             base = Path(output)
-            base.with_name(f"{base.stem}_cooling_boundary.csv").write_text(
-                _boundary_csv(grid.eps_s, result.cooling_window_boundary), encoding="utf-8")
-            base.with_name(f"{base.stem}_work_boundary.csv").write_text(
-                _boundary_csv(grid.eps_s, result.work_extraction_boundary), encoding="utf-8")
+            for name, series in (("cooling", result.cooling_window_boundary),
+                                 ("work", result.work_extraction_boundary)):
+                base.with_name(f"{base.stem}_{name}_boundary.csv").write_text(
+                    _csv("eps_s,eps_a,phi", [(eps_s, b.eps_a, b.phi) for b in series]),
+                    encoding="utf-8")
         else:
             print("note: boundary series need --output in csv mode (or use --format json)",
                   file=sys.stderr)
     return 0
 
 
-def cmd_threshold(opts: _Options) -> int:
+def cmd_threshold(opts: dict) -> int:
     eps_s = opts["eps_s"]
     value = discord_threshold(eps_s)
-    if opts["format"] == "json":
-        doc = {"schema_version": SCHEMA_VERSION, "command": "threshold",
-               "eps_s": eps_s, "delta_min": value}
-        _emit(_json_doc(doc), opts["output"])
-    else:
-        _emit(f"eps_s,delta_min\n{_fmt(eps_s)},{_fmt(value)}\n", opts["output"])
+    _emit(_json_doc(_envelope("threshold", eps_s=eps_s, delta_min=value))
+          if opts["format"] == "json" else _csv("eps_s,delta_min", [(eps_s, value)]),
+          opts["output"])
     return 0
 
 
-def cmd_optimize(opts: _Options) -> int:
+def cmd_optimize(opts: dict) -> int:
     objective, eps_s, phi = opts["objective"], opts["eps_s"], _radians(opts, opts["phi"])
-    temperature, output = opts["temperature"], opts["output"]
+    temperature = opts["temperature"]
     point = optimize_working_point(objective, eps_s, phi, temperature)
     if opts["format"] == "json":
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "optimize",
-            "objective": objective,
-            "eps_s": eps_s,
-            "phi": phi,
-            "temperature": temperature,
-            "working_point": dict(vars(point)),
-        }
-        _emit(_json_doc(doc), output)
+        text = _json_doc(_envelope("optimize", objective=objective, eps_s=eps_s, phi=phi,
+                               temperature=temperature, working_point=dict(vars(point))))
     else:
-        header = "objective,eps_s,phi,T,eps_a_star,objective_value,cooling_load_star,at_boundary,degenerate"
-        row = ",".join([
-            objective, _fmt(eps_s), _fmt(phi), _fmt(temperature),
-            _fmt(point.eps_a_star), _fmt(point.objective_value),
-            _fmt(point.cooling_load_star), point.at_boundary or "",
-            _fmt_bool(point.degenerate),
-        ])
-        _emit(f"{header}\n{row}\n", output)
+        text = _csv("objective,eps_s,phi,T,eps_a_star,objective_value,cooling_load_star,"
+                    "at_boundary,degenerate",
+                    [(objective, eps_s, phi, temperature, point.eps_a_star, point.objective_value,
+                      point.cooling_load_star, point.at_boundary, point.degenerate)])
+    _emit(text, opts["output"])
     return 0
 
 
-def cmd_verify(opts: _Options) -> int:
+def cmd_verify(opts: dict) -> int:
     from . import verify
     grid_n, temperature = opts["grid_n"], opts["temperature"]
     checks = verify.run_suite(grid_n=grid_n, discord_stride=opts["discord_stride"],
                               temperature=temperature)
     failed = [c for c in checks if not c.passed]
-    output_format, output = opts["format"], opts["output"]
-    if output_format == "json":
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "verify",
-            "grid_n": grid_n,
-            "temperature": temperature,
-            "checks": [_check_dict(c) for c in checks],
-            "passed": not failed,
-        }
-        _emit(_json_doc(doc), output)
-    elif output_format == "csv":
-        lines = ["name,points,max_deviation,tolerance,passed"]
-        for c in checks:
-            lines.append(",".join([
-                c.name, str(c.points), _fmt(c.max_deviation), _fmt(c.tolerance),
-                _fmt_bool(c.passed)]))
-        _emit("\n".join(lines) + "\n", output)
+    if opts["format"] == "json":
+        text = _json_doc(_envelope("verify", grid_n=grid_n, temperature=temperature,
+                               checks=[_check_dict(c) for c in checks], passed=not failed))
+    elif opts["format"] == "csv":
+        text = _csv("name,points,max_deviation,tolerance,passed",
+                    [(c.name, c.points, c.max_deviation, c.tolerance, c.passed) for c in checks])
     else:
         width = max(len(c.name) for c in checks)
         lines = [f"{'check'.ljust(width)}  points  max deviation  tolerance  status"]
@@ -361,7 +312,8 @@ def cmd_verify(opts: _Options) -> int:
             "failed": len(failed),
             "worst": _check_dict(worst),
         }, sort_keys=True))
-        _emit("\n".join(lines) + "\n", output)
+        text = "\n".join(lines) + "\n"
+    _emit(text, opts["output"])
     return 3 if failed else 0
 
 
@@ -396,7 +348,7 @@ _COMMON = (
 )
 
 
-def _command(handler: Callable[[_Options], int], help_text: str, *own: _Option) -> tuple:
+def _command(handler: Callable[[dict], int], help_text: str, *own: _Option) -> tuple:
     """Handler, help and options of a subcommand; its own option replaces a common one in place."""
     return handler, help_text, {option.name: option for option in (*_COMMON, *own)}
 
@@ -451,31 +403,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-class _Options(dict):
-    """A subcommand's option values by name, each merged when first read:
-    flag > config file > declared default."""
+def _merge(args: argparse.Namespace, declared: dict[str, _Option]) -> dict[str, Any]:
+    """Every option the command declares, by name: flag > config file > declared default.
 
-    def __init__(self, args: argparse.Namespace, declared: dict[str, _Option]):
-        super().__init__()
-        self.args, self.declared = args, declared
-        self.config = _load_config(args.config) if args.config else {}
-
-    def __missing__(self, name: str):
-        option, value = self.declared[name], getattr(self.args, name)
-        if value is None and name in self.config:
+    A config value goes through its flag's converter and choices.  The options
+    are merged in a fixed order, and the first bad one is reported: the
+    temperature, checked as ProtocolParams checks it (at a point valid at any T,
+    so also where the output does not depend on it); phi_degrees; the command's
+    own options; the other common ones.
+    """
+    config = _load_config(args.config) if args.config else {}
+    common = [option.name for option in _COMMON]
+    opts: dict[str, Any] = {}
+    for name in dict.fromkeys(["temperature", "phi_degrees",
+                               *(own for own in declared if own not in common), *common]):
+        option, value = declared[name], getattr(args, name)
+        if value is None and name in config:
             try:  # the flag's own converter and choices
-                value = option.convert(self.config[name])
+                value = option.convert(config[name])
                 if option.choices and value not in option.choices:
                     raise ValueError(f"invalid choice: {value!r} (choose from "
                                      f"{', '.join(map(repr, option.choices))})")
             except ValueError as exc:
-                raise ValueError(f"{self.args.config}: {name}: {exc}") from None
+                raise ValueError(f"{args.config}: {name}: {exc}") from None
         if value is None:
             value = option.default
         if value is _REQUIRED:
             raise ValueError(f"missing required option --{name.replace('_', '-')}")
-        self[name] = value
-        return value
+        if name == "temperature":
+            ProtocolParams(0.0, 0.0, 0.0, value)
+        opts[name] = value
+    return opts
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -485,13 +443,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         handler, _, declared = _COMMANDS[args.command]
-        opts = _Options(args, declared)
-        # every command checks these two, also where its output depends on neither:
-        # the temperature as ProtocolParams does (at a point valid at any T), and
-        # a phi_degrees from the config file as a boolean
-        ProtocolParams(0.0, 0.0, 0.0, opts["temperature"])
-        opts["phi_degrees"]
-        return handler(opts)
+        return handler(_merge(args, declared))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -160,7 +160,8 @@ ORACLE_CLASSES = {
         g, lambda p, r: correlations.discord_analytic(p.eps_s, p.phi),
         densmat._vn_entropies(g.trace.rho_m_s) - densmat._vn_entropies(g.thermal_s))),
     "thermal_entropy": (TOL_ENTROPY_FORM, lambda g: _pointwise(
-        g, lambda p, r: 0.5 * math.log(4.0 / (1.0 - p.eps_a ** 2)) - p.eps_a * math.atanh(p.eps_a),
+        g, lambda p, r: (math.log(2.0) - 0.5 * (math.log1p(-p.eps_a) + math.log1p(p.eps_a))
+                         - p.eps_a * math.atanh(p.eps_a)),
         densmat._vn_entropies(g.thermal_a))),
 }
 
@@ -171,8 +172,10 @@ CLASSES = {
         densmat._expectation(g.trace.rho_f_s, g.trace.rho_f_s))),
     "swap_limit": (TOL_CLOSED_FORM, _swap_limit),
     "entropy_invariance": (TOL_CLOSED_FORM, _entropy_invariance),
-    "reset_marginals": (TOL_MARGINAL, lambda g: _max_abs(
-        g.trace.rho_reset - densmat._tensor(g.trace.rho_f_s, g.thermal_a)).tolist()),
+    # the reset keeps the register's marginal and gives the ancilla its initial state back
+    "reset_marginals": (TOL_MARGINAL, lambda g: np.maximum(
+        _max_abs(densmat._partial_trace(g.trace.rho_reset, "S") - g.trace.rho_f_s),
+        _max_abs(densmat._partial_trace(g.trace.rho_reset, "A") - g.trace.rho0_a)).tolist()),
     "post_measurement_ancilla_marginal": (TOL_MARGINAL, _ancilla_marginal),
     "work_positive": (0.0, lambda g: [
         max(0.0, -r.total_work) / p.temperature for p, r in zip(g.points, g.reports)

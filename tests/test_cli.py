@@ -79,6 +79,14 @@ def test_run_verify_reports_oracle_deviations(capsys):
             "discord_closed_form"} <= names
 
 
+@pytest.mark.parametrize("eps_a", ["0.999999", "0.9999999"])
+def test_run_verify_passes_near_unit_ancilla_bias(capsys, eps_a):
+    code, out, _ = run_cli(capsys, "run", "--eps-s", "0.3", "--eps-a", eps_a, "--phi", "1.2",
+                           "--verify")
+    assert code == 0
+    assert json.loads(out)["verification"]["passed"] is True
+
+
 def test_run_missing_option_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "run", "--eps-s", "0.4", "--eps-a", "0.8")
     assert code == 2
@@ -426,6 +434,16 @@ def test_config_errors_name_the_file_and_key(capsys, tmp_path, line, key, messag
     code, out, err = run_cli(capsys, "run", "--config", str(config))
     assert (code, out) == (2, "")
     assert err == f"error: {config}: {key}: {message}\n"
+
+
+@pytest.mark.parametrize("flags", [(), ("--phi", "1.0")], ids=["curves", "explicit-phi"])
+def test_config_values_are_checked_where_the_mode_does_not_read_them(capsys, tmp_path, flags):
+    # n_phi sizes the phi axis of a landscape only
+    config = tmp_path / "c.cfg"
+    config.write_text("n_phi = abc\n")
+    code, out, err = run_cli(capsys, "sweep", *flags, "--config", str(config))
+    assert (code, out) == (2, "")
+    assert err == f"error: {config}: n_phi: invalid literal for int() with base 10: 'abc'\n"
 
 
 @pytest.mark.parametrize("command, line, key", [

@@ -23,11 +23,13 @@ from qfcool.cli import main
 
 HALF_PI = math.pi / 2
 CLAMP = 1.0 - closed_forms.EPS_A_CLAMP
-# ``run --verify`` exits 3 from eps_a = 1 - 1e-6 up to the clamp: the entropy
-# closed forms lose about 2.5e-10 to cancellation there (ROADMAP item 2).
-# These properties keep that known defect visible instead of drawing around it.
-CANCELLATION_EDGE = 1.0 - 1e-5
-CANCELLATION_CLASSES = {"entropy_reduction", "thermal_entropy"}
+# ``run --verify`` can exit 3 from eps_a = 1 - 1.4e-7 up to the clamp: the
+# entropy-reduction closed form loses up to about 1e-9 to cancellation there (ROADMAP
+# item 3).  Below 1 - 1e-6 a scan of 1,500 eps_a values by 204 eps_s values in
+# [0, 0.999] found at most 0.13 of its tolerance.  These properties keep that
+# known defect visible instead of drawing around it.
+CANCELLATION_EDGE = 1.0 - 1e-6
+CANCELLATION_CLASSES = {"entropy_reduction"}
 
 temperatures = st.one_of(st.sampled_from([1e-300, 1.0, 1e300]),
                          st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e))

@@ -69,7 +69,7 @@ def _reference_deviations(points):
             correlations.discord_analytic(es, phi)
             - (densmat.vn_entropy(trace.rho_m_s) - densmat.vn_entropy(protocol.thermal_qubit(es)))))
         dev["thermal_entropy"].append(abs(
-            0.5 * math.log(4.0 / (1.0 - ea ** 2)) - ea * math.atanh(ea)
+            math.log(2.0) - 0.5 * (math.log1p(-ea) + math.log1p(ea)) - ea * math.atanh(ea)
             - densmat.vn_entropy(protocol.thermal_qubit(ea))))
         dev["purity_transfer"].append(abs(densmat.purity(trace.rho_f_s) - 0.5 * (1.0 + ea ** 2)))
         if abs(phi - math.pi / 2) < 1e-12:
@@ -79,8 +79,9 @@ def _reference_deviations(points):
         s0 = densmat.vn_entropy(trace.rho0)
         dev["entropy_invariance"].append(max(abs(densmat.vn_entropy(trace.rho_m) - s0),
                                              abs(densmat.vn_entropy(trace.rho_f) - s0)))
-        expected_reset = densmat.tensor(trace.rho_f_s, protocol.thermal_qubit(ea))
-        dev["reset_marginals"].append(float(np.max(np.abs(trace.rho_reset - expected_reset))))
+        dev["reset_marginals"].append(max(
+            float(np.max(np.abs(densmat.partial_trace(trace.rho_reset, "S") - trace.rho_f_s))),
+            float(np.max(np.abs(densmat.partial_trace(trace.rho_reset, "A") - trace.rho0_a)))))
         z = densmat.expectation(densmat.SIGMA_Z, trace.rho_m_a)
         x = densmat.expectation(densmat.SIGMA_X, trace.rho_m_a)
         dev["post_measurement_ancilla_marginal"].append(
@@ -156,6 +157,7 @@ def test_run_suite_passes_at_any_temperature(temperature):
 
 # run_suite(4, 2, 1.0) before energy deviations were taken in units of T
 # and before the discord search was stacked: (name, points, max_deviation).
+# reset_marginals is the later partial-trace check.
 SUITE_4_2 = [
     ("work_measurement", 64, 6.661338147750939e-16),
     ("work_feedback", 64, 1.3322676295501878e-15),
@@ -170,7 +172,7 @@ SUITE_4_2 = [
     ("purity_transfer", 64, 8.881784197001252e-16),
     ("swap_limit", 16, 4.440892098500626e-16),
     ("entropy_invariance", 64, 1.27675647831893e-15),
-    ("reset_marginals", 64, 0.0),
+    ("reset_marginals", 64, 5.551115123125783e-16),
     ("post_measurement_ancilla_marginal", 64, 3.3306690738754696e-16),
     ("work_positive", 48, 0.0),
     ("heat_bounds_load", 64, 0.0),
@@ -231,6 +233,32 @@ def test_matrix_oracles_equal_the_stacked_oracle_rows_bit_for_bit():
         oracles = thermo.matrix_oracles(params)
         assert {name: value.hex() for name, value in oracles.items()} == {
             name: float(stack[i]).hex() for name, stack in stacks.items()}
+
+
+def _perturbed_reset_state(real):
+    # rho_reset off by 1e-9 on two diagonal entries: both its marginals move
+    def run_protocols(*columns):
+        trace = real(*columns)
+        return dataclasses.replace(
+            trace, rho_reset=trace.rho_reset + np.diag([1e-9, 0.0, 0.0, -1e-9]))
+    return run_protocols
+
+
+def _perturbed_reset_ancilla(real):
+    # the reset hands the ancilla a thermal state 1e-9 off in bias, as the
+    # expression the reset is built from would if it were wrong
+    return lambda eps: real(np.asarray(eps) + 1e-9)
+
+
+@pytest.mark.parametrize("target, perturbed", [
+    ("_run_protocols", _perturbed_reset_state),
+    ("_thermal_qubits", _perturbed_reset_ancilla),
+], ids=["state", "ancilla"])
+def test_reset_marginals_fails_on_a_perturbed_reset(monkeypatch, target, perturbed):
+    monkeypatch.setattr(protocol, target, perturbed(getattr(protocol, target)))
+    checks = {c.name: c for c in verify.run_suite(grid_n=3)}
+    assert not checks["reset_marginals"].passed
+    assert 1e-10 < checks["reset_marginals"].max_deviation < 2e-9
 
 
 @pytest.mark.parametrize("temperature", [-1.0, math.nan, math.inf])
@@ -314,7 +342,7 @@ SUITE_4_2_REPR = [
     ("purity_transfer", 64, "8.881784197001252e-16"),
     ("swap_limit", 16, "4.440892098500626e-16"),
     ("entropy_invariance", 64, "1.27675647831893e-15"),
-    ("reset_marginals", 64, "0.0"),
+    ("reset_marginals", 64, "5.551115123125783e-16"),
     ("post_measurement_ancilla_marginal", 64, "3.3306690738754696e-16"),
     ("work_positive", 48, "0.0"),
     ("heat_bounds_load", 64, "0.0"),
@@ -342,7 +370,7 @@ POINT_CHECKS_REPR = {
         ("energy_conservation", "2.220446049250313e-16"),
         ("mutual_information", "0.0"),
         ("discord_closed_form", "0.0"),
-        ("thermal_entropy", "0.0"),
+        ("thermal_entropy", "2.220446049250313e-16"),
     ],
     (0.3, 0.999999999, 1.2, 1.0): [
         ("work_measurement", "1.7763568394002505e-15"),
@@ -354,7 +382,7 @@ POINT_CHECKS_REPR = {
         ("energy_conservation", "0.0"),
         ("mutual_information", "5.551115123125783e-16"),
         ("discord_closed_form", "1.1102230246251565e-16"),
-        ("thermal_entropy", "2.499994748638957e-10"),
+        ("thermal_entropy", "3.42357222655675e-16"),
     ],
     (0.5, 0.5, math.pi / 2, 1e300): [
         ("work_measurement", "0.0"),
