@@ -4,7 +4,10 @@ Subcommands: run | sweep | optimize | threshold | verify.
 Exit codes: 0 ok, 2 usage/domain error, 3 verification failure.
 
 Output is deterministic: identical invocations produce byte-identical
-documents; every command runs in-process.  Angles are radians unless
+documents; every command runs in-process.  The sweep CSV columns are
+declared once, in ``_SWEEP_COLUMNS``; the other CSV headers are the keys
+of the records their rows come from (``run`` writes ``key,value`` rows
+of its flattened document).  Angles are radians unless
 --phi-degrees is given.  ``threshold`` and ``optimize`` run on the
 numpy-free ``closed_forms`` module alone; ``run``, ``sweep`` and
 ``verify`` import the matrix layer (and numpy) when they start.
@@ -16,11 +19,10 @@ import argparse
 import json
 import math
 import sys
+from collections import namedtuple
 from operator import attrgetter
 from pathlib import Path
-from typing import (
-    TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence,
-)
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .closed_forms import (
     EPS_A_CLAMP, OBJECTIVES, ProtocolParams, discord_threshold, linspace, optimize_working_point,
@@ -32,14 +34,24 @@ if TYPE_CHECKING:  # annotations only: the matrix layer loads numpy
     from . import protocol, sweep, verify
 
 SCHEMA_VERSION = 1
-CSV_HEADER = ("eps_s,eps_a,phi,T,P,W,Q,cop,eta,chi,"
-              "in_cooling_window,work_extracting,discord,mutual_info,concurrence,eof")
+
+# The sweep CSV, declared once: each column and the _SweepPoint attribute it writes.
+_SWEEP_COLUMNS = {
+    "eps_s": "eps_s", "eps_a": "eps_a", "phi": "phi", "T": "temperature",
+    "P": "thermo.cooling_load", "W": "thermo.total_work", "Q": "thermo.heat_reset",
+    "cop": "thermo.cop", "eta": "thermo.eta", "chi": "thermo.chi",
+    "in_cooling_window": "thermo.in_cooling_window",
+    "work_extracting": "thermo.work_extracting_feedback",
+    "discord": "correlations.discord_analytic", "mutual_info": "correlations.mutual_info",
+    "concurrence": "correlations.concurrence", "eof": "correlations.eof",
+}
+CSV_HEADER = ",".join(_SWEEP_COLUMNS)
+_BOUNDARY_COLUMNS = dict(list(_SWEEP_COLUMNS.items())[:3])  # eps_s, eps_a, phi
+# A CurvePoint or BoundaryPoint, by keyword, with its grid's eps_s and temperature.
+_SweepPoint = namedtuple("_SweepPoint", "eps_s temperature eps_a phi thermo correlations",
+                         defaults=(None, None))
 
 _DEFAULT_SWEEP_PHIS = (0.0, math.pi / 4, 2 * math.pi / 5)
-# The CSV columns of a sweep point after eps_s, eps_a, phi and T.
-_THERMO_COLUMNS = attrgetter("cooling_load", "total_work", "heat_reset", "cop", "eta", "chi",
-                             "in_cooling_window", "work_extracting_feedback")
-_CORRELATION_COLUMNS = attrgetter("discord_analytic", "mutual_info", "concurrence", "eof")
 
 
 # ---------------------------------------------------------------------------
@@ -60,9 +72,19 @@ def _field(value: Any) -> str:
     return format(value or 0.0, ".12g")  # -0.0 is falsy: written as 0
 
 
-def _csv(header: str, rows: Iterable[Sequence]) -> str:
-    """The header line, then one line of ``_field``s per row."""
-    return "\n".join([header, *(",".join(map(_field, row)) for row in rows)]) + "\n"
+def _csv(header: Iterable[str], rows: Iterable[Iterable]) -> str:
+    """The header line of the column names, then one line of ``_field``s per row."""
+    return "\n".join([",".join(header), *(",".join(map(_field, row)) for row in rows)]) + "\n"
+
+
+def _records_csv(records: Sequence[dict]) -> str:
+    """Rows of dicts with the same keys, which name the columns."""
+    return _csv(records[0], [record.values() for record in records])
+
+
+def _table_csv(columns: dict[str, str], sources: Iterable) -> str:
+    """A column per ``columns`` key, read from each source at its dotted attribute path."""
+    return _csv(columns, map(attrgetter(*columns.values()), sources))
 
 
 def _flatten(prefix: str, value: Any) -> Iterator[tuple[str, Any]]:
@@ -80,7 +102,7 @@ def _flatten(prefix: str, value: Any) -> Iterator[tuple[str, Any]]:
         yield prefix, value
 
 
-def _emit(text: str, output: Optional[str]) -> None:
+def _emit(text: str, output: Optional[str | Path]) -> None:
     if output:
         Path(output).write_text(text, encoding="utf-8")
     else:
@@ -141,15 +163,23 @@ def _state_summary(rho: np.ndarray) -> dict:
 
 
 def _trace_summary(trace: protocol.ProtocolTrace) -> dict:
-    joint = ("rho0", "rho_m", "rho_f", "rho_reset")
-    doc = {name: _state_summary(getattr(trace, name)) for name in joint}
-    doc["marginals"] = {name: _state_summary(rho)
-                        for name, rho in vars(trace).items() if name not in joint}
+    """Each joint (4x4) state by name, and each qubit marginal under "marginals"."""
+    doc = {"marginals": {}}
+    for name, rho in vars(trace).items():
+        (doc if rho.shape == (4, 4) else doc["marginals"])[name] = _state_summary(rho)
     return doc
 
 
 def _check_dict(check: verify.Check) -> dict:
     return {**vars(check), "passed": check.passed}
+
+
+def _margin(check: verify.Check) -> float:
+    """max_deviation / tolerance; infinite for NaN, or for a positive deviation of tolerance 0."""
+    deviation, tolerance = check.max_deviation, check.tolerance
+    if math.isnan(deviation) or (deviation > 0.0 and tolerance == 0.0):
+        return math.inf
+    return deviation / tolerance if tolerance else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -168,41 +198,26 @@ def cmd_run(opts: dict) -> int:
         n_polar=opts["discord_polar"], n_azimuth=opts["discord_azimuth"],
         objective_tol=opts["discord_tol"])
     doc = _envelope(
-        "run", params=dict(vars(params)), trace=_trace_summary(protocol.run_protocol(params)),
-        thermo=dict(vars(thermo.figures_of_merit(params))),
-        correlations=dict(vars(correlations.correlation_report(params, opts=optimizer))))
+        "run", params=vars(params), trace=_trace_summary(protocol.run_protocol(params)),
+        thermo=vars(thermo.figures_of_merit(params)),
+        correlations=vars(correlations.correlation_report(params, opts=optimizer)))
     failed = False
     if opts["verify"]:
         checks = verify.point_checks(params)
         failed = any(not c.passed for c in checks)
-        doc["verification"] = {
-            "checks": [_check_dict(c) for c in checks],
-            "max_deviation": max(c.max_deviation for c in checks),
-            "passed": not failed,
-        }
-    _emit(_json_doc(doc) if opts["format"] == "json" else _csv("key,value", _flatten("", doc)),
+        doc["verification"] = {"checks": [_check_dict(c) for c in checks],
+                               "max_deviation": max(c.max_deviation for c in checks),
+                               "passed": not failed}
+    _emit(_json_doc(doc) if opts["format"] == "json" else _csv(("key", "value"), _flatten("", doc)),
           opts["output"])
     return 3 if failed else 0
 
 
-def _grid_doc(grid: sweep.SweepGrid) -> dict:
-    return {
-        "eps_s": grid.eps_s,
-        "temperature": grid.temperature,
-        "phi_values": list(grid.phi_values),
-        "eps_a_values": list(grid.eps_a_values),
-        "eps_a_clamp": EPS_A_CLAMP,
-    }
-
-
 def _point_doc(point: sweep.CurvePoint) -> dict:
-    doc = {
-        "eps_a": point.eps_a,
-        "phi": point.phi,
-        "thermo": dict(vars(point.thermo)),
-    }
+    """The point's fields, its reports as their vars() (not copied), without absent correlations."""
+    doc = {"eps_a": point.eps_a, "phi": point.phi, "thermo": vars(point.thermo)}
     if point.correlations is not None:
-        doc["correlations"] = dict(vars(point.correlations))
+        doc["correlations"] = vars(point.correlations)
     return doc
 
 
@@ -228,24 +243,24 @@ def cmd_sweep(opts: dict) -> int:
     result = sweep.landscape(grid, quantities={"thermo", "correlations"})
     output = opts["output"]
     if opts["format"] == "json":
-        doc = _envelope("sweep", grid=_grid_doc(grid), points=[_point_doc(p) for p in result.points])
+        doc = _envelope("sweep", grid={**vars(grid), "eps_a_clamp": EPS_A_CLAMP},
+                        points=[_point_doc(p) for p in result.points])
         if landscape_mode:
             doc["cooling_window_boundary"] = [b._asdict() for b in result.cooling_window_boundary]
             doc["work_extraction_boundary"] = [b._asdict() for b in result.work_extraction_boundary]
         _emit(_json_doc(doc), output)
         return 0
     eps_s, temperature = grid.eps_s, grid.temperature
-    _emit(_csv(CSV_HEADER, [(eps_s, p.eps_a, p.phi, temperature, *_THERMO_COLUMNS(p.thermo),
-                             *_CORRELATION_COLUMNS(p.correlations)) for p in result.points]),
-          output)
+    _emit(_table_csv(_SWEEP_COLUMNS, [_SweepPoint(eps_s, temperature, **vars(p))
+                                      for p in result.points]), output)
     if landscape_mode:
         if output:
             base = Path(output)
             for name, series in (("cooling", result.cooling_window_boundary),
                                  ("work", result.work_extraction_boundary)):
-                base.with_name(f"{base.stem}_{name}_boundary.csv").write_text(
-                    _csv("eps_s,eps_a,phi", [(eps_s, b.eps_a, b.phi) for b in series]),
-                    encoding="utf-8")
+                _emit(_table_csv(_BOUNDARY_COLUMNS, [_SweepPoint(eps_s, temperature, **b._asdict())
+                                                     for b in series]),
+                      base.with_name(f"{base.stem}_{name}_boundary.csv"))
         else:
             print("note: boundary series need --output in csv mode (or use --format json)",
                   file=sys.stderr)
@@ -253,26 +268,21 @@ def cmd_sweep(opts: dict) -> int:
 
 
 def cmd_threshold(opts: dict) -> int:
-    eps_s = opts["eps_s"]
-    value = discord_threshold(eps_s)
-    _emit(_json_doc(_envelope("threshold", eps_s=eps_s, delta_min=value))
-          if opts["format"] == "json" else _csv("eps_s,delta_min", [(eps_s, value)]),
-          opts["output"])
+    row = {"eps_s": opts["eps_s"], "delta_min": discord_threshold(opts["eps_s"])}
+    _emit(_json_doc(_envelope("threshold", **row)) if opts["format"] == "json"
+          else _records_csv([row]), opts["output"])
     return 0
 
 
 def cmd_optimize(opts: dict) -> int:
-    objective, eps_s, phi = opts["objective"], opts["eps_s"], _radians(opts, opts["phi"])
+    head = {"objective": opts["objective"], "eps_s": opts["eps_s"],
+            "phi": _radians(opts, opts["phi"])}
     temperature = opts["temperature"]
-    point = optimize_working_point(objective, eps_s, phi, temperature)
+    point = vars(optimize_working_point(**head, temperature=temperature))
     if opts["format"] == "json":
-        text = _json_doc(_envelope("optimize", objective=objective, eps_s=eps_s, phi=phi,
-                               temperature=temperature, working_point=dict(vars(point))))
+        text = _json_doc(_envelope("optimize", **head, temperature=temperature, working_point=point))
     else:
-        text = _csv("objective,eps_s,phi,T,eps_a_star,objective_value,cooling_load_star,"
-                    "at_boundary,degenerate",
-                    [(objective, eps_s, phi, temperature, point.eps_a_star, point.objective_value,
-                      point.cooling_load_star, point.at_boundary, point.degenerate)])
+        text = _records_csv([{**head, "T": temperature, **point}])
     _emit(text, opts["output"])
     return 0
 
@@ -287,31 +297,20 @@ def cmd_verify(opts: dict) -> int:
         text = _json_doc(_envelope("verify", grid_n=grid_n, temperature=temperature,
                                checks=[_check_dict(c) for c in checks], passed=not failed))
     elif opts["format"] == "csv":
-        text = _csv("name,points,max_deviation,tolerance,passed",
-                    [(c.name, c.points, c.max_deviation, c.tolerance, c.passed) for c in checks])
+        text = _records_csv([_check_dict(c) for c in checks])
     else:
         width = max(len(c.name) for c in checks)
-        lines = [f"{'check'.ljust(width)}  points  max deviation  tolerance  status"]
-        for c in checks:
-            lines.append(
-                f"{c.name.ljust(width)}  {c.points:6d}  {c.max_deviation:13.3e}"
-                f"  {c.tolerance:9.0e}  {'PASS' if c.passed else 'FAIL'}")
-        lines.append("")
-        lines.append(
-            f"SUMMARY: {len(checks) - len(failed)}/{len(checks)} invariant classes passed"
-            f" (grid {grid_n}x{grid_n}x{grid_n})")
+        lines = [f"{'check'.ljust(width)}  points  max deviation  tolerance  status",
+                 *(f"{c.name.ljust(width)}  {c.points:6d}  {c.max_deviation:13.3e}"
+                   f"  {c.tolerance:9.0e}  {'PASS' if c.passed else 'FAIL'}" for c in checks),
+                 "", f"SUMMARY: {len(checks) - len(failed)}/{len(checks)} invariant classes"
+                     f" passed (grid {grid_n}x{grid_n}x{grid_n})"]
         if failed:
             first = failed[0]
-            lines.append(
-                f"FIRST FAILURE: {first.name}"
-                f" (max deviation {first.max_deviation:.3e} > tolerance {first.tolerance:.0e})")
-        worst = max(checks, key=lambda c: c.max_deviation - c.tolerance)
-        lines.append(json.dumps({
-            "passed": not failed,
-            "checks": len(checks),
-            "failed": len(failed),
-            "worst": _check_dict(worst),
-        }, sort_keys=True))
+            lines.append(f"FIRST FAILURE: {first.name} (max deviation "
+                         f"{first.max_deviation:.3e} > tolerance {first.tolerance:.0e})")
+        lines.append(json.dumps({"passed": not failed, "checks": len(checks), "failed": len(failed),
+                                 "worst": _check_dict(max(checks, key=_margin))}, sort_keys=True))
         text = "\n".join(lines) + "\n"
     _emit(text, opts["output"])
     return 3 if failed else 0
