@@ -43,11 +43,6 @@ REVERSIBLE_WORK_FLOOR = 1e-14
 # diverge at eps_a = 1.
 EPS_A_CLAMP = 1e-9
 OBJECTIVES = ("cop", "eta", "chi")
-# A maximizer within this fraction of the search span from an endpoint is
-# reported as a boundary supremum.
-_BOUNDARY_WINDOW = 1e-4
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -215,27 +210,41 @@ def _phi_crit(a: float, y: float) -> float:
 def _report(c: _Column, r: _Row) -> ThermoReport:
     """``figures_of_merit`` of the point (column, row)."""
     t, load = c.temperature, c.cooling_load
-    q = t * (c.eps_a - c.eps_s * r.sin) * c.atanh_a
-    de_s = -t * (c.eps_s - c.eps_a * r.sin) * c.atanh_s
+    gap_a, gap_s = c.eps_a - c.eps_s * r.sin, c.eps_s - c.eps_a * r.sin
+    q = t * gap_a * c.atanh_a
+    de_s = -t * gap_s * c.atanh_s
     w = -de_s + q
     w_m = -t * (c.eps_s * r.sin2 * c.atanh_s + c.ea_atanh_a)
     w_f = t * (c.y * r.sin - c.a * r.cos2)
     if not all(map(math.isfinite, (load, q, de_s, w, w_m, w_f, c.omega_s, c.omega_a))):
         raise ValueError(f"temperature {t!r} makes the cycle energies overflow")
-    reversible = w / t <= REVERSIBLE_WORK_FLOOR
-    cop = None if reversible else load / w
+    # The limit is taken on W / T, ``_work``'s sum, so it does not move with T.
+    reversible = gap_s * c.atanh_s + gap_a * c.atanh_a <= REVERSIBLE_WORK_FLOOR
+    if reversible:
+        cop = eta = chi = None
+    elif w == 0.0 or q == 0.0:
+        raise ValueError(f"temperature {t!r} makes the cycle energies underflow")
+    else:
+        cop = load / w
+        eta, chi = load / q, cop * load
     pc_defined = c.eps_s > 0.0
-    return _record(ThermoReport, w_m, w_f, q, de_s, c.entropy_reduction, load, w, cop,
-                   None if reversible else load / q, None if reversible else cop * load,
+    return _record(ThermoReport, w_m, w_f, q, de_s, c.entropy_reduction, load, w, cop, eta, chi,
                    c.eps_a * r.sin > c.eps_s, pc_defined and r.phi > c.phi_crit, c.phi_crit,
                    pc_defined, reversible)
+
+
+def _work(c: _Column, r: _Row) -> float:
+    """W / T from the T-free factors, so the reversible limit does not move with
+    T; at T = 1 it is ``_report``'s W bit for bit.  It rises with eps_a."""
+    return (c.eps_s - c.eps_a * r.sin) * c.atanh_s + (c.eps_a - c.eps_s * r.sin) * c.atanh_a
 
 
 def figures_of_merit(params: ProtocolParams) -> ThermoReport:
     """All energetic quantities, performance ratios and regime flags.
 
     Raises ValueError naming the temperature when an energy or a level
-    splitting overflows; so does every single-point energy below.
+    splitting overflows, or when W or Q underflows to zero away from the
+    reversible limit; so does every single-point energy below.
     """
     return _report(_column(params.eps_s, params.eps_a, params.temperature), _row(params.phi))
 
@@ -376,9 +385,14 @@ def discord_threshold(eps_s: float) -> float:
 class WorkingPoint:
     """Maximizer of one figure of merit over the ancilla bias.
 
-    ``at_boundary`` is "lower"/"upper" when the search ran into an
-    endpoint of the open interval (supremum, not an attained interior
-    maximum); ``degenerate`` marks a flat objective.
+    ``eps_a_star`` does not depend on the temperature; ``objective_value``
+    and ``cooling_load_star`` are the report's fields there.
+    ``at_boundary`` is "lower"/"upper" when the objective's derivative
+    keeps its sign to that end of the interval where the objective is
+    defined, so that end is a supremum, not an attained interior maximum.
+    ``degenerate`` is always False: no objective is flat in eps_a, its
+    derivative changes sign at most once.  The field stays because the
+    optimize CSV header holds it.
     """
 
     eps_a_star: float
@@ -402,12 +416,6 @@ class SeparabilityBoundary:
     status: str
 
 
-def _require_tolerance(name: str, value: float) -> None:
-    """A zero, negative or non-finite tolerance would never end a search."""
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"{name} must be a finite positive number, got {value!r}")
-
-
 def _require_count(name: str, value: int, least: int) -> None:
     """A count is an integer (``int`` or numpy) of at least ``least``."""
     if not isinstance(value, numbers.Integral):
@@ -416,84 +424,79 @@ def _require_count(name: str, value: int, least: int) -> None:
         raise ValueError(f"{name} must be at least {least}, got {value!r}")
 
 
-def objective_value(name: str, report: ThermoReport) -> Optional[float]:
-    """Extract one figure of merit from a report; None when undefined."""
-    if name not in OBJECTIVES:
-        raise ValueError(f"objective must be one of {OBJECTIVES}, got {name!r}")
-    return getattr(report, name)
+def _bisect(holds: Callable[[float], bool], lo: float, hi: float) -> float:
+    """The first float of [lo, hi] at which ``holds``, for a predicate that
+    fails below some point and holds from it up to ``hi``: bisection until
+    the bracket holds two adjacent floats."""
+    if holds(lo):
+        return lo
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _rising(objective: str, c: _Column, r: _Row) -> int:
+    """The sign of d(objective)/d eps_a at (column, row), from T-free factors.
+
+    With P the entropy reduction, and Q and W the reset heat and total work
+    over T: dP = atanh(eps_a), dQ = atanh(eps_a) + (eps_a - eps_s sin) /
+    ((1 - eps_a)(1 + eps_a)) and dW = dQ - sin atanh(eps_s).  Then P/W rises
+    where P'W > PW', P/Q where P'Q > PQ' and P^2/W where 2P'W > PW'.
+    """
+    p, gap = c.entropy_reduction, c.eps_a - c.eps_s * r.sin
+    dp, dq = c.atanh_a, c.atanh_a + gap / ((1.0 - c.eps_a) * (1.0 + c.eps_a))
+    if objective == "eta":
+        lhs, rhs = dp * gap * c.atanh_a, p * dq
+    else:
+        lhs = (dp if objective == "cop" else 2.0 * dp) * _work(c, r)
+        rhs = p * (dq - r.sin * c.atanh_s)
+    return (lhs > rhs) - (lhs < rhs)
 
 
 def optimize_working_point(objective: str, eps_s: float, phi: float,
-                           temperature: float = 1.0,
-                           coarse_points: int = 256,
-                           xtol: float = 1e-9) -> WorkingPoint:
+                           temperature: float = 1.0) -> WorkingPoint:
     """Maximize COP, eta or chi over the ancilla bias.
 
-    Coarse scan over the open interval followed by golden-section
-    refinement of the bracket around the first best scan point; undefined
-    objective values (the reversible limit) rank below every defined one.
+    The objective is defined where W / T exceeds REVERSIBLE_WORK_FLOOR; W
+    rises with eps_a, so that is an interval up to the clamp, whose lower
+    end is found by bisection.  The maximizer is then the point where the
+    closed-form derivative (``_rising``) turns from positive, again by
+    bisection to float resolution, or the end of the defined interval
+    toward which the derivative keeps its sign.  Every test is T-free.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
-    _require_count("coarse_points", coarse_points, 2)  # a scan needs both endpoints
-    _require_tolerance("xtol", xtol)
     lo = eps_s + EPS_A_CLAMP
     hi = 1.0 - EPS_A_CLAMP
     if lo >= hi:
         raise ValueError("eps_s leaves no room for an ancilla bias below 1")
     p = ProtocolParams(eps_s, lo, phi, temperature)  # every eps_a searched lies in [lo, hi]
     row = _row(p.phi)
-    seen = {}
 
-    def evaluate(eps_a: float) -> float:
-        value = objective_value(objective, _report(_column(p.eps_s, eps_a, p.temperature), row))
-        seen[eps_a] = -math.inf if value is None else value
-        return seen[eps_a]
+    def column(eps_a: float) -> _Column:
+        return _column(p.eps_s, eps_a, p.temperature)
 
-    xs = linspace(lo, hi, coarse_points)
-    values = [evaluate(x) for x in xs]
-    finite = [v for v in values if math.isfinite(v)]
-    if not finite:
+    def defined(eps_a: float) -> bool:
+        return _work(column(eps_a), row) > REVERSIBLE_WORK_FLOOR
+
+    def sign(eps_a: float) -> int:
+        return _rising(objective, column(eps_a), row)
+
+    if not defined(hi):
         raise ValueError("objective is undefined on the whole search interval")
-    degenerate = len(finite) > 1 and max(finite) - min(finite) <= 1e-15
-    best = values.index(max(values))
-    star, value = _golden_max(evaluate, xs[max(0, best - 1)], xs[min(len(xs) - 1, best + 1)], xtol)
-    if value == -math.inf:  # the bracket closed on a reversible limit: best defined point
-        star, value = max(seen.items(), key=lambda item: item[1])
-
-    at_boundary = None
-    window = _BOUNDARY_WINDOW * (hi - lo)
-    if star - lo <= window:
-        at_boundary = "lower"
-    elif hi - star <= window:
-        at_boundary = "upper"
-    load = _column(p.eps_s, star, p.temperature).cooling_load
-    return WorkingPoint(eps_a_star=star, objective_value=value,
-                        cooling_load_star=load, at_boundary=at_boundary,
-                        degenerate=degenerate)
-
-
-def _golden_max(f: Callable[[float], float], lo: float, hi: float,
-                xtol: float) -> tuple[float, float]:
-    """Golden-section search for the maximum of f on [lo, hi]."""
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > xtol:
-        width = b - a
-        if fc < fd:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-        else:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        if b - a >= width:
-            break  # the bracket is at float resolution
-    x = 0.5 * (a + b)
-    return x, f(x)
+    lo = _bisect(defined, lo, hi)
+    if sign(lo) < 0:
+        star, at_boundary = lo, "lower"
+    elif sign(hi) > 0:
+        star, at_boundary = hi, "upper"
+    else:
+        star, at_boundary = _bisect(lambda x: sign(x) <= 0, lo, hi), None
+    report = _report(column(star), row)
+    return WorkingPoint(eps_a_star=star, objective_value=getattr(report, objective),
+                        cooling_load_star=report.cooling_load, at_boundary=at_boundary)
 
 
 def separability_boundary(eps_s: float, eps_a: float,
@@ -519,9 +522,9 @@ def separability_boundary(eps_s: float, eps_a: float,
     return SeparabilityBoundary(phi=math.pi / 2, status="never_entangled")
 
 
-def eps_a_for_cooling_load(eps_s: float, load: float, temperature: float = 1.0,
-                           tol: float = 1e-12) -> float:
-    """Invert the cooling load for the ancilla bias by monotone bisection.
+def eps_a_for_cooling_load(eps_s: float, load: float, temperature: float = 1.0) -> float:
+    """Invert the cooling load for the ancilla bias: the first float at which
+    the load reaches ``load``, by bisection to float resolution.
 
     The load is strictly increasing in eps_a above eps_s, so the solution
     on [eps_s, 1) is unique when it exists.
@@ -530,21 +533,12 @@ def eps_a_for_cooling_load(eps_s: float, load: float, temperature: float = 1.0,
         raise ValueError(f"load must be a number, got {load!r}")
     if load < 0.0:
         raise ValueError("cooling load must be nonnegative")
-    _require_tolerance("tol", tol)
-    lo, hi = eps_s, 1.0 - EPS_A_CLAMP
+    hi = 1.0 - EPS_A_CLAMP
     p = ProtocolParams(eps_s, hi, 0.0, temperature)  # every eps_a searched lies in [eps_s, hi]
 
-    def f(eps_a: float) -> float:
-        return _column(p.eps_s, eps_a, p.temperature).cooling_load - load
+    def reaches(eps_a: float) -> bool:
+        return _column(p.eps_s, eps_a, p.temperature).cooling_load >= load
 
-    if f(hi) < 0.0:
+    if not reaches(hi):
         raise ValueError("cooling load is not attainable below eps_a = 1")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break  # the bracket is at float resolution
-        if f(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(reaches, p.eps_s, hi)

@@ -23,7 +23,7 @@ from typing import NamedTuple, Optional
 from . import closed_forms, correlations, protocol
 from .closed_forms import (  # re-exported
     EPS_A_CLAMP, OBJECTIVES, ProtocolParams, SeparabilityBoundary, ThermoReport, WorkingPoint,
-    _is_finite_real, _require_count, eps_a_for_cooling_load, linspace, objective_value,
+    _is_finite_real, _require_count, eps_a_for_cooling_load, linspace,
     optimize_working_point, separability_boundary,
 )
 from .correlations import CorrelationReport

@@ -22,7 +22,7 @@ TOP = 1.0 - sweep.EPS_A_CLAMP
 
 
 def brute_force_working_point(objective, eps_s, phi, n=1_000_001):
-    """Dense vectorized scan, independent of the golden-section path."""
+    """Dense vectorized scan, independent of the bisection path."""
     eps_a = np.linspace(eps_s + 1e-9, 1.0 - 1e-9, n)
     ats, ata = math.atanh(eps_s), np.arctanh(eps_a)
     p = eps_a * ata - eps_s * ats + 0.5 * np.log((1 - eps_a**2) / (1 - eps_s**2))
@@ -173,7 +173,6 @@ def test_characteristic_curve_requires_two_points():
 @pytest.mark.parametrize("call, argument", [
     (lambda: characteristic_curve(0.4, 0.3, 2.5), "n_points"),
     (lambda: characteristic_curve(0.4, 0.3, 3.0), "n_points"),
-    (lambda: optimize_working_point("cop", 0.3, 1.0, coarse_points=2.5), "coarse_points"),
 ])
 def test_scan_sizes_must_be_integers(call, argument):
     with pytest.raises(ValueError, match=f"^{argument} must be an integer"):
@@ -182,8 +181,6 @@ def test_scan_sizes_must_be_integers(call, argument):
 
 def test_scan_sizes_accept_numpy_integers():
     assert characteristic_curve(0.4, 0.3, np.int64(3)) == characteristic_curve(0.4, 0.3, 3)
-    assert (optimize_working_point("cop", 0.3, 1.0, coarse_points=np.int64(256))
-            == optimize_working_point("cop", 0.3, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -242,35 +239,20 @@ def test_linspace_matches_numpy_bit_for_bit(eps_s, n):
                 == [v.hex() for v in np.linspace(start, stop, n).tolist()])
 
 
-def capped_at(eps_s, eps_a):
-    """The cooling load at (eps_s, eps_a) and the first scan index that reaches it."""
-    cap = closed_forms._column(eps_s, eps_a, 1.0).cooling_load
-    xs = linspace(eps_s + sweep.EPS_A_CLAMP, TOP, 256)
-    first = next(i for i, x in enumerate(xs) if closed_forms._column(eps_s, x, 1.0).cooling_load >= cap)
-    return cap, xs[first - 1], xs[first + 1]
-
-
-def test_optimize_keeps_the_first_of_tied_maxima(monkeypatch):
-    # every scan point whose load reaches the cap ties for the maximum
-    cap, lo, hi = capped_at(0.3, 0.6)
-    monkeypatch.setattr(closed_forms, "objective_value", lambda name, r: min(r.cooling_load, cap))
-    wp = optimize_working_point("chi", 0.3, 1.0)
-    assert lo <= wp.eps_a_star <= hi
-    assert (wp.objective_value, wp.at_boundary) == (cap, None)
-
-
 def test_optimize_ranks_undefined_values_below_every_defined_one(monkeypatch):
-    # undefined below the cap, falling above it: the first defined point wins
-    cap, lo, hi = capped_at(0.3, 0.6)
-    monkeypatch.setattr(closed_forms, "objective_value",
-                        lambda name, r: None if r.cooling_load < cap else -r.cooling_load)
+    # with the floor at W / T of eps_a = 0.9, every bias below is reversible;
+    # cop falls above 0.9 at this angle, so the first defined bias wins
+    floor = closed_forms._work(closed_forms._column(0.3, 0.9, 1.0), closed_forms._row(1.0))
+    monkeypatch.setattr(closed_forms, "REVERSIBLE_WORK_FLOOR", floor)
     wp = optimize_working_point("cop", 0.3, 1.0)
-    assert lo <= wp.eps_a_star <= hi
-    assert -cap - 1e-6 <= wp.objective_value <= -cap
+    assert wp.at_boundary == "lower"
+    assert figures_of_merit(ProtocolParams(0.3, math.nextafter(wp.eps_a_star, 0.0), 1.0)).cop is None
+    assert 0.9 <= wp.eps_a_star <= math.nextafter(0.9, 1.0)
+    assert wp.objective_value == figures_of_merit(ProtocolParams(0.3, wp.eps_a_star, 1.0)).cop
 
 
 def test_optimize_rejects_an_interval_where_the_objective_is_undefined(monkeypatch):
-    monkeypatch.setattr(closed_forms, "objective_value", lambda name, r: None)
+    monkeypatch.setattr(closed_forms, "REVERSIBLE_WORK_FLOOR", math.inf)
     with pytest.raises(ValueError, match="^objective is undefined on the whole search interval$"):
         optimize_working_point("eta", 0.3, 1.0)
 
@@ -382,14 +364,6 @@ def test_separability_boundary_never_entangled():
 
 
 @pytest.mark.parametrize("call, argument", [
-    (lambda: eps_a_for_cooling_load(0.3, 0.1, tol=-1e-6), "tol"),
-    (lambda: eps_a_for_cooling_load(0.3, 0.1, tol=math.inf), "tol"),
-    (lambda: eps_a_for_cooling_load(0.3, 0.1, tol=-math.inf), "tol"),
-    (lambda: optimize_working_point("cop", 0.3, 1.0, xtol=0.0), "xtol"),
-    (lambda: optimize_working_point("cop", 0.3, 1.0, xtol=math.inf), "xtol"),
-    (lambda: optimize_working_point("cop", 0.3, 1.0, coarse_points=1), "coarse_points"),
-    (lambda: eps_a_for_cooling_load(0.3, 0.1, tol=0.0), "tol"),
-    (lambda: eps_a_for_cooling_load(0.3, 0.1, tol=math.nan), "tol"),
     (lambda: eps_a_for_cooling_load(0.3, math.nan), "load"),
 ])
 def test_searches_reject_tolerances_and_scans_that_never_end(call, argument):
@@ -398,9 +372,9 @@ def test_searches_reject_tolerances_and_scans_that_never_end(call, argument):
 
 
 def test_searches_stop_at_float_resolution():
-    # a positive tolerance below the float spacing of the bracket used to
-    # loop forever; the searches now stop when the bracket stops shrinking
-    # (the alarm turns a regression into a failure instead of a hang)
+    # each search bisects until its bracket holds two adjacent floats, so the
+    # verdict flips between the float below its answer and the answer (the
+    # alarm turns a regression into a failure instead of a hang)
     from qfcool.thermo import cooling_load
 
     def hang(signum, frame):
@@ -408,10 +382,12 @@ def test_searches_stop_at_float_resolution():
     previous = signal.signal(signal.SIGALRM, hang)
     signal.alarm(30)
     try:
-        wp = optimize_working_point("chi", 0.3, 1.0, xtol=1e-300)
-        reference = optimize_working_point("chi", 0.3, 1.0)
-        assert wp.eps_a_star == pytest.approx(reference.eps_a_star, abs=1e-6)
-        eps_a = eps_a_for_cooling_load(0.3, 0.1, tol=1e-300)
+        star = optimize_working_point("chi", 0.3, 1.0).eps_a_star
+        signs = [closed_forms._rising("chi", closed_forms._column(0.3, x, 1.0), closed_forms._row(1.0))
+                 for x in (math.nextafter(star, 0.0), star)]
+        assert signs[0] > 0 >= signs[1]
+        eps_a = eps_a_for_cooling_load(0.3, 0.1)
+        assert cooling_load(ProtocolParams(0.3, math.nextafter(eps_a, 0.0), 0.0)) < 0.1
         assert abs(cooling_load(ProtocolParams(0.3, eps_a, 0.0)) - 0.1) <= 1e-12
     finally:
         signal.alarm(0)
