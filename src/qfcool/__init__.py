@@ -28,9 +28,8 @@ _EXPORTS = {
     ),
     "correlations": (
         "CorrelationReport", "DiscordOptimizationError", "MeasurementBasis",
-        "OptimizerOptions", "classical_correlations", "concurrence", "correlation_report",
-        "correlation_reports", "discord_numeric", "entanglement_of_formation",
-        "mutual_information",
+        "classical_correlations", "concurrence", "correlation_report", "correlation_reports",
+        "discord_numeric", "entanglement_of_formation", "mutual_information",
     ),
     "densmat": (
         "Spectrum", "conjugate", "expectation", "hermitian_eig", "partial_trace",

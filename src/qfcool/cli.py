@@ -194,13 +194,10 @@ def cmd_run(opts: dict) -> int:
     from . import correlations, protocol, thermo, verify
     params = ProtocolParams(opts["eps_s"], opts["eps_a"], _radians(opts, opts["phi"]),
                             opts["temperature"])
-    optimizer = correlations.OptimizerOptions(
-        n_polar=opts["discord_polar"], n_azimuth=opts["discord_azimuth"],
-        objective_tol=opts["discord_tol"])
     doc = _envelope(
         "run", params=vars(params), trace=_trace_summary(protocol.run_protocol(params)),
         thermo=vars(thermo.figures_of_merit(params)),
-        correlations=vars(correlations.correlation_report(params, opts=optimizer)))
+        correlations=vars(correlations.correlation_report(params)))
     failed = False
     if opts["verify"]:
         checks = verify.point_checks(params)
@@ -358,10 +355,7 @@ _COMMANDS = {
         _Option("eps_s", float, _REQUIRED, "register bias in [0, 1)"),
         _Option("eps_a", float, _REQUIRED, "ancilla bias in [eps_s, 1)"),
         _Option("phi", float, _REQUIRED, "measurement angle"),
-        _Option("verify", _config_bool, False, "pair every closed form with its matrix oracle"),
-        _Option("discord_polar", int, 64, "coarse polar grid of the discord search (default 64)"),
-        _Option("discord_azimuth", int, 32, "coarse azimuth grid of the discord search (default 32)"),
-        _Option("discord_tol", float, 1e-9, "objective tolerance of the discord search (default 1e-9)")),
+        _Option("verify", _config_bool, False, "pair every closed form with its matrix oracle")),
     "sweep": _command(
         cmd_sweep, "characteristic-curve or landscape data",
         _Option("eps_s", float, 0.4),

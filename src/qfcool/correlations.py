@@ -24,7 +24,7 @@ import numpy as np
 
 from . import densmat, protocol
 from .closed_forms import (  # re-exported
-    ProtocolParams, _record, _require_count, binary_entropy, discord_analytic,
+    ProtocolParams, _record, binary_entropy, discord_analytic,
     discord_threshold, mutual_information_analytic, thermal_entropy,
 )
 from .densmat import ID2, PAULI, SIGMA_Y
@@ -33,10 +33,13 @@ _SPIN_FLIP = densmat.tensor(SIGMA_Y, SIGMA_Y)
 # Measurement branches with probability below this contribute zero to the
 # average conditional entropy (degenerate outcome).
 _PROB_FLOOR = 1e-12
-# Zoom refinement of the basis search: points per angle in each level's
-# grid, and the half-width (radians) below which the search may stop.
+# The basis search's one configuration (``_optimal_measurements`` states the
+# rule): seed grid, zoom points per angle, stop rule and zoom-level cap.
+_SEED_POLAR, _SEED_AZIMUTH = 64, 32
 _ZOOM_POINTS = 9
 _ZOOM_ANGLE_TOL = 1e-7
+_SETTLE_TOL = 1e-10
+_MAX_LEVELS = 400
 # Most (row, axis) pairs one kernel call scores: bounds a stacked search's memory.
 _SCAN_BUDGET = 4096
 # The 16 products sigma_mu x sigma_nu (sigma_0 = I), contracted with a
@@ -62,41 +65,6 @@ class MeasurementBasis:
     def projectors(self) -> tuple[np.ndarray, np.ndarray]:
         n_dot_sigma = sum(c * s for c, s in zip(self.axis(), PAULI))
         return 0.5 * (ID2 + n_dot_sigma), 0.5 * (ID2 - n_dot_sigma)
-
-
-@dataclass(frozen=True)
-class OptimizerOptions:
-    """Deterministic settings for the discord basis search.
-
-    The first ``(n_polar + 1) // 2`` polar rows of an ``n_polar`` x
-    ``n_azimuth`` Bloch-sphere grid (a hemisphere: an axis and its opposite
-    are one measurement) seed a zoom refinement.  Each zoom level scores a
-    9x9 (polar, azimuth) grid centred on the best axis so far, then halves
-    the half-widths, which start at one grid step.  A kernel call scores at
-    most 4096 (state, axis) pairs, or one state's seed if that has more,
-    which bounds the memory of a stacked search.  The search converges once
-    the half-widths are below 1e-7 rad and the last level improved the
-    objective by at most ``objective_tol / 10``.  ``max_iter`` caps the
-    number of zoom levels; a search that needs more raises
-    ``DiscordOptimizationError`` (the defaults converge in about 20).
-    Raises ValueError naming the field for grid sizes or ``max_iter``
-    that are not integers of at least 1, and for an ``objective_tol``
-    that is negative or not finite.
-    """
-
-    n_polar: int = 64
-    n_azimuth: int = 32
-    objective_tol: float = 1e-9
-    max_iter: int = 400
-
-    def __post_init__(self):
-        for name in ("n_polar", "n_azimuth", "max_iter"):
-            _require_count(name, getattr(self, name), 1)
-        if not 0.0 <= self.objective_tol < math.inf:
-            raise ValueError(f"objective_tol must be finite and non-negative, got {self.objective_tol!r}")
-
-
-_DEFAULT_OPTS = OptimizerOptions()
 
 
 # ---------------------------------------------------------------------------
@@ -226,26 +194,35 @@ def _conditional_entropy_scan(local: np.ndarray, other: np.ndarray, m: np.ndarra
     return np.where(live, p * h, 0.0).sum(axis=0)
 
 
-def optimal_measurement(rho, measured_side: str = "A", opts: OptimizerOptions | None = None,
-                        ) -> tuple[MeasurementBasis, float]:
+def optimal_measurement(rho, measured_side: str = "A") -> tuple[MeasurementBasis, float]:
     """Projective basis maximizing the one-sided classical correlation.
 
     Returns the optimal basis and the maximized information gain
     J = S(rho_other) - min average conditional entropy, from one search
-    (see ``OptimizerOptions``) on the state's Bloch data.  Raises
-    ``DiscordOptimizationError`` if the zoom has not converged after
-    ``opts.max_iter`` levels.
+    (see ``_optimal_measurements``) on the state's Bloch data.  Raises
+    ``DiscordOptimizationError`` if the zoom has not converged after 400
+    levels.
     """
     _check_side(measured_side)
     r = _two_qubit_state(rho, "optimal_measurement")
-    [(polar, azimuth, gain)] = _optimal_measurements([_bloch_components(r)], [measured_side], opts)
+    [(polar, azimuth, gain)] = _optimal_measurements([_bloch_components(r)], [measured_side])
     return MeasurementBasis(polar, azimuth), gain
 
 
-def _optimal_measurements(blochs, sides: Sequence[str], opts: OptimizerOptions | None) -> list:
-    """``(polar, azimuth, gain)`` per (``_bloch_components``, measured side) row; the
-    rows share the zoom levels, and each leaves the search once it meets the stop rule."""
-    opts = opts or _DEFAULT_OPTS
+def _optimal_measurements(blochs, sides: Sequence[str]) -> list:
+    """``(polar, azimuth, gain)`` per (``_bloch_components``, measured side) row.
+
+    The first 32 polar rows of a 64 x 32 Bloch-sphere grid (a hemisphere:
+    an axis and its opposite are one measurement) seed a zoom refinement.
+    Each zoom level scores a 9x9 (polar, azimuth) grid centred on the best
+    axis so far, then halves the half-widths, which start at one grid step.
+    A kernel call scores at most 4096 (state, axis) pairs, which bounds the
+    memory of a stacked search.  The rows share the zoom levels, and each
+    leaves the search once the half-widths are below 1e-7 rad and its last
+    level improved the objective by at most 1e-10.  A search that needs more
+    than 400 levels raises ``DiscordOptimizationError`` (one converges in
+    about 20).
+    """
     a, b, t = (np.array(c) for c in zip(*blochs))
     on_a = np.array([side == "A" for side in sides])[:, None]
     local, other = np.where(on_a, b, a), np.where(on_a, a, b)
@@ -263,43 +240,43 @@ def _optimal_measurements(blochs, sides: Sequence[str], opts: OptimizerOptions |
         return pick
 
     grid = np.array(np.meshgrid(
-        np.linspace(0.0, math.pi, opts.n_polar)[:(opts.n_polar + 1) // 2],
-        np.linspace(0.0, 2.0 * math.pi, opts.n_azimuth, endpoint=False), indexing="ij")).reshape(2, -1)
+        np.linspace(0.0, math.pi, _SEED_POLAR)[:_SEED_POLAR // 2],
+        np.linspace(0.0, 2.0 * math.pi, _SEED_AZIMUTH, endpoint=False), indexing="ij")).reshape(2, -1)
     seed = _axes(*grid)
     active = np.arange(len(local))
+    # a budget below one seed (1,024 axes) still scores one row per call
     angles = grid[:, best(active, max(1, _SCAN_BUDGET // len(seed)), lambda _: seed)]
 
     # Offsets in units of the half-widths h; the centre (exactly 0) is kept,
     # so no level can lose the best axis found so far.
     offsets = np.array(np.meshgrid(*[np.linspace(-1.0, 1.0, _ZOOM_POINTS)] * 2, indexing="ij")).reshape(2, -1)
-    h = np.array([math.pi / max(opts.n_polar - 1, 1), 2.0 * math.pi / opts.n_azimuth])
-    for _ in range(opts.max_iter):
+    h = np.array([math.pi / (_SEED_POLAR - 1), 2.0 * math.pi / _SEED_AZIMUTH])
+    for _ in range(_MAX_LEVELS):
         previous = conditional[active]
         step = h[:, None] * offsets
         pick = best(active, _SCAN_BUDGET // _ZOOM_POINTS ** 2,
                     lambda rows: _axes(*(angles[:, rows, None] + step[:, None])))
         angles[:, active] += step[:, pick]
         if h.max() < _ZOOM_ANGLE_TOL:
-            active = active[~(previous - conditional[active] <= 0.1 * opts.objective_tol)]
+            active = active[~(previous - conditional[active] <= _SETTLE_TOL)]
         if not active.size:
             break
         h *= 0.5
     else:
-        raise DiscordOptimizationError(f"basis search did not converge within {opts.max_iter} zoom levels")
+        raise DiscordOptimizationError(f"basis search did not converge within {_MAX_LEVELS} zoom levels")
     return [(p, az, thermal_entropy(float(np.linalg.norm(o))) - c) for p, az, o, c in
             zip(angles[0].tolist(), angles[1].tolist(), other, conditional.tolist())]
 
 
-def discord_numeric(rho, measured_side: str = "A",
-                    opts: OptimizerOptions | None = None) -> float:
+def discord_numeric(rho, measured_side: str = "A") -> float:
     """Quantum discord with projective measurements on one side.
 
     I(rho) minus the maximal one-sided classical correlation found by
-    the basis search.  Deterministic for fixed options.
+    the (deterministic) basis search.
     """
     _check_side(measured_side)
     r = _two_qubit_state(rho, "discord_numeric")
-    [(_, _, gain)] = _optimal_measurements([_bloch_components(r)], [measured_side], opts)
+    [(_, _, gain)] = _optimal_measurements([_bloch_components(r)], [measured_side])
     return _discord(float(_mutual_information(r)), gain)
 
 
@@ -310,13 +287,12 @@ def _discord(mi: float, gain: float) -> float:
     return max(0.0, delta)
 
 
-def classical_correlations(rho, measured_side: str = "A",
-                           opts: OptimizerOptions | None = None) -> float:
+def classical_correlations(rho, measured_side: str = "A") -> float:
     """Classical share of correlations: I(rho) - discord for the given side."""
     _check_side(measured_side)
     r = _two_qubit_state(rho, "classical_correlations")
     mi = float(_mutual_information(r))
-    [(_, _, gain)] = _optimal_measurements([_bloch_components(r)], [measured_side], opts)
+    [(_, _, gain)] = _optimal_measurements([_bloch_components(r)], [measured_side])
     return mi - _discord(mi, gain)
 
 
@@ -342,11 +318,10 @@ class CorrelationReport:
     classical_a: Optional[float]
 
 
-def correlation_report(params: ProtocolParams, *, numeric_discord: bool = True,
-                       opts: OptimizerOptions | None = None) -> CorrelationReport:
+def correlation_report(params: ProtocolParams, *, numeric_discord: bool = True) -> CorrelationReport:
     """Evaluate all correlation measures on the post-measurement state."""
     rho_m = protocol._post_measurement_states((params.eps_s,), (params.eps_a,), (params.phi,))
-    return _reports(rho_m, [discord_analytic(params.eps_s, params.phi)], numeric_discord, opts)[0]
+    return _reports(rho_m, [discord_analytic(params.eps_s, params.phi)], numeric_discord)[0]
 
 
 def correlation_reports(points: Sequence[ProtocolParams]) -> list[CorrelationReport]:
@@ -361,8 +336,7 @@ def correlation_reports(points: Sequence[ProtocolParams]) -> list[CorrelationRep
     return _reports(rho_m, [discord_analytic(p.eps_s, p.phi) for p in points])
 
 
-def _reports(rho_m: np.ndarray, discords: Sequence[float], numeric: bool = False,
-             opts: OptimizerOptions | None = None) -> list[CorrelationReport]:
+def _reports(rho_m: np.ndarray, discords: Sequence[float], numeric: bool = False) -> list[CorrelationReport]:
     """One ``CorrelationReport`` per state of an ``(n, 4, 4)`` post-measurement
     stack, given each state's closed-form discord; with ``numeric``, both one-sided
     discords come from one basis search on the rows ``["A"] * n + ["S"] * n``.
@@ -372,7 +346,7 @@ def _reports(rho_m: np.ndarray, discords: Sequence[float], numeric: bool = False
     d_a = d_s = [None] * n
     if numeric:
         gains = [g for _, _, g in _optimal_measurements(
-            [_bloch_components(r) for r in rho_m] * 2, ["A"] * n + ["S"] * n, opts)]
+            [_bloch_components(r) for r in rho_m] * 2, ["A"] * n + ["S"] * n)]
         d_a, d_s = ([_discord(m, g) for m, g in zip(mi, side)] for side in (gains[:n], gains[n:]))
     return [_record(CorrelationReport, c, eof_from_concurrence(c), m, a, s, d,
                     None if a is None else m - a)

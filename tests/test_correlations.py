@@ -7,7 +7,7 @@ import pytest
 
 from qfcool import closed_forms, correlations
 from qfcool.correlations import (
-    DiscordOptimizationError, MeasurementBasis, OptimizerOptions,
+    DiscordOptimizationError, MeasurementBasis,
     binary_entropy, bloch_components, classical_correlations, concurrence,
     correlation_report, discord_analytic, discord_numeric, discord_threshold,
     entanglement_of_formation, eof_from_concurrence, mutual_information,
@@ -197,10 +197,11 @@ def test_optimal_measurement_reports_basis_and_gain(bell_state):
     assert np.allclose(proj_p @ proj_p, proj_p, atol=1e-12)
 
 
-def test_optimizer_iteration_cap_raises():
+def test_optimizer_iteration_cap_raises(monkeypatch):
+    monkeypatch.setattr(correlations, "_MAX_LEVELS", 1)
     rho = rho_m_at(0.4, 0.8, 0.7)
-    with pytest.raises(DiscordOptimizationError):
-        discord_numeric(rho, "A", OptimizerOptions(max_iter=1))
+    with pytest.raises(DiscordOptimizationError, match="within 1 zoom levels"):
+        discord_numeric(rho, "A")
 
 
 def test_discord_numeric_is_deterministic():
@@ -261,7 +262,7 @@ def search_rows():
     states += [run_protocol(p).rho_m for p in standard_grid(4)]
     blochs = [bloch_components(rho) for rho in states] * 2
     sides = ["A"] * len(states) + ["S"] * len(states)
-    alone = [correlations._optimal_measurements([b], [s], None)[0] for b, s in zip(blochs, sides)]
+    alone = [correlations._optimal_measurements([b], [s])[0] for b, s in zip(blochs, sides)]
     return blochs, sides, alone
 
 
@@ -271,7 +272,7 @@ def search_rows():
 def test_stacked_search_rows_equal_one_row_searches(search_rows, budget, monkeypatch):
     blochs, sides, alone = search_rows
     monkeypatch.setattr(correlations, "_SCAN_BUDGET", budget)
-    stacked = correlations._optimal_measurements(blochs, sides, None)
+    stacked = correlations._optimal_measurements(blochs, sides)
     assert len(stacked) == len(alone) == 256
     for row, one in zip(stacked, alone):
         assert [v.hex() for v in row] == [v.hex() for v in one]
@@ -290,26 +291,14 @@ def _record_kernel_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("n_polar,n_azimuth", [(64, 32), (7, 5), (129, 64)])
-def test_kernel_calls_stay_within_the_memory_budget(monkeypatch, n_polar, n_azimuth):
+def test_kernel_calls_stay_within_the_memory_budget(monkeypatch):
     calls = _record_kernel_calls(monkeypatch)
     rows = [bloch_components(rho_m_at(0.1 * k, 0.9, 0.3 * k)) for k in range(1, 6)] * 2
-    opts = OptimizerOptions(n_polar=n_polar, n_azimuth=n_azimuth)
-    correlations._optimal_measurements(rows, ["A"] * 5 + ["S"] * 5, opts)
-    seed_axes = (n_polar + 1) // 2 * n_azimuth  # the hemisphere seed
+    correlations._optimal_measurements(rows, ["A"] * 5 + ["S"] * 5)
+    seed_axes = 32 * 32  # the upper hemisphere of the 64 x 32 seed grid
     assert calls[0][1] == seed_axes
-    assert all(r * k <= max(4096, seed_axes) for r, k in calls)
+    assert all(r * k <= 4096 for r, k in calls)
     assert sum(r for r, k in calls if k == seed_axes) == 10  # every row scanned its seed once
-
-
-@pytest.mark.parametrize("n_polar,n_azimuth", [(7, 5), (65, 33)])
-def test_discord_numeric_matches_closed_form_at_odd_seed_sizes(n_polar, n_azimuth):
-    opts = OptimizerOptions(n_polar=n_polar, n_azimuth=n_azimuth)
-    for params in standard_grid(4):
-        rho = run_protocol(params).rho_m
-        closed = discord_analytic(params.eps_s, params.phi)
-        for side in ("A", "S"):
-            assert abs(discord_numeric(rho, side, opts) - closed) <= 1e-12, (params, side)
 
 
 # ---------------------------------------------------------------------------
@@ -428,26 +417,3 @@ def test_bloch_components_of_product_state():
     assert np.allclose(a, [0, 0, -0.4], atol=1e-12)
     assert np.allclose(b, [0, 0, -0.8], atol=1e-12)
     assert np.allclose(t, np.outer(a, b), atol=1e-12)
-
-
-@pytest.mark.parametrize("field,value", [
-    ("n_polar", 0), ("n_azimuth", -1), ("max_iter", 0),
-    ("n_polar", 2.5), ("n_azimuth", 32.0), ("max_iter", math.nan),
-    ("objective_tol", -1e-9), ("objective_tol", math.nan), ("objective_tol", math.inf),
-])
-def test_optimizer_options_reject_bad_fields(field, value):
-    with pytest.raises(ValueError, match=field):
-        OptimizerOptions(**{field: value})
-
-
-def test_optimizer_options_accept_a_zero_tolerance_and_one_point_grids():
-    rho = rho_m_at(0.4, 0.8, 1.0)
-    exact = discord_analytic(0.4, 1.0)
-    assert abs(discord_numeric(rho, "A", OptimizerOptions(objective_tol=0.0)) - exact) <= 1e-12
-    assert discord_numeric(rho, "A", OptimizerOptions(n_polar=1, n_azimuth=1, max_iter=1000)) >= 0.0
-
-
-def test_optimizer_options_accept_numpy_integer_counts():
-    rho = rho_m_at(0.4, 0.8, 1.0)
-    counts = OptimizerOptions(n_polar=np.int64(64), n_azimuth=np.int32(32), max_iter=np.int64(400))
-    assert discord_numeric(rho, "A", counts) == discord_numeric(rho, "A")
