@@ -3,9 +3,11 @@
 Covers the Wootters concurrence and entanglement of formation, quantum
 mutual information (matrix route and closed form for post-measurement
 states), quantum discord via a deterministic search over projective
-measurements (on a stack of (state, side) rows; a row's result does not
-depend on the stack), the closed-form discord of post-measurement states,
-and the discord threshold that guarantees real cooling.  The closed
+measurements (a hemisphere scan of measurement axes refined by Newton
+steps on the unit sphere, on a stack of (state, side) rows; a row's
+result does not depend on the stack), the closed-form discord of
+post-measurement states, and the discord threshold that guarantees real
+cooling.  The closed
 forms live in the numpy-free ``closed_forms`` module and are re-exported
 here.  One stacked builder, ``_reports``, makes every ``CorrelationReport``:
 single point, batch, landscape chunk and verify's discord subgrid.
@@ -34,12 +36,14 @@ _SPIN_FLIP = densmat.tensor(SIGMA_Y, SIGMA_Y)
 # average conditional entropy (degenerate outcome).
 _PROB_FLOOR = 1e-12
 # The basis search's one configuration (``_optimal_measurements`` states the
-# rule): seed grid, zoom points per angle, stop rule and zoom-level cap.
+# rule): seed grid, longest Newton move (one azimuth step of the seed, rad),
+# smallest curvature a step divides by, stop rules and step cap.
 _SEED_POLAR, _SEED_AZIMUTH = 64, 32
-_ZOOM_POINTS = 9
-_ZOOM_ANGLE_TOL = 1e-7
-_SETTLE_TOL = 1e-10
-_MAX_LEVELS = 400
+_MAX_TURN = 2.0 * math.pi / _SEED_AZIMUTH
+_CURVATURE_FLOOR = 1e-10
+_GRADIENT_TOL = 1e-12
+_MOVE_TOL = 1e-7
+_MAX_STEPS = 100
 # Most (row, axis) pairs one kernel call scores: bounds a stacked search's memory.
 _SCAN_BUDGET = 4096
 # The 16 products sigma_mu x sigma_nu (sigma_0 = I), contracted with a
@@ -48,7 +52,7 @@ _PAULI_PRODUCTS = np.array([densmat.tensor(p, q) for p in (ID2, *PAULI) for q in
 
 
 class DiscordOptimizationError(RuntimeError):
-    """The measurement-basis search hit its zoom-level cap before converging."""
+    """The measurement-basis search hit its Newton-step cap before converging."""
 
 
 @dataclass(frozen=True)
@@ -200,8 +204,8 @@ def optimal_measurement(rho, measured_side: str = "A") -> tuple[MeasurementBasis
     Returns the optimal basis and the maximized information gain
     J = S(rho_other) - min average conditional entropy, from one search
     (see ``_optimal_measurements``) on the state's Bloch data.  Raises
-    ``DiscordOptimizationError`` if the zoom has not converged after 400
-    levels.
+    ``DiscordOptimizationError`` if the search has not settled after 100
+    Newton steps.
     """
     _check_side(measured_side)
     r = _two_qubit_state(rho, "optimal_measurement")
@@ -213,31 +217,27 @@ def _optimal_measurements(blochs, sides: Sequence[str]) -> list:
     """``(polar, azimuth, gain)`` per (``_bloch_components``, measured side) row.
 
     The first 32 polar rows of a 64 x 32 Bloch-sphere grid (a hemisphere:
-    an axis and its opposite are one measurement) seed a zoom refinement.
-    Each zoom level scores a 9x9 (polar, azimuth) grid centred on the best
-    axis so far, then halves the half-widths, which start at one grid step.
-    A kernel call scores at most 4096 (state, axis) pairs, which bounds the
-    memory of a stacked search.  The rows share the zoom levels, and each
-    leaves the search once the half-widths are below 1e-7 rad and its last
-    level improved the objective by at most 1e-10.  A search that needs more
-    than 400 levels raises ``DiscordOptimizationError`` (one converges in
-    about 20).
+    an axis and its opposite are one measurement) seed each row with its
+    best axis (the first on ties).  Newton steps on the unit sphere
+    (``_newton_steps``) then refine it.  A step turns the axis by at most
+    one azimuth step of the seed grid, and each row halves its own step
+    until the conditional entropy does not rise.  A row leaves the search
+    once its gradient is below 1e-12, its accepted move is below 1e-7 rad,
+    or no move of at least 1e-7 rad keeps the entropy from rising.  A
+    kernel call scores at most 4096 (state, axis) pairs, which bounds the
+    memory of a stacked search.  A search with rows left after 100 steps
+    raises ``DiscordOptimizationError`` (one settles in under 10).
     """
     a, b, t = (np.array(c) for c in zip(*blochs))
     on_a = np.array([side == "A" for side in sides])[:, None]
     local, other = np.where(on_a, b, a), np.where(on_a, a, b)
     m = np.where(on_a[..., None], t.transpose(0, 2, 1), t)
-    conditional = np.empty(len(local))
 
-    def best(rows, per_call, axes_of):
-        # index of each row's best candidate axis (first minimum on ties)
-        pick = np.empty(len(rows), dtype=int)
-        for lo in range(0, len(rows), per_call):
-            chunk = rows[lo:lo + per_call]
-            values = _conditional_entropy_scan(local[chunk], other[chunk], m[chunk], axes_of(chunk))
-            pick[lo:lo + per_call] = values.argmin(axis=1)
-            conditional[chunk] = values[np.arange(len(chunk)), pick[lo:lo + per_call]]
-        return pick
+    def scan(rows, per_call, axes_of):
+        # the values of each row's candidate axes, at most per_call rows per kernel call
+        return np.concatenate([
+            _conditional_entropy_scan(local[rows[part]], other[rows[part]], m[rows[part]], axes_of(part))
+            for part in (slice(lo, lo + per_call) for lo in range(0, len(rows), per_call))])
 
     grid = np.array(np.meshgrid(
         np.linspace(0.0, math.pi, _SEED_POLAR)[:_SEED_POLAR // 2],
@@ -245,27 +245,103 @@ def _optimal_measurements(blochs, sides: Sequence[str]) -> list:
     seed = _axes(*grid)
     active = np.arange(len(local))
     # a budget below one seed (1,024 axes) still scores one row per call
-    angles = grid[:, best(active, max(1, _SCAN_BUDGET // len(seed)), lambda _: seed)]
+    values = scan(active, max(1, _SCAN_BUDGET // len(seed)), lambda _: seed)
+    pick = values.argmin(axis=1)
+    conditional = values[active, pick]
+    axes = seed[pick].T.copy()  # component first, as _newton_steps takes them
 
-    # Offsets in units of the half-widths h; the centre (exactly 0) is kept,
-    # so no level can lose the best axis found so far.
-    offsets = np.array(np.meshgrid(*[np.linspace(-1.0, 1.0, _ZOOM_POINTS)] * 2, indexing="ij")).reshape(2, -1)
-    h = np.array([math.pi / (_SEED_POLAR - 1), 2.0 * math.pi / _SEED_AZIMUTH])
-    for _ in range(_MAX_LEVELS):
-        previous = conditional[active]
-        step = h[:, None] * offsets
-        pick = best(active, _SCAN_BUDGET // _ZOOM_POINTS ** 2,
-                    lambda rows: _axes(*(angles[:, rows, None] + step[:, None])))
-        angles[:, active] += step[:, pick]
-        if h.max() < _ZOOM_ANGLE_TOL:
-            active = active[~(previous - conditional[active] <= _SETTLE_TOL)]
+    for _ in range(_MAX_STEPS):
+        unit, turn, slope = _newton_steps(local[active].T, other[active].T, m[active].transpose(1, 2, 0),
+                                          axes[:, active])
+        leaving = np.ones(len(active), dtype=bool)
+        trying = np.flatnonzero(slope > _GRADIENT_TOL)
+        while trying.size:
+            rows, angle = active[trying], turn[trying]
+            n = np.cos(angle) * axes[:, rows] + np.sin(angle) * unit[:, trying]
+            n /= np.sqrt(_dot(n, n))
+            value = scan(rows, _SCAN_BUDGET, lambda part: n.T[part, None])[:, 0]
+            taken = value <= conditional[rows]
+            axes[:, rows[taken]], conditional[rows[taken]] = n[:, taken], value[taken]
+            leaving[trying[taken]] = angle[taken] < _MOVE_TOL
+            turn[trying] *= 0.5
+            trying = trying[~taken & (turn[trying] >= _MOVE_TOL)]
+        active = active[~leaving]
         if not active.size:
             break
-        h *= 0.5
     else:
-        raise DiscordOptimizationError(f"basis search did not converge within {_MAX_LEVELS} zoom levels")
+        raise DiscordOptimizationError(f"basis search did not converge within {_MAX_STEPS} Newton steps")
+    polar = np.arctan2(np.sqrt(axes[0] * axes[0] + axes[1] * axes[1]), axes[2])
+    azimuth = np.arctan2(axes[1], axes[0])
     return [(p, az, thermal_entropy(float(np.linalg.norm(o))) - c) for p, az, o, c in
-            zip(angles[0].tolist(), angles[1].tolist(), other, conditional.tolist())]
+            zip(polar.tolist(), azimuth.tolist(), other, conditional.tolist())]
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x . y over the first axis (length 3), written out so that no row depends on another."""
+    return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
+
+
+def _newton_steps(local: np.ndarray, other: np.ndarray, m: np.ndarray,
+                  n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Saddle-free Riemannian Newton step of each row's conditional entropy at axis ``n``.
+
+    Arrays are component first: ``local``, ``other`` and ``n`` are ``(3, r)``,
+    ``m`` is ``(3, 3, r)`` with the measured side first.  Per outcome
+    s = +-1 the entropy is eta(mu+) + eta(mu-) - eta(p), with
+    eta(x) = -x ln x, p = (1 + s local . n) / 2, w = other + s m^T n and
+    mu+- = (2p +- |w|) / 4; the terms of a mu or p at or below
+    ``ENTROPY_CUTOFF`` drop out.  grad |w| = s m w^ and
+    hess |w| = m (I - w^ w^T) m^T / |w|.  On a tangent frame E at ``n`` the
+    Riemannian Hessian is E^T H E - (n . g) I.  The step's component along
+    each of its eigenvectors is divided by max(|lambda|,
+    ``_CURVATURE_FLOOR``), so a singular or indefinite Hessian still gives
+    a descent step.  Returns the step's unit tangent, its length in rad
+    (capped at ``_MAX_TURN``) and the norm of the Riemannian gradient.
+    """
+    # an orthonormal tangent frame (Duff et al., JCGT 6 (2017)); any one gives the same step
+    x, y, z = n
+    sign = np.copysign(1.0, z)
+    c = -1.0 / (sign + z)
+    xy = x * y * c
+    frame = (n, np.array([1.0 + sign * x * x * c, sign * xy, -sign * x]), np.array([xy, sign + y * y * c, -y]))
+    # per frame vector e: e . local and m^T e
+    proj = [_dot(e, local) for e in frame]
+    turned = [e[0] * m[0] + e[1] * m[1] + e[2] * m[2] for e in frame]
+    grad = [0.0] * 3  # e . g: the normal component, then the tangent ones
+    hess = {(1, 1): 0.0, (1, 2): 0.0, (2, 2): 0.0}
+    for s in (1.0, -1.0):
+        w = other + s * turned[0]
+        r = np.sqrt(_dot(w, w))
+        r_or_1 = np.where(r > 0.0, r, 1.0)
+        p = 0.5 * (1.0 + s * proj[0])
+        mu = np.array([0.5 * p + 0.25 * r, 0.5 * p - 0.25 * r, p])
+        kept = mu > densmat.ENTROPY_CUTOFF
+        mu = np.where(kept, mu, 1.0)
+        log, inv = np.where(kept, np.log(mu), 0.0), np.where(kept, 1.0 / mu, 0.0)
+        # e . grad |w| / s, for each frame vector e
+        tilt = [_dot(w, v) / r_or_1 for v in turned]
+        # coefficient of m (I - w^ w^T) m^T; its limit at |w| = 0 is -1 / (4p)
+        bend = np.where(r > 0.0, (log[1] - log[0]) / (4.0 * r_or_1), -0.25 * inv[2])
+        for k in range(3):
+            grad[k] += s * (0.25 * proj[k] * (2.0 * log[2] - log[0] - log[1])
+                              - 0.25 * tilt[k] * (log[0] - log[1]))
+        for i, j in hess:
+            hess[i, j] += (
+                -(inv[0] * (proj[i] + tilt[i]) * (proj[j] + tilt[j])
+                  + inv[1] * (proj[i] - tilt[i]) * (proj[j] - tilt[j])) / 16.0
+                + 0.25 * inv[2] * proj[i] * proj[j] + bend * (_dot(turned[i], turned[j]) - tilt[i] * tilt[j]))
+    h11, h12, h22 = hess[1, 1] - grad[0], hess[1, 2], hess[2, 2] - grad[0]
+    # the Hessian's eigenvectors are (cos, sin) and (-sin, cos)
+    angle = 0.5 * np.arctan2(2.0 * h12, h11 - h22)
+    cos, sin = np.cos(angle), np.sin(angle)
+    lam1 = h11 * cos * cos + 2.0 * h12 * cos * sin + h22 * sin * sin
+    lam2 = h11 * sin * sin - 2.0 * h12 * cos * sin + h22 * cos * cos
+    v1 = -(cos * grad[1] + sin * grad[2]) / np.maximum(np.abs(lam1), _CURVATURE_FLOOR)
+    v2 = (sin * grad[1] - cos * grad[2]) / np.maximum(np.abs(lam2), _CURVATURE_FLOOR)
+    t1, t2 = cos * v1 - sin * v2, sin * v1 + cos * v2
+    length = np.sqrt(t1 * t1 + t2 * t2)
+    unit = (t1 * frame[1] + t2 * frame[2]) / np.where(length > 0.0, length, 1.0)
+    return unit, np.minimum(length, _MAX_TURN), np.sqrt(grad[1] * grad[1] + grad[2] * grad[2])
 
 
 def discord_numeric(rho, measured_side: str = "A") -> float:

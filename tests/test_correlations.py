@@ -198,9 +198,9 @@ def test_optimal_measurement_reports_basis_and_gain(bell_state):
 
 
 def test_optimizer_iteration_cap_raises(monkeypatch):
-    monkeypatch.setattr(correlations, "_MAX_LEVELS", 1)
+    monkeypatch.setattr(correlations, "_MAX_STEPS", 1)
     rho = rho_m_at(0.4, 0.8, 0.7)
-    with pytest.raises(DiscordOptimizationError, match="within 1 zoom levels"):
+    with pytest.raises(DiscordOptimizationError, match="within 1 Newton steps"):
         discord_numeric(rho, "A")
 
 
@@ -223,6 +223,8 @@ def test_discord_numeric_matches_closed_form_on_standard_grid():
 
 @pytest.mark.parametrize("eps_s,eps_a", [
     (0.0, 0.0), (0.0, 0.6), (0.5, 0.5), (0.9, 0.9), (0.4, 1.0 - 1e-9), (0.0, 1.0 - 1e-9),
+    # at phi = pi/2 the conditional entropy is flat along a ring of axes
+    (0.7363636363636363, 0.7363636363636363), (0.8181818181818181, 0.8181818181818181),
 ])
 @pytest.mark.parametrize("phi", [0.0, 0.6, HALF_PI])
 def test_discord_numeric_matches_closed_form_at_domain_edges(eps_s, eps_a, phi):
@@ -266,8 +268,8 @@ def search_rows():
     return blochs, sides, alone
 
 
-# 4096 is the default budget; 1000 scores one seed row and 12 zoom rows per
-# call, 300 three zoom rows per call, so chunks end mid-stack.
+# 4096 is the default budget; 1000 scores one seed row and 1000 Newton rows
+# per call, 300 one seed row and 300 Newton rows, so chunks end mid-stack.
 @pytest.mark.parametrize("budget", [4096, 1000, 300])
 def test_stacked_search_rows_equal_one_row_searches(search_rows, budget, monkeypatch):
     blochs, sides, alone = search_rows
@@ -276,6 +278,28 @@ def test_stacked_search_rows_equal_one_row_searches(search_rows, budget, monkeyp
     assert len(stacked) == len(alone) == 256
     for row, one in zip(stacked, alone):
         assert [v.hex() for v in row] == [v.hex() for v in one]
+
+
+def test_refined_axes_score_no_higher_than_a_dense_scan_or_their_seed(search_rows):
+    # the 64 random states, both sides, against an independent 181 x 360 scan
+    # of the whole sphere and against the best axis of the seed hemisphere
+    blochs, sides, alone = search_rows
+    dense = correlations._axes(*np.meshgrid(np.linspace(0.0, math.pi, 181),
+                                            np.linspace(0.0, 2.0 * math.pi, 360, endpoint=False)))
+    seed = correlations._axes(*np.meshgrid(np.linspace(0.0, math.pi, 64)[:32],
+                                           np.linspace(0.0, 2.0 * math.pi, 32, endpoint=False)))
+    for row in [*range(64), *range(128, 192)]:
+        a, b, t = blochs[row]
+        local, other, m = (b, a, t.T) if sides[row] == "A" else (a, b, t)
+        polar, azimuth, _ = alone[row]
+
+        def lowest(axes):
+            return correlations._conditional_entropy_scan(
+                local[None], other[None], m[None], axes.reshape(-1, 3)).min()
+
+        refined = lowest(correlations._axes(np.array(polar), np.array(azimuth)))
+        assert refined <= lowest(dense) + 1e-15, row
+        assert refined <= lowest(seed), row
 
 
 def _record_kernel_calls(monkeypatch):

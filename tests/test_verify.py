@@ -157,7 +157,8 @@ def test_run_suite_passes_at_any_temperature(temperature):
 
 # run_suite(4, 2, 1.0) before energy deviations were taken in units of T
 # and before the discord search was stacked: (name, points, max_deviation).
-# reset_marginals is the later partial-trace check.
+# reset_marginals is the later partial-trace check, and discord_symmetry is
+# the Newton-refined basis search's.
 SUITE_4_2 = [
     ("work_measurement", 64, 6.661338147750939e-16),
     ("work_feedback", 64, 1.3322676295501878e-15),
@@ -185,7 +186,7 @@ SUITE_4_2 = [
     ("cop_monotone_phi", 42, 0.0),
     ("eta_monotone_phi", 42, 0.0),
     ("chi_monotone_phi", 42, 0.0),
-    ("discord_symmetry", 8, 2.220446049250313e-16),
+    ("discord_symmetry", 8, 1.1102230246251565e-16),
     ("discord_numeric_vs_closed", 8, 2.220446049250313e-16),
     ("entangled_implies_discordant", 2, 0.0),
 ]
@@ -198,8 +199,8 @@ def test_run_suite_at_unit_temperature_is_unchanged():
 
 
 def test_run_suite_scores_the_discord_subgrid_in_few_kernel_calls(monkeypatch):
-    # 64 subgrid states x 2 sides: 32 seed calls of 4 rows and about 22 zoom
-    # levels of 3 calls (one search per row made 2944 calls)
+    # 64 subgrid states x 2 sides: 32 seed calls of 4 rows and a few Newton
+    # steps of one call each (one zoom search per row made 2944 calls)
     calls = []
     real = correlations._conditional_entropy_scan
     monkeypatch.setattr(correlations, "_conditional_entropy_scan",
@@ -355,7 +356,7 @@ SUITE_4_2_REPR = [
     ("cop_monotone_phi", 42, "0.0"),
     ("eta_monotone_phi", 42, "0.0"),
     ("chi_monotone_phi", 42, "0.0"),
-    ("discord_symmetry", 8, "2.220446049250313e-16"),
+    ("discord_symmetry", 8, "1.1102230246251565e-16"),
     ("discord_numeric_vs_closed", 8, "2.220446049250313e-16"),
     ("entangled_implies_discordant", 2, "0.0"),
 ]
