@@ -178,24 +178,40 @@ def _conditional_entropy_scan(local: np.ndarray, other: np.ndarray, m: np.ndarra
     or ``(k, 3)`` for all rows); ``other[i]`` is the other side's vector and
     ``m[i]`` the correlation tensor with the measured side first (``t.T``
     for side A, ``t`` for S).  The 3-term contractions are explicit sums,
-    so a row's ``(r, k)`` values do not depend on the other rows.
+    so a row's ``(r, k)`` values do not depend on the other rows.  The two
+    outcomes are summed in turn.  Each masks its dead branches
+    (probability at or below ``_PROB_FLOOR``) and its zero entropy terms
+    only when the call has one, so every value takes the same floating-point
+    operations either way.
     """
     # dot[:, c] = n . v[:, c]: n . local for c = 0 and (n @ m)_j for c = 1 + j
     v = np.concatenate([local[:, None], m.transpose(0, 2, 1)], axis=1)
     x = axes[..., None, :, :]
     dot = x[..., 0] * v[:, :, 0, None] + x[..., 1] * v[:, :, 1, None] + x[..., 2] * v[:, :, 2, None]
-    # Both outcomes at once: axis 0 runs over the projectors (1 +- n.sigma)/2.
-    dot = np.array([dot, -dot])
-    p = 0.5 * (1.0 + dot[:, :, 0])
-    shifted = other[:, :, None] + dot[:, :, 1:]
-    shifted *= shifted
-    lengths = np.sqrt(shifted[:, :, 0] + shifted[:, :, 1] + shifted[:, :, 2])
-    live = p > _PROB_FLOOR
-    ratio = np.where(live, np.minimum(1.0, lengths / np.where(live, 2.0 * p, 1.0)), 0.0)
-    q = np.array([(1.0 + ratio) / 2.0, (1.0 - ratio) / 2.0])
+    total = 0.0  # a numpy sum starts from +0.0 too: two -0.0 terms total +0.0
+    # the projectors (1 + n.sigma)/2 and (1 - n.sigma)/2; a - b is a + (-b) exactly
+    for sign in (np.add, np.subtract):
+        p = 0.5 * sign(1.0, dot[:, 0])
+        shifted = sign(other[:, :, None], dot[:, 1:])
+        shifted *= shifted
+        lengths = np.sqrt(shifted[:, 0] + shifted[:, 1] + shifted[:, 2])
+        live = p > _PROB_FLOOR
+        every = live.all()
+        if every:
+            ratio = np.minimum(1.0, lengths / (2.0 * p))
+        else:
+            ratio = np.where(live, np.minimum(1.0, lengths / np.where(live, 2.0 * p, 1.0)), 0.0)
+        term = p * -(_entropy_term((1.0 + ratio) / 2.0) + _entropy_term((1.0 - ratio) / 2.0))
+        total = total + (term if every else np.where(live, term, 0.0))
+    return total
+
+
+def _entropy_term(q: np.ndarray) -> np.ndarray:
+    """q ln q elementwise, 0 where q is at or below ``ENTROPY_CUTOFF``."""
     kept = q > densmat.ENTROPY_CUTOFF
-    h = -np.where(kept, q * np.log(np.where(kept, q, 1.0)), 0.0).sum(axis=0)
-    return np.where(live, p * h, 0.0).sum(axis=0)
+    if kept.all():
+        return q * np.log(q)
+    return np.where(kept, q * np.log(np.where(kept, q, 1.0)), 0.0)
 
 
 def optimal_measurement(rho, measured_side: str = "A") -> tuple[MeasurementBasis, float]:

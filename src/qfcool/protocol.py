@@ -112,9 +112,10 @@ def _initial_states(eps_s, eps_a) -> np.ndarray:
 
 
 def _measurement_unitaries(phi) -> np.ndarray:
-    # math.sin/cos per angle: numpy's vectorised sin/cos may differ from
-    # the C library's in the last bit, and so move output bytes.
-    sin_cos = np.array([(math.sin(p), math.cos(p)) for p in phi]).reshape(-1, 2)
+    # math.sin/cos once per distinct angle: numpy's vectorised sin/cos may
+    # differ from the C library's in the last bit, and so move output bytes.
+    table = {p: (math.sin(p), math.cos(p)) for p in set(phi)}
+    sin_cos = np.array([table[p] for p in phi]).reshape(-1, 2)
     axes = sin_cos[:, 0, None, None] * SIGMA_X + sin_cos[:, 1, None, None] * SIGMA_Z
     return _SQRT1_2 * (_ID4 - 1j * _tensor(axes, SIGMA_Y))
 

@@ -52,9 +52,11 @@ def energy_model(params: ProtocolParams) -> EnergyModel:
 
 
 def _energy_models(points) -> EnergyModel:
-    """``energy_model`` of each of n points, every field stacked."""
-    omegas = np.array([(level_splitting(p.eps_s, p.temperature),
-                        level_splitting(p.eps_a, p.temperature)) for p in points]).reshape(-1, 2)
+    """``energy_model`` of each of n points, every field stacked; one
+    ``level_splitting`` per distinct (bias, temperature)."""
+    keys = [(eps, p.temperature) for p in points for eps in (p.eps_s, p.eps_a)]
+    splittings = {key: level_splitting(*key) for key in set(keys)}
+    omegas = np.array([splittings[key] for key in keys]).reshape(-1, 2)
     h_s = 0.5 * omegas[:, 0, None, None] * SIGMA_Z
     h_a = 0.5 * omegas[:, 1, None, None] * SIGMA_Z
     return EnergyModel(
@@ -78,13 +80,14 @@ def ergotropy(rho, hamiltonian) -> float:
         raise ValueError(f"dimension mismatch: {h.shape} vs {r.shape}")
     if not densmat.is_hermitian(h):
         raise ValueError("ergotropy expects a Hermitian Hamiltonian")
-    return float(_ergotropy(r, h, populations))
+    return float(_ergotropy(densmat._expectation(h, r), h, populations))
 
 
-def _ergotropy(rho: np.ndarray, h: np.ndarray, populations: np.ndarray) -> np.ndarray:
-    """Ergotropy of a state or of each state in a stack, from its eigenvalues."""
+def _ergotropy(energy: np.ndarray, h: np.ndarray, populations: np.ndarray) -> np.ndarray:
+    """Ergotropy of a state or of each state in a stack, from its energy tr(H rho)
+    and its eigenvalues."""
     passive_energy = (populations[..., ::-1] * np.linalg.eigvalsh(h)).sum(axis=-1)
-    return np.maximum(0.0, densmat._expectation(h, rho) - passive_energy)
+    return np.maximum(0.0, energy - passive_energy)
 
 
 # ---------------------------------------------------------------------------
@@ -95,17 +98,26 @@ def _energy_drop(h: np.ndarray, before: np.ndarray, after: np.ndarray) -> np.nda
     return densmat._expectation(h, before) - densmat._expectation(h, after)
 
 
-def _oracles(trace: ProtocolTrace, model: EnergyModel) -> dict[str, np.ndarray]:
-    """Each closed form's matrix oracle, by name, on stacked states: one value per point."""
-    h = model.hamiltonian
+def _energies(h: np.ndarray, trace: ProtocolTrace) -> dict[str, np.ndarray]:
+    """tr(H rho) of ``rho0``, ``rho_m`` and ``rho_f``, by field name, one value per point."""
+    return {name: densmat._expectation(h, getattr(trace, name)) for name in ("rho0", "rho_m", "rho_f")}
+
+
+def _oracles(trace: ProtocolTrace, model: EnergyModel,
+             energies: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Each closed form's matrix oracle, by name, on stacked states: one value per point.
+
+    ``energies`` are the joint energies ``_energies`` returns, each taken once.
+    """
+    e0, e_m, e_f = energies["rho0"], energies["rho_m"], energies["rho_f"]
     return {
-        "work_measurement": _energy_drop(h, trace.rho0, trace.rho_m),
-        "work_feedback": _energy_drop(h, trace.rho_m, trace.rho_f),
+        "work_measurement": e0 - e_m,
+        "work_feedback": e_m - e_f,
         "heat_reset": _energy_drop(model.h_ancilla, trace.rho_f_a, trace.rho0_a),
         "delta_e_system": _energy_drop(model.h_system, trace.rho0_s, trace.rho_f_s),
         "entropy_reduction": (densmat._vn_entropies(trace.rho0_s)
                               - densmat._vn_entropies(trace.rho_f_s)),
-        "total_work": -_energy_drop(h, trace.rho0, trace.rho_f),
+        "total_work": -(e0 - e_f),
     }
 
 
@@ -116,5 +128,6 @@ def matrix_oracles(params: ProtocolParams) -> dict[str, float]:
     is the matrix route of ``getattr(figures_of_merit(p), name)``.
     """
     trace = protocol._run_protocols((params.eps_s,), (params.eps_a,), (params.phi,))
-    return {name: float(value[0])
-            for name, value in _oracles(trace, _energy_models([params])).items()}
+    model = _energy_models([params])
+    return {name: float(value[0]) for name, value in
+            _oracles(trace, model, _energies(model.hamiltonian, trace)).items()}

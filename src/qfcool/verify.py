@@ -59,7 +59,8 @@ def standard_grid(n: int = 12, temperature: float = 1.0) -> list[ProtocolParams]
 class _Grid:
     """Stacks over the points of a grid (``standard_grid`` order, ``n`` per axis).
 
-    The thermo reports and the numeric discords are built on first use.
+    Each spectrum, entropy and closed-form discord is computed once, on
+    first use; the thermo reports and the numeric discords too.
     """
 
     def __init__(self, points: Sequence[ProtocolParams], n: int = 1, discord_stride: int = 1):
@@ -69,10 +70,33 @@ class _Grid:
         eps_s, eps_a, phi = zip(*((p.eps_s, p.eps_a, p.phi) for p in points))
         self.trace = protocol._run_protocols(eps_s, eps_a, phi)
         self.model = thermo._energy_models(points)
-        self.oracles = thermo._oracles(self.trace, self.model)
-        self.thermal_s = protocol._thermal_qubits(eps_s)
-        self.thermal_a = protocol._thermal_qubits(eps_a)
-        self.mutual_information = correlations._mutual_information(self.trace.rho_m)
+        self.energies = thermo._energies(self.model.hamiltonian, self.trace)
+        self.oracles = thermo._oracles(self.trace, self.model, self.energies)
+        # the stacks whose spectra the classes read: the trace fields and the thermal qubits
+        self.states = {**vars(self.trace), "thermal_s": protocol._thermal_qubits(eps_s),
+                       "thermal_a": protocol._thermal_qubits(eps_a)}
+        self._spectra: dict[str, np.ndarray] = {}
+        self._entropies: dict[str, np.ndarray] = {}
+        self._closed_discords: dict[tuple[float, float], float] = {}
+
+    def spectrum(self, name: str) -> np.ndarray:
+        """Ascending eigenvalues of each matrix of the stack ``states[name]``."""
+        if name not in self._spectra:
+            self._spectra[name] = np.linalg.eigvalsh(self.states[name])
+        return self._spectra[name]
+
+    def entropy(self, name: str) -> np.ndarray:
+        """Von Neumann entropy of each matrix of the stack ``states[name]``."""
+        if name not in self._entropies:
+            self._entropies[name] = densmat._spectrum_entropy(self.spectrum(name))
+        return self._entropies[name]
+
+    def discord_analytic(self, p: ProtocolParams) -> float:
+        """The closed-form discord at ``p``, which depends on (eps_s, phi) alone."""
+        key = (p.eps_s, p.phi)
+        if key not in self._closed_discords:
+            self._closed_discords[key] = correlations.discord_analytic(*key)
+        return self._closed_discords[key]
 
     @cached_property
     def reports(self) -> list[thermo.ThermoReport]:
@@ -83,8 +107,8 @@ class _Grid:
         # run's report at each point whose three axis indices are multiples of the stride
         n, stride = self.n, self.discord_stride
         index = np.arange(n ** 3).reshape(n, n, n)[::stride, ::stride, ::stride].ravel().tolist()
-        return correlations._reports(self.trace.rho_m[index], [correlations.discord_analytic(
-            self.points[i].eps_s, self.points[i].phi) for i in index], numeric=True)
+        return correlations._reports(self.trace.rho_m[index], [
+            self.discord_analytic(self.points[i]) for i in index], numeric=True)
 
 
 def _pointwise(g: _Grid, closed: Callable[[ProtocolParams, thermo.ThermoReport], float],
@@ -102,14 +126,14 @@ def _max_abs(stack: np.ndarray) -> np.ndarray:
 
 
 def _swap_limit(g: _Grid) -> list[float]:
-    dev = np.maximum(_max_abs(g.trace.rho_f_s - g.thermal_a), _max_abs(g.trace.rho_f_a - g.thermal_s))
+    dev = np.maximum(_max_abs(g.trace.rho_f_s - g.states["thermal_a"]),
+                     _max_abs(g.trace.rho_f_a - g.states["thermal_s"]))
     return [d for p, d in zip(g.points, dev.tolist()) if abs(p.phi - math.pi / 2) < 1e-12]
 
 
 def _entropy_invariance(g: _Grid) -> list[float]:
-    s0 = densmat._vn_entropies(g.trace.rho0)
-    return np.maximum(np.abs(densmat._vn_entropies(g.trace.rho_m) - s0),
-                      np.abs(densmat._vn_entropies(g.trace.rho_f) - s0)).tolist()
+    s0 = g.entropy("rho0")
+    return np.maximum(np.abs(g.entropy("rho_m") - s0), np.abs(g.entropy("rho_f") - s0)).tolist()
 
 
 def _ancilla_marginal(g: _Grid) -> list[float]:
@@ -120,8 +144,7 @@ def _ancilla_marginal(g: _Grid) -> list[float]:
 
 
 def _ergotropy_bound(g: _Grid) -> list[float]:
-    rho_m = g.trace.rho_m
-    bound = thermo._ergotropy(rho_m, g.model.hamiltonian, np.linalg.eigvalsh(rho_m))
+    bound = thermo._ergotropy(g.energies["rho_m"], g.model.hamiltonian, g.spectrum("rho_m"))
     return [max(0.0, r.work_feedback - e) / p.temperature
             for p, r, e in zip(g.points, g.reports, bound.tolist())]
 
@@ -154,15 +177,16 @@ ORACLE_CLASSES = {
     "energy_conservation": (TOL_CLOSED_FORM, lambda g: _pointwise(
         g, lambda p, r: -(r.work_measurement + r.work_feedback), g.oracles["total_work"],
         energy=True)),
+    # the matrix route is correlations._mutual_information(rho_m), from the shared entropies
     "mutual_information": (TOL_CLOSED_FORM, lambda g: _pointwise(
-        g, lambda p, r: correlations.mutual_information_analytic(p), g.mutual_information)),
+        g, lambda p, r: correlations.mutual_information_analytic(p),
+        g.entropy("rho_m_s") + g.entropy("rho_m_a") - g.entropy("rho_m"))),
     "discord_closed_form": (TOL_CLOSED_FORM, lambda g: _pointwise(
-        g, lambda p, r: correlations.discord_analytic(p.eps_s, p.phi),
-        densmat._vn_entropies(g.trace.rho_m_s) - densmat._vn_entropies(g.thermal_s))),
+        g, lambda p, r: g.discord_analytic(p), g.entropy("rho_m_s") - g.entropy("thermal_s"))),
     "thermal_entropy": (TOL_ENTROPY_FORM, lambda g: _pointwise(
         g, lambda p, r: (math.log(2.0) - 0.5 * (math.log1p(-p.eps_a) + math.log1p(p.eps_a))
                          - p.eps_a * math.atanh(p.eps_a)),
-        densmat._vn_entropies(g.thermal_a))),
+        g.entropy("thermal_a"))),
 }
 
 CLASSES = {
@@ -210,7 +234,7 @@ def _check(name: str, deviations: Sequence[float]) -> Check:
 
     A NaN deviation is the worst of all: it makes the class fail.
     """
-    worst = (math.nan if any(math.isnan(d) for d in deviations)
+    worst = (math.nan if any(map(math.isnan, deviations))
              else max([0.0, *deviations]))
     return Check(name=name, points=len(deviations), max_deviation=worst,
                  tolerance=CLASSES[name][0])

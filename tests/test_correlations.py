@@ -18,6 +18,7 @@ from qfcool.protocol import ProtocolParams, run_protocol
 from qfcool.verify import standard_grid
 
 import projector_oracle
+import scan_reference
 
 HALF_PI = math.pi / 2
 LN2 = math.log(2.0)
@@ -252,6 +253,71 @@ def test_scan_objective_agrees_with_projector_route(random_density, rng):
             assert abs(fast - exact) <= 1e-11
 
 
+def _seed_axes():
+    # the search's seed: the upper hemisphere of the 64 x 32 grid, in its order
+    grid = np.meshgrid(np.linspace(0.0, math.pi, 64)[:32],
+                       np.linspace(0.0, 2.0 * math.pi, 32, endpoint=False), indexing="ij")
+    return correlations._axes(*grid).reshape(-1, 3)
+
+
+def _kernel_rows(states):
+    """(local, other, m) of every state measured on A, then on S, as one stack."""
+    a, b, t = (np.array(c) for c in zip(*map(bloch_components, states)))
+    return (np.concatenate([b, a]), np.concatenate([a, b]),
+            np.concatenate([t.transpose(0, 2, 1), t]))
+
+
+def _kernel_matches_reference(local, other, m, axes, rows_per_call):
+    """Both kernels on the same calls of at most ``rows_per_call`` rows, by their bytes."""
+    for lo in range(0, len(local), rows_per_call):
+        part = slice(lo, lo + rows_per_call)
+        args = local[part], other[part], m[part], axes if axes.ndim == 2 else axes[part]
+        fast = correlations._conditional_entropy_scan(*args)
+        frozen = scan_reference.conditional_entropy_scan(*args)
+        assert fast.shape == frozen.shape and fast.tobytes() == frozen.tobytes(), lo
+
+
+def _random_kernel_states(rng):
+    """64 states: 12 of each Ginibre rank 1 to 4 (rank 1 is pure), 12 random pure
+    products and the 4 basis products |s a>, whose Bloch vectors lie on the seed's
+    polar axis."""
+    def ket(dim):
+        v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        return v / np.linalg.norm(v)
+
+    states = []
+    for rank in (1, 2, 3, 4):
+        for _ in range(12):
+            g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+            states.append(g @ g.conj().T / np.trace(g @ g.conj().T).real)
+    kets = [np.kron(ket(2), ket(2)) for _ in range(12)] + list(np.eye(4, dtype=complex))
+    return states + [np.outer(v, v.conj()) for v in kets]
+
+
+def test_scan_kernel_equals_the_frozen_kernel_bit_for_bit():
+    seed = _seed_axes()
+    # both sides of standard_grid(12), four rows per call as the seed scan runs
+    grid = [run_protocol(p).rho_m for p in standard_grid(12)]
+    _kernel_matches_reference(*_kernel_rows(grid), seed, correlations._SCAN_BUDGET // len(seed))
+    # one axis per row, as the Newton steps rescore them; a row whose measured side
+    # is pure takes its Bloch vector, where one outcome's probability is a rounding residue
+    rng = np.random.default_rng(20261018)
+    random = _random_kernel_states(rng)
+    for states in (grid, random):
+        local, other, m = _kernel_rows(states)
+        axes = rng.normal(size=(len(local), 1, 3))
+        pure = np.linalg.norm(local, axis=-1) > 1.0 - 1e-9
+        axes[pure, 0] = local[pure]
+        _kernel_matches_reference(local, other, m, axes / np.linalg.norm(axes, axis=-1, keepdims=True),
+                                  correlations._SCAN_BUDGET)
+    # pure and pure-product states against the seed: dead outcomes and zero entropy terms
+    local, other, m = _kernel_rows(random)
+    _kernel_matches_reference(local, other, m, seed, 4)
+    _, live, q = scan_reference.outcomes(local, other, m, seed)
+    assert (~live).any() and live.any()
+    assert (q[:, live] <= closed_forms.ENTROPY_CUTOFF).any()
+
+
 @pytest.fixture(scope="module")
 def search_rows():
     """(state, side) rows of 64 random states and the standard_grid(4) rho_m, with
@@ -280,14 +346,35 @@ def test_stacked_search_rows_equal_one_row_searches(search_rows, budget, monkeyp
         assert [v.hex() for v in row] == [v.hex() for v in one]
 
 
+def test_stacked_search_rows_equal_one_row_searches_when_every_row_backtracks(search_rows, monkeypatch):
+    # every Newton turn 1e4 times too long: each row halves its step until the
+    # entropy does not rise, so rows leave the backtracking loop at different halvings
+    real, newton_calls = correlations._newton_steps, []
+
+    def overshooting(*args):
+        unit, turn, slope = real(*args)
+        newton_calls.append(None)
+        return unit, turn * 1e4, slope
+
+    monkeypatch.setattr(correlations, "_newton_steps", overshooting)
+    blochs, sides, _ = search_rows
+    alone = [correlations._optimal_measurements([b], [s])[0] for b, s in zip(blochs, sides)]
+    calls, newton_calls[:] = _record_kernel_calls(monkeypatch), []
+    stacked = correlations._optimal_measurements(blochs, sides)
+    assert len(stacked) == len(alone) == 256
+    for row, one in zip(stacked, alone):
+        assert [v.hex() for v in row] == [v.hex() for v in one]
+    # far more one-axis rescoring calls than Newton steps: the rows backtracked
+    assert sum(k == 1 for _, k in calls) > 10 * len(newton_calls)
+
+
 def test_refined_axes_score_no_higher_than_a_dense_scan_or_their_seed(search_rows):
     # the 64 random states, both sides, against an independent 181 x 360 scan
     # of the whole sphere and against the best axis of the seed hemisphere
     blochs, sides, alone = search_rows
     dense = correlations._axes(*np.meshgrid(np.linspace(0.0, math.pi, 181),
                                             np.linspace(0.0, 2.0 * math.pi, 360, endpoint=False)))
-    seed = correlations._axes(*np.meshgrid(np.linspace(0.0, math.pi, 64)[:32],
-                                           np.linspace(0.0, 2.0 * math.pi, 32, endpoint=False)))
+    seed = _seed_axes()
     for row in [*range(64), *range(128, 192)]:
         a, b, t = blochs[row]
         local, other, m = (b, a, t.T) if sides[row] == "A" else (a, b, t)

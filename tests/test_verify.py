@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -234,6 +236,62 @@ def test_matrix_oracles_equal_the_stacked_oracle_rows_bit_for_bit():
         oracles = thermo.matrix_oracles(params)
         assert {name: value.hex() for name, value in oracles.items()} == {
             name: float(stack[i]).hex() for name, stack in stacks.items()}
+
+
+def _bits(stack) -> tuple:
+    a = np.asarray(stack)
+    return a.shape, a.dtype, a.tobytes()
+
+
+@pytest.mark.parametrize("temperature", [1e-300, 0.8, 1e300])
+def test_grid_values_equal_their_direct_computation(temperature):
+    # each value the grid computes once equals the call it stands for, bit for bit
+    points = verify.standard_grid(5, temperature=temperature)
+    g = verify._Grid(points, 5, 3)
+    trace = g.trace
+    thermal = {"thermal_s": protocol._thermal_qubits([p.eps_s for p in points]),
+               "thermal_a": protocol._thermal_qubits([p.eps_a for p in points])}
+    assert set(g.states) == set(thermal) | set(vars(trace))
+    for name in g.states:
+        state = thermal[name] if name in thermal else getattr(trace, name)
+        assert _bits(g.spectrum(name)) == _bits(np.linalg.eigvalsh(state)), name
+        assert _bits(g.entropy(name)) == _bits(densmat._vn_entropies(state)), name
+    assert (_bits(g.entropy("rho_m_s") + g.entropy("rho_m_a") - g.entropy("rho_m"))
+            == _bits(correlations._mutual_information(trace.rho_m)))
+    h, model = g.model.hamiltonian, g.model
+    per_field = {
+        "work_measurement": thermo._energy_drop(h, trace.rho0, trace.rho_m),
+        "work_feedback": thermo._energy_drop(h, trace.rho_m, trace.rho_f),
+        "heat_reset": thermo._energy_drop(model.h_ancilla, trace.rho_f_a, trace.rho0_a),
+        "delta_e_system": thermo._energy_drop(model.h_system, trace.rho0_s, trace.rho_f_s),
+        "entropy_reduction": densmat._vn_entropies(trace.rho0_s) - densmat._vn_entropies(trace.rho_f_s),
+        "total_work": -thermo._energy_drop(h, trace.rho0, trace.rho_f),
+    }
+    assert ({name: [v.hex() for v in stack.tolist()] for name, stack in g.oracles.items()}
+            == {name: [v.hex() for v in stack.tolist()] for name, stack in per_field.items()})
+    assert _bits(g.energies["rho_m"]) == _bits(densmat._expectation(h, trace.rho_m))
+    assert [(s.hex(), a.hex()) for s, a in zip(model.omega_s.tolist(), model.omega_a.tolist())] == [
+        (thermo.level_splitting(p.eps_s, p.temperature).hex(),
+         thermo.level_splitting(p.eps_a, p.temperature).hex()) for p in points]
+    for i, p in enumerate(points):
+        single = thermo.energy_model(p)
+        for field in ("hamiltonian", "h_system", "h_ancilla"):
+            assert _bits(getattr(model, field)[i]) == _bits(getattr(single, field)), (i, field)
+    assert [g.discord_analytic(p).hex() for p in points] == [
+        correlations.discord_analytic(p.eps_s, p.phi).hex() for p in points]
+
+
+# repr(run_suite(n, stride, T)) per class at the benchmark's strata and at
+# stride 1, recorded before the grid shared its spectra, energies, level
+# splittings, phi rows and closed-form discords.
+SUITE_REPRS = json.loads((pathlib.Path(__file__).parent / "suite_reprs.json").read_text())
+
+
+@pytest.mark.parametrize("stratum", list(SUITE_REPRS))
+def test_run_suite_reprs_are_unchanged(stratum):
+    n, stride, temperature = stratum.split()
+    checks = verify.run_suite(int(n), int(stride), float(temperature))
+    assert [repr(c) for c in checks] == SUITE_REPRS[stratum]
 
 
 def _perturbed_reset_state(real):
