@@ -337,37 +337,17 @@ def mutual_information_analytic(params: ProtocolParams) -> float:
     return thermal_entropy(es * cos_phi) + thermal_entropy(es * ea * cos_phi) + joint
 
 
-def _discord_direct(eps_s: float, x: float) -> float:
-    """The direct logarithmic form of ``discord_analytic`` at ``x = eps_s cos phi``."""
-    # log1p keeps 1 - eps^2 free of cancellation as eps_s approaches 1
-    direct = 0.5 * ((math.log1p(-eps_s) + math.log1p(eps_s))
-                    - (math.log1p(-x) + math.log1p(x)))
-    if eps_s > 0.0:
-        direct += eps_s * math.atanh(eps_s)
-    if x > 0.0:
-        direct += 0.5 * x * math.log((1.0 - x) / (1.0 + x))
-    return direct
-
-
 def discord_analytic(eps_s: float, phi: float) -> float:
     """Closed-form discord of the post-measurement state.
 
-    Depends only on the register bias and measurement angle, and equals
-    the entropy gap S(thermal(eps_s cos phi)) - S(thermal(eps_s)).  Both
-    that form and the direct logarithmic expression are evaluated; any
-    disagreement beyond 1e-10 indicates a regression and raises.
+    Depends only on the register bias and measurement angle: the entropy
+    gap S(thermal(eps_s cos phi)) - S(thermal(eps_s)).
     """
     if not 0.0 <= eps_s < 1.0:
         raise ValueError("eps_s must be in [0, 1)")
     if not 0.0 <= phi <= math.pi / 2:
         raise ValueError("phi must be in [0, pi/2]")
-    x = eps_s * math.cos(phi)
-    via_entropies = thermal_entropy(x) - thermal_entropy(eps_s)
-    direct = _discord_direct(eps_s, x)
-    if abs(direct - via_entropies) > 1e-10:
-        raise RuntimeError(
-            f"discord closed forms disagree: {direct!r} vs {via_entropies!r}")
-    return via_entropies
+    return thermal_entropy(eps_s * math.cos(phi)) - thermal_entropy(eps_s)
 
 
 def discord_threshold(eps_s: float) -> float:
@@ -503,7 +483,9 @@ def separability_boundary(eps_s: float, eps_a: float,
                           temperature: float = 1.0) -> SeparabilityBoundary:
     """Angle at which the post-measurement state first becomes entangled.
 
-    ``rho_m`` is an X-state, so its concurrence has the closed form
+    ``rho_m`` is an X-state after ``R_y(-phi)`` on the register and a Hadamard
+    on the ancilla (not in the computational basis).  Local unitaries keep the
+    concurrence, so it has the closed form
     ``max(0, [(1 + eps_a) eps_s sin phi - (1 - eps_a) sqrt(1 - eps_s^2 cos^2 phi)] / 2)``
     (Wootters, PRL 80, 2245 (1998); Yu and Eberly, QIC 7, 459 (2007)),
     which is positive exactly for

@@ -333,7 +333,7 @@ def _newton_steps(local: np.ndarray, other: np.ndarray, m: np.ndarray,
         mu = np.array([0.5 * p + 0.25 * r, 0.5 * p - 0.25 * r, p])
         kept = mu > densmat.ENTROPY_CUTOFF
         mu = np.where(kept, mu, 1.0)
-        log, inv = np.where(kept, np.log(mu), 0.0), np.where(kept, 1.0 / mu, 0.0)
+        log, inv = np.log(mu), np.where(kept, 1.0 / mu, 0.0)
         # e . grad |w| / s, for each frame vector e
         tilt = [_dot(w, v) / r_or_1 for v in turned]
         # coefficient of m (I - w^ w^T) m^T; its limit at |w| = 0 is -1 / (4p)

@@ -59,10 +59,6 @@ def _all_hermitian(a: np.ndarray) -> bool:
     return bool((np.abs(a - _dagger(a)) <= ATOL).all())
 
 
-def is_hermitian(m) -> bool:
-    return _all_hermitian(as_matrix(m))
-
-
 def _checked(rho) -> tuple[np.ndarray, np.ndarray]:
     """Validate a caller's density matrix; return it and its ascending eigenvalues."""
     a = as_matrix(rho)
@@ -82,15 +78,6 @@ def validate_density_matrix(rho) -> np.ndarray:
     Raises ValueError naming the violated property.
     """
     return _checked(rho)[0]
-
-
-def validate_unitary(u) -> np.ndarray:
-    """Check U+ U = I elementwise within ``ATOL``; return the ndarray."""
-    a = as_matrix(u)
-    dev = np.max(np.abs(a.conj().T @ a - np.eye(a.shape[0])))
-    if dev > ATOL:
-        raise ValueError(f"matrix is not unitary (max |U+U - I| = {dev:.3e})")
-    return a
 
 
 def tensor(a, b) -> np.ndarray:

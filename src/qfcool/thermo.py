@@ -78,7 +78,7 @@ def ergotropy(rho, hamiltonian) -> float:
     h = densmat.as_matrix(hamiltonian)
     if h.shape != r.shape:
         raise ValueError(f"dimension mismatch: {h.shape} vs {r.shape}")
-    if not densmat.is_hermitian(h):
+    if not densmat._all_hermitian(h):
         raise ValueError("ergotropy expects a Hermitian Hamiltonian")
     return float(_ergotropy(densmat._expectation(h, r), h, populations))
 

