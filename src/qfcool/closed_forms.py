@@ -181,7 +181,7 @@ def _columns(eps_s: float, eps_a_values, temperature: float) -> list[_Column]:
         reduction = ea_atanh_a - a + 0.5 * math.log((1.0 - ea * ea) / (1.0 - eps_s * eps_s))
         columns.append(_Column(eps_s, ea, temperature, atanh_s, atanh_a, a, y, ea_atanh_a,
                                reduction, temperature * reduction, omega_s,
-                               2.0 * temperature * atanh_a, _phi_crit(a, y)))
+                               2.0 * temperature * atanh_a, _phi_crit(eps_s, ea, atanh_s, atanh_a)))
     return columns
 
 
@@ -194,17 +194,13 @@ def _row(phi: float) -> _Row:
     return _Row(phi, s, s ** 2, math.cos(phi) ** 2)
 
 
-def _phi_crit(a: float, y: float) -> float:
-    """Root in phi of the feedback work ``y sin(phi) - a cos(phi)^2``, 0.0 for a = 0."""
-    if a == 0.0:  # eps_s = 0, or small enough for a to underflow
+def _phi_crit(eps_s: float, eps_a: float, atanh_s: float, atanh_a: float) -> float:
+    """Root in phi of the feedback work ``y sin(phi) - a cos(phi)^2``, 0.0 at eps_s = 0.
+    Divided through by atanh(eps_s), its rationalised form neither cancels nor underflows."""
+    if eps_s == 0.0:
         return 0.0
-    # The direct form loses about (y/a)^2 ulps to cancellation and its
-    # squares underflow for a tiny eps_s; there the same root comes from
-    # the rationalised form, whose hypot neither overflows nor underflows.
-    # Elsewhere the direct form stays, keeping emitted digits.
-    if y <= 100.0 * a and a > 1e-100:
-        return math.asin((-y + math.sqrt(y * y + 4.0 * a * a)) / (2.0 * a))
-    return math.asin(2.0 * a / (y + math.hypot(y, 2.0 * a)))
+    y1 = eps_a + eps_s / atanh_s * atanh_a
+    return math.asin(2.0 * eps_s / (y1 + math.hypot(y1, 2.0 * eps_s)))
 
 
 def _report(c: _Column, r: _Row) -> ThermoReport:
@@ -322,19 +318,13 @@ def mutual_information_analytic(params: ProtocolParams) -> float:
 
     The marginals after the measurement are qubits with effective biases
     eps_s cos(phi) (register) and eps_s eps_a cos(phi) (ancilla); the
-    joint entropy is that of the initial product state, whose four
-    eigenvalues (1 +- eps_s)(1 +- eps_a)/4 each carry their full 1/4
-    weight in the lambda ln lambda sum.
+    measurement unitary keeps the joint entropy at that of the initial
+    product state, S(eps_s) + S(eps_a).
     """
     es, ea = params.eps_s, params.eps_a
     cos_phi = math.cos(params.phi)
-    joint = 0.0
-    for s1 in (-1.0, 1.0):
-        for s2 in (-1.0, 1.0):
-            lam = 0.25 * (1.0 + s1 * es) * (1.0 + s2 * ea)
-            if lam > ENTROPY_CUTOFF:
-                joint += lam * math.log(lam)
-    return thermal_entropy(es * cos_phi) + thermal_entropy(es * ea * cos_phi) + joint
+    return (thermal_entropy(es * cos_phi) + thermal_entropy(es * ea * cos_phi)
+            - thermal_entropy(es) - thermal_entropy(ea))
 
 
 def discord_analytic(eps_s: float, phi: float) -> float:

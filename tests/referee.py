@@ -7,6 +7,13 @@ The forms are written from the cycle's physics, not copied from
 thermal entropy from bias ``eps_s`` to ``eps_a``, the reset heat is half the
 ancilla gap times the bias the ancilla gave up, and the total work is that
 heat minus the register's energy drop.  Energies are over ``T``.
+
+The work of each unitary follows the register's and the ancilla's bias along
+the z axis: a qubit of bias ``b`` whose gap gives bias ``eps`` has energy
+``-atanh(eps) b`` over ``T``.  The threshold angle is where the
+feedback work vanishes, the separability angle where the concurrence does,
+and the mutual information is the marginals' entropies less those of the
+initial product state, which the unitaries keep.
 """
 
 import mpmath
@@ -55,3 +62,51 @@ def working_point(name, eps_s, phi, lo, hi):
         if not d(a) > 0 > d(b):
             raise ValueError(f"no sign change of d{name}/d eps_a on [{lo!r}, {hi!r}]")
         return mpmath.findroot(d, (a, b), solver="anderson", tol=mpmath.mpf(10) ** -40)
+
+
+def cycle(eps_s, eps_a, phi):
+    """Every figure of merit over T.  P, Q and W come from ``_energies``; the work
+    of each unitary from the (register, ancilla) z biases of the stages around
+    it: thermal (eps_s, eps_a), measured (eps_s cos^2 phi, 0) and fed back
+    (eps_a sin phi, eps_s sin phi)."""
+    p, q, w = _energies(eps_s, eps_a, phi)
+    es, ea, phi = mpmath.mpf(eps_s), mpmath.mpf(eps_a), mpmath.mpf(phi)
+    s, c = mpmath.sin(phi), mpmath.cos(phi)
+    ts, ta = mpmath.atanh(es), mpmath.atanh(ea)
+
+    def energy(register, ancilla):
+        return -ts * register - ta * ancilla
+
+    e0, e_m, e_f = energy(es, ea), energy(es * c * c, 0), energy(ea * s, es * s)
+    return {"entropy_reduction": p, "work_measurement": e0 - e_m, "work_feedback": e_m - e_f,
+            "heat_reset": q, "delta_e_system": q - w, "total_work": w,
+            "cop": p / w, "eta": p / q, "chi": p * p / w}
+
+
+def phi_crit(eps_s, eps_a):
+    """The angle at which the feedback work ``y sin(phi) - a cos(phi)^2`` vanishes,
+    a = eps_s atanh(eps_s), y = eps_a atanh(eps_s) + eps_s atanh(eps_a): the positive
+    root of a s^2 + y s - a = 0, rationalised, since -y + sqrt(y^2 + 4 a^2) cancels
+    even at 50 digits once y / a passes about 1e25.  At eps_s = 0, where a = y = 0,
+    it is the limit 0."""
+    es, ea = mpmath.mpf(eps_s), mpmath.mpf(eps_a)
+    if es == 0:
+        return es
+    a, y = es * mpmath.atanh(es), ea * mpmath.atanh(es) + es * mpmath.atanh(ea)
+    return mpmath.asin(2 * a / (y + mpmath.sqrt(y * y + 4 * a * a)))
+
+
+def separability_angle(eps_s, eps_a):
+    """The angle at which the concurrence of the measured state,
+    ((1 + eps_a) eps_s sin phi - (1 - eps_a) sqrt(1 - eps_s^2 cos^2 phi)) / 2,
+    vanishes; both terms squared, sin^2 phi is linear."""
+    es, ea = mpmath.mpf(eps_s), mpmath.mpf(eps_a)
+    outer, inner = ((1 + ea) * es) ** 2, ((1 - ea) * es) ** 2
+    return mpmath.asin(mpmath.sqrt((1 - ea) ** 2 * (1 - es * es) / (outer - inner)))
+
+
+def mutual_information(eps_s, eps_a, phi):
+    """The marginals' entropies, at biases eps_s cos phi and eps_s eps_a cos phi,
+    less the joint entropy S(eps_s) + S(eps_a) of the initial product state."""
+    es, ea, c = mpmath.mpf(eps_s), mpmath.mpf(eps_a), mpmath.cos(mpmath.mpf(phi))
+    return _entropy(es * c) + _entropy(es * ea * c) - _entropy(es) - _entropy(ea)

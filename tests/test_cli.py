@@ -87,6 +87,16 @@ def test_run_verify_passes_near_unit_ancilla_bias(capsys, eps_a):
     assert json.loads(out)["verification"]["passed"] is True
 
 
+def test_run_keeps_a_threshold_above_zero_at_a_tiny_register_bias(capsys):
+    # eps_s atanh(eps_s) underflows; phi = 1e-200 lies below the threshold
+    code, out, _ = run_cli(capsys, "run", "--eps-s", "1e-170", "--eps-a", "0.5",
+                           "--phi", "1e-200")
+    assert code == 0
+    thermo = json.loads(out)["thermo"]
+    assert abs(thermo["phi_crit"] - 9.530107160810088e-171) <= 1e-15 * 9.53e-171
+    assert thermo["phi_crit_defined"] and not thermo["work_extracting_feedback"]
+
+
 def test_run_missing_option_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "run", "--eps-s", "0.4", "--eps-a", "0.8")
     assert code == 2

@@ -389,6 +389,22 @@ def test_refined_axes_score_no_higher_than_a_dense_scan_or_their_seed(search_row
         assert refined <= lowest(seed), row
 
 
+def test_the_closed_form_discord_axes_are_stationary():
+    # x for side A, the register's measurement axis (sin phi, 0, cos phi) for side S: the
+    # Riemannian gradient of the conditional entropy vanishes there.  Necessary, not sufficient.
+    points = standard_grid(12) + [
+        ProtocolParams(*p) for p in [(0.0, 0.5, 0.7), (0.4, 0.4, 0.9), (0.3, 1.0 - 1e-9, 1.0),
+                                     (0.0, 1.0 - 1e-9, 0.4), (0.5, 0.8, 0.0), (0.5, 0.8, HALF_PI),
+                                     (0.9, 1.0 - 1e-9, HALF_PI), (0.6, 0.6, HALF_PI)]]
+    a, b, t = (np.array(c) for c in zip(*(bloch_components(run_protocol(p).rho_m) for p in points)))
+    phi = np.array([p.phi for p in points])
+    zero = np.zeros_like(phi)
+    x, measured = np.array([zero + 1.0, zero, zero]), np.array([np.sin(phi), zero, np.cos(phi)])
+    _, _, slope_a = correlations._newton_steps(b.T, a.T, t.transpose(2, 1, 0), x)
+    _, _, slope_s = correlations._newton_steps(a.T, b.T, t.transpose(1, 2, 0), measured)
+    assert max(slope_a.max(), slope_s.max()) <= 1e-12
+
+
 def _record_kernel_calls(monkeypatch):
     """(rows, axes per row) of every kernel call, recorded from now on."""
     calls = []

@@ -1,10 +1,11 @@
 """The correlation layer on general two-qubit states, against references that
 the library does not read: the entanglement entropy of pure states (from the
 Schmidt coefficients), the swap of the two sides, invariance under local
-unitaries U_S x U_A, and a dense scan of the measurement sphere.
+unitaries U_S x U_A, Luo's discord and the concurrence of Bell-diagonal and
+Werner states, and a dense scan of the measurement sphere.
 
-Each family holds 64 seeded states, and each check has an absolute bound of
-1e-12.  The Wootters route (concurrence, entanglement of formation) misses
+Each random family holds 64 seeded states, and each check has an absolute bound
+of 1e-12.  The Wootters route (concurrence, entanglement of formation) misses
 that bound on these families; those checks are strict xfails that ROADMAP
 item 4 (closed-form correlations, the matrix route as their oracle) must flip.
 """
@@ -22,6 +23,7 @@ from qfcool.correlations import (
 
 BOUND = 1e-12
 SWAP = np.eye(4)[[0, 2, 1, 3]].astype(complex)
+PAULI = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1]))
 
 
 def _item_4(reason):
@@ -112,6 +114,53 @@ def test_concurrence_and_eof_are_invariant_under_local_unitaries(locally_rotated
                     abs(entanglement_of_formation(rho) - entanglement_of_formation(turned)))
                 for rho, turned in locally_rotated)
     assert worst <= BOUND
+
+
+def _bell_diagonal(weights):
+    """(I + sum_i c_i sigma_i x sigma_i) / 4 with the Bell-state weights
+    ``weights`` = (psi-, phi-, phi+, psi+), and its Luo discord in nats
+    (PRA 77, 042303 (2008)): the mutual information ln 4 + sum w ln w less the
+    classical correlation of c = max |c_i|."""
+    w_psi_minus, w_phi_minus, w_phi_plus, w_psi_plus = weights
+    c = (w_phi_plus + w_psi_plus - w_psi_minus - w_phi_minus,
+         w_phi_minus + w_psi_plus - w_psi_minus - w_phi_plus,
+         w_phi_minus + w_phi_plus - w_psi_minus - w_psi_plus)
+    rho = (np.eye(4) + sum(ci * np.kron(p, p) for ci, p in zip(c, PAULI))) / 4
+    c_max = max(map(abs, c))
+    classical = sum((1 + sign * c_max) / 2 * math.log(1 + sign * c_max)
+                    for sign in (1, -1) if 1 + sign * c_max > 0.0)
+    mutual = math.log(4.0) + sum(w * math.log(w) for w in weights if w > 0.0)
+    return rho, mutual - classical
+
+
+def _full_rank_weights(rng):
+    """64 random Bell-state weight vectors, each weight above 1e-3."""
+    weights = []
+    while len(weights) < 64:
+        w = rng.dirichlet(np.ones(4))
+        if w.min() > 1e-3:
+            weights.append(w.tolist())
+    return weights
+
+
+def test_bell_diagonal_states_have_luos_discord_and_their_concurrence():
+    worst_discord = worst_concurrence = 0.0
+    for weights in _full_rank_weights(np.random.default_rng(20261104)):
+        rho, discord = _bell_diagonal(weights)
+        worst_discord = max(worst_discord, *(abs(discord_numeric(rho, side) - discord)
+                                             for side in ("A", "S")))
+        worst_concurrence = max(worst_concurrence,
+                                abs(concurrence(rho) - max(0.0, 2.0 * max(weights) - 1.0)))
+    assert worst_discord <= BOUND
+    assert worst_concurrence <= BOUND
+
+
+def test_werner_states_have_luos_discord_and_their_concurrence():
+    # p |psi-><psi-| + (1 - p) I / 4, the singlet at p = 1
+    for p in np.linspace(0.0, 1.0, 41).tolist():
+        rho, discord = _bell_diagonal([(1 + 3 * p) / 4] + [(1 - p) / 4] * 3)
+        assert max(abs(discord_numeric(rho, side) - discord) for side in ("A", "S")) <= BOUND
+        assert abs(concurrence(rho) - max(0.0, (3 * p - 1) / 2)) <= BOUND
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,

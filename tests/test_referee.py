@@ -1,19 +1,29 @@
-"""``figures_of_merit`` against the 50-digit referee at fixed interior and
-edge points: the entropy reduction ``P``, the total work ``W / T`` and the
-COP ``P / W``, each within an absolute bound and, where it is nonzero, a
-relative one."""
+"""Closed forms against the 50-digit referee.
+
+``figures_of_merit`` at fixed interior and edge points: every figure of
+merit, energies over ``T``, each within an absolute bound and, where it is
+nonzero, a relative one.  The threshold angle, the separability angle and
+the mutual information on a fixed edge list and on seeded draws.
+"""
 
 import math
+import random
 
 import mpmath
 import pytest
 
-from qfcool.closed_forms import ProtocolParams, figures_of_merit
+from qfcool.closed_forms import (
+    ProtocolParams, figures_of_merit, mutual_information_analytic, phi_crit,
+    separability_boundary,
+)
 
 import referee
 
 ABS_TOL = 1e-15  # times max(1, |exact|)
 REL_TOL = 1e-14
+OVER_T = {"work_measurement", "work_feedback", "heat_reset", "delta_e_system", "total_work",
+          "chi"}
+HALF_PI = math.pi / 2
 
 
 def _known_defect(reason):
@@ -27,21 +37,73 @@ def _known_defect(reason):
     (0.2, 0.8, 1.0, 0.25),
     (0.2, 0.8, 1.0, 7.0),
     (0.0, 0.5, 0.0, 1.0),
-    (0.4, 0.4, 0.0, 1.0),  # P = 0, so cop = 0
-    (0.0, 0.7, math.pi / 2, 1.0),
+    (0.4, 0.4, 0.0, 1.0),  # P = 0, so cop = eta = chi = 0
+    (0.0, 0.7, HALF_PI, 1.0),
     pytest.param(0.0, 1.0 - 1e-8, 1.0, 1.0, **_known_defect(
-        "P cancels near unit ancilla bias (off by 2.8e-10)")),
-    pytest.param(0.4, 0.4 + 1e-15, math.pi / 2 - 1e-3, 1.0, **_known_defect(
-        "P and W cancel at the reversible corner (P and cop off by 11.5% relative)")),
+        "P cancels near unit ancilla bias (off by 4.0e-10 relative), and cop, eta and chi"
+        " inherit it (4.0e-10, 4.0e-10 and 8.0e-10)")),
+    pytest.param(0.4, 0.4 + 1e-15, HALF_PI - 1e-3, 1.0, **_known_defect(
+        "P cancels at the reversible corner (off by 11.5% relative), and cop, eta and chi"
+        " inherit it (11.5%, 11.5% and 24%); Q, delta_e_system and W lose relative digits"
+        " (9.5e-11) where eps_a - eps_s sin(phi) cancels")),
 ])
 def test_figures_of_merit_match_the_referee(eps_s, eps_a, phi, temperature):
     report = figures_of_merit(ProtocolParams(eps_s, eps_a, phi, temperature))
     with mpmath.workdps(referee.DPS):
-        p, _, w = referee._energies(eps_s, eps_a, phi)
-        for name, value, exact in (("entropy_reduction", report.entropy_reduction, p),
-                                   ("total_work / T", report.total_work / temperature, w),
-                                   ("cop", report.cop, p / w)):
+        for name, exact in referee.cycle(eps_s, eps_a, phi).items():
+            value = getattr(report, name) / (temperature if name in OVER_T else 1.0)
             error = abs(value - exact)
             assert error <= ABS_TOL * max(1, abs(exact)), (name, value, exact)
             if exact:
                 assert error <= REL_TOL * abs(exact), (name, value, exact)
+
+
+# (eps_s, eps_a, phi): a subnormal eps_s atanh(eps_s), eps_a = eps_s, eps_a near 1,
+# phi at 0 and pi/2, a y / a near 100, where -y + sqrt(y^2 + 4 a^2) cancels, and both
+# biases near 1, where the populations (1 - eps) / 2 lose digits
+EDGES = [
+    (1e-160, 0.5, 0.7), (1e-160, 1e-160, 0.0), (0.0, 0.5, 0.3), (0.4, 0.4, HALF_PI),
+    (0.3, 1.0 - 1e-9, 1.2), (0.6, 0.8, 0.0), (0.6, 0.8, HALF_PI), (1e-300, 1.0 - 1e-9, 1.0),
+    (0.008, 0.37, 0.5), (0.9999999, 0.99999999, 0.001),
+]
+
+
+def _draws(seed, count=2000):
+    """Seeded (eps_s, eps_a, phi) with eps_s uniform or log-uniform down to 1e-300."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        eps_s = 0.999 * rng.random() if rng.random() < 0.5 else 10.0 ** rng.uniform(-300.0, 0.0)
+        eps_a = eps_s + rng.random() * (1.0 - 1e-9 - eps_s)
+        yield eps_s, eps_a, HALF_PI * rng.random()
+
+
+POINTS = EDGES + list(_draws(23))
+
+
+def test_phi_crit_matches_the_referee():
+    with mpmath.workdps(referee.DPS):
+        for eps_s, eps_a, _ in POINTS:
+            value = phi_crit(ProtocolParams(eps_s, eps_a, 0.0))
+            exact = referee.phi_crit(eps_s, eps_a)
+            assert abs(value - exact) <= 1e-15 * exact, (eps_s, eps_a, value, exact)
+
+
+def test_mutual_information_matches_the_referee():
+    with mpmath.workdps(referee.DPS):
+        for point in POINTS:
+            value = mutual_information_analytic(ProtocolParams(*point))
+            exact = referee.mutual_information(*point)
+            assert abs(value - exact) <= 2e-15, (point, value, exact)
+
+
+def test_separability_angle_matches_the_referee():
+    interior = 0
+    with mpmath.workdps(referee.DPS):
+        for eps_s, eps_a, _ in POINTS:
+            boundary = separability_boundary(eps_s, eps_a) if eps_s < eps_a else None
+            if boundary and boundary.status == "interior":
+                interior += 1
+                exact = referee.separability_angle(eps_s, eps_a)
+                assert abs(boundary.phi - exact) <= REL_TOL * exact, (eps_s, eps_a, boundary, exact)
+    assert interior >= 100
+

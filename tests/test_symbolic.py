@@ -15,6 +15,7 @@ edge of the domain.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import sympy as sp
@@ -209,9 +210,19 @@ def test_post_measurement_spectrum_is_the_initial_one():
 
 def test_mutual_information_follows_from_the_marginals_and_spectrum():
     # the marginals' Bloch lengths are eps_s cos phi and eps_s eps_a cos phi (c >= 0
-    # on [0, pi/2]), and rho_m has rho0's eigenvalues, its diagonal
-    joint = sum(lam * sp.log(lam) for lam in RHO0.diagonal())
-    shipped = numeric(_entropy(ES * C) + _entropy(ES * EA * C) + joint)
+    # on [0, pi/2]), and rho_m has rho0's eigenvalues, its diagonal: products of the
+    # populations p, 1 - p and q, 1 - q, so its entropy is S(eps_s) + S(eps_a)
+    p, q = sp.symbols("p q", positive=True)
+    populations = {p: (1 - ES) / 2, q: (1 - EA) / 2}
+    products = [u * v for u in (p, 1 - p) for v in (q, 1 - q)]
+    assert all(vanishes(lam - pq.subs(populations)) for lam, pq in zip(RHO0.diagonal(), products))
+
+    def entropy(*ps):
+        return -sum(x * sp.log(x) for x in ps)
+
+    joint = sp.expand_log(entropy(*products), force=True)
+    assert sp.expand(joint - entropy(p, 1 - p) - entropy(q, 1 - q)) == 0
+    shipped = numeric(_entropy(ES * C) + _entropy(ES * EA * C) - _entropy(ES) - _entropy(EA))
     for eps_s, eps_a, phi, temperature in POINTS:
         assert close(mutual_information_analytic(ProtocolParams(eps_s, eps_a, phi)),
                      shipped(eps_s, eps_a, phi, temperature))
@@ -312,19 +323,22 @@ def test_separability_boundary_follows_from_the_x_frame():
 # the feedback threshold and the working-point derivative
 # ---------------------------------------------------------------------------
 
-def test_both_branches_of_phi_crit_are_roots_of_the_feedback_work():
-    a, y = sp.symbols("a y", positive=True)
-    hyp = sp.sqrt(y ** 2 + 4 * a ** 2)
-    direct, rationalised = (-y + hyp) / (2 * a), 2 * a / (y + hyp)
-    feedback = y * S - a * (1 - S ** 2)  # W_f / T with cos^2 phi = 1 - sin^2 phi
-    for root in (direct, rationalised):
-        assert sp.expand(sp.numer(sp.together(feedback.subs(S, root)))) == 0
-    # each branch where _phi_crit takes it: y <= 100 a with a > 1e-100, else rationalised
-    for root, points in ((direct, [(0.2, 0.5), (1.5, 0.3), (0.1, 10.0)]),
-                         (rationalised, [(0.01, 5.0), (1e-120, 1e-119), (0.0, 0.7)])):
-        angle = sp.lambdify((a, y), sp.asin(root), "math")
-        for a_value, y_value in points:
-            assert abs(closed_forms._phi_crit(a_value, y_value) - angle(a_value, y_value)) <= 1e-15
+def test_phi_crit_is_a_root_of_the_feedback_work():
+    # sin(phi_crit) of _phi_crit: the rationalised root divided through by atanh(eps_s)
+    y1 = EA + ES * TA / TS
+    root = 2 * ES / (y1 + sp.sqrt(y1 ** 2 + 4 * ES ** 2))
+    feedback = (EA * TS + ES * TA) * S - ES * TS * (1 - S ** 2)  # W_f / T, c^2 = 1 - s^2
+    assert sp.expand(sp.numer(sp.together(feedback.subs(S, root)))) == 0
+    # at 50 digits, for y / a from 2 to 6e119 and where a = eps_s atanh(eps_s) is subnormal
+    angle = sp.lambdify((ES, EA), sp.asin(root.subs({TS: sp.atanh(ES), TA: sp.atanh(EA)})),
+                        "mpmath")
+    with mpmath.workdps(50):
+        for eps_s, eps_a in [(0.2, 0.5), (0.9, 0.95), (0.5, 0.5), (0.01, 0.5), (1e-120, 0.3),
+                             (1e-160, 0.5)]:
+            shipped = closed_forms._phi_crit(eps_s, eps_a, math.atanh(eps_s), math.atanh(eps_a))
+            exact = angle(mpmath.mpf(eps_s), mpmath.mpf(eps_a))
+            assert abs(shipped - exact) <= 1e-15 * exact
+    assert closed_forms._phi_crit(0.0, 0.7, 0.0, math.atanh(0.7)) == 0.0
 
 
 def test_the_working_point_derivatives_are_those_of_the_objectives():

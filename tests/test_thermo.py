@@ -337,13 +337,11 @@ def per_quantity_report(es, ea, phi, t):
                  + 0.5 * math.log((1.0 - ea * ea) / (1.0 - es * es)))
     load = t * reduction
     w = -de_s + q
-    a = es * math.atanh(es)
-    if a == 0.0:
+    if es == 0.0:
         pc = 0.0
-    elif y <= 100.0 * a and a > 1e-100:
-        pc = math.asin((-y + math.sqrt(y * y + 4.0 * a * a)) / (2.0 * a))
-    else:
-        pc = math.asin(2.0 * a / (y + math.hypot(y, 2.0 * a)))
+    else:  # the root of y sin(phi) - a cos(phi)^2, divided through by atanh(es)
+        y1 = ea + es / math.atanh(es) * math.atanh(ea)
+        pc = math.asin(2.0 * es / (y1 + math.hypot(y1, 2.0 * es)))
     reversible = w / t <= REVERSIBLE_WORK_FLOOR
     cop = None if reversible else load / w
     return ThermoReport(

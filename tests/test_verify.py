@@ -160,7 +160,9 @@ def test_run_suite_passes_at_any_temperature(temperature):
 # run_suite(4, 2, 1.0) before energy deviations were taken in units of T
 # and before the discord search was stacked: (name, points, max_deviation).
 # reset_marginals is the later partial-trace check, and discord_symmetry is
-# the Newton-refined basis search's.
+# the Newton-refined basis search's.  mutual_information and phi_crit_root are
+# those of the one-formula closed forms (joint entropy S(eps_s) + S(eps_a), and
+# the threshold's root divided through by atanh(eps_s)).
 SUITE_4_2 = [
     ("work_measurement", 64, 6.661338147750939e-16),
     ("work_feedback", 64, 1.3322676295501878e-15),
@@ -169,7 +171,7 @@ SUITE_4_2 = [
     ("entropy_reduction", 64, 4.85722573273506e-16),
     ("total_work", 64, 1.2212453270876722e-15),
     ("energy_conservation", 64, 8.881784197001252e-16),
-    ("mutual_information", 64, 9.992007221626409e-16),
+    ("mutual_information", 64, 8.881784197001252e-16),
     ("discord_closed_form", 64, 3.885780586188048e-16),
     ("thermal_entropy", 64, 2.7755575615628914e-16),
     ("purity_transfer", 64, 8.881784197001252e-16),
@@ -184,7 +186,7 @@ SUITE_4_2 = [
     ("ergotropy_bound", 64, 4.440892098500626e-16),
     ("cooling_window_sign", 45, 0.0),
     ("no_cooling_below_bias", 24, 0.0),
-    ("phi_crit_root", 48, 4.440892098500626e-16),
+    ("phi_crit_root", 48, 2.220446049250313e-16),
     ("cop_monotone_phi", 42, 0.0),
     ("eta_monotone_phi", 42, 0.0),
     ("chi_monotone_phi", 42, 0.0),
@@ -283,7 +285,8 @@ def test_grid_values_equal_their_direct_computation(temperature):
 
 # repr(run_suite(n, stride, T)) per class at the benchmark's strata and at
 # stride 1, recorded before the grid shared its spectra, energies, level
-# splittings, phi rows and closed-form discords.
+# splittings, phi rows and closed-form discords; the 0.8 strata's
+# mutual_information and phi_crit_root as SUITE_4_2's.
 SUITE_REPRS = json.loads((pathlib.Path(__file__).parent / "suite_reprs.json").read_text())
 
 
@@ -395,7 +398,7 @@ SUITE_4_2_REPR = [
     ("entropy_reduction", 64, "4.85722573273506e-16"),
     ("total_work", 64, "1.2212453270876722e-15"),
     ("energy_conservation", 64, "8.881784197001252e-16"),
-    ("mutual_information", 64, "9.992007221626409e-16"),
+    ("mutual_information", 64, "8.881784197001252e-16"),
     ("discord_closed_form", 64, "3.885780586188048e-16"),
     ("thermal_entropy", 64, "2.7755575615628914e-16"),
     ("purity_transfer", 64, "8.881784197001252e-16"),
@@ -410,7 +413,7 @@ SUITE_4_2_REPR = [
     ("ergotropy_bound", 64, "4.440892098500626e-16"),
     ("cooling_window_sign", 45, "0.0"),
     ("no_cooling_below_bias", 24, "0.0"),
-    ("phi_crit_root", 48, "4.440892098500626e-16"),
+    ("phi_crit_root", 48, "2.220446049250313e-16"),
     ("cop_monotone_phi", 42, "0.0"),
     ("eta_monotone_phi", 42, "0.0"),
     ("chi_monotone_phi", 42, "0.0"),
@@ -427,7 +430,7 @@ POINT_CHECKS_REPR = {
         ("entropy_reduction", "5.551115123125783e-17"),
         ("total_work", "3.3306690738754696e-16"),
         ("energy_conservation", "2.220446049250313e-16"),
-        ("mutual_information", "0.0"),
+        ("mutual_information", "1.1102230246251565e-16"),
         ("discord_closed_form", "0.0"),
         ("thermal_entropy", "2.220446049250313e-16"),
     ],
