@@ -191,7 +191,7 @@ def _radians(opts: dict, angle: float) -> float:
 
 
 def cmd_run(opts: dict) -> int:
-    from . import correlations, protocol, thermo, verify
+    from . import correlations, protocol, thermo
     params = ProtocolParams(opts["eps_s"], opts["eps_a"], _radians(opts, opts["phi"]),
                             opts["temperature"])
     doc = _envelope(
@@ -200,6 +200,7 @@ def cmd_run(opts: dict) -> int:
         correlations=vars(correlations.correlation_report(params)))
     failed = False
     if opts["verify"]:
+        from . import verify
         checks = verify.point_checks(params)
         failed = any(not c.passed for c in checks)
         doc["verification"] = {"checks": [_check_dict(c) for c in checks],

@@ -321,10 +321,12 @@ def mutual_information_analytic(params: ProtocolParams) -> float:
     measurement unitary keeps the joint entropy at that of the initial
     product state, S(eps_s) + S(eps_a).
     """
-    es, ea = params.eps_s, params.eps_a
-    cos_phi = math.cos(params.phi)
-    return (thermal_entropy(es * cos_phi) + thermal_entropy(es * ea * cos_phi)
-            - thermal_entropy(es) - thermal_entropy(ea))
+    return _mutual_information(params.eps_s, params.eps_a, math.cos(params.phi), thermal_entropy)
+
+
+def _mutual_information(es: float, ea: float, cos_phi: float, entropy: Callable[[float], float]) -> float:
+    """The closed form, with ``entropy`` for the entropies of eps_s, eps_a and eps_s cos(phi)."""
+    return entropy(es * cos_phi) + thermal_entropy(es * ea * cos_phi) - entropy(es) - entropy(ea)
 
 
 def discord_analytic(eps_s: float, phi: float) -> float:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -169,6 +170,14 @@ def _axes(polar: np.ndarray, azimuth: np.ndarray) -> np.ndarray:
     return np.stack([st * np.cos(azimuth), st * np.sin(azimuth), np.cos(polar)], axis=-1)
 
 
+@cache
+def _seed() -> np.ndarray:
+    """The search's seed axes, built on first use and shared: the first 32 polar rows of a 64 x 32 grid."""
+    return _axes(*np.array(np.meshgrid(
+        np.linspace(0.0, math.pi, _SEED_POLAR)[:_SEED_POLAR // 2],
+        np.linspace(0.0, 2.0 * math.pi, _SEED_AZIMUTH, endpoint=False), indexing="ij")).reshape(2, -1))
+
+
 def _conditional_entropy_scan(local: np.ndarray, other: np.ndarray, m: np.ndarray,
                               axes: np.ndarray) -> np.ndarray:
     """Average conditional entropy of each row for a batch of measurement axes.
@@ -255,11 +264,7 @@ def _optimal_measurements(blochs, sides: Sequence[str]) -> list:
             _conditional_entropy_scan(local[rows[part]], other[rows[part]], m[rows[part]], axes_of(part))
             for part in (slice(lo, lo + per_call) for lo in range(0, len(rows), per_call))])
 
-    grid = np.array(np.meshgrid(
-        np.linspace(0.0, math.pi, _SEED_POLAR)[:_SEED_POLAR // 2],
-        np.linspace(0.0, 2.0 * math.pi, _SEED_AZIMUTH, endpoint=False), indexing="ij")).reshape(2, -1)
-    seed = _axes(*grid)
-    active = np.arange(len(local))
+    seed, active = _seed(), np.arange(len(local))
     # a budget below one seed (1,024 axes) still scores one row per call
     values = scan(active, max(1, _SCAN_BUDGET // len(seed)), lambda _: seed)
     pick = values.argmin(axis=1)
@@ -325,6 +330,7 @@ def _newton_steps(local: np.ndarray, other: np.ndarray, m: np.ndarray,
     turned = [e[0] * m[0] + e[1] * m[1] + e[2] * m[2] for e in frame]
     grad = [0.0] * 3  # e . g: the normal component, then the tangent ones
     hess = {(1, 1): 0.0, (1, 2): 0.0, (2, 2): 0.0}
+    cross = {(i, j): _dot(turned[i], turned[j]) for i, j in hess}
     for s in (1.0, -1.0):
         w = other + s * turned[0]
         r = np.sqrt(_dot(w, w))
@@ -338,14 +344,16 @@ def _newton_steps(local: np.ndarray, other: np.ndarray, m: np.ndarray,
         tilt = [_dot(w, v) / r_or_1 for v in turned]
         # coefficient of m (I - w^ w^T) m^T; its limit at |w| = 0 is -1 / (4p)
         bend = np.where(r > 0.0, (log[1] - log[0]) / (4.0 * r_or_1), -0.25 * inv[2])
+        centre, spread = 2.0 * log[2] - log[0] - log[1], log[0] - log[1]
         for k in range(3):
-            grad[k] += s * (0.25 * proj[k] * (2.0 * log[2] - log[0] - log[1])
-                              - 0.25 * tilt[k] * (log[0] - log[1]))
+            grad[k] += s * (0.25 * proj[k] * centre - 0.25 * tilt[k] * spread)
+        plus, minus = {k: proj[k] + tilt[k] for k in (1, 2)}, {k: proj[k] - tilt[k] for k in (1, 2)}
+        up, down = {k: inv[0] * plus[k] for k in (1, 2)}, {k: inv[1] * minus[k] for k in (1, 2)}
+        quarter = 0.25 * inv[2]  # these factors of the Hessian terms are taken once per outcome
+        flat = {k: quarter * proj[k] for k in (1, 2)}
         for i, j in hess:
-            hess[i, j] += (
-                -(inv[0] * (proj[i] + tilt[i]) * (proj[j] + tilt[j])
-                  + inv[1] * (proj[i] - tilt[i]) * (proj[j] - tilt[j])) / 16.0
-                + 0.25 * inv[2] * proj[i] * proj[j] + bend * (_dot(turned[i], turned[j]) - tilt[i] * tilt[j]))
+            hess[i, j] += (-(up[i] * plus[j] + down[i] * minus[j]) / 16.0
+                           + flat[i] * proj[j] + bend * (cross[i, j] - tilt[i] * tilt[j]))
     h11, h12, h22 = hess[1, 1] - grad[0], hess[1, 2], hess[2, 2] - grad[0]
     # the Hessian's eigenvectors are (cos, sin) and (-sin, cos)
     angle = 0.5 * np.arctan2(2.0 * h12, h11 - h22)
@@ -428,13 +436,14 @@ def correlation_reports(points: Sequence[ProtocolParams]) -> list[CorrelationRep
     return _reports(rho_m, [discord_analytic(p.eps_s, p.phi) for p in points])
 
 
-def _reports(rho_m: np.ndarray, discords: Sequence[float], numeric: bool = False) -> list[CorrelationReport]:
-    """One ``CorrelationReport`` per state of an ``(n, 4, 4)`` post-measurement
-    stack, given each state's closed-form discord; with ``numeric``, both one-sided
-    discords come from one basis search on the rows ``["A"] * n + ["S"] * n``.
-    No report depends on the rest of the stack."""
+def _reports(rho_m: np.ndarray, discords: Sequence[float], numeric: bool = False,
+             mutual_info: Optional[Sequence[float]] = None) -> list[CorrelationReport]:
+    """One ``CorrelationReport`` per state of an ``(n, 4, 4)`` post-measurement stack, given its
+    closed-form discord and, if taken, its ``_mutual_information``; with ``numeric``, both one-sided
+    discords come from one basis search on the rows ``["A"] * n + ["S"] * n``.  No report depends
+    on the rest of the stack."""
     n = len(discords)
-    conc, mi = _concurrence(rho_m).tolist(), _mutual_information(rho_m).tolist()
+    conc, mi = _concurrence(rho_m).tolist(), mutual_info or _mutual_information(rho_m).tolist()
     d_a = d_s = [None] * n
     if numeric:
         gains = [g for _, _, g in _optimal_measurements(

@@ -542,6 +542,19 @@ def test_closed_form_paths_do_not_load_numpy(statement, args, code):
     assert proc.stderr.splitlines()[-1] == "[]"
 
 
+@pytest.mark.parametrize("flags, loaded", [((), False), (("--verify",), True)],
+                         ids=["run", "run-verify"])
+def test_run_imports_verify_only_to_verify(flags, loaded):
+    proc = python_subprocess("-c", textwrap.dedent(f"""
+        import contextlib, io, sys
+        from qfcool import cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["run", "--eps-s", "0.4", "--eps-a", "0.8", "--phi", "1.0", *{flags!r}])
+        print(code, "qfcool.verify" in sys.modules)"""))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", str(loaded)]
+
+
 def test_package_names_resolve_lazily_to_their_defining_objects():
     proc = python_subprocess("-c", textwrap.dedent("""
         import json, sys

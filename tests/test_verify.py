@@ -6,7 +6,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from qfcool import correlations, densmat, protocol, thermo, verify
+from qfcool import closed_forms, correlations, densmat, protocol, thermo, verify
 from qfcool.protocol import ProtocolParams
 
 
@@ -215,12 +215,17 @@ def test_run_suite_scores_the_discord_subgrid_in_few_kernel_calls(monkeypatch):
 
 
 def test_phi_crit_root_evaluates_one_root_per_phi_series(monkeypatch):
-    # the root angle depends on (eps_s, eps_a, T) alone: one per series, not per point
+    # the root angle depends on (eps_s, eps_a, T) alone: one per series, not per point.
+    # Every report the suite builds is one _report call: one per grid point, then
+    # one at each root, whose row is the column's phi_crit.
     grid_n, calls = 7, []
-    real = thermo.work_feedback
-    monkeypatch.setattr(thermo, "work_feedback", lambda p: calls.append(p) or real(p))
+    real = closed_forms._report
+    monkeypatch.setattr(closed_forms, "_report", lambda c, r: calls.append((c, r)) or real(c, r))
     checks = {c.name: c for c in verify.run_suite(grid_n, 3)}
-    assert 0 < len(calls) <= grid_n ** 2
+    roots = calls[grid_n ** 3:]
+    assert 0 < len(roots) <= grid_n ** 2
+    assert [r.phi for _, r in roots] == [c.phi_crit for c, _ in roots]
+    assert len({(c.eps_s, c.eps_a) for c, _ in roots}) == len(roots) == grid_n ** 2 - grid_n
     assert checks["phi_crit_root"].points == grid_n ** 3 - grid_n ** 2
 
 
