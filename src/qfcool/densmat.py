@@ -90,8 +90,8 @@ def tensor(a, b) -> np.ndarray:
 
 # Unchecked kernels for states the package builds itself (valid by
 # construction); the public functions below validate and then call them.
-# Each kernel takes one matrix or a stack ``(..., d, d)`` of them and
-# treats every matrix of a stack exactly as it treats a single one.
+# Each kernel treats every matrix of a stack ``(..., d, d)`` exactly as it
+# treats a single one; a diagonal operator is applied by scaling, bit for bit.
 
 def _tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     prod = a[..., :, None, :, None] * b[..., None, :, None, :]
@@ -120,6 +120,12 @@ def _vn_entropies(a: np.ndarray) -> np.ndarray:
 
 def _expectation(h: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.trace(h @ a, axis1=-2, axis2=-1).real
+
+
+def _diagonal_expectation(levels: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """``_expectation`` of the diagonal H with diagonal ``levels`` ``(..., d)``, bit for bit: each
+    entry of ``h @ a`` is one rounded product plus exact zeros, traced here in its layout and order."""
+    return np.trace(levels[..., :, None] * a, axis1=-2, axis2=-1).real
 
 
 def _purity(a: np.ndarray) -> float:

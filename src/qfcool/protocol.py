@@ -4,8 +4,8 @@ Stages: thermal initialization, a joint "pre-measurement" unitary that
 imprints register populations onto the ancilla, a conditional feedback
 rotation of the register controlled on the ancilla x-basis, and a
 dissipative reset that replaces the ancilla marginal with a fresh thermal
-state.  Everything is exact 4x4 algebra; the unitaries are assembled from
-closed-form trigonometric blocks (no general matrix exponential).
+state.  Everything is exact 4x4 algebra: closed-form trigonometric unitaries,
+one per distinct angle, and U rho0 U+ with U's columns scaled by rho0's diagonal.
 """
 
 from __future__ import annotations
@@ -112,17 +112,18 @@ def _initial_states(eps_s, eps_a) -> np.ndarray:
 
 
 def _measurement_unitaries(phi) -> np.ndarray:
-    # math.sin/cos once per distinct angle: numpy's vectorised sin/cos may
-    # differ from the C library's in the last bit, and so move output bytes.
-    table = {p: (math.sin(p), math.cos(p)) for p in set(phi)}
-    sin_cos = np.array([table[p] for p in phi]).reshape(-1, 2)
+    # One unitary per distinct angle, gathered per point; math.sin/cos, as numpy's
+    # vectorised sin/cos may differ from the C library's in the last bit.
+    index = {p: i for i, p in enumerate(dict.fromkeys(phi))}
+    sin_cos = np.array([(math.sin(p), math.cos(p)) for p in index]).reshape(-1, 2)
     axes = sin_cos[:, 0, None, None] * SIGMA_X + sin_cos[:, 1, None, None] * SIGMA_Z
-    return _SQRT1_2 * (_ID4 - 1j * _tensor(axes, SIGMA_Y))
+    return (_SQRT1_2 * (_ID4 - 1j * _tensor(axes, SIGMA_Y)))[[index[p] for p in phi]]
 
 
 def _measured(rho0: np.ndarray, phi) -> np.ndarray:
+    # rho0 is diagonal, so U rho0 scales U's columns by rho0's populations, bit for bit
     u_m = _measurement_unitaries(phi)
-    return u_m @ rho0 @ _dagger(u_m)
+    return (u_m * np.diagonal(rho0, axis1=-2, axis2=-1)[..., None, :]) @ _dagger(u_m)
 
 
 def _post_measurement_states(eps_s, eps_a, phi) -> np.ndarray:

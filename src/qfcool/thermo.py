@@ -9,8 +9,8 @@ The closed forms and ``figures_of_merit`` are re-exported from the
 numpy-free ``closed_forms`` module, which states their sign conventions;
 each single-quantity closed form there reads one field of
 ``figures_of_merit``.
-The oracles read the ``ProtocolTrace`` states through densmat's unchecked
-kernels: those states are valid by construction.
+The oracles read the ``ProtocolTrace`` states (valid by construction) through
+densmat's unchecked kernels, each energy tr(H rho) from the level populations.
 """
 
 from __future__ import annotations
@@ -95,12 +95,15 @@ def _ergotropy(energy: np.ndarray, h: np.ndarray, populations: np.ndarray) -> np
 # ---------------------------------------------------------------------------
 
 def _energy_drop(h: np.ndarray, before: np.ndarray, after: np.ndarray) -> np.ndarray:
-    return densmat._expectation(h, before) - densmat._expectation(h, after)
+    levels = np.diagonal(h, axis1=-2, axis2=-1)
+    return densmat._diagonal_expectation(levels, before) - densmat._diagonal_expectation(levels, after)
 
 
 def _energies(h: np.ndarray, trace: ProtocolTrace) -> dict[str, np.ndarray]:
     """tr(H rho) of ``rho0``, ``rho_m`` and ``rho_f``, by field name, one value per point."""
-    return {name: densmat._expectation(h, getattr(trace, name)) for name in ("rho0", "rho_m", "rho_f")}
+    levels = np.diagonal(h, axis1=-2, axis2=-1)
+    return {name: densmat._diagonal_expectation(levels, getattr(trace, name))
+            for name in ("rho0", "rho_m", "rho_f")}
 
 
 def _oracles(trace: ProtocolTrace, model: EnergyModel,

@@ -51,12 +51,10 @@ class Check:
 
 
 def _standard_points(n: int, temperature: float) -> list[_Point]:
-    """``standard_grid``'s points, validated by its corners: each axis runs between them."""
+    """``standard_grid``'s points, validated at any n by the upper corner each axis runs to."""
     _require_count("n", n, 0)
+    temperature = ProtocolParams(EPS_S_MAX, EPS_A_MAX, math.pi / 2, temperature).temperature
     eps_s, phi = linspace(0.0, EPS_S_MAX, n), linspace(0.0, math.pi / 2, n)
-    if n:
-        temperature = ProtocolParams(0.0, 0.0, 0.0, temperature).temperature
-        ProtocolParams(EPS_S_MAX, EPS_A_MAX, math.pi / 2, temperature)
     return [_Point(es, ea, p, temperature)
             for es in eps_s for ea in linspace(es, EPS_A_MAX, n) for p in phi]
 
@@ -156,7 +154,7 @@ def _entropy_invariance(g: _Grid) -> list[float]:
 
 
 def _ancilla_marginal(g: _Grid) -> list[float]:
-    z = densmat._expectation(densmat.SIGMA_Z, g.trace.rho_m_a).tolist()
+    z = densmat._diagonal_expectation(np.diagonal(densmat.SIGMA_Z), g.trace.rho_m_a).tolist()
     x = densmat._expectation(densmat.SIGMA_X, g.trace.rho_m_a).tolist()
     return [max(abs(zi), abs(xi - p.eps_s * p.eps_a * math.cos(p.phi)))
             for p, zi, xi in zip(g.points, z, x)]

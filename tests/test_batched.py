@@ -287,3 +287,64 @@ def test_stacked_concurrence_cross_check_fails_on_one_point(monkeypatch):
     monkeypatch.setattr(densmat, "_hermitian_eig", skewed)
     with pytest.raises(RuntimeError, match="concurrence forms disagree"):
         correlations._concurrence(stack)
+
+
+# ---------------------------------------------------------------------------
+# diagonal operators applied by scaling, bit for bit
+# ---------------------------------------------------------------------------
+# A product with a diagonal factor has one rounded product per entry, the
+# other terms being exact zeros, so scaling rows or columns gives the matrix
+# product's bytes, signed zeros included, whatever the BLAS kernel's order
+# or FMA use.  A numpy or BLAS that breaks this must fail here.
+
+def _protocol_points(rng, temperature):
+    """The domain's edges (eps_s = 0, eps_a = eps_s and at the clamp, phi = 0
+    and pi/2) and seeded draws, at one temperature."""
+    edges = [(es, ea, phi) for es in (0.0, 0.3, 0.9) for ea in (es, 0.5, 0.95, TOP)
+             for phi in (0.0, 0.7, HALF_PI) if es <= ea]
+    es = rng.uniform(0.0, 0.9, 64)
+    draws = zip(es, rng.uniform(es, TOP), rng.uniform(0.0, HALF_PI, 64))
+    return [ProtocolParams(*p, temperature) for p in edges + [tuple(map(float, d)) for d in draws]]
+
+
+def _levels(h):
+    return np.diagonal(h, axis1=-2, axis2=-1)
+
+
+@pytest.mark.parametrize("temperature", [1e-300, 1.0, 1e300])
+def test_diagonal_operators_by_scaling_equal_the_matrix_products(rng, temperature):
+    from qfcool import thermo
+    points = _protocol_points(rng, temperature)
+    trace = protocol._run_protocols(*zip(*((p.eps_s, p.eps_a, p.phi) for p in points)))
+    model = thermo._energy_models(points)
+    observables = {"hamiltonian": ("rho0", "rho_m", "rho_f", "rho_reset"),
+                   "h_system": ("rho0_s", "rho_m_s", "rho_f_s"),
+                   "h_ancilla": ("rho0_a", "rho_m_a", "rho_f_a")}
+    for field, names in observables.items():
+        h = getattr(model, field)
+        for name in names:
+            rho = getattr(trace, name)
+            assert (densmat._diagonal_expectation(_levels(h), rho).tobytes()
+                    == densmat._expectation(h, rho).tobytes()), (field, name)
+            if name.endswith("_a"):
+                assert (densmat._diagonal_expectation(_levels(densmat.SIGMA_Z), rho).tobytes()
+                        == densmat._expectation(densmat.SIGMA_Z, rho).tobytes()), name
+    # eps_s = 0 gives a zero gap whose levels are -0.0 and +0.0, so the signs of zeros take part
+    zeros = _levels(model.h_system)[_levels(model.h_system) == 0.0]
+    assert np.signbit(zeros.real).any() and not np.signbit(zeros.real).all()
+    u = np.array([protocol.measurement_unitary(p.phi) for p in points])
+    assert trace.rho_m.tobytes() == (u @ trace.rho0 @ densmat._dagger(u)).tobytes()
+
+
+def test_diagonal_operators_by_scaling_on_random_states(rng, random_density):
+    n = 256
+    states = np.array([random_density(4) for _ in range(n)])
+    levels = rng.normal(size=(n, 4)) * rng.choice([0.0, -0.0, 1e-300, 1.0, 1e300], size=(n, 4))
+    h = levels[:, :, None] * np.eye(4)
+    assert (densmat._diagonal_expectation(_levels(h.astype(complex)), states).tobytes()
+            == densmat._expectation(h.astype(complex), states).tobytes())
+    populations = rng.dirichlet(np.ones(4), size=n) * rng.choice([0.0, 1.0], size=(n, 4))
+    rho0 = populations[:, :, None] * np.eye(4, dtype=complex)
+    phi = rng.uniform(0.0, HALF_PI, n).tolist()
+    u = np.array([protocol.measurement_unitary(p) for p in phi])
+    assert protocol._measured(rho0, phi).tobytes() == (u @ rho0 @ densmat._dagger(u)).tobytes()

@@ -347,6 +347,18 @@ def test_run_suite_and_standard_grid_reject_bad_counts(call, argument):
         call()
 
 
+@pytest.mark.parametrize("n", [0, 1, 3])
+@pytest.mark.parametrize("temperature", [-1.0, 0.0, math.nan, math.inf])
+def test_standard_grid_rejects_a_bad_temperature_at_every_size(n, temperature):
+    # the empty grid checks T as every other size does
+    with pytest.raises(ValueError, match="temperature"):
+        verify.standard_grid(n, temperature=temperature)
+
+
+def test_empty_standard_grid_at_a_good_temperature():
+    assert verify.standard_grid(0, temperature=2.0) == []
+
+
 def test_numpy_integer_counts_equal_int_counts():
     assert verify.standard_grid(np.int64(3)) == verify.standard_grid(3)
     assert verify.run_suite(np.int64(3), np.int32(2)) == verify.run_suite(3, 2)

@@ -4,6 +4,7 @@ independence of the temperature."""
 import json
 import math
 
+import mpmath
 import pytest
 
 from qfcool import cli, closed_forms
@@ -118,3 +119,23 @@ def test_optimize_at_a_subnormal_temperature(capsys, objective, refused):
         assert code == 0, err
         star = optimize_working_point(objective, 0.4, 1.2).eps_a_star
         assert json.loads(out)["working_point"]["eps_a_star"] == star
+
+
+def _known_defect(reason):
+    return {"marks": pytest.mark.xfail(strict=True, reason=f"ROADMAP item 3: {reason}")}
+
+
+@pytest.mark.parametrize("objective, eps_s, phi", [
+    ("chi", 0.4, 1.2), ("cop", 0.4, 1.2), ("eta", 0.4, 1.2), ("chi", 0.05, 0.3),
+    pytest.param("eta", 0.999999, HALF_PI, **_known_defect(
+        "P cancels near unit register bias: eta 0.9999456877 is emitted where 50 digits"
+        " give 0.99996552 at the same eps_a_star")),
+    pytest.param("cop", 0.0, 1.0, **_known_defect(
+        "at eps_s = 0 P carries 1e-3 relative error at eps_a = 1e-7: cop 0.50040 is emitted"
+        " at the lower boundary, where the limit is 1/2")),
+])
+def test_working_point_value_is_the_referee_objective_at_its_bias(objective, eps_s, phi):
+    wp = optimize_working_point(objective, eps_s, phi)
+    with mpmath.workdps(referee.DPS):
+        exact = referee.objective(objective, eps_s, phi)(mpmath.mpf(wp.eps_a_star))
+        assert abs(wp.objective_value - exact) <= 1e-12 * abs(exact), (wp, exact)
