@@ -99,8 +99,8 @@ def _tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _partial_trace(a: np.ndarray, keep: str) -> np.ndarray:
-    r = a.reshape(a.shape[:-2] + (2, 2, 2, 2))
-    return np.trace(r, axis1=-3, axis2=-1) if keep == "S" else np.trace(r, axis1=-4, axis2=-2)
+    # np.trace's sum, 0 + first + second term, by slices: the same bytes, signed zeros included
+    return 0 + a[..., ::2, ::2] + a[..., 1::2, 1::2] if keep == "S" else 0 + a[..., :2, :2] + a[..., 2:, 2:]
 
 
 def _spectrum_entropy(w: np.ndarray) -> np.ndarray:

@@ -112,8 +112,7 @@ def _initial_states(eps_s, eps_a) -> np.ndarray:
 
 
 def _measurement_unitaries(phi) -> np.ndarray:
-    # One unitary per distinct angle, gathered per point; math.sin/cos, as numpy's
-    # vectorised sin/cos may differ from the C library's in the last bit.
+    # one unitary per distinct angle, by math.sin/cos: numpy's may differ in the last bit
     index = {p: i for i, p in enumerate(dict.fromkeys(phi))}
     sin_cos = np.array([(math.sin(p), math.cos(p)) for p in index]).reshape(-1, 2)
     axes = sin_cos[:, 0, None, None] * SIGMA_X + sin_cos[:, 1, None, None] * SIGMA_Z

@@ -290,12 +290,13 @@ def test_stacked_concurrence_cross_check_fails_on_one_point(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# diagonal operators applied by scaling, bit for bit
+# diagonal operators applied by scaling, and partial traces by slices, bit for bit
 # ---------------------------------------------------------------------------
 # A product with a diagonal factor has one rounded product per entry, the
 # other terms being exact zeros, so scaling rows or columns gives the matrix
 # product's bytes, signed zeros included, whatever the BLAS kernel's order
-# or FMA use.  A numpy or BLAS that breaks this must fail here.
+# or FMA use.  A partial trace adds two terms to np.trace's +0 start.  A
+# numpy or BLAS that breaks either argument must fail here.
 
 def _protocol_points(rng, temperature):
     """The domain's edges (eps_s = 0, eps_a = eps_s and at the clamp, phi = 0
@@ -311,8 +312,14 @@ def _levels(h):
     return np.diagonal(h, axis1=-2, axis2=-1)
 
 
+def _traced_out(a, keep):
+    """The partial trace as np.trace takes it, over the traced-out pair of axes."""
+    r = a.reshape(a.shape[:-2] + (2, 2, 2, 2))
+    return np.trace(r, axis1=-3, axis2=-1) if keep == "S" else np.trace(r, axis1=-4, axis2=-2)
+
+
 @pytest.mark.parametrize("temperature", [1e-300, 1.0, 1e300])
-def test_diagonal_operators_by_scaling_equal_the_matrix_products(rng, temperature):
+def test_scaled_and_sliced_kernels_keep_their_bytes_on_protocol_stacks(rng, temperature):
     from qfcool import thermo
     points = _protocol_points(rng, temperature)
     trace = protocol._run_protocols(*zip(*((p.eps_s, p.eps_a, p.phi) for p in points)))
@@ -334,9 +341,13 @@ def test_diagonal_operators_by_scaling_equal_the_matrix_products(rng, temperatur
     assert np.signbit(zeros.real).any() and not np.signbit(zeros.real).all()
     u = np.array([protocol.measurement_unitary(p.phi) for p in points])
     assert trace.rho_m.tobytes() == (u @ trace.rho0 @ densmat._dagger(u)).tobytes()
+    for name in ("rho0", "rho_m", "rho_f", "rho_reset"):
+        for keep in "SA":
+            assert (densmat._partial_trace(getattr(trace, name), keep).tobytes()
+                    == _traced_out(getattr(trace, name), keep).tobytes()), (name, keep)
 
 
-def test_diagonal_operators_by_scaling_on_random_states(rng, random_density):
+def test_scaled_and_sliced_kernels_keep_their_bytes_on_random_stacks(rng, random_density):
     n = 256
     states = np.array([random_density(4) for _ in range(n)])
     levels = rng.normal(size=(n, 4)) * rng.choice([0.0, -0.0, 1e-300, 1.0, 1e300], size=(n, 4))
@@ -348,3 +359,9 @@ def test_diagonal_operators_by_scaling_on_random_states(rng, random_density):
     phi = rng.uniform(0.0, HALF_PI, n).tolist()
     u = np.array([protocol.measurement_unitary(p) for p in phi])
     assert protocol._measured(rho0, phi).tobytes() == (u @ rho0 @ densmat._dagger(u)).tobytes()
+    # entries drawn with signed zeros, so that a pair of -0.0 meets np.trace's +0 start
+    signed = (rng.choice([0.0, -0.0, 1.0, -2.5], size=(n, 4, 4))
+              + 1j * rng.choice([0.0, -0.0, 1e-300, -1.0], size=(n, 4, 4)))
+    for stack in (states, signed, signed[0]):
+        for keep in "SA":
+            assert densmat._partial_trace(stack, keep).tobytes() == _traced_out(stack, keep).tobytes()
