@@ -475,26 +475,6 @@ def test_zero_concurrence_points_sit_below_the_boundary():
                 assert phi > boundary
 
 
-def x_state_concurrence(eps_s, eps_a, phi):
-    """Concurrence of rho_m, an X-state in its measurement frame (Yu and Eberly 2007)."""
-    return max(0.0, ((1.0 + eps_a) * eps_s * math.sin(phi)
-                     - (1.0 - eps_a) * math.sqrt(1.0 - (eps_s * math.cos(phi)) ** 2)) / 2.0)
-
-
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 13: the Wootters route's two square roots"
-                   " lose about 1e-8 on the nearly rank-deficient states of the clamp column")
-def test_landscape_concurrence_on_the_clamp_column_is_the_closed_form():
-    # sweep --landscape --n-phi 25 at its defaults: eps_s = 0.4, 101 eps_a up to 1 - EPS_A_CLAMP
-    eps_a = tuple(0.4 + (TOP - 0.4) * i / 100 for i in range(101))
-    result = landscape(SweepGrid(0.4, tuple(linspace(0.0, HALF_PI, 25)), eps_a),
-                       {"thermo", "correlations"})
-    clamp = [p for p in result.points if p.eps_a == TOP]
-    assert len(clamp) == 25
-    worst = max(abs(p.correlations.concurrence - x_state_concurrence(0.4, p.eps_a, p.phi))
-                for p in clamp)
-    assert worst <= 1e-12
-
-
 # ---------------------------------------------------------------------------
 # load inversion
 # ---------------------------------------------------------------------------
