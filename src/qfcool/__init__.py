@@ -2,11 +2,12 @@
 cooling cycle on a register/ancilla qubit pair.
 
 The package covers the closed forms and scalar searches in plain Python
-(closed_forms), the full state-level simulation (densmat, protocol), the
-thermodynamic bookkeeping and its matrix oracles (thermo), correlation
-measures including quantum discord (correlations), parameter-space
-tooling (sweep) and a verification suite cross-checking every closed
-form against density-matrix oracles (verify, also exposed via the CLI).
+(closed_forms), the stacked density-matrix kernels and the state validator
+(densmat), the full state-level simulation (protocol), the thermodynamic
+bookkeeping and its matrix oracles (thermo), correlation measures
+including quantum discord (correlations), parameter-space tooling (sweep)
+and a verification suite cross-checking every closed form against
+density-matrix oracles (verify, also exposed via the CLI).
 
 ``import qfcool`` loads none of these modules: each public name below
 (and each module in ``_EXPORTS``) is imported on first access (PEP 562),
@@ -31,13 +32,9 @@ _EXPORTS = {
         "classical_correlations", "concurrence", "correlation_report", "correlation_reports",
         "discord_numeric", "entanglement_of_formation", "mutual_information",
     ),
-    "densmat": (
-        "Spectrum", "conjugate", "expectation", "hermitian_eig", "partial_trace",
-        "psd_sqrt", "tensor", "vn_entropy",
-    ),
     "protocol": (
-        "ProtocolTrace", "feedback_unitary", "initial_state", "measurement_unitary",
-        "post_measurement_state", "run_protocol", "thermal_qubit",
+        "ProtocolTrace", "feedback_unitary", "measurement_unitary", "run_protocol",
+        "thermal_qubit",
     ),
     "sweep": ("CurvePoint", "Landscape", "SweepGrid", "characteristic_curve", "landscape"),
     "thermo": ("EnergyModel", "energy_model", "ergotropy"),

@@ -32,7 +32,7 @@ from .closed_forms import (  # re-exported
 )
 from .densmat import ID2, PAULI, SIGMA_Y
 
-_SPIN_FLIP = densmat.tensor(SIGMA_Y, SIGMA_Y)
+_SPIN_FLIP = densmat._tensor(SIGMA_Y, SIGMA_Y)
 # Measurement branches with probability below this contribute zero to the
 # average conditional entropy (degenerate outcome).
 _PROB_FLOOR = 1e-12
@@ -49,7 +49,7 @@ _MAX_STEPS = 100
 _SCAN_BUDGET = 4096
 # The 16 products sigma_mu x sigma_nu (sigma_0 = I), contracted with a
 # state in one step: tr(rho sigma_mu x sigma_nu).
-_PAULI_PRODUCTS = np.array([densmat.tensor(p, q) for p in (ID2, *PAULI) for q in (ID2, *PAULI)])
+_PAULI_PRODUCTS = np.array([densmat._tensor(p, q) for p in (ID2, *PAULI) for q in (ID2, *PAULI)])
 
 
 class DiscordOptimizationError(RuntimeError):
@@ -103,7 +103,7 @@ def _concurrence(r: np.ndarray) -> np.ndarray:
     sq = densmat._psd_sqrt(r)
     inner = sq @ _SPIN_FLIP @ r.conj() @ _SPIN_FLIP @ sq
     flip_spectrum = densmat._psd_sqrt(0.5 * (inner + densmat._dagger(inner)))
-    lam = densmat._hermitian_eig(flip_spectrum).eigenvalues[..., ::-1]
+    lam = densmat._hermitian_eig(flip_spectrum)[0][..., ::-1]
     from_trace = 2.0 * lam[..., 0] - np.trace(flip_spectrum, axis1=-2, axis2=-1).real
     from_eigs = lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]
     disagree = np.abs(from_trace - from_eigs) > 1e-9

@@ -1,4 +1,4 @@
-"""Dense complex linear algebra for one- and two-qubit states.
+"""Stacked kernels for one- and two-qubit states, and the state validator.
 
 Conventions used throughout the package:
 
@@ -7,12 +7,12 @@ Conventions used throughout the package:
 * ``|0>`` is the +1 eigenstate of ``sigma_z``;
 * all entropies are in nats (natural logarithm).
 
-Only 2x2 and 4x4 matrices are supported; there is no n-qubit ambition.
+``validate_density_matrix`` (and ``as_matrix``) check a caller's matrix where
+it enters a public function of the package; every other function here is an
+unchecked kernel on 2x2 and 4x4 matrices or on stacks of them.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
@@ -28,17 +28,6 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULI = (SIGMA_X, SIGMA_Y, SIGMA_Z)
-
-
-class Spectrum(NamedTuple):
-    """Eigendecomposition of a Hermitian matrix.
-
-    ``eigenvalues`` are real and ascending; ``eigenvectors`` holds the
-    matching orthonormal eigenvectors as columns.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 def as_matrix(m) -> np.ndarray:
@@ -80,18 +69,10 @@ def validate_density_matrix(rho) -> np.ndarray:
     return _checked(rho)[0]
 
 
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product of two 2x2 matrices, register-major ordering."""
-    ma, mb = as_matrix(a), as_matrix(b)
-    if ma.shape != (2, 2) or mb.shape != (2, 2):
-        raise ValueError("tensor expects two 2x2 factors")
-    return _tensor(ma, mb)
-
-
 # Unchecked kernels for states the package builds itself (valid by
-# construction); the public functions below validate and then call them.
-# Each kernel treats every matrix of a stack ``(..., d, d)`` exactly as it
-# treats a single one; a diagonal operator is applied by scaling, bit for bit.
+# construction) or has validated once where they entered.  Each kernel
+# treats every matrix of a stack ``(..., d, d)`` exactly as it treats a
+# single one; a diagonal operator is applied by scaling, bit for bit.
 
 def _tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     prod = a[..., :, None, :, None] * b[..., None, :, None, :]
@@ -136,48 +117,19 @@ def _bloch_vector(a: np.ndarray) -> np.ndarray:
     return np.array([_expectation(s, a) for s in PAULI])
 
 
-def partial_trace(rho, keep: str) -> np.ndarray:
-    """Reduce a 4x4 density matrix to the marginal of one subsystem.
-
-    ``keep`` is ``"S"`` (trace out the ancilla) or ``"A"`` (trace out the
-    register).
-    """
-    a = validate_density_matrix(rho)
-    if a.shape != (4, 4):
-        raise ValueError("partial_trace expects a 4x4 density matrix")
-    if keep not in ("S", "A"):
-        raise ValueError(f"keep must be 'S' or 'A', got {keep!r}")
-    return _partial_trace(a, keep)
-
-
-def vn_entropy(rho) -> float:
-    """Von Neumann entropy in nats, with 0 ln 0 = 0."""
-    return float(_spectrum_entropy(_checked(rho)[1]))
-
-
-def hermitian_eig(m) -> Spectrum:
-    """Eigendecomposition of a Hermitian matrix (ascending eigenvalues)."""
-    return _hermitian_eig(as_matrix(m))
-
-
-def _hermitian_eig(a: np.ndarray) -> Spectrum:
+def _hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh``'s (ascending eigenvalues, eigenvector columns) of Hermitian matrices."""
     if not _all_hermitian(a):
         raise ValueError("hermitian_eig expects a Hermitian matrix")
-    w, v = np.linalg.eigh(a)
-    return Spectrum(eigenvalues=w, eigenvectors=v)
-
-
-def psd_sqrt(rho) -> np.ndarray:
-    """Hermitian PSD square root S with S @ S == rho.
-
-    Eigenvalues in [-PSD_CLAMP, 0) are clamped to zero; anything below
-    -PSD_CLAMP raises.
-    """
-    return _psd_sqrt(as_matrix(rho))
+    return np.linalg.eigh(a)
 
 
 def _psd_sqrt(a: np.ndarray) -> np.ndarray:
-    """``psd_sqrt`` of a matrix or a stack; raises if any matrix fails a check."""
+    """Hermitian PSD square root S with S @ S == a, of a matrix or a stack.
+
+    Eigenvalues in [-PSD_CLAMP, 0) are clamped to zero; raises if any
+    matrix is not Hermitian or has an eigenvalue below -PSD_CLAMP.
+    """
     if not _all_hermitian(a):
         raise ValueError("psd_sqrt expects a Hermitian matrix")
     w, v = np.linalg.eigh(a)
@@ -188,32 +140,3 @@ def _psd_sqrt(a: np.ndarray) -> np.ndarray:
             f"psd_sqrt expects a PSD matrix (min eigenvalue {low[negative].flat[0]:.3e})")
     s = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ _dagger(v)
     return 0.5 * (s + _dagger(s))
-
-
-def conjugate(m) -> np.ndarray:
-    """Entrywise complex conjugation in the fixed computational basis."""
-    return np.conj(as_matrix(m))
-
-
-def expectation(h, rho) -> float:
-    """tr(H rho) for Hermitian H; the imaginary residue must be negligible."""
-    ha, ra = as_matrix(h), validate_density_matrix(rho)
-    if ha.shape != ra.shape:
-        raise ValueError(f"dimension mismatch: {ha.shape} vs {ra.shape}")
-    val = np.trace(ha @ ra)
-    if abs(val.imag) > 1e-10:
-        raise ValueError(f"expectation value has imaginary part {val.imag:.3e}")
-    return float(val.real)
-
-
-def purity(rho) -> float:
-    """tr(rho^2)."""
-    return _purity(validate_density_matrix(rho))
-
-
-def bloch_vector(rho) -> np.ndarray:
-    """(x, y, z) Pauli expectations of a single-qubit state."""
-    a = validate_density_matrix(rho)
-    if a.shape != (2, 2):
-        raise ValueError("bloch_vector expects a 2x2 density matrix")
-    return _bloch_vector(a)

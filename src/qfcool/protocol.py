@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_forms import ProtocolParams  # re-exported
-from .densmat import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, _dagger, _partial_trace, _tensor, tensor
+from .densmat import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, _dagger, _partial_trace, _tensor
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 
@@ -64,11 +64,6 @@ def thermal_qubit(eps: float) -> np.ndarray:
     return _thermal_qubits((eps,))[0]
 
 
-def initial_state(params: ProtocolParams) -> np.ndarray:
-    """Uncorrelated thermal pair: thermal(eps_s) tensor thermal(eps_a)."""
-    return _initial_states((params.eps_s,), (params.eps_a,))[0]
-
-
 def measurement_unitary(phi: float) -> np.ndarray:
     """Joint unitary exp{-i pi/4 sigma_m tensor sigma_y}.
 
@@ -80,7 +75,7 @@ def measurement_unitary(phi: float) -> np.ndarray:
     return _measurement_unitaries((phi,))[0]
 
 
-_FEEDBACK = tensor(_ROT_PLUS, _PROJ_X_PLUS) + tensor(_ROT_MINUS, _PROJ_X_MINUS)
+_FEEDBACK = _tensor(_ROT_PLUS, _PROJ_X_PLUS) + _tensor(_ROT_MINUS, _PROJ_X_MINUS)
 
 
 def feedback_unitary() -> np.ndarray:
@@ -128,11 +123,6 @@ def _measured(rho0: np.ndarray, phi) -> np.ndarray:
 def _post_measurement_states(eps_s, eps_a, phi) -> np.ndarray:
     """rho_m = U_m rho0 U_m+ at each of n points, shape (n, 4, 4)."""
     return _measured(_initial_states(eps_s, eps_a), phi)
-
-
-def post_measurement_state(params: ProtocolParams) -> np.ndarray:
-    """rho_m = U_m rho0 U_m+, bit for bit the ``rho_m`` of ``run_protocol``."""
-    return _post_measurement_states((params.eps_s,), (params.eps_a,), (params.phi,))[0]
 
 
 def _run_protocols(eps_s, eps_a, phi) -> ProtocolTrace:

@@ -3,17 +3,19 @@
 The projector route: project one side, weigh each branch's reduced entropy
 by its probability.  It is the independent oracle for the Bloch-space
 kernel (``correlations._conditional_entropy_scan``) that the discord basis
-search runs on.
+search runs on, so it reduces and sums with numpy alone, not with the
+library's kernels.
 """
 
 import numpy as np
 
-from qfcool import densmat
 from qfcool.correlations import MeasurementBasis
-from qfcool.densmat import ID2
 
 # Branches at or below this probability contribute zero (the kernel's floor).
 PROB_FLOOR = 1e-12
+# Eigenvalues at or below this contribute zero to an entropy (the library's cutoff).
+ENTROPY_CUTOFF = 1e-15
+ID2 = np.eye(2)
 
 
 def conditional_entropy(rho, measured_side: str, basis: MeasurementBasis) -> float:
@@ -37,6 +39,10 @@ def reduced_entropy(conditional, keep: str) -> float:
     noise, so the reduction is raw and the spectrum is clipped instead of
     running the strict state validator.
     """
-    marginal = densmat._partial_trace(conditional, keep)
+    # indices (s, a, s', a'): keeping S traces a against a', keeping A traces s against s'
+    axes = (1, 3) if keep == "S" else (0, 2)
+    marginal = np.trace(conditional.reshape(2, 2, 2, 2), axis1=axes[0], axis2=axes[1])
     w = np.clip(np.linalg.eigvalsh(0.5 * (marginal + marginal.conj().T)), 0.0, None)
-    return float(densmat._spectrum_entropy(w / w.sum()))
+    w = w / w.sum()
+    w = w[w > ENTROPY_CUTOFF]
+    return float(-(w * np.log(w)).sum())

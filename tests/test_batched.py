@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from qfcool import closed_forms, correlations, densmat, protocol, sweep, verify
 from qfcool.correlations import concurrence, correlation_report, mutual_information
-from qfcool.protocol import ProtocolParams, post_measurement_state
+from qfcool.protocol import ProtocolParams, run_protocol
 from qfcool.sweep import SeparabilityBoundary, SweepGrid, characteristic_curve, landscape
 from qfcool.thermo import figures_of_merit
 
@@ -145,7 +145,7 @@ def reference_boundary(eps_s, eps_a, tol=1e-6, scan_points=181):
     """The per-angle algorithm: Wootters concurrence of each scanned angle up
     to the first entangled one, then bisection of that bracket."""
     def entangled(phi):
-        return concurrence(post_measurement_state(ProtocolParams(eps_s, eps_a, phi))) > 1e-12
+        return concurrence(run_protocol(ProtocolParams(eps_s, eps_a, phi)).rho_m) > 1e-12
 
     phis = np.linspace(0.0, HALF_PI, scan_points).tolist()
     first = next((k for k, phi in enumerate(phis) if entangled(phi)), None)
@@ -204,7 +204,7 @@ def test_closed_form_concurrence_matches_wootters_route():
     points = [p for p in standard_grid(6) + edges if 1.0 - p.eps_a > 1e-4]
     assert len(points) > 216
     for p in points:
-        matrix = concurrence(post_measurement_state(p))
+        matrix = concurrence(run_protocol(p).rho_m)
         assert abs(closed_form_concurrence(p.eps_s, p.eps_a, p.phi) - matrix) <= 1e-10, p
 
 
@@ -232,7 +232,7 @@ def test_stacked_kernels_equal_single_state_calls():
     conc = correlations._concurrence(stack)
     mi = correlations._mutual_information(stack)
     for k, phi in enumerate(phis):
-        rho = post_measurement_state(ProtocolParams(0.3, 0.85, float(phi)))
+        rho = run_protocol(ProtocolParams(0.3, 0.85, float(phi))).rho_m
         assert stack[k].tobytes() == rho.tobytes()
         assert repr(float(conc[k])) == repr(concurrence(rho))
         assert repr(float(mi[k])) == repr(mutual_information(rho))
@@ -244,7 +244,7 @@ def test_stacked_kernels_on_random_states(random_density):
     conc = correlations._concurrence(stack)
     mi = correlations._mutual_information(stack)
     for k, rho in enumerate(stack):
-        assert roots[k].tobytes() == densmat.psd_sqrt(rho).tobytes()
+        assert roots[k].tobytes() == densmat._psd_sqrt(rho).tobytes()
         assert repr(float(conc[k])) == repr(concurrence(rho))
         assert repr(float(mi[k])) == repr(mutual_information(rho))
 
@@ -293,10 +293,10 @@ def test_stacked_concurrence_cross_check_fails_on_one_point(monkeypatch):
     real = densmat._hermitian_eig
 
     def skewed(a):
-        spectrum = real(a)
-        w = spectrum.eigenvalues.copy()
+        w, v = real(a)
+        w = w.copy()
         w[3, 0] += 1e-6  # the smallest eigenvalue of one state only
-        return densmat.Spectrum(w, spectrum.eigenvectors)
+        return w, v
 
     monkeypatch.setattr(densmat, "_hermitian_eig", skewed)
     with pytest.raises(RuntimeError, match="concurrence forms disagree"):

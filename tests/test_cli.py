@@ -576,7 +576,7 @@ def test_package_names_resolve_lazily_to_their_defining_objects():
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"numpy_before": False, "module": "qfcool.sweep",
                                        "unbound": [],
-                                       "not_defining_object": [], "not_in_dir": [], "all": 51}
+                                       "not_defining_object": [], "not_in_dir": [], "all": 41}
     assert qfcool.landscape is sweep.landscape
     with pytest.raises(AttributeError, match="has no attribute 'melt'"):
         qfcool.melt

@@ -13,7 +13,7 @@ from qfcool.correlations import (
     entanglement_of_formation, eof_from_concurrence, mutual_information,
     mutual_information_analytic, optimal_measurement, thermal_entropy,
 )
-from qfcool.densmat import hermitian_eig, psd_sqrt, SIGMA_Y
+from qfcool.densmat import SIGMA_Y
 from qfcool.protocol import ProtocolParams, run_protocol
 from qfcool.verify import standard_grid
 
@@ -79,13 +79,13 @@ def test_concurrence_frozen_at_x_measurement():
 
 
 def test_flip_spectrum_reproduces_concurrence():
-    # cross-module oracle: eigenvalues of the spin-flip operator rebuild C
+    # Wootters' non-Hermitian route, which the library does not take: the lambda_i
+    # are the square roots of the eigenvalues of rho (sy x sy) rho* (sy x sy)
     rho = rho_m_at(0.4, 0.8, HALF_PI)
     syy = np.kron(SIGMA_Y, SIGMA_Y)
-    sq = psd_sqrt(rho)
-    inner = sq @ syy @ np.conj(rho) @ syy @ sq
-    r_hat = psd_sqrt(0.5 * (inner + inner.conj().T))
-    lam = hermitian_eig(r_hat).eigenvalues[::-1]
+    mu = np.linalg.eigvals(rho @ syy @ np.conj(rho) @ syy)
+    lam = np.sort(np.sqrt(np.clip(mu.real, 0.0, None)))[::-1]
+    assert np.max(np.abs(mu.imag)) <= 1e-12
     assert abs((lam[0] - lam[1] - lam[2] - lam[3]) - concurrence(rho)) <= 1e-9
 
 

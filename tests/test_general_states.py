@@ -7,7 +7,7 @@ Werner states, and a dense scan of the measurement sphere.
 Each random family holds 64 seeded states, and each check has an absolute bound
 of 1e-12.  The Wootters route (concurrence, entanglement of formation) misses
 that bound on these families; those checks are strict xfails that ROADMAP
-item 4 (closed-form correlations, the matrix route as their oracle) must flip.
+item 13 (a Wootters route accurate to rounding) must flip.
 """
 
 import math
@@ -26,8 +26,8 @@ SWAP = np.eye(4)[[0, 2, 1, 3]].astype(complex)
 PAULI = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1]))
 
 
-def _item_4(reason):
-    return pytest.mark.xfail(strict=True, raises=AssertionError, reason=f"ROADMAP item 4: {reason}")
+def _item_13(reason):
+    return pytest.mark.xfail(strict=True, raises=AssertionError, reason=f"ROADMAP item 13: {reason}")
 
 
 def _pure_states(rng):
@@ -83,7 +83,7 @@ def test_discord_of_a_pure_state_is_its_entanglement_entropy(pure_states):
     assert worst <= BOUND
 
 
-@_item_4("the Wootters EoF of pure states is off by up to 1.8e-8")
+@_item_13("the Wootters EoF of pure states is off by up to 1.8e-8")
 def test_eof_of_a_pure_state_is_its_entanglement_entropy(pure_states):
     worst = max(abs(entanglement_of_formation(rho) - entropy) for rho, entropy in pure_states)
     assert worst <= BOUND
@@ -108,7 +108,7 @@ def test_discord_is_invariant_under_local_unitaries(locally_rotated):
     assert worst <= BOUND
 
 
-@_item_4("concurrence and EoF move by up to 1.2e-8 under U_S x U_A")
+@_item_13("concurrence and EoF move by up to 1.2e-8 under U_S x U_A")
 def test_concurrence_and_eof_are_invariant_under_local_unitaries(locally_rotated):
     worst = max(max(abs(concurrence(rho) - concurrence(turned)),
                     abs(entanglement_of_formation(rho) - entanglement_of_formation(turned)))

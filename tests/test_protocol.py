@@ -8,12 +8,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qfcool.closed_forms import _is_finite_real
+from qfcool import protocol
 from qfcool.densmat import (
-    ATOL, ID2, SIGMA_X, SIGMA_Z, bloch_vector, expectation, purity, vn_entropy,
+    ATOL, ID2, SIGMA_X, SIGMA_Z, _bloch_vector, _expectation, _partial_trace, _purity,
+    _vn_entropies, validate_density_matrix,
 )
 from qfcool.protocol import (
-    ProtocolParams, feedback_unitary, initial_state, measurement_unitary,
-    post_measurement_state, run_protocol, thermal_qubit,
+    ProtocolParams, feedback_unitary, measurement_unitary, run_protocol, thermal_qubit,
 )
 
 HALF_PI = math.pi / 2
@@ -94,7 +95,7 @@ def test_thermal_qubit_populations():
 def test_thermal_qubit_entropy_matches_closed_form():
     eps = 0.8
     closed = 0.5 * math.log(4.0 / (1.0 - eps * eps)) - eps * math.atanh(eps)
-    assert abs(vn_entropy(thermal_qubit(eps)) - closed) <= 1e-12
+    assert abs(_vn_entropies(thermal_qubit(eps)) - closed) <= 1e-12
 
 
 def test_thermal_qubit_rejects_out_of_range():
@@ -104,15 +105,15 @@ def test_thermal_qubit_rejects_out_of_range():
 
 
 def test_initial_state_limit_and_product_values():
-    assert np.allclose(initial_state(ProtocolParams(0.0, 0.0, 0.0)), np.eye(4) / 4, atol=1e-15)
-    rho0 = initial_state(ProtocolParams(0.4, 0.8, 0.0))
+    assert np.allclose(run_protocol(ProtocolParams(0.0, 0.0, 0.0)).rho0, np.eye(4) / 4, atol=1e-15)
+    rho0 = run_protocol(ProtocolParams(0.4, 0.8, 0.0)).rho0
     assert np.allclose(np.diag(rho0), [0.03, 0.27, 0.07, 0.63], atol=1e-15)
 
 
 @given(es=biases, ea=biases)
 def test_initial_state_eigenvalues(es, ea):
     es, ea = min(es, ea), max(es, ea)
-    rho0 = initial_state(ProtocolParams(es, ea, 0.3))
+    rho0 = run_protocol(ProtocolParams(es, ea, 0.3)).rho0
     expected = sorted(
         0.25 * (1 + s1 * es) * (1 + s2 * ea) for s1 in (-1, 1) for s2 in (-1, 1))
     assert np.allclose(np.linalg.eigvalsh(rho0), expected, atol=1e-12)
@@ -165,7 +166,7 @@ def test_feedback_after_x_measurement_swaps_marginals():
 def test_purity_transfer_for_all_angles():
     for phi in np.linspace(0.0, HALF_PI, 12):
         trace = run_protocol(ProtocolParams(0.3, 0.7, float(phi)))
-        assert abs(purity(trace.rho_f_s) - 0.5 * (1 + 0.7**2)) <= 1e-10
+        assert abs(_purity(trace.rho_f_s) - 0.5 * (1 + 0.7**2)) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +182,7 @@ def test_final_register_bloch_vector():
     # length eps_a for every phi, z-component -eps_a sin(phi)
     es, ea, phi = 0.4, 0.8, math.pi / 4
     trace = run_protocol(ProtocolParams(es, ea, phi))
-    b = bloch_vector(trace.rho_f_s)
+    b = _bloch_vector(trace.rho_f_s)
     assert abs(np.linalg.norm(b) - ea) <= 1e-12
     assert abs(b[2] + ea * math.sin(phi)) <= 1e-12
     assert abs(b[2] + 0.565685424949238) <= 1e-12
@@ -210,29 +211,30 @@ def test_post_measurement_state_block_diagonal_at_phi_zero():
 
 
 def test_protocol_grid_invariants():
-    # entropy invariance under both unitaries, purity transfer, entropy
-    # reduction closed form, ancilla marginal after measurement
+    # valid stage states, entropy invariance under both unitaries, purity
+    # transfer, entropy reduction closed form, ancilla marginal after measurement
     for params in grid(10):
         trace = run_protocol(params)
-        s0 = vn_entropy(trace.rho0)
-        assert abs(vn_entropy(trace.rho_m) - s0) <= 1e-10
-        assert abs(vn_entropy(trace.rho_f) - s0) <= 1e-10
+        for rho in vars(trace).values():
+            validate_density_matrix(rho)
+        s0 = _vn_entropies(trace.rho0)
+        assert abs(_vn_entropies(trace.rho_m) - s0) <= 1e-10
+        assert abs(_vn_entropies(trace.rho_f) - s0) <= 1e-10
 
-        assert abs(purity(trace.rho_f_s) - 0.5 * (1 + params.eps_a**2)) <= 1e-10
+        assert abs(_purity(trace.rho_f_s) - 0.5 * (1 + params.eps_a**2)) <= 1e-10
 
         es, ea = params.eps_s, params.eps_a
         closed = (ea * math.atanh(ea) - es * math.atanh(es)
                   + 0.5 * math.log((1 - ea * ea) / (1 - es * es)))
-        assert abs((vn_entropy(trace.rho0_s) - vn_entropy(trace.rho_f_s)) - closed) <= 1e-10
+        assert abs((_vn_entropies(trace.rho0_s) - _vn_entropies(trace.rho_f_s)) - closed) <= 1e-10
 
-        assert abs(expectation(SIGMA_Z, trace.rho_m_a)) <= 1e-12
+        assert abs(_expectation(SIGMA_Z, trace.rho_m_a)) <= 1e-12
         expected_x = es * ea * math.cos(params.phi)
-        assert abs(expectation(SIGMA_X, trace.rho_m_a) - expected_x) <= 1e-12
+        assert abs(_expectation(SIGMA_X, trace.rho_m_a) - expected_x) <= 1e-12
 
         # reset leaves the register untouched and restores the thermal ancilla
-        from qfcool.densmat import partial_trace
-        assert np.max(np.abs(partial_trace(trace.rho_reset, "S") - trace.rho_f_s)) <= 1e-12
-        assert np.max(np.abs(partial_trace(trace.rho_reset, "A") - thermal_qubit(ea))) <= 1e-12
+        assert np.max(np.abs(_partial_trace(trace.rho_reset, "S") - trace.rho_f_s)) <= 1e-12
+        assert np.max(np.abs(_partial_trace(trace.rho_reset, "A") - thermal_qubit(ea))) <= 1e-12
 
 
 @pytest.mark.parametrize("es, ea, phi", [
@@ -240,8 +242,9 @@ def test_protocol_grid_invariants():
     (0.3, 0.7, 0.0),
 ])
 def test_post_measurement_state_is_bit_identical_to_trace(es, ea, phi):
-    params = ProtocolParams(es, ea, phi)
-    assert post_measurement_state(params).tobytes() == run_protocol(params).rho_m.tobytes()
+    # the stacked builder that the correlation reports and landscapes read
+    rho_m = protocol._post_measurement_states((es,), (ea,), (phi,))[0]
+    assert rho_m.tobytes() == run_protocol(ProtocolParams(es, ea, phi)).rho_m.tobytes()
 
 
 def test_feedback_unitary_returns_a_fresh_copy():

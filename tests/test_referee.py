@@ -3,7 +3,9 @@
 ``figures_of_merit`` at fixed interior and edge points: every figure of
 merit, energies over ``T``, each within an absolute bound and, where it is
 nonzero, a relative one.  The threshold angle, the separability angle and
-the mutual information on a fixed edge list and on seeded draws.
+the mutual information on a fixed edge list and on seeded draws.  The
+referee's Wootters concurrence and EoF against pure states and against the
+X-state form on protocol states.
 """
 
 import math
@@ -16,6 +18,7 @@ from qfcool.closed_forms import (
     ProtocolParams, figures_of_merit, mutual_information_analytic, phi_crit,
     separability_boundary,
 )
+from qfcool.protocol import run_protocol
 
 import referee
 
@@ -107,3 +110,68 @@ def test_separability_angle_matches_the_referee():
                 assert abs(boundary.phi - exact) <= REL_TOL * exact, (eps_s, eps_a, boundary, exact)
     assert interior >= 100
 
+
+# ---------------------------------------------------------------------------
+# the referee's Wootters concurrence and entanglement of formation
+# ---------------------------------------------------------------------------
+
+def _pure_states(seed, count=32):
+    """Seeded pure states: amplitudes (a, b, c, d) and the rows of their rounded outer product."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        v = [complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) for _ in range(4)]
+        norm = math.sqrt(sum(abs(x) ** 2 for x in v))
+        v = [x / norm for x in v]
+        yield v, [[x * y.conjugate() for y in v] for x in v]
+
+
+def test_referee_concurrence_of_a_pure_state_is_twice_its_determinant():
+    # the rows are rounded, so the two agree to rounding, not to 50 digits
+    with mpmath.workdps(referee.DPS):
+        for v, rho in _pure_states(41):
+            a, b, c, d = map(mpmath.mpc, v)
+            assert abs(referee.concurrence(rho) - 2 * abs(a * d - b * c)) <= 1e-15, v
+
+
+def test_referee_eof_of_a_pure_state_is_its_entanglement_entropy():
+    with mpmath.workdps(referee.DPS):
+        for v, rho in _pure_states(43):
+            schmidt = mpmath.svd_c(mpmath.matrix([v[:2], v[2:]]), compute_uv=False)
+            entropy = -sum(w * mpmath.log(w) for w in (s ** 2 for s in schmidt) if w > 0)
+            assert abs(referee.entanglement_of_formation(rho) - entropy) <= 1e-15, v
+
+
+def _x_state_concurrence(eps_s, eps_a, phi):
+    """max(0, [(1 + eps_a) eps_s sin phi - (1 - eps_a) sqrt(1 - eps_s^2 cos^2 phi)] / 2)."""
+    es, ea, phi = mpmath.mpf(eps_s), mpmath.mpf(eps_a), mpmath.mpf(phi)
+    entangling = (1 + ea) * es * mpmath.sin(phi)
+    return max(0, (entangling - (1 - ea) * mpmath.sqrt(1 - (es * mpmath.cos(phi)) ** 2)) / 2)
+
+
+def _protocol_draws(seed, count=24):
+    """Seeded (eps_s, eps_a, phi) as in ``_draws``, but with eps_s uniform: in the log-uniform
+    tail (eps_s ~ 1e-65) the eigenvalues of rho rho~ pair up within 10^-DPS, mpmath.eig's QR
+    does not converge, and the concurrence is 0 anyway."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        eps_s = 0.999 * rng.random()
+        yield eps_s, eps_s + rng.random() * (1.0 - 1e-9 - eps_s), HALF_PI * rng.random()
+
+
+PROTOCOL_POINTS = [
+    (0.0, 0.0, 0.0), (0.0, 0.5, 0.3), (0.4, 0.4, 0.7), (0.4, 0.4, HALF_PI), (0.6, 0.8, 0.0),
+    (0.6, 0.8, HALF_PI), (0.4, 0.8, 1.0), (0.3, 1.0 - 1e-9, 1.2), (0.9999999, 0.99999999, 0.001),
+] + list(_protocol_draws(31))
+
+
+def test_referee_concurrence_of_a_protocol_state_is_the_x_state_form():
+    with mpmath.workdps(referee.DPS):
+        for point in PROTOCOL_POINTS:
+            exact = _x_state_concurrence(*point)
+            state = referee.measured_state(*point)
+            assert abs(referee.concurrence(state) - exact) <= 1e-40, point
+            # the library's rho_m is that state rounded; its exact concurrence moves by rounding only
+            rho = run_protocol(ProtocolParams(*point)).rho_m
+            entries = [(i, j) for i in range(4) for j in range(4)]
+            assert max(abs(state[i, j] - complex(rho[i, j])) for i, j in entries) <= 1e-15, point
+            assert abs(referee.concurrence(rho) - exact) <= 1e-15, point

@@ -45,7 +45,7 @@ def test_run_suite_eigensolver_calls_do_not_grow_with_the_grid(monkeypatch):
 
 
 def _reference_deviations(points):
-    """Deviations of the pointwise classes, from the public single-point functions.
+    """Deviations of the pointwise classes, from the single-point functions and kernels.
 
     Energy-valued deviations are in units of the point's temperature.
     """
@@ -69,23 +69,24 @@ def _reference_deviations(points):
             - correlations.mutual_information(trace.rho_m)))
         dev["discord_closed_form"].append(abs(
             correlations.discord_analytic(es, phi)
-            - (densmat.vn_entropy(trace.rho_m_s) - densmat.vn_entropy(protocol.thermal_qubit(es)))))
+            - (densmat._vn_entropies(trace.rho_m_s)
+               - densmat._vn_entropies(protocol.thermal_qubit(es)))))
         dev["thermal_entropy"].append(abs(
             math.log(2.0) - 0.5 * (math.log1p(-ea) + math.log1p(ea)) - ea * math.atanh(ea)
-            - densmat.vn_entropy(protocol.thermal_qubit(ea))))
-        dev["purity_transfer"].append(abs(densmat.purity(trace.rho_f_s) - 0.5 * (1.0 + ea ** 2)))
+            - densmat._vn_entropies(protocol.thermal_qubit(ea))))
+        dev["purity_transfer"].append(abs(densmat._purity(trace.rho_f_s) - 0.5 * (1.0 + ea ** 2)))
         if abs(phi - math.pi / 2) < 1e-12:
             dev["swap_limit"].append(max(
                 float(np.max(np.abs(trace.rho_f_s - protocol.thermal_qubit(ea)))),
                 float(np.max(np.abs(trace.rho_f_a - protocol.thermal_qubit(es))))))
-        s0 = densmat.vn_entropy(trace.rho0)
-        dev["entropy_invariance"].append(max(abs(densmat.vn_entropy(trace.rho_m) - s0),
-                                             abs(densmat.vn_entropy(trace.rho_f) - s0)))
+        s0 = densmat._vn_entropies(trace.rho0)
+        dev["entropy_invariance"].append(max(abs(densmat._vn_entropies(trace.rho_m) - s0),
+                                             abs(densmat._vn_entropies(trace.rho_f) - s0)))
         dev["reset_marginals"].append(max(
-            float(np.max(np.abs(densmat.partial_trace(trace.rho_reset, "S") - trace.rho_f_s))),
-            float(np.max(np.abs(densmat.partial_trace(trace.rho_reset, "A") - trace.rho0_a)))))
-        z = densmat.expectation(densmat.SIGMA_Z, trace.rho_m_a)
-        x = densmat.expectation(densmat.SIGMA_X, trace.rho_m_a)
+            float(np.max(np.abs(densmat._partial_trace(trace.rho_reset, "S") - trace.rho_f_s))),
+            float(np.max(np.abs(densmat._partial_trace(trace.rho_reset, "A") - trace.rho0_a)))))
+        z = densmat._expectation(densmat.SIGMA_Z, trace.rho_m_a)
+        x = densmat._expectation(densmat.SIGMA_X, trace.rho_m_a)
         dev["post_measurement_ancilla_marginal"].append(
             max(abs(z), abs(x - es * ea * math.cos(phi))))
         if ea > es + 1e-12:
