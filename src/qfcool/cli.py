@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .closed_forms import (
-    EPS_A_CLAMP, OBJECTIVES, ProtocolParams, discord_threshold, linspace, optimize_working_point,
+    EPS_A_CLAMP, OBJECTIVES, ProtocolParams, discord_threshold, optimize_working_point,
 )
 
 if TYPE_CHECKING:  # annotations only: the matrix layer loads numpy
@@ -221,13 +221,14 @@ def _point_doc(point: sweep.CurvePoint) -> dict:
 
 def cmd_sweep(opts: dict) -> int:
     from . import sweep
+    import numpy as np
     eps_s, landscape_mode, phis = opts["eps_s"], opts["landscape"], opts["phi"]
     if phis is not None:
         phis = [_radians(opts, v) for v in phis]
     elif landscape_mode:
         if opts["n_phi"] < 1:
             raise ValueError("n_phi must be at least 1")
-        phis = linspace(0.0, math.pi / 2, opts["n_phi"])
+        phis = np.linspace(0.0, math.pi / 2, opts["n_phi"]).tolist()
     else:
         phis = _DEFAULT_SWEEP_PHIS
     eps_a_min = eps_s if opts["eps_a_min"] is None else opts["eps_a_min"]

@@ -95,19 +95,6 @@ class ProtocolParams:
             raise ValueError("temperature must be positive")
 
 
-def linspace(start: float, stop: float, num: int) -> list[float]:
-    """``np.linspace(start, stop, num).tolist()`` bit for bit: ``i * step + start``,
-    the last value ``stop``, and ``(i / div) * (stop - start)`` where the step
-    underflows to zero, as numpy computes them."""
-    start, stop = float(start), float(stop)
-    div, delta = max(num - 1, 1), stop - start
-    step = delta / div
-    values = [(i / div * delta if step == 0.0 else i * step) + start for i in range(num)]
-    if num > 1:
-        values[-1] = stop
-    return values
-
-
 # ---------------------------------------------------------------------------
 # thermodynamics, factored by grid axis
 # ---------------------------------------------------------------------------

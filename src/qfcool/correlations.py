@@ -84,33 +84,24 @@ def _two_qubit_state(rho, caller: str) -> np.ndarray:
 
 
 def concurrence(rho) -> float:
-    """Wootters concurrence of a two-qubit state.
-
-    Both equivalent reductions of the spin-flip spectrum (2 lambda_max -
-    tr R and lambda1 - lambda2 - lambda3 - lambda4) are evaluated and
-    must agree to 1e-9.
-    """
+    """Wootters concurrence of a two-qubit state: lambda1 - lambda2 - lambda3 - lambda4
+    of the spin-flip spectrum, or 0 when that is negative."""
     return float(_concurrence(_two_qubit_state(rho, "concurrence")))
 
 
 def _concurrence(r: np.ndarray) -> np.ndarray:
     """Concurrence of a state or of each state in a stack ``(..., 4, 4)``.
 
-    Raises if any state fails a check: Hermitian input to each square
-    root and to the final eigendecomposition, the PSD clamp, and the
-    agreement of the two reductions.
+    The ``lambda_i`` are the eigenvalues of ``sqrt(sqrt(r) r~ sqrt(r))``.
+    Raises if any state fails a check of either square root: Hermitian
+    input and the PSD clamp.
     """
     sq = densmat._psd_sqrt(r)
     inner = sq @ _SPIN_FLIP @ r.conj() @ _SPIN_FLIP @ sq
     flip_spectrum = densmat._psd_sqrt(0.5 * (inner + densmat._dagger(inner)))
-    lam = densmat._hermitian_eig(flip_spectrum)[0][..., ::-1]
-    from_trace = 2.0 * lam[..., 0] - np.trace(flip_spectrum, axis1=-2, axis2=-1).real
+    # _psd_sqrt returns 0.5 (s + s^dagger), Hermitian bit for bit
+    lam = np.linalg.eigh(flip_spectrum)[0][..., ::-1]
     from_eigs = lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]
-    disagree = np.abs(from_trace - from_eigs) > 1e-9
-    if disagree.any():
-        raise RuntimeError(
-            f"concurrence forms disagree: {float(from_trace[disagree].flat[0])!r}"
-            f" vs {float(from_eigs[disagree].flat[0])!r}")
     return np.where(from_eigs > 0.0, from_eigs, 0.0)
 
 

@@ -8,7 +8,8 @@ Conventions used throughout the package:
 * all entropies are in nats (natural logarithm).
 
 ``validate_density_matrix`` (and ``as_matrix``) check a caller's matrix where
-it enters a public function of the package; every other function here is an
+it enters a public function of the package, and ``_psd_sqrt`` checks that its
+input is Hermitian and PSD within the clamp; every other function here is an
 unchecked kernel on 2x2 and 4x4 matrices or on stacks of them.
 """
 
@@ -115,13 +116,6 @@ def _purity(a: np.ndarray) -> float:
 
 def _bloch_vector(a: np.ndarray) -> np.ndarray:
     return np.array([_expectation(s, a) for s in PAULI])
-
-
-def _hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.linalg.eigh``'s (ascending eigenvalues, eigenvector columns) of Hermitian matrices."""
-    if not _all_hermitian(a):
-        raise ValueError("hermitian_eig expects a Hermitian matrix")
-    return np.linalg.eigh(a)
 
 
 def _psd_sqrt(a: np.ndarray) -> np.ndarray:

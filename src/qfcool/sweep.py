@@ -20,10 +20,12 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
+import numpy as np
+
 from . import closed_forms, correlations, protocol
 from .closed_forms import (  # re-exported
     EPS_A_CLAMP, OBJECTIVES, ProtocolParams, SeparabilityBoundary, ThermoReport, WorkingPoint,
-    _is_finite_real, _require_count, eps_a_for_cooling_load, linspace,
+    _is_finite_real, _require_count, eps_a_for_cooling_load,
     optimize_working_point, separability_boundary,
 )
 from .correlations import CorrelationReport
@@ -127,10 +129,10 @@ def characteristic_curve(eps_s: float, phi: float, n_points: int,
                          include_correlations: bool = False) -> list[CurvePoint]:
     """Sweep the ancilla bias over [eps_s, 1) at a fixed measurement angle."""
     _require_count("n_points", n_points, 2)
-    eps_a_values = linspace(eps_s, 1.0 - EPS_A_CLAMP, n_points)
     # The two ends validate every point: the axis runs from eps_s to the clamp.
-    p = ProtocolParams(eps_s, eps_a_values[0], phi, temperature)
-    ProtocolParams(eps_s, eps_a_values[-1], phi, temperature)
+    p = ProtocolParams(eps_s, eps_s, phi, temperature)
+    eps_a_values = np.linspace(p.eps_s, 1.0 - EPS_A_CLAMP, n_points).tolist()
+    ProtocolParams(p.eps_s, eps_a_values[-1], p.phi, p.temperature)
     return _grid_points(p.eps_s, p.temperature, (p.phi,), eps_a_values, include_correlations)
 
 

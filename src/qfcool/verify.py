@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import closed_forms, correlations, densmat, protocol, thermo
-from .closed_forms import _require_count, linspace, thermal_entropy
+from .closed_forms import _require_count, thermal_entropy
 from .protocol import ProtocolParams
 
 TOL_CLOSED_FORM = 1e-10
@@ -54,9 +54,9 @@ def _standard_points(n: int, temperature: float) -> list[_Point]:
     """``standard_grid``'s points, validated at any n by the upper corner each axis runs to."""
     _require_count("n", n, 0)
     temperature = ProtocolParams(EPS_S_MAX, EPS_A_MAX, math.pi / 2, temperature).temperature
-    eps_s, phi = linspace(0.0, EPS_S_MAX, n), linspace(0.0, math.pi / 2, n)
+    eps_s, phi = np.linspace(0.0, EPS_S_MAX, n).tolist(), np.linspace(0.0, math.pi / 2, n).tolist()
     return [_Point(es, ea, p, temperature)
-            for es in eps_s for ea in linspace(es, EPS_A_MAX, n) for p in phi]
+            for es in eps_s for ea in np.linspace(es, EPS_A_MAX, n).tolist() for p in phi]
 
 
 def standard_grid(n: int = 12, temperature: float = 1.0) -> list[ProtocolParams]:

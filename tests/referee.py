@@ -134,11 +134,11 @@ def concurrence(rho):
     """Wootters concurrence of a two-qubit state: an mpmath matrix, or rows of doubles
     taken at face value.
 
-    The lambda_i are the square roots of the eigenvalues of rho rho~, with
-    rho~ = (sigma_y x sigma_y) rho* (sigma_y x sigma_y), from ``mpmath.eig``; the
-    concurrence is max(0, lambda_1 - lambda_2 - lambda_3 - lambda_4), descending.
-    Rounding leaves the eigenvalues of rho rho~ a residue of about 10^-DPS off the
-    real half-line, which is dropped.
+    The lambda_i are the square roots of the eigenvalues of the Hermitian
+    sqrt(rho) rho~ sqrt(rho), with rho~ = (sigma_y x sigma_y) rho* (sigma_y x sigma_y);
+    they are those of rho rho~, which is similar to it.  Both spectra come from
+    ``mpmath.eighe``, with negative rounding residues clipped to 0; the concurrence is
+    max(0, lambda_1 - lambda_2 - lambda_3 - lambda_4), descending.
     """
     r = rho if isinstance(rho, mpmath.matrix) else mpmath.matrix(
         [[mpmath.mpc(complex(x)) for x in row] for row in rho])
@@ -146,8 +146,11 @@ def concurrence(rho):
     for i, sign in enumerate((-1, 1, 1, -1)):  # sigma_y x sigma_y is this antidiagonal
         flip[i, 3 - i] = sign
     tilde = flip * r.conjugate() * flip
-    mu = mpmath.eig(r * tilde, left=False, right=False)
-    lam = sorted((mpmath.sqrt(max(mpmath.re(m), 0)) for m in mu), reverse=True)
+    w, v = mpmath.eighe(r)
+    root = v * mpmath.diag([mpmath.sqrt(max(x, 0)) for x in w]) * v.transpose_conj()
+    m = root * tilde * root
+    mu = mpmath.eighe((m + m.transpose_conj()) / 2, eigvals_only=True)
+    lam = sorted((mpmath.sqrt(max(x, 0)) for x in mu), reverse=True)
     return max(mpmath.mpf(0), lam[0] - lam[1] - lam[2] - lam[3])
 
 

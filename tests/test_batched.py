@@ -213,7 +213,7 @@ def test_closed_form_concurrence_matches_wootters_route():
 def test_landscape_concurrence_on_the_clamp_column_is_the_closed_form():
     # sweep --landscape --n-phi 25 at its defaults: eps_s = 0.4, 101 eps_a up to 1 - EPS_A_CLAMP
     eps_a = tuple(0.4 + (TOP - 0.4) * i / 100 for i in range(101))
-    result = landscape(SweepGrid(0.4, tuple(closed_forms.linspace(0.0, HALF_PI, 25)), eps_a),
+    result = landscape(SweepGrid(0.4, tuple(np.linspace(0.0, HALF_PI, 25).tolist()), eps_a),
                        {"thermo", "correlations"})
     clamp = [p for p in result.points if p.eps_a == TOP]
     assert len(clamp) == 25
@@ -278,28 +278,6 @@ def test_stack_with_one_invalid_matrix_raises(message, bad, position):
     with pytest.raises(ValueError, match=message):
         densmat._psd_sqrt(stack)
     with pytest.raises(ValueError, match=message):
-        correlations._concurrence(stack)
-
-
-def test_hermitian_eig_of_a_stack_rejects_one_non_hermitian_matrix():
-    stack = phi_stack(0.4, 0.8, np.linspace(0.0, HALF_PI, 10).tolist())
-    stack[7] = _NON_HERMITIAN
-    with pytest.raises(ValueError, match="hermitian_eig expects a Hermitian matrix"):
-        densmat._hermitian_eig(stack)
-
-
-def test_stacked_concurrence_cross_check_fails_on_one_point(monkeypatch):
-    stack = phi_stack(0.4, 0.8, np.linspace(0.0, HALF_PI, 10).tolist())
-    real = densmat._hermitian_eig
-
-    def skewed(a):
-        w, v = real(a)
-        w = w.copy()
-        w[3, 0] += 1e-6  # the smallest eigenvalue of one state only
-        return w, v
-
-    monkeypatch.setattr(densmat, "_hermitian_eig", skewed)
-    with pytest.raises(RuntimeError, match="concurrence forms disagree"):
         correlations._concurrence(stack)
 
 

@@ -208,6 +208,14 @@ def test_landscape_csv_writes_boundary_files(capsys, tmp_path):
     assert work.read_text().startswith("eps_s,eps_a,phi")
 
 
+def test_landscape_csv_without_an_output_notes_the_missing_boundary_files(capsys):
+    code, out, err = run_cli(capsys, "sweep", "--eps-s", "0.4", "--landscape",
+                             "--n-phi", "3", "--n-eps-a", "3", "--format", "csv")
+    assert code == 0
+    assert out.startswith(CSV_HEADER) and len(out.splitlines()) == 1 + 3 * 3
+    assert err == "note: boundary series need --output in csv mode (or use --format json)\n"
+
+
 @pytest.mark.parametrize("n_phi", ["0", "-1"])
 def test_sweep_landscape_rejects_fewer_than_one_angle(capsys, n_phi):
     code, out, err = run_cli(capsys, "sweep", "--landscape", "--n-phi", n_phi)
@@ -425,6 +433,20 @@ def test_config_file_supplies_defaults_and_flags_override(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "run", "--config", str(config),
                            "--phi", "0.25")
     assert json.loads(out)["params"]["phi"] == 0.25
+
+
+@pytest.mark.parametrize("command, line, flags", [
+    (("run", "--eps-s", "0.4", "--eps-a", "0.8", "--phi", "1.0"), "verify = true", ("--verify",)),
+    (("run", "--eps-s", "0.4", "--eps-a", "0.8", "--phi", "1.0"), "verify = off", ()),
+    (("sweep", "--n-eps-a", "3"), "phi = 0.2, 0.9", ("--phi", "0.2", "--phi", "0.9")),
+], ids=["boolean-true", "boolean-false", "float-list"])
+def test_config_values_act_as_their_flags(capsys, tmp_path, command, line, flags):
+    config = tmp_path / "c.cfg"
+    config.write_text(f"{line}\n")
+    configured = run_cli(capsys, *command, "--config", str(config))
+    assert configured == run_cli(capsys, *command, *flags)
+    assert configured[0] == 0
+    assert ("verification" in json.loads(configured[1])) == ("--verify" in flags)
 
 
 @pytest.mark.parametrize("line, key, message", [

@@ -11,6 +11,7 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
 from qfcool import cli, closed_forms, correlations, sweep, thermo, verify
@@ -199,7 +200,7 @@ def test_landscape_json_bytes_equal_the_reference(capsys):
                         "--n-eps-a", "5")
     assert code == 0
     hi = 1.0 - EPS_A_CLAMP
-    grid = sweep.SweepGrid(0.4, tuple(closed_forms.linspace(0.0, HALF_PI, 4)),
+    grid = sweep.SweepGrid(0.4, tuple(np.linspace(0.0, HALF_PI, 4).tolist()),
                            tuple(0.4 + (hi - 0.4) * i / 4 for i in range(5)))
     result = sweep.landscape(grid, {"thermo", "correlations"})
     ref = {"grid": _grid_ref(grid), "points": _points_ref(result.points),

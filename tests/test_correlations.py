@@ -94,6 +94,9 @@ def test_eof_endpoints_and_monotonicity():
     assert abs(eof_from_concurrence(1.0) - LN2) <= 1e-12
     values = [eof_from_concurrence(c) for c in np.linspace(0.0, 1.0, 50)]
     assert all(b > a for a, b in zip(values, values[1:]))
+    for c in (-0.1, 1.5):
+        with pytest.raises(ValueError, match=r"concurrence must lie in \[0, 1\]"):
+            eof_from_concurrence(c)
 
 
 def test_eof_frozen_at_x_measurement():
@@ -196,6 +199,12 @@ def test_optimal_measurement_reports_basis_and_gain(bell_state):
     proj_p, proj_m = basis.projectors()
     assert np.allclose(proj_p + proj_m, np.eye(2), atol=1e-12)
     assert np.allclose(proj_p @ proj_p, proj_p, atol=1e-12)
+
+
+@pytest.mark.parametrize("function", [discord_numeric, optimal_measurement, classical_correlations])
+def test_one_sided_measures_reject_an_unknown_side(bell_state, function):
+    with pytest.raises(ValueError, match="^measured_side must be 'S' or 'A', got 'B'$"):
+        function(bell_state, "B")
 
 
 def test_optimizer_iteration_cap_raises(monkeypatch):

@@ -148,20 +148,13 @@ def _x_state_concurrence(eps_s, eps_a, phi):
     return max(0, (entangling - (1 - ea) * mpmath.sqrt(1 - (es * mpmath.cos(phi)) ** 2)) / 2)
 
 
-def _protocol_draws(seed, count=24):
-    """Seeded (eps_s, eps_a, phi) as in ``_draws``, but with eps_s uniform: in the log-uniform
-    tail (eps_s ~ 1e-65) the eigenvalues of rho rho~ pair up within 10^-DPS, mpmath.eig's QR
-    does not converge, and the concurrence is 0 anyway."""
-    rng = random.Random(seed)
-    for _ in range(count):
-        eps_s = 0.999 * rng.random()
-        yield eps_s, eps_s + rng.random() * (1.0 - 1e-9 - eps_s), HALF_PI * rng.random()
-
-
+# The last three edges and the log-uniform draws have tiny register biases, where
+# the eigenvalues of rho rho~ pair up within 10^-DPS.
 PROTOCOL_POINTS = [
     (0.0, 0.0, 0.0), (0.0, 0.5, 0.3), (0.4, 0.4, 0.7), (0.4, 0.4, HALF_PI), (0.6, 0.8, 0.0),
     (0.6, 0.8, HALF_PI), (0.4, 0.8, 1.0), (0.3, 1.0 - 1e-9, 1.2), (0.9999999, 0.99999999, 0.001),
-] + list(_protocol_draws(31))
+    (1e-160, 0.5, 0.7), (1.5e-65, 0.3, 1.1), (1e-300, 1e-300, 1.0),
+] + list(_draws(31, 24))
 
 
 def test_referee_concurrence_of_a_protocol_state_is_the_x_state_form():

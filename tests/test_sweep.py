@@ -1,3 +1,4 @@
+import json
 import math
 import signal
 from fractions import Fraction
@@ -8,8 +9,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from qfcool import closed_forms, sweep
-from qfcool.closed_forms import linspace
+from qfcool import cli, closed_forms, sweep
 from qfcool.protocol import ProtocolParams
 from qfcool.sweep import (
     SweepGrid, characteristic_curve, eps_a_for_cooling_load,
@@ -230,13 +230,20 @@ def test_optimize_rejects_unknown_objective():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 25, 101, 256])
 @pytest.mark.parametrize("eps_s", [0.0, 0.1, 0.4, 0.75, 0.999])
-def test_linspace_matches_numpy_bit_for_bit(eps_s, n):
-    # the optimize span, the characteristic-curve axis, the landscape phi
-    # axis, and a step that underflows to zero
-    for start, stop in ((eps_s + sweep.EPS_A_CLAMP, TOP), (eps_s, TOP), (0.0, HALF_PI),
-                        (0.0, 5e-324)):
-        assert ([v.hex() for v in linspace(start, stop, n)]
-                == [v.hex() for v in np.linspace(start, stop, n).tolist()])
+def test_linspace_matches_numpy_bit_for_bit(eps_s, n, capsys):
+    # the evenly spaced axes the library builds are np.linspace's, ends
+    # included: the landscape phi axis and the characteristic-curve eps_a axis
+    def hexes(values):
+        return [v.hex() for v in values]
+
+    assert cli.main(["sweep", "--landscape", "--eps-s", repr(eps_s), "--n-phi", str(n),
+                     "--n-eps-a", "2", "--format", "json"]) == 0
+    phis = json.loads(capsys.readouterr().out)["grid"]["phi_values"]
+    assert hexes(phis) == hexes(np.linspace(0.0, HALF_PI, n).tolist())
+    assert phis[0] == 0.0 and (n == 1 or phis[-1] == HALF_PI)
+    eps_a = [pt.eps_a for pt in characteristic_curve(eps_s, 1.0, max(n, 2))]
+    assert hexes(eps_a) == hexes(np.linspace(eps_s, TOP, max(n, 2)).tolist())
+    assert eps_a[0] == eps_s and eps_a[-1] == TOP
 
 
 def test_optimize_ranks_undefined_values_below_every_defined_one(monkeypatch):

@@ -65,6 +65,12 @@ def test_level_splitting_rejects_a_bad_temperature(temperature, message):
         thermo.level_splitting(0.3, temperature)
 
 
+@pytest.mark.parametrize("eps", [-0.1, 1.0, 1.5])
+def test_level_splitting_rejects_a_bias_outside_the_unit_interval(eps):
+    with pytest.raises(ValueError, match=r"^eps must be in \[0, 1\)$"):
+        thermo.level_splitting(eps, 1.0)
+
+
 def test_energy_model_scales_with_temperature():
     hot = energy_model(ProtocolParams(0.4, 0.8, 0.0, temperature=2.5))
     assert abs(hot.omega_s - 2.5 * 2 * ATANH_04) <= 1e-15

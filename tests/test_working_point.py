@@ -39,6 +39,16 @@ def test_working_point_is_the_referee_root_of_the_derivative(rng):
     assert interior >= 40
 
 
+@pytest.mark.parametrize("objective, eps_s", [
+    ("chi", 0.99999995), ("cop", 0.99999999), ("eta", 0.99999998),
+])
+def test_an_upper_working_point_is_where_the_referee_still_rises(objective, eps_s):
+    # at phi = 0 and eps_s this near 1, each objective rises up to the clamp
+    wp = optimize_working_point(objective, eps_s, 0.0)
+    assert (wp.eps_a_star, wp.at_boundary) == (TOP, "upper")
+    assert referee.central_difference(objective, eps_s, 0.0, wp.eps_a_star) > 0
+
+
 def test_rising_has_the_sign_of_a_central_difference(rng):
     checked = 0
     for objective, eps_s, phi in draws(rng, 30):
@@ -133,6 +143,12 @@ def _known_defect(reason):
     pytest.param("cop", 0.0, 1.0, **_known_defect(
         "at eps_s = 0 P carries 1e-3 relative error at eps_a = 1e-7: cop 0.50040 is emitted"
         " at the lower boundary, where the limit is 1/2")),
+    pytest.param("chi", 0.99999995, 0.0, **_known_defect(
+        "P cancels near unit biases: chi at the upper boundary is 0.2% off the referee")),
+    pytest.param("cop", 0.99999999, 0.0, **_known_defect(
+        "P cancels near unit biases: cop at the upper boundary is 0.6% off the referee")),
+    pytest.param("eta", 0.99999998, 0.0, **_known_defect(
+        "P cancels near unit biases: eta at the upper boundary is 0.4% off the referee")),
 ])
 def test_working_point_value_is_the_referee_objective_at_its_bias(objective, eps_s, phi):
     wp = optimize_working_point(objective, eps_s, phi)
