@@ -22,14 +22,12 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "closed_forms": (
         "ProtocolParams", "SeparabilityBoundary", "ThermoReport", "WorkingPoint",
-        "delta_e_system", "discord_analytic", "discord_threshold", "entropy_reduction",
-        "eps_a_for_cooling_load", "figures_of_merit", "heat_reset",
-        "mutual_information_analytic", "optimize_working_point", "phi_crit",
-        "separability_boundary", "total_work", "work_feedback", "work_measurement",
+        "discord_analytic", "discord_threshold", "eps_a_for_cooling_load", "figures_of_merit",
+        "mutual_information_analytic", "optimize_working_point", "separability_boundary",
     ),
     "correlations": (
         "CorrelationReport", "DiscordOptimizationError", "MeasurementBasis",
-        "classical_correlations", "concurrence", "correlation_report", "correlation_reports",
+        "classical_correlations", "concurrence", "correlation_report",
         "discord_numeric", "entanglement_of_formation", "mutual_information",
     ),
     "protocol": (

@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .closed_forms import (
-    EPS_A_CLAMP, OBJECTIVES, ProtocolParams, discord_threshold, optimize_working_point,
+    EPS_A_CLAMP, OBJECTIVES, ProtocolParams, discord_threshold, figures_of_merit, optimize_working_point,
 )
 
 if TYPE_CHECKING:  # annotations only: the matrix layer loads numpy
@@ -191,12 +191,12 @@ def _radians(opts: dict, angle: float) -> float:
 
 
 def cmd_run(opts: dict) -> int:
-    from . import correlations, protocol, thermo
+    from . import correlations, protocol
     params = ProtocolParams(opts["eps_s"], opts["eps_a"], _radians(opts, opts["phi"]),
                             opts["temperature"])
     doc = _envelope(
         "run", params=vars(params), trace=_trace_summary(protocol.run_protocol(params)),
-        thermo=vars(thermo.figures_of_merit(params)),
+        thermo=vars(figures_of_merit(params)),
         correlations=vars(correlations.correlation_report(params)))
     failed = False
     if opts["verify"]:
@@ -383,6 +383,9 @@ _COMMANDS = {
 }
 
 
+_DECLARED = {name for _, _, options in _COMMANDS.values() for name in options}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qfcool",
@@ -405,7 +408,8 @@ def _merge(args: argparse.Namespace, declared: dict[str, _Option]) -> dict[str, 
     are merged in a fixed order, and the first bad one is reported: the
     temperature, checked as ProtocolParams checks it (at a point valid at any T,
     so also where the output does not depend on it); phi_degrees; the command's
-    own options; the other common ones.
+    own options; the other common ones; then a config key that no command declares
+    (a key of another command passes, so one file can serve several commands).
     """
     config = _load_config(args.config) if args.config else {}
     common = [option.name for option in _COMMON]
@@ -428,6 +432,9 @@ def _merge(args: argparse.Namespace, declared: dict[str, _Option]) -> dict[str, 
         if name == "temperature":
             ProtocolParams(0.0, 0.0, 0.0, value)
         opts[name] = value
+    unknown = [name for name in config if name not in _DECLARED]  # in file order
+    if unknown:
+        raise ValueError(f"{args.config}: {unknown[0]}: unknown option")
     return opts
 
 

@@ -7,12 +7,13 @@ So the ``threshold`` and ``optimize`` commands run without loading numpy,
 and no closed form can reach a matrix kernel, which keeps the
 density-matrix oracles that check these forms independent of them.
 ``protocol``, ``thermo``, ``correlations`` and ``sweep`` re-export the
-public names under their old paths.
+public names under their old paths.  Every closed-form quantity of the
+cycle at a point is a field of one record, ``figures_of_merit(params)``.
 
 Units: k_B = hbar = 1; the temperature enters as a multiplicative scale.
 All entropies are in nats.
 
-Sign conventions of the energies:
+Sign conventions of the energies (``ThermoReport`` fields):
 
 * ``work_measurement`` / ``work_feedback`` are the energy *lost by the
   qubit pair* during the respective unitary, i.e. positive values mean
@@ -150,7 +151,7 @@ def level_splitting(eps: float, temperature: float) -> float:
 # Each closed form is written once, in ``_columns`` or ``_report``, on factors
 # of one grid axis: a column of (eps_s, eps_a, T), with a = eps_s atanh(eps_s)
 # and y = eps_a atanh(eps_s) + eps_s atanh(eps_a), or a row of phi.  A landscape
-# builds each column and row once; a single-point function reads those of its point.
+# builds each column and row once; ``figures_of_merit`` reads those of its point.
 _Column = namedtuple("_Column", "eps_s eps_a temperature atanh_s atanh_a a y ea_atanh_a"
                                 " entropy_reduction cooling_load omega_s omega_a phi_crit")
 _Row = namedtuple("_Row", "phi sin sin2 cos2")
@@ -201,8 +202,8 @@ def _report(c: _Column, r: _Row) -> ThermoReport:
     w_f = t * (c.y * r.sin - c.a * r.cos2)
     if not all(map(math.isfinite, (load, q, de_s, w, w_m, w_f, c.omega_s, c.omega_a))):
         raise ValueError(f"temperature {t!r} makes the cycle energies overflow")
-    # The limit is taken on W / T, ``_work``'s sum, so it does not move with T.
-    reversible = gap_s * c.atanh_s + gap_a * c.atanh_a <= REVERSIBLE_WORK_FLOOR
+    # On W / T, so T does not move the limit; the working-point search reads ``_work`` too.
+    reversible = _work(c, r) <= REVERSIBLE_WORK_FLOOR
     if reversible:
         cop = eta = chi = None
     elif w == 0.0 or q == 0.0:
@@ -223,63 +224,13 @@ def _work(c: _Column, r: _Row) -> float:
 
 
 def figures_of_merit(params: ProtocolParams) -> ThermoReport:
-    """All energetic quantities, performance ratios and regime flags.
+    """All energetic quantities, performance ratios, regime flags and ``phi_crit``.
 
     Raises ValueError naming the temperature when an energy or a level
-    splitting overflows, or when W or Q underflows to zero away from the
-    reversible limit; so does every single-point energy below.
+    splitting overflows (the T-free fields included), or when W or Q
+    underflows to zero away from the reversible limit.
     """
     return _report(_column(params.eps_s, params.eps_a, params.temperature), _row(params.phi))
-
-
-def work_measurement(params: ProtocolParams) -> float:
-    """Energy change of the pair during the measurement unitary (<= 0)."""
-    return figures_of_merit(params).work_measurement
-
-
-def work_feedback(params: ProtocolParams) -> float:
-    """Energy released by the pair during the feedback unitary.
-
-    Positive value = work extracted by the controller.  Equals
-    tr{H (rho_m - rho_f)}; the matrix route is the ground truth and
-    ``thermo.matrix_oracles(params)["work_feedback"]`` must agree to 1e-10.
-    """
-    return figures_of_merit(params).work_feedback
-
-
-def phi_crit(params: ProtocolParams) -> float:
-    """Measurement angle above which the feedback strictly extracts work.
-
-    For eps_s = 0 the feedback work is identically zero (never strictly
-    positive); the threshold degenerates and 0.0 is returned, flagged via
-    ``ThermoReport.phi_crit_defined``.
-    """
-    return _column(params.eps_s, params.eps_a, params.temperature).phi_crit
-
-
-def heat_reset(params: ProtocolParams) -> float:
-    """Heat dumped into the bath while the ancilla relaxes back."""
-    return figures_of_merit(params).heat_reset
-
-
-def delta_e_system(params: ProtocolParams) -> float:
-    """Drop in the register's average energy over the full cycle."""
-    return figures_of_merit(params).delta_e_system
-
-
-def entropy_reduction(params: ProtocolParams) -> float:
-    """Register entropy drop S(rho0_s) - S(rho_f_s), in nats (phi-independent)."""
-    return _column(params.eps_s, params.eps_a, params.temperature).entropy_reduction
-
-
-def cooling_load(params: ProtocolParams) -> float:
-    """k_B T times the register entropy reduction per cycle."""
-    return figures_of_merit(params).cooling_load
-
-
-def total_work(params: ProtocolParams) -> float:
-    """Net work supplied by the controller: -delta_e_system + heat_reset."""
-    return figures_of_merit(params).total_work
 
 
 # ---------------------------------------------------------------------------

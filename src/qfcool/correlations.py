@@ -10,7 +10,7 @@ post-measurement states, and the discord threshold that guarantees real
 cooling.  The closed
 forms live in the numpy-free ``closed_forms`` module and are re-exported
 here.  One stacked builder, ``_reports``, makes every ``CorrelationReport``:
-single point, batch, landscape chunk and verify's discord subgrid.
+single point, landscape chunk and verify's discord subgrid.
 
 All quantities are in nats, including the entanglement of formation (a
 maximally entangled pair has EoF = ln 2).
@@ -413,18 +413,6 @@ def correlation_report(params: ProtocolParams, *, numeric_discord: bool = True) 
     """Evaluate all correlation measures on the post-measurement state."""
     rho_m = protocol._post_measurement_states((params.eps_s,), (params.eps_a,), (params.phi,))
     return _reports(rho_m, [discord_analytic(params.eps_s, params.phi)], numeric_discord)[0]
-
-
-def correlation_reports(points: Sequence[ProtocolParams]) -> list[CorrelationReport]:
-    """``correlation_report(p, numeric_discord=False)`` for every point.
-
-    The post-measurement states are built, and their concurrence and
-    mutual information evaluated, as one ``(n, 4, 4)`` stack; each value
-    equals the single-point one bit for bit.
-    """
-    rho_m = protocol._post_measurement_states([p.eps_s for p in points], [p.eps_a for p in points],
-                                              [p.phi for p in points])
-    return _reports(rho_m, [discord_analytic(p.eps_s, p.phi) for p in points])
 
 
 def _reports(rho_m: np.ndarray, discords: Sequence[float], numeric: bool = False,

@@ -5,10 +5,8 @@ expression in (eps_s, eps_a, phi, T), read from ``figures_of_merit(params)``,
 and a matrix oracle computed from the actual state sequence, read from
 ``matrix_oracles(params)``.  Production code uses the closed forms; the
 oracles back every verification.
-The closed forms and ``figures_of_merit`` are re-exported from the
-numpy-free ``closed_forms`` module, which states their sign conventions;
-each single-quantity closed form there reads one field of
-``figures_of_merit``.
+``figures_of_merit`` is re-exported from the numpy-free ``closed_forms``
+module, which states the sign conventions of its ``ThermoReport`` fields.
 The oracles read the ``ProtocolTrace`` states (valid by construction) through
 densmat's unchecked kernels, each energy tr(H rho) from the level populations.
 """
@@ -21,9 +19,7 @@ import numpy as np
 
 from . import densmat, protocol
 from .closed_forms import (  # re-exported
-    REVERSIBLE_WORK_FLOOR, ProtocolParams, ThermoReport, cooling_load, delta_e_system,
-    entropy_reduction, figures_of_merit, heat_reset, level_splitting, phi_crit, total_work,
-    work_feedback, work_measurement,
+    REVERSIBLE_WORK_FLOOR, ProtocolParams, ThermoReport, figures_of_merit, level_splitting,
 )
 from .densmat import ID2, SIGMA_Z, _tensor
 from .protocol import ProtocolTrace

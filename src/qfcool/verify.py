@@ -271,5 +271,4 @@ def run_suite(grid_n: int = 12, discord_stride: int = 3,
 def point_checks(params: ProtocolParams) -> list[Check]:
     """The closed-form vs oracle classes at a single point, on run's report (for run --verify)."""
     grid = _Grid([params])
-    grid.reports = [thermo.figures_of_merit(params)]
     return [_check(name, deviations(grid)) for name, (_, deviations) in ORACLE_CLASSES.items()]

@@ -13,7 +13,7 @@ from qfcool import cli, correlations, thermo, verify
 from qfcool.correlations import discord_analytic, discord_numeric
 from qfcool.densmat import _purity
 from qfcool.protocol import ProtocolParams, run_protocol, thermal_qubit
-from qfcool.thermo import energy_model, ergotropy, figures_of_merit, work_feedback
+from qfcool.thermo import energy_model, ergotropy, figures_of_merit
 
 HALF_PI = math.pi / 2
 
@@ -100,7 +100,7 @@ def test_criterion_5_closed_forms_vs_oracle_suite(capsys):
                      tuple(np.linspace(0.4, 0.95, 8)))
     land = landscape(grid, quantities={"thermo", "correlations"})
     boundary_ok = all(
-        abs(thermo.delta_e_system(ProtocolParams(0.4, b.eps_a, b.phi))) <= 1e-9
+        abs(figures_of_merit(ProtocolParams(0.4, b.eps_a, b.phi)).delta_e_system) <= 1e-9
         for b in land.cooling_window_boundary)
     low_phi = [pt for pt in land.points if pt.phi == 0.0]
     high_phi = [pt for pt in land.points if abs(pt.phi - HALF_PI) < 1e-12]
@@ -180,16 +180,16 @@ def test_criterion_7_discord_properties(capsys):
 def test_criterion_8_feedback_work_sign_resolution(capsys):
     params = ProtocolParams(0.4, 0.8, HALF_PI)
     y = 0.8 * math.atanh(0.4) + 0.4 * math.atanh(0.8)
-    closed = work_feedback(params)
+    closed = figures_of_merit(params).work_feedback
     oracle = thermo.matrix_oracles(params)["work_feedback"]
     sign_ok = abs(closed - y) <= 1e-10 and abs(oracle - y) <= 1e-10 and closed > 0
 
     # the sign change sits exactly at the threshold angle
-    pc = thermo.phi_crit(ProtocolParams(0.4, 0.8, 0.0))
+    pc = figures_of_merit(ProtocolParams(0.4, 0.8, 0.0)).phi_crit
     lo, hi = 0.0, HALF_PI
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if work_feedback(ProtocolParams(0.4, 0.8, mid)) < 0.0:
+        if figures_of_merit(ProtocolParams(0.4, 0.8, mid)).work_feedback < 0.0:
             lo = mid
         else:
             hi = mid

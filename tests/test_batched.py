@@ -29,6 +29,14 @@ def edge_grid(eps_s, temperature=0.8):
                      tuple(np.linspace(eps_s, TOP, 31)), temperature)
 
 
+def stacked_reports(points):
+    """The ``CorrelationReport``s of ``points`` from one ``(n, 4, 4)`` stack of post-measurement
+    states, as a landscape chunk and verify's discord subgrid build them."""
+    rho_m = protocol._post_measurement_states([p.eps_s for p in points], [p.eps_a for p in points],
+                                              [p.phi for p in points])
+    return correlations._reports(rho_m, [correlations.discord_analytic(p.eps_s, p.phi) for p in points])
+
+
 def phi_stack(eps_s, eps_a, phis):
     n = len(phis)
     return protocol._post_measurement_states([eps_s] * n, [eps_a] * n, list(phis))
@@ -60,14 +68,14 @@ def test_correlation_reports_equal_single_point_reports_across_biases_and_temper
         (0.999, TOP, 1e-9, 0.5), (1e-300, 0.5, 0.6, 3.0), (0.3, 0.85, HALF_PI - 1e-9, 7.0)]]
     points = edges + [ProtocolParams(p.eps_s, p.eps_a, p.phi, 0.1 + i)
                       for i, p in enumerate(verify.standard_grid(4))]
-    reports = correlations.correlation_reports(points)
+    reports = stacked_reports(points)
     assert len(reports) == len(points)
     for report, params in zip(reports, points):
         assert repr(report) == repr(correlation_report(params, numeric_discord=False))
 
 
 def test_correlation_reports_of_no_points_is_empty():
-    assert correlations.correlation_reports([]) == []
+    assert stacked_reports([]) == []
 
 
 def test_characteristic_curve_equals_single_point_reports():

@@ -15,8 +15,7 @@ import mpmath
 import pytest
 
 from qfcool.closed_forms import (
-    ProtocolParams, figures_of_merit, mutual_information_analytic, phi_crit,
-    separability_boundary,
+    ProtocolParams, figures_of_merit, mutual_information_analytic, separability_boundary,
 )
 from qfcool.protocol import run_protocol
 
@@ -86,7 +85,7 @@ POINTS = EDGES + list(_draws(23))
 def test_phi_crit_matches_the_referee():
     with mpmath.workdps(referee.DPS):
         for eps_s, eps_a, _ in POINTS:
-            value = phi_crit(ProtocolParams(eps_s, eps_a, 0.0))
+            value = figures_of_merit(ProtocolParams(eps_s, eps_a, 0.0)).phi_crit
             exact = referee.phi_crit(eps_s, eps_a)
             assert abs(value - exact) <= 1e-15 * exact, (eps_s, eps_a, value, exact)
 

@@ -15,7 +15,7 @@ from qfcool.sweep import (
     SweepGrid, characteristic_curve, eps_a_for_cooling_load,
     landscape, optimize_working_point, separability_boundary,
 )
-from qfcool.thermo import delta_e_system, figures_of_merit, work_feedback
+from qfcool.thermo import figures_of_merit
 
 HALF_PI = math.pi / 2
 TOP = 1.0 - sweep.EPS_A_CLAMP
@@ -305,14 +305,14 @@ def test_landscape_cooling_boundary_points_are_roots():
     result = landscape(landscape_grid())
     assert result.cooling_window_boundary  # sin(phi) > eps_s happens on this grid
     for b in result.cooling_window_boundary:
-        assert abs(delta_e_system(ProtocolParams(0.4, b.eps_a, b.phi))) <= 1e-9
+        assert abs(figures_of_merit(ProtocolParams(0.4, b.eps_a, b.phi)).delta_e_system) <= 1e-9
 
 
 def test_landscape_work_boundary_points_are_roots():
     result = landscape(landscape_grid())
     assert result.work_extraction_boundary
     for b in result.work_extraction_boundary:
-        assert abs(work_feedback(ProtocolParams(0.4, b.eps_a, b.phi))) <= 1e-9
+        assert abs(figures_of_merit(ProtocolParams(0.4, b.eps_a, b.phi)).work_feedback) <= 1e-9
 
 
 def test_landscape_columns_are_iso_discord():
@@ -382,8 +382,6 @@ def test_searches_stop_at_float_resolution():
     # each search bisects until its bracket holds two adjacent floats, so the
     # verdict flips between the float below its answer and the answer (the
     # alarm turns a regression into a failure instead of a hang)
-    from qfcool.thermo import cooling_load
-
     def hang(signum, frame):
         raise TimeoutError("search did not stop at float resolution")
     previous = signal.signal(signal.SIGALRM, hang)
@@ -394,8 +392,8 @@ def test_searches_stop_at_float_resolution():
                  for x in (math.nextafter(star, 0.0), star)]
         assert signs[0] > 0 >= signs[1]
         eps_a = eps_a_for_cooling_load(0.3, 0.1)
-        assert cooling_load(ProtocolParams(0.3, math.nextafter(eps_a, 0.0), 0.0)) < 0.1
-        assert abs(cooling_load(ProtocolParams(0.3, eps_a, 0.0)) - 0.1) <= 1e-12
+        assert figures_of_merit(ProtocolParams(0.3, math.nextafter(eps_a, 0.0), 0.0)).cooling_load < 0.1
+        assert abs(figures_of_merit(ProtocolParams(0.3, eps_a, 0.0)).cooling_load - 0.1) <= 1e-12
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
@@ -487,10 +485,9 @@ def test_zero_concurrence_points_sit_below_the_boundary():
 # ---------------------------------------------------------------------------
 
 def test_eps_a_for_cooling_load_round_trip():
-    from qfcool.thermo import cooling_load
     for load in (0.01, 0.15, 0.4):
         eps_a = eps_a_for_cooling_load(0.4, load)
-        assert abs(cooling_load(ProtocolParams(0.4, eps_a, 0.0)) - load) <= 1e-9
+        assert abs(figures_of_merit(ProtocolParams(0.4, eps_a, 0.0)).cooling_load - load) <= 1e-9
 
 
 def test_eps_a_for_cooling_load_rejects_unreachable():

@@ -9,9 +9,7 @@ from qfcool import thermo
 from qfcool.densmat import SIGMA_Z
 from qfcool.protocol import ProtocolParams, run_protocol, thermal_qubit
 from qfcool.thermo import (
-    REVERSIBLE_WORK_FLOOR, ThermoReport,
-    delta_e_system, energy_model, entropy_reduction, ergotropy, figures_of_merit,
-    heat_reset, matrix_oracles, phi_crit, total_work, work_feedback, work_measurement,
+    REVERSIBLE_WORK_FLOOR, ThermoReport, energy_model, ergotropy, figures_of_merit, matrix_oracles,
 )
 
 HALF_PI = math.pi / 2
@@ -80,61 +78,65 @@ def test_energy_model_scales_with_temperature():
 # closed forms vs matrix oracles
 # ---------------------------------------------------------------------------
 
+def field(name, *params):
+    """The ``ThermoReport`` field ``name`` of ``figures_of_merit(ProtocolParams(*params))``."""
+    return getattr(figures_of_merit(ProtocolParams(*params)), name)
+
+
 def test_work_measurement_values():
-    assert work_measurement(ProtocolParams(0.0, 0.0, 0.3)) == 0.0
-    assert abs(work_measurement(ProtocolParams(0.4, 0.8, 0.0)) + 0.8788898309344879) <= 1e-12
-    assert abs(work_measurement(ProtocolParams(0.4, 0.8, HALF_PI)) + 1.0483494030119287) <= 1e-12
+    assert field("work_measurement", 0.0, 0.0, 0.3) == 0.0
+    assert abs(field("work_measurement", 0.4, 0.8, 0.0) + 0.8788898309344879) <= 1e-12
+    assert abs(field("work_measurement", 0.4, 0.8, HALF_PI) + 1.0483494030119287) <= 1e-12
 
 
 def test_work_feedback_sign_and_values():
     # x-measurement: work extracted, equal to the cross-bias term
     p = ProtocolParams(0.4, 0.8, HALF_PI)
-    assert abs(work_feedback(p) - Y_CROSS) <= 1e-12
+    assert abs(figures_of_merit(p).work_feedback - Y_CROSS) <= 1e-12
     assert abs(matrix_oracles(p)["work_feedback"] - Y_CROSS) <= 1e-10
     # z-measurement: work injected
     p0 = ProtocolParams(0.4, 0.8, 0.0)
-    assert abs(work_feedback(p0) + 0.16945957207744072) <= 1e-12
-    assert abs(matrix_oracles(p0)["work_feedback"] - work_feedback(p0)) <= 1e-10
+    assert abs(figures_of_merit(p0).work_feedback + 0.16945957207744072) <= 1e-12
+    assert abs(matrix_oracles(p0)["work_feedback"] - figures_of_merit(p0).work_feedback) <= 1e-10
 
 
 def test_heat_reset_values():
-    assert abs(heat_reset(ProtocolParams(0.4, 0.4, HALF_PI))) <= 1e-15
-    assert abs(heat_reset(ProtocolParams(0.4, 0.8, HALF_PI)) - 0.43944491546724396) <= 1e-12
-    assert abs(heat_reset(ProtocolParams(0.4, 0.8, 0.0)) - 0.8788898309344879) <= 1e-12
+    assert abs(field("heat_reset", 0.4, 0.4, HALF_PI)) <= 1e-15
+    assert abs(field("heat_reset", 0.4, 0.8, HALF_PI) - 0.43944491546724396) <= 1e-12
+    assert abs(field("heat_reset", 0.4, 0.8, 0.0) - 0.8788898309344879) <= 1e-12
 
 
 def test_delta_e_system_values():
     # cooling-window boundary: sin(phi) = eps_s / eps_a
-    boundary = ProtocolParams(0.4, 0.8, math.asin(0.5))
-    assert abs(delta_e_system(boundary)) <= 1e-15
-    assert abs(delta_e_system(ProtocolParams(0.4, 0.8, HALF_PI)) - 0.16945957207744072) <= 1e-12
-    assert abs(delta_e_system(ProtocolParams(0.4, 0.8, 0.0)) + 0.16945957207744072) <= 1e-12
+    assert abs(field("delta_e_system", 0.4, 0.8, math.asin(0.5))) <= 1e-15
+    assert abs(field("delta_e_system", 0.4, 0.8, HALF_PI) - 0.16945957207744072) <= 1e-12
+    assert abs(field("delta_e_system", 0.4, 0.8, 0.0) + 0.16945957207744072) <= 1e-12
 
 
 def test_entropy_reduction_values_and_phi_independence():
-    assert entropy_reduction(ProtocolParams(0.5, 0.5, 0.2)) == 0.0
-    assert abs(entropy_reduction(ProtocolParams(0.4, 0.8, 0.0)) - ENTROPY_DROP) <= 1e-12
-    values = {entropy_reduction(ProtocolParams(0.4, 0.8, float(phi)))
+    assert field("entropy_reduction", 0.5, 0.5, 0.2) == 0.0
+    assert abs(field("entropy_reduction", 0.4, 0.8, 0.0) - ENTROPY_DROP) <= 1e-12
+    values = {field("entropy_reduction", 0.4, 0.8, float(phi))
               for phi in np.linspace(0.0, HALF_PI, 9)}
     assert max(values) - min(values) <= 1e-15
 
 
 def test_closed_forms_match_matrix_oracles_on_grid():
     for params in params_grid(6):
-        oracles = matrix_oracles(params)
+        oracles, report = matrix_oracles(params), figures_of_merit(params)
         for name, oracle in oracles.items():
-            assert abs(getattr(thermo, name)(params) - oracle) <= 1e-10
+            assert abs(getattr(report, name) - oracle) <= 1e-10
         # bookkeeping: energy lost by the pair equals minus the total work
-        combined = work_measurement(params) + work_feedback(params)
+        combined = report.work_measurement + report.work_feedback
         assert abs(combined + oracles["total_work"]) <= 1e-10
 
 
 def test_temperature_is_a_multiplicative_scale():
-    cold = ProtocolParams(0.3, 0.7, 0.8, temperature=1.0)
-    hot = ProtocolParams(0.3, 0.7, 0.8, temperature=3.0)
-    for fn in (work_measurement, work_feedback, heat_reset, delta_e_system, total_work):
-        assert abs(fn(hot) - 3.0 * fn(cold)) <= 1e-12
-    assert abs(entropy_reduction(hot) - entropy_reduction(cold)) <= 1e-15
+    cold = figures_of_merit(ProtocolParams(0.3, 0.7, 0.8, temperature=1.0))
+    hot = figures_of_merit(ProtocolParams(0.3, 0.7, 0.8, temperature=3.0))
+    for name in ("work_measurement", "work_feedback", "heat_reset", "delta_e_system", "total_work"):
+        assert abs(getattr(hot, name) - 3.0 * getattr(cold, name)) <= 1e-12
+    assert abs(hot.entropy_reduction - cold.entropy_reduction) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -146,16 +148,15 @@ def test_phi_crit_equal_biases_is_universal():
     expected = math.asin(math.sqrt(2.0) - 1.0)
     assert abs(expected - 0.42707858639247626) <= 1e-15
     for eps in (0.2, 0.5, 0.8):
-        assert abs(phi_crit(ProtocolParams(eps, eps, 0.0)) - expected) <= 1e-12
+        assert abs(field("phi_crit", eps, eps, 0.0) - expected) <= 1e-12
 
 
 def test_phi_crit_is_feedback_work_root():
-    params = ProtocolParams(0.4, 0.8, 0.0)
-    pc = phi_crit(params)
+    pc = field("phi_crit", 0.4, 0.8, 0.0)
     assert abs(pc - 0.20980480810492377) <= 1e-12
-    assert abs(work_feedback(ProtocolParams(0.4, 0.8, pc))) <= 1e-9
-    below = work_feedback(ProtocolParams(0.4, 0.8, pc - 1e-6))
-    above = work_feedback(ProtocolParams(0.4, 0.8, pc + 1e-6))
+    assert abs(field("work_feedback", 0.4, 0.8, pc)) <= 1e-9
+    below = field("work_feedback", 0.4, 0.8, pc - 1e-6)
+    above = field("work_feedback", 0.4, 0.8, pc + 1e-6)
     assert below < 0.0 < above
 
 
@@ -163,27 +164,26 @@ def test_phi_crit_is_feedback_work_root():
                                    1e-6, 1e-3, 0.05])
 def test_phi_crit_is_a_root_at_small_register_bias(eps_s):
     # a = eps_s atanh(eps_s) underflows, or -y + sqrt(y^2 + 4a^2) cancels
-    params = ProtocolParams(eps_s, 0.5, 0.0)
-    pc = phi_crit(params)
+    report = figures_of_merit(ProtocolParams(eps_s, 0.5, 0.0))
+    pc = report.phi_crit
     assert 0.0 <= pc < 0.1
-    residual = work_feedback(ProtocolParams(eps_s, 0.5, pc))
+    residual = field("work_feedback", eps_s, 0.5, pc)
     assert abs(residual) <= 1e-12 * eps_s * math.atanh(eps_s)
-    assert figures_of_merit(params).phi_crit_defined
+    assert report.phi_crit_defined
 
 
 def test_phi_crit_decreases_with_ancilla_bias():
-    values = [phi_crit(ProtocolParams(0.4, float(ea), 0.0))
+    values = [field("phi_crit", 0.4, float(ea), 0.0)
               for ea in np.linspace(0.4, 0.95, 12)]
     assert all(b < a for a, b in zip(values, values[1:]))
 
 
 def test_phi_crit_degenerate_at_zero_register_bias():
-    params = ProtocolParams(0.0, 0.5, 0.3)
-    assert phi_crit(params) == 0.0
-    report = figures_of_merit(params)
+    report = figures_of_merit(ProtocolParams(0.0, 0.5, 0.3))
+    assert report.phi_crit == 0.0
     assert not report.phi_crit_defined
     assert not report.work_extracting_feedback
-    assert abs(work_feedback(params)) <= 1e-15
+    assert abs(report.work_feedback) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -263,13 +263,13 @@ def test_ergotropy_bounds_feedback_work():
     for params in params_grid(6):
         trace = run_protocol(params)
         model = energy_model(params)
-        assert ergotropy(trace.rho_m, model.hamiltonian) >= work_feedback(params) - 1e-12
+        bound = figures_of_merit(params).work_feedback
+        assert ergotropy(trace.rho_m, model.hamiltonian) >= bound - 1e-12
     # strict gap at the x-measurement
     p = ProtocolParams(0.4, 0.8, HALF_PI)
-    gap = ergotropy(run_protocol(p).rho_m, energy_model(p).hamiltonian) - work_feedback(p)
-    assert gap > 0.1
-    assert abs(ergotropy(run_protocol(p).rho_m, energy_model(p).hamiltonian)
-               - 1.0483494030119285) <= 1e-10
+    extractable = ergotropy(run_protocol(p).rho_m, energy_model(p).hamiltonian)
+    assert extractable - figures_of_merit(p).work_feedback > 0.1
+    assert abs(extractable - 1.0483494030119285) <= 1e-10
 
 
 def test_ergotropy_rejects_a_dimension_mismatch():
@@ -312,18 +312,13 @@ def test_figures_of_merit_do_not_depend_on_temperature(eps_s, fraction, phi, log
 
 
 def test_figures_of_merit_reject_energy_overflow():
-    params = ProtocolParams(0.3, 0.999999999, 1.0, 1e308)
-    with pytest.raises(ValueError, match="temperature") as report_error:
-        figures_of_merit(params)
-    for scalar in (work_measurement, work_feedback, heat_reset, delta_e_system, total_work,
-                   thermo.cooling_load):
-        with pytest.raises(ValueError) as error:
-            scalar(params)
-        assert str(error.value) == str(report_error.value), scalar.__name__
+    with pytest.raises(ValueError, match=r"^temperature 1e\+308 makes the cycle energies overflow$"):
+        figures_of_merit(ProtocolParams(0.3, 0.999999999, 1.0, 1e308))
     # entropy_reduction and phi_crit do not scale with T: their T = 1 values, bit for bit
-    unit = ProtocolParams(0.3, 0.999999999, 1.0)
-    for scalar in (entropy_reduction, phi_crit):
-        assert repr(scalar(params)) == repr(scalar(unit)), scalar.__name__
+    unit = figures_of_merit(ProtocolParams(0.3, 0.999999999, 1.0))
+    hot = figures_of_merit(ProtocolParams(0.3, 0.999999999, 1.0, 1e300))
+    for name in ("entropy_reduction", "phi_crit"):
+        assert repr(getattr(hot, name)) == repr(getattr(unit, name)), name
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +365,3 @@ def test_closed_forms_equal_the_per_quantity_expressions_bit_for_bit(eps_s, frac
     params = ProtocolParams(eps_s, eps_a, phi, 10.0 ** log10_t)
     expected = per_quantity_report(eps_s, eps_a, phi, params.temperature)
     assert repr(figures_of_merit(params)) == repr(expected)
-    for name in ("work_measurement", "work_feedback", "heat_reset", "delta_e_system",
-                 "entropy_reduction", "cooling_load", "total_work", "phi_crit"):
-        assert repr(getattr(thermo, name)(params)) == repr(getattr(expected, name)), name

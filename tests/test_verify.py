@@ -58,12 +58,10 @@ def _reference_deviations(points):
         es, ea, phi, t = params.eps_s, params.eps_a, params.phi, params.temperature
         for name in ("work_measurement", "work_feedback", "heat_reset", "delta_e_system",
                      "entropy_reduction", "total_work"):
-            closed = getattr(thermo, name)(params)
             unit = 1.0 if name == "entropy_reduction" else t
-            dev[name].append(abs(closed - oracles[name]) / unit)
+            dev[name].append(abs(getattr(report, name) - oracles[name]) / unit)
         dev["energy_conservation"].append(abs(
-            thermo.work_measurement(params) + thermo.work_feedback(params)
-            + oracles["total_work"]) / t)
+            report.work_measurement + report.work_feedback + oracles["total_work"]) / t)
         dev["mutual_information"].append(abs(
             correlations.mutual_information_analytic(params)
             - correlations.mutual_information(trace.rho_m)))
@@ -105,7 +103,7 @@ def _reference_deviations(points):
             dev["no_cooling_below_bias"].append(max(0.0, de) / t)
         if es > 0.0:
             root = ProtocolParams(es, ea, report.phi_crit, t)
-            dev["phi_crit_root"].append(abs(thermo.work_feedback(root)) / t)
+            dev["phi_crit_root"].append(abs(thermo.figures_of_merit(root).work_feedback) / t)
     return dev
 
 
@@ -501,11 +499,11 @@ def test_oracle_deviations_are_unchanged_bit_for_bit():
 
 @pytest.mark.parametrize("field", ["heat_reset", "work_feedback", "entropy_reduction"])
 def test_oracle_classes_check_the_emitted_reports(monkeypatch, field):
-    # the reports run and sweep print carry a corrupted value; the public
-    # single-point closed forms stay honest
-    honest = thermo.figures_of_merit
-    monkeypatch.setattr(thermo, "figures_of_merit", lambda p: dataclasses.replace(
-        honest(p), **{field: getattr(honest(p), field) + 1e-6}))
+    # the reports run and sweep print (figures_of_merit's and a landscape's
+    # _report call) carry a corrupted value; the matrix oracles stay honest
+    honest = closed_forms._report
+    monkeypatch.setattr(closed_forms, "_report", lambda c, r: dataclasses.replace(
+        honest(c, r), **{field: getattr(honest(c, r), field) + 1e-6}))
     checks = {c.name: c for c in verify.point_checks(ProtocolParams(0.4, 0.8, 1.0))}
     assert [name for name, c in checks.items() if not c.passed] == (
         [field, "energy_conservation"] if field == "work_feedback" else [field])
