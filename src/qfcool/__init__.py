@@ -30,10 +30,7 @@ _EXPORTS = {
         "classical_correlations", "concurrence", "correlation_report",
         "discord_numeric", "entanglement_of_formation", "mutual_information",
     ),
-    "protocol": (
-        "ProtocolTrace", "feedback_unitary", "measurement_unitary", "run_protocol",
-        "thermal_qubit",
-    ),
+    "protocol": ("ProtocolTrace", "run_protocol"),
     "sweep": ("CurvePoint", "Landscape", "SweepGrid", "characteristic_curve", "landscape"),
     "thermo": ("EnergyModel", "energy_model", "ergotropy"),
 }

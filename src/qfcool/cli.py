@@ -10,7 +10,8 @@ of the records their rows come from (``run`` writes ``key,value`` rows
 of its flattened document).  Angles are radians unless
 --phi-degrees is given.  ``threshold`` and ``optimize`` run on the
 numpy-free ``closed_forms`` module alone; ``run``, ``sweep`` and
-``verify`` import the matrix layer (and numpy) when they start.
+``verify`` import the matrix layer (and numpy) when they start and read one
+evaluator, ``sweep._Grid``; ``run --verify`` checks the one-point grid it prints.
 """
 
 from __future__ import annotations
@@ -25,13 +26,11 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .closed_forms import (
-    EPS_A_CLAMP, OBJECTIVES, ProtocolParams, discord_threshold, figures_of_merit, optimize_working_point,
+    EPS_A_CLAMP, OBJECTIVES, ProtocolParams, discord_threshold, optimize_working_point,
 )
 
 if TYPE_CHECKING:  # annotations only: the matrix layer loads numpy
-    import numpy as np
-
-    from . import protocol, sweep, verify
+    from . import sweep, verify
 
 SCHEMA_VERSION = 1
 
@@ -153,20 +152,17 @@ def _config_floats(raw: str) -> list[float]:
 # summaries
 # ---------------------------------------------------------------------------
 
-def _state_summary(rho: np.ndarray) -> dict:
-    """Purity, entropy and (for a qubit) Bloch vector of a trace state, read unchecked."""
+def _trace_summary(grid: sweep._Grid) -> dict:
+    """Purity, entropy and (for a qubit) Bloch vector of each state of a one-point grid's
+    trace: each joint (4x4) state by name, and each qubit marginal under "marginals"."""
     from . import densmat
-    doc = {"purity": densmat._purity(rho), "entropy": float(densmat._vn_entropies(rho))}
-    if rho.shape == (2, 2):
-        doc["bloch"] = densmat._bloch_vector(rho).tolist()
-    return doc
-
-
-def _trace_summary(trace: protocol.ProtocolTrace) -> dict:
-    """Each joint (4x4) state by name, and each qubit marginal under "marginals"."""
     doc = {"marginals": {}}
-    for name, rho in vars(trace).items():
-        (doc if rho.shape == (4, 4) else doc["marginals"])[name] = _state_summary(rho)
+    for name, stack in vars(grid.trace).items():
+        rho = stack[0]
+        summary = {"purity": densmat._purity(rho), "entropy": float(grid.entropy(name)[0])}
+        if rho.shape == (2, 2):
+            summary["bloch"] = densmat._bloch_vector(rho).tolist()
+        (doc if rho.shape == (4, 4) else doc["marginals"])[name] = summary
     return doc
 
 
@@ -191,17 +187,16 @@ def _radians(opts: dict, angle: float) -> float:
 
 
 def cmd_run(opts: dict) -> int:
-    from . import correlations, protocol
+    from . import sweep
     params = ProtocolParams(opts["eps_s"], opts["eps_a"], _radians(opts, opts["phi"]),
                             opts["temperature"])
-    doc = _envelope(
-        "run", params=vars(params), trace=_trace_summary(protocol.run_protocol(params)),
-        thermo=vars(figures_of_merit(params)),
-        correlations=vars(correlations.correlation_report(params)))
+    grid = sweep._Grid([(params.eps_s, (params.eps_a,))], (params.phi,), params.temperature)
+    doc = _envelope("run", params=vars(params), trace=_trace_summary(grid),
+                    thermo=vars(grid.reports[0]), correlations=vars(grid.discord_reports[0]))
     failed = False
     if opts["verify"]:
         from . import verify
-        checks = verify.point_checks(params)
+        checks = verify._checks(verify.ORACLE_CLASSES, grid)
         failed = any(not c.passed for c in checks)
         doc["verification"] = {"checks": [_check_dict(c) for c in checks],
                                "max_deviation": max(c.max_deviation for c in checks),
@@ -383,7 +378,7 @@ _COMMANDS = {
 }
 
 
-_DECLARED = {name for _, _, options in _COMMANDS.values() for name in options}
+_DECLARED = {name for _, _, options in _COMMANDS.values() for name in options} - {"config"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -408,8 +403,9 @@ def _merge(args: argparse.Namespace, declared: dict[str, _Option]) -> dict[str, 
     are merged in a fixed order, and the first bad one is reported: the
     temperature, checked as ProtocolParams checks it (at a point valid at any T,
     so also where the output does not depend on it); phi_degrees; the command's
-    own options; the other common ones; then a config key that no command declares
-    (a key of another command passes, so one file can serve several commands).
+    own options; the other common ones; then a config key that no command declares, or
+    ``config``: a file names no other (a key of another command passes, so one file
+    can serve several commands).
     """
     config = _load_config(args.config) if args.config else {}
     common = [option.name for option in _COMMON]

@@ -26,6 +26,8 @@ _ROT_PLUS = _SQRT1_2 * (ID2 + 1j * SIGMA_Y)
 _ROT_MINUS = _SQRT1_2 * (ID2 - 1j * SIGMA_Y)
 _PROJ_X_PLUS = 0.5 * (ID2 + SIGMA_X)
 _PROJ_X_MINUS = 0.5 * (ID2 - SIGMA_X)
+# The feedback: register rotation by -+pi/2 about y, controlled on the ancilla x-basis.
+_FEEDBACK = _tensor(_ROT_PLUS, _PROJ_X_PLUS) + _tensor(_ROT_MINUS, _PROJ_X_MINUS)
 _ID4 = np.eye(4, dtype=complex)
 # -1 and +1, so that (sign * eps + 1) / 2 gives both thermal populations.
 _SIGNS = np.array([-1.0, 1.0])
@@ -53,39 +55,9 @@ class ProtocolTrace:
     rho_f_a: np.ndarray
 
 
-def thermal_qubit(eps: float) -> np.ndarray:
-    """Thermal qubit (I - eps*sigma_z)/2 = diag((1-eps)/2, (1+eps)/2).
-
-    The sigma_z expectation is -eps: the majority population sits in the
-    ground state ``|1>``.
-    """
-    if not 0.0 <= eps < 1.0:
-        raise ValueError("eps must be in [0, 1)")
-    return _thermal_qubits((eps,))[0]
-
-
-def measurement_unitary(phi: float) -> np.ndarray:
-    """Joint unitary exp{-i pi/4 sigma_m tensor sigma_y}.
-
-    Because (sigma_m tensor sigma_y)^2 = I, this is evaluated in closed
-    form as cos(pi/4) I - i sin(pi/4) (sigma_m tensor sigma_y).
-    """
-    if not 0.0 <= phi <= math.pi / 2:
-        raise ValueError("phi must be in [0, pi/2]")
-    return _measurement_unitaries((phi,))[0]
-
-
-_FEEDBACK = _tensor(_ROT_PLUS, _PROJ_X_PLUS) + _tensor(_ROT_MINUS, _PROJ_X_MINUS)
-
-
-def feedback_unitary() -> np.ndarray:
-    """Register rotation by -+pi/2 about y, controlled on the ancilla x-basis."""
-    return _FEEDBACK.copy()
-
-
 # Stacked kernels: 1-D sequences of n parameter values in, (n, d, d)
-# stacks out.  The single-point functions are their n = 1 calls; callers
-# pass parameters already validated (by ProtocolParams or SweepGrid).
+# stacks out.  ``run_protocol`` is their n = 1 call; callers pass
+# parameters already validated (by ProtocolParams or SweepGrid).
 
 def _populations(*eps) -> np.ndarray:
     # Thermal populations ((1 - eps)/2, (1 + eps)/2), shape (len(eps), n, 2).
@@ -93,6 +65,7 @@ def _populations(*eps) -> np.ndarray:
 
 
 def _thermal_qubits(eps) -> np.ndarray:
+    # (I - eps sigma_z) / 2: the majority population sits in the ground state |1>
     return _populations(eps)[0, :, :, None] * ID2
 
 
@@ -107,6 +80,7 @@ def _initial_states(eps_s, eps_a) -> np.ndarray:
 
 
 def _measurement_unitaries(phi) -> np.ndarray:
+    # exp{-i pi/4 sigma_m x sigma_y} = (I - i sigma_m x sigma_y) / sqrt 2, as (sigma_m x sigma_y)^2 = I;
     # one unitary per distinct angle, by math.sin/cos: numpy's may differ in the last bit
     index = {p: i for i, p in enumerate(dict.fromkeys(phi))}
     sin_cos = np.array([(math.sin(p), math.cos(p)) for p in index]).reshape(-1, 2)

@@ -3,11 +3,10 @@ working-point optimization and boundary curves.
 
 All outputs are pure functions of their inputs: recomputing any emitted
 point from scratch reproduces it bit for bit.  ``SweepGrid`` is a grid's
-only validation.  Grid thermo combines closed-form factors built once per
-eps_a column and phi row.  Grid correlations run on ``(n, 4, 4)`` stacks
-of post-measurement states in chunks of ``CHUNK_POINTS``, through the
-report builder that a single-point call runs with ``n = 1``, with one
-closed-form discord per phi row.  The scalar searches (working point,
+only validation.  One private evaluator, ``_Grid``, evaluates the cycle
+for landscapes, characteristic curves, ``run`` and ``verify``: closed-form
+factors built once per eps_a column and phi row, and on first use the
+matrix stacks each reader needs.  The scalar searches (working point,
 cooling-load inverse and the closed-form separability angle) live in the
 numpy-free ``closed_forms`` module, evaluate through the same factors and
 are re-exported here.  Everything runs in-process on the calling thread.
@@ -17,12 +16,14 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from functools import cached_property
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from . import closed_forms, correlations, protocol
+from . import closed_forms, correlations, densmat, protocol
 from .closed_forms import (  # re-exported
     EPS_A_CLAMP, OBJECTIVES, ProtocolParams, SeparabilityBoundary, ThermoReport, WorkingPoint,
     _is_finite_real, _require_count, eps_a_for_cooling_load,
@@ -97,31 +98,120 @@ class Landscape:
     work_extraction_boundary: tuple[BoundaryPoint, ...]
 
 
-def _grid_points(eps_s: float, temperature: float, phi_values, eps_a_values,
-                 include_correlations: bool) -> list[CurvePoint]:
-    """Evaluate every (phi, eps_a) point of validated axes, phi outer: thermo
-    from the factors of each eps_a column and phi row, built once, and
-    correlations on one state stack per chunk with one discord per row."""
-    columns = closed_forms._columns(eps_s, eps_a_values, temperature)
-    rows = [closed_forms._row(phi) for phi in phi_values]
-    discords = ([correlations.discord_analytic(eps_s, r.phi) for r in rows]
-                if include_correlations else None)
-    pairs = ((i, r, c) for i, r in enumerate(rows) for c in columns)
-    points = []
-    while chunk := list(itertools.islice(pairs, CHUNK_POINTS)):
-        corr = (correlations._reports(protocol._post_measurement_states(
-            [eps_s] * len(chunk), [c.eps_a for _, _, c in chunk], [r.phi for _, r, _ in chunk]),
-            [discords[i] for i, _, _ in chunk]) if include_correlations else [None] * len(chunk))
-        points.extend(closed_forms._record(CurvePoint, c.eps_a, r.phi,
-                                           closed_forms._report(c, r), k)
-                      for (_, r, c), k in zip(chunk, corr))
-    return points
+_Point = namedtuple("_Point", "eps_s eps_a phi temperature")
+
+
+class _Grid:
+    """The cycle on validated axes: a series per register bias eps_s, each with its
+    own eps_a axis, times one phi axis, at one temperature.
+
+    Points run in (series, phi, eps_a) order, as a landscape emits them, and
+    readers select them by axis index (``nested``).  Construction builds the
+    closed forms: a column per eps_a of each series, a row per phi, each
+    point's report and one closed-form discord per (eps_s, phi).  Each matrix
+    stack is built once, on first use, and only for the reader that asks.
+    """
+
+    def __init__(self, series: Sequence[tuple[float, Sequence[float]]], phi_values: Sequence[float],
+                 temperature: float, discord_stride: int = 1):
+        self.temperature, self.discord_stride = temperature, discord_stride
+        self.columns = [closed_forms._columns(eps_s, eps_a, temperature) for eps_s, eps_a in series]
+        self.rows = [closed_forms._row(phi) for phi in phi_values]
+        report = closed_forms._report  # figures_of_merit's call, on columns and rows built once
+        self.reports = [report(c, r) for c, r in self.cells()]
+        self.discord_analytic = [d for (eps_s, _), columns in zip(series, self.columns) for r in self.rows
+                                 for d in [correlations.discord_analytic(eps_s, r.phi)] * len(columns)]
+        self._spectra, self._entropies = {}, {}  # by name of a stack of ``states``
+
+    def cells(self) -> Iterator[tuple[closed_forms._Column, closed_forms._Row]]:
+        """The (column, row) of each point, in grid order."""
+        return ((c, r) for columns in self.columns for r in self.rows for c in columns)
+
+    @cached_property
+    def points(self) -> list[_Point]:
+        return [_Point(c.eps_s, c.eps_a, r.phi, self.temperature) for c, r in self.cells()]
+
+    def nested(self, values: Iterable) -> list[list[list]]:
+        """``values``, one per point in grid order, as [series][phi row][eps_a column] lists."""
+        values = iter(values)
+        return [[list(itertools.islice(values, len(columns))) for _ in self.rows]
+                for columns in self.columns]
+
+    @cached_property
+    def correlations(self) -> list[CorrelationReport]:
+        """Each point's report without the basis search, from ``rho_m`` stacks of at most
+        ``CHUNK_POINTS`` points: a landscape's, which never builds the whole trace."""
+        cells, reports = list(self.cells()), []
+        for lo in range(0, len(cells), CHUNK_POINTS):
+            eps_s, eps_a, phi = zip(*((c.eps_s, c.eps_a, r.phi) for c, r in cells[lo:lo + CHUNK_POINTS]))
+            reports += correlations._reports(protocol._post_measurement_states(eps_s, eps_a, phi),
+                                             self.discord_analytic[lo:lo + CHUNK_POINTS])
+        return reports
+
+    @cached_property
+    def trace(self) -> protocol.ProtocolTrace:
+        """``run_protocol`` at every point, each field an (n, d, d) stack."""
+        eps_s, eps_a, phi, _ = zip(*self.points)
+        return protocol._run_protocols(eps_s, eps_a, phi)
+
+    @cached_property
+    def states(self) -> dict[str, np.ndarray]:
+        """The stacks whose spectra readers take: the trace fields and the thermal qubits."""
+        eps_s, eps_a, _, _ = zip(*self.points)
+        return {**vars(self.trace), "thermal_s": protocol._thermal_qubits(eps_s),
+                "thermal_a": protocol._thermal_qubits(eps_a)}
+
+    def spectrum(self, name: str) -> np.ndarray:
+        """Ascending eigenvalues of each matrix of the stack ``states[name]``, taken once."""
+        if name not in self._spectra:
+            self._spectra[name] = np.linalg.eigvalsh(self.states[name])
+        return self._spectra[name]
+
+    def entropy(self, name: str) -> np.ndarray:
+        """Von Neumann entropy of each matrix of the stack ``states[name]``, taken once."""
+        if name not in self._entropies:
+            self._entropies[name] = densmat._spectrum_entropy(self.spectrum(name))
+        return self._entropies[name]
+
+    @cached_property
+    def model(self):
+        from . import thermo  # the oracles' module: run without --verify never loads it
+        return thermo._energy_models(self.points)
+
+    @cached_property
+    def energies(self) -> dict[str, np.ndarray]:
+        from . import thermo
+        return thermo._energies(self.model.hamiltonian, self.trace)
+
+    @cached_property
+    def oracles(self) -> dict[str, np.ndarray]:
+        """Each closed form's matrix oracle by ``ThermoReport`` field name, one value per point."""
+        from . import thermo
+        return thermo._oracles(self.trace, self.model, self.energies)
+
+    @cached_property
+    def discord_reports(self) -> list[CorrelationReport]:
+        """``correlation_report`` at each point whose axis indices are all multiples of the
+        stride: both numeric discords from one search, the mutual information shared."""
+        stride = self.discord_stride
+        index = [k for series in self.nested(range(len(self.points)))[::stride]
+                 for row in series[::stride] for k in row[::stride]]
+        mi = (self.entropy("rho_m_s") + self.entropy("rho_m_a") - self.entropy("rho_m"))[index].tolist()
+        return correlations._reports(self.trace.rho_m[index], [self.discord_analytic[k] for k in index],
+                                     numeric=True, mutual_info=mi)
+
+
+def _curve_points(g: _Grid, include_correlations: bool) -> list[CurvePoint]:
+    """Every point of ``g`` in grid order, its correlations only if asked for."""
+    corr = g.correlations if include_correlations else itertools.repeat(None)
+    return [closed_forms._record(CurvePoint, c.eps_a, r.phi, report, k)
+            for (c, r), report, k in zip(g.cells(), g.reports, corr)]
 
 
 def evaluate_grid(grid: SweepGrid, include_correlations: bool = False) -> list[CurvePoint]:
     """Evaluate every (phi, eps_a) grid point, phi outer and eps_a inner."""
-    return _grid_points(grid.eps_s, grid.temperature, grid.phi_values, grid.eps_a_values,
-                        include_correlations)
+    return _curve_points(_Grid([(grid.eps_s, grid.eps_a_values)], grid.phi_values, grid.temperature),
+                         include_correlations)
 
 
 def characteristic_curve(eps_s: float, phi: float, n_points: int,
@@ -133,7 +223,8 @@ def characteristic_curve(eps_s: float, phi: float, n_points: int,
     p = ProtocolParams(eps_s, eps_s, phi, temperature)
     eps_a_values = np.linspace(p.eps_s, 1.0 - EPS_A_CLAMP, n_points).tolist()
     ProtocolParams(p.eps_s, eps_a_values[-1], p.phi, p.temperature)
-    return _grid_points(p.eps_s, p.temperature, (p.phi,), eps_a_values, include_correlations)
+    return _curve_points(_Grid([(p.eps_s, eps_a_values)], (p.phi,), p.temperature),
+                         include_correlations)
 
 
 def landscape(grid: SweepGrid,
@@ -150,7 +241,8 @@ def landscape(grid: SweepGrid,
     unknown = set(quantities) - {"thermo", "correlations"}
     if unknown:
         raise ValueError(f"unknown quantity selectors: {sorted(unknown)}")
-    points = evaluate_grid(grid, "correlations" in quantities)
+    g = _Grid([(grid.eps_s, grid.eps_a_values)], grid.phi_values, grid.temperature)
+    points = _curve_points(g, "correlations" in quantities)
 
     cooling, extraction = [], []
     if grid.eps_s > 0.0:
@@ -160,11 +252,9 @@ def landscape(grid: SweepGrid,
                 eps_a = grid.eps_s / s
                 if grid.eps_a_values[0] <= eps_a <= grid.eps_a_values[-1]:
                     cooling.append(BoundaryPoint(phi=phi, eps_a=eps_a))
-        # the first phi row carries each eps_a column's threshold angle
-        for point in points[:len(grid.eps_a_values)]:
-            pc = point.thermo.phi_crit
-            if grid.phi_values[0] <= pc <= grid.phi_values[-1]:
-                extraction.append(BoundaryPoint(phi=pc, eps_a=point.eps_a))
+        for c in g.columns[0]:
+            if grid.phi_values[0] <= c.phi_crit <= grid.phi_values[-1]:
+                extraction.append(BoundaryPoint(phi=c.phi_crit, eps_a=c.eps_a))
 
     return Landscape(points=tuple(points),
                      cooling_window_boundary=tuple(cooling),

@@ -27,18 +27,20 @@ def _entropy(eps):
 
 
 def _energies(eps_s, eps_a, phi):
-    """(P, Q / T, W / T) at (eps_s, eps_a, phi), as mpf at the working precision."""
+    """(P, Q / T, delta E_S / T) at (eps_s, eps_a, phi), as mpf at the working
+    precision; W / T is Q / T - delta E_S / T."""
     es, ea, s = mpmath.mpf(eps_s), mpmath.mpf(eps_a), mpmath.sin(mpmath.mpf(phi))
     p = _entropy(es) - _entropy(ea)
     q = mpmath.atanh(ea) * (ea - es * s)          # (omega_a / 2T) x bias given up
     de_s = mpmath.atanh(es) * (ea * s - es)       # (omega_s / 2T) x bias gained
-    return p, q, q - de_s
+    return p, q, de_s
 
 
 def objective(name, eps_s, phi):
     """The objective ``name`` as a function of eps_a (chi divided by T)."""
     def f(eps_a):
-        p, q, w = _energies(eps_s, eps_a, phi)
+        p, q, de_s = _energies(eps_s, eps_a, phi)
+        w = q - de_s
         return {"cop": p / w, "eta": p / q, "chi": p * p / w}[name]
     return f
 
@@ -69,7 +71,8 @@ def cycle(eps_s, eps_a, phi):
     of each unitary from the (register, ancilla) z biases of the stages around
     it: thermal (eps_s, eps_a), measured (eps_s cos^2 phi, 0) and fed back
     (eps_a sin phi, eps_s sin phi)."""
-    p, q, w = _energies(eps_s, eps_a, phi)
+    p, q, de_s = _energies(eps_s, eps_a, phi)
+    w = q - de_s
     es, ea, phi = mpmath.mpf(eps_s), mpmath.mpf(eps_a), mpmath.mpf(phi)
     s, c = mpmath.sin(phi), mpmath.cos(phi)
     ts, ta = mpmath.atanh(es), mpmath.atanh(ea)
@@ -79,7 +82,7 @@ def cycle(eps_s, eps_a, phi):
 
     e0, e_m, e_f = energy(es, ea), energy(es * c * c, 0), energy(ea * s, es * s)
     return {"entropy_reduction": p, "work_measurement": e0 - e_m, "work_feedback": e_m - e_f,
-            "heat_reset": q, "delta_e_system": q - w, "total_work": w,
+            "heat_reset": q, "delta_e_system": de_s, "total_work": w,
             "cop": p / w, "eta": p / q, "chi": p * p / w}
 
 

@@ -12,10 +12,14 @@ import numpy as np
 from qfcool import cli, correlations, thermo, verify
 from qfcool.correlations import discord_analytic, discord_numeric
 from qfcool.densmat import _purity
-from qfcool.protocol import ProtocolParams, run_protocol, thermal_qubit
+from qfcool.protocol import ProtocolParams, _thermal_qubits, run_protocol
 from qfcool.thermo import energy_model, ergotropy, figures_of_merit
 
 HALF_PI = math.pi / 2
+
+
+def thermal_qubit(eps):
+    return _thermal_qubits([eps])[0]
 
 
 def _report(number, description, ok):

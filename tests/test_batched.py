@@ -339,7 +339,7 @@ def test_scaled_and_sliced_kernels_keep_their_bytes_on_protocol_stacks(rng, temp
     # eps_s = 0 gives a zero gap whose levels are -0.0 and +0.0, so the signs of zeros take part
     zeros = _levels(model.h_system)[_levels(model.h_system) == 0.0]
     assert np.signbit(zeros.real).any() and not np.signbit(zeros.real).all()
-    u = np.array([protocol.measurement_unitary(p.phi) for p in points])
+    u = protocol._measurement_unitaries([p.phi for p in points])
     assert trace.rho_m.tobytes() == (u @ trace.rho0 @ densmat._dagger(u)).tobytes()
     for name in ("rho0", "rho_m", "rho_f", "rho_reset"):
         for keep in "SA":
@@ -357,7 +357,7 @@ def test_scaled_and_sliced_kernels_keep_their_bytes_on_random_stacks(rng, random
     populations = rng.dirichlet(np.ones(4), size=n) * rng.choice([0.0, 1.0], size=(n, 4))
     rho0 = populations[:, :, None] * np.eye(4, dtype=complex)
     phi = rng.uniform(0.0, HALF_PI, n).tolist()
-    u = np.array([protocol.measurement_unitary(p) for p in phi])
+    u = protocol._measurement_unitaries(phi)
     assert protocol._measured(rho0, phi).tobytes() == (u @ rho0 @ densmat._dagger(u)).tobytes()
     # entries drawn with signed zeros, so that a pair of -0.0 meets np.trace's +0 start
     signed = (rng.choice([0.0, -0.0, 1.0, -2.5], size=(n, 4, 4))

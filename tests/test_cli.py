@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import qfcool
-from qfcool import cli, closed_forms, sweep
+from qfcool import cli, closed_forms, protocol, sweep
 from qfcool.cli import CSV_HEADER, main
 
 HALF_PI_STR = "1.5707963267948966"
@@ -463,7 +463,8 @@ def test_config_values_act_as_their_flags(capsys, tmp_path, command, line, flags
     ("eps_s = abc", "eps_s", "could not convert string to float: 'abc'"),
     ("verify = maybe", "verify", "not a boolean: 'maybe'"),
     ("temprature = 5", "temprature", "unknown option"),
-], ids=["float", "boolean", "misspelled-key"])
+    ("config = /nonexistent.cfg", "config", "unknown option"),
+], ids=["float", "boolean", "misspelled-key", "config-key"])
 def test_config_errors_name_the_file_and_key(capsys, tmp_path, line, key, message):
     config = tmp_path / "c.cfg"
     config.write_text(f"eps_s = 0.4\neps_a = 0.8\nphi = 1.0\n{line}\n")
@@ -589,6 +590,16 @@ def test_run_imports_verify_only_to_verify(flags, loaded):
     assert proc.stdout.split() == ["0", str(loaded), str(loaded)]
 
 
+def test_run_verify_forms_the_cycle_once(capsys, monkeypatch):
+    # the trace, both reports and the oracle checks of run --verify read one grid
+    calls = []
+    real = protocol._measured
+    monkeypatch.setattr(protocol, "_measured", lambda *args: calls.append(None) or real(*args))
+    code, out, _ = run_cli(capsys, "run", "--eps-s", "0.4", "--eps-a", "0.8", "--phi", "1.0", "--verify")
+    assert (code, json.loads(out)["verification"]["passed"]) == (0, True)
+    assert len(calls) == 1
+
+
 def test_package_names_resolve_lazily_to_their_defining_objects():
     proc = python_subprocess("-c", textwrap.dedent("""
         import json, sys
@@ -610,7 +621,7 @@ def test_package_names_resolve_lazily_to_their_defining_objects():
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"numpy_before": False, "module": "qfcool.sweep",
                                        "unbound": [],
-                                       "not_defining_object": [], "not_in_dir": [], "all": 33}
+                                       "not_defining_object": [], "not_in_dir": [], "all": 30}
     assert qfcool.landscape is sweep.landscape
     with pytest.raises(AttributeError, match="has no attribute 'melt'"):
         qfcool.melt

@@ -10,10 +10,14 @@ from qfcool.densmat import (
     ID2, SIGMA_X, SIGMA_Y, SIGMA_Z,
     _expectation, _partial_trace, _psd_sqrt, _tensor, _vn_entropies,
 )
-from qfcool.protocol import ProtocolParams, run_protocol, thermal_qubit
+from qfcool.protocol import ProtocolParams, _thermal_qubits, run_protocol
 
 biases = st.floats(min_value=0.0, max_value=0.95, allow_nan=False)
 angles = st.floats(min_value=0.0, max_value=math.pi / 2, allow_nan=False)
+
+
+def thermal_qubit(eps):
+    return _thermal_qubits([eps])[0]
 
 
 # ---------------------------------------------------------------------------

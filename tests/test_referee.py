@@ -60,6 +60,16 @@ def test_figures_of_merit_match_the_referee(eps_s, eps_a, phi, temperature):
                 assert error <= REL_TOL * abs(exact), (name, value, exact)
 
 
+def test_delta_e_system_matches_the_referee_at_a_tiny_register_bias():
+    # delta E_S / T is 4.07e-52 next to Q / T = 0.46: the referee takes it directly, as
+    # atanh(eps_s) (eps_a sin phi - eps_s); Q - W would cancel all of its digits
+    point = (9.926754346929195e-52, 0.6281011591974376, 0.7112258352493014)
+    value = figures_of_merit(ProtocolParams(*point)).delta_e_system
+    with mpmath.workdps(referee.DPS):
+        exact = referee.cycle(*point)["delta_e_system"]
+        assert abs(value - exact) <= 1e-13 * abs(exact), (value, exact)
+
+
 # (eps_s, eps_a, phi): a subnormal eps_s atanh(eps_s), eps_a = eps_s, eps_a near 1,
 # phi at 0 and pi/2, a y / a near 100, where -y + sqrt(y^2 + 4 a^2) cancels, and both
 # biases near 1, where the populations (1 - eps) / 2 lose digits

@@ -25,7 +25,7 @@ from qfcool.closed_forms import (
     ProtocolParams, discord_analytic, figures_of_merit, mutual_information_analytic,
     separability_boundary,
 )
-from qfcool.protocol import feedback_unitary, measurement_unitary, run_protocol
+from qfcool.protocol import _FEEDBACK, _measurement_unitaries, run_protocol
 
 HALF_PI = math.pi / 2
 ES, EA, S, C, TS, TA, T = sp.symbols("eps_s eps_a s c ts ta T", real=True)
@@ -126,8 +126,8 @@ def test_the_unitaries_are_unitary_for_every_phi():
 def test_the_symbolic_unitaries_are_the_shipped_ones():
     u_m = numeric(U_M, PHI)
     for phi in (0.0, 0.7, 1.3, HALF_PI):
-        assert np.max(np.abs(np.array(u_m(phi), dtype=complex) - measurement_unitary(phi))) <= 1e-15
-    assert np.max(np.abs(np.array(U_F.evalf(), dtype=complex) - feedback_unitary())) <= 1e-15
+        assert np.max(np.abs(np.array(u_m(phi), dtype=complex) - _measurement_unitaries([phi])[0])) <= 1e-15
+    assert np.max(np.abs(np.array(U_F.evalf(), dtype=complex) - _FEEDBACK)) <= 1e-15
 
 
 @pytest.mark.parametrize("eps_s,eps_a,phi,temperature", POINTS)

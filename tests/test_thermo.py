@@ -7,12 +7,16 @@ from hypothesis import strategies as st
 
 from qfcool import thermo
 from qfcool.densmat import SIGMA_Z
-from qfcool.protocol import ProtocolParams, run_protocol, thermal_qubit
+from qfcool.protocol import ProtocolParams, _thermal_qubits, run_protocol
 from qfcool.thermo import (
     REVERSIBLE_WORK_FLOOR, ThermoReport, energy_model, ergotropy, figures_of_merit, matrix_oracles,
 )
 
 HALF_PI = math.pi / 2
+
+
+def thermal_qubit(eps):
+    return _thermal_qubits([eps])[0]
 
 # frozen by the independent density-matrix oracle
 ATANH_04 = 0.42364893019360184

@@ -6,8 +6,14 @@ import pathlib
 import numpy as np
 import pytest
 
-from qfcool import closed_forms, correlations, densmat, protocol, thermo, verify
+from qfcool import closed_forms, correlations, densmat, protocol, sweep, thermo, verify
 from qfcool.protocol import ProtocolParams
+
+HALF_PI = math.pi / 2
+
+
+def _thermal_qubit(eps):
+    return protocol._thermal_qubits([eps])[0]
 
 
 def test_run_suite_evaluates_the_grid_as_one_stacked_trace(monkeypatch):
@@ -17,8 +23,12 @@ def test_run_suite_evaluates_the_grid_as_one_stacked_trace(monkeypatch):
                         lambda *columns: calls.append(columns) or real(*columns))
     monkeypatch.setattr(protocol, "run_protocol", None)
     checks = verify.run_suite(grid_n=3, discord_stride=2)
-    grid = verify.standard_grid(3)
-    assert calls == [tuple(tuple(getattr(p, f) for p in grid) for f in ("eps_s", "eps_a", "phi"))]
+    # the standard grid's points in the grid's (eps_s, phi, eps_a) order
+    phis = np.linspace(0.0, HALF_PI, 3).tolist()
+    order = [(es, ea, phi) for es in np.linspace(0.0, verify.EPS_S_MAX, 3).tolist() for phi in phis
+             for ea in np.linspace(es, verify.EPS_A_MAX, 3).tolist()]
+    assert sorted(order) == sorted((p.eps_s, p.eps_a, p.phi) for p in verify.standard_grid(3))
+    assert calls == [tuple(zip(*order))]
     assert all(c.passed for c in checks)
 
 
@@ -68,15 +78,15 @@ def _reference_deviations(points):
         dev["discord_closed_form"].append(abs(
             correlations.discord_analytic(es, phi)
             - (densmat._vn_entropies(trace.rho_m_s)
-               - densmat._vn_entropies(protocol.thermal_qubit(es)))))
+               - densmat._vn_entropies(_thermal_qubit(es)))))
         dev["thermal_entropy"].append(abs(
             math.log(2.0) - 0.5 * (math.log1p(-ea) + math.log1p(ea)) - ea * math.atanh(ea)
-            - densmat._vn_entropies(protocol.thermal_qubit(ea))))
+            - densmat._vn_entropies(_thermal_qubit(ea))))
         dev["purity_transfer"].append(abs(densmat._purity(trace.rho_f_s) - 0.5 * (1.0 + ea ** 2)))
         if abs(phi - math.pi / 2) < 1e-12:
             dev["swap_limit"].append(max(
-                float(np.max(np.abs(trace.rho_f_s - protocol.thermal_qubit(ea)))),
-                float(np.max(np.abs(trace.rho_f_a - protocol.thermal_qubit(es))))))
+                float(np.max(np.abs(trace.rho_f_s - _thermal_qubit(ea)))),
+                float(np.max(np.abs(trace.rho_f_a - _thermal_qubit(es))))))
         s0 = densmat._vn_entropies(trace.rho0)
         dev["entropy_invariance"].append(max(abs(densmat._vn_entropies(trace.rho_m) - s0),
                                              abs(densmat._vn_entropies(trace.rho_f) - s0)))
@@ -230,18 +240,41 @@ def test_phi_crit_root_evaluates_one_root_per_phi_series(monkeypatch):
 
 def test_matrix_oracles_are_named_as_the_oracle_rows():
     names = list(thermo.matrix_oracles(ProtocolParams(0.4, 0.8, 1.0)))
-    assert names == list(verify._Grid([ProtocolParams(0.4, 0.8, 1.0)]).oracles)
+    assert names == list(sweep._Grid([(0.4, [0.8])], [1.0], 1.0).oracles)
     assert names == list(verify.ORACLE_CLASSES)[:6]
     assert set(names) <= {f.name for f in dataclasses.fields(thermo.ThermoReport)}
 
 
 def test_matrix_oracles_equal_the_stacked_oracle_rows_bit_for_bit():
-    points = verify.standard_grid(3, temperature=1.7)
-    stacks = verify._Grid(points).oracles
-    for i, params in enumerate(points):
-        oracles = thermo.matrix_oracles(params)
+    g = sweep._Grid(*verify._standard_axes(3, 1.7))
+    for i, point in enumerate(g.points):
+        oracles = thermo.matrix_oracles(ProtocolParams(*point))
         assert {name: value.hex() for name, value in oracles.items()} == {
-            name: float(stack[i]).hex() for name, stack in stacks.items()}
+            name: float(stack[i]).hex() for name, stack in g.oracles.items()}
+
+
+def _hex_fields(report) -> list:
+    return [v.hex() if type(v) is float else v for v in vars(report).values()]
+
+
+@pytest.mark.parametrize("series, phis, temperature", [
+    # one eps_s and eps_a at two angles: a square grid's rows would repeat the first angle
+    ([(0.3, [0.7])], [0.2, 1.2], 1.0),
+    # the 13 x 51 landscape axes at eps_s = 0.4
+    ([(0.4, np.linspace(0.4, 1.0 - 1e-9, 51).tolist())], np.linspace(0.0, HALF_PI, 13).tolist(), 0.8),
+    # series of different lengths
+    ([(0.0, [0.0, 0.5]), (0.6, [0.6, 0.7, 0.95])], [0.0, 0.9, HALF_PI], 2.0),
+], ids=["two-angles", "landscape-13x51", "ragged"])
+def test_grid_reports_and_oracles_equal_single_point_calls(series, phis, temperature):
+    # every point's report and oracle row is its own point's, whatever the grid's shape
+    g = sweep._Grid(series, phis, temperature)
+    expected = [(es, ea, phi) for es, eps_a in series for phi in phis for ea in eps_a]
+    assert [(p.eps_s, p.eps_a, p.phi) for p in g.points] == expected
+    for i, point in enumerate(g.points):
+        params = ProtocolParams(*point)
+        assert _hex_fields(g.reports[i]) == _hex_fields(thermo.figures_of_merit(params))
+        assert {name: value.hex() for name, value in thermo.matrix_oracles(params).items()} == {
+            name: float(stack[i]).hex() for name, stack in g.oracles.items()}
 
 
 def _bits(stack) -> tuple:
@@ -252,8 +285,8 @@ def _bits(stack) -> tuple:
 @pytest.mark.parametrize("temperature", [1e-300, 0.8, 1e300])
 def test_grid_values_equal_their_direct_computation(temperature):
     # each value the grid computes once equals the call it stands for, bit for bit
-    points = verify.standard_grid(5, temperature=temperature)
-    g = verify._Grid(points, 5, 3)
+    g = sweep._Grid(*verify._standard_axes(5, temperature), 3)
+    points = [ProtocolParams(*p) for p in g.points]
     trace = g.trace
     thermal = {"thermal_s": protocol._thermal_qubits([p.eps_s for p in points]),
                "thermal_a": protocol._thermal_qubits([p.eps_a for p in points])}
@@ -283,7 +316,7 @@ def test_grid_values_equal_their_direct_computation(temperature):
         single = thermo.energy_model(p)
         for field in ("hamiltonian", "h_system", "h_ancilla"):
             assert _bits(getattr(model, field)[i]) == _bits(getattr(single, field)), (i, field)
-    assert [g.discord_analytic(p).hex() for p in points] == [
+    assert [d.hex() for d in g.discord_analytic] == [
         correlations.discord_analytic(p.eps_s, p.phi).hex() for p in points]
 
 
@@ -366,12 +399,13 @@ def test_numpy_integer_counts_equal_int_counts():
 def test_discord_subgrid_reports_are_the_reports_run_emits():
     # the discord classes check exactly the CorrelationReport of run
     n, stride = 4, 3
-    points = verify.standard_grid(n, temperature=2.0)
-    grid = verify._Grid(points, n, stride)
-    index = np.arange(n ** 3).reshape(n, n, n)[::stride, ::stride, ::stride].ravel()
-    covered = [points[i] for i in index]
-    assert len(grid.discords) == len(covered) == 8
-    for report, params in zip(grid.discords, covered):
+    grid = sweep._Grid(*verify._standard_axes(n, 2.0), stride)
+    # every stride-th value of each axis, in the grid's (eps_s, phi, eps_a) order
+    phis = np.linspace(0.0, HALF_PI, n).tolist()[::stride]
+    covered = [ProtocolParams(es, ea, phi, 2.0) for es in np.linspace(0.0, 0.9, n).tolist()[::stride]
+               for phi in phis for ea in np.linspace(es, 0.95, n).tolist()[::stride]]
+    assert len(grid.discord_reports) == len(covered) == 8
+    for report, params in zip(grid.discord_reports, covered):
         assert repr(report) == repr(correlations.correlation_report(params))
 
 
