@@ -21,12 +21,12 @@ __version__ = "0.1.0"
 # Public names by the module that defines them.
 _EXPORTS = {
     "closed_forms": (
-        "ProtocolParams", "SeparabilityBoundary", "ThermoReport", "WorkingPoint",
+        "CorrelationReport", "ProtocolParams", "SeparabilityBoundary", "ThermoReport", "WorkingPoint",
         "discord_analytic", "discord_threshold", "eps_a_for_cooling_load", "figures_of_merit",
         "mutual_information_analytic", "optimize_working_point", "separability_boundary",
     ),
     "correlations": (
-        "CorrelationReport", "DiscordOptimizationError", "MeasurementBasis",
+        "DiscordOptimizationError", "MeasurementBasis",
         "classical_correlations", "concurrence", "correlation_report",
         "discord_numeric", "entanglement_of_formation", "mutual_information",
     ),

@@ -8,10 +8,12 @@ documents; every command runs in-process.  The sweep CSV columns are
 declared once, in ``_SWEEP_COLUMNS``; the other CSV headers are the keys
 of the records their rows come from (``run`` writes ``key,value`` rows
 of its flattened document).  Angles are radians unless
---phi-degrees is given.  ``threshold`` and ``optimize`` run on the
-numpy-free ``closed_forms`` module alone; ``run``, ``sweep`` and
-``verify`` import the matrix layer (and numpy) when they start and read one
-evaluator, ``sweep._Grid``; ``run --verify`` checks the one-point grid it prints.
+--phi-degrees is given.  ``threshold``, ``optimize`` and ``run`` run on
+the numpy-free ``closed_forms`` module alone; ``sweep`` and ``verify``
+import the matrix layer (and numpy) when they start and read one evaluator,
+``sweep._Grid``.  ``run --verify`` loads it too: it checks every number
+``run`` prints, the concurrence and its EoF aside, against its matrix route
+on the one-point grid of the run.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .closed_forms import (
-    EPS_A_CLAMP, OBJECTIVES, ProtocolParams, discord_threshold, optimize_working_point,
+    EPS_A_CLAMP, OBJECTIVES, ProtocolParams, _correlations, _trace_summary, discord_threshold,
+    figures_of_merit, optimize_working_point,
 )
 
 if TYPE_CHECKING:  # annotations only: the matrix layer loads numpy
@@ -152,20 +155,6 @@ def _config_floats(raw: str) -> list[float]:
 # summaries
 # ---------------------------------------------------------------------------
 
-def _trace_summary(grid: sweep._Grid) -> dict:
-    """Purity, entropy and (for a qubit) Bloch vector of each state of a one-point grid's
-    trace: each joint (4x4) state by name, and each qubit marginal under "marginals"."""
-    from . import densmat
-    doc = {"marginals": {}}
-    for name, stack in vars(grid.trace).items():
-        rho = stack[0]
-        summary = {"purity": densmat._purity(rho), "entropy": float(grid.entropy(name)[0])}
-        if rho.shape == (2, 2):
-            summary["bloch"] = densmat._bloch_vector(rho).tolist()
-        (doc if rho.shape == (4, 4) else doc["marginals"])[name] = summary
-    return doc
-
-
 def _check_dict(check: verify.Check) -> dict:
     return {**vars(check), "passed": check.passed}
 
@@ -187,16 +176,14 @@ def _radians(opts: dict, angle: float) -> float:
 
 
 def cmd_run(opts: dict) -> int:
-    from . import sweep
     params = ProtocolParams(opts["eps_s"], opts["eps_a"], _radians(opts, opts["phi"]),
                             opts["temperature"])
-    grid = sweep._Grid([(params.eps_s, (params.eps_a,))], (params.phi,), params.temperature)
-    doc = _envelope("run", params=vars(params), trace=_trace_summary(grid),
-                    thermo=vars(grid.reports[0]), correlations=vars(grid.discord_reports[0]))
+    doc = _envelope("run", params=vars(params), trace=_trace_summary(params),
+                    thermo=vars(figures_of_merit(params)), correlations=vars(_correlations(params)))
     failed = False
     if opts["verify"]:
         from . import verify
-        checks = verify._checks(verify.ORACLE_CLASSES, grid)
+        checks = verify.point_checks(params)
         failed = any(not c.passed for c in checks)
         doc["verification"] = {"checks": [_check_dict(c) for c in checks],
                                "max_deviation": max(c.max_deviation for c in checks),

@@ -3,12 +3,13 @@
 Everything here is plain Python on ``math`` and never imports numpy or a
 matrix module of qfcool (densmat, protocol, thermo, correlations, sweep,
 verify): those modules import from this one, never the other way round.
-So the ``threshold`` and ``optimize`` commands run without loading numpy,
-and no closed form can reach a matrix kernel, which keeps the
+So the ``threshold``, ``optimize`` and ``run`` commands run without loading
+numpy, and no closed form can reach a matrix kernel, which keeps the
 density-matrix oracles that check these forms independent of them.
 ``protocol``, ``thermo``, ``correlations`` and ``sweep`` re-export the
 public names under their old paths.  Every closed-form quantity of the
-cycle at a point is a field of one record, ``figures_of_merit(params)``.
+cycle at a point is a field of one record, ``figures_of_merit(params)``;
+those of its states are in ``_correlations(params)`` and ``_trace_summary``.
 
 Units: k_B = hbar = 1; the temperature enters as a multiplicative scale.
 All entropies are in nats.
@@ -285,6 +286,79 @@ def discord_threshold(eps_s: float) -> float:
     if not 0.0 < eps_s < 1.0:
         raise ValueError("eps_s must be in (0, 1)")
     return discord_analytic(eps_s, math.asin(eps_s))
+
+
+# ---------------------------------------------------------------------------
+# the correlation record and the trace block of one run
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class CorrelationReport:
+    """Correlation content of the post-measurement state of one run.
+
+    ``discord_a`` and ``discord_s`` are the one-sided discords, measured on
+    the ancilla and on the register, and ``classical_a`` is the mutual
+    information less ``discord_a``.  ``run`` prints the closed-form record,
+    in which both discords are ``discord_analytic``; ``correlation_report``
+    takes them from the basis search; sweeps skip the search and carry None.
+    """
+
+    concurrence: float
+    eof: float
+    mutual_info: float
+    discord_a: Optional[float]
+    discord_s: Optional[float]
+    discord_analytic: float
+    classical_a: Optional[float]
+
+
+def eof_from_concurrence(c: float) -> float:
+    """Entanglement of formation (nats) as a function of concurrence."""
+    if not 0.0 <= c <= 1.0 + 1e-12:
+        raise ValueError("concurrence must lie in [0, 1]")
+    return binary_entropy((1.0 + math.sqrt(max(0.0, 1.0 - c * c))) / 2.0)
+
+
+def _concurrence(eps_s: float, eps_a: float, phi: float) -> float:
+    """The X-state concurrence of ``rho_m`` that ``separability_boundary`` solves for zero,
+    ``max(0, [(1 + eps_a) eps_s sin phi - (1 - eps_a) sqrt(1 - eps_s^2 cos^2 phi)] / 2)``."""
+    x = eps_s * math.cos(phi)
+    return max(0.0, 0.5 * ((1.0 + eps_a) * eps_s * math.sin(phi)
+                           - (1.0 - eps_a) * math.sqrt((1.0 - x) * (1.0 + x))))
+
+
+def _correlations(params: ProtocolParams) -> CorrelationReport:
+    """The correlation record ``run`` prints: the X-state concurrence and its EoF, the
+    closed-form mutual information, and both one-sided discords equal to ``discord_analytic``
+    (the basis search, which finds the same value, checks them under ``run --verify``)."""
+    c = _concurrence(params.eps_s, params.eps_a, params.phi)
+    mi, d = mutual_information_analytic(params), discord_analytic(params.eps_s, params.phi)
+    return _record(CorrelationReport, c, eof_from_concurrence(c), mi, d, d, d, mi - d)
+
+
+def _trace_summary(p) -> dict:
+    """``run``'s trace block at point ``p`` (fields eps_s, eps_a and phi): the purity and
+    entropy of each joint state by name, and under "marginals" each qubit marginal's
+    Bloch vector, its purity (1 + |b|^2) / 2 and its entropy S(|b|).
+
+    The unitaries keep rho0's spectrum, so rho0, rho_m and rho_f have purity
+    (1 + eps_s^2)(1 + eps_a^2) / 4 and entropy S(eps_s) + S(eps_a).  The reset state
+    is rho_f_s x rho0_a, and |rho_f_s| = eps_a, so its purity is ((1 + eps_a^2) / 2)^2
+    and its entropy 2 S(eps_a).
+    """
+    es, ea, s, c = p.eps_s, p.eps_a, math.sin(p.phi), math.cos(p.phi)
+    product = {"purity": 0.25 * (1.0 + es * es) * (1.0 + ea * ea),
+               "entropy": thermal_entropy(es) + thermal_entropy(ea)}
+    doc = {"rho0": product, "rho_m": dict(product), "rho_f": dict(product), "marginals": {},
+           "rho_reset": {"purity": 0.25 * (1.0 + ea * ea) ** 2, "entropy": 2.0 * thermal_entropy(ea)}}
+    for name, bloch in (("rho0_s", (0.0, 0.0, -es)), ("rho0_a", (0.0, 0.0, -ea)),
+                        ("rho_m_s", (-es * s * c, 0.0, -es * c * c)), ("rho_m_a", (es * ea * c, 0.0, 0.0)),
+                        ("rho_f_s", (ea * c, 0.0, -ea * s)), ("rho_f_a", (es * ea * c, 0.0, -es * s))):
+        bloch = [b + 0.0 for b in bloch]  # a -0.0 (at eps_s = 0 or phi = 0) becomes 0.0
+        length = math.hypot(*bloch)
+        doc["marginals"][name] = {"purity": 0.5 * (1.0 + length * length),
+                                  "entropy": thermal_entropy(length), "bloch": bloch}
+    return doc
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,16 @@
-"""Total, classical and quantum correlations of two-qubit states.
+"""Total, classical and quantum correlations of two-qubit states: the matrix routes.
 
 Covers the Wootters concurrence and entanglement of formation, quantum
-mutual information (matrix route and closed form for post-measurement
-states), quantum discord via a deterministic search over projective
-measurements (a hemisphere scan of measurement axes refined by Newton
-steps on the unit sphere, on a stack of (state, side) rows; a row's
-result does not depend on the stack), the closed-form discord of
-post-measurement states, and the discord threshold that guarantees real
-cooling.  The closed
-forms live in the numpy-free ``closed_forms`` module and are re-exported
-here.  One stacked builder, ``_reports``, makes every ``CorrelationReport``:
-single point, landscape chunk and verify's discord subgrid.
+mutual information from matrix entropies, and quantum discord via a
+deterministic search over projective measurements (a hemisphere scan of
+measurement axes refined by Newton steps on the unit sphere, on a stack of
+(state, side) rows; a row's result does not depend on the stack).  The
+closed forms (the discord, its threshold, the mutual information, the
+X-state concurrence, ``eof_from_concurrence`` and ``CorrelationReport``)
+live in the numpy-free ``closed_forms`` module and are re-exported here.
+One stacked builder, ``_reports``, makes every matrix-route
+``CorrelationReport``: single point, landscape chunk and verify's discord
+subgrid.
 
 All quantities are in nats, including the entanglement of formation (a
 maximally entangled pair has EoF = ln 2).
@@ -27,8 +27,8 @@ import numpy as np
 
 from . import densmat, protocol
 from .closed_forms import (  # re-exported
-    ProtocolParams, _record, binary_entropy, discord_analytic,
-    discord_threshold, mutual_information_analytic, thermal_entropy,
+    CorrelationReport, ProtocolParams, _record, binary_entropy, discord_analytic,
+    discord_threshold, eof_from_concurrence, mutual_information_analytic, thermal_entropy,
 )
 from .densmat import ID2, PAULI, SIGMA_Y
 
@@ -103,13 +103,6 @@ def _concurrence(r: np.ndarray) -> np.ndarray:
     lam = np.linalg.eigh(flip_spectrum)[0][..., ::-1]
     from_eigs = lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]
     return np.where(from_eigs > 0.0, from_eigs, 0.0)
-
-
-def eof_from_concurrence(c: float) -> float:
-    """Entanglement of formation (nats) as a function of concurrence."""
-    if not 0.0 <= c <= 1.0 + 1e-12:
-        raise ValueError("concurrence must lie in [0, 1]")
-    return binary_entropy((1.0 + math.sqrt(max(0.0, 1.0 - c * c))) / 2.0)
 
 
 def entanglement_of_formation(rho) -> float:
@@ -284,8 +277,10 @@ def _optimal_measurements(blochs, sides: Sequence[str]) -> list:
         raise DiscordOptimizationError(f"basis search did not converge within {_MAX_STEPS} Newton steps")
     polar = np.arctan2(np.sqrt(axes[0] * axes[0] + axes[1] * axes[1]), axes[2])
     azimuth = np.arctan2(axes[1], axes[0])
-    return [(p, az, thermal_entropy(float(np.linalg.norm(o))) - c) for p, az, o, c in
-            zip(polar.tolist(), azimuth.tolist(), other, conditional.tolist())]
+    # S(rho_other): the entropy of the populations (1 -+ |other|) / 2, ascending
+    length = np.sqrt(_dot(other.T, other.T))
+    gain = densmat._spectrum_entropy(np.stack([1.0 - length, 1.0 + length], axis=-1) / 2.0) - conditional
+    return list(zip(polar.tolist(), azimuth.tolist(), gain.tolist()))
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -390,24 +385,6 @@ def classical_correlations(rho, measured_side: str = "A") -> float:
 # ---------------------------------------------------------------------------
 # report
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CorrelationReport:
-    """Correlation content of the post-measurement state of one run.
-
-    The numeric discords (and the classical share derived from them) are
-    optional: sweeps skip the basis search and carry only the closed-form
-    discord.
-    """
-
-    concurrence: float
-    eof: float
-    mutual_info: float
-    discord_a: Optional[float]
-    discord_s: Optional[float]
-    discord_analytic: float
-    classical_a: Optional[float]
-
 
 def correlation_report(params: ProtocolParams, *, numeric_discord: bool = True) -> CorrelationReport:
     """Evaluate all correlation measures on the post-measurement state."""

@@ -110,14 +110,6 @@ def _diagonal_expectation(levels: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.trace(levels[..., :, None] * a, axis1=-2, axis2=-1).real
 
 
-def _purity(a: np.ndarray) -> float:
-    return float(_expectation(a, a))
-
-
-def _bloch_vector(a: np.ndarray) -> np.ndarray:
-    return np.array([_expectation(s, a) for s in PAULI])
-
-
 def _psd_sqrt(a: np.ndarray) -> np.ndarray:
     """Hermitian PSD square root S with S @ S == a, of a matrix or a stack.
 

@@ -4,12 +4,12 @@ working-point optimization and boundary curves.
 All outputs are pure functions of their inputs: recomputing any emitted
 point from scratch reproduces it bit for bit.  ``SweepGrid`` is a grid's
 only validation.  One private evaluator, ``_Grid``, evaluates the cycle
-for landscapes, characteristic curves, ``run`` and ``verify``: closed-form
-factors built once per eps_a column and phi row, and on first use the
-matrix stacks each reader needs.  The scalar searches (working point,
-cooling-load inverse and the closed-form separability angle) live in the
-numpy-free ``closed_forms`` module, evaluate through the same factors and
-are re-exported here.  Everything runs in-process on the calling thread.
+for landscapes, characteristic curves and ``verify``, ``run --verify``
+among them: closed-form factors built once per eps_a column and phi row,
+and on first use the matrix stacks each reader needs.  The scalar
+searches (working point, cooling-load inverse and the closed-form
+separability angle) live in the numpy-free ``closed_forms`` module,
+evaluate through the same factors and are re-exported here.  Everything runs in-process on the calling thread.
 """
 
 from __future__ import annotations
@@ -25,11 +25,10 @@ import numpy as np
 
 from . import closed_forms, correlations, densmat, protocol
 from .closed_forms import (  # re-exported
-    EPS_A_CLAMP, OBJECTIVES, ProtocolParams, SeparabilityBoundary, ThermoReport, WorkingPoint,
-    _is_finite_real, _require_count, eps_a_for_cooling_load,
+    EPS_A_CLAMP, OBJECTIVES, CorrelationReport, ProtocolParams, SeparabilityBoundary, ThermoReport,
+    WorkingPoint, _is_finite_real, _require_count, eps_a_for_cooling_load,
     optimize_working_point, separability_boundary,
 )
-from .correlations import CorrelationReport
 
 # Grid correlations are evaluated on (n, 4, 4) state stacks of at most this
 # many points, which bounds the memory of a stack whatever the grid size.
@@ -175,7 +174,7 @@ class _Grid:
 
     @cached_property
     def model(self):
-        from . import thermo  # the oracles' module: run without --verify never loads it
+        from . import thermo  # the oracles' module: a landscape never loads it
         return thermo._energy_models(self.points)
 
     @cached_property

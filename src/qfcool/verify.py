@@ -1,13 +1,15 @@
 """Cross-validation of every closed form against density-matrix oracles.
 
-Every check reads ``sweep._Grid``, the evaluator that ``sweep`` and
-``run`` read too: its closed-form reports, built on the factors of each
-axis value, and its matrix stacks, each built once.  ``run_suite`` reads
-the standard (eps_s, eps_a, phi) grid through one table of invariant
-classes, ``CLASSES``; ``point_checks`` (``run --verify``) reads the
-oracle classes on a one-point grid.  The discord classes read the
-correlation reports that ``run`` emits, built for the whole discord
-subgrid in one basis search.  Energy deviations are in units of T.
+Every check reads ``sweep._Grid``, the evaluator that ``sweep`` reads too:
+its closed-form reports, built on the factors of each axis value, and its
+matrix stacks, each built once.  ``run_suite`` reads the standard
+(eps_s, eps_a, phi) grid through one table of invariant classes,
+``CLASSES``.  ``point_checks`` (``run --verify``) reads a one-point grid
+through the oracle classes, the two numeric-discord classes and
+``trace_summary``, which between them check every number ``run`` prints
+but the concurrence and its EoF.  The discord classes run the basis search
+on both sides of each state of the discord subgrid, in one search, and
+compare it with the closed form.  Energy deviations are in units of T.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -110,6 +112,39 @@ def _phi_crit_root(g: _Grid) -> list[float]:
             * len(g.rows)]
 
 
+def _trace_oracles(g: _Grid) -> list[dict]:
+    """``closed_forms._trace_summary`` of each point from the trace's matrices: each state's
+    purity tr(rho^2), its entropy from its spectrum and, for a qubit, tr(rho sigma)."""
+    docs = [{"marginals": {}} for _ in g.points]
+    for name, stack in vars(g.trace).items():
+        purity, entropy = densmat._expectation(stack, stack).tolist(), g.entropy(name).tolist()
+        if stack.shape[-1] == 4:
+            for doc, p, s in zip(docs, purity, entropy):
+                doc[name] = {"purity": p, "entropy": s}
+            continue
+        bloch = np.stack([densmat._expectation(s, stack) for s in densmat.PAULI], axis=-1).tolist()
+        for doc, p, s, b in zip(docs, purity, entropy, bloch):
+            doc["marginals"][name] = {"purity": p, "entropy": s, "bloch": b}
+    return docs
+
+
+def _numbers(doc: dict) -> Iterator[float]:
+    """The numbers of a trace block, in sorted-key order."""
+    for key in sorted(doc):
+        value = doc[key]
+        if isinstance(value, dict):
+            yield from _numbers(value)
+        else:
+            yield from value if isinstance(value, list) else [value]
+
+
+def _trace_summary(g: _Grid) -> list[float]:
+    """The largest deviation of each point's closed-form trace block from its matrices."""
+    return [max(abs(c - m) for c, m in zip(_numbers(closed_forms._trace_summary(p)), _numbers(doc),
+                                           strict=True))
+            for p, doc in zip(g.points, _trace_oracles(g))]
+
+
 def _monotone_in_phi(field: str) -> Callable[[_Grid], list[float]]:
     """Rise of ``field`` between neighbouring phi in each (eps_s, eps_a) series."""
     def deviations(g: _Grid) -> list[float]:
@@ -182,6 +217,16 @@ CLASSES = {
 }
 
 
+# ``run --verify``'s classes: those that compare a number ``run`` prints with
+# its matrix route.  The discord classes compare both one-sided discords, which
+# ``run`` prints as the closed form, with the basis search.
+_POINT_CLASSES = {
+    **ORACLE_CLASSES,
+    **{name: CLASSES[name] for name in ("discord_symmetry", "discord_numeric_vs_closed")},
+    "trace_summary": (TOL_MARGINAL, _trace_summary),
+}
+
+
 def _check(name: str, deviations: Sequence[float]) -> Check:
     """Worst of a class's per-point deviations (0.0 when it checked none).
 
@@ -190,7 +235,7 @@ def _check(name: str, deviations: Sequence[float]) -> Check:
     worst = (math.nan if any(map(math.isnan, deviations))
              else max([0.0, *deviations]))
     return Check(name=name, points=len(deviations), max_deviation=worst,
-                 tolerance=CLASSES[name][0])
+                 tolerance={**CLASSES, **_POINT_CLASSES}[name][0])
 
 
 def _checks(classes: dict, grid: _Grid) -> list[Check]:
@@ -211,6 +256,7 @@ def run_suite(grid_n: int = 12, discord_stride: int = 3,
 
 
 def point_checks(params: ProtocolParams) -> list[Check]:
-    """The closed-form vs oracle classes on the one-point grid whose report ``run`` emits."""
-    return _checks(ORACLE_CLASSES, _Grid([(params.eps_s, (params.eps_a,))], (params.phi,),
+    """``run --verify``'s classes on the one-point grid of ``params``: its trace, the basis
+    search on both sides and the energy oracles, all on one protocol run."""
+    return _checks(_POINT_CLASSES, _Grid([(params.eps_s, (params.eps_a,))], (params.phi,),
                                          params.temperature))

@@ -128,6 +128,49 @@ def measured_state(eps_s, eps_a, phi):
     return u * rho0 * u.transpose_conj()
 
 
+def _marginal(rho, keep):
+    """The register (``"S"``) or ancilla (``"A"``) marginal of a 4x4 mpmath state."""
+    if keep == "S":
+        return mpmath.matrix([[rho[2 * i, 2 * j] + rho[2 * i + 1, 2 * j + 1] for j in range(2)]
+                              for i in range(2)])
+    return mpmath.matrix([[rho[i, j] + rho[2 + i, 2 + j] for j in range(2)] for i in range(2)])
+
+
+def _summary(rho):
+    """Purity tr(rho^2), entropy from the eigenvalues and, for a qubit, Bloch vector tr(rho sigma)."""
+    entropy = -sum(w * mpmath.log(w) for w in mpmath.eighe(rho, eigvals_only=True) if w > 0)
+    summary = {"purity": _trace(rho * rho), "entropy": entropy}
+    if rho.rows == 2:
+        paulis = ([[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]])
+        summary["bloch"] = [_trace(mpmath.matrix(p) * rho) for p in paulis]
+    return summary
+
+
+def _trace(a):
+    """The real part of tr(a)."""
+    return mpmath.re(sum(a[i, i] for i in range(a.rows)))
+
+
+def trace(eps_s, eps_a, phi):
+    """``run``'s trace block from the cycle's states as mpmath matrices: rho0, the
+    measured state, the fed-back state U_f rho_m U_f^+ with U_f the register rotation
+    (I -+ i sigma_y) / sqrt 2 controlled on the ancilla's x basis, and the reset state
+    (register marginal of rho_f) x rho0_a, with the qubit marginals under "marginals"."""
+    es, ea = mpmath.mpf(eps_s), mpmath.mpf(eps_a)
+    rho0 = mpmath.diag([(1 + a * es) * (1 + b * ea) / 4 for a in (-1, 1) for b in (-1, 1)])
+    rho_m = measured_state(eps_s, eps_a, phi)
+    eye, sigma_x, sigma_y = mpmath.eye(2), mpmath.matrix([[0, 1], [1, 0]]), mpmath.matrix([[0, -1j], [1j, 0]])
+    u = sum((_kron((eye + sign * 1j * sigma_y) / mpmath.sqrt(2), (eye + sign * sigma_x) / 2)
+             for sign in (1, -1)), mpmath.zeros(4))
+    rho_f = u * rho_m * u.transpose_conj()
+    states = {"rho0": rho0, "rho_m": rho_m, "rho_f": rho_f,
+              "rho_reset": _kron(_marginal(rho_f, "S"), _marginal(rho0, "A"))}
+    doc = {name: _summary(rho) for name, rho in states.items()}
+    doc["marginals"] = {f"{name}_{side.lower()}": _summary(_marginal(states[name], side))
+                        for name in ("rho0", "rho_m", "rho_f") for side in ("S", "A")}
+    return doc
+
+
 def _kron(a, b):
     return mpmath.matrix([[a[i // 2, j // 2] * b[i % 2, j % 2] for j in range(4)]
                           for i in range(4)])

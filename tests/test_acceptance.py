@@ -11,7 +11,7 @@ import numpy as np
 
 from qfcool import cli, correlations, thermo, verify
 from qfcool.correlations import discord_analytic, discord_numeric
-from qfcool.densmat import _purity
+from qfcool.densmat import _expectation
 from qfcool.protocol import ProtocolParams, _thermal_qubits, run_protocol
 from qfcool.thermo import energy_model, ergotropy, figures_of_merit
 
@@ -76,7 +76,7 @@ def test_criterion_4_purity_transfer(capsys):
     for params in grid12():
         trace = run_protocol(params)
         target = 0.5 * (1.0 + params.eps_a ** 2)
-        worst = max(worst, abs(_purity(trace.rho_f_s) - target))
+        worst = max(worst, abs(_expectation(trace.rho_f_s, trace.rho_f_s) - target))
     with capsys.disabled():
         _report(4, f"register purity equals (1 + eps_a^2)/2 on the 12^3 grid,"
                    f" max deviation {worst:.2e} (tolerance 1e-10)", worst <= 1e-10)

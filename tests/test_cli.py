@@ -565,10 +565,14 @@ _RUN_CLI = "import runpy; runpy.run_module('qfcool.cli', run_name='__main__', al
     (_RUN_CLI, ("optimize", "--objective", "chi", "--eps-s", "0.4", "--phi", "1.0"), 0),
     (_RUN_CLI, ("optimize", "--objective", "cop", "--eps-s", "0.4", "--phi", "1.0",
                 "--format", "csv"), 0),
+    (_RUN_CLI, ("run", "--eps-s", "0.4", "--eps-a", "0.8", "--phi", "1.0"), 0),
+    (_RUN_CLI, ("run", "--eps-s", "0.4", "--eps-a", "0.8", "--phi", "1.0", "--format", "csv"), 0),
     (_RUN_CLI, ("threshold", "--eps-s", "0.0"), 2),
     (_RUN_CLI, ("optimize", "--objective", "eta", "--eps-s", "0.4", "--phi", "2.0"), 2),
+    (_RUN_CLI, ("run", "--eps-s", "0.8", "--eps-a", "0.4", "--phi", "1.0"), 2),
 ], ids=["import-qfcool", "import-cli", "threshold-json", "threshold-csv", "optimize-json",
-        "optimize-csv", "threshold-bad-eps-s", "optimize-bad-phi"])
+        "optimize-csv", "run-json", "run-csv", "threshold-bad-eps-s", "optimize-bad-phi",
+        "run-bad-eps-a"])
 def test_closed_form_paths_do_not_load_numpy(statement, args, code):
     proc = python_subprocess("-c", _REPORT_NUMPY + statement, *args)
     assert proc.returncode == code, proc.stderr
@@ -579,15 +583,15 @@ def test_closed_form_paths_do_not_load_numpy(statement, args, code):
 @pytest.mark.parametrize("flags, loaded", [((), False), (("--verify",), True)],
                          ids=["run", "run-verify"])
 def test_run_imports_verify_only_to_verify(flags, loaded):
-    # run reads figures_of_merit from closed_forms; thermo holds the oracles verify uses
+    # run reads closed_forms alone; the grid, the oracles and the searches serve --verify
     proc = python_subprocess("-c", textwrap.dedent(f"""
         import contextlib, io, sys
         from qfcool import cli
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(["run", "--eps-s", "0.4", "--eps-a", "0.8", "--phi", "1.0", *{flags!r}])
-        print(code, "qfcool.verify" in sys.modules, "qfcool.thermo" in sys.modules)"""))
+        print(code, *(f"qfcool.{{m}}" in sys.modules for m in ("verify", "thermo", "sweep", "correlations")))"""))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", str(loaded), str(loaded)]
+    assert proc.stdout.split() == ["0", *[str(loaded)] * 4]
 
 
 def test_run_verify_forms_the_cycle_once(capsys, monkeypatch):

@@ -156,11 +156,12 @@ def test_run_json_bytes_equal_the_reference(capsys, eps_a, phi, with_verify):
     argv = ["run", "--eps-s", "0.4", "--eps-a", repr(eps_a), "--phi", repr(phi)]
     code, out = run_cli(capsys, *argv, *(["--verify"] if with_verify else []))
     assert code == 0
-    trace = json.loads(out)["trace"]  # the state summaries; their values are tested elsewhere
+    # run prints closed forms alone; tests/test_referee.py checks their values
+    trace = closed_forms._trace_summary(params)
     assert set(trace) == {"rho0", "rho_m", "rho_f", "rho_reset", "marginals"}
     ref = {"params": dataclasses.asdict(params), "trace": trace,
            "thermo": dataclasses.asdict(thermo.figures_of_merit(params)),
-           "correlations": dataclasses.asdict(correlations.correlation_report(params))}
+           "correlations": dataclasses.asdict(closed_forms._correlations(params))}
     if with_verify:
         checks = verify.point_checks(params)
         ref["verification"] = {"checks": [_check_ref(c) for c in checks],

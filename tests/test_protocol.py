@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from qfcool.closed_forms import _is_finite_real
 from qfcool import protocol
 from qfcool.densmat import (
-    ATOL, ID2, SIGMA_X, SIGMA_Z, _bloch_vector, _expectation, _partial_trace, _purity,
-    _vn_entropies, validate_density_matrix,
+    ATOL, ID2, PAULI, SIGMA_X, SIGMA_Z, _expectation, _partial_trace, _vn_entropies,
+    validate_density_matrix,
 )
 from qfcool.protocol import _FEEDBACK, ProtocolParams, _thermal_qubits, run_protocol
 
@@ -161,7 +161,7 @@ def test_feedback_after_x_measurement_swaps_marginals():
 def test_purity_transfer_for_all_angles():
     for phi in np.linspace(0.0, HALF_PI, 12):
         trace = run_protocol(ProtocolParams(0.3, 0.7, float(phi)))
-        assert abs(_purity(trace.rho_f_s) - 0.5 * (1 + 0.7**2)) <= 1e-10
+        assert abs(_expectation(trace.rho_f_s, trace.rho_f_s) - 0.5 * (1 + 0.7**2)) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +177,7 @@ def test_final_register_bloch_vector():
     # length eps_a for every phi, z-component -eps_a sin(phi)
     es, ea, phi = 0.4, 0.8, math.pi / 4
     trace = run_protocol(ProtocolParams(es, ea, phi))
-    b = _bloch_vector(trace.rho_f_s)
+    b = np.array([_expectation(s, trace.rho_f_s) for s in PAULI])
     assert abs(np.linalg.norm(b) - ea) <= 1e-12
     assert abs(b[2] + ea * math.sin(phi)) <= 1e-12
     assert abs(b[2] + 0.565685424949238) <= 1e-12
@@ -216,7 +216,7 @@ def test_protocol_grid_invariants():
         assert abs(_vn_entropies(trace.rho_m) - s0) <= 1e-10
         assert abs(_vn_entropies(trace.rho_f) - s0) <= 1e-10
 
-        assert abs(_purity(trace.rho_f_s) - 0.5 * (1 + params.eps_a**2)) <= 1e-10
+        assert abs(_expectation(trace.rho_f_s, trace.rho_f_s) - 0.5 * (1 + params.eps_a**2)) <= 1e-10
 
         es, ea = params.eps_s, params.eps_a
         closed = (ea * math.atanh(ea) - es * math.atanh(es)

@@ -5,7 +5,8 @@ merit, energies over ``T``, each within an absolute bound and, where it is
 nonzero, a relative one.  The threshold angle, the separability angle and
 the mutual information on a fixed edge list and on seeded draws.  The
 referee's Wootters concurrence and EoF against pure states and against the
-X-state form on protocol states.
+X-state form on protocol states.  The closed forms ``run`` prints (its trace
+block, concurrence and EoF) against the referee's matrices.
 """
 
 import math
@@ -15,7 +16,8 @@ import mpmath
 import pytest
 
 from qfcool.closed_forms import (
-    ProtocolParams, figures_of_merit, mutual_information_analytic, separability_boundary,
+    ProtocolParams, _correlations, _trace_summary, figures_of_merit, mutual_information_analytic,
+    separability_boundary,
 )
 from qfcool.protocol import run_protocol
 
@@ -177,3 +179,45 @@ def test_referee_concurrence_of_a_protocol_state_is_the_x_state_form():
             entries = [(i, j) for i in range(4) for j in range(4)]
             assert max(abs(state[i, j] - complex(rho[i, j])) for i, j in entries) <= 1e-15, point
             assert abs(referee.concurrence(rho) - exact) <= 1e-15, point
+
+
+# ---------------------------------------------------------------------------
+# the closed forms run prints, against the referee's matrices
+# ---------------------------------------------------------------------------
+
+# eps_s = 0, eps_s = eps_a, phi at 0 and pi/2, and eps_a at the clamp, where the
+# library's matrix concurrence is 5.0e-10 off
+RUN_POINTS = [
+    (0.0, 0.5, 0.3), (0.0, 0.0, 1.0), (0.4, 0.4, 0.7), (0.6, 0.8, 0.0), (0.6, 0.8, HALF_PI),
+    (0.3, 0.999999999, 1.2), (0.0, 0.999999999, HALF_PI), (0.4, 0.8, 1.0),
+] + list(_draws(37, 48))
+
+
+def _leaves(doc, prefix=""):
+    """(dotted key, number) of each number of a trace block; a Bloch vector's by index."""
+    for key in sorted(doc):
+        value, name = doc[key], prefix + key
+        if isinstance(value, dict):
+            yield from _leaves(value, name + ".")
+        elif isinstance(value, list):
+            yield from ((f"{name}.{i}", x) for i, x in enumerate(value))
+        else:
+            yield name, value
+
+
+def test_run_trace_block_matches_the_referee():
+    with mpmath.workdps(referee.DPS):
+        for point in RUN_POINTS:
+            value = dict(_leaves(_trace_summary(ProtocolParams(*point))))
+            exact = dict(_leaves(referee.trace(*point)))
+            assert len(value) == 38 and value.keys() == exact.keys()
+            for key, x in value.items():
+                assert abs(x - exact[key]) <= 1e-13, (point, key, x, exact[key])
+
+
+def test_run_concurrence_and_eof_match_the_referee():
+    with mpmath.workdps(referee.DPS):
+        for point in RUN_POINTS:
+            report, state = _correlations(ProtocolParams(*point)), referee.measured_state(*point)
+            assert abs(report.concurrence - referee.concurrence(state)) <= 1e-13, point
+            assert abs(report.eof - referee.entanglement_of_formation(state)) <= 1e-13, point

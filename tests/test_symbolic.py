@@ -189,6 +189,25 @@ def test_post_measurement_marginals_have_the_stated_bloch_vectors():
     assert all(map(vanishes, (ancilla[0] - ES * EA * C, ancilla[1], ancilla[2])))
 
 
+def test_feedback_marginals_have_the_stated_bloch_vectors():
+    register, ancilla = bloch(marginal(RHO_F, "S")), bloch(marginal(RHO_F, "A"))
+    assert all(map(vanishes, (register[0] - EA * C, register[1], register[2] + EA * S)))
+    assert all(map(vanishes, (ancilla[0] - ES * EA * C, ancilla[1], ancilla[2] + ES * S)))
+
+
+def test_the_trace_block_holds_the_marginals_bloch_vectors():
+    # the six marginals the shipped trace block summarises, from the symbolic states
+    states = {"rho0": RHO0, "rho_m": RHO_M, "rho_f": RHO_F}
+    vectors = numeric(sp.Matrix([bloch(marginal(states[name[:-2]], name[-1].upper()))
+                                 for name in ("rho0_s", "rho0_a", "rho_m_s", "rho_m_a", "rho_f_s", "rho_f_a")]))
+    for eps_s, eps_a, phi, temperature in POINTS:
+        shipped = closed_forms._trace_summary(ProtocolParams(eps_s, eps_a, phi))["marginals"]
+        for (name, summary), vector in zip(shipped.items(), vectors(eps_s, eps_a, phi, temperature)):
+            assert all(close(b, complex(v).real) for b, v in zip(summary["bloch"], vector)), name
+            length = math.hypot(*summary["bloch"])
+            assert close(summary["purity"], 0.5 * (1.0 + length ** 2))
+
+
 def _power_traces(rho):
     """tr(rho^k) for k = 1 to 4, each reduced by c^2 = 1 - s^2."""
     gens = C, S, ES, EA
@@ -206,6 +225,23 @@ def test_post_measurement_spectrum_is_the_initial_one():
     # equal traces of the first four powers give equal characteristic
     # polynomials (Newton's identities), so equal spectra
     assert _power_traces(RHO_M) == _power_traces(RHO0)
+
+
+def test_joint_purities_and_the_reset_spectrum():
+    # rho_m and rho_f have rho0's spectrum, so its purity; the reset state is
+    # rho_f_s x rho0_a, and |rho_f_s| = eps_a gives it the spectrum of thermal(eps_a) twice
+    product = (1 + ES ** 2) * (1 + EA ** 2) / 4
+    assert _power_traces(RHO_F) == _power_traces(RHO0)
+    assert all(vanishes((rho * rho).trace() - product) for rho in (RHO0, RHO_M, RHO_F))
+    reset = kron(marginal(RHO_F, "S"), thermal(EA))
+    assert vanishes((reset * reset).trace() - ((1 + EA ** 2) / 2) ** 2)
+    assert vanishes(sum(b ** 2 for b in bloch(marginal(RHO_F, "S"))) - EA ** 2)
+    purity = numeric(product)
+    for eps_s, eps_a, phi, temperature in POINTS:
+        shipped = closed_forms._trace_summary(ProtocolParams(eps_s, eps_a, phi))
+        for name in ("rho0", "rho_m", "rho_f"):
+            assert close(shipped[name]["purity"], purity(eps_s, eps_a, phi, temperature))
+        assert close(shipped["rho_reset"]["purity"], ((1.0 + eps_a ** 2) / 2.0) ** 2)
 
 
 def test_mutual_information_follows_from_the_marginals_and_spectrum():
@@ -317,6 +353,21 @@ def test_separability_boundary_follows_from_the_x_frame():
     for eps_s, eps_a in [(0.1, 0.2), (0.05, 0.5), (0.0, 0.5)]:
         assert separability_boundary(eps_s, eps_a).status == "never_entangled"
         assert entangled(eps_s, eps_a, HALF_PI) <= 0.0
+
+
+def test_concurrence_follows_from_the_x_frame():
+    # An X-state's concurrence is 2 max(0, |x_12| - sqrt(x_00 x_33), |x_03| - sqrt(x_11 x_22))
+    # (Yu and Eberly, QIC 7, 459 (2007)); the second pair never counts, since
+    # |x_03|^2 < x_11 x_22 (the separability test above), and local unitaries keep it.
+    # With eps_s, sin phi and 1 -+ eps_a nonnegative, the squares give the roots.
+    assert vanishes(16 * X_FRAME[1, 2] * X_FRAME[2, 1] - ((1 + EA) * ES * S) ** 2)
+    assert vanishes(16 * X_FRAME[0, 0] * X_FRAME[3, 3] - (1 - EA) ** 2 * (1 - ES ** 2 * C ** 2))
+    form = numeric(((1 + EA) * ES * S - (1 - EA) * sp.sqrt(1 - ES ** 2 * C ** 2)) / 2, ES, EA, PHI)
+    for eps_s, eps_a, phi, _ in POINTS + [(0.4, 0.8, 0.1, 1.0)]:  # a separable point last
+        shipped = closed_forms._concurrence(eps_s, eps_a, phi)
+        assert close(shipped, max(0.0, form(eps_s, eps_a, phi)))
+    assert closed_forms._concurrence(0.4, 0.8, 1.0) > 0.0
+    assert closed_forms._concurrence(0.4, 0.8, 0.1) == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -82,7 +82,7 @@ def _reference_deviations(points):
         dev["thermal_entropy"].append(abs(
             math.log(2.0) - 0.5 * (math.log1p(-ea) + math.log1p(ea)) - ea * math.atanh(ea)
             - densmat._vn_entropies(_thermal_qubit(ea))))
-        dev["purity_transfer"].append(abs(densmat._purity(trace.rho_f_s) - 0.5 * (1.0 + ea ** 2)))
+        dev["purity_transfer"].append(abs(float(densmat._expectation(trace.rho_f_s, trace.rho_f_s)) - 0.5 * (1.0 + ea ** 2)))
         if abs(phi - math.pi / 2) < 1e-12:
             dev["swap_limit"].append(max(
                 float(np.max(np.abs(trace.rho_f_s - _thermal_qubit(ea)))),
@@ -412,18 +412,41 @@ def test_discord_subgrid_reports_are_the_reports_run_emits():
 def test_point_checks_share_the_suite_tolerances():
     suite = {c.name: c.tolerance for c in verify.run_suite(grid_n=2)}
     point = verify.point_checks(ProtocolParams(0.4, 0.8, 1.0))
-    assert [c.name for c in point] == list(suite)[:len(point)]
-    for check in point:
+    # the oracle classes, the two numeric-discord classes, then the trace block's own
+    assert [c.name for c in point] == [*verify.ORACLE_CLASSES, "discord_symmetry",
+                                       "discord_numeric_vs_closed", "trace_summary"]
+    for check in point[:-1]:
         assert check.tolerance == suite[check.name]
+    assert point[-1].tolerance == verify.TOL_MARGINAL
     assert {c.name: c.tolerance for c in point}["thermal_entropy"] == verify.TOL_ENTROPY_FORM
+
+
+def _trace_deviation(params):
+    """The largest deviation of the closed-form trace block from ``run_protocol``'s
+    matrices, each number from the single-state kernels."""
+    closed, worst = closed_forms._trace_summary(params), 0.0
+    for name, rho in vars(protocol.run_protocol(params)).items():
+        qubit = rho.shape == (2, 2)
+        summary = closed["marginals"][name] if qubit else closed[name]
+        assert set(summary) == {"purity", "entropy", *(["bloch"] if qubit else [])}
+        pairs = [(summary["purity"], densmat._expectation(rho, rho)),
+                 (summary["entropy"], densmat._vn_entropies(rho))]
+        if qubit:
+            pairs += zip(summary["bloch"], [densmat._expectation(s, rho) for s in densmat.PAULI])
+        worst = max(worst, *(abs(c - float(m)) for c, m in pairs))
+    return worst
 
 
 def test_point_checks_equal_the_oracle_classes_on_a_one_point_grid():
     params = ProtocolParams(0.3, 0.7, 1.2, 0.8)
     point = verify.point_checks(params)
-    assert [c.name for c in point] == list(verify.ORACLE_CLASSES)
     dev = _reference_deviations([params])
-    assert point == [verify._check(name, dev[name]) for name in verify.ORACLE_CLASSES]
+    report = correlations.correlation_report(params)  # both numeric discords of the point
+    dev["discord_symmetry"] = [abs(report.discord_a - report.discord_s)]
+    dev["discord_numeric_vs_closed"] = [max(abs(d - report.discord_analytic)
+                                            for d in (report.discord_a, report.discord_s))]
+    dev["trace_summary"] = [_trace_deviation(params)]
+    assert point == [verify._check(name, dev[name]) for name in verify._POINT_CLASSES]
 
 
 def test_check_without_points_reports_zero_deviation():
@@ -440,6 +463,7 @@ def test_check_fails_on_a_nan_deviation():
 
 # The same suite and point_checks at four points, as reprs: every deviation
 # the oracle classes report is the same float whichever route produced it.
+# point_checks ends with the numeric discords and the trace block of run.
 SUITE_4_2_REPR = [
     ("work_measurement", 64, "6.661338147750939e-16"),
     ("work_feedback", 64, "1.3322676295501878e-15"),
@@ -483,6 +507,9 @@ POINT_CHECKS_REPR = {
         ("mutual_information", "1.1102230246251565e-16"),
         ("discord_closed_form", "0.0"),
         ("thermal_entropy", "2.220446049250313e-16"),
+        ("discord_symmetry", "1.6653345369377348e-16"),
+        ("discord_numeric_vs_closed", "2.220446049250313e-16"),
+        ("trace_summary", "3.885780586188048e-16"),
     ],
     (0.3, 0.999999999, 1.2, 1.0): [
         ("work_measurement", "1.7763568394002505e-15"),
@@ -495,6 +522,9 @@ POINT_CHECKS_REPR = {
         ("mutual_information", "5.551115123125783e-16"),
         ("discord_closed_form", "1.1102230246251565e-16"),
         ("thermal_entropy", "3.42357222655675e-16"),
+        ("discord_symmetry", "3.3306690738754696e-16"),
+        ("discord_numeric_vs_closed", "4.107825191113079e-15"),
+        ("trace_summary", "1.422364945889019e-15"),
     ],
     (0.5, 0.5, math.pi / 2, 1e300): [
         ("work_measurement", "0.0"),
@@ -507,6 +537,9 @@ POINT_CHECKS_REPR = {
         ("mutual_information", "4.440892098500626e-16"),
         ("discord_closed_form", "1.1102230246251565e-16"),
         ("thermal_entropy", "1.1102230246251565e-16"),
+        ("discord_symmetry", "0.0"),
+        ("discord_numeric_vs_closed", "4.440892098500626e-16"),
+        ("trace_summary", "4.440892098500626e-16"),
     ],
     (0.2, 0.6, 0.3, 1e-300): [
         ("work_measurement", "0.0"),
@@ -519,6 +552,9 @@ POINT_CHECKS_REPR = {
         ("mutual_information", "4.440892098500626e-16"),
         ("discord_closed_form", "2.220446049250313e-16"),
         ("thermal_entropy", "0.0"),
+        ("discord_symmetry", "1.6653345369377348e-16"),
+        ("discord_numeric_vs_closed", "6.106226635438361e-16"),
+        ("trace_summary", "2.220446049250313e-16"),
     ],
 }
 
