@@ -139,8 +139,9 @@ def bloch_components(rho) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _bloch_components(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    c = np.einsum("kij,ji->k", _PAULI_PRODUCTS, r).real.reshape(4, 4)
-    return c[1:, 0], c[0, 1:], c[1:, 1:]
+    """Bloch data of a state or of each state in a stack ``(..., 4, 4)``."""
+    c = np.einsum("kij,...ji->...k", _PAULI_PRODUCTS, r).real.reshape(*r.shape[:-2], 4, 4)
+    return c[..., 1:, 0], c[..., 0, 1:], c[..., 1:, 1:]
 
 
 def _check_side(measured_side: str) -> None:
@@ -218,12 +219,12 @@ def optimal_measurement(rho, measured_side: str = "A") -> tuple[MeasurementBasis
     """
     _check_side(measured_side)
     r = _two_qubit_state(rho, "optimal_measurement")
-    [(polar, azimuth, gain)] = _optimal_measurements([_bloch_components(r)], [measured_side])
+    [(polar, azimuth, gain)] = _optimal_measurements(_bloch_components(r[None]), [measured_side])
     return MeasurementBasis(polar, azimuth), gain
 
 
 def _optimal_measurements(blochs, sides: Sequence[str]) -> list:
-    """``(polar, azimuth, gain)`` per (``_bloch_components``, measured side) row.
+    """``(polar, azimuth, gain)`` per row of the ``(a, b, t)`` stacks of ``_bloch_components``.
 
     The first 32 polar rows of a 64 x 32 Bloch-sphere grid (a hemisphere:
     an axis and its opposite are one measurement) seed each row with its
@@ -237,7 +238,7 @@ def _optimal_measurements(blochs, sides: Sequence[str]) -> list:
     memory of a stacked search.  A search with rows left after 100 steps
     raises ``DiscordOptimizationError`` (one settles in under 10).
     """
-    a, b, t = (np.array(c) for c in zip(*blochs))
+    a, b, t = blochs
     on_a = np.array([side == "A" for side in sides])[:, None]
     local, other = np.where(on_a, b, a), np.where(on_a, a, b)
     m = np.where(on_a[..., None], t.transpose(0, 2, 1), t)
@@ -310,15 +311,14 @@ def _newton_steps(local: np.ndarray, other: np.ndarray, m: np.ndarray,
     sign = np.copysign(1.0, z)
     c = -1.0 / (sign + z)
     xy = x * y * c
-    frame = (n, np.array([1.0 + sign * x * x * c, sign * xy, -sign * x]), np.array([xy, sign + y * y * c, -y]))
-    # per frame vector e: e . local and m^T e
-    proj = [_dot(e, local) for e in frame]
-    turned = [e[0] * m[0] + e[1] * m[1] + e[2] * m[2] for e in frame]
-    grad = [0.0] * 3  # e . g: the normal component, then the tangent ones
-    hess = {(1, 1): 0.0, (1, 2): 0.0, (2, 2): 0.0}
-    cross = {(i, j): _dot(turned[i], turned[j]) for i, j in hess}
+    # component first, then frame vector e: n and the two tangent ones
+    frame = np.array([[x, 1.0 + sign * x * x * c, xy], [y, sign * xy, sign + y * y * c], [z, -sign * x, -y]])
+    # per frame vector e: e . local and m^T e (component first), and the tangent block of turned^T turned
+    proj, turned = _dot(frame, local[:, None]), _dot(frame[:, None], m[:, :, None])
+    cross = _dot(turned[:, 1:, None], turned[:, None, 1:])
+    grad = hess = 0.0  # e . g (the normal component, then the tangent ones) and E^T H E
     for s in (1.0, -1.0):
-        w = other + s * turned[0]
+        w = other + s * turned[:, 0]
         r = np.sqrt(_dot(w, w))
         r_or_1 = np.where(r > 0.0, r, 1.0)
         p = 0.5 * (1.0 + s * proj[0])
@@ -327,20 +327,19 @@ def _newton_steps(local: np.ndarray, other: np.ndarray, m: np.ndarray,
         mu = np.where(kept, mu, 1.0)
         log, inv = np.log(mu), np.where(kept, 1.0 / mu, 0.0)
         # e . grad |w| / s, for each frame vector e
-        tilt = [_dot(w, v) / r_or_1 for v in turned]
+        tilt = _dot(w[:, None], turned) / r_or_1
         # coefficient of m (I - w^ w^T) m^T; its limit at |w| = 0 is -1 / (4p)
         bend = np.where(r > 0.0, (log[1] - log[0]) / (4.0 * r_or_1), -0.25 * inv[2])
         centre, spread = 2.0 * log[2] - log[0] - log[1], log[0] - log[1]
-        for k in range(3):
-            grad[k] += s * (0.25 * proj[k] * centre - 0.25 * tilt[k] * spread)
-        plus, minus = {k: proj[k] + tilt[k] for k in (1, 2)}, {k: proj[k] - tilt[k] for k in (1, 2)}
-        up, down = {k: inv[0] * plus[k] for k in (1, 2)}, {k: inv[1] * minus[k] for k in (1, 2)}
+        grad = grad + s * (0.25 * proj * centre - 0.25 * tilt * spread)
+        # rows i against columns j of the tangent block of E^T H E
+        along, lean = proj[1:], tilt[1:]
+        plus, minus = along + lean, along - lean
+        up, down = inv[0] * plus, inv[1] * minus
         quarter = 0.25 * inv[2]  # these factors of the Hessian terms are taken once per outcome
-        flat = {k: quarter * proj[k] for k in (1, 2)}
-        for i, j in hess:
-            hess[i, j] += (-(up[i] * plus[j] + down[i] * minus[j]) / 16.0
-                           + flat[i] * proj[j] + bend * (cross[i, j] - tilt[i] * tilt[j]))
-    h11, h12, h22 = hess[1, 1] - grad[0], hess[1, 2], hess[2, 2] - grad[0]
+        hess = hess + (-(up[:, None] * plus + down[:, None] * minus) / 16.0
+                       + (quarter * along)[:, None] * along + bend * (cross - lean[:, None] * lean))
+    h11, h12, h22 = hess[0, 0] - grad[0], hess[0, 1], hess[1, 1] - grad[0]
     # the Hessian's eigenvectors are (cos, sin) and (-sin, cos)
     angle = 0.5 * np.arctan2(2.0 * h12, h11 - h22)
     cos, sin = np.cos(angle), np.sin(angle)
@@ -350,7 +349,7 @@ def _newton_steps(local: np.ndarray, other: np.ndarray, m: np.ndarray,
     v2 = (sin * grad[1] - cos * grad[2]) / np.maximum(np.abs(lam2), _CURVATURE_FLOOR)
     t1, t2 = cos * v1 - sin * v2, sin * v1 + cos * v2
     length = np.sqrt(t1 * t1 + t2 * t2)
-    unit = (t1 * frame[1] + t2 * frame[2]) / np.where(length > 0.0, length, 1.0)
+    unit = (t1 * frame[:, 1] + t2 * frame[:, 2]) / np.where(length > 0.0, length, 1.0)
     return unit, np.minimum(length, _MAX_TURN), np.sqrt(grad[1] * grad[1] + grad[2] * grad[2])
 
 
@@ -362,7 +361,7 @@ def discord_numeric(rho, measured_side: str = "A") -> float:
     """
     _check_side(measured_side)
     r = _two_qubit_state(rho, "discord_numeric")
-    [(_, _, gain)] = _optimal_measurements([_bloch_components(r)], [measured_side])
+    [(_, _, gain)] = _optimal_measurements(_bloch_components(r[None]), [measured_side])
     return _discord(float(_mutual_information(r)), gain)
 
 
@@ -378,7 +377,7 @@ def classical_correlations(rho, measured_side: str = "A") -> float:
     _check_side(measured_side)
     r = _two_qubit_state(rho, "classical_correlations")
     mi = float(_mutual_information(r))
-    [(_, _, gain)] = _optimal_measurements([_bloch_components(r)], [measured_side])
+    [(_, _, gain)] = _optimal_measurements(_bloch_components(r[None]), [measured_side])
     return mi - _discord(mi, gain)
 
 
@@ -403,7 +402,7 @@ def _reports(rho_m: np.ndarray, discords: Sequence[float], numeric: bool = False
     d_a = d_s = [None] * n
     if numeric:
         gains = [g for _, _, g in _optimal_measurements(
-            [_bloch_components(r) for r in rho_m] * 2, ["A"] * n + ["S"] * n)]
+            tuple(np.concatenate([c, c]) for c in _bloch_components(rho_m)), ["A"] * n + ["S"] * n)]
         d_a, d_s = ([_discord(m, g) for m, g in zip(mi, side)] for side in (gains[:n], gains[n:]))
     return [_record(CorrelationReport, c, eof_from_concurrence(c), m, a, s, d,
                     None if a is None else m - a)

@@ -271,7 +271,7 @@ def _seed_axes():
 
 def _kernel_rows(states):
     """(local, other, m) of every state measured on A, then on S, as one stack."""
-    a, b, t = (np.array(c) for c in zip(*map(bloch_components, states)))
+    a, b, t = correlations._bloch_components(np.array(states))
     return (np.concatenate([b, a]), np.concatenate([a, b]),
             np.concatenate([t.transpose(0, 2, 1), t]))
 
@@ -337,10 +337,14 @@ def search_rows():
         g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         states.append(g @ g.conj().T / np.trace(g @ g.conj().T).real)
     states += [run_protocol(p).rho_m for p in standard_grid(4)]
-    blochs = [bloch_components(rho) for rho in states] * 2
+    blochs = tuple(np.concatenate([c, c]) for c in correlations._bloch_components(np.array(states)))
     sides = ["A"] * len(states) + ["S"] * len(states)
-    alone = [correlations._optimal_measurements([b], [s])[0] for b, s in zip(blochs, sides)]
-    return blochs, sides, alone
+    return blochs, sides, _one_row_searches(blochs, sides)
+
+
+def _one_row_searches(blochs, sides):
+    return [correlations._optimal_measurements(tuple(c[i:i + 1] for c in blochs), [s])[0]
+            for i, s in enumerate(sides)]
 
 
 # 4096 is the default budget; 1000 scores one seed row and 1000 Newton rows
@@ -367,7 +371,7 @@ def test_stacked_search_rows_equal_one_row_searches_when_every_row_backtracks(se
 
     monkeypatch.setattr(correlations, "_newton_steps", overshooting)
     blochs, sides, _ = search_rows
-    alone = [correlations._optimal_measurements([b], [s])[0] for b, s in zip(blochs, sides)]
+    alone = _one_row_searches(blochs, sides)
     calls, newton_calls[:] = _record_kernel_calls(monkeypatch), []
     stacked = correlations._optimal_measurements(blochs, sides)
     assert len(stacked) == len(alone) == 256
@@ -385,7 +389,7 @@ def test_refined_axes_score_no_higher_than_a_dense_scan_or_their_seed(search_row
                                             np.linspace(0.0, 2.0 * math.pi, 360, endpoint=False)))
     seed = _seed_axes()
     for row in [*range(64), *range(128, 192)]:
-        a, b, t = blochs[row]
+        a, b, t = (c[row] for c in blochs)
         local, other, m = (b, a, t.T) if sides[row] == "A" else (a, b, t)
         polar, azimuth, _ = alone[row]
 
@@ -405,7 +409,7 @@ def test_the_closed_form_discord_axes_are_stationary():
         ProtocolParams(*p) for p in [(0.0, 0.5, 0.7), (0.4, 0.4, 0.9), (0.3, 1.0 - 1e-9, 1.0),
                                      (0.0, 1.0 - 1e-9, 0.4), (0.5, 0.8, 0.0), (0.5, 0.8, HALF_PI),
                                      (0.9, 1.0 - 1e-9, HALF_PI), (0.6, 0.6, HALF_PI)]]
-    a, b, t = (np.array(c) for c in zip(*(bloch_components(run_protocol(p).rho_m) for p in points)))
+    a, b, t = correlations._bloch_components(np.array([run_protocol(p).rho_m for p in points]))
     phi = np.array([p.phi for p in points])
     zero = np.zeros_like(phi)
     x, measured = np.array([zero + 1.0, zero, zero]), np.array([np.sin(phi), zero, np.cos(phi)])
@@ -429,8 +433,8 @@ def _record_kernel_calls(monkeypatch):
 
 def test_kernel_calls_stay_within_the_memory_budget(monkeypatch):
     calls = _record_kernel_calls(monkeypatch)
-    rows = [bloch_components(rho_m_at(0.1 * k, 0.9, 0.3 * k)) for k in range(1, 6)] * 2
-    correlations._optimal_measurements(rows, ["A"] * 5 + ["S"] * 5)
+    states = np.array([rho_m_at(0.1 * k, 0.9, 0.3 * k) for k in range(1, 6)] * 2)
+    correlations._optimal_measurements(correlations._bloch_components(states), ["A"] * 5 + ["S"] * 5)
     seed_axes = 32 * 32  # the upper hemisphere of the 64 x 32 seed grid
     assert calls[0][1] == seed_axes
     assert all(r * k <= 4096 for r, k in calls)
@@ -552,3 +556,18 @@ def test_bloch_components_of_product_state():
     assert np.allclose(a, [0, 0, -0.4], atol=1e-12)
     assert np.allclose(b, [0, 0, -0.8], atol=1e-12)
     assert np.allclose(t, np.outer(a, b), atol=1e-12)
+
+
+def test_bloch_components_of_a_stack_are_the_per_state_calls_bit_for_bit():
+    # the standard_grid(12) rho_m and 500 random states, one stacked call against one call each
+    rng = np.random.default_rng(20261019)
+    g = rng.normal(size=(500, 4, 4)) + 1j * rng.normal(size=(500, 4, 4))
+    random = g @ g.conj().transpose(0, 2, 1)
+    random /= np.trace(random, axis1=1, axis2=2).real[:, None, None]
+    grid = np.array([run_protocol(p).rho_m for p in standard_grid(12)])
+    for states in (grid, random):
+        stacked = correlations._bloch_components(states)
+        assert [c.shape for c in stacked] == [(len(states), 3), (len(states), 3), (len(states), 3, 3)]
+        for i, rho in enumerate(states):
+            for row, one in zip(stacked, correlations._bloch_components(rho)):
+                assert row[i].tobytes() == one.tobytes(), i
