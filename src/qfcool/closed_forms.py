@@ -197,9 +197,9 @@ def _report(c: _Column, r: _Row) -> ThermoReport:
     t, load = c.temperature, c.cooling_load
     gap_a, gap_s = c.eps_a - c.eps_s * r.sin, c.eps_s - c.eps_a * r.sin
     q = t * gap_a * c.atanh_a
-    de_s = -t * gap_s * c.atanh_s
+    de_s = 0.0 - t * gap_s * c.atanh_s  # 0.0 - x is -x but for a zero, which stays +0.0
     w = -de_s + q
-    w_m = -t * (c.eps_s * r.sin2 * c.atanh_s + c.ea_atanh_a)
+    w_m = 0.0 - t * (c.eps_s * r.sin2 * c.atanh_s + c.ea_atanh_a)
     w_f = t * (c.y * r.sin - c.a * r.cos2)
     if not all(map(math.isfinite, (load, q, de_s, w, w_m, w_f, c.omega_s, c.omega_a))):
         raise ValueError(f"temperature {t!r} makes the cycle energies overflow")

@@ -226,9 +226,12 @@ def optimal_measurement(rho, measured_side: str = "A") -> tuple[MeasurementBasis
 def _optimal_measurements(blochs, sides: Sequence[str]) -> list:
     """``(polar, azimuth, gain)`` per row of the ``(a, b, t)`` stacks of ``_bloch_components``.
 
-    The first 32 polar rows of a 64 x 32 Bloch-sphere grid (a hemisphere:
-    an axis and its opposite are one measurement) seed each row with its
-    best axis (the first on ties).  Newton steps on the unit sphere
+    Each row starts from its best axis of 1,027: the first 32 polar rows of
+    a 64 x 32 Bloch-sphere grid (a hemisphere: an axis and its opposite
+    are one measurement), then the three eigenvectors of x x^T + M M^T
+    (``local`` and ``m``; the geometric discord's optimal axis, Dakic,
+    Vedral and Brukner, PRL 105, 190502 (2010)), scored in a separate
+    call.  The first wins ties.  Newton steps on the unit sphere
     (``_newton_steps``) then refine it.  A step turns the axis by at most
     one azimuth step of the seed grid, and each row halves its own step
     until the conditional entropy does not rise.  A row leaves the search
@@ -253,8 +256,16 @@ def _optimal_measurements(blochs, sides: Sequence[str]) -> list:
     # a budget below one seed (1,024 axes) still scores one row per call
     values = scan(active, max(1, _SCAN_BUDGET // len(seed)), lambda _: seed)
     pick = values.argmin(axis=1)
-    conditional = values[active, pick]
-    axes = seed[pick].T.copy()  # component first, as _newton_steps takes them
+    axes, conditional = seed[pick], values[active, pick]
+    # the principal axes (row, axis, component): the eigenvectors of x x^T + M M^T
+    columns = m.transpose(2, 0, 1)
+    gram = local[:, :, None] * local[:, None] + _dot(columns[..., None], columns[:, :, None])
+    principal = np.linalg.eigh(gram)[1].transpose(0, 2, 1)
+    values = scan(active, _SCAN_BUDGET // 3, lambda part: principal[part])
+    pick = values.argmin(axis=1)
+    lower = values[active, pick] < conditional  # the grid wins ties
+    axes[lower], conditional[lower] = principal[lower, pick[lower]], values[lower, pick[lower]]
+    axes = axes.T.copy()  # component first, as _newton_steps takes them
 
     for _ in range(_MAX_STEPS):
         unit, turn, slope = _newton_steps(local[active].T, other[active].T, m[active].transpose(1, 2, 0),

@@ -207,9 +207,12 @@ def test_one_sided_measures_reject_an_unknown_side(bell_state, function):
         function(bell_state, "B")
 
 
-def test_optimizer_iteration_cap_raises(monkeypatch):
+def test_optimizer_iteration_cap_raises(monkeypatch, random_density):
+    # a random state, whose search settles but takes more than one step; a protocol
+    # state's search starts on its optimal axis (a principal axis) and settles in one
+    rho = random_density(4)
+    discord_numeric(rho, "A")
     monkeypatch.setattr(correlations, "_MAX_STEPS", 1)
-    rho = rho_m_at(0.4, 0.8, 0.7)
     with pytest.raises(DiscordOptimizationError, match="within 1 Newton steps"):
         discord_numeric(rho, "A")
 
@@ -347,8 +350,9 @@ def _one_row_searches(blochs, sides):
             for i, s in enumerate(sides)]
 
 
-# 4096 is the default budget; 1000 scores one seed row and 1000 Newton rows
-# per call, 300 one seed row and 300 Newton rows, so chunks end mid-stack.
+# 4096 is the default budget; 1000 scores one seed row, 333 rows of principal
+# axes and 1000 Newton rows per call, 300 one seed row, 100 principal rows and
+# 300 Newton rows, so chunks end mid-stack.
 @pytest.mark.parametrize("budget", [4096, 1000, 300])
 def test_stacked_search_rows_equal_one_row_searches(search_rows, budget, monkeypatch):
     blochs, sides, alone = search_rows

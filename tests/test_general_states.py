@@ -163,8 +163,6 @@ def test_werner_states_have_luos_discord_and_their_concurrence():
         assert abs(concurrence(rho) - max(0.0, (3 * p - 1) / 2)) <= BOUND
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 10: the search settles on the z axis, a local minimum")
 def test_discord_of_an_x_state_reaches_a_dense_scan_of_the_sphere():
     rho = np.diag([0.08085, 0.394444, 0.470035, 0.054671]).astype(complex)
     rho[0, 3], rho[1, 2] = 0.036258 - 0.033133j, 0.312909 + 0.032096j

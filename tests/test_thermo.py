@@ -215,6 +215,21 @@ def test_figures_of_merit_reversible_point():
     assert abs(report.total_work) <= 1e-15
 
 
+@pytest.mark.parametrize("temperature", [1e-300, 1.0, 2.3, 1e300])
+def test_no_energy_is_a_negative_zero_on_the_zero_energy_edges(temperature):
+    # eps_s = 0 (the register holds no energy) and the reversible corner eps_a = eps_s,
+    # phi = pi/2 (no energy moves); JSON would print a -0.0 as such
+    points = [(0.0, eps_a, phi) for eps_a in (0.0, 0.5, 1.0 - 1e-9) for phi in (0.0, 0.7, HALF_PI)]
+    points += [(eps, eps, HALF_PI) for eps in (0.0, 0.1, 0.4, 0.9)]
+    energies = ("work_measurement", "work_feedback", "heat_reset", "delta_e_system",
+                "cooling_load", "total_work")
+    for point in points:
+        report = figures_of_merit(ProtocolParams(*point, temperature=temperature))
+        for name in energies:
+            value = getattr(report, name)
+            assert value != 0.0 or math.copysign(1.0, value) > 0.0, (point, name)
+
+
 def test_thermodynamic_inequalities_on_grid():
     for params in params_grid(8):
         report = figures_of_merit(params)
@@ -333,11 +348,12 @@ def per_quantity_report(es, ea, phi, t):
     """Every figure of merit from its own closed-form expression, each
     recomputing its transcendentals (as figures_of_merit did before the
     closed forms were factored by grid axis)."""
-    w_m = -t * (es * math.sin(phi) ** 2 * math.atanh(es) + ea * math.atanh(ea))
+    # 0.0 - x rather than -x: a zero energy is +0.0
+    w_m = 0.0 - t * (es * math.sin(phi) ** 2 * math.atanh(es) + ea * math.atanh(ea))
     y = ea * math.atanh(es) + es * math.atanh(ea)
     w_f = t * (y * math.sin(phi) - es * math.atanh(es) * math.cos(phi) ** 2)
     q = t * (ea - es * math.sin(phi)) * math.atanh(ea)
-    de_s = -t * (es - ea * math.sin(phi)) * math.atanh(es)
+    de_s = 0.0 - t * (es - ea * math.sin(phi)) * math.atanh(es)
     reduction = (ea * math.atanh(ea) - es * math.atanh(es)
                  + 0.5 * math.log((1.0 - ea * ea) / (1.0 - es * es)))
     load = t * reduction
