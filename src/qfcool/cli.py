@@ -28,8 +28,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .closed_forms import (
-    EPS_A_CLAMP, OBJECTIVES, ProtocolParams, _correlations, _trace_summary, discord_threshold,
-    figures_of_merit, optimize_working_point,
+    EPS_A_CLAMP, OBJECTIVES, ProtocolParams, _correlations, _require_count, _trace_summary,
+    discord_threshold, figures_of_merit, optimize_working_point,
 )
 
 if TYPE_CHECKING:  # annotations only: the matrix layer loads numpy
@@ -208,15 +208,13 @@ def cmd_sweep(opts: dict) -> int:
     if phis is not None:
         phis = [_radians(opts, v) for v in phis]
     elif landscape_mode:
-        if opts["n_phi"] < 1:
-            raise ValueError("n_phi must be at least 1")
+        _require_count("n_phi", opts["n_phi"], 1)
         phis = np.linspace(0.0, math.pi / 2, opts["n_phi"]).tolist()
     else:
         phis = _DEFAULT_SWEEP_PHIS
     eps_a_min = eps_s if opts["eps_a_min"] is None else opts["eps_a_min"]
     eps_a_max, n_eps_a = opts["eps_a_max"], opts["n_eps_a"]
-    if n_eps_a < 2:
-        raise ValueError("n_eps_a must be at least 2")
+    _require_count("n_eps_a", n_eps_a, 2)
     eps_a_values = tuple(eps_a_min + (eps_a_max - eps_a_min) * i / (n_eps_a - 1)
                          for i in range(n_eps_a))
     grid = sweep.SweepGrid(eps_s=eps_s, phi_values=tuple(sorted(phis)),

@@ -45,32 +45,27 @@ class SweepGrid:
     temperature: float = 1.0
 
     def __post_init__(self):
-        # Each value is checked as ProtocolParams checks it (the grid's points
-        # get no other check), finiteness first: NaN passes every bound.
+        # Finiteness first (NaN passes every bound), then ProtocolParams at the
+        # two corners: on strictly increasing axes they bound every point.
         for name in ("eps_s", "temperature"):
             if not _is_finite_real(getattr(self, name)):
                 raise ValueError(f"{name} must be a finite number")
-            object.__setattr__(self, name, float(getattr(self, name)))
         for name in ("phi_values", "eps_a_values"):
             values = tuple(getattr(self, name))
             if not all(map(_is_finite_real, values)):
                 raise ValueError(f"{name} must all be finite numbers")
-            object.__setattr__(self, name, tuple(map(float, values)))
-        if not 0.0 <= self.eps_s < 1.0:
-            raise ValueError("eps_s must be in [0, 1)")
-        if self.temperature <= 0.0:
-            raise ValueError("temperature must be positive")
-        for name, values in (("phi_values", self.phi_values), ("eps_a_values", self.eps_a_values)):
             if not values:
                 raise ValueError(f"{name} must not be empty")
+            object.__setattr__(self, name, tuple(map(float, values)))
+        eps_a, phi = self.eps_a_values, self.phi_values
+        p = ProtocolParams(self.eps_s, eps_a[0], phi[0], self.temperature)
+        ProtocolParams(p.eps_s, eps_a[-1], phi[-1], p.temperature)
+        object.__setattr__(self, "eps_s", p.eps_s)
+        object.__setattr__(self, "temperature", p.temperature)
+        # Last, so that a reversed eps_a axis from eps_s >= 1 names eps_s.
+        for name, values in (("phi_values", phi), ("eps_a_values", eps_a)):
             if any(b <= a for a, b in zip(values, values[1:])):
                 raise ValueError(f"{name} must be strictly increasing")
-        if not (0.0 <= self.phi_values[0] and self.phi_values[-1] <= math.pi / 2):
-            raise ValueError("phi values must lie in [0, pi/2]")
-        if self.eps_a_values[0] < self.eps_s:
-            raise ValueError("eps_a values must not fall below eps_s")
-        if self.eps_a_values[-1] >= 1.0:
-            raise ValueError("eps_a values must be below 1")
 
 
 @dataclass(frozen=True)
@@ -205,12 +200,6 @@ def _curve_points(g: _Grid, include_correlations: bool) -> list[CurvePoint]:
     corr = g.correlations if include_correlations else itertools.repeat(None)
     return [closed_forms._record(CurvePoint, c.eps_a, r.phi, report, k)
             for (c, r), report, k in zip(g.cells(), g.reports, corr)]
-
-
-def evaluate_grid(grid: SweepGrid, include_correlations: bool = False) -> list[CurvePoint]:
-    """Evaluate every (phi, eps_a) grid point, phi outer and eps_a inner."""
-    return _curve_points(_Grid([(grid.eps_s, grid.eps_a_values)], grid.phi_values, grid.temperature),
-                         include_correlations)
 
 
 def characteristic_curve(eps_s: float, phi: float, n_points: int,

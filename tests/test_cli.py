@@ -221,7 +221,7 @@ def test_sweep_landscape_rejects_fewer_than_one_angle(capsys, n_phi):
     code, out, err = run_cli(capsys, "sweep", "--landscape", "--n-phi", n_phi)
     assert code == 2
     assert out == ""
-    assert err == "error: n_phi must be at least 1\n"
+    assert err == f"error: n_phi must be at least 1, got {n_phi}\n"
 
 
 def test_sweep_landscape_accepts_one_angle(capsys):
@@ -250,6 +250,19 @@ def test_sweep_evaluates_no_ancilla_bias_above_the_reported_clamp(capsys):
     assert code == 0
     doc = json.loads(out)
     assert max(point["eps_a"] for point in doc["points"]) <= 1.0 - doc["grid"]["eps_a_clamp"]
+
+
+@pytest.mark.parametrize("run_args, sweep_args, message", [
+    (("--eps-a", "0.8", "--phi", "2"), ("--phi", "2"), "phi must be in [0, pi/2]"),
+    (("--eps-a", "1.5", "--phi", "1"), ("--eps-a-max", "1.5", "--phi", "1"),
+     "eps_a must be in [0, 1)"),
+    (("--eps-a", "0.2", "--phi", "1"), ("--eps-a-min", "0.2", "--phi", "1"),
+     "eps_s must not exceed eps_a"),
+], ids=["phi", "eps_a_above_one", "eps_a_below_eps_s"])
+def test_run_and_sweep_word_a_bound_alike(capsys, run_args, sweep_args, message):
+    ran = run_cli(capsys, "run", "--eps-s", "0.4", *run_args)
+    swept = run_cli(capsys, "sweep", "--eps-s", "0.4", *sweep_args)
+    assert ran == swept == (2, "", f"error: {message}\n")
 
 
 def test_sweep_invalid_grid_is_domain_error(capsys):

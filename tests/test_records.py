@@ -21,7 +21,7 @@ RECORD_CLASSES = (ThermoReport, CorrelationReport, CurvePoint)
 def _grid_records():
     """One record of each class, taken from a real landscape grid point."""
     grid = sweep.SweepGrid(eps_s=0.4, phi_values=(0.3, 1.2), eps_a_values=(0.5, 0.9))
-    point = sweep.evaluate_grid(grid, include_correlations=True)[-1]
+    point = sweep.landscape(grid, {"thermo", "correlations"}).points[-1]
     return {CurvePoint: point, ThermoReport: point.thermo, CorrelationReport: point.correlations}
 
 

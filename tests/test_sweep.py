@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import signal
 from fractions import Fraction
 
@@ -46,9 +47,16 @@ def test_sweep_grid_validation():
         SweepGrid(0.4, (1.0, 0.5), (0.4, 0.9))
     with pytest.raises(ValueError, match="strictly increasing"):
         SweepGrid(0.4, (0.5, 0.5), (0.4, 0.9))
-    with pytest.raises(ValueError, match="fall below eps_s"):
+    with pytest.raises(ValueError, match="^phi_values must be strictly increasing$"):
+        SweepGrid(0.4, (0.3, 1.2, 0.7), (0.4, 0.9))
+    with pytest.raises(ValueError, match="^eps_a_values must be strictly increasing$"):
+        SweepGrid(0.4, (0.5,), (0.9, 0.4))
+    # the corners' bounds come first: eps_s = 1 reverses the default eps_a axis
+    with pytest.raises(ValueError, match=r"^eps_s must be in \[0, 1\)$"):
+        SweepGrid(1.0, (0.5,), (1.0, TOP))
+    with pytest.raises(ValueError, match="^eps_s must not exceed eps_a$"):
         SweepGrid(0.4, (0.5,), (0.2, 0.9))
-    with pytest.raises(ValueError, match="below 1"):
+    with pytest.raises(ValueError, match=r"^eps_a must be in \[0, 1\)$"):
         SweepGrid(0.4, (0.5,), (0.5, 1.0))
     with pytest.raises(ValueError, match="must not be empty"):
         SweepGrid(0.4, (), (0.5,))
@@ -62,17 +70,21 @@ def test_sweep_grid_validation():
     ("phi_values", {"phi_values": (0.1, math.nan, 0.5)}),
     ("eps_a_values", {"eps_a_values": (0.5, math.nan, 0.9)}),
     ("eps_a_values", {"eps_a_values": (0.5, math.inf)}),
+    ("phi_values", {"phi_values": (0.1, math.inf, 0.5)}),
+    ("phi_values", {"phi_values": (0.1, -math.inf, 0.5)}),
+    ("eps_a_values", {"eps_a_values": (0.5, math.inf, 0.9)}),
 ])
 def test_sweep_grid_rejects_non_finite_values(field, kwargs):
     fields = {"eps_s": 0.2, "phi_values": (0.1, 0.5), "eps_a_values": (0.5, 0.9),
               "temperature": 1.0, **kwargs}
-    with pytest.raises(ValueError, match=f"^{field} must"):
+    message = "must all be finite numbers" if field.endswith("_values") else "must be a finite number"
+    with pytest.raises(ValueError, match=f"^{field} {message}$"):
         SweepGrid(**fields)
 
 
 @pytest.mark.parametrize("phi_values", [(0.0, 2.0), (-0.1, 1.0), (2.0,)])
 def test_sweep_grid_rejects_phi_outside_quarter_turn(phi_values):
-    with pytest.raises(ValueError, match=r"phi values must lie in \[0, pi/2\]"):
+    with pytest.raises(ValueError, match=r"^phi must be in \[0, pi/2\]$"):
         SweepGrid(0.4, phi_values, (0.5, 0.6))
 
 
@@ -96,19 +108,47 @@ def grid_and_params(field, value):
     return grid, fields
 
 
+def grid_error(field, value):
+    """SweepGrid's message for ``value`` in ``field`` (None if valid): an axis's own
+    finiteness text, else the message of ProtocolParams at the same point."""
+    try:
+        ProtocolParams(**{**GOOD, field: value})
+    except ValueError as error:
+        if field in ("eps_a", "phi") and not closed_forms._is_finite_real(value):
+            return f"{field}_values must all be finite numbers"
+        return str(error)
+    return None
+
+
 @pytest.mark.parametrize("field", list(AS_GRID_FIELD))
 @pytest.mark.parametrize("value", BAD_VALUES, ids=repr)
 def test_sweep_grid_rejects_every_value_protocol_params_rejects(field, value):
     grid, fields = grid_and_params(field, value)
-    try:
-        params = ProtocolParams(**fields)
-    except ValueError:
-        with pytest.raises(ValueError, match=f"^{field}"):
+    message = grid_error(field, value)
+    if message is not None:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             SweepGrid(**grid)
     else:
+        params = ProtocolParams(**fields)
         made = SweepGrid(**grid)
         assert (made.eps_s, made.eps_a_values, made.phi_values, made.temperature) == (
             params.eps_s, (params.eps_a,), (params.phi,), params.temperature)
+
+
+# Valid axis values below and above GOOD's eps_a and phi.
+INNER = {"eps_a": (0.3, 0.8), "phi": (0.3, 1.2)}
+
+
+@pytest.mark.parametrize("field, value", [(f, v) for f in INNER for v in BAD_VALUES
+                                          if grid_error(f, v) is not None], ids=repr)
+@pytest.mark.parametrize("corner", ["first", "last"])
+def test_sweep_grid_rejects_a_bad_value_at_either_corner(field, value, corner):
+    lo, hi = INNER[field]
+    axis = (value, hi) if corner == "first" else (lo, value)
+    grid, _ = grid_and_params(field, value)
+    grid[f"{field}_values"] = axis
+    with pytest.raises(ValueError, match=f"^{re.escape(grid_error(field, value))}$"):
+        SweepGrid(**grid)
 
 
 def test_sweep_grid_stores_floats():
@@ -124,14 +164,16 @@ def test_scalar_searches_and_grids_validate_once(monkeypatch):
     real = ProtocolParams.__post_init__
     monkeypatch.setattr(ProtocolParams, "__post_init__",
                         lambda self: made.append(None) or real(self))
-    landscape(SweepGrid(0.4, (0.0, 0.7, HALF_PI), (0.4, 0.6, TOP)), {"thermo", "correlations"})
-    assert len(made) == 0
+    grid = SweepGrid(0.4, (0.0, 0.7, HALF_PI), (0.4, 0.6, TOP))
+    assert len(made) == 2  # the grid's two corners
+    landscape(grid, {"thermo", "correlations"})
+    assert len(made) == 2  # none per point
     characteristic_curve(0.3, 0.9, 50, include_correlations=True)
-    assert len(made) == 2  # the two ends of the eps_a axis
+    assert len(made) == 4  # the two ends of the eps_a axis
     optimize_working_point("chi", 0.3, 1.0)
-    assert len(made) == 3
+    assert len(made) == 5
     eps_a_for_cooling_load(0.3, 0.1)
-    assert len(made) == 4
+    assert len(made) == 6
 
 
 # ---------------------------------------------------------------------------
