@@ -205,10 +205,10 @@ def cmd_sweep(opts: dict) -> int:
     from . import sweep
     import numpy as np
     eps_s, landscape_mode, phis = opts["eps_s"], opts["landscape"], opts["phi"]
+    _require_count("n_phi", opts["n_phi"], 1)  # in every mode, as its type is
     if phis is not None:
         phis = [_radians(opts, v) for v in phis]
     elif landscape_mode:
-        _require_count("n_phi", opts["n_phi"], 1)
         phis = np.linspace(0.0, math.pi / 2, opts["n_phi"]).tolist()
     else:
         phis = _DEFAULT_SWEEP_PHIS

@@ -14,12 +14,11 @@ evaluate through the same factors and are re-exported here.  Everything runs in-
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -97,10 +96,10 @@ _Point = namedtuple("_Point", "eps_s eps_a phi temperature")
 
 class _Grid:
     """The cycle on validated axes: a series per register bias eps_s, each with its
-    own eps_a axis, times one phi axis, at one temperature.
+    own eps_a axis of one common length, times one phi axis, at one temperature.
 
     Points run in (series, phi, eps_a) order, as a landscape emits them, and
-    readers select them by axis index (``nested``).  Construction builds the
+    readers select them by axis index on the box ``shape``.  Construction builds the
     closed forms: a column per eps_a of each series, a row per phi, each
     point's report and one closed-form discord per (eps_s, phi).  Each matrix
     stack is built once, on first use, and only for the reader that asks.
@@ -111,6 +110,7 @@ class _Grid:
         self.temperature, self.discord_stride = temperature, discord_stride
         self.columns = [closed_forms._columns(eps_s, eps_a, temperature) for eps_s, eps_a in series]
         self.rows = [closed_forms._row(phi) for phi in phi_values]
+        self.shape = (len(series), len(self.rows), len(series[0][1]))
         report = closed_forms._report  # figures_of_merit's call, on columns and rows built once
         self.reports = [report(c, r) for c, r in self.cells()]
         self.discord_analytic = [d for (eps_s, _), columns in zip(series, self.columns) for r in self.rows
@@ -124,12 +124,6 @@ class _Grid:
     @cached_property
     def points(self) -> list[_Point]:
         return [_Point(c.eps_s, c.eps_a, r.phi, self.temperature) for c, r in self.cells()]
-
-    def nested(self, values: Iterable) -> list[list[list]]:
-        """``values``, one per point in grid order, as [series][phi row][eps_a column] lists."""
-        values = iter(values)
-        return [[list(itertools.islice(values, len(columns))) for _ in self.rows]
-                for columns in self.columns]
 
     @cached_property
     def correlations(self) -> list[CorrelationReport]:
@@ -187,9 +181,8 @@ class _Grid:
     def discord_reports(self) -> list[CorrelationReport]:
         """``correlation_report`` at each point whose axis indices are all multiples of the
         stride: both numeric discords from one search, the mutual information shared."""
-        stride = self.discord_stride
-        index = [k for series in self.nested(range(len(self.points)))[::stride]
-                 for row in series[::stride] for k in row[::stride]]
+        s = self.discord_stride
+        index = np.arange(len(self.points)).reshape(self.shape)[::s, ::s, ::s].ravel()
         mi = (self.entropy("rho_m_s") + self.entropy("rho_m_a") - self.entropy("rho_m"))[index].tolist()
         return correlations._reports(self.trace.rho_m[index], [self.discord_analytic[k] for k in index],
                                      numeric=True, mutual_info=mi)
@@ -197,7 +190,7 @@ class _Grid:
 
 def _curve_points(g: _Grid, include_correlations: bool) -> list[CurvePoint]:
     """Every point of ``g`` in grid order, its correlations only if asked for."""
-    corr = g.correlations if include_correlations else itertools.repeat(None)
+    corr = g.correlations if include_correlations else [None] * len(g.reports)
     return [closed_forms._record(CurvePoint, c.eps_a, r.phi, report, k)
             for (c, r), report, k in zip(g.cells(), g.reports, corr)]
 

@@ -146,11 +146,11 @@ def _trace_summary(g: _Grid) -> list[float]:
 
 
 def _monotone_in_phi(field: str) -> Callable[[_Grid], list[float]]:
-    """Rise of ``field`` between neighbouring phi in each (eps_s, eps_a) series."""
+    """Rise of ``field`` between neighbouring phi in each (eps_s, eps_a) series, where defined."""
     def deviations(g: _Grid) -> list[float]:
-        return [max(0.0, a - b) for series in g.nested(getattr(r, field) for r in g.reports)
-                for column in zip(*series) for a, b in zip(column, column[1:])
-                if a is not None and b is not None]
+        v = np.array([getattr(r, field) for r in g.reports], dtype=float).reshape(g.shape)  # None: NaN
+        rise = v[:, :-1] - v[:, 1:]
+        return np.maximum(0.0, rise[~np.isnan(rise)]).tolist()
     return deviations
 
 

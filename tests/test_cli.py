@@ -224,6 +224,22 @@ def test_sweep_landscape_rejects_fewer_than_one_angle(capsys, n_phi):
     assert err == f"error: n_phi must be at least 1, got {n_phi}\n"
 
 
+@pytest.mark.parametrize("flags, config, n_phi", [
+    (("--n-phi", "0"), None, "0"),
+    (("--landscape", "--phi", "0.5", "--n-phi", "-3", "--n-eps-a", "2"), None, "-3"),
+    ((), "n_phi = 0\n", "0"),
+], ids=["curves", "landscape-explicit-phi", "curves-config"])
+def test_sweep_rejects_fewer_than_one_angle_where_it_does_not_read_n_phi(capsys, tmp_path,
+                                                                          flags, config, n_phi):
+    # a count below its bound exits 2 in every mode, as a count that is not an integer does
+    if config is not None:
+        (tmp_path / "c.cfg").write_text(config)
+        flags = (*flags, "--config", str(tmp_path / "c.cfg"))
+    code, out, err = run_cli(capsys, "sweep", *flags)
+    assert (code, out) == (2, "")
+    assert err == f"error: n_phi must be at least 1, got {n_phi}\n"
+
+
 def test_sweep_landscape_accepts_one_angle(capsys):
     code, out, _ = run_cli(capsys, "sweep", "--landscape", "--n-phi", "1", "--n-eps-a", "3")
     assert code == 0

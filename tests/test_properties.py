@@ -160,6 +160,36 @@ def test_bad_input_exits_2_naming_the_parameter(point, bad, fmt):
     assert_error_line(err, name)
 
 
+# Each command's count options and their lower bounds.
+COUNTS = {"sweep": {"n_phi": 1, "n_eps_a": 2}, "verify": {"grid_n": 2, "discord_stride": 1}}
+
+
+@st.composite
+def bad_counts(draw):
+    """A command's arguments, with a non-empty subset of its counts each below its bound."""
+    command = draw(st.sampled_from(sorted(COUNTS)))
+    bounds = COUNTS[command]
+    names = draw(st.lists(st.sampled_from(sorted(bounds)), min_size=1, unique=True))
+    bad = {name: draw(st.integers(-10 ** 6, bounds[name] - 1)) for name in names}
+    args = [command, *(f"--{name.replace('_', '-')}={value}" for name, value in bad.items())]
+    if command == "sweep":
+        args += ["--landscape"] * draw(st.booleans()) + ["--phi=0.5"] * draw(st.booleans())
+    return args, bad
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(counts=bad_counts(), fmt=st.sampled_from(["json", "csv"]))
+def test_a_count_below_its_bound_exits_2_in_every_mode(counts, fmt):
+    # a count is checked whether or not the mode reads it (sweep reads n_phi in a landscape only)
+    args, bad = counts
+    code, err, docs = emit(args, fmt)
+    assert code == 2, (args, code, err)
+    assert docs == {}
+    # one error line, no traceback, naming one of the bad counts with its bound and value
+    assert any(err == f"error: {name} must be at least {COUNTS[args[0]][name]}, got {value}\n"
+               for name, value in bad.items()), (args, err)
+
+
 @settings(max_examples=40, deadline=None)
 @given(point=points(), name=st.sampled_from(sorted(BAD_VALUES)), data=st.data())
 def test_bad_input_to_the_library_raises_value_error(point, name, data):

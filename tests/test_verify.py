@@ -262,9 +262,9 @@ def _hex_fields(report) -> list:
     ([(0.3, [0.7])], [0.2, 1.2], 1.0),
     # the 13 x 51 landscape axes at eps_s = 0.4
     ([(0.4, np.linspace(0.4, 1.0 - 1e-9, 51).tolist())], np.linspace(0.0, HALF_PI, 13).tolist(), 0.8),
-    # series of different lengths
-    ([(0.0, [0.0, 0.5]), (0.6, [0.6, 0.7, 0.95])], [0.0, 0.9, HALF_PI], 2.0),
-], ids=["two-angles", "landscape-13x51", "ragged"])
+    # two series of one length, with different eps_s and eps_a values
+    ([(0.0, [0.0, 0.5, 0.8]), (0.6, [0.6, 0.7, 0.95])], [0.0, 0.9, HALF_PI], 2.0),
+], ids=["two-angles", "landscape-13x51", "two-series"])
 def test_grid_reports_and_oracles_equal_single_point_calls(series, phis, temperature):
     # every point's report and oracle row is its own point's, whatever the grid's shape
     g = sweep._Grid(series, phis, temperature)
@@ -407,6 +407,45 @@ def test_discord_subgrid_reports_are_the_reports_run_emits():
     assert len(grid.discord_reports) == len(covered) == 8
     for report, params in zip(grid.discord_reports, covered):
         assert repr(report) == repr(correlations.correlation_report(params))
+
+
+@pytest.mark.parametrize("n, stride", [(4, 2), (5, 3), (7, 3), (3, 5)])
+def test_discord_subgrid_is_every_stride_th_index_of_each_axis(n, stride):
+    # the (series, phi, eps_a) box read at every stride-th index of each axis, in that order
+    series, phis, temperature = verify._standard_axes(n, 1.0)
+    covered = [ProtocolParams(es, ea, phi, temperature)
+               for i, (es, eps_a) in enumerate(series) if i % stride == 0
+               for j, phi in enumerate(phis) if j % stride == 0
+               for k, ea in enumerate(eps_a) if k % stride == 0]
+    grid = sweep._Grid(series, phis, temperature, stride)
+    assert grid.shape == (n, n, n)
+    assert [repr(r) for r in grid.discord_reports] == [
+        repr(correlations.correlation_report(p)) for p in covered]
+
+
+def _nested_rises(g, field: str) -> list[float]:
+    """The rise of ``field`` between neighbouring phi, walked series by series and column by column."""
+    values, rises = iter(getattr(r, field) for r in g.reports), []
+    for columns in g.columns:
+        rows = [[next(values) for _ in columns] for _ in g.rows]
+        rises += [max(0.0, a - b) for column in zip(*rows) for a, b in zip(column, column[1:])
+                  if a is not None and b is not None]
+    return rises
+
+
+@pytest.mark.parametrize("series, phis", [
+    verify._standard_axes(5, 1.0)[:2],
+    verify._standard_axes(12, 1.0)[:2],
+    ([(0.4, np.linspace(0.4, 1.0 - 1e-9, 51).tolist())], np.linspace(0.0, HALF_PI, 13).tolist()),
+], ids=["standard-5", "standard-12", "landscape-13x51"])
+@pytest.mark.parametrize("field", ["cop", "eta", "chi"])
+def test_monotone_in_phi_deviations_equal_the_nested_walk(series, phis, field):
+    g = sweep._Grid(series, phis, 1.0)
+    if len(series) > 1:
+        assert any(getattr(r, field) is None for r in g.reports)  # the reversible points
+    rises = verify._monotone_in_phi(field)(g)
+    assert all(type(d) is float for d in rises)
+    assert [d.hex() for d in sorted(rises)] == [d.hex() for d in sorted(_nested_rises(g, field))]
 
 
 def test_point_checks_share_the_suite_tolerances():
