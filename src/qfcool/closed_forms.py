@@ -401,8 +401,8 @@ class SeparabilityBoundary:
 
 
 def _require_count(name: str, value: int, least: int) -> None:
-    """A count is an integer (``int`` or numpy) of at least ``least``."""
-    if not isinstance(value, numbers.Integral):
+    """A count is an integer (``int`` or numpy, not ``bool``) of at least ``least``."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ValueError(f"{name} must be at least {least}, got {value!r}")

@@ -2,19 +2,21 @@
 working-point optimization and boundary curves.
 
 All outputs are pure functions of their inputs: recomputing any emitted
-point from scratch reproduces it bit for bit.  ``SweepGrid`` is a grid's
-only validation.  One private evaluator, ``_Grid``, evaluates the cycle
-for landscapes, characteristic curves and ``verify``, ``run --verify``
-among them: closed-form factors built once per eps_a column and phi row,
-and on first use the matrix stacks each reader needs.  The scalar
-searches (working point, cooling-load inverse and the closed-form
-separability angle) live in the numpy-free ``closed_forms`` module,
-evaluate through the same factors and are re-exported here.  Everything runs in-process on the calling thread.
+point from scratch reproduces it bit for bit.  Each grid is validated once,
+where it is built: a landscape's by ``SweepGrid`` at its two corners, a
+characteristic curve's by one ``ProtocolParams`` at its far corner, ``verify``'s
+standard grid at its upper corner and ``run --verify``'s point by its own.
+One private evaluator, ``_Grid``, evaluates the cycle for landscapes,
+characteristic curves and ``verify``, ``run --verify`` among them:
+closed-form factors built once per eps_a column and phi row, and on first
+use the matrix stacks each reader needs.  The scalar searches (working
+point, cooling-load inverse and the closed-form separability angle) live in
+the numpy-free ``closed_forms`` module, evaluate through the same factors
+and are re-exported here.  Everything runs in-process on the calling thread.
 """
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
@@ -115,7 +117,7 @@ class _Grid:
         self.reports = [report(c, r) for c, r in self.cells()]
         self.discord_analytic = [d for (eps_s, _), columns in zip(series, self.columns) for r in self.rows
                                  for d in [correlations.discord_analytic(eps_s, r.phi)] * len(columns)]
-        self._spectra, self._entropies = {}, {}  # by name of a stack of ``states``
+        self._spectra = {}  # by name of a stack of ``states``
 
     def cells(self) -> Iterator[tuple[closed_forms._Column, closed_forms._Row]]:
         """The (column, row) of each point, in grid order."""
@@ -156,10 +158,8 @@ class _Grid:
         return self._spectra[name]
 
     def entropy(self, name: str) -> np.ndarray:
-        """Von Neumann entropy of each matrix of the stack ``states[name]``, taken once."""
-        if name not in self._entropies:
-            self._entropies[name] = densmat._spectrum_entropy(self.spectrum(name))
-        return self._entropies[name]
+        """Von Neumann entropy of each matrix of the stack ``states[name]``, from its spectrum."""
+        return densmat._spectrum_entropy(self.spectrum(name))
 
     @cached_property
     def model(self):
@@ -200,10 +200,9 @@ def characteristic_curve(eps_s: float, phi: float, n_points: int,
                          include_correlations: bool = False) -> list[CurvePoint]:
     """Sweep the ancilla bias over [eps_s, 1) at a fixed measurement angle."""
     _require_count("n_points", n_points, 2)
-    # The two ends validate every point: the axis runs from eps_s to the clamp.
-    p = ProtocolParams(eps_s, eps_s, phi, temperature)
-    eps_a_values = np.linspace(p.eps_s, 1.0 - EPS_A_CLAMP, n_points).tolist()
-    ProtocolParams(p.eps_s, eps_a_values[-1], p.phi, p.temperature)
+    # The far corner bounds every point of the axis, which runs from eps_s to it.
+    p = ProtocolParams(eps_s, 1.0 - EPS_A_CLAMP, phi, temperature)
+    eps_a_values = np.linspace(p.eps_s, p.eps_a, n_points).tolist()
     return _curve_points(_Grid([(p.eps_s, eps_a_values)], (p.phi,), p.temperature),
                          include_correlations)
 
@@ -227,12 +226,11 @@ def landscape(grid: SweepGrid,
 
     cooling, extraction = [], []
     if grid.eps_s > 0.0:
-        for phi in grid.phi_values:
-            s = math.sin(phi)
-            if s > grid.eps_s:
-                eps_a = grid.eps_s / s
+        for r in g.rows:
+            if r.sin > grid.eps_s:
+                eps_a = grid.eps_s / r.sin
                 if grid.eps_a_values[0] <= eps_a <= grid.eps_a_values[-1]:
-                    cooling.append(BoundaryPoint(phi=phi, eps_a=eps_a))
+                    cooling.append(BoundaryPoint(phi=r.phi, eps_a=eps_a))
         for c in g.columns[0]:
             if grid.phi_values[0] <= c.phi_crit <= grid.phi_values[-1]:
                 extraction.append(BoundaryPoint(phi=c.phi_crit, eps_a=c.eps_a))

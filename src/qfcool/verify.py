@@ -203,8 +203,8 @@ CLASSES = {
         0.0 if (r.delta_e_system > 0.0) == r.in_cooling_window else 1.0
         for r in g.reports if abs(r.delta_e_system) > 1e-12 * g.temperature]),
     "no_cooling_below_bias": (1e-12, lambda g: [
-        max(0.0, r.delta_e_system) / g.temperature for p, r in zip(g.points, g.reports)
-        if math.sin(p.phi) < p.eps_s]),
+        max(0.0, r.delta_e_system) / g.temperature for (c, row), r in zip(g.cells(), g.reports)
+        if row.sin < c.eps_s]),
     "phi_crit_root": (TOL_ROOT, _phi_crit_root),
     **{f"{field}_monotone_phi": (1e-9, _monotone_in_phi(field))
        for field in ("cop", "eta", "chi")},
@@ -227,20 +227,18 @@ _POINT_CLASSES = {
 }
 
 
-def _check(name: str, deviations: Sequence[float]) -> Check:
+def _check(name: str, tolerance: float, deviations: Sequence[float]) -> Check:
     """Worst of a class's per-point deviations (0.0 when it checked none).
 
     A NaN deviation is the worst of all: it makes the class fail.
     """
-    worst = (math.nan if any(map(math.isnan, deviations))
-             else max([0.0, *deviations]))
-    return Check(name=name, points=len(deviations), max_deviation=worst,
-                 tolerance={**CLASSES, **_POINT_CLASSES}[name][0])
+    worst = math.nan if any(map(math.isnan, deviations)) else max([0.0, *deviations])
+    return Check(name=name, points=len(deviations), max_deviation=worst, tolerance=tolerance)
 
 
 def _checks(classes: dict, grid: _Grid) -> list[Check]:
-    """One Check per class of ``classes``, on ``grid``."""
-    return [_check(name, deviations(grid)) for name, (_, deviations) in classes.items()]
+    """One Check per class of ``classes`` (name -> (tolerance, deviations)), on ``grid``."""
+    return [_check(name, tol, deviations(grid)) for name, (tol, deviations) in classes.items()]
 
 
 def run_suite(grid_n: int = 12, discord_stride: int = 3,

@@ -151,6 +151,35 @@ def test_sweep_grid_rejects_a_bad_value_at_either_corner(field, value, corner):
         SweepGrid(**grid)
 
 
+def two_end_error(eps_s, phi, temperature):
+    """The message of a curve's check at both ends of its eps_a axis (None if valid)."""
+    try:
+        p = ProtocolParams(eps_s, eps_s, phi, temperature)
+        ProtocolParams(p.eps_s, TOP, p.phi, p.temperature)
+    except ValueError as error:
+        return str(error)
+    return None
+
+
+# BAD_VALUES with those of the property tests, and register biases between the clamp and 1
+CURVE_VALUES = [*BAD_VALUES, -1e-300, -0.0, 3.2, math.nextafter(HALF_PI, 4.0),
+                math.nextafter(1.0, 0.0), math.nextafter(TOP, 1.0)]
+
+
+@pytest.mark.parametrize("field", ["eps_s", "phi", "temperature"])
+@pytest.mark.parametrize("value", CURVE_VALUES, ids=repr)
+def test_curve_far_corner_raises_what_both_ends_raise(field, value):
+    # one ProtocolParams at (eps_s, TOP, phi, T) bounds the whole axis
+    args = {**GOOD, field: value}
+    args.pop("eps_a")
+    message = two_end_error(**args)
+    if message is None:
+        assert len(characteristic_curve(args["eps_s"], args["phi"], 3, args["temperature"])) == 3
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            characteristic_curve(args["eps_s"], args["phi"], 3, args["temperature"])
+
+
 def test_sweep_grid_stores_floats():
     grid = SweepGrid(np.float32(0.25), (0, np.float64(0.5)), [np.float32(0.25), Fraction(1, 2)], 2)
     assert (grid.eps_s, grid.phi_values, grid.eps_a_values, grid.temperature) == (
@@ -169,11 +198,11 @@ def test_scalar_searches_and_grids_validate_once(monkeypatch):
     landscape(grid, {"thermo", "correlations"})
     assert len(made) == 2  # none per point
     characteristic_curve(0.3, 0.9, 50, include_correlations=True)
-    assert len(made) == 4  # the two ends of the eps_a axis
+    assert len(made) == 3  # the far corner of the eps_a axis
     optimize_working_point("chi", 0.3, 1.0)
-    assert len(made) == 5
+    assert len(made) == 4
     eps_a_for_cooling_load(0.3, 0.1)
-    assert len(made) == 6
+    assert len(made) == 5
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +244,8 @@ def test_characteristic_curve_requires_two_points():
 @pytest.mark.parametrize("call, argument", [
     (lambda: characteristic_curve(0.4, 0.3, 2.5), "n_points"),
     (lambda: characteristic_curve(0.4, 0.3, 3.0), "n_points"),
+    (lambda: characteristic_curve(0.4, 0.3, True), "n_points"),
+    (lambda: characteristic_curve(0.4, 0.3, False), "n_points"),
 ])
 def test_scan_sizes_must_be_integers(call, argument):
     with pytest.raises(ValueError, match=f"^{argument} must be an integer"):

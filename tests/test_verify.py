@@ -51,7 +51,8 @@ def test_run_suite_eigensolver_calls_do_not_grow_with_the_grid(monkeypatch):
     small = _count_eig_calls(monkeypatch, 4)
     large = _count_eig_calls(monkeypatch, 7)
     assert small == large
-    assert 0 < small["eigvalsh"] and 0 < small["eigh"]
+    # the budget itself, so that a spectrum taken a second time shows
+    assert _count_eig_calls(monkeypatch, 12) == {"eigvalsh": 10, "eigh": 4}
 
 
 def _reference_deviations(points):
@@ -138,7 +139,7 @@ def _reference_suite(grid_n, discord_stride, temperature):
                 dev["discord_numeric_vs_closed"].append(max(abs(d_a - closed), abs(d_s - closed)))
                 if corr.concurrence > 1e-6:
                     dev["entangled_implies_discordant"].append(max(0.0, 1e-9 - d_a))
-    return [verify._check(name, values) for name, values in dev.items()]
+    return [verify._check(name, verify.CLASSES[name][0], values) for name, values in dev.items()]
 
 
 @pytest.mark.parametrize("grid_n", [4, 5])
@@ -379,6 +380,18 @@ def test_run_suite_and_standard_grid_reject_bad_counts(call, argument):
         call()
 
 
+@pytest.mark.parametrize("flag", [True, False])
+@pytest.mark.parametrize("call, argument", [
+    (lambda flag: verify.run_suite(flag), "grid_n"),
+    (lambda flag: verify.run_suite(4, flag), "discord_stride"),
+    (lambda flag: verify.standard_grid(flag), "n"),
+])
+def test_a_bool_count_is_not_an_integer(call, argument, flag):
+    # True and False are numbers.Integral; a count refuses them as it refuses np.True_
+    with pytest.raises(ValueError, match=f"^{argument} must be an integer, got {flag}$"):
+        call(flag)
+
+
 @pytest.mark.parametrize("n", [0, 1, 3])
 @pytest.mark.parametrize("temperature", [-1.0, 0.0, math.nan, math.inf])
 def test_standard_grid_rejects_a_bad_temperature_at_every_size(n, temperature):
@@ -485,19 +498,28 @@ def test_point_checks_equal_the_oracle_classes_on_a_one_point_grid():
     dev["discord_numeric_vs_closed"] = [max(abs(d - report.discord_analytic)
                                             for d in (report.discord_a, report.discord_s))]
     dev["trace_summary"] = [_trace_deviation(params)]
-    assert point == [verify._check(name, dev[name]) for name in verify._POINT_CLASSES]
+    assert point == [verify._check(name, tolerance, dev[name])
+                     for name, (tolerance, _) in verify._POINT_CLASSES.items()]
 
 
 def test_check_without_points_reports_zero_deviation():
-    check = verify._check("entangled_implies_discordant", [])
+    check = verify._check("entangled_implies_discordant", 0.0, [])
     assert (check.points, check.max_deviation, check.passed) == (0, 0.0, True)
 
 
 
 def test_check_fails_on_a_nan_deviation():
-    check = verify._check("work_feedback", [0.0, float("nan"), 1e-15])
+    check = verify._check("work_feedback", verify.TOL_CLOSED_FORM, [0.0, float("nan"), 1e-15])
     assert math.isnan(check.max_deviation)
     assert not check.passed
+
+
+def test_checks_score_a_class_table_of_their_own():
+    # a class outside CLASSES and _POINT_CLASSES is scored by the tolerance its table gives
+    grid = sweep._Grid([(0.3, (0.7,))], (1.2,), 1.0)
+    checks = verify._checks({"extra": (1e-3, lambda g: [5e-4, 2e-3])}, grid)
+    assert checks == [verify.Check(name="extra", points=2, max_deviation=2e-3, tolerance=1e-3)]
+    assert not checks[0].passed
 
 
 # The same suite and point_checks at four points, as reprs: every deviation
