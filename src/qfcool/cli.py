@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: run | sweep | optimize | threshold | verify.
-Exit codes: 0 ok, 2 usage/domain error, 3 verification failure.
+Exit codes: 0 ok, 2 usage/domain error or out of memory, 3 verification failure.
 
 Output is deterministic: identical invocations produce byte-identical
 documents; every command runs in-process.  The sweep CSV columns are
@@ -429,6 +429,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return handler(_merge(args, declared))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -104,10 +104,10 @@ def _expectation(h: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.trace(h @ a, axis1=-2, axis2=-1).real
 
 
-def _diagonal_expectation(levels: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """``_expectation`` of the diagonal H with diagonal ``levels`` ``(..., d)``, bit for bit: each
-    entry of ``h @ a`` is one rounded product plus exact zeros, traced here in its layout and order."""
-    return np.trace(levels[..., :, None] * a, axis1=-2, axis2=-1).real
+def _diagonal_expectation(h: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """``_expectation`` of a diagonal ``h``, bit for bit: each entry of ``h @ a`` is one
+    rounded product plus exact zeros, traced here in its layout and order."""
+    return np.trace(np.diagonal(h, axis1=-2, axis2=-1)[..., :, None] * a, axis1=-2, axis2=-1).real
 
 
 def _psd_sqrt(a: np.ndarray) -> np.ndarray:

@@ -117,7 +117,7 @@ class _Grid:
         self.reports = [report(c, r) for c, r in self.cells()]
         self.discord_analytic = [d for (eps_s, _), columns in zip(series, self.columns) for r in self.rows
                                  for d in [correlations.discord_analytic(eps_s, r.phi)] * len(columns)]
-        self._spectra = {}  # by name of a stack of ``states``
+        self._spectra = {}  # by trace field name
 
     def cells(self) -> Iterator[tuple[closed_forms._Column, closed_forms._Row]]:
         """The (column, row) of each point, in grid order."""
@@ -144,21 +144,14 @@ class _Grid:
         eps_s, eps_a, phi, _ = zip(*self.points)
         return protocol._run_protocols(eps_s, eps_a, phi)
 
-    @cached_property
-    def states(self) -> dict[str, np.ndarray]:
-        """The stacks whose spectra readers take: the trace fields and the thermal qubits."""
-        eps_s, eps_a, _, _ = zip(*self.points)
-        return {**vars(self.trace), "thermal_s": protocol._thermal_qubits(eps_s),
-                "thermal_a": protocol._thermal_qubits(eps_a)}
-
     def spectrum(self, name: str) -> np.ndarray:
-        """Ascending eigenvalues of each matrix of the stack ``states[name]``, taken once."""
+        """Ascending eigenvalues of each matrix of the trace field ``name``, taken once."""
         if name not in self._spectra:
-            self._spectra[name] = np.linalg.eigvalsh(self.states[name])
+            self._spectra[name] = np.linalg.eigvalsh(getattr(self.trace, name))
         return self._spectra[name]
 
     def entropy(self, name: str) -> np.ndarray:
-        """Von Neumann entropy of each matrix of the stack ``states[name]``, from its spectrum."""
+        """Von Neumann entropy of each matrix of the trace field ``name``, from its spectrum."""
         return densmat._spectrum_entropy(self.spectrum(name))
 
     @cached_property
@@ -175,7 +168,7 @@ class _Grid:
     def oracles(self) -> dict[str, np.ndarray]:
         """Each closed form's matrix oracle by ``ThermoReport`` field name, one value per point."""
         from . import thermo
-        return thermo._oracles(self.trace, self.model, self.energies)
+        return thermo._oracles(self.trace, self.model, self.energies, self.entropy)
 
     @cached_property
     def discord_reports(self) -> list[CorrelationReport]:

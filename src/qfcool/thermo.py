@@ -7,13 +7,15 @@ and a matrix oracle computed from the actual state sequence, read from
 oracles back every verification.
 ``figures_of_merit`` is re-exported from the numpy-free ``closed_forms``
 module, which states the sign conventions of its ``ThermoReport`` fields.
-The oracles read the ``ProtocolTrace`` states (valid by construction) through
-densmat's unchecked kernels, each energy tr(H rho) from the level populations.
+The oracles read the ``ProtocolTrace`` states alone (valid by construction) through
+densmat's unchecked kernels: each energy tr(H rho) from the level populations, each
+entropy from the caller's reader (a grid's cached spectra, or one ``eigvalsh`` per field).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -90,32 +92,27 @@ def _ergotropy(energy: np.ndarray, h: np.ndarray, populations: np.ndarray) -> np
 # matrix oracles
 # ---------------------------------------------------------------------------
 
-def _energy_drop(h: np.ndarray, before: np.ndarray, after: np.ndarray) -> np.ndarray:
-    levels = np.diagonal(h, axis1=-2, axis2=-1)
-    return densmat._diagonal_expectation(levels, before) - densmat._diagonal_expectation(levels, after)
-
-
 def _energies(h: np.ndarray, trace: ProtocolTrace) -> dict[str, np.ndarray]:
     """tr(H rho) of ``rho0``, ``rho_m`` and ``rho_f``, by field name, one value per point."""
-    levels = np.diagonal(h, axis1=-2, axis2=-1)
-    return {name: densmat._diagonal_expectation(levels, getattr(trace, name))
+    return {name: densmat._diagonal_expectation(h, getattr(trace, name))
             for name in ("rho0", "rho_m", "rho_f")}
 
 
-def _oracles(trace: ProtocolTrace, model: EnergyModel,
-             energies: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+def _oracles(trace: ProtocolTrace, model: EnergyModel, energies: dict[str, np.ndarray],
+             entropy: Callable[[str], np.ndarray]) -> dict[str, np.ndarray]:
     """Each closed form's matrix oracle, by name, on stacked states: one value per point.
 
-    ``energies`` are the joint energies ``_energies`` returns, each taken once.
+    ``energies`` are the joint energies ``_energies`` returns, each taken once, and
+    ``entropy(name)`` is the von Neumann entropy of each state of the trace field ``name``.
     """
     e0, e_m, e_f = energies["rho0"], energies["rho_m"], energies["rho_f"]
+    h_s, h_a, energy = model.h_system, model.h_ancilla, densmat._diagonal_expectation
     return {
         "work_measurement": e0 - e_m,
         "work_feedback": e_m - e_f,
-        "heat_reset": _energy_drop(model.h_ancilla, trace.rho_f_a, trace.rho0_a),
-        "delta_e_system": _energy_drop(model.h_system, trace.rho0_s, trace.rho_f_s),
-        "entropy_reduction": (densmat._vn_entropies(trace.rho0_s)
-                              - densmat._vn_entropies(trace.rho_f_s)),
+        "heat_reset": energy(h_a, trace.rho_f_a) - energy(h_a, trace.rho0_a),
+        "delta_e_system": energy(h_s, trace.rho0_s) - energy(h_s, trace.rho_f_s),
+        "entropy_reduction": entropy("rho0_s") - entropy("rho_f_s"),
         "total_work": -(e0 - e_f),
     }
 
@@ -128,5 +125,6 @@ def matrix_oracles(params: ProtocolParams) -> dict[str, float]:
     """
     trace = protocol._run_protocols((params.eps_s,), (params.eps_a,), (params.phi,))
     model = _energy_models([params])
-    return {name: float(value[0]) for name, value in
-            _oracles(trace, model, _energies(model.hamiltonian, trace)).items()}
+    oracles = _oracles(trace, model, _energies(model.hamiltonian, trace),
+                       lambda name: densmat._vn_entropies(getattr(trace, name)))
+    return {name: float(value[0]) for name, value in oracles.items()}

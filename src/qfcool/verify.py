@@ -81,8 +81,7 @@ def _max_abs(stack: np.ndarray) -> np.ndarray:
 
 
 def _swap_limit(g: _Grid) -> list[float]:
-    dev = np.maximum(_max_abs(g.trace.rho_f_s - g.states["thermal_a"]),
-                     _max_abs(g.trace.rho_f_a - g.states["thermal_s"]))
+    dev = np.maximum(_max_abs(g.trace.rho_f_s - g.trace.rho0_a), _max_abs(g.trace.rho_f_a - g.trace.rho0_s))
     return [d for p, d in zip(g.points, dev.tolist()) if abs(p.phi - math.pi / 2) < 1e-12]
 
 
@@ -92,7 +91,7 @@ def _entropy_invariance(g: _Grid) -> list[float]:
 
 
 def _ancilla_marginal(g: _Grid) -> list[float]:
-    z = densmat._diagonal_expectation(np.diagonal(densmat.SIGMA_Z), g.trace.rho_m_a).tolist()
+    z = densmat._diagonal_expectation(densmat.SIGMA_Z, g.trace.rho_m_a).tolist()
     x = densmat._expectation(densmat.SIGMA_X, g.trace.rho_m_a).tolist()
     return [max(abs(zi), abs(xi - p.eps_s * p.eps_a * math.cos(p.phi)))
             for p, zi, xi in zip(g.points, z, x)]
@@ -112,20 +111,17 @@ def _phi_crit_root(g: _Grid) -> list[float]:
             * len(g.rows)]
 
 
-def _trace_oracles(g: _Grid) -> list[dict]:
-    """``closed_forms._trace_summary`` of each point from the trace's matrices: each state's
-    purity tr(rho^2), its entropy from its spectrum and, for a qubit, tr(rho sigma)."""
-    docs = [{"marginals": {}} for _ in g.points]
-    for name, stack in vars(g.trace).items():
-        purity, entropy = densmat._expectation(stack, stack).tolist(), g.entropy(name).tolist()
-        if stack.shape[-1] == 4:
-            for doc, p, s in zip(docs, purity, entropy):
-                doc[name] = {"purity": p, "entropy": s}
-            continue
-        bloch = np.stack([densmat._expectation(s, stack) for s in densmat.PAULI], axis=-1).tolist()
-        for doc, p, s, b in zip(docs, purity, entropy, bloch):
-            doc["marginals"][name] = {"purity": p, "entropy": s, "bloch": b}
-    return docs
+def _trace_oracles(g: _Grid) -> np.ndarray:
+    """``closed_forms._trace_summary`` of each point from the trace's matrices, one row per point
+    in the order ``_numbers`` reads the block: the qubit marginals, then the joint states, each by
+    name, and per state its Bloch vector tr(rho sigma) (a qubit's), its entropy from its spectrum
+    and its purity tr(rho^2)."""
+    columns = []
+    for name, stack in sorted(vars(g.trace).items(), key=lambda field: (field[1].shape[-1], field[0])):
+        if stack.shape[-1] == 2:
+            columns += [densmat._expectation(s, stack) for s in densmat.PAULI]
+        columns += [g.entropy(name), densmat._expectation(stack, stack)]
+    return np.stack(columns, axis=-1)
 
 
 def _numbers(doc: dict) -> Iterator[float]:
@@ -140,9 +136,8 @@ def _numbers(doc: dict) -> Iterator[float]:
 
 def _trace_summary(g: _Grid) -> list[float]:
     """The largest deviation of each point's closed-form trace block from its matrices."""
-    return [max(abs(c - m) for c, m in zip(_numbers(closed_forms._trace_summary(p)), _numbers(doc),
-                                           strict=True))
-            for p, doc in zip(g.points, _trace_oracles(g))]
+    closed = np.array([list(_numbers(closed_forms._trace_summary(p))) for p in g.points])
+    return np.abs(closed - _trace_oracles(g)).max(axis=-1).tolist()
 
 
 def _monotone_in_phi(field: str) -> Callable[[_Grid], list[float]]:
@@ -170,11 +165,11 @@ ORACLE_CLASSES = {
             for shared in [cache(thermal_entropy)] for p in g.points],
         g.entropy("rho_m_s") + g.entropy("rho_m_a") - g.entropy("rho_m"))),
     "discord_closed_form": (TOL_CLOSED_FORM, lambda g: _pointwise(
-        g, g.discord_analytic, g.entropy("rho_m_s") - g.entropy("thermal_s"))),
+        g, g.discord_analytic, g.entropy("rho_m_s") - g.entropy("rho0_s"))),
     "thermal_entropy": (TOL_ENTROPY_FORM, lambda g: _pointwise(
         g, _by_column(g, lambda c: math.log(2.0) - 0.5 * (math.log1p(-c.eps_a) + math.log1p(c.eps_a))
                        - c.eps_a * math.atanh(c.eps_a)),
-        g.entropy("thermal_a"))),
+        g.entropy("rho0_a"))),
 }
 
 CLASSES = {

@@ -331,10 +331,10 @@ def test_scaled_and_sliced_kernels_keep_their_bytes_on_protocol_stacks(rng, temp
         h = getattr(model, field)
         for name in names:
             rho = getattr(trace, name)
-            assert (densmat._diagonal_expectation(_levels(h), rho).tobytes()
+            assert (densmat._diagonal_expectation(h, rho).tobytes()
                     == densmat._expectation(h, rho).tobytes()), (field, name)
             if name.endswith("_a"):
-                assert (densmat._diagonal_expectation(_levels(densmat.SIGMA_Z), rho).tobytes()
+                assert (densmat._diagonal_expectation(densmat.SIGMA_Z, rho).tobytes()
                         == densmat._expectation(densmat.SIGMA_Z, rho).tobytes()), name
     # eps_s = 0 gives a zero gap whose levels are -0.0 and +0.0, so the signs of zeros take part
     zeros = _levels(model.h_system)[_levels(model.h_system) == 0.0]
@@ -352,7 +352,7 @@ def test_scaled_and_sliced_kernels_keep_their_bytes_on_random_stacks(rng, random
     states = np.array([random_density(4) for _ in range(n)])
     levels = rng.normal(size=(n, 4)) * rng.choice([0.0, -0.0, 1e-300, 1.0, 1e300], size=(n, 4))
     h = levels[:, :, None] * np.eye(4)
-    assert (densmat._diagonal_expectation(_levels(h.astype(complex)), states).tobytes()
+    assert (densmat._diagonal_expectation(h.astype(complex), states).tobytes()
             == densmat._expectation(h.astype(complex), states).tobytes())
     populations = rng.dirichlet(np.ones(4), size=n) * rng.choice([0.0, 1.0], size=(n, 4))
     rho0 = populations[:, :, None] * np.eye(4, dtype=complex)

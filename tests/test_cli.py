@@ -565,6 +565,25 @@ def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["melt"]) == 2
 
 
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError
+
+
+@pytest.mark.parametrize("args", [
+    ("sweep",),
+    ("sweep", "--landscape", "--n-phi", "3"),
+    ("verify",),
+    ("verify", "--format", "csv"),
+], ids=["sweep", "landscape", "verify", "verify-csv"])
+def test_a_request_too_large_for_memory_is_one_error_line(capsys, monkeypatch, args):
+    # a grid too large for memory ends as bad input does: exit 2, one line, no traceback
+    from qfcool import verify
+    monkeypatch.setattr(sweep, "landscape", _out_of_memory)
+    monkeypatch.setattr(verify, "run_suite", _out_of_memory)
+    code, out, err = run_cli(capsys, *args)
+    assert (code, out, err) == (2, "", "error: out of memory\n")
+
+
 def python_subprocess(*args):
     """Run the interpreter on ``args`` with this qfcool checkout importable."""
     src = str(Path(qfcool.__file__).resolve().parents[1])

@@ -12,10 +12,6 @@ from qfcool.protocol import ProtocolParams
 HALF_PI = math.pi / 2
 
 
-def _thermal_qubit(eps):
-    return protocol._thermal_qubits([eps])[0]
-
-
 def test_run_suite_evaluates_the_grid_as_one_stacked_trace(monkeypatch):
     calls = []
     real = protocol._run_protocols
@@ -32,7 +28,7 @@ def test_run_suite_evaluates_the_grid_as_one_stacked_trace(monkeypatch):
     assert all(c.passed for c in checks)
 
 
-def _count_eig_calls(monkeypatch, grid_n):
+def _count_eig_calls(monkeypatch, call):
     counts = {"eigvalsh": 0, "eigh": 0}
     for name in counts:
         real = getattr(np.linalg, name)
@@ -42,17 +38,24 @@ def _count_eig_calls(monkeypatch, grid_n):
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
-    verify.run_suite(grid_n=grid_n, discord_stride=3)
+    call()
     monkeypatch.undo()
     return counts
 
 
 def test_run_suite_eigensolver_calls_do_not_grow_with_the_grid(monkeypatch):
-    small = _count_eig_calls(monkeypatch, 4)
-    large = _count_eig_calls(monkeypatch, 7)
+    small = _count_eig_calls(monkeypatch, lambda: verify.run_suite(4, 3))
+    large = _count_eig_calls(monkeypatch, lambda: verify.run_suite(7, 3))
     assert small == large
     # the budget itself, so that a spectrum taken a second time shows
-    assert _count_eig_calls(monkeypatch, 12) == {"eigvalsh": 10, "eigh": 4}
+    assert _count_eig_calls(monkeypatch, lambda: verify.run_suite(12, 3)) == {"eigvalsh": 9, "eigh": 4}
+
+
+def test_point_checks_eigensolver_budget(monkeypatch):
+    # run --verify: one spectrum per trace field, all ten of which the trace block reads,
+    # shared with the oracles' entropy reduction and the mutual information
+    counts = _count_eig_calls(monkeypatch, lambda: verify.point_checks(ProtocolParams(0.4, 0.8, 1.0)))
+    assert counts == {"eigvalsh": 10, "eigh": 4}
 
 
 def _reference_deviations(points):
@@ -78,16 +81,15 @@ def _reference_deviations(points):
             - correlations.mutual_information(trace.rho_m)))
         dev["discord_closed_form"].append(abs(
             correlations.discord_analytic(es, phi)
-            - (densmat._vn_entropies(trace.rho_m_s)
-               - densmat._vn_entropies(_thermal_qubit(es)))))
+            - (densmat._vn_entropies(trace.rho_m_s) - densmat._vn_entropies(trace.rho0_s))))
         dev["thermal_entropy"].append(abs(
             math.log(2.0) - 0.5 * (math.log1p(-ea) + math.log1p(ea)) - ea * math.atanh(ea)
-            - densmat._vn_entropies(_thermal_qubit(ea))))
+            - densmat._vn_entropies(trace.rho0_a)))
         dev["purity_transfer"].append(abs(float(densmat._expectation(trace.rho_f_s, trace.rho_f_s)) - 0.5 * (1.0 + ea ** 2)))
         if abs(phi - math.pi / 2) < 1e-12:
             dev["swap_limit"].append(max(
-                float(np.max(np.abs(trace.rho_f_s - _thermal_qubit(ea)))),
-                float(np.max(np.abs(trace.rho_f_a - _thermal_qubit(es))))))
+                float(np.max(np.abs(trace.rho_f_s - trace.rho0_a))),
+                float(np.max(np.abs(trace.rho_f_a - trace.rho0_s)))))
         s0 = densmat._vn_entropies(trace.rho0)
         dev["entropy_invariance"].append(max(abs(densmat._vn_entropies(trace.rho_m) - s0),
                                              abs(densmat._vn_entropies(trace.rho_f) - s0)))
@@ -172,7 +174,8 @@ def test_run_suite_passes_at_any_temperature(temperature):
 # reset_marginals is the later partial-trace check, and discord_symmetry is
 # the Newton-refined basis search's.  mutual_information and phi_crit_root are
 # those of the one-formula closed forms (joint entropy S(eps_s) + S(eps_a), and
-# the threshold's root divided through by atanh(eps_s)).
+# the threshold's root divided through by atanh(eps_s)).  discord_closed_form and
+# thermal_entropy read the entropies of the trace's initial marginals.
 SUITE_4_2 = [
     ("work_measurement", 64, 6.661338147750939e-16),
     ("work_feedback", 64, 1.3322676295501878e-15),
@@ -182,8 +185,8 @@ SUITE_4_2 = [
     ("total_work", 64, 1.2212453270876722e-15),
     ("energy_conservation", 64, 8.881784197001252e-16),
     ("mutual_information", 64, 8.881784197001252e-16),
-    ("discord_closed_form", 64, 3.885780586188048e-16),
-    ("thermal_entropy", 64, 2.7755575615628914e-16),
+    ("discord_closed_form", 64, 2.7755575615628914e-16),
+    ("thermal_entropy", 64, 3.0531133177191805e-16),
     ("purity_transfer", 64, 8.881784197001252e-16),
     ("swap_limit", 16, 4.440892098500626e-16),
     ("entropy_invariance", 64, 1.27675647831893e-15),
@@ -289,23 +292,24 @@ def test_grid_values_equal_their_direct_computation(temperature):
     g = sweep._Grid(*verify._standard_axes(5, temperature), 3)
     points = [ProtocolParams(*p) for p in g.points]
     trace = g.trace
-    thermal = {"thermal_s": protocol._thermal_qubits([p.eps_s for p in points]),
-               "thermal_a": protocol._thermal_qubits([p.eps_a for p in points])}
-    assert set(g.states) == set(thermal) | set(vars(trace))
-    for name in g.states:
-        state = thermal[name] if name in thermal else getattr(trace, name)
+    assert not hasattr(g, "states")  # the trace is the only set of state stacks
+    for name, state in vars(trace).items():
         assert _bits(g.spectrum(name)) == _bits(np.linalg.eigvalsh(state)), name
         assert _bits(g.entropy(name)) == _bits(densmat._vn_entropies(state)), name
     assert (_bits(g.entropy("rho_m_s") + g.entropy("rho_m_a") - g.entropy("rho_m"))
             == _bits(correlations._mutual_information(trace.rho_m)))
     h, model = g.model.hamiltonian, g.model
+
+    def drop(h, before, after):
+        return densmat._diagonal_expectation(h, before) - densmat._diagonal_expectation(h, after)
+
     per_field = {
-        "work_measurement": thermo._energy_drop(h, trace.rho0, trace.rho_m),
-        "work_feedback": thermo._energy_drop(h, trace.rho_m, trace.rho_f),
-        "heat_reset": thermo._energy_drop(model.h_ancilla, trace.rho_f_a, trace.rho0_a),
-        "delta_e_system": thermo._energy_drop(model.h_system, trace.rho0_s, trace.rho_f_s),
+        "work_measurement": drop(h, trace.rho0, trace.rho_m),
+        "work_feedback": drop(h, trace.rho_m, trace.rho_f),
+        "heat_reset": drop(model.h_ancilla, trace.rho_f_a, trace.rho0_a),
+        "delta_e_system": drop(model.h_system, trace.rho0_s, trace.rho_f_s),
         "entropy_reduction": densmat._vn_entropies(trace.rho0_s) - densmat._vn_entropies(trace.rho_f_s),
-        "total_work": -thermo._energy_drop(h, trace.rho0, trace.rho_f),
+        "total_work": -drop(h, trace.rho0, trace.rho_f),
     }
     assert ({name: [v.hex() for v in stack.tolist()] for name, stack in g.oracles.items()}
             == {name: [v.hex() for v in stack.tolist()] for name, stack in per_field.items()})
@@ -489,6 +493,49 @@ def _trace_deviation(params):
     return worst
 
 
+def _trace_oracle_docs(g):
+    """The trace-block oracle as it was before it was stacked: one nested dict per point,
+    kept as the reference for the stacked array's column order."""
+    docs = [{"marginals": {}} for _ in g.points]
+    for name, stack in vars(g.trace).items():
+        purity, entropy = densmat._expectation(stack, stack).tolist(), g.entropy(name).tolist()
+        if stack.shape[-1] == 4:
+            for doc, p, s in zip(docs, purity, entropy):
+                doc[name] = {"purity": p, "entropy": s}
+            continue
+        bloch = np.stack([densmat._expectation(s, stack) for s in densmat.PAULI], axis=-1).tolist()
+        for doc, p, s, b in zip(docs, purity, entropy, bloch):
+            doc["marginals"][name] = {"purity": p, "entropy": s, "bloch": b}
+    return docs
+
+
+@pytest.mark.parametrize("temperature", [1e-300, 1.0, 1e300])
+def test_trace_summary_passes_on_a_many_point_grid(temperature):
+    g = sweep._Grid(*verify._standard_axes(6, temperature))
+    checks = verify._checks({"trace_summary": verify._POINT_CLASSES["trace_summary"]}, g)
+    assert [(c.name, c.points, c.tolerance, c.passed) for c in checks] == [
+        ("trace_summary", 216, verify.TOL_MARGINAL, True)]
+    # each point's worst deviation, as the per-point blocks gave it
+    assert [d.hex() for d in verify._trace_summary(g)] == [
+        max(abs(c - m) for c, m in zip(verify._numbers(closed_forms._trace_summary(p)),
+                                       verify._numbers(doc), strict=True)).hex()
+        for p, doc in zip(g.points, _trace_oracle_docs(g))]
+
+
+@pytest.mark.parametrize("series, phis", [
+    verify._standard_axes(6, 1.0)[:2],
+    ([(0.0, [0.0, 0.5, 1.0 - 1e-9])], [0.0, 0.7, HALF_PI]),
+    ([(0.6, [0.6, 0.9])], [0.0, HALF_PI]),
+], ids=["standard-6", "eps_s-zero", "phi-ends"])
+def test_trace_oracles_are_the_per_point_blocks_in_reading_order(series, phis):
+    # column k of the stacked oracle is the k-th number _numbers reads from a point's block
+    g = sweep._Grid(series, phis, 1.0)
+    stacked = verify._trace_oracles(g)
+    assert isinstance(stacked, np.ndarray) and stacked.shape == (len(g.points), 38)
+    assert [[v.hex() for v in row] for row in stacked.tolist()] == [
+        [v.hex() for v in verify._numbers(doc)] for doc in _trace_oracle_docs(g)]
+
+
 def test_point_checks_equal_the_oracle_classes_on_a_one_point_grid():
     params = ProtocolParams(0.3, 0.7, 1.2, 0.8)
     point = verify.point_checks(params)
@@ -534,8 +581,8 @@ SUITE_4_2_REPR = [
     ("total_work", 64, "1.2212453270876722e-15"),
     ("energy_conservation", 64, "8.881784197001252e-16"),
     ("mutual_information", 64, "8.881784197001252e-16"),
-    ("discord_closed_form", 64, "3.885780586188048e-16"),
-    ("thermal_entropy", 64, "2.7755575615628914e-16"),
+    ("discord_closed_form", 64, "2.7755575615628914e-16"),
+    ("thermal_entropy", 64, "3.0531133177191805e-16"),
     ("purity_transfer", 64, "8.881784197001252e-16"),
     ("swap_limit", 16, "4.440892098500626e-16"),
     ("entropy_invariance", 64, "1.27675647831893e-15"),
