@@ -127,7 +127,11 @@ def _json_doc(doc: dict) -> str:
 def _load_config(path: str) -> dict[str, str]:
     """Flat ``key = value`` file; keys match flag names, '#' starts a comment."""
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    try:  # like every other config error, a file that is not UTF-8 names its path
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -72,8 +72,7 @@ def validate_density_matrix(rho) -> np.ndarray:
 
 # Unchecked kernels for states the package builds itself (valid by
 # construction) or has validated once where they entered.  Each kernel
-# treats every matrix of a stack ``(..., d, d)`` exactly as it treats a
-# single one; a diagonal operator is applied by scaling, bit for bit.
+# treats every matrix of a stack ``(..., d, d)`` exactly as it treats a single one.
 
 def _tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     prod = a[..., :, None, :, None] * b[..., None, :, None, :]
@@ -102,12 +101,6 @@ def _vn_entropies(a: np.ndarray) -> np.ndarray:
 
 def _expectation(h: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.trace(h @ a, axis1=-2, axis2=-1).real
-
-
-def _diagonal_expectation(h: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """``_expectation`` of a diagonal ``h``, bit for bit: each entry of ``h @ a`` is one
-    rounded product plus exact zeros, traced here in its layout and order."""
-    return np.trace(np.diagonal(h, axis1=-2, axis2=-1)[..., :, None] * a, axis1=-2, axis2=-1).real
 
 
 def _psd_sqrt(a: np.ndarray) -> np.ndarray:

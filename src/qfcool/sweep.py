@@ -9,10 +9,12 @@ standard grid at its upper corner and ``run --verify``'s point by its own.
 One private evaluator, ``_Grid``, evaluates the cycle for landscapes,
 characteristic curves and ``verify``, ``run --verify`` among them:
 closed-form factors built once per eps_a column and phi row, and on first
-use the matrix stacks each reader needs.  The scalar searches (working
-point, cooling-load inverse and the closed-form separability angle) live in
-the numpy-free ``closed_forms`` module, evaluate through the same factors
-and are re-exported here.  Everything runs in-process on the calling thread.
+use the protocol trace, each field's spectrum and each point's half level
+splittings, by which the energies weigh the trace's populations (no Hamiltonian
+is stacked).  The scalar searches (working point, cooling-load inverse and the
+closed-form separability angle) live in the numpy-free ``closed_forms`` module,
+evaluate through the same factors and are re-exported here.  Everything runs
+in-process on the calling thread.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from . import closed_forms, correlations, densmat, protocol
+from . import closed_forms, correlations, densmat, protocol, thermo
 from .closed_forms import (  # re-exported
     EPS_A_CLAMP, OBJECTIVES, CorrelationReport, ProtocolParams, SeparabilityBoundary, ThermoReport,
     WorkingPoint, _is_finite_real, _require_count, eps_a_for_cooling_load,
@@ -155,20 +157,18 @@ class _Grid:
         return densmat._spectrum_entropy(self.spectrum(name))
 
     @cached_property
-    def model(self):
-        from . import thermo  # the oracles' module: a landscape never loads it
-        return thermo._energy_models(self.points)
+    def half_splittings(self) -> np.ndarray:
+        """(omega_s/2, omega_a/2) of each point, shape (n, 2)."""
+        return thermo._half_splittings(self.points)
 
-    @cached_property
-    def energies(self) -> dict[str, np.ndarray]:
-        from . import thermo
-        return thermo._energies(self.model.hamiltonian, self.trace)
+    def energy(self, name: str) -> np.ndarray:
+        """tr(H rho) of each matrix of the trace field ``name``, from its populations."""
+        return thermo._energy(self.half_splittings, name, getattr(self.trace, name))
 
     @cached_property
     def oracles(self) -> dict[str, np.ndarray]:
         """Each closed form's matrix oracle by ``ThermoReport`` field name, one value per point."""
-        from . import thermo
-        return thermo._oracles(self.trace, self.model, self.energies, self.entropy)
+        return thermo._oracles(self.energy, self.entropy)
 
     @cached_property
     def discord_reports(self) -> list[CorrelationReport]:

@@ -8,8 +8,9 @@ oracles back every verification.
 ``figures_of_merit`` is re-exported from the numpy-free ``closed_forms``
 module, which states the sign conventions of its ``ThermoReport`` fields.
 The oracles read the ``ProtocolTrace`` states alone (valid by construction) through
-densmat's unchecked kernels: each energy tr(H rho) from the level populations, each
-entropy from the caller's reader (a grid's cached spectra, or one ``eigvalsh`` per field).
+two readers: each energy tr(H rho) weighs a state's populations by H's levels, which
+are +-omega_s/2 +-omega_a/2 as H is diagonal, and each entropy comes from the caller's
+reader (a grid's cached spectra, or one ``eigvalsh`` per field).
 """
 
 from __future__ import annotations
@@ -24,16 +25,17 @@ from .closed_forms import (  # re-exported
     REVERSIBLE_WORK_FLOOR, ProtocolParams, ThermoReport, figures_of_merit, level_splitting,
 )
 from .densmat import ID2, SIGMA_Z, _tensor
-from .protocol import ProtocolTrace
+
+_Z = SIGMA_Z.real.diagonal()  # (1, -1): the level of |0> is +omega/2, that of |1> -omega/2
 
 
 @dataclass(frozen=True)
 class EnergyModel:
-    """Level splittings and Hamiltonians matching the thermal biases.
+    """Level splittings and Hamiltonians matching the thermal biases of one point.
 
     The gaps satisfy omega = 2 T atanh(eps), i.e. a qubit thermalized at
-    ``temperature`` has polarization bias ``eps``.  The model of n points
-    at once (``_energy_models``) holds a stack in each field.
+    ``temperature`` has polarization bias ``eps``.  The oracles read only the
+    levels, from each point's half splittings (``_half_splittings``).
     """
 
     omega_s: float
@@ -45,25 +47,9 @@ class EnergyModel:
 
 def energy_model(params: ProtocolParams) -> EnergyModel:
     """H = (omega_s/2) sigma_z x I + (omega_a/2) I x sigma_z."""
-    model = _energy_models([params])
-    return EnergyModel(**{name: field[0] for name, field in vars(model).items()})
-
-
-def _energy_models(points) -> EnergyModel:
-    """``energy_model`` of each of n points, every field stacked; one
-    ``level_splitting`` per distinct (bias, temperature)."""
-    keys = [(eps, p.temperature) for p in points for eps in (p.eps_s, p.eps_a)]
-    splittings = {key: level_splitting(*key) for key in set(keys)}
-    omegas = np.array([splittings[key] for key in keys]).reshape(-1, 2)
-    h_s = 0.5 * omegas[:, 0, None, None] * SIGMA_Z
-    h_a = 0.5 * omegas[:, 1, None, None] * SIGMA_Z
-    return EnergyModel(
-        omega_s=omegas[:, 0],
-        omega_a=omegas[:, 1],
-        hamiltonian=_tensor(h_s, ID2) + _tensor(ID2, h_a),
-        h_system=h_s,
-        h_ancilla=h_a,
-    )
+    omega_s, omega_a = (level_splitting(eps, params.temperature) for eps in (params.eps_s, params.eps_a))
+    h_s, h_a = 0.5 * omega_s * SIGMA_Z, 0.5 * omega_a * SIGMA_Z
+    return EnergyModel(omega_s, omega_a, _tensor(h_s, ID2) + _tensor(ID2, h_a), h_s, h_a)
 
 
 def ergotropy(rho, hamiltonian) -> float:
@@ -78,13 +64,13 @@ def ergotropy(rho, hamiltonian) -> float:
         raise ValueError(f"dimension mismatch: {h.shape} vs {r.shape}")
     if not densmat._all_hermitian(h):
         raise ValueError("ergotropy expects a Hermitian Hamiltonian")
-    return float(_ergotropy(densmat._expectation(h, r), h, populations))
+    return float(_ergotropy(densmat._expectation(h, r), np.linalg.eigvalsh(h), populations))
 
 
-def _ergotropy(energy: np.ndarray, h: np.ndarray, populations: np.ndarray) -> np.ndarray:
-    """Ergotropy of a state or of each state in a stack, from its energy tr(H rho)
-    and its eigenvalues."""
-    passive_energy = (populations[..., ::-1] * np.linalg.eigvalsh(h)).sum(axis=-1)
+def _ergotropy(energy: np.ndarray, levels: np.ndarray, populations: np.ndarray) -> np.ndarray:
+    """Ergotropy of a state or of each state in a stack, from its energy tr(H rho),
+    H's ascending levels and the state's ascending eigenvalues."""
+    passive_energy = (populations[..., ::-1] * levels).sum(axis=-1)
     return np.maximum(0.0, energy - passive_energy)
 
 
@@ -92,26 +78,40 @@ def _ergotropy(energy: np.ndarray, h: np.ndarray, populations: np.ndarray) -> np
 # matrix oracles
 # ---------------------------------------------------------------------------
 
-def _energies(h: np.ndarray, trace: ProtocolTrace) -> dict[str, np.ndarray]:
-    """tr(H rho) of ``rho0``, ``rho_m`` and ``rho_f``, by field name, one value per point."""
-    return {name: densmat._diagonal_expectation(h, getattr(trace, name))
-            for name in ("rho0", "rho_m", "rho_f")}
+def _half_splittings(points) -> np.ndarray:
+    """(omega_s/2, omega_a/2) of each of n points, shape (n, 2); one ``level_splitting``
+    per distinct (bias, temperature)."""
+    keys = [(eps, p.temperature) for p in points for eps in (p.eps_s, p.eps_a)]
+    splittings = {key: level_splitting(*key) for key in set(keys)}
+    return 0.5 * np.array([splittings[key] for key in keys]).reshape(-1, 2)
 
 
-def _oracles(trace: ProtocolTrace, model: EnergyModel, energies: dict[str, np.ndarray],
+def _levels(half: np.ndarray) -> np.ndarray:
+    """H's levels +-omega_s/2 +-omega_a/2 at each point, in |sa> order, shape (n, 4)."""
+    s, a = half[:, 0, None] * _Z, half[:, 1, None] * _Z
+    return (s[:, :, None] + a[:, None, :]).reshape(-1, 4)
+
+
+def _energy(half: np.ndarray, name: str, stack: np.ndarray) -> np.ndarray:
+    """tr(H rho) of each state of the trace field ``name``: its populations weighed by H's levels
+    (a ``_s`` or ``_a`` marginal's by its term's +-omega/2), the four summed pairwise as np.trace
+    sums a complex 4x4 diagonal, so that the value is ``densmat._expectation``'s bit for bit."""
+    marginal = name[-2:] in ("_s", "_a")
+    levels = half[:, "sa".index(name[-1]), None] * _Z if marginal else _levels(half)
+    e = levels * np.diagonal(stack, axis1=-2, axis2=-1).real
+    return e[:, 0] + e[:, 1] if marginal else (e[:, 0] + e[:, 1]) + (e[:, 2] + e[:, 3])
+
+
+def _oracles(energy: Callable[[str], np.ndarray],
              entropy: Callable[[str], np.ndarray]) -> dict[str, np.ndarray]:
-    """Each closed form's matrix oracle, by name, on stacked states: one value per point.
-
-    ``energies`` are the joint energies ``_energies`` returns, each taken once, and
-    ``entropy(name)`` is the von Neumann entropy of each state of the trace field ``name``.
-    """
-    e0, e_m, e_f = energies["rho0"], energies["rho_m"], energies["rho_f"]
-    h_s, h_a, energy = model.h_system, model.h_ancilla, densmat._diagonal_expectation
+    """Each closed form's matrix oracle, by name, one value per point, from ``energy(name)``
+    and ``entropy(name)``: tr(H rho) and the entropy of each state of the trace field ``name``."""
+    e0, e_m, e_f = energy("rho0"), energy("rho_m"), energy("rho_f")
     return {
         "work_measurement": e0 - e_m,
         "work_feedback": e_m - e_f,
-        "heat_reset": energy(h_a, trace.rho_f_a) - energy(h_a, trace.rho0_a),
-        "delta_e_system": energy(h_s, trace.rho0_s) - energy(h_s, trace.rho_f_s),
+        "heat_reset": energy("rho_f_a") - energy("rho0_a"),
+        "delta_e_system": energy("rho0_s") - energy("rho_f_s"),
         "entropy_reduction": entropy("rho0_s") - entropy("rho_f_s"),
         "total_work": -(e0 - e_f),
     }
@@ -124,7 +124,7 @@ def matrix_oracles(params: ProtocolParams) -> dict[str, float]:
     is the matrix route of ``getattr(figures_of_merit(p), name)``.
     """
     trace = protocol._run_protocols((params.eps_s,), (params.eps_a,), (params.phi,))
-    model = _energy_models([params])
-    oracles = _oracles(trace, model, _energies(model.hamiltonian, trace),
+    half = _half_splittings([params])
+    oracles = _oracles(lambda name: _energy(half, name, getattr(trace, name)),
                        lambda name: densmat._vn_entropies(getattr(trace, name)))
     return {name: float(value[0]) for name, value in oracles.items()}

@@ -91,14 +91,16 @@ def _entropy_invariance(g: _Grid) -> list[float]:
 
 
 def _ancilla_marginal(g: _Grid) -> list[float]:
-    z = densmat._diagonal_expectation(densmat.SIGMA_Z, g.trace.rho_m_a).tolist()
+    z = densmat._expectation(densmat.SIGMA_Z, g.trace.rho_m_a).tolist()
     x = densmat._expectation(densmat.SIGMA_X, g.trace.rho_m_a).tolist()
     return [max(abs(zi), abs(xi - p.eps_s * p.eps_a * math.cos(p.phi)))
             for p, zi, xi in zip(g.points, z, x)]
 
 
 def _ergotropy_bound(g: _Grid) -> list[float]:
-    bound = thermo._ergotropy(g.energies["rho_m"], g.model.hamiltonian, g.spectrum("rho_m"))
+    # H's levels |11>, |01>, |10>, |00> ascend, as eps_s <= eps_a at every grid point
+    levels = thermo._levels(g.half_splittings)[:, [3, 1, 2, 0]]
+    bound = thermo._ergotropy(g.energy("rho_m"), levels, g.spectrum("rho_m"))
     return [max(0.0, r.work_feedback - e) / g.temperature for r, e in zip(g.reports, bound.tolist())]
 
 

@@ -295,8 +295,10 @@ def test_stack_with_one_invalid_matrix_raises(message, bad, position):
 # A product with a diagonal factor has one rounded product per entry, the
 # other terms being exact zeros, so scaling rows or columns gives the matrix
 # product's bytes, signed zeros included, whatever the BLAS kernel's order
-# or FMA use.  A partial trace adds two terms to np.trace's +0 start.  A
-# numpy or BLAS that breaks either argument must fail here.
+# or FMA use.  So an energy tr(H rho) is the populations weighed by H's
+# levels, summed in np.trace's pairwise order.  A partial trace adds two
+# terms to np.trace's +0 start.  A numpy or BLAS that breaks either argument
+# must fail here.
 
 def _protocol_points(rng, temperature):
     """The domain's edges (eps_s = 0, eps_a = eps_s and at the clamp, phi = 0
@@ -306,10 +308,6 @@ def _protocol_points(rng, temperature):
     es = rng.uniform(0.0, 0.9, 64)
     draws = zip(es, rng.uniform(es, TOP), rng.uniform(0.0, HALF_PI, 64))
     return [ProtocolParams(*p, temperature) for p in edges + [tuple(map(float, d)) for d in draws]]
-
-
-def _levels(h):
-    return np.diagonal(h, axis1=-2, axis2=-1)
 
 
 def _traced_out(a, keep):
@@ -323,22 +321,21 @@ def test_scaled_and_sliced_kernels_keep_their_bytes_on_protocol_stacks(rng, temp
     from qfcool import thermo
     points = _protocol_points(rng, temperature)
     trace = protocol._run_protocols(*zip(*((p.eps_s, p.eps_a, p.phi) for p in points)))
-    model = thermo._energy_models(points)
+    models = [thermo.energy_model(p) for p in points]
+    half = thermo._half_splittings(points)
     observables = {"hamiltonian": ("rho0", "rho_m", "rho_f", "rho_reset"),
                    "h_system": ("rho0_s", "rho_m_s", "rho_f_s"),
                    "h_ancilla": ("rho0_a", "rho_m_a", "rho_f_a")}
     for field, names in observables.items():
-        h = getattr(model, field)
+        h = np.array([getattr(m, field) for m in models])
         for name in names:
             rho = getattr(trace, name)
-            assert (densmat._diagonal_expectation(h, rho).tobytes()
+            assert (thermo._energy(half, name, rho).tobytes()
                     == densmat._expectation(h, rho).tobytes()), (field, name)
-            if name.endswith("_a"):
-                assert (densmat._diagonal_expectation(densmat.SIGMA_Z, rho).tobytes()
-                        == densmat._expectation(densmat.SIGMA_Z, rho).tobytes()), name
     # eps_s = 0 gives a zero gap whose levels are -0.0 and +0.0, so the signs of zeros take part
-    zeros = _levels(model.h_system)[_levels(model.h_system) == 0.0]
-    assert np.signbit(zeros.real).any() and not np.signbit(zeros.real).all()
+    for levels in (half[:, 0, None] * thermo._Z, thermo._levels(half)):
+        zeros = levels[levels == 0.0]
+        assert np.signbit(zeros).any() and not np.signbit(zeros).all()
     u = protocol._measurement_unitaries([p.phi for p in points])
     assert trace.rho_m.tobytes() == (u @ trace.rho0 @ densmat._dagger(u)).tobytes()
     for name in ("rho0", "rho_m", "rho_f", "rho_reset"):
@@ -350,10 +347,6 @@ def test_scaled_and_sliced_kernels_keep_their_bytes_on_protocol_stacks(rng, temp
 def test_scaled_and_sliced_kernels_keep_their_bytes_on_random_stacks(rng, random_density):
     n = 256
     states = np.array([random_density(4) for _ in range(n)])
-    levels = rng.normal(size=(n, 4)) * rng.choice([0.0, -0.0, 1e-300, 1.0, 1e300], size=(n, 4))
-    h = levels[:, :, None] * np.eye(4)
-    assert (densmat._diagonal_expectation(h.astype(complex), states).tobytes()
-            == densmat._expectation(h.astype(complex), states).tobytes())
     populations = rng.dirichlet(np.ones(4), size=n) * rng.choice([0.0, 1.0], size=(n, 4))
     rho0 = populations[:, :, None] * np.eye(4, dtype=complex)
     phi = rng.uniform(0.0, HALF_PI, n).tolist()

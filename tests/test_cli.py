@@ -552,6 +552,14 @@ def test_config_file_rejects_malformed_lines(capsys, tmp_path):
     assert "key = value" in err
 
 
+def test_a_config_file_that_is_not_utf8_is_named(capsys, tmp_path):
+    config = tmp_path / "bad.cfg"
+    config.write_bytes(b"\xff\xfeeps_s = 0.4\n")
+    code, out, err = run_cli(capsys, "run", "--config", str(config), "--eps-a", "0.8", "--phi", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {config}: ") and err.count("\n") == 1
+
+
 def test_output_file_writing(capsys, tmp_path):
     target = tmp_path / "point.json"
     code, out, _ = run_cli(capsys, "run", "--eps-s", "0.2", "--eps-a", "0.6",

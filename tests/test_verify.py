@@ -48,7 +48,7 @@ def test_run_suite_eigensolver_calls_do_not_grow_with_the_grid(monkeypatch):
     large = _count_eig_calls(monkeypatch, lambda: verify.run_suite(7, 3))
     assert small == large
     # the budget itself, so that a spectrum taken a second time shows
-    assert _count_eig_calls(monkeypatch, lambda: verify.run_suite(12, 3)) == {"eigvalsh": 9, "eigh": 4}
+    assert _count_eig_calls(monkeypatch, lambda: verify.run_suite(12, 3)) == {"eigvalsh": 8, "eigh": 4}
 
 
 def test_point_checks_eigensolver_budget(monkeypatch):
@@ -298,31 +298,67 @@ def test_grid_values_equal_their_direct_computation(temperature):
         assert _bits(g.entropy(name)) == _bits(densmat._vn_entropies(state)), name
     assert (_bits(g.entropy("rho_m_s") + g.entropy("rho_m_a") - g.entropy("rho_m"))
             == _bits(correlations._mutual_information(trace.rho_m)))
-    h, model = g.model.hamiltonian, g.model
+    assert not hasattr(g, "model")  # no Hamiltonian stack: the energies weigh populations by levels
+    models = [thermo.energy_model(p) for p in points]
+    operators = {"hamiltonian": ("rho0", "rho_m", "rho_f", "rho_reset"),
+                 "h_system": ("rho0_s", "rho_m_s", "rho_f_s"),
+                 "h_ancilla": ("rho0_a", "rho_m_a", "rho_f_a")}
+    for field, names in operators.items():
+        h = np.array([getattr(m, field) for m in models])
+        for name in names:
+            assert _bits(g.energy(name)) == _bits(densmat._expectation(h, getattr(trace, name))), name
 
-    def drop(h, before, after):
-        return densmat._diagonal_expectation(h, before) - densmat._diagonal_expectation(h, after)
+    def drop(before, after):
+        return g.energy(before) - g.energy(after)
 
     per_field = {
-        "work_measurement": drop(h, trace.rho0, trace.rho_m),
-        "work_feedback": drop(h, trace.rho_m, trace.rho_f),
-        "heat_reset": drop(model.h_ancilla, trace.rho_f_a, trace.rho0_a),
-        "delta_e_system": drop(model.h_system, trace.rho0_s, trace.rho_f_s),
+        "work_measurement": drop("rho0", "rho_m"),
+        "work_feedback": drop("rho_m", "rho_f"),
+        "heat_reset": drop("rho_f_a", "rho0_a"),
+        "delta_e_system": drop("rho0_s", "rho_f_s"),
         "entropy_reduction": densmat._vn_entropies(trace.rho0_s) - densmat._vn_entropies(trace.rho_f_s),
-        "total_work": -drop(h, trace.rho0, trace.rho_f),
+        "total_work": -drop("rho0", "rho_f"),
     }
     assert ({name: [v.hex() for v in stack.tolist()] for name, stack in g.oracles.items()}
             == {name: [v.hex() for v in stack.tolist()] for name, stack in per_field.items()})
-    assert _bits(g.energies["rho_m"]) == _bits(densmat._expectation(h, trace.rho_m))
-    assert [(s.hex(), a.hex()) for s, a in zip(model.omega_s.tolist(), model.omega_a.tolist())] == [
-        (thermo.level_splitting(p.eps_s, p.temperature).hex(),
-         thermo.level_splitting(p.eps_a, p.temperature).hex()) for p in points]
-    for i, p in enumerate(points):
-        single = thermo.energy_model(p)
-        for field in ("hamiltonian", "h_system", "h_ancilla"):
-            assert _bits(getattr(model, field)[i]) == _bits(getattr(single, field)), (i, field)
+    assert [tuple(v.hex() for v in half) for half in g.half_splittings.tolist()] == [
+        tuple((0.5 * thermo.level_splitting(eps, p.temperature)).hex() for eps in (p.eps_s, p.eps_a))
+        for p in points]
     assert [d.hex() for d in g.discord_analytic] == [
         correlations.discord_analytic(p.eps_s, p.phi).hex() for p in points]
+
+
+_PHIS_5 = np.linspace(0.0, HALF_PI, 5).tolist()
+
+
+@pytest.mark.parametrize("axes, exact", [
+    (verify._standard_axes(5, 1e-300), False),
+    (verify._standard_axes(5, 0.8), True),
+    (verify._standard_axes(5, 1e300), False),
+    (([(0.0, np.linspace(0.0, verify.EPS_A_MAX, 5).tolist())], _PHIS_5, 0.8), True),
+    (([(es, [es]) for es in np.linspace(0.0, verify.EPS_S_MAX, 5).tolist()], _PHIS_5, 0.8), True),
+], ids=["T=1e-300", "T=0.8", "T=1e300", "eps_s=0", "eps_s=eps_a"])
+def test_ergotropy_bound_pairs_rho_m_with_the_ascending_levels_of_H(monkeypatch, axes, exact):
+    # the passive state pairs rho_m's descending eigenvalues with H's ascending levels, which
+    # the grid takes as |11>, |01>, |10>, |00> (ascending where eps_s <= eps_a), not by eigvalsh
+    g = sweep._Grid(*axes)
+    calls, real = [], thermo._ergotropy
+    monkeypatch.setattr(thermo, "_ergotropy", lambda *args: calls.append(args) or real(*args))
+    verify._ergotropy_bound(g)
+    [(energy, levels, spectrum)] = calls
+    models = [thermo.energy_model(ProtocolParams(*p)) for p in g.points]
+    # np.sort keeps tied levels in place; the one tie of unequal bits, the four zeros at
+    # eps_s = eps_a = 0, one of them -0.0, is taken in IEEE total order, -0.0 first
+    ascending = [sorted(np.diagonal(m.hamiltonian).real.tolist(), key=lambda e: (e, math.copysign(1.0, e)))
+                 for m in models]
+    assert np.array_equal(np.sort([np.diagonal(m.hamiltonian).real for m in models]), ascending)
+    assert _bits(levels) == _bits(np.array(ascending))
+    grid = real(energy, levels, spectrum)
+    public = np.array([thermo.ergotropy(rho, m.hamiltonian) for rho, m in zip(g.trace.rho_m, models)])
+    if exact:
+        assert _bits(grid) == _bits(public)
+    else:  # LAPACK rescales H at extreme T, so eigvalsh(H) may miss its diagonal in the last digits
+        assert (np.abs(grid - public) <= 1e-15 * np.abs(public)).all()
 
 
 # repr(run_suite(n, stride, T)) per class at the benchmark's strata and at
