@@ -45,6 +45,7 @@ REVERSIBLE_WORK_FLOOR = 1e-14
 # diverge at eps_a = 1.
 EPS_A_CLAMP = 1e-9
 OBJECTIVES = ("cop", "eta", "chi")
+ENERGY_ERROR = "temperature {!r} makes the cycle energies {}"  # overflow or underflow
 
 
 # ---------------------------------------------------------------------------
@@ -149,13 +150,14 @@ def level_splitting(eps: float, temperature: float) -> float:
     return 2.0 * temperature * math.atanh(eps)
 
 
-# Each closed form is written once, in ``_columns`` or ``_report``, on factors
+# Each closed form is written once, in ``_columns`` or ``_energies``, on factors
 # of one grid axis: a column of (eps_s, eps_a, T), with a = eps_s atanh(eps_s)
-# and y = eps_a atanh(eps_s) + eps_s atanh(eps_a), or a row of phi.  A landscape
-# builds each column and row once; ``figures_of_merit`` reads those of its point.
+# and y = eps_a atanh(eps_s) + eps_s atanh(eps_a), or a row of phi.  A grid builds
+# each column and row once and stacks them into a box for ``_energies``;
+# ``figures_of_merit`` reads those of its point.
 _Column = namedtuple("_Column", "eps_s eps_a temperature atanh_s atanh_a a y ea_atanh_a"
                                 " entropy_reduction cooling_load omega_s omega_a phi_crit")
-_Row = namedtuple("_Row", "phi sin sin2 cos2")
+_Row = namedtuple("_Row", "phi sin sin2 cos cos2")
 
 
 def _columns(eps_s: float, eps_a_values, temperature: float) -> list[_Column]:
@@ -179,8 +181,8 @@ def _column(eps_s: float, eps_a: float, temperature: float) -> _Column:
 
 
 def _row(phi: float) -> _Row:
-    s = math.sin(phi)
-    return _Row(phi, s, s ** 2, math.cos(phi) ** 2)
+    s, c = math.sin(phi), math.cos(phi)
+    return _Row(phi, s, s ** 2, c, c ** 2)
 
 
 def _phi_crit(eps_s: float, eps_a: float, atanh_s: float, atanh_a: float) -> float:
@@ -192,26 +194,29 @@ def _phi_crit(eps_s: float, eps_a: float, atanh_s: float, atanh_a: float) -> flo
     return math.asin(2.0 * eps_s / (y1 + math.hypot(y1, 2.0 * eps_s)))
 
 
+def _energies(c, r) -> tuple:
+    """W_m, W_f, Q, dE_S and W at (column, row), from float factors or from arrays that broadcast
+    (columns (S, 1, E), rows (1, P, 1)): only + - * / run on them, so the bits are the same."""
+    t = c.temperature
+    q = t * (c.eps_a - c.eps_s * r.sin) * c.atanh_a
+    de_s = 0.0 - t * (c.eps_s - c.eps_a * r.sin) * c.atanh_s  # 0.0 - x is -x but for a zero, which stays +0.0
+    w_m = 0.0 - t * (c.eps_s * r.sin2 * c.atanh_s + c.ea_atanh_a)
+    return w_m, t * (c.y * r.sin - c.a * r.cos2), q, de_s, -de_s + q
+
+
 def _report(c: _Column, r: _Row) -> ThermoReport:
     """``figures_of_merit`` of the point (column, row)."""
     t, load = c.temperature, c.cooling_load
-    gap_a, gap_s = c.eps_a - c.eps_s * r.sin, c.eps_s - c.eps_a * r.sin
-    q = t * gap_a * c.atanh_a
-    de_s = 0.0 - t * gap_s * c.atanh_s  # 0.0 - x is -x but for a zero, which stays +0.0
-    w = -de_s + q
-    w_m = 0.0 - t * (c.eps_s * r.sin2 * c.atanh_s + c.ea_atanh_a)
-    w_f = t * (c.y * r.sin - c.a * r.cos2)
-    if not all(map(math.isfinite, (load, q, de_s, w, w_m, w_f, c.omega_s, c.omega_a))):
-        raise ValueError(f"temperature {t!r} makes the cycle energies overflow")
-    # On W / T, so T does not move the limit; the working-point search reads ``_work`` too.
+    w_m, w_f, q, de_s, w = energies = _energies(c, r)
+    if not all(map(math.isfinite, (load, *energies, c.omega_s, c.omega_a))):
+        raise ValueError(ENERGY_ERROR.format(t, "overflow"))
+    # The limit is on W / T, so T does not move it (the working-point search reads ``_work``
+    # too); there the ratios are undefined, and an energy may round to 0 along with W / T.
     reversible = _work(c, r) <= REVERSIBLE_WORK_FLOOR
-    if reversible:
-        cop = eta = chi = None
-    elif w == 0.0 or q == 0.0:
-        raise ValueError(f"temperature {t!r} makes the cycle energies underflow")
-    else:
-        cop = load / w
-        eta, chi = load / q, cop * load
+    if not reversible and (w == 0.0 or q == 0.0 or (load == 0.0 and c.entropy_reduction != 0.0)):
+        raise ValueError(ENERGY_ERROR.format(t, "underflow"))
+    cop = None if reversible else load / w
+    eta, chi = (None, None) if reversible else (load / q, cop * load)
     pc_defined = c.eps_s > 0.0
     return _record(ThermoReport, w_m, w_f, q, de_s, c.entropy_reduction, load, w, cop, eta, chi,
                    c.eps_a * r.sin > c.eps_s, pc_defined and r.phi > c.phi_crit, c.phi_crit,
@@ -228,8 +233,8 @@ def figures_of_merit(params: ProtocolParams) -> ThermoReport:
     """All energetic quantities, performance ratios, regime flags and ``phi_crit``.
 
     Raises ValueError naming the temperature when an energy or a level
-    splitting overflows (the T-free fields included), or when W or Q
-    underflows to zero away from the reversible limit.
+    splitting overflows (the T-free fields included), or when W, Q or the
+    cooling load underflows to zero away from the reversible limit.
     """
     return _report(_column(params.eps_s, params.eps_a, params.temperature), _row(params.phi))
 

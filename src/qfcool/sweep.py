@@ -6,12 +6,12 @@ point from scratch reproduces it bit for bit.  Each grid is validated once,
 where it is built: a landscape's by ``SweepGrid`` at its two corners, a
 characteristic curve's by one ``ProtocolParams`` at its far corner, ``verify``'s
 standard grid at its upper corner and ``run --verify``'s point by its own.
-One private evaluator, ``_Grid``, evaluates the cycle for landscapes,
-characteristic curves and ``verify``, ``run --verify`` among them:
-closed-form factors built once per eps_a column and phi row, and on first
-use the protocol trace, each field's spectrum and each point's half level
-splittings, by which the energies weigh the trace's populations (no Hamiltonian
-is stacked).  The scalar searches (working point, cooling-load inverse and the
+One private evaluator, ``_Grid``, evaluates the cycle for landscapes, characteristic
+curves and ``verify``, ``run --verify`` among them: closed-form factors built once per
+eps_a column and phi row, every report field from one evaluation of the shared formulas
+on the whole box of them, and on first use the protocol trace, each field's spectrum and
+each point's half level splittings, by which the energies weigh the trace's populations
+(no Hamiltonian is stacked).  The scalar searches (working point, cooling-load inverse and the
 closed-form separability angle) live in the numpy-free ``closed_forms`` module,
 evaluate through the same factors and are re-exported here.  Everything runs
 in-process on the calling thread.
@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -98,15 +98,20 @@ class Landscape:
 _Point = namedtuple("_Point", "eps_s eps_a phi temperature")
 
 
+def _box(cls, table: list, shape: tuple) -> tuple:
+    """A table of ``cls`` records (columns or rows) as one ``cls`` of arrays shaped ``shape``."""
+    return cls(*np.moveaxis(np.array(table, dtype=float), -1, 0).reshape(-1, *shape))
+
+
 class _Grid:
     """The cycle on validated axes: a series per register bias eps_s, each with its
     own eps_a axis of one common length, times one phi axis, at one temperature.
 
-    Points run in (series, phi, eps_a) order, as a landscape emits them, and
-    readers select them by axis index on the box ``shape``.  Construction builds the
-    closed forms: a column per eps_a of each series, a row per phi, each
-    point's report and one closed-form discord per (eps_s, phi).  Each matrix
-    stack is built once, on first use, and only for the reader that asks.
+    Points run in (series, phi, eps_a) order, as a landscape emits them, and readers select
+    them by axis index on the box ``shape``.  Construction builds the closed forms: a column
+    per eps_a of each series and a row per phi, stacked as (S, 1, E) and (1, P, 1) arrays, each
+    report field of every point from one evaluation on those (``thermo``), and one closed-form
+    discord per (eps_s, phi).  Each matrix stack is built once, when a reader first asks.
     """
 
     def __init__(self, series: Sequence[tuple[float, Sequence[float]]], phi_values: Sequence[float],
@@ -114,28 +119,54 @@ class _Grid:
         self.temperature, self.discord_stride = temperature, discord_stride
         self.columns = [closed_forms._columns(eps_s, eps_a, temperature) for eps_s, eps_a in series]
         self.rows = [closed_forms._row(phi) for phi in phi_values]
-        self.shape = (len(series), len(self.rows), len(series[0][1]))
-        report = closed_forms._report  # figures_of_merit's call, on columns and rows built once
-        self.reports = [report(c, r) for c, r in self.cells()]
+        self.shape = n_series, n_phi, n_eps_a = len(series), len(self.rows), len(series[0][1])
+        self.column_box = _box(closed_forms._Column, self.columns, (n_series, 1, n_eps_a))
+        self.row_box = _box(closed_forms._Row, self.rows, (1, n_phi, 1))
+        self.thermo = self._thermo()
         self.discord_analytic = [d for (eps_s, _), columns in zip(series, self.columns) for r in self.rows
                                  for d in [correlations.discord_analytic(eps_s, r.phi)] * len(columns)]
         self._spectra = {}  # by trace field name
 
-    def cells(self) -> Iterator[tuple[closed_forms._Column, closed_forms._Row]]:
-        """The (column, row) of each point, in grid order."""
-        return ((c, r) for columns in self.columns for r in self.rows for c in columns)
+    def flat(self, value) -> np.ndarray:
+        """A value on the box, or broadcast to it, as one value per point in grid order."""
+        return np.broadcast_to(value, self.shape).ravel()
+
+    def _thermo(self) -> dict[str, np.ndarray]:
+        """Each ``ThermoReport`` field, flat: ``closed_forms._report`` on the whole box (NaN for None)."""
+        c, r, t = self.column_box, self.row_box, self.temperature
+        load, pc_defined = c.cooling_load, c.eps_s > 0.0
+        with np.errstate(all="ignore"):  # the guards raise what _report raises
+            w_m, w_f, q, de_s, w = energies = closed_forms._energies(c, r)
+            if not all(np.isfinite(x).all() for x in (load, *energies, c.omega_s, c.omega_a)):
+                raise ValueError(closed_forms.ENERGY_ERROR.format(t, "overflow"))
+            reversible = closed_forms._work(c, r) <= closed_forms.REVERSIBLE_WORK_FLOOR
+            if (~reversible & ((w == 0.0) | (q == 0.0) | (load == 0.0) & (c.entropy_reduction != 0.0))).any():
+                raise ValueError(closed_forms.ENERGY_ERROR.format(t, "underflow"))
+            cop, eta = (np.where(reversible, np.nan, load / x) for x in (w, q))
+            fields = (w_m, w_f, q, de_s, c.entropy_reduction, load, w, cop, eta, cop * load,
+                      c.eps_a * r.sin > c.eps_s, pc_defined & (r.phi > c.phi_crit), c.phi_crit, pc_defined,
+                      reversible)
+        return dict(zip(ThermoReport.__match_args__, map(self.flat, fields)))
+
+    @cached_property
+    def reports(self) -> list[ThermoReport]:
+        """Each point's ``figures_of_merit`` record, zipped from ``thermo``."""
+        fields = [np.where(self.thermo["reversible_limit"], None, v) if name in OBJECTIVES else v
+                  for name, v in self.thermo.items()]
+        return [closed_forms._record(ThermoReport, *values) for values in zip(*(v.tolist() for v in fields))]
 
     @cached_property
     def points(self) -> list[_Point]:
-        return [_Point(c.eps_s, c.eps_a, r.phi, self.temperature) for c, r in self.cells()]
+        c, r = self.column_box, self.row_box
+        return list(map(_Point, *(self.flat(x).tolist() for x in (c.eps_s, c.eps_a, r.phi, c.temperature))))
 
     @cached_property
     def correlations(self) -> list[CorrelationReport]:
         """Each point's report without the basis search, from ``rho_m`` stacks of at most
         ``CHUNK_POINTS`` points: a landscape's, which never builds the whole trace."""
-        cells, reports = list(self.cells()), []
-        for lo in range(0, len(cells), CHUNK_POINTS):
-            eps_s, eps_a, phi = zip(*((c.eps_s, c.eps_a, r.phi) for c, r in cells[lo:lo + CHUNK_POINTS]))
+        reports = []
+        for lo in range(0, len(self.points), CHUNK_POINTS):
+            eps_s, eps_a, phi, _ = zip(*self.points[lo:lo + CHUNK_POINTS])
             reports += correlations._reports(protocol._post_measurement_states(eps_s, eps_a, phi),
                                              self.discord_analytic[lo:lo + CHUNK_POINTS])
         return reports
@@ -184,8 +215,8 @@ class _Grid:
 def _curve_points(g: _Grid, include_correlations: bool) -> list[CurvePoint]:
     """Every point of ``g`` in grid order, its correlations only if asked for."""
     corr = g.correlations if include_correlations else [None] * len(g.reports)
-    return [closed_forms._record(CurvePoint, c.eps_a, r.phi, report, k)
-            for (c, r), report, k in zip(g.cells(), g.reports, corr)]
+    return [closed_forms._record(CurvePoint, p.eps_a, p.phi, report, k)
+            for p, report, k in zip(g.points, g.reports, corr)]
 
 
 def characteristic_curve(eps_s: float, phi: float, n_points: int,
@@ -215,19 +246,9 @@ def landscape(grid: SweepGrid,
     if unknown:
         raise ValueError(f"unknown quantity selectors: {sorted(unknown)}")
     g = _Grid([(grid.eps_s, grid.eps_a_values)], grid.phi_values, grid.temperature)
-    points = _curve_points(g, "correlations" in quantities)
-
-    cooling, extraction = [], []
-    if grid.eps_s > 0.0:
-        for r in g.rows:
-            if r.sin > grid.eps_s:
-                eps_a = grid.eps_s / r.sin
-                if grid.eps_a_values[0] <= eps_a <= grid.eps_a_values[-1]:
-                    cooling.append(BoundaryPoint(phi=r.phi, eps_a=eps_a))
-        for c in g.columns[0]:
-            if grid.phi_values[0] <= c.phi_crit <= grid.phi_values[-1]:
-                extraction.append(BoundaryPoint(phi=c.phi_crit, eps_a=c.eps_a))
-
-    return Landscape(points=tuple(points),
-                     cooling_window_boundary=tuple(cooling),
-                     work_extraction_boundary=tuple(extraction))
+    es, eps_a, phi = grid.eps_s, grid.eps_a_values, grid.phi_values
+    cooling = [BoundaryPoint(r.phi, es / r.sin) for r in g.rows
+               if 0.0 < es < r.sin and eps_a[0] <= es / r.sin <= eps_a[-1]]
+    extraction = [BoundaryPoint(c.phi_crit, c.eps_a) for c in g.columns[0]
+                  if es > 0.0 and phi[0] <= c.phi_crit <= phi[-1]]
+    return Landscape(tuple(_curve_points(g, "correlations" in quantities)), tuple(cooling), tuple(extraction))

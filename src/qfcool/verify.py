@@ -1,14 +1,13 @@
 """Cross-validation of every closed form against density-matrix oracles.
 
-Every check reads ``sweep._Grid``, the evaluator that ``sweep`` reads too:
-its closed-form reports, built on the factors of each axis value, and its
-matrix stacks, each built once.  ``run_suite`` reads the standard
-(eps_s, eps_a, phi) grid through one table of invariant classes,
-``CLASSES``.  ``point_checks`` (``run --verify``) reads a one-point grid
-through the oracle classes, the two numeric-discord classes and
-``trace_summary``, which between them check every number ``run`` prints
-but the concurrence and its EoF.  The discord classes run the basis search
-on both sides of each state of the discord subgrid, in one search, and
+Every check reads ``sweep._Grid``, the evaluator that ``sweep`` reads too: its
+closed-form report fields, an array each from one evaluation on the factors of each
+axis value, and its matrix stacks, each built once.  ``run_suite`` reads the standard
+(eps_s, eps_a, phi) grid through one table of invariant classes, ``CLASSES``.
+``point_checks`` (``run --verify``) reads a one-point grid through the oracle classes,
+the two numeric-discord classes and ``trace_summary``, which between them check every
+number ``run`` prints but the concurrence and its EoF.  The discord classes run the
+basis search on both sides of each state of the discord subgrid, in one search, and
 compare it with the closed form.  Energy deviations are in units of T.
 """
 
@@ -17,13 +16,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from . import closed_forms, densmat, thermo
 from .closed_forms import ProtocolParams, _require_count, thermal_entropy
-from .sweep import _Grid
+from .sweep import _Grid, _box
 
 TOL_CLOSED_FORM = 1e-10
 TOL_ENTROPY_FORM = 1e-12
@@ -64,16 +63,20 @@ def standard_grid(n: int = 12, temperature: float = 1.0) -> list[ProtocolParams]
     return [ProtocolParams(es, ea, p, temperature) for es, eps_a in series for ea in eps_a for p in phis]
 
 
-def _by_column(g: _Grid, value: Callable[[closed_forms._Column], float]) -> list[float]:
+def _by_column(g: _Grid, value: Callable[[closed_forms._Column], float]) -> np.ndarray:
     """``value`` of each point's eps_a column, taken once per column."""
-    return [v for values in [[value(c) for c in columns] for columns in g.columns]
-            for _ in g.rows for v in values]
+    return g.flat(np.array([[value(c) for c in columns] for columns in g.columns])[:, None, :])
 
 
-def _pointwise(g: _Grid, closed: Sequence[float], matrix: np.ndarray, energy: bool = False) -> list[float]:
+def _pointwise(g: _Grid, closed, matrix: np.ndarray, energy: bool = False) -> list[float]:
     """|closed - matrix| at each grid point (one value per point in each), in units of T for an energy."""
     unit = g.temperature if energy else 1.0
-    return [abs(c - m) / unit for c, m in zip(closed, matrix.tolist())]
+    return (np.abs(np.subtract(closed, matrix)) / unit).tolist()
+
+
+def _positive(g: _Grid, excess: np.ndarray, where=slice(None), unit: Optional[float] = None) -> list[float]:
+    """max(0, excess) at each grid point that ``where`` selects, in units of ``unit`` (T by default)."""
+    return (np.maximum(0.0, excess[where]) / (g.temperature if unit is None else unit)).tolist()
 
 
 def _max_abs(stack: np.ndarray) -> np.ndarray:
@@ -91,26 +94,26 @@ def _entropy_invariance(g: _Grid) -> list[float]:
 
 
 def _ancilla_marginal(g: _Grid) -> list[float]:
-    z = densmat._expectation(densmat.SIGMA_Z, g.trace.rho_m_a).tolist()
-    x = densmat._expectation(densmat.SIGMA_X, g.trace.rho_m_a).tolist()
-    return [max(abs(zi), abs(xi - p.eps_s * p.eps_a * math.cos(p.phi)))
-            for p, zi, xi in zip(g.points, z, x)]
+    z, x = (densmat._expectation(s, g.trace.rho_m_a) for s in (densmat.SIGMA_Z, densmat.SIGMA_X))
+    closed = g.flat(g.column_box.eps_s * g.column_box.eps_a * g.row_box.cos)
+    return np.maximum(np.abs(z), np.abs(x - closed)).tolist()
 
 
 def _ergotropy_bound(g: _Grid) -> list[float]:
     # H's levels |11>, |01>, |10>, |00> ascend, as eps_s <= eps_a at every grid point
     levels = thermo._levels(g.half_splittings)[:, [3, 1, 2, 0]]
     bound = thermo._ergotropy(g.energy("rho_m"), levels, g.spectrum("rho_m"))
-    return [max(0.0, r.work_feedback - e) / g.temperature for r, e in zip(g.reports, bound.tolist())]
+    return (np.maximum(0.0, g.thermo["work_feedback"] - bound) / g.temperature).tolist()
 
 
 def _phi_crit_root(g: _Grid) -> list[float]:
-    """Feedback work at the root angle over T, at each point with eps_s > 0.  The root
-    depends on (eps_s, eps_a, T) alone: one per column, shared by its phi series."""
-    report = closed_forms._report
-    return [d for columns in g.columns if columns[0].eps_s > 0.0 for c in columns
-            for d in [abs(report(c, closed_forms._row(c.phi_crit)).work_feedback) / g.temperature]
-            * len(g.rows)]
+    """Feedback work at the root angle over T, at each point with eps_s > 0.  The root depends
+    on (eps_s, eps_a, T) alone: one per column, shared by its phi series, all in one evaluation."""
+    columns = [columns for columns in g.columns if columns[0].eps_s > 0.0]
+    shape = (len(columns), 1, g.shape[2])
+    roots = _box(closed_forms._Row, [[closed_forms._row(c.phi_crit) for c in cs] for cs in columns], shape)
+    w_f = closed_forms._energies(_box(closed_forms._Column, columns, shape), roots)[1]
+    return np.broadcast_to(np.abs(w_f) / g.temperature, (len(columns), *g.shape[1:])).ravel().tolist()
 
 
 def _trace_oracles(g: _Grid) -> np.ndarray:
@@ -145,7 +148,7 @@ def _trace_summary(g: _Grid) -> list[float]:
 def _monotone_in_phi(field: str) -> Callable[[_Grid], list[float]]:
     """Rise of ``field`` between neighbouring phi in each (eps_s, eps_a) series, where defined."""
     def deviations(g: _Grid) -> list[float]:
-        v = np.array([getattr(r, field) for r in g.reports], dtype=float).reshape(g.shape)  # None: NaN
+        v = g.thermo[field].reshape(g.shape)  # NaN where undefined
         rise = v[:, :-1] - v[:, 1:]
         return np.maximum(0.0, rise[~np.isnan(rise)]).tolist()
     return deviations
@@ -155,16 +158,17 @@ def _monotone_in_phi(field: str) -> Callable[[_Grid], list[float]]:
 # class checks).  First closed form versus matrix oracle, run --verify's.
 ORACLE_CLASSES = {
     **{name: (TOL_CLOSED_FORM, lambda g, name=name: _pointwise(
-        g, [getattr(r, name) for r in g.reports], g.oracles[name], energy=name != "entropy_reduction"))
+        g, g.thermo[name], g.oracles[name], energy=name != "entropy_reduction"))
        for name in ("work_measurement", "work_feedback", "heat_reset", "delta_e_system",
                     "entropy_reduction", "total_work")},
     "energy_conservation": (TOL_CLOSED_FORM, lambda g: _pointwise(
-        g, [-(r.work_measurement + r.work_feedback) for r in g.reports], g.oracles["total_work"],
+        g, -(g.thermo["work_measurement"] + g.thermo["work_feedback"]), g.oracles["total_work"],
         energy=True)),
     # the closed form, each entropy but the ancilla's once per bias, against the shared entropies
     "mutual_information": (TOL_CLOSED_FORM, lambda g: _pointwise(
-        g, [closed_forms._mutual_information(p.eps_s, p.eps_a, math.cos(p.phi), shared)
-            for shared in [cache(thermal_entropy)] for p in g.points],
+        g, [closed_forms._mutual_information(p.eps_s, p.eps_a, cos, shared)
+            for shared in [cache(thermal_entropy)]
+            for p, cos in zip(g.points, g.flat(g.row_box.cos).tolist())],
         g.entropy("rho_m_s") + g.entropy("rho_m_a") - g.entropy("rho_m"))),
     "discord_closed_form": (TOL_CLOSED_FORM, lambda g: _pointwise(
         g, g.discord_analytic, g.entropy("rho_m_s") - g.entropy("rho0_s"))),
@@ -186,22 +190,20 @@ CLASSES = {
         _max_abs(densmat._partial_trace(g.trace.rho_reset, "S") - g.trace.rho_f_s),
         _max_abs(densmat._partial_trace(g.trace.rho_reset, "A") - g.trace.rho0_a)).tolist()),
     "post_measurement_ancilla_marginal": (TOL_MARGINAL, _ancilla_marginal),
-    "work_positive": (0.0, lambda g: [
-        max(0.0, -r.total_work) / g.temperature for p, r in zip(g.points, g.reports)
-        if p.eps_a > p.eps_s + 1e-12]),
-    "heat_bounds_load": (1e-12, lambda g: [
-        max(0.0, r.cooling_load - r.heat_reset) / g.temperature for r in g.reports]),
-    "entropy_reduction_nonnegative": (1e-12, lambda g: [
-        max(0.0, -r.entropy_reduction) for r in g.reports]),
-    "eta_bounded": (1e-12, lambda g: [
-        max(0.0, r.eta - 1.0, -r.eta) for r in g.reports if r.eta is not None]),
+    "work_positive": (0.0, lambda g: _positive(
+        g, -g.thermo["total_work"], g.flat(g.column_box.eps_a > g.column_box.eps_s + 1e-12))),
+    "heat_bounds_load": (1e-12, lambda g: _positive(
+        g, g.thermo["cooling_load"] - g.thermo["heat_reset"])),
+    "entropy_reduction_nonnegative": (1e-12, lambda g: _positive(
+        g, -g.thermo["entropy_reduction"], unit=1.0)),
+    "eta_bounded": (1e-12, lambda g: _positive(
+        g, np.maximum(g.thermo["eta"] - 1.0, -g.thermo["eta"]), ~g.thermo["reversible_limit"], 1.0)),
     "ergotropy_bound": (1e-12, _ergotropy_bound),
-    "cooling_window_sign": (0.0, lambda g: [
-        0.0 if (r.delta_e_system > 0.0) == r.in_cooling_window else 1.0
-        for r in g.reports if abs(r.delta_e_system) > 1e-12 * g.temperature]),
-    "no_cooling_below_bias": (1e-12, lambda g: [
-        max(0.0, r.delta_e_system) / g.temperature for (c, row), r in zip(g.cells(), g.reports)
-        if row.sin < c.eps_s]),
+    "cooling_window_sign": (0.0, lambda g: np.where(
+        (g.thermo["delta_e_system"] > 0.0) == g.thermo["in_cooling_window"], 0.0, 1.0)[
+        np.abs(g.thermo["delta_e_system"]) > 1e-12 * g.temperature].tolist()),
+    "no_cooling_below_bias": (1e-12, lambda g: _positive(
+        g, g.thermo["delta_e_system"], g.flat(g.row_box.sin < g.column_box.eps_s))),
     "phi_crit_root": (TOL_ROOT, _phi_crit_root),
     **{f"{field}_monotone_phi": (1e-9, _monotone_in_phi(field))
        for field in ("cop", "eta", "chi")},

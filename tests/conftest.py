@@ -1,6 +1,11 @@
 import numpy as np
 import pytest
 
+from qfcool import closed_forms
+
+# The ThermoReport fields that closed_forms._energies returns, in its order.
+ENERGIES = ("work_measurement", "work_feedback", "heat_reset", "delta_e_system", "total_work")
+
 
 @pytest.fixture
 def rng():
@@ -33,3 +38,20 @@ def bell_state():
     """|Phi+><Phi+| = (|00> + |11>)(<00| + <11|)/2."""
     v = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
     return np.outer(v, v.conj())
+
+
+@pytest.fixture
+def corrupt_closed_form(monkeypatch):
+    """``corrupt(field, delta)`` shifts one ThermoReport field by ``delta`` where the closed
+    forms compute it, so that ``figures_of_merit`` and every grid carry it: an energy in the
+    shared formula ``closed_forms._energies``, the entropy reduction in ``closed_forms._columns``."""
+    def corrupt(field, delta):
+        if field == "entropy_reduction":
+            honest_columns = closed_forms._columns
+            monkeypatch.setattr(closed_forms, "_columns", lambda *args: [
+                c._replace(entropy_reduction=c.entropy_reduction + delta) for c in honest_columns(*args)])
+        else:
+            honest, k = closed_forms._energies, ENERGIES.index(field)
+            monkeypatch.setattr(closed_forms, "_energies", lambda c, r: tuple(
+                e + delta if i == k else e for i, e in enumerate(honest(c, r))))
+    return corrupt

@@ -374,15 +374,9 @@ def test_verify_json_document(capsys):
     assert all(c["max_deviation"] <= c["tolerance"] for c in doc["checks"])
 
 
-def test_verify_detects_corrupted_closed_form(capsys, monkeypatch):
-    # the one function behind every emitted ThermoReport
-    honest = closed_forms._report
-
-    def corrupted(c, r):
-        report = honest(c, r)
-        return dataclasses.replace(report, heat_reset=report.heat_reset + 1e-6)
-
-    monkeypatch.setattr(closed_forms, "_report", corrupted)
+def test_verify_detects_corrupted_closed_form(capsys, corrupt_closed_form):
+    # the one formula behind every emitted ThermoReport's energies
+    corrupt_closed_form("heat_reset", 1e-6)
     code, out, _ = run_cli(capsys, "verify", "--grid-n", "4",
                            "--discord-stride", "4")
     assert code == 3
@@ -438,14 +432,8 @@ def test_verify_passes_at_large_temperatures(capsys, args):
     assert "FAIL" not in out
 
 
-def test_run_verify_fails_on_corrupted_closed_form(capsys, monkeypatch):
-    honest = closed_forms._report
-
-    def corrupted(c, r):
-        report = honest(c, r)
-        return dataclasses.replace(report, work_measurement=report.work_measurement - 1e-6)
-
-    monkeypatch.setattr(closed_forms, "_report", corrupted)
+def test_run_verify_fails_on_corrupted_closed_form(capsys, corrupt_closed_form):
+    corrupt_closed_form("work_measurement", -1e-6)
     code, out, _ = run_cli(capsys, "run", "--eps-s", "0.4", "--eps-a", "0.8",
                            "--phi", "1.0", "--verify")
     assert code == 3

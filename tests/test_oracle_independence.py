@@ -56,6 +56,8 @@ ROUTES = {
     "discord_numeric_s": lambda p, rho, g: correlations.discord_numeric(rho, "S"),
     "matrix_oracles": lambda p, rho, g: thermo.matrix_oracles(p),
     "trace_summary": lambda p, rho, g: verify._trace_oracles(g),
+    # the grid's own energy oracles and entropies, which must not read its closed-form box
+    "grid_oracles": lambda p, rho, g: [g.oracles, *map(g.entropy, vars(g.trace))],
     "entanglement_of_formation": lambda p, rho, g: correlations.entanglement_of_formation(rho),
 }
 

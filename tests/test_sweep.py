@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from qfcool import cli, closed_forms, sweep
+from qfcool import cli, closed_forms, sweep, verify
 from qfcool.protocol import ProtocolParams
 from qfcool.sweep import (
     SweepGrid, characteristic_curve, eps_a_for_cooling_load,
@@ -568,3 +568,50 @@ def test_eps_a_for_cooling_load_rejects_unreachable():
         eps_a_for_cooling_load(0.4, 100.0)
     with pytest.raises(ValueError):
         eps_a_for_cooling_load(0.4, -0.1)
+
+
+# ---------------------------------------------------------------------------
+# the grid's box against the scalar record
+# ---------------------------------------------------------------------------
+
+def _landscape_axes(eps_s, n_phi, n_eps_a):
+    """One series and a phi axis, as ``qfcool sweep --landscape`` builds them."""
+    eps_a = [eps_s + (TOP - eps_s) * i / (n_eps_a - 1) for i in range(n_eps_a)]
+    return [(eps_s, eps_a)], np.linspace(0.0, HALF_PI, n_phi).tolist()
+
+
+BOX_GRIDS = {
+    "golden-25x101": (*_landscape_axes(0.4, 25, 101), 1.0),
+    **{f"standard-6-T{t!r}": (*verify._standard_axes(6, t)[:2], t) for t in (1e-300, 1.0, 2.3, 1e300)},
+    "eps_s-0": (*_landscape_axes(0.0, 5, 7), 1.0),
+    # eps_a = eps_s at phi = pi/2: W = 0, so every point is reversible and its ratios None
+    "reversible": ([(es, [es]) for es in (0.0, 0.3, 0.9)], [HALF_PI], 1.0),
+    "eps_a-top": ([(es, [TOP]) for es in (0.0, 0.4, 0.9)], np.linspace(0.0, HALF_PI, 5).tolist(), 1.0),
+}
+
+
+@pytest.mark.parametrize("series, phis, temperature", BOX_GRIDS.values(), ids=BOX_GRIDS)
+def test_the_box_equals_the_scalar_record(series, phis, temperature):
+    # repr tells -0.0 from 0.0, None from NaN and a numpy scalar from a Python one
+    reports = sweep._Grid(series, phis, temperature).reports
+    assert [repr(r) for r in reports] == [
+        repr(figures_of_merit(ProtocolParams(es, ea, phi, temperature)))
+        for es, eps_a in series for phi in phis for ea in eps_a]
+    if series == BOX_GRIDS["reversible"][0]:
+        assert all(r.reversible_limit and r.cop is r.eta is r.chi is None for r in reports)
+
+
+@pytest.mark.parametrize("temperature, how", [(1e308, "overflow"), (5e-324, "underflow")])
+def test_the_box_raises_the_scalar_records_error(temperature, how):
+    for series, phis in (verify._standard_axes(3, temperature)[:2], _landscape_axes(0.3, 5, 21)):
+        errors = set()
+        for es, eps_a in series:
+            for phi in phis:
+                for ea in eps_a:
+                    try:
+                        figures_of_merit(ProtocolParams(es, ea, phi, temperature))
+                    except ValueError as error:
+                        errors.add(str(error))
+        with pytest.raises(ValueError) as box:
+            sweep._Grid(series, phis, temperature)
+        assert errors == {str(box.value)} == {f"temperature {temperature!r} makes the cycle energies {how}"}

@@ -58,6 +58,19 @@ def test_point_checks_eigensolver_budget(monkeypatch):
     assert counts == {"eigvalsh": 10, "eigh": 4}
 
 
+def test_the_suite_evaluates_the_closed_forms_a_fixed_number_of_times(monkeypatch):
+    # one evaluation on the grid's box, and run_suite's one more at the phi_crit roots
+    counts = []
+    for call in (lambda: verify.run_suite(4, 3), lambda: verify.run_suite(7, 3),
+                 lambda: verify.point_checks(ProtocolParams(0.4, 0.8, 1.0))):
+        calls, real = [], closed_forms._energies
+        monkeypatch.setattr(closed_forms, "_energies", lambda c, r: calls.append(None) or real(c, r))
+        call()
+        monkeypatch.undo()
+        counts.append(len(calls))
+    assert counts == [2, 2, 1]
+
+
 def _reference_deviations(points):
     """Deviations of the pointwise classes, from the single-point functions and kernels.
 
@@ -229,16 +242,20 @@ def test_run_suite_scores_the_discord_subgrid_in_few_kernel_calls(monkeypatch):
 
 def test_phi_crit_root_evaluates_one_root_per_phi_series(monkeypatch):
     # the root angle depends on (eps_s, eps_a, T) alone: one per series, not per point.
-    # Every report the suite builds is one _report call: one per grid point, then
-    # one at each root, whose row is the column's phi_crit.
+    # The suite evaluates the closed form twice, whatever the grid's size: once on the
+    # whole box, then once at every root, each a column whose row is its phi_crit.
     grid_n, calls = 7, []
-    real = closed_forms._report
-    monkeypatch.setattr(closed_forms, "_report", lambda c, r: calls.append((c, r)) or real(c, r))
+    real = closed_forms._energies
+    monkeypatch.setattr(closed_forms, "_energies", lambda c, r: calls.append((c, r)) or real(c, r))
     checks = {c.name: c for c in verify.run_suite(grid_n, 3)}
-    roots = calls[grid_n ** 3:]
+    assert len(calls) == 2
+    (box_c, box_r), (c, r) = calls
+    assert np.broadcast(box_c.eps_a, box_r.phi).shape == (grid_n,) * 3
+    roots = list(zip(c.eps_s.ravel().tolist(), c.eps_a.ravel().tolist(), c.phi_crit.ravel().tolist(),
+                     np.broadcast_to(r.phi, c.phi_crit.shape).ravel().tolist()))
     assert 0 < len(roots) <= grid_n ** 2
-    assert [r.phi for _, r in roots] == [c.phi_crit for c, _ in roots]
-    assert len({(c.eps_s, c.eps_a) for c, _ in roots}) == len(roots) == grid_n ** 2 - grid_n
+    assert [phi for *_, phi in roots] == [phi_crit for _, _, phi_crit, _ in roots]
+    assert len({(es, ea) for es, ea, *_ in roots}) == len(roots) == grid_n ** 2 - grid_n
     assert checks["phi_crit_root"].points == grid_n ** 3 - grid_n ** 2
 
 
@@ -712,12 +729,10 @@ def test_oracle_deviations_are_unchanged_bit_for_bit():
 
 
 @pytest.mark.parametrize("field", ["heat_reset", "work_feedback", "entropy_reduction"])
-def test_oracle_classes_check_the_emitted_reports(monkeypatch, field):
-    # the reports run and sweep print (figures_of_merit's and a landscape's
-    # _report call) carry a corrupted value; the matrix oracles stay honest
-    honest = closed_forms._report
-    monkeypatch.setattr(closed_forms, "_report", lambda c, r: dataclasses.replace(
-        honest(c, r), **{field: getattr(honest(c, r), field) + 1e-6}))
+def test_oracle_classes_check_the_emitted_reports(corrupt_closed_form, field):
+    # the reports run and sweep print (figures_of_merit's record and a grid's box,
+    # both from the shared closed forms) carry a corrupted value; the matrix oracles stay honest
+    corrupt_closed_form(field, 1e-6)
     checks = {c.name: c for c in verify.point_checks(ProtocolParams(0.4, 0.8, 1.0))}
     assert [name for name, c in checks.items() if not c.passed] == (
         [field, "energy_conservation"] if field == "work_feedback" else [field])

@@ -116,7 +116,21 @@ def test_a_subnormal_temperature_underflows_as_a_domain_error(rng):
     assert outcomes == {"refused", "reported"}
 
 
-@pytest.mark.parametrize("objective, refused", [("chi", False), ("cop", True), ("eta", True)])
+def test_a_cooling_load_that_rounds_to_zero_is_refused(capsys):
+    # T W and T Q stay above 0 but T P rounds to 0, so cop and eta would print as 0.0
+    # (0.553 and 0.471 at T = 1)
+    column, row = closed_forms._column(0.3, 0.9, 5e-324), closed_forms._row(1.0)
+    assert column.cooling_load == 0.0 < column.entropy_reduction
+    assert all(closed_forms._energies(column, row)[k] > 0.0 for k in (2, 4))  # Q and W
+    with pytest.raises(ValueError, match="^temperature 5e-324 makes the cycle energies underflow$"):
+        figures_of_merit(ProtocolParams(0.3, 0.9, 1.0, 5e-324))
+    code = cli.main(["run", "--eps-s", "0.3", "--eps-a", "0.9", "--phi", "1.0", "--temperature", "5e-324"])
+    assert (code, *capsys.readouterr()) == (
+        2, "", "error: temperature 5e-324 makes the cycle energies underflow\n")
+
+
+# chi's working point has T P rounding to 0 too, so its load and chi would print as 0.0
+@pytest.mark.parametrize("objective, refused", [("chi", True), ("cop", True), ("eta", True)])
 def test_optimize_at_a_subnormal_temperature(capsys, objective, refused):
     args = ["optimize", "--objective", objective, "--eps-s", "0.4", "--phi", "1.2",
             "--temperature", "5e-324"]
