@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .closed_forms import (
-    EPS_A_CLAMP, OBJECTIVES, ProtocolParams, _correlations, _require_count, _trace_summary,
+    EPS_A_CLAMP, MAX_GRID_POINTS, OBJECTIVES, ProtocolParams, _correlations, _require_count, _trace_summary,
     discord_threshold, figures_of_merit, optimize_working_point,
 )
 
@@ -208,18 +208,19 @@ def _point_doc(point: sweep.CurvePoint) -> dict:
 def cmd_sweep(opts: dict) -> int:
     from . import sweep
     import numpy as np
-    eps_s, landscape_mode, phis = opts["eps_s"], opts["landscape"], opts["phi"]
+    eps_s, landscape_mode, phis, n_eps_a = opts["eps_s"], opts["landscape"], opts["phi"], opts["n_eps_a"]
     _require_count("n_phi", opts["n_phi"], 1)  # in every mode, as its type is
+    _require_count("n_eps_a", n_eps_a, 2)
+    n_phi = len(phis) if phis is not None else opts["n_phi"] if landscape_mode else len(_DEFAULT_SWEEP_PHIS)
+    _require_count("grid points", n_phi * n_eps_a, 0, MAX_GRID_POINTS)  # before any axis is built
     if phis is not None:
         phis = [_radians(opts, v) for v in phis]
     elif landscape_mode:
-        phis = np.linspace(0.0, math.pi / 2, opts["n_phi"]).tolist()
+        phis = np.linspace(0.0, math.pi / 2, n_phi).tolist()
     else:
         phis = _DEFAULT_SWEEP_PHIS
     eps_a_min = eps_s if opts["eps_a_min"] is None else opts["eps_a_min"]
-    eps_a_max, n_eps_a = opts["eps_a_max"], opts["n_eps_a"]
-    _require_count("n_eps_a", n_eps_a, 2)
-    eps_a_values = tuple(eps_a_min + (eps_a_max - eps_a_min) * i / (n_eps_a - 1)
+    eps_a_values = tuple(eps_a_min + (opts["eps_a_max"] - eps_a_min) * i / (n_eps_a - 1)
                          for i in range(n_eps_a))
     grid = sweep.SweepGrid(eps_s=eps_s, phi_values=tuple(sorted(phis)),
                            eps_a_values=eps_a_values, temperature=opts["temperature"])

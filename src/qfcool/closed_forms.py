@@ -45,6 +45,8 @@ REVERSIBLE_WORK_FLOOR = 1e-14
 # diverge at eps_a = 1.
 EPS_A_CLAMP = 1e-9
 OBJECTIVES = ("cop", "eta", "chi")
+# The most points of a ``sweep`` or ``verify`` grid, checked from its counts before any axis is built.
+MAX_GRID_POINTS = 1_000_000
 ENERGY_ERROR = "temperature {!r} makes the cycle energies {}"  # overflow or underflow
 
 
@@ -269,8 +271,8 @@ def mutual_information_analytic(params: ProtocolParams) -> float:
 
 
 def _mutual_information(es: float, ea: float, cos_phi: float, entropy: Callable[[float], float]) -> float:
-    """The closed form, with ``entropy`` for the entropies of eps_s, eps_a and eps_s cos(phi)."""
-    return entropy(es * cos_phi) + thermal_entropy(es * ea * cos_phi) - entropy(es) - entropy(ea)
+    """The closed form, ``entropy`` giving each thermal entropy, of floats or of arrays that broadcast."""
+    return entropy(es * cos_phi) + entropy(es * ea * cos_phi) - entropy(es) - entropy(ea)
 
 
 def discord_analytic(eps_s: float, phi: float) -> float:
@@ -405,12 +407,14 @@ class SeparabilityBoundary:
     status: str
 
 
-def _require_count(name: str, value: int, least: int) -> None:
-    """A count is an integer (``int`` or numpy, not ``bool``) of at least ``least``."""
+def _require_count(name: str, value: int, least: int, most: float = math.inf) -> None:
+    """A count is an integer (``int`` or numpy, not ``bool``) of at least ``least`` and at most ``most``."""
     if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ValueError(f"{name} must be at least {least}, got {value!r}")
+    if value > most:
+        raise ValueError(f"{name} must be at most {most}, got {value!r}")
 
 
 def _bisect(holds: Callable[[float], bool], lo: float, hi: float) -> float:

@@ -103,6 +103,14 @@ def _expectation(h: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.trace(h @ a, axis1=-2, axis2=-1).real
 
 
+def _bloch(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_expectation`` of each of ``PAULI`` on 2x2 matrices, read from their entries: every
+    product with a Pauli entry (0 or +-1) is exact, so summed from np.trace's +0 start, bit for bit."""
+    re, im = a.real, a.imag
+    return ((0.0 + re[..., 1, 0]) + re[..., 0, 1], (0.0 + im[..., 1, 0]) - im[..., 0, 1],
+            (0.0 + re[..., 0, 0]) - re[..., 1, 1])
+
+
 def _psd_sqrt(a: np.ndarray) -> np.ndarray:
     """Hermitian PSD square root S with S @ S == a, of a matrix or a stack.
 

@@ -174,8 +174,8 @@ class _Grid:
     @cached_property
     def trace(self) -> protocol.ProtocolTrace:
         """``run_protocol`` at every point, each field an (n, d, d) stack."""
-        eps_s, eps_a, phi, _ = zip(*self.points)
-        return protocol._run_protocols(eps_s, eps_a, phi)
+        c, r = self.column_box, self.row_box
+        return protocol._run_protocols(*(tuple(self.flat(x).tolist()) for x in (c.eps_s, c.eps_a, r.phi)))
 
     def spectrum(self, name: str) -> np.ndarray:
         """Ascending eigenvalues of each matrix of the trace field ``name``, taken once."""
@@ -189,8 +189,11 @@ class _Grid:
 
     @cached_property
     def half_splittings(self) -> np.ndarray:
-        """(omega_s/2, omega_a/2) of each point, shape (n, 2)."""
-        return thermo._half_splittings(self.points)
+        """(omega_s/2, omega_a/2) of each point, shape (n, 2): ``level_splitting`` of each bias
+        of each column, broadcast over phi."""
+        c, split = self.column_box, np.vectorize(closed_forms.level_splitting, otypes=[float])
+        half = 0.5 * split(np.stack([c.eps_s, c.eps_a], axis=-1), self.temperature)
+        return np.broadcast_to(half, (*self.shape, 2)).reshape(-1, 2)
 
     def energy(self, name: str) -> np.ndarray:
         """tr(H rho) of each matrix of the trace field ``name``, from its populations."""
@@ -206,7 +209,7 @@ class _Grid:
         """``correlation_report`` at each point whose axis indices are all multiples of the
         stride: both numeric discords from one search, the mutual information shared."""
         s = self.discord_stride
-        index = np.arange(len(self.points)).reshape(self.shape)[::s, ::s, ::s].ravel()
+        index = np.arange(len(self.discord_analytic)).reshape(self.shape)[::s, ::s, ::s].ravel()
         mi = (self.entropy("rho_m_s") + self.entropy("rho_m_a") - self.entropy("rho_m"))[index].tolist()
         return correlations._reports(self.trace.rho_m[index], [self.discord_analytic[k] for k in index],
                                      numeric=True, mutual_info=mi)

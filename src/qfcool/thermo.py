@@ -35,7 +35,7 @@ class EnergyModel:
 
     The gaps satisfy omega = 2 T atanh(eps), i.e. a qubit thermalized at
     ``temperature`` has polarization bias ``eps``.  The oracles read only the
-    levels, from each point's half splittings (``_half_splittings``).
+    levels, from each point's half splittings omega/2 (a grid's ``half_splittings``).
     """
 
     omega_s: float
@@ -78,14 +78,6 @@ def _ergotropy(energy: np.ndarray, levels: np.ndarray, populations: np.ndarray) 
 # matrix oracles
 # ---------------------------------------------------------------------------
 
-def _half_splittings(points) -> np.ndarray:
-    """(omega_s/2, omega_a/2) of each of n points, shape (n, 2); one ``level_splitting``
-    per distinct (bias, temperature)."""
-    keys = [(eps, p.temperature) for p in points for eps in (p.eps_s, p.eps_a)]
-    splittings = {key: level_splitting(*key) for key in set(keys)}
-    return 0.5 * np.array([splittings[key] for key in keys]).reshape(-1, 2)
-
-
 def _levels(half: np.ndarray) -> np.ndarray:
     """H's levels +-omega_s/2 +-omega_a/2 at each point, in |sa> order, shape (n, 4)."""
     s, a = half[:, 0, None] * _Z, half[:, 1, None] * _Z
@@ -124,7 +116,7 @@ def matrix_oracles(params: ProtocolParams) -> dict[str, float]:
     is the matrix route of ``getattr(figures_of_merit(p), name)``.
     """
     trace = protocol._run_protocols((params.eps_s,), (params.eps_a,), (params.phi,))
-    half = _half_splittings([params])
+    half = 0.5 * np.array([[level_splitting(e, params.temperature) for e in (params.eps_s, params.eps_a)]])
     oracles = _oracles(lambda name: _energy(half, name, getattr(trace, name)),
                        lambda name: densmat._vn_entropies(getattr(trace, name)))
     return {name: float(value[0]) for name, value in oracles.items()}

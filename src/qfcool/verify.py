@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
 from . import closed_forms, densmat, thermo
-from .closed_forms import ProtocolParams, _require_count, thermal_entropy
+from .closed_forms import MAX_GRID_POINTS, ProtocolParams, _require_count, thermal_entropy
 from .sweep import _Grid, _box
 
 TOL_CLOSED_FORM = 1e-10
@@ -52,6 +51,7 @@ def _standard_axes(n: int, temperature: float) -> tuple[list, list[float], float
     """``standard_grid``'s axes, (eps_s, its eps_a axis) series, phi and T, with T
     validated at any n by the upper corner each axis runs to."""
     _require_count("n", n, 0)
+    _require_count("grid points", int(n) ** 3, 0, MAX_GRID_POINTS)  # before any axis is built
     temperature = ProtocolParams(EPS_S_MAX, EPS_A_MAX, math.pi / 2, temperature).temperature
     series = [(es, np.linspace(es, EPS_A_MAX, n).tolist()) for es in np.linspace(0.0, EPS_S_MAX, n).tolist()]
     return series, np.linspace(0.0, math.pi / 2, n).tolist(), temperature
@@ -63,57 +63,46 @@ def standard_grid(n: int = 12, temperature: float = 1.0) -> list[ProtocolParams]
     return [ProtocolParams(es, ea, p, temperature) for es, eps_a in series for ea in eps_a for p in phis]
 
 
-def _by_column(g: _Grid, value: Callable[[closed_forms._Column], float]) -> np.ndarray:
-    """``value`` of each point's eps_a column, taken once per column."""
-    return g.flat(np.array([[value(c) for c in columns] for columns in g.columns])[:, None, :])
+def _by_column(g: _Grid, value: Callable[[float], float]) -> np.ndarray:
+    """``value`` of each point's eps_a, taken once per column of the box."""
+    return g.flat(np.vectorize(value, otypes=[float])(g.column_box.eps_a))
 
 
-def _pointwise(g: _Grid, closed, matrix: np.ndarray, energy: bool = False) -> list[float]:
+def _pointwise(g: _Grid, closed, matrix: np.ndarray, energy: bool = False) -> np.ndarray:
     """|closed - matrix| at each grid point (one value per point in each), in units of T for an energy."""
-    unit = g.temperature if energy else 1.0
-    return (np.abs(np.subtract(closed, matrix)) / unit).tolist()
+    return np.abs(np.subtract(closed, matrix)) / (g.temperature if energy else 1.0)
 
 
-def _positive(g: _Grid, excess: np.ndarray, where=slice(None), unit: Optional[float] = None) -> list[float]:
+def _positive(g: _Grid, excess: np.ndarray, where=slice(None), unit: Optional[float] = None) -> np.ndarray:
     """max(0, excess) at each grid point that ``where`` selects, in units of ``unit`` (T by default)."""
-    return (np.maximum(0.0, excess[where]) / (g.temperature if unit is None else unit)).tolist()
+    return np.maximum(0.0, excess[where]) / (g.temperature if unit is None else unit)
 
 
 def _max_abs(stack: np.ndarray) -> np.ndarray:
     return np.abs(stack).max(axis=(-2, -1))
 
 
-def _swap_limit(g: _Grid) -> list[float]:
-    dev = np.maximum(_max_abs(g.trace.rho_f_s - g.trace.rho0_a), _max_abs(g.trace.rho_f_a - g.trace.rho0_s))
-    return [d for p, d in zip(g.points, dev.tolist()) if abs(p.phi - math.pi / 2) < 1e-12]
-
-
-def _entropy_invariance(g: _Grid) -> list[float]:
-    s0 = g.entropy("rho0")
-    return np.maximum(np.abs(g.entropy("rho_m") - s0), np.abs(g.entropy("rho_f") - s0)).tolist()
-
-
-def _ancilla_marginal(g: _Grid) -> list[float]:
-    z, x = (densmat._expectation(s, g.trace.rho_m_a) for s in (densmat.SIGMA_Z, densmat.SIGMA_X))
+def _ancilla_marginal(g: _Grid) -> np.ndarray:
+    x, _, z = densmat._bloch(g.trace.rho_m_a)
     closed = g.flat(g.column_box.eps_s * g.column_box.eps_a * g.row_box.cos)
-    return np.maximum(np.abs(z), np.abs(x - closed)).tolist()
+    return np.maximum(np.abs(z), np.abs(x - closed))
 
 
-def _ergotropy_bound(g: _Grid) -> list[float]:
+def _ergotropy_bound(g: _Grid) -> np.ndarray:
     # H's levels |11>, |01>, |10>, |00> ascend, as eps_s <= eps_a at every grid point
     levels = thermo._levels(g.half_splittings)[:, [3, 1, 2, 0]]
     bound = thermo._ergotropy(g.energy("rho_m"), levels, g.spectrum("rho_m"))
-    return (np.maximum(0.0, g.thermo["work_feedback"] - bound) / g.temperature).tolist()
+    return np.maximum(0.0, g.thermo["work_feedback"] - bound) / g.temperature
 
 
-def _phi_crit_root(g: _Grid) -> list[float]:
+def _phi_crit_root(g: _Grid) -> np.ndarray:
     """Feedback work at the root angle over T, at each point with eps_s > 0.  The root depends
     on (eps_s, eps_a, T) alone: one per column, shared by its phi series, all in one evaluation."""
-    columns = [columns for columns in g.columns if columns[0].eps_s > 0.0]
-    shape = (len(columns), 1, g.shape[2])
-    roots = _box(closed_forms._Row, [[closed_forms._row(c.phi_crit) for c in cs] for cs in columns], shape)
-    w_f = closed_forms._energies(_box(closed_forms._Column, columns, shape), roots)[1]
-    return np.broadcast_to(np.abs(w_f) / g.temperature, (len(columns), *g.shape[1:])).ravel().tolist()
+    c = closed_forms._Column(*(x[g.column_box.eps_s[:, 0, 0] > 0.0] for x in g.column_box))
+    roots = _box(closed_forms._Row, [list(map(closed_forms._row, pcs)) for pcs in c.phi_crit[:, 0].tolist()],
+                 c.phi_crit.shape)
+    w_f = closed_forms._energies(c, roots)[1]
+    return np.broadcast_to(np.abs(w_f) / g.temperature, (len(w_f), *g.shape[1:])).ravel()
 
 
 def _trace_oracles(g: _Grid) -> np.ndarray:
@@ -124,7 +113,7 @@ def _trace_oracles(g: _Grid) -> np.ndarray:
     columns = []
     for name, stack in sorted(vars(g.trace).items(), key=lambda field: (field[1].shape[-1], field[0])):
         if stack.shape[-1] == 2:
-            columns += [densmat._expectation(s, stack) for s in densmat.PAULI]
+            columns += densmat._bloch(stack)
         columns += [g.entropy(name), densmat._expectation(stack, stack)]
     return np.stack(columns, axis=-1)
 
@@ -139,10 +128,10 @@ def _numbers(doc: dict) -> Iterator[float]:
             yield from value if isinstance(value, list) else [value]
 
 
-def _trace_summary(g: _Grid) -> list[float]:
+def _trace_summary(g: _Grid) -> np.ndarray:
     """The largest deviation of each point's closed-form trace block from its matrices."""
     closed = np.array([list(_numbers(closed_forms._trace_summary(p))) for p in g.points])
-    return np.abs(closed - _trace_oracles(g)).max(axis=-1).tolist()
+    return np.abs(closed - _trace_oracles(g)).max(axis=-1)
 
 
 def _monotone_in_phi(field: str) -> Callable[[_Grid], list[float]]:
@@ -164,31 +153,35 @@ ORACLE_CLASSES = {
     "energy_conservation": (TOL_CLOSED_FORM, lambda g: _pointwise(
         g, -(g.thermo["work_measurement"] + g.thermo["work_feedback"]), g.oracles["total_work"],
         energy=True)),
-    # the closed form, each entropy but the ancilla's once per bias, against the shared entropies
+    # the closed form on the box, S(eps_s cos phi) once per (series, phi), S(eps_s) per series,
+    # S(eps_a) per column and S(eps_s eps_a cos phi) per point, against the shared entropies
     "mutual_information": (TOL_CLOSED_FORM, lambda g: _pointwise(
-        g, [closed_forms._mutual_information(p.eps_s, p.eps_a, cos, shared)
-            for shared in [cache(thermal_entropy)]
-            for p, cos in zip(g.points, g.flat(g.row_box.cos).tolist())],
+        g, g.flat(closed_forms._mutual_information(
+            g.column_box.eps_s[:, :, :1], g.column_box.eps_a, g.row_box.cos,
+            np.vectorize(thermal_entropy, otypes=[float]))),
         g.entropy("rho_m_s") + g.entropy("rho_m_a") - g.entropy("rho_m"))),
     "discord_closed_form": (TOL_CLOSED_FORM, lambda g: _pointwise(
         g, g.discord_analytic, g.entropy("rho_m_s") - g.entropy("rho0_s"))),
     "thermal_entropy": (TOL_ENTROPY_FORM, lambda g: _pointwise(
-        g, _by_column(g, lambda c: math.log(2.0) - 0.5 * (math.log1p(-c.eps_a) + math.log1p(c.eps_a))
-                       - c.eps_a * math.atanh(c.eps_a)),
+        g, _by_column(g, lambda ea: math.log(2.0) - 0.5 * (math.log1p(-ea) + math.log1p(ea))
+                       - ea * math.atanh(ea)),
         g.entropy("rho0_a"))),
 }
 
 CLASSES = {
     **ORACLE_CLASSES,
     "purity_transfer": (TOL_CLOSED_FORM, lambda g: _pointwise(
-        g, _by_column(g, lambda c: 0.5 * (1.0 + c.eps_a ** 2)),
+        g, _by_column(g, lambda ea: 0.5 * (1.0 + ea ** 2)),
         densmat._expectation(g.trace.rho_f_s, g.trace.rho_f_s))),
-    "swap_limit": (TOL_CLOSED_FORM, _swap_limit),
-    "entropy_invariance": (TOL_CLOSED_FORM, _entropy_invariance),
+    "swap_limit": (TOL_CLOSED_FORM, lambda g: np.maximum(
+        _max_abs(g.trace.rho_f_s - g.trace.rho0_a), _max_abs(g.trace.rho_f_a - g.trace.rho0_s))[
+        g.flat(np.abs(g.row_box.phi - math.pi / 2) < 1e-12)]),
+    "entropy_invariance": (TOL_CLOSED_FORM, lambda g: np.abs(
+        np.stack([g.entropy("rho_m"), g.entropy("rho_f")]) - g.entropy("rho0")).max(axis=0)),
     # the reset keeps the register's marginal and gives the ancilla its initial state back
     "reset_marginals": (TOL_MARGINAL, lambda g: np.maximum(
         _max_abs(densmat._partial_trace(g.trace.rho_reset, "S") - g.trace.rho_f_s),
-        _max_abs(densmat._partial_trace(g.trace.rho_reset, "A") - g.trace.rho0_a)).tolist()),
+        _max_abs(densmat._partial_trace(g.trace.rho_reset, "A") - g.trace.rho0_a))),
     "post_measurement_ancilla_marginal": (TOL_MARGINAL, _ancilla_marginal),
     "work_positive": (0.0, lambda g: _positive(
         g, -g.thermo["total_work"], g.flat(g.column_box.eps_a > g.column_box.eps_s + 1e-12))),
@@ -201,7 +194,7 @@ CLASSES = {
     "ergotropy_bound": (1e-12, _ergotropy_bound),
     "cooling_window_sign": (0.0, lambda g: np.where(
         (g.thermo["delta_e_system"] > 0.0) == g.thermo["in_cooling_window"], 0.0, 1.0)[
-        np.abs(g.thermo["delta_e_system"]) > 1e-12 * g.temperature].tolist()),
+        np.abs(g.thermo["delta_e_system"]) > 1e-12 * g.temperature]),
     "no_cooling_below_bias": (1e-12, lambda g: _positive(
         g, g.thermo["delta_e_system"], g.flat(g.row_box.sin < g.column_box.eps_s))),
     "phi_crit_root": (TOL_ROOT, _phi_crit_root),
@@ -226,13 +219,11 @@ _POINT_CLASSES = {
 }
 
 
-def _check(name: str, tolerance: float, deviations: Sequence[float]) -> Check:
-    """Worst of a class's per-point deviations (0.0 when it checked none).
-
-    A NaN deviation is the worst of all: it makes the class fail.
-    """
-    worst = math.nan if any(map(math.isnan, deviations)) else max([0.0, *deviations])
-    return Check(name=name, points=len(deviations), max_deviation=worst, tolerance=tolerance)
+def _check(name: str, tolerance: float, deviations) -> Check:
+    """Worst of a class's per-point deviations, an array or a list, as a Python float: +0.0 when
+    it checked none or each is a zero, and NaN, which fails the class, when any is NaN."""
+    d = np.asarray(deviations, dtype=float)
+    return Check(name=name, points=d.size, max_deviation=float(d.max(initial=0.0)) + 0.0, tolerance=tolerance)
 
 
 def _checks(classes: dict, grid: _Grid) -> list[Check]:

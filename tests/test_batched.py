@@ -322,7 +322,7 @@ def test_scaled_and_sliced_kernels_keep_their_bytes_on_protocol_stacks(rng, temp
     points = _protocol_points(rng, temperature)
     trace = protocol._run_protocols(*zip(*((p.eps_s, p.eps_a, p.phi) for p in points)))
     models = [thermo.energy_model(p) for p in points]
-    half = thermo._half_splittings(points)
+    half = 0.5 * np.array([[m.omega_s, m.omega_a] for m in models])
     observables = {"hamiltonian": ("rho0", "rho_m", "rho_f", "rho_reset"),
                    "h_system": ("rho0_s", "rho_m_s", "rho_f_s"),
                    "h_ancilla": ("rho0_a", "rho_m_a", "rho_f_a")}

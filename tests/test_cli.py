@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -578,6 +579,32 @@ def test_a_request_too_large_for_memory_is_one_error_line(capsys, monkeypatch, a
     monkeypatch.setattr(verify, "run_suite", _out_of_memory)
     code, out, err = run_cli(capsys, *args)
     assert (code, out, err) == (2, "", "error: out of memory\n")
+
+
+@pytest.mark.parametrize("args, points", [
+    (("sweep", "--n-eps-a", str(10 ** 12)), 3 * 10 ** 12),
+    (("sweep", "--landscape", "--n-phi", str(10 ** 12), "--n-eps-a", "2", "--format", "csv"), 2 * 10 ** 12),
+    (("sweep", "--phi", "0.5", "--n-eps-a", str(closed_forms.MAX_GRID_POINTS + 1)),
+     closed_forms.MAX_GRID_POINTS + 1),
+    (("verify", "--grid-n", "100000"), 10 ** 15),
+], ids=["curves", "landscape", "one-past-the-cap", "verify"])
+def test_a_grid_above_the_cap_is_refused_before_an_axis_is_built(capsys, args, points):
+    # the point count is checked from the counts alone: exit 2, one line naming it, nothing allocated
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, *args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err == f"error: grid points must be at most {closed_forms.MAX_GRID_POINTS}, got {points}\n"
+    assert peak < 2 ** 20
+
+
+def test_the_grid_cap_is_above_every_default_grid():
+    # 25 x 101 landscape, 3 x 101 curves and the 12^3 verify grid, with room to spare
+    assert closed_forms.MAX_GRID_POINTS >= 100 * max(25 * 101, 3 * 101, 12 ** 3)
+    closed_forms._require_count("grid points", closed_forms.MAX_GRID_POINTS, 0, closed_forms.MAX_GRID_POINTS)
 
 
 def python_subprocess(*args):

@@ -1,7 +1,9 @@
 import dataclasses
+import itertools
 import json
 import math
 import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -49,6 +51,30 @@ def test_run_suite_eigensolver_calls_do_not_grow_with_the_grid(monkeypatch):
     assert small == large
     # the budget itself, so that a spectrum taken a second time shows
     assert _count_eig_calls(monkeypatch, lambda: verify.run_suite(12, 3)) == {"eigvalsh": 8, "eigh": 4}
+
+
+def _count_calls(monkeypatch, module, name):
+    """A list that grows by one at each call of ``module.name``, under every name a qfcool
+    module binds it to."""
+    calls, real = [], getattr(module, name)
+    for mod in [m for key, m in list(sys.modules.items()) if key.partition(".")[0] == "qfcool"]:
+        if getattr(mod, name, None) is real:
+            monkeypatch.setattr(mod, name, lambda *args: calls.append(None) or real(*args))
+    return calls
+
+
+@pytest.mark.parametrize("n", [7, 12])
+def test_run_suite_does_no_per_point_python_work(monkeypatch, n):
+    # the classes read the grid's (series, phi, eps_a) box as arrays: no per-point record is built,
+    # the level splittings are taken per column, and of the thermal entropies only the mutual
+    # information's S(eps_s eps_a cos phi) is taken per point
+    monkeypatch.setattr(sweep._Grid, "points", property(lambda g: pytest.fail("read _Grid.points")))
+    splittings = _count_calls(monkeypatch, closed_forms, "level_splitting")
+    entropies = _count_calls(monkeypatch, closed_forms, "thermal_entropy")
+    checks = verify.run_suite(n, 3)
+    assert all(c.passed for c in checks)
+    assert 0 < len(splittings) <= 2 * n * n  # n series of n eps_a columns
+    assert n ** 3 < len(entropies) <= n ** 3 + 5 * n * n
 
 
 def test_point_checks_eigensolver_budget(monkeypatch):
@@ -575,6 +601,19 @@ def test_trace_summary_passes_on_a_many_point_grid(temperature):
         for p, doc in zip(g.points, _trace_oracle_docs(g))]
 
 
+def test_bloch_components_from_entries_are_the_pauli_expectations_bit_for_bit():
+    # every 2x2 field of the 12^3 trace, and entries that run through the signed zeros
+    fields = [stack for stack in vars(sweep._Grid(*verify._standard_axes(12, 1.0)).trace).values()
+              if stack.shape[-1] == 2]
+    assert len(fields) == 6
+    entries = [0.0, -0.0, 0.25, -1e-300]
+    fields.append(np.array([[[complex(a, b), complex(c, d)], [complex(e, f), complex(a, -b)]]
+                            for a, b, c, d, e, f in itertools.product(entries, repeat=6)]))
+    for stack in fields:
+        for sigma, component in zip(densmat.PAULI, densmat._bloch(stack), strict=True):
+            assert component.tobytes() == densmat._expectation(sigma, stack).tobytes()
+
+
 @pytest.mark.parametrize("series, phis", [
     verify._standard_axes(6, 1.0)[:2],
     ([(0.0, [0.0, 0.5, 1.0 - 1e-9])], [0.0, 0.7, HALF_PI]),
@@ -606,6 +645,25 @@ def test_check_without_points_reports_zero_deviation():
     check = verify._check("entangled_implies_discordant", 0.0, [])
     assert (check.points, check.max_deviation, check.passed) == (0, 0.0, True)
 
+
+
+@pytest.mark.parametrize("values, worst", [
+    ([], "0.0"),
+    ([-0.0], "0.0"),
+    ([0.0, -0.0, 0.0], "0.0"),
+    ([-0.0, 2.5e-16, 1e-300], "2.5e-16"),
+    ([0.0, float("nan"), 1e-15], "nan"),
+    ([float("nan")], "nan"),
+    ([3.0, 1e-12, 7.0], "7.0"),
+], ids=["empty", "negative-zero", "zeros", "positive", "nan", "only-nan", "large"])
+def test_check_of_an_array_is_the_check_of_its_list(values, worst):
+    # a class may return an array or a list; the Check is the same, down to its repr, and its
+    # max_deviation a Python float (an np.float64 would change the pinned reprs)
+    listed = verify._check("work_feedback", verify.TOL_CLOSED_FORM, values)
+    arrayed = verify._check("work_feedback", verify.TOL_CLOSED_FORM, np.array(values, dtype=float))
+    assert repr(arrayed) == repr(listed) == (
+        f"Check(name='work_feedback', points={len(values)}, max_deviation={worst}, tolerance=1e-10)")
+    assert type(arrayed.max_deviation) is float and type(arrayed.points) is int
 
 
 def test_check_fails_on_a_nan_deviation():
