@@ -37,7 +37,7 @@ from typing import Callable, Optional
 
 # Eigenvalues at or below this threshold count as exactly zero in entropies.
 ENTROPY_CUTOFF = 1e-15
-# Total work over temperature (W / T, which does not depend on T) below
+# Total work at T = 1 (W / T, which does not depend on T) at or below
 # this floor marks a reversible limit point, where the performance ratios
 # P/W, P/Q are 0/0 and reported as undefined.
 REVERSIBLE_WORK_FLOOR = 1e-14
@@ -108,8 +108,11 @@ class ProtocolParams:
 class ThermoReport:
     """Complete energy/entropy bookkeeping of one parameter point.
 
-    ``cop``, ``eta`` and ``chi`` are None when ``reversible_limit`` is
-    set (W / T below REVERSIBLE_WORK_FLOOR), never infinities.
+    Each energy (``cooling_load`` = T P among them) and ``chi`` is T times its
+    value at T = 1, one correctly rounded product; every other field is its T = 1
+    value.  ``cop``, ``eta`` and ``chi`` are None when ``reversible_limit`` is set
+    (W / T at most REVERSIBLE_WORK_FLOOR), never infinities.  There a product may
+    round to a signed zero: at (0, 2.02e-105, 0) and T = 1e-115 ``cooling_load`` is 0.0.
     ``phi_crit_defined`` is False for eps_s = 0, where the feedback never
     strictly extracts work and the threshold angle degenerates to 0.
     """
@@ -152,34 +155,33 @@ def level_splitting(eps: float, temperature: float) -> float:
     return 2.0 * temperature * math.atanh(eps)
 
 
-# Each closed form is written once, in ``_columns`` or ``_energies``, on factors
-# of one grid axis: a column of (eps_s, eps_a, T), with a = eps_s atanh(eps_s)
-# and y = eps_a atanh(eps_s) + eps_s atanh(eps_a), or a row of phi.  A grid builds
-# each column and row once and stacks them into a box for ``_energies``;
-# ``figures_of_merit`` reads those of its point.
-_Column = namedtuple("_Column", "eps_s eps_a temperature atanh_s atanh_a a y ea_atanh_a"
-                                " entropy_reduction cooling_load omega_s omega_a phi_crit")
+# Each closed form is written once, in ``_columns`` or ``_energies``, at T = 1 on factors of one grid
+# axis: a column of (eps_s, eps_a), with a = eps_s atanh(eps_s) and y = eps_a atanh(eps_s) + eps_s
+# atanh(eps_a), or a row of phi.  A grid stacks its columns and rows into a box for ``_energies``,
+# ``figures_of_merit`` reads those of its point, and both multiply by T once, in ``_scaled``.
+_Column = namedtuple("_Column", "eps_s eps_a atanh_s atanh_a a y ea_atanh_a entropy_reduction phi_crit")
 _Row = namedtuple("_Row", "phi sin sin2 cos cos2")
+# The ``ThermoReport`` fields that carry T, in ``_scaled``'s order.
+SCALED_FIELDS = ("work_measurement", "work_feedback", "heat_reset", "delta_e_system", "total_work",
+                 "cooling_load", "chi")
 
 
-def _columns(eps_s: float, eps_a_values, temperature: float) -> list[_Column]:
-    """The column of each ancilla bias; parameters already validated, so the
-    level splittings are taken here as ``level_splitting`` computes them."""
+def _columns(eps_s: float, eps_a_values) -> list[_Column]:
+    """The column of each ancilla bias; parameters already validated."""
     atanh_s = math.atanh(eps_s)
-    omega_s, a = 2.0 * temperature * atanh_s, eps_s * atanh_s
+    a = eps_s * atanh_s
     columns = []
     for ea in eps_a_values:
         atanh_a = math.atanh(ea)
         y, ea_atanh_a = ea * atanh_s + eps_s * atanh_a, ea * atanh_a
         reduction = ea_atanh_a - a + 0.5 * math.log((1.0 - ea * ea) / (1.0 - eps_s * eps_s))
-        columns.append(_Column(eps_s, ea, temperature, atanh_s, atanh_a, a, y, ea_atanh_a,
-                               reduction, temperature * reduction, omega_s,
-                               2.0 * temperature * atanh_a, _phi_crit(eps_s, ea, atanh_s, atanh_a)))
+        columns.append(_Column(eps_s, ea, atanh_s, atanh_a, a, y, ea_atanh_a, reduction,
+                               _phi_crit(eps_s, ea, atanh_s, atanh_a)))
     return columns
 
 
-def _column(eps_s: float, eps_a: float, temperature: float) -> _Column:
-    return _columns(eps_s, (eps_a,), temperature)[0]
+def _column(eps_s: float, eps_a: float) -> _Column:
+    return _columns(eps_s, (eps_a,))[0]
 
 
 def _row(phi: float) -> _Row:
@@ -197,48 +199,49 @@ def _phi_crit(eps_s: float, eps_a: float, atanh_s: float, atanh_a: float) -> flo
 
 
 def _energies(c, r) -> tuple:
-    """W_m, W_f, Q, dE_S and W at (column, row), from float factors or from arrays that broadcast
-    (columns (S, 1, E), rows (1, P, 1)): only + - * / run on them, so the bits are the same."""
-    t = c.temperature
-    q = t * (c.eps_a - c.eps_s * r.sin) * c.atanh_a
-    de_s = 0.0 - t * (c.eps_s - c.eps_a * r.sin) * c.atanh_s  # 0.0 - x is -x but for a zero, which stays +0.0
-    w_m = 0.0 - t * (c.eps_s * r.sin2 * c.atanh_s + c.ea_atanh_a)
-    return w_m, t * (c.y * r.sin - c.a * r.cos2), q, de_s, -de_s + q
+    """W_m, W_f, Q, dE_S and W (which rises with eps_a) at T = 1 at (column, row), of floats or of arrays
+    that broadcast (columns (S, 1, E), rows (1, P, 1)): only + - * / run on them, so the bits are the same."""
+    q = (c.eps_a - c.eps_s * r.sin) * c.atanh_a
+    de_s = 0.0 - (c.eps_s - c.eps_a * r.sin) * c.atanh_s  # 0.0 - x is -x but for a zero, which stays +0.0
+    w_m = 0.0 - (c.eps_s * r.sin2 * c.atanh_s + c.ea_atanh_a)
+    return w_m, c.y * r.sin - c.a * r.cos2, q, de_s, -de_s + q
 
 
-def _report(c: _Column, r: _Row) -> ThermoReport:
-    """``figures_of_merit`` of the point (column, row)."""
-    t, load = c.temperature, c.cooling_load
-    w_m, w_f, q, de_s, w = energies = _energies(c, r)
-    if not all(map(math.isfinite, (load, *energies, c.omega_s, c.omega_a))):
+def _scaled(t, fields, c, defined, reduce=bool) -> tuple:
+    """``fields`` at T = 1 (W_m, W_f, Q, dE_S, W, the cooling load P and chi, NaN off ``defined``,
+    the reversible limit) times ``t``, of floats or arrays, by * == != & | alone.  Raises if ``reduce``
+    of a guard holds: a product or the ancilla's level splitting 2 T atanh(eps_a), the larger,
+    overflows (x * 0.0 is then NaN), or a defined W or Q or a nonzero P rounds to 0."""
+    w_m, w_f, q, de_s, w, load, chi = scaled = tuple(t * x for x in fields)
+    overflow = defined & (chi * 0.0 != 0.0)
+    for x in (2.0 * t * c.atanh_a, *scaled[:6]):
+        overflow = overflow | (x * 0.0 != 0.0)
+    if reduce(overflow):
         raise ValueError(ENERGY_ERROR.format(t, "overflow"))
-    # The limit is on W / T, so T does not move it (the working-point search reads ``_work``
-    # too); there the ratios are undefined, and an energy may round to 0 along with W / T.
-    reversible = _work(c, r) <= REVERSIBLE_WORK_FLOOR
-    if not reversible and (w == 0.0 or q == 0.0 or (load == 0.0 and c.entropy_reduction != 0.0)):
+    if reduce(defined & ((w == 0.0) | (q == 0.0) | (load == 0.0) & (fields[5] != 0.0))):
         raise ValueError(ENERGY_ERROR.format(t, "underflow"))
-    cop = None if reversible else load / w
-    eta, chi = (None, None) if reversible else (load / q, cop * load)
-    pc_defined = c.eps_s > 0.0
-    return _record(ThermoReport, w_m, w_f, q, de_s, c.entropy_reduction, load, w, cop, eta, chi,
-                   c.eps_a * r.sin > c.eps_s, pc_defined and r.phi > c.phi_crit, c.phi_crit,
-                   pc_defined, reversible)
+    return scaled
 
 
-def _work(c: _Column, r: _Row) -> float:
-    """W / T from the T-free factors, so the reversible limit does not move with
-    T; at T = 1 it is ``_report``'s W bit for bit.  It rises with eps_a."""
-    return (c.eps_s - c.eps_a * r.sin) * c.atanh_s + (c.eps_a - c.eps_s * r.sin) * c.atanh_a
+def _report(c: _Column, r: _Row, t: float) -> ThermoReport:
+    """``figures_of_merit`` of the point (column, row) at temperature ``t``."""
+    p, energies = c.entropy_reduction, _energies(c, r)
+    defined = energies[4] > REVERSIBLE_WORK_FLOOR  # W at T = 1, so T does not move the limit
+    cop, eta = (p / energies[4], p / energies[2]) if defined else (None, None)
+    w_m, w_f, q, de_s, w, load, chi = _scaled(t, (*energies, p, cop * p if defined else math.nan), c, defined)
+    return _record(ThermoReport, w_m, w_f, q, de_s, p, load, w, cop, eta, chi if defined else None,
+                   c.eps_a * r.sin > c.eps_s, c.eps_s > 0.0 and r.phi > c.phi_crit, c.phi_crit,
+                   c.eps_s > 0.0, not defined)
 
 
 def figures_of_merit(params: ProtocolParams) -> ThermoReport:
     """All energetic quantities, performance ratios, regime flags and ``phi_crit``.
 
-    Raises ValueError naming the temperature when an energy or a level
-    splitting overflows (the T-free fields included), or when W, Q or the
-    cooling load underflows to zero away from the reversible limit.
+    Raises ValueError naming the temperature when an energy, chi or the
+    ancilla's level splitting overflows at that temperature, or when W, Q
+    or the cooling load underflows to zero away from the reversible limit.
     """
-    return _report(_column(params.eps_s, params.eps_a, params.temperature), _row(params.phi))
+    return _report(_column(params.eps_s, params.eps_a), _row(params.phi), params.temperature)
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +447,7 @@ def _rising(objective: str, c: _Column, r: _Row) -> int:
     if objective == "eta":
         lhs, rhs = dp * gap * c.atanh_a, p * dq
     else:
-        lhs = (dp if objective == "cop" else 2.0 * dp) * _work(c, r)
+        lhs = (dp if objective == "cop" else 2.0 * dp) * _energies(c, r)[4]
         rhs = p * (dq - r.sin * c.atanh_s)
     return (lhs > rhs) - (lhs < rhs)
 
@@ -470,10 +473,10 @@ def optimize_working_point(objective: str, eps_s: float, phi: float,
     row = _row(p.phi)
 
     def column(eps_a: float) -> _Column:
-        return _column(p.eps_s, eps_a, p.temperature)
+        return _column(p.eps_s, eps_a)
 
     def defined(eps_a: float) -> bool:
-        return _work(column(eps_a), row) > REVERSIBLE_WORK_FLOOR
+        return _energies(column(eps_a), row)[4] > REVERSIBLE_WORK_FLOOR
 
     def sign(eps_a: float) -> int:
         return _rising(objective, column(eps_a), row)
@@ -487,7 +490,7 @@ def optimize_working_point(objective: str, eps_s: float, phi: float,
         star, at_boundary = hi, "upper"
     else:
         star, at_boundary = _bisect(lambda x: sign(x) <= 0, lo, hi), None
-    report = _report(column(star), row)
+    report = _report(column(star), row, p.temperature)
     return WorkingPoint(eps_a_star=star, objective_value=getattr(report, objective),
                         cooling_load_star=report.cooling_load, at_boundary=at_boundary)
 
@@ -532,7 +535,7 @@ def eps_a_for_cooling_load(eps_s: float, load: float, temperature: float = 1.0) 
     p = ProtocolParams(eps_s, hi, 0.0, temperature)  # every eps_a searched lies in [eps_s, hi]
 
     def reaches(eps_a: float) -> bool:
-        return _column(p.eps_s, eps_a, p.temperature).cooling_load >= load
+        return p.temperature * _column(p.eps_s, eps_a).entropy_reduction >= load
 
     if not reaches(hi):
         raise ValueError("cooling load is not attainable below eps_a = 1")

@@ -95,7 +95,7 @@ class Landscape:
     work_extraction_boundary: tuple[BoundaryPoint, ...]
 
 
-_Point = namedtuple("_Point", "eps_s eps_a phi temperature")
+_Point = namedtuple("_Point", "eps_s eps_a phi")
 
 
 def _box(cls, table: list, shape: tuple) -> tuple:
@@ -110,19 +110,20 @@ class _Grid:
     Points run in (series, phi, eps_a) order, as a landscape emits them, and readers select
     them by axis index on the box ``shape``.  Construction builds the closed forms: a column
     per eps_a of each series and a row per phi, stacked as (S, 1, E) and (1, P, 1) arrays, each
-    report field of every point from one evaluation on those (``thermo``), and one closed-form
-    discord per (eps_s, phi).  Each matrix stack is built once, when a reader first asks.
+    report field of every point at T = 1 from one evaluation on those (``thermo``), the energies
+    and chi times T (``emitted``), and one closed-form discord per (eps_s, phi).  Each matrix
+    stack, all at T = 1 as ``thermo``, is built once, when a reader first asks.
     """
 
     def __init__(self, series: Sequence[tuple[float, Sequence[float]]], phi_values: Sequence[float],
                  temperature: float, discord_stride: int = 1):
         self.temperature, self.discord_stride = temperature, discord_stride
-        self.columns = [closed_forms._columns(eps_s, eps_a, temperature) for eps_s, eps_a in series]
+        self.columns = [closed_forms._columns(eps_s, eps_a) for eps_s, eps_a in series]
         self.rows = [closed_forms._row(phi) for phi in phi_values]
         self.shape = n_series, n_phi, n_eps_a = len(series), len(self.rows), len(series[0][1])
         self.column_box = _box(closed_forms._Column, self.columns, (n_series, 1, n_eps_a))
         self.row_box = _box(closed_forms._Row, self.rows, (1, n_phi, 1))
-        self.thermo = self._thermo()
+        self.thermo, self.emitted = self._thermo()
         self.discord_analytic = [d for (eps_s, _), columns in zip(series, self.columns) for r in self.rows
                                  for d in [correlations.discord_analytic(eps_s, r.phi)] * len(columns)]
         self._spectra = {}  # by trace field name
@@ -131,34 +132,32 @@ class _Grid:
         """A value on the box, or broadcast to it, as one value per point in grid order."""
         return np.broadcast_to(value, self.shape).ravel()
 
-    def _thermo(self) -> dict[str, np.ndarray]:
-        """Each ``ThermoReport`` field, flat: ``closed_forms._report`` on the whole box (NaN for None)."""
+    def _thermo(self) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+        """``closed_forms._report`` on the box, flat (NaN for None): ``thermo`` at T = 1, ``emitted`` at T."""
         c, r, t = self.column_box, self.row_box, self.temperature
-        load, pc_defined = c.cooling_load, c.eps_s > 0.0
+        p, pc_defined = c.entropy_reduction, c.eps_s > 0.0
         with np.errstate(all="ignore"):  # the guards raise what _report raises
             w_m, w_f, q, de_s, w = energies = closed_forms._energies(c, r)
-            if not all(np.isfinite(x).all() for x in (load, *energies, c.omega_s, c.omega_a)):
-                raise ValueError(closed_forms.ENERGY_ERROR.format(t, "overflow"))
-            reversible = closed_forms._work(c, r) <= closed_forms.REVERSIBLE_WORK_FLOOR
-            if (~reversible & ((w == 0.0) | (q == 0.0) | (load == 0.0) & (c.entropy_reduction != 0.0))).any():
-                raise ValueError(closed_forms.ENERGY_ERROR.format(t, "underflow"))
-            cop, eta = (np.where(reversible, np.nan, load / x) for x in (w, q))
-            fields = (w_m, w_f, q, de_s, c.entropy_reduction, load, w, cop, eta, cop * load,
-                      c.eps_a * r.sin > c.eps_s, pc_defined & (r.phi > c.phi_crit), c.phi_crit, pc_defined,
-                      reversible)
-        return dict(zip(ThermoReport.__match_args__, map(self.flat, fields)))
+            defined = w > closed_forms.REVERSIBLE_WORK_FLOOR
+            cop, eta = (np.where(defined, p / x, np.nan) for x in (w, q))
+            chi = cop * p
+            scaled = closed_forms._scaled(t, (*energies, p, chi), c, defined, np.any)
+        fields = (w_m, w_f, q, de_s, p, p, w, cop, eta, chi, c.eps_a * r.sin > c.eps_s,
+                  pc_defined & (r.phi > c.phi_crit), c.phi_crit, pc_defined, ~defined)
+        return (dict(zip(ThermoReport.__match_args__, map(self.flat, fields))),
+                dict(zip(closed_forms.SCALED_FIELDS, map(self.flat, scaled))))
 
     @cached_property
     def reports(self) -> list[ThermoReport]:
-        """Each point's ``figures_of_merit`` record, zipped from ``thermo``."""
+        """Each point's ``figures_of_merit`` record, zipped from ``thermo`` and ``emitted``."""
         fields = [np.where(self.thermo["reversible_limit"], None, v) if name in OBJECTIVES else v
-                  for name, v in self.thermo.items()]
+                  for name, v in {**self.thermo, **self.emitted}.items()]
         return [closed_forms._record(ThermoReport, *values) for values in zip(*(v.tolist() for v in fields))]
 
     @cached_property
     def points(self) -> list[_Point]:
         c, r = self.column_box, self.row_box
-        return list(map(_Point, *(self.flat(x).tolist() for x in (c.eps_s, c.eps_a, r.phi, c.temperature))))
+        return list(map(_Point, *(self.flat(x).tolist() for x in (c.eps_s, c.eps_a, r.phi))))
 
     @cached_property
     def correlations(self) -> list[CorrelationReport]:
@@ -166,7 +165,7 @@ class _Grid:
         ``CHUNK_POINTS`` points: a landscape's, which never builds the whole trace."""
         reports = []
         for lo in range(0, len(self.points), CHUNK_POINTS):
-            eps_s, eps_a, phi, _ = zip(*self.points[lo:lo + CHUNK_POINTS])
+            eps_s, eps_a, phi = zip(*self.points[lo:lo + CHUNK_POINTS])
             reports += correlations._reports(protocol._post_measurement_states(eps_s, eps_a, phi),
                                              self.discord_analytic[lo:lo + CHUNK_POINTS])
         return reports
@@ -189,10 +188,10 @@ class _Grid:
 
     @cached_property
     def half_splittings(self) -> np.ndarray:
-        """(omega_s/2, omega_a/2) of each point, shape (n, 2): ``level_splitting`` of each bias
-        of each column, broadcast over phi."""
+        """(omega_s/2, omega_a/2) at T = 1 of each point, shape (n, 2): ``level_splitting`` of each
+        bias of each column, broadcast over phi."""
         c, split = self.column_box, np.vectorize(closed_forms.level_splitting, otypes=[float])
-        half = 0.5 * split(np.stack([c.eps_s, c.eps_a], axis=-1), self.temperature)
+        half = 0.5 * split(np.stack([c.eps_s, c.eps_a], axis=-1), 1.0)
         return np.broadcast_to(half, (*self.shape, 2)).reshape(-1, 2)
 
     def energy(self, name: str) -> np.ndarray:

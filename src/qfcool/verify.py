@@ -8,14 +8,15 @@ axis value, and its matrix stacks, each built once.  ``run_suite`` reads the sta
 the two numeric-discord classes and ``trace_summary``, which between them check every
 number ``run`` prints but the concurrence and its EoF.  The discord classes run the
 basis search on both sides of each state of the discord subgrid, in one search, and
-compare it with the closed form.  Energy deviations are in units of T.
+compare it with the closed form.  Both routes run at T = 1, so T moves no check:
+``run_suite(n, s, T)`` is ``run_suite(n, s, 1.0)`` wherever T's energies are representable.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -68,14 +69,14 @@ def _by_column(g: _Grid, value: Callable[[float], float]) -> np.ndarray:
     return g.flat(np.vectorize(value, otypes=[float])(g.column_box.eps_a))
 
 
-def _pointwise(g: _Grid, closed, matrix: np.ndarray, energy: bool = False) -> np.ndarray:
-    """|closed - matrix| at each grid point (one value per point in each), in units of T for an energy."""
-    return np.abs(np.subtract(closed, matrix)) / (g.temperature if energy else 1.0)
+def _pointwise(closed, matrix: np.ndarray) -> np.ndarray:
+    """|closed - matrix| at each grid point (one value per point in each)."""
+    return np.abs(np.subtract(closed, matrix))
 
 
-def _positive(g: _Grid, excess: np.ndarray, where=slice(None), unit: Optional[float] = None) -> np.ndarray:
-    """max(0, excess) at each grid point that ``where`` selects, in units of ``unit`` (T by default)."""
-    return np.maximum(0.0, excess[where]) / (g.temperature if unit is None else unit)
+def _positive(excess: np.ndarray, where=slice(None)) -> np.ndarray:
+    """max(0, excess) at each grid point that ``where`` selects."""
+    return np.maximum(0.0, excess[where])
 
 
 def _max_abs(stack: np.ndarray) -> np.ndarray:
@@ -92,17 +93,17 @@ def _ergotropy_bound(g: _Grid) -> np.ndarray:
     # H's levels |11>, |01>, |10>, |00> ascend, as eps_s <= eps_a at every grid point
     levels = thermo._levels(g.half_splittings)[:, [3, 1, 2, 0]]
     bound = thermo._ergotropy(g.energy("rho_m"), levels, g.spectrum("rho_m"))
-    return np.maximum(0.0, g.thermo["work_feedback"] - bound) / g.temperature
+    return np.maximum(0.0, g.thermo["work_feedback"] - bound)
 
 
 def _phi_crit_root(g: _Grid) -> np.ndarray:
-    """Feedback work at the root angle over T, at each point with eps_s > 0.  The root depends
-    on (eps_s, eps_a, T) alone: one per column, shared by its phi series, all in one evaluation."""
+    """Feedback work at the root angle, at each point with eps_s > 0.  The root depends on
+    (eps_s, eps_a) alone: one per column, shared by its phi series, all in one evaluation."""
     c = closed_forms._Column(*(x[g.column_box.eps_s[:, 0, 0] > 0.0] for x in g.column_box))
     roots = _box(closed_forms._Row, [list(map(closed_forms._row, pcs)) for pcs in c.phi_crit[:, 0].tolist()],
                  c.phi_crit.shape)
     w_f = closed_forms._energies(c, roots)[1]
-    return np.broadcast_to(np.abs(w_f) / g.temperature, (len(w_f), *g.shape[1:])).ravel()
+    return np.broadcast_to(np.abs(w_f), (len(w_f), *g.shape[1:])).ravel()
 
 
 def _trace_oracles(g: _Grid) -> np.ndarray:
@@ -146,24 +147,22 @@ def _monotone_in_phi(field: str) -> Callable[[_Grid], list[float]]:
 # Invariant classes: name -> (tolerance, deviations of the grid points the
 # class checks).  First closed form versus matrix oracle, run --verify's.
 ORACLE_CLASSES = {
-    **{name: (TOL_CLOSED_FORM, lambda g, name=name: _pointwise(
-        g, g.thermo[name], g.oracles[name], energy=name != "entropy_reduction"))
+    **{name: (TOL_CLOSED_FORM, lambda g, name=name: _pointwise(g.thermo[name], g.oracles[name]))
        for name in ("work_measurement", "work_feedback", "heat_reset", "delta_e_system",
                     "entropy_reduction", "total_work")},
     "energy_conservation": (TOL_CLOSED_FORM, lambda g: _pointwise(
-        g, -(g.thermo["work_measurement"] + g.thermo["work_feedback"]), g.oracles["total_work"],
-        energy=True)),
+        -(g.thermo["work_measurement"] + g.thermo["work_feedback"]), g.oracles["total_work"])),
     # the closed form on the box, S(eps_s cos phi) once per (series, phi), S(eps_s) per series,
     # S(eps_a) per column and S(eps_s eps_a cos phi) per point, against the shared entropies
     "mutual_information": (TOL_CLOSED_FORM, lambda g: _pointwise(
-        g, g.flat(closed_forms._mutual_information(
+        g.flat(closed_forms._mutual_information(
             g.column_box.eps_s[:, :, :1], g.column_box.eps_a, g.row_box.cos,
             np.vectorize(thermal_entropy, otypes=[float]))),
         g.entropy("rho_m_s") + g.entropy("rho_m_a") - g.entropy("rho_m"))),
     "discord_closed_form": (TOL_CLOSED_FORM, lambda g: _pointwise(
-        g, g.discord_analytic, g.entropy("rho_m_s") - g.entropy("rho0_s"))),
+        g.discord_analytic, g.entropy("rho_m_s") - g.entropy("rho0_s"))),
     "thermal_entropy": (TOL_ENTROPY_FORM, lambda g: _pointwise(
-        g, _by_column(g, lambda ea: math.log(2.0) - 0.5 * (math.log1p(-ea) + math.log1p(ea))
+        _by_column(g, lambda ea: math.log(2.0) - 0.5 * (math.log1p(-ea) + math.log1p(ea))
                        - ea * math.atanh(ea)),
         g.entropy("rho0_a"))),
 }
@@ -171,7 +170,7 @@ ORACLE_CLASSES = {
 CLASSES = {
     **ORACLE_CLASSES,
     "purity_transfer": (TOL_CLOSED_FORM, lambda g: _pointwise(
-        g, _by_column(g, lambda ea: 0.5 * (1.0 + ea ** 2)),
+        _by_column(g, lambda ea: 0.5 * (1.0 + ea ** 2)),
         densmat._expectation(g.trace.rho_f_s, g.trace.rho_f_s))),
     "swap_limit": (TOL_CLOSED_FORM, lambda g: np.maximum(
         _max_abs(g.trace.rho_f_s - g.trace.rho0_a), _max_abs(g.trace.rho_f_a - g.trace.rho0_s))[
@@ -184,19 +183,17 @@ CLASSES = {
         _max_abs(densmat._partial_trace(g.trace.rho_reset, "A") - g.trace.rho0_a))),
     "post_measurement_ancilla_marginal": (TOL_MARGINAL, _ancilla_marginal),
     "work_positive": (0.0, lambda g: _positive(
-        g, -g.thermo["total_work"], g.flat(g.column_box.eps_a > g.column_box.eps_s + 1e-12))),
-    "heat_bounds_load": (1e-12, lambda g: _positive(
-        g, g.thermo["cooling_load"] - g.thermo["heat_reset"])),
-    "entropy_reduction_nonnegative": (1e-12, lambda g: _positive(
-        g, -g.thermo["entropy_reduction"], unit=1.0)),
+        -g.thermo["total_work"], g.flat(g.column_box.eps_a > g.column_box.eps_s + 1e-12))),
+    "heat_bounds_load": (1e-12, lambda g: _positive(g.thermo["cooling_load"] - g.thermo["heat_reset"])),
+    "entropy_reduction_nonnegative": (1e-12, lambda g: _positive(-g.thermo["entropy_reduction"])),
     "eta_bounded": (1e-12, lambda g: _positive(
-        g, np.maximum(g.thermo["eta"] - 1.0, -g.thermo["eta"]), ~g.thermo["reversible_limit"], 1.0)),
+        np.maximum(g.thermo["eta"] - 1.0, -g.thermo["eta"]), ~g.thermo["reversible_limit"])),
     "ergotropy_bound": (1e-12, _ergotropy_bound),
     "cooling_window_sign": (0.0, lambda g: np.where(
         (g.thermo["delta_e_system"] > 0.0) == g.thermo["in_cooling_window"], 0.0, 1.0)[
-        np.abs(g.thermo["delta_e_system"]) > 1e-12 * g.temperature]),
+        np.abs(g.thermo["delta_e_system"]) > 1e-12]),
     "no_cooling_below_bias": (1e-12, lambda g: _positive(
-        g, g.thermo["delta_e_system"], g.flat(g.row_box.sin < g.column_box.eps_s))),
+        g.thermo["delta_e_system"], g.flat(g.row_box.sin < g.column_box.eps_s))),
     "phi_crit_root": (TOL_ROOT, _phi_crit_root),
     **{f"{field}_monotone_phi": (1e-9, _monotone_in_phi(field))
        for field in ("cop", "eta", "chi")},
@@ -235,8 +232,8 @@ def run_suite(grid_n: int = 12, discord_stride: int = 3,
               temperature: float = 1.0) -> list[Check]:
     """Run every invariant class on the standard grid; return one Check each.
 
-    Raises ValueError unless ``grid_n >= 2`` and ``discord_stride >= 1``
-    are integers, and for a temperature ``ProtocolParams`` rejects.
+    Raises ValueError unless ``grid_n >= 2`` and ``discord_stride >= 1`` are
+    integers, and for a temperature ``ProtocolParams`` or ``figures_of_merit`` rejects.
     """
     _require_count("grid_n", grid_n, 2)
     _require_count("discord_stride", discord_stride, 1)

@@ -427,8 +427,19 @@ def test_verify_runs_at_the_given_temperature(capsys):
     ("verify", "--grid-n", "3", "--temperature", "1e7", "--format", "csv"),
 ], ids=["run-verify-1e6", "verify-1e5", "verify-1e7-csv"])
 def test_verify_passes_at_large_temperatures(capsys, args):
-    # energies scale with T; their deviations are checked in units of T
+    # both routes compare the energies at T = 1; T only scales the printed ones
     code, out, err = run_cli(capsys, *args)
+    assert (code, err) == (0, "")
+    assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("args", [
+    ("run", "--eps-s", "0.4", "--eps-a", "0.8", "--phi", "1", "--verify"),
+    ("verify",),
+], ids=["run-verify", "verify"])
+def test_verify_passes_at_a_subnormal_temperature(capsys, args):
+    # at T = 1e-314 the printed energies are subnormal, but the checks are those of T = 1
+    code, out, err = run_cli(capsys, *args, "--temperature", "1e-314")
     assert (code, err) == (0, "")
     assert "FAIL" not in out
 

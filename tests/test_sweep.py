@@ -322,7 +322,7 @@ def test_linspace_matches_numpy_bit_for_bit(eps_s, n, capsys):
 def test_optimize_ranks_undefined_values_below_every_defined_one(monkeypatch):
     # with the floor at W / T of eps_a = 0.9, every bias below is reversible;
     # cop falls above 0.9 at this angle, so the first defined bias wins
-    floor = closed_forms._work(closed_forms._column(0.3, 0.9, 1.0), closed_forms._row(1.0))
+    floor = closed_forms._energies(closed_forms._column(0.3, 0.9), closed_forms._row(1.0))[4]
     monkeypatch.setattr(closed_forms, "REVERSIBLE_WORK_FLOOR", floor)
     wp = optimize_working_point("cop", 0.3, 1.0)
     assert wp.at_boundary == "lower"
@@ -461,7 +461,7 @@ def test_searches_stop_at_float_resolution():
     signal.alarm(30)
     try:
         star = optimize_working_point("chi", 0.3, 1.0).eps_a_star
-        signs = [closed_forms._rising("chi", closed_forms._column(0.3, x, 1.0), closed_forms._row(1.0))
+        signs = [closed_forms._rising("chi", closed_forms._column(0.3, x), closed_forms._row(1.0))
                  for x in (math.nextafter(star, 0.0), star)]
         assert signs[0] > 0 >= signs[1]
         eps_a = eps_a_for_cooling_load(0.3, 0.1)

@@ -408,7 +408,7 @@ def test_the_working_point_derivatives_are_those_of_the_objectives():
         for eps_s, eps_a, phi in RISING_POINTS:
             value = slope(eps_s, eps_a, phi)
             assert abs(value) > 1e-6  # away from the argmax, where the sign is settled
-            rising = closed_forms._rising(name, closed_forms._column(eps_s, eps_a, 1.0),
+            rising = closed_forms._rising(name, closed_forms._column(eps_s, eps_a),
                                           closed_forms._row(phi))
             assert rising == (value > 0.0) - (value < 0.0), (name, eps_s, eps_a, phi)
             signs.add(rising)

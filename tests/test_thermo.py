@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from qfcool import thermo
+from qfcool import sweep, thermo, verify
 from qfcool.densmat import SIGMA_Z
 from qfcool.protocol import ProtocolParams, _thermal_qubits, run_protocol
 from qfcool.thermo import (
@@ -133,6 +133,18 @@ def test_closed_forms_match_matrix_oracles_on_grid():
         # bookkeeping: energy lost by the pair equals minus the total work
         combined = report.work_measurement + report.work_feedback
         assert abs(combined + oracles["total_work"]) <= 1e-10
+
+
+@pytest.mark.parametrize("temperature", [1e-300, 2.3, 1e300])
+def test_matrix_oracles_at_the_temperature_meet_the_scaled_closed_forms(temperature):
+    # the oracle builds H at the point's T, so it meets the record's one multiplication by T
+    # from a route that never ran at T = 1
+    for params in params_grid(5):
+        params = ProtocolParams(params.eps_s, params.eps_a, params.phi, temperature)
+        oracles, report = matrix_oracles(params), figures_of_merit(params)
+        for name, oracle in oracles.items():
+            unit = 1.0 if name == "entropy_reduction" else temperature
+            assert abs(getattr(report, name) - oracle) <= verify.TOL_CLOSED_FORM * unit, (params, name)
 
 
 def test_temperature_is_a_multiplicative_scale():
@@ -300,7 +312,9 @@ def test_ergotropy_rejects_a_dimension_mismatch():
 # temperature scaling and overflow
 # ---------------------------------------------------------------------------
 
-_FLAGS = ("in_cooling_window", "work_extracting_feedback", "phi_crit_defined")
+# The fields that carry T: the energies, the cooling load T P and chi = P^2 / W.
+_T_FIELDS = ("work_measurement", "work_feedback", "heat_reset", "delta_e_system", "cooling_load",
+             "total_work", "chi")
 
 
 def test_reversible_flag_scales_with_temperature():
@@ -311,23 +325,58 @@ def test_reversible_flag_scales_with_temperature():
     assert round(cold.cop, 4) == 0.7265
 
 
+def _times(t, unit):
+    """The record at temperature ``t``, as the repr of each field, from the record at T = 1: each
+    energy and chi ``t *`` its T = 1 value, one product, and every other field as it is."""
+    return {name: repr(t * v if name in _T_FIELDS and v is not None else v)
+            for name, v in vars(unit).items()}
+
+
 @given(eps_s=st.floats(0.0, 0.9), fraction=st.floats(0.0, 1.0),
-       phi=st.floats(0.0, HALF_PI), log10_t=st.floats(-300.0, 300.0))
+       phi=st.floats(0.0, HALF_PI), log10_t=st.floats(-323.0, 308.0))
 @example(eps_s=0.4, fraction=1.0, phi=1.0, log10_t=-15.0)
 @example(eps_s=0.5, fraction=0.0, phi=HALF_PI, log10_t=300.0)
 @example(eps_s=0.0, fraction=0.5, phi=0.3, log10_t=-300.0)
+# (0.4, 0.8, 1.0) at T = 2.3, where cop once moved by an ulp, and at a subnormal T
+@example(eps_s=0.4, fraction=0.4 / 0.55, phi=1.0, log10_t=math.log10(2.3))
+@example(eps_s=0.4, fraction=0.4 / 0.55, phi=1.0, log10_t=-314.0)
+# a reversible-limit point whose cooling load, 1e-115 * 4.08e-210, rounds to 0.0 (eps_a = 2.02e-105)
+@example(eps_s=0.0, fraction=2.1267622007797977e-105, phi=0.0, log10_t=-115.0)
 def test_figures_of_merit_do_not_depend_on_temperature(eps_s, fraction, phi, log10_t):
-    eps_a = eps_s + fraction * (0.95 - eps_s)
+    # T enters each energy and chi by one multiplication; the flags, ratios, entropy
+    # reduction and phi_crit are their T = 1 values, bit for bit, in the scalar record
+    # and in a grid's
+    eps_a, t = eps_s + fraction * (0.95 - eps_s), 10.0 ** log10_t
     unit = figures_of_merit(ProtocolParams(eps_s, eps_a, phi))
-    scaled = figures_of_merit(ProtocolParams(eps_s, eps_a, phi, 10.0 ** log10_t))
-    for flag in _FLAGS:
-        assert getattr(scaled, flag) == getattr(unit, flag), flag
-    w = unit.total_work  # W / T at T = 1
-    if not 0.5 * REVERSIBLE_WORK_FLOOR <= w <= 2.0 * REVERSIBLE_WORK_FLOOR:
-        assert scaled.reversible_limit == unit.reversible_limit
-    if w > 1e-6:
-        assert scaled.cop == pytest.approx(unit.cop, rel=1e-9)
-        assert scaled.eta == pytest.approx(unit.eta, rel=1e-9)
+    try:
+        scaled = figures_of_merit(ProtocolParams(eps_s, eps_a, phi, t))
+    except ValueError as error:
+        assert not 1e-300 <= t <= 1e300  # every T in [1e-300, 1e300] reports
+        assert str(error).startswith(f"temperature {t!r} makes the cycle energies ")
+        return
+    expected = _times(t, unit)
+    assert {name: repr(v) for name, v in vars(scaled).items()} == expected
+    [grid] = sweep._Grid([(eps_s, [eps_a])], [phi], t).reports
+    assert {name: repr(v) for name, v in vars(grid).items()} == expected
+    if (eps_s, eps_a, phi, t) == (0.0, 2.0204240907408078e-105, 0.0, 1e-115):
+        assert scaled.cooling_load == 0.0 < unit.cooling_load
+        assert scaled.reversible_limit and scaled.cop is scaled.eta is scaled.chi is None
+
+
+@pytest.mark.parametrize("temperature", [5e-324, 1e-314, 1e-300, 0.8, 2.3, 1e300, 1e307])
+def test_grid_reports_are_the_unit_reports_times_the_temperature(temperature):
+    # the standard grid's reports, and a landscape's at eps_s = 0.4
+    landscape = ([(0.4, np.linspace(0.4, 0.95, 21).tolist())], np.linspace(0.0, HALF_PI, 9).tolist())
+    for series, phis in (verify._standard_axes(6, 1.0)[:2], landscape):
+        unit = sweep._Grid(series, phis, 1.0).reports
+        try:
+            reports = sweep._Grid(series, phis, temperature).reports
+        except ValueError as error:
+            assert temperature in (5e-324, 1e307)
+            assert str(error).startswith(f"temperature {temperature!r} makes the cycle energies ")
+            continue
+        assert [{name: repr(v) for name, v in vars(r).items()} for r in reports] == [
+            _times(temperature, r) for r in unit]
 
 
 def test_figures_of_merit_reject_energy_overflow():
@@ -345,30 +394,29 @@ def test_figures_of_merit_reject_energy_overflow():
 # ---------------------------------------------------------------------------
 
 def per_quantity_report(es, ea, phi, t):
-    """Every figure of merit from its own closed-form expression, each
+    """Every figure of merit from its own closed-form expression at T = 1, each
     recomputing its transcendentals (as figures_of_merit did before the
-    closed forms were factored by grid axis)."""
+    closed forms were factored by grid axis), then each energy and chi times t."""
     # 0.0 - x rather than -x: a zero energy is +0.0
-    w_m = 0.0 - t * (es * math.sin(phi) ** 2 * math.atanh(es) + ea * math.atanh(ea))
+    w_m = 0.0 - (es * math.sin(phi) ** 2 * math.atanh(es) + ea * math.atanh(ea))
     y = ea * math.atanh(es) + es * math.atanh(ea)
-    w_f = t * (y * math.sin(phi) - es * math.atanh(es) * math.cos(phi) ** 2)
-    q = t * (ea - es * math.sin(phi)) * math.atanh(ea)
-    de_s = 0.0 - t * (es - ea * math.sin(phi)) * math.atanh(es)
+    w_f = y * math.sin(phi) - es * math.atanh(es) * math.cos(phi) ** 2
+    q = (ea - es * math.sin(phi)) * math.atanh(ea)
+    de_s = 0.0 - (es - ea * math.sin(phi)) * math.atanh(es)
     reduction = (ea * math.atanh(ea) - es * math.atanh(es)
                  + 0.5 * math.log((1.0 - ea * ea) / (1.0 - es * es)))
-    load = t * reduction
     w = -de_s + q
     if es == 0.0:
         pc = 0.0
     else:  # the root of y sin(phi) - a cos(phi)^2, divided through by atanh(es)
         y1 = ea + es / math.atanh(es) * math.atanh(ea)
         pc = math.asin(2.0 * es / (y1 + math.hypot(y1, 2.0 * es)))
-    reversible = w / t <= REVERSIBLE_WORK_FLOOR
-    cop = None if reversible else load / w
+    reversible = w <= REVERSIBLE_WORK_FLOOR
+    cop = None if reversible else reduction / w
     return ThermoReport(
-        work_measurement=w_m, work_feedback=w_f, heat_reset=q, delta_e_system=de_s,
-        entropy_reduction=reduction, cooling_load=load, total_work=w, cop=cop,
-        eta=None if reversible else load / q, chi=None if reversible else cop * load,
+        work_measurement=t * w_m, work_feedback=t * w_f, heat_reset=t * q, delta_e_system=t * de_s,
+        entropy_reduction=reduction, cooling_load=t * reduction, total_work=t * w, cop=cop,
+        eta=None if reversible else reduction / q, chi=None if reversible else t * (cop * reduction),
         in_cooling_window=ea * math.sin(phi) > es,
         work_extracting_feedback=(phi > pc) if es > 0.0 else False,
         phi_crit=pc, phi_crit_defined=es > 0.0, reversible_limit=reversible)

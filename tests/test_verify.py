@@ -98,23 +98,21 @@ def test_the_suite_evaluates_the_closed_forms_a_fixed_number_of_times(monkeypatc
 
 
 def _reference_deviations(points):
-    """Deviations of the pointwise classes, from the single-point functions and kernels.
-
-    Energy-valued deviations are in units of the point's temperature.
-    """
+    """Deviations of the pointwise classes, from the single-point functions and kernels, at
+    points at T = 1, where each energy is its value over T (the classes' unit at any T)."""
     dev = {name: [] for name in verify.CLASSES}
     for params in points:
         trace = protocol.run_protocol(params)
         model = thermo.energy_model(params)
         report = thermo.figures_of_merit(params)
         oracles = thermo.matrix_oracles(params)
-        es, ea, phi, t = params.eps_s, params.eps_a, params.phi, params.temperature
+        es, ea, phi = params.eps_s, params.eps_a, params.phi
+        assert params.temperature == 1.0
         for name in ("work_measurement", "work_feedback", "heat_reset", "delta_e_system",
                      "entropy_reduction", "total_work"):
-            unit = 1.0 if name == "entropy_reduction" else t
-            dev[name].append(abs(getattr(report, name) - oracles[name]) / unit)
+            dev[name].append(abs(getattr(report, name) - oracles[name]))
         dev["energy_conservation"].append(abs(
-            report.work_measurement + report.work_feedback + oracles["total_work"]) / t)
+            report.work_measurement + report.work_feedback + oracles["total_work"]))
         dev["mutual_information"].append(abs(
             correlations.mutual_information_analytic(params)
             - correlations.mutual_information(trace.rho_m)))
@@ -140,28 +138,28 @@ def _reference_deviations(points):
         dev["post_measurement_ancilla_marginal"].append(
             max(abs(z), abs(x - es * ea * math.cos(phi))))
         if ea > es + 1e-12:
-            dev["work_positive"].append(max(0.0, -report.total_work) / t)
-        dev["heat_bounds_load"].append(max(0.0, report.cooling_load - report.heat_reset) / t)
+            dev["work_positive"].append(max(0.0, -report.total_work))
+        dev["heat_bounds_load"].append(max(0.0, report.cooling_load - report.heat_reset))
         dev["entropy_reduction_nonnegative"].append(max(0.0, -report.entropy_reduction))
         if report.eta is not None:
             dev["eta_bounded"].append(max(0.0, report.eta - 1.0, -report.eta))
         dev["ergotropy_bound"].append(max(
-            0.0, report.work_feedback - thermo.ergotropy(trace.rho_m, model.hamiltonian)) / t)
+            0.0, report.work_feedback - thermo.ergotropy(trace.rho_m, model.hamiltonian)))
         de = report.delta_e_system
-        if abs(de) > 1e-12 * t:
+        if abs(de) > 1e-12:
             dev["cooling_window_sign"].append(
                 0.0 if (de > 0.0) == (ea * math.sin(phi) > es) else 1.0)
         if math.sin(phi) < es:
-            dev["no_cooling_below_bias"].append(max(0.0, de) / t)
+            dev["no_cooling_below_bias"].append(max(0.0, de))
         if es > 0.0:
-            root = ProtocolParams(es, ea, report.phi_crit, t)
-            dev["phi_crit_root"].append(abs(thermo.figures_of_merit(root).work_feedback) / t)
+            root = ProtocolParams(es, ea, report.phi_crit)
+            dev["phi_crit_root"].append(abs(thermo.figures_of_merit(root).work_feedback))
     return dev
 
 
-def _reference_suite(grid_n, discord_stride, temperature):
-    """Every invariant class point by point, as the suite ran before it was stacked."""
-    grid = verify.standard_grid(grid_n, temperature=temperature)
+def _reference_suite(grid_n, discord_stride):
+    """Every invariant class point by point at T = 1, as the suite ran before it was stacked."""
+    grid = verify.standard_grid(grid_n)
     dev = _reference_deviations(grid)
     for start in range(0, len(grid), grid_n):
         series = [thermo.figures_of_merit(p) for p in grid[start:start + grid_n]]
@@ -173,8 +171,7 @@ def _reference_suite(grid_n, discord_stride, temperature):
     for eps_s in np.linspace(0.0, 0.9, grid_n)[::discord_stride]:
         for eps_a in np.linspace(eps_s, 0.95, grid_n)[::discord_stride]:
             for phi in np.linspace(0.0, math.pi / 2, grid_n)[::discord_stride]:
-                corr = correlations.correlation_report(
-                    ProtocolParams(float(eps_s), float(eps_a), float(phi), temperature))
+                corr = correlations.correlation_report(ProtocolParams(float(eps_s), float(eps_a), float(phi)))
                 d_a, d_s, closed = corr.discord_a, corr.discord_s, corr.discord_analytic
                 dev["discord_symmetry"].append(abs(d_a - d_s))
                 dev["discord_numeric_vs_closed"].append(max(abs(d_a - closed), abs(d_s - closed)))
@@ -186,26 +183,31 @@ def _reference_suite(grid_n, discord_stride, temperature):
 @pytest.mark.parametrize("grid_n", [4, 5])
 @pytest.mark.parametrize("temperature", [1.0, 2.5])
 def test_run_suite_equals_a_per_point_reference(grid_n, temperature):
+    # the classes compare the two routes at T = 1, whatever the grid's temperature
     checks = verify.run_suite(grid_n, 3, temperature)
-    assert checks == _reference_suite(grid_n, 3, temperature)
+    assert checks == _reference_suite(grid_n, 3)
 
 
 def test_run_suite_honours_the_temperature():
+    # T only decides whether the grid's energies are representable; every check is T-free
     cold = verify.run_suite(grid_n=3)
     hot = verify.run_suite(grid_n=3, temperature=5.0)
-    assert [(c.name, c.points) for c in hot] == [(c.name, c.points) for c in cold]
     assert all(c.passed for c in hot)
-    assert hot != cold
+    assert hot == cold
+    with pytest.raises(ValueError, match=r"^temperature 1e\+308 makes the cycle energies overflow$"):
+        verify.run_suite(grid_n=3, temperature=1e308)
+    with pytest.raises(ValueError, match=r"^temperature 5e-324 makes the cycle energies underflow$"):
+        verify.run_suite(grid_n=3, temperature=5e-324)
 
 
 @pytest.mark.parametrize("temperature", [
-    1e-300, 1e-100, 1e-6, 0.25, 1.0, 4.0, 1e5, 1e12, 1e100, 1e300])
+    1e-314, 1e-300, 1e-100, 1e-6, 0.25, 1.0, 4.0, 1e5, 1e12, 1e100, 1e300])
 def test_run_suite_passes_at_any_temperature(temperature):
-    # energy deviations are in units of T, so rounding alone never fails a class
+    # the classes compare the two routes at T = 1, so T moves no check, and at a subnormal
+    # T too, where the emitted energies have few significant bits
     checks = verify.run_suite(6, 3, temperature)
     assert [c.name for c in checks if not c.passed] == []
-    assert ([(c.name, c.points) for c in checks]
-            == [(c.name, c.points) for c in verify.run_suite(6, 3, 1.0)])
+    assert checks == verify.run_suite(6, 3, 1.0)
 
 
 # run_suite(4, 2, 1.0) before energy deviations were taken in units of T
@@ -293,6 +295,7 @@ def test_matrix_oracles_are_named_as_the_oracle_rows():
 
 
 def test_matrix_oracles_equal_the_stacked_oracle_rows_bit_for_bit():
+    # the grid's oracles run at T = 1 at any grid temperature
     g = sweep._Grid(*verify._standard_axes(3, 1.7))
     for i, point in enumerate(g.points):
         oracles = thermo.matrix_oracles(ProtocolParams(*point))
@@ -313,14 +316,16 @@ def _hex_fields(report) -> list:
     ([(0.0, [0.0, 0.5, 0.8]), (0.6, [0.6, 0.7, 0.95])], [0.0, 0.9, HALF_PI], 2.0),
 ], ids=["two-angles", "landscape-13x51", "two-series"])
 def test_grid_reports_and_oracles_equal_single_point_calls(series, phis, temperature):
-    # every point's report and oracle row is its own point's, whatever the grid's shape
+    # every point's report (at the grid's T) and oracle row (at T = 1) is its own point's,
+    # whatever the grid's shape
     g = sweep._Grid(series, phis, temperature)
     expected = [(es, ea, phi) for es, eps_a in series for phi in phis for ea in eps_a]
     assert [(p.eps_s, p.eps_a, p.phi) for p in g.points] == expected
     for i, point in enumerate(g.points):
-        params = ProtocolParams(*point)
+        params = ProtocolParams(*point, temperature)
         assert _hex_fields(g.reports[i]) == _hex_fields(thermo.figures_of_merit(params))
-        assert {name: value.hex() for name, value in thermo.matrix_oracles(params).items()} == {
+        oracles = thermo.matrix_oracles(ProtocolParams(*point))
+        assert {name: value.hex() for name, value in oracles.items()} == {
             name: float(stack[i]).hex() for name, stack in g.oracles.items()}
 
 
@@ -331,7 +336,8 @@ def _bits(stack) -> tuple:
 
 @pytest.mark.parametrize("temperature", [1e-300, 0.8, 1e300])
 def test_grid_values_equal_their_direct_computation(temperature):
-    # each value the grid computes once equals the call it stands for, bit for bit
+    # each value the grid computes once equals the call it stands for, bit for bit; the
+    # matrix route runs at T = 1 whatever the grid's temperature
     g = sweep._Grid(*verify._standard_axes(5, temperature), 3)
     points = [ProtocolParams(*p) for p in g.points]
     trace = g.trace
@@ -365,7 +371,7 @@ def test_grid_values_equal_their_direct_computation(temperature):
     assert ({name: [v.hex() for v in stack.tolist()] for name, stack in g.oracles.items()}
             == {name: [v.hex() for v in stack.tolist()] for name, stack in per_field.items()})
     assert [tuple(v.hex() for v in half) for half in g.half_splittings.tolist()] == [
-        tuple((0.5 * thermo.level_splitting(eps, p.temperature)).hex() for eps in (p.eps_s, p.eps_a))
+        tuple((0.5 * thermo.level_splitting(eps, 1.0)).hex() for eps in (p.eps_s, p.eps_a))
         for p in points]
     assert [d.hex() for d in g.discord_analytic] == [
         correlations.discord_analytic(p.eps_s, p.phi).hex() for p in points]
@@ -374,16 +380,18 @@ def test_grid_values_equal_their_direct_computation(temperature):
 _PHIS_5 = np.linspace(0.0, HALF_PI, 5).tolist()
 
 
-@pytest.mark.parametrize("axes, exact", [
-    (verify._standard_axes(5, 1e-300), False),
-    (verify._standard_axes(5, 0.8), True),
-    (verify._standard_axes(5, 1e300), False),
-    (([(0.0, np.linspace(0.0, verify.EPS_A_MAX, 5).tolist())], _PHIS_5, 0.8), True),
-    (([(es, [es]) for es in np.linspace(0.0, verify.EPS_S_MAX, 5).tolist()], _PHIS_5, 0.8), True),
+@pytest.mark.parametrize("axes", [
+    verify._standard_axes(5, 1e-300),
+    verify._standard_axes(5, 0.8),
+    verify._standard_axes(5, 1e300),
+    ([(0.0, np.linspace(0.0, verify.EPS_A_MAX, 5).tolist())], _PHIS_5, 0.8),
+    ([(es, [es]) for es in np.linspace(0.0, verify.EPS_S_MAX, 5).tolist()], _PHIS_5, 0.8),
 ], ids=["T=1e-300", "T=0.8", "T=1e300", "eps_s=0", "eps_s=eps_a"])
-def test_ergotropy_bound_pairs_rho_m_with_the_ascending_levels_of_H(monkeypatch, axes, exact):
+def test_ergotropy_bound_pairs_rho_m_with_the_ascending_levels_of_H(monkeypatch, axes):
     # the passive state pairs rho_m's descending eigenvalues with H's ascending levels, which
-    # the grid takes as |11>, |01>, |10>, |00> (ascending where eps_s <= eps_a), not by eigvalsh
+    # the grid takes as |11>, |01>, |10>, |00> (ascending where eps_s <= eps_a), not by eigvalsh;
+    # H is at T = 1 whatever the grid's temperature, so the grid's and the public ergotropy agree
+    # bit for bit at every T
     g = sweep._Grid(*axes)
     calls, real = [], thermo._ergotropy
     monkeypatch.setattr(thermo, "_ergotropy", lambda *args: calls.append(args) or real(*args))
@@ -398,16 +406,14 @@ def test_ergotropy_bound_pairs_rho_m_with_the_ascending_levels_of_H(monkeypatch,
     assert _bits(levels) == _bits(np.array(ascending))
     grid = real(energy, levels, spectrum)
     public = np.array([thermo.ergotropy(rho, m.hamiltonian) for rho, m in zip(g.trace.rho_m, models)])
-    if exact:
-        assert _bits(grid) == _bits(public)
-    else:  # LAPACK rescales H at extreme T, so eigvalsh(H) may miss its diagonal in the last digits
-        assert (np.abs(grid - public) <= 1e-15 * np.abs(public)).all()
+    assert _bits(grid) == _bits(public)
 
 
 # repr(run_suite(n, stride, T)) per class at the benchmark's strata and at
 # stride 1, recorded before the grid shared its spectra, energies, level
 # splittings, phi rows and closed-form discords; the 0.8 strata's
-# mutual_information and phi_crit_root as SUITE_4_2's.
+# mutual_information and phi_crit_root as SUITE_4_2's.  Since the suite
+# compares both routes at T = 1, each stratum at T != 1 reads as at T = 1.
 SUITE_REPRS = json.loads((pathlib.Path(__file__).parent / "suite_reprs.json").read_text())
 
 
@@ -631,7 +637,7 @@ def test_trace_oracles_are_the_per_point_blocks_in_reading_order(series, phis):
 def test_point_checks_equal_the_oracle_classes_on_a_one_point_grid():
     params = ProtocolParams(0.3, 0.7, 1.2, 0.8)
     point = verify.point_checks(params)
-    dev = _reference_deviations([params])
+    dev = _reference_deviations([dataclasses.replace(params, temperature=1.0)])
     report = correlations.correlation_report(params)  # both numeric discords of the point
     dev["discord_symmetry"] = [abs(report.discord_a - report.discord_s)]
     dev["discord_numeric_vs_closed"] = [max(abs(d - report.discord_analytic)
@@ -747,12 +753,12 @@ POINT_CHECKS_REPR = {
     ],
     (0.5, 0.5, math.pi / 2, 1e300): [
         ("work_measurement", "0.0"),
-        ("work_feedback", "7.435084542388916e-17"),
-        ("heat_reset", "1.1152626813583371e-16"),
-        ("delta_e_system", "1.1152626813583371e-16"),
+        ("work_feedback", "1.1102230246251565e-16"),
+        ("heat_reset", "5.551115123125783e-17"),
+        ("delta_e_system", "5.551115123125783e-17"),
         ("entropy_reduction", "2.220446049250313e-16"),
-        ("total_work", "7.435084542388916e-17"),
-        ("energy_conservation", "7.435084542388916e-17"),
+        ("total_work", "1.1102230246251565e-16"),
+        ("energy_conservation", "1.1102230246251565e-16"),
         ("mutual_information", "4.440892098500626e-16"),
         ("discord_closed_form", "1.1102230246251565e-16"),
         ("thermal_entropy", "1.1102230246251565e-16"),
@@ -761,13 +767,13 @@ POINT_CHECKS_REPR = {
         ("trace_summary", "4.440892098500626e-16"),
     ],
     (0.2, 0.6, 0.3, 1e-300): [
-        ("work_measurement", "0.0"),
-        ("work_feedback", "5.180653786536309e-17"),
+        ("work_measurement", "5.551115123125783e-17"),
+        ("work_feedback", "5.551115123125783e-17"),
         ("heat_reset", "0.0"),
-        ("delta_e_system", "1.1008889296389657e-17"),
+        ("delta_e_system", "2.6020852139652106e-17"),
         ("entropy_reduction", "5.551115123125783e-17"),
-        ("total_work", "0.0"),
-        ("energy_conservation", "8.289046058458094e-17"),
+        ("total_work", "5.551115123125783e-17"),
+        ("energy_conservation", "1.1102230246251565e-16"),
         ("mutual_information", "4.440892098500626e-16"),
         ("discord_closed_form", "2.220446049250313e-16"),
         ("thermal_entropy", "0.0"),

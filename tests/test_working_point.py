@@ -58,7 +58,7 @@ def test_rising_has_the_sign_of_a_central_difference(rng):
             if abs(eps_a - star) <= 1e-3:
                 continue  # too near the root for the sign to be robust
             slope = referee.central_difference(objective, eps_s, phi, eps_a)
-            sign = closed_forms._rising(objective, closed_forms._column(eps_s, eps_a, 1.0), row)
+            sign = closed_forms._rising(objective, closed_forms._column(eps_s, eps_a), row)
             assert sign == (1 if slope > 0 else -1), (objective, eps_s, phi, eps_a)
             checked += 1
     assert checked >= 100
@@ -119,9 +119,9 @@ def test_a_subnormal_temperature_underflows_as_a_domain_error(rng):
 def test_a_cooling_load_that_rounds_to_zero_is_refused(capsys):
     # T W and T Q stay above 0 but T P rounds to 0, so cop and eta would print as 0.0
     # (0.553 and 0.471 at T = 1)
-    column, row = closed_forms._column(0.3, 0.9, 5e-324), closed_forms._row(1.0)
-    assert column.cooling_load == 0.0 < column.entropy_reduction
-    assert all(closed_forms._energies(column, row)[k] > 0.0 for k in (2, 4))  # Q and W
+    column, row = closed_forms._column(0.3, 0.9), closed_forms._row(1.0)
+    assert 5e-324 * column.entropy_reduction == 0.0 < column.entropy_reduction
+    assert all(5e-324 * closed_forms._energies(column, row)[k] > 0.0 for k in (2, 4))  # T Q and T W
     with pytest.raises(ValueError, match="^temperature 5e-324 makes the cycle energies underflow$"):
         figures_of_merit(ProtocolParams(0.3, 0.9, 1.0, 5e-324))
     code = cli.main(["run", "--eps-s", "0.3", "--eps-a", "0.9", "--phi", "1.0", "--temperature", "5e-324"])
