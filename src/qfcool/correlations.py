@@ -157,10 +157,12 @@ def _axes(polar: np.ndarray, azimuth: np.ndarray) -> np.ndarray:
 
 @cache
 def _seed() -> np.ndarray:
-    """The search's seed axes, built on first use and shared: the first 32 polar rows of a 64 x 32 grid."""
-    return _axes(*np.array(np.meshgrid(
+    """The search's seed axes, built on first use and shared: the first 32 polar rows of a 64 x 32 grid,
+    whose polar-0 row, 32 copies of the pole, keeps only its first, (0, 0, 1): 993 axes."""
+    return np.delete(_axes(*np.array(np.meshgrid(
         np.linspace(0.0, math.pi, _SEED_POLAR)[:_SEED_POLAR // 2],
-        np.linspace(0.0, 2.0 * math.pi, _SEED_AZIMUTH, endpoint=False), indexing="ij")).reshape(2, -1))
+        np.linspace(0.0, 2.0 * math.pi, _SEED_AZIMUTH, endpoint=False), indexing="ij")).reshape(2, -1)),
+        np.s_[1:_SEED_AZIMUTH], axis=0)
 
 
 def _conditional_entropy_scan(local: np.ndarray, other: np.ndarray, m: np.ndarray,
@@ -226,20 +228,21 @@ def optimal_measurement(rho, measured_side: str = "A") -> tuple[MeasurementBasis
 def _optimal_measurements(blochs, sides: Sequence[str]) -> list:
     """``(polar, azimuth, gain)`` per row of the ``(a, b, t)`` stacks of ``_bloch_components``.
 
-    Each row starts from its best axis of 1,027: the first 32 polar rows of
+    Each row starts from its best axis of 996: the first 32 polar rows of
     a 64 x 32 Bloch-sphere grid (a hemisphere: an axis and its opposite
-    are one measurement), then the three eigenvectors of x x^T + M M^T
-    (``local`` and ``m``; the geometric discord's optimal axis, Dakic,
-    Vedral and Brukner, PRL 105, 190502 (2010)), scored in a separate
-    call.  The first wins ties.  Newton steps on the unit sphere
-    (``_newton_steps``) then refine it.  A step turns the axis by at most
-    one azimuth step of the seed grid, and each row halves its own step
-    until the conditional entropy does not rise.  A row leaves the search
-    once its gradient is below 1e-12, its accepted move is below 1e-7 rad,
-    or no move of at least 1e-7 rad keeps the entropy from rising.  A
-    kernel call scores at most 4096 (state, axis) pairs, which bounds the
-    memory of a stacked search.  A search with rows left after 100 steps
-    raises ``DiscordOptimizationError`` (one settles in under 10).
+    are one measurement), whose pole row keeps one of its 32 copies, then
+    the three eigenvectors of x x^T + M M^T (``local`` and ``m``; the
+    geometric discord's optimal axis, Dakic, Vedral and Brukner, PRL 105,
+    190502 (2010)), scored in a separate call.  The first wins ties.
+    Newton steps on the unit sphere (``_newton_steps``) then refine it.  A
+    step turns the axis by at most one azimuth step of the seed grid, and
+    each row halves its own step until the conditional entropy does not
+    rise.  A row leaves the search once its gradient is below 1e-12, its
+    accepted move is below 1e-7 rad, or no move of at least 1e-7 rad keeps
+    the entropy from rising.  A kernel call scores at most 4096 (state,
+    axis) pairs, which bounds the memory of a stacked search.  A search
+    with rows left after 100 steps raises ``DiscordOptimizationError``
+    (one settles in under 10).
     """
     a, b, t = blochs
     on_a = np.array([side == "A" for side in sides])[:, None]
@@ -253,7 +256,7 @@ def _optimal_measurements(blochs, sides: Sequence[str]) -> list:
             for part in (slice(lo, lo + per_call) for lo in range(0, len(rows), per_call))])
 
     seed, active = _seed(), np.arange(len(local))
-    # a budget below one seed (1,024 axes) still scores one row per call
+    # a budget below one seed (993 axes) still scores one row per call
     values = scan(active, max(1, _SCAN_BUDGET // len(seed)), lambda _: seed)
     pick = values.argmin(axis=1)
     axes, conditional = seed[pick], values[active, pick]

@@ -103,6 +103,11 @@ def _expectation(h: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.trace(h @ a, axis1=-2, axis2=-1).real
 
 
+def _purity(a: np.ndarray) -> np.ndarray:
+    """tr(a a) of each matrix, summed over the entries without a matrix product."""
+    return np.einsum("...ij,...ji->...", a, a).real
+
+
 def _bloch(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``_expectation`` of each of ``PAULI`` on 2x2 matrices, read from their entries: every
     product with a Pauli entry (0 or +-1) is exact, so summed from np.trace's +0 start, bit for bit."""

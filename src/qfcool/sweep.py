@@ -10,16 +10,17 @@ One private evaluator, ``_Grid``, evaluates the cycle for landscapes, characteri
 curves and ``verify``, ``run --verify`` among them: closed-form factors built once per
 eps_a column and phi row, every report field from one evaluation of the shared formulas
 on the whole box of them, and on first use the protocol trace, each field's spectrum and
-each point's half level splittings, by which the energies weigh the trace's populations
-(no Hamiltonian is stacked).  The scalar searches (working point, cooling-load inverse and the
-closed-form separability angle) live in the numpy-free ``closed_forms`` module,
-evaluate through the same factors and are re-exported here.  Everything runs
+each point's half level splittings, by which the energies weigh the qubit marginals'
+<sigma_z> (no Hamiltonian is stacked).  The scalar searches (working point, cooling-load
+inverse and the closed-form separability angle) live in the numpy-free ``closed_forms``
+module, evaluate through the same factors and are re-exported here.  Everything runs
 in-process on the calling thread.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
@@ -194,14 +195,10 @@ class _Grid:
         half = 0.5 * split(np.stack([c.eps_s, c.eps_a], axis=-1), 1.0)
         return np.broadcast_to(half, (*self.shape, 2)).reshape(-1, 2)
 
-    def energy(self, name: str) -> np.ndarray:
-        """tr(H rho) of each matrix of the trace field ``name``, from its populations."""
-        return thermo._energy(self.half_splittings, name, getattr(self.trace, name))
-
     @cached_property
     def oracles(self) -> dict[str, np.ndarray]:
         """Each closed form's matrix oracle by ``ThermoReport`` field name, one value per point."""
-        return thermo._oracles(self.energy, self.entropy)
+        return thermo._oracles(self.half_splittings, self.trace, self.entropy)
 
     @cached_property
     def discord_reports(self) -> list[CorrelationReport]:
@@ -225,7 +222,7 @@ def characteristic_curve(eps_s: float, phi: float, n_points: int,
                          temperature: float = 1.0,
                          include_correlations: bool = False) -> list[CurvePoint]:
     """Sweep the ancilla bias over [eps_s, 1) at a fixed measurement angle."""
-    _require_count("n_points", n_points, 2)
+    _require_count("n_points", n_points, 2, closed_forms.MAX_GRID_POINTS)  # before the axis is built
     # The far corner bounds every point of the axis, which runs from eps_s to it.
     p = ProtocolParams(eps_s, 1.0 - EPS_A_CLAMP, phi, temperature)
     eps_a_values = np.linspace(p.eps_s, p.eps_a, n_points).tolist()
@@ -242,7 +239,7 @@ def landscape(grid: SweepGrid,
     discord per point; the numeric basis search is left to dedicated
     single-point calls).
     """
-    if isinstance(quantities, str):
+    if isinstance(quantities, str) or not isinstance(quantities, Iterable):
         raise ValueError(f"quantities must be a set of selector names, got {quantities!r}")
     unknown = set(quantities) - {"thermo", "correlations"}
     if unknown:

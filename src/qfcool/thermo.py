@@ -8,9 +8,10 @@ oracles back every verification.
 ``figures_of_merit`` is re-exported from the numpy-free ``closed_forms``
 module, which states the sign conventions of its ``ThermoReport`` fields.
 The oracles read the ``ProtocolTrace`` states alone (valid by construction) through
-two readers: each energy tr(H rho) weighs a state's populations by H's levels, which
-are +-omega_s/2 +-omega_a/2 as H is diagonal, and each entropy comes from the caller's
-reader (a grid's cached spectra, or one ``eigvalsh`` per field).
+two readers: H is a sum of one term per qubit, so each energy tr(H rho) is read from the
+qubit marginals, (omega_s/2) <sigma_z> of the register's plus (omega_a/2) <sigma_z> of
+the ancilla's, and each entropy comes from the caller's reader (a grid's cached spectra,
+or one ``eigvalsh`` per field).
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ from .closed_forms import (  # re-exported
 )
 from .densmat import ID2, SIGMA_Z, _tensor
 
-_Z = SIGMA_Z.real.diagonal()  # (1, -1): the level of |0> is +omega/2, that of |1> -omega/2
-
 
 @dataclass(frozen=True)
 class EnergyModel:
@@ -35,7 +34,8 @@ class EnergyModel:
 
     The gaps satisfy omega = 2 T atanh(eps), i.e. a qubit thermalized at
     ``temperature`` has polarization bias ``eps``.  The oracles read only the
-    levels, from each point's half splittings omega/2 (a grid's ``half_splittings``).
+    half splittings omega/2 (a grid's ``half_splittings``), which weigh each qubit
+    marginal's <sigma_z>.
     """
 
     omega_s: float
@@ -78,32 +78,24 @@ def _ergotropy(energy: np.ndarray, levels: np.ndarray, populations: np.ndarray) 
 # matrix oracles
 # ---------------------------------------------------------------------------
 
-def _levels(half: np.ndarray) -> np.ndarray:
-    """H's levels +-omega_s/2 +-omega_a/2 at each point, in |sa> order, shape (n, 4)."""
-    s, a = half[:, 0, None] * _Z, half[:, 1, None] * _Z
-    return (s[:, :, None] + a[:, None, :]).reshape(-1, 4)
+def _energy(half: np.ndarray, trace: protocol.ProtocolTrace, stage: str) -> tuple[np.ndarray, np.ndarray]:
+    """The register's and the ancilla's energy at each point of the trace's ``stage`` (rho0, rho_m
+    or rho_f): each qubit marginal's <sigma_z> times its half splitting, column 0 or 1 of ``half``."""
+    return tuple(half[:, k] * densmat._bloch(getattr(trace, f"{stage}_{q}"))[2] for k, q in enumerate("sa"))
 
 
-def _energy(half: np.ndarray, name: str, stack: np.ndarray) -> np.ndarray:
-    """tr(H rho) of each state of the trace field ``name``: its populations weighed by H's levels
-    (a ``_s`` or ``_a`` marginal's by its term's +-omega/2), the four summed pairwise as np.trace
-    sums a complex 4x4 diagonal, so that the value is ``densmat._expectation``'s bit for bit."""
-    marginal = name[-2:] in ("_s", "_a")
-    levels = half[:, "sa".index(name[-1]), None] * _Z if marginal else _levels(half)
-    e = levels * np.diagonal(stack, axis1=-2, axis2=-1).real
-    return e[:, 0] + e[:, 1] if marginal else (e[:, 0] + e[:, 1]) + (e[:, 2] + e[:, 3])
-
-
-def _oracles(energy: Callable[[str], np.ndarray],
+def _oracles(half: np.ndarray, trace: protocol.ProtocolTrace,
              entropy: Callable[[str], np.ndarray]) -> dict[str, np.ndarray]:
-    """Each closed form's matrix oracle, by name, one value per point, from ``energy(name)``
-    and ``entropy(name)``: tr(H rho) and the entropy of each state of the trace field ``name``."""
-    e0, e_m, e_f = energy("rho0"), energy("rho_m"), energy("rho_f")
+    """Each closed form's matrix oracle, by name, one value per point, from the trace's qubit
+    marginals at the half splittings ``half`` and ``entropy(name)``, the entropy of each state of
+    the trace field ``name``.  H is local, so tr(H rho) of a joint stage is its marginals' sum."""
+    (s0, a0), (s_m, a_m), (s_f, a_f) = (_energy(half, trace, stage) for stage in ("rho0", "rho_m", "rho_f"))
+    e0, e_m, e_f = s0 + a0, s_m + a_m, s_f + a_f
     return {
         "work_measurement": e0 - e_m,
         "work_feedback": e_m - e_f,
-        "heat_reset": energy("rho_f_a") - energy("rho0_a"),
-        "delta_e_system": energy("rho0_s") - energy("rho_f_s"),
+        "heat_reset": a_f - a0,
+        "delta_e_system": s0 - s_f,
         "entropy_reduction": entropy("rho0_s") - entropy("rho_f_s"),
         "total_work": -(e0 - e_f),
     }
@@ -117,6 +109,5 @@ def matrix_oracles(params: ProtocolParams) -> dict[str, float]:
     """
     trace = protocol._run_protocols((params.eps_s,), (params.eps_a,), (params.phi,))
     half = 0.5 * np.array([[level_splitting(e, params.temperature) for e in (params.eps_s, params.eps_a)]])
-    oracles = _oracles(lambda name: _energy(half, name, getattr(trace, name)),
-                       lambda name: densmat._vn_entropies(getattr(trace, name)))
+    oracles = _oracles(half, trace, lambda name: densmat._vn_entropies(getattr(trace, name)))
     return {name: float(value[0]) for name, value in oracles.items()}

@@ -90,9 +90,11 @@ def _ancilla_marginal(g: _Grid) -> np.ndarray:
 
 
 def _ergotropy_bound(g: _Grid) -> np.ndarray:
-    # H's levels |11>, |01>, |10>, |00> ascend, as eps_s <= eps_a at every grid point
-    levels = thermo._levels(g.half_splittings)[:, [3, 1, 2, 0]]
-    bound = thermo._ergotropy(g.energy("rho_m"), levels, g.spectrum("rho_m"))
+    # H's levels at |11>, |01>, |10>, |00>, ascending as eps_s <= eps_a at every grid point
+    s, a = g.half_splittings.T
+    e_s, e_a = thermo._energy(g.half_splittings, g.trace, "rho_m")
+    levels = np.stack([-s - a, s - a, a - s, s + a], axis=-1)
+    bound = thermo._ergotropy(e_s + e_a, levels, g.spectrum("rho_m"))
     return np.maximum(0.0, g.thermo["work_feedback"] - bound)
 
 
@@ -115,7 +117,7 @@ def _trace_oracles(g: _Grid) -> np.ndarray:
     for name, stack in sorted(vars(g.trace).items(), key=lambda field: (field[1].shape[-1], field[0])):
         if stack.shape[-1] == 2:
             columns += densmat._bloch(stack)
-        columns += [g.entropy(name), densmat._expectation(stack, stack)]
+        columns += [g.entropy(name), densmat._purity(stack)]
     return np.stack(columns, axis=-1)
 
 
@@ -171,7 +173,7 @@ CLASSES = {
     **ORACLE_CLASSES,
     "purity_transfer": (TOL_CLOSED_FORM, lambda g: _pointwise(
         _by_column(g, lambda ea: 0.5 * (1.0 + ea ** 2)),
-        densmat._expectation(g.trace.rho_f_s, g.trace.rho_f_s))),
+        densmat._purity(g.trace.rho_f_s))),
     "swap_limit": (TOL_CLOSED_FORM, lambda g: np.maximum(
         _max_abs(g.trace.rho_f_s - g.trace.rho0_a), _max_abs(g.trace.rho_f_a - g.trace.rho0_s))[
         g.flat(np.abs(g.row_box.phi - math.pi / 2) < 1e-12)]),

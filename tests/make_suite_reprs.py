@@ -17,14 +17,11 @@ REPRS = Path(__file__).resolve().parent / "suite_reprs.json"
 
 # (grid_n, discord_stride) of the benchmark's verify_suite strata
 BENCH_STRATA = ((4, 2), (5, 3), (6, 3), (6, 2), (7, 3))
-# (grid_n, discord_stride, temperature): the benchmark's strata at T = 0.8,
-# every discord at T = 1, and the benchmark's strata at both ends of the range
-# of T the suite accepts.
-STRATA = (
-    *((n, stride, 0.8) for n, stride in BENCH_STRATA),
-    (12, 1, 1.0),
-    *((n, stride, t) for t in (1e-300, 1e300) for n, stride in BENCH_STRATA),
-)
+# (grid_n, discord_stride, temperature): the benchmark's strata at its T = 0.8
+# and every discord at T = 1.  The suite's checks do not depend on T, which
+# tests/test_verify.py::test_run_suite_passes_at_any_temperature asserts on
+# these strata at both ends of the range of T the suite accepts.
+STRATA = (*((n, stride, 0.8) for n, stride in BENCH_STRATA), (12, 1, 1.0))
 
 
 def key(n: int, stride: int, temperature: float) -> str:

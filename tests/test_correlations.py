@@ -266,10 +266,12 @@ def test_scan_objective_agrees_with_projector_route(random_density, rng):
 
 
 def _seed_axes():
-    # the search's seed: the upper hemisphere of the 64 x 32 grid, in its order
+    # the search's seed: the upper hemisphere of the 64 x 32 grid, in its order, with
+    # one axis, (0, 0, 1), of its polar-0 row of 32 copies of the pole
     grid = np.meshgrid(np.linspace(0.0, math.pi, 64)[:32],
                        np.linspace(0.0, 2.0 * math.pi, 32, endpoint=False), indexing="ij")
-    return correlations._axes(*grid).reshape(-1, 3)
+    axes = correlations._axes(*grid).reshape(-1, 3)
+    return np.concatenate([axes[:1], axes[32:]])
 
 
 def _kernel_rows(states):
@@ -439,8 +441,10 @@ def test_kernel_calls_stay_within_the_memory_budget(monkeypatch):
     calls = _record_kernel_calls(monkeypatch)
     states = np.array([rho_m_at(0.1 * k, 0.9, 0.3 * k) for k in range(1, 6)] * 2)
     correlations._optimal_measurements(correlations._bloch_components(states), ["A"] * 5 + ["S"] * 5)
-    seed_axes = 32 * 32  # the upper hemisphere of the 64 x 32 seed grid
+    seed_axes = 31 * 32 + 1  # the upper hemisphere of the 64 x 32 seed grid, one pole axis
     assert calls[0][1] == seed_axes
+    assert correlations._seed().tobytes() == _seed_axes().tobytes()
+    assert len(np.unique(_seed_axes(), axis=0)) == seed_axes
     assert all(r * k <= 4096 for r, k in calls)
     assert sum(r for r, k in calls if k == seed_axes) == 10  # every row scanned its seed once
 

@@ -2,6 +2,7 @@ import json
 import math
 import re
 import signal
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -252,6 +253,20 @@ def test_scan_sizes_must_be_integers(call, argument):
         call()
 
 
+def test_characteristic_curve_refuses_a_count_above_the_grid_cap():
+    # the count is checked before the axis is built: a named error, nothing allocated
+    n_points = 10 ** 12
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"^n_points must be at most {closed_forms.MAX_GRID_POINTS}, "
+                                             f"got {n_points}$"):
+            characteristic_curve(0.4, 1.0, n_points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
 def test_scan_sizes_accept_numpy_integers():
     assert characteristic_curve(0.4, 0.3, np.int64(3)) == characteristic_curve(0.4, 0.3, 3)
 
@@ -405,9 +420,9 @@ def test_landscape_rejects_unknown_selector():
         landscape(landscape_grid(), quantities={"thermo", "plots"})
 
 
-@pytest.mark.parametrize("quantities", ["thermo", "correlations"])
+@pytest.mark.parametrize("quantities", ["thermo", "correlations", None])
 def test_landscape_rejects_a_selector_string(quantities):
-    # a str is iterable, and would be read as a set of one-letter selectors
+    # a str is iterable, and would be read as a set of one-letter selectors; None is no set
     with pytest.raises(ValueError, match="^quantities must be a set of selector names"):
         landscape(landscape_grid(), quantities=quantities)
 
