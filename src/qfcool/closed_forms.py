@@ -8,7 +8,8 @@ numpy, and no closed form can reach a matrix kernel, which keeps the
 density-matrix oracles that check these forms independent of them.
 ``protocol``, ``thermo``, ``correlations`` and ``sweep`` re-export the
 public names under their old paths.  Every closed-form quantity of the
-cycle at a point is a field of one record, ``figures_of_merit(params)``;
+cycle at a point is a field of one record, ``figures_of_merit(params)``,
+all written once, in ``_report_fields``, for a point and for a grid's box;
 those of its states are in ``_correlations(params)`` and ``_trace_summary``.
 
 Units: k_B = hbar = 1; the temperature enters as a multiplicative scale.
@@ -157,8 +158,8 @@ def level_splitting(eps: float, temperature: float) -> float:
 
 # Each closed form is written once, in ``_columns`` or ``_energies``, at T = 1 on factors of one grid
 # axis: a column of (eps_s, eps_a), with a = eps_s atanh(eps_s) and y = eps_a atanh(eps_s) + eps_s
-# atanh(eps_a), or a row of phi.  A grid stacks its columns and rows into a box for ``_energies``,
-# ``figures_of_merit`` reads those of its point, and both multiply by T once, in ``_scaled``.
+# atanh(eps_a), or a row of phi.  ``_report_fields`` adds the ratios and flags and multiplies by T once,
+# in ``_scaled``, on a grid's box of stacked columns and rows or on the floats of ``figures_of_merit``.
 _Column = namedtuple("_Column", "eps_s eps_a atanh_s atanh_a a y ea_atanh_a entropy_reduction phi_crit")
 _Row = namedtuple("_Row", "phi sin sin2 cos cos2")
 # The ``ThermoReport`` fields that carry T, in ``_scaled``'s order.
@@ -223,15 +224,23 @@ def _scaled(t, fields, c, defined, reduce=bool) -> tuple:
     return scaled
 
 
+def _report_fields(c, r, t, where=lambda condition, a, b: a if condition else b, reduce=bool) -> tuple:
+    """Every ``ThermoReport`` field at T = 1 in field order (NaN for cop, eta and chi where W / T <= the
+    floor) and the SCALED_FIELDS at ``t``, of floats or of the box with ``np.where``, ``np.any``."""
+    p, (w_m, w_f, q, de_s, w) = c.entropy_reduction, _energies(c, r)
+    defined = w > REVERSIBLE_WORK_FLOOR  # W at T = 1, so T does not move the limit
+    cop, eta = (where(defined, p / where(defined, x, 1.0), math.nan) for x in (w, q))
+    chi, pc_defined = cop * p, c.eps_s > 0.0
+    return ((w_m, w_f, q, de_s, p, p, w, cop, eta, chi, c.eps_a * r.sin > c.eps_s,
+             pc_defined & (r.phi > c.phi_crit), c.phi_crit, pc_defined, where(defined, False, True)),
+            _scaled(t, (w_m, w_f, q, de_s, w, p, chi), c, defined, reduce))
+
+
 def _report(c: _Column, r: _Row, t: float) -> ThermoReport:
-    """``figures_of_merit`` of the point (column, row) at temperature ``t``."""
-    p, energies = c.entropy_reduction, _energies(c, r)
-    defined = energies[4] > REVERSIBLE_WORK_FLOOR  # W at T = 1, so T does not move the limit
-    cop, eta = (p / energies[4], p / energies[2]) if defined else (None, None)
-    w_m, w_f, q, de_s, w, load, chi = _scaled(t, (*energies, p, cop * p if defined else math.nan), c, defined)
-    return _record(ThermoReport, w_m, w_f, q, de_s, p, load, w, cop, eta, chi if defined else None,
-                   c.eps_a * r.sin > c.eps_s, c.eps_s > 0.0 and r.phi > c.phi_crit, c.phi_crit,
-                   c.eps_s > 0.0, not defined)
+    """``figures_of_merit`` at (column, row) and temperature ``t``: cop, eta, chi None where reversible."""
+    fields, (w_m, w_f, q, de_s, w, load, chi) = _report_fields(c, r, t)
+    ratios = (None, None, None) if fields[-1] else (*fields[7:9], chi)  # cop, eta, chi
+    return _record(ThermoReport, w_m, w_f, q, de_s, fields[4], load, w, *ratios, *fields[10:])
 
 
 def figures_of_merit(params: ProtocolParams) -> ThermoReport:

@@ -32,10 +32,12 @@ PAULI = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 
 def as_matrix(m) -> np.ndarray:
-    """Coerce input to a square complex 2x2 or 4x4 ndarray."""
+    """Coerce input to a square complex 2x2 or 4x4 ndarray of finite entries."""
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] not in (2, 4):
         raise ValueError(f"expected a 2x2 or 4x4 matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():  # before any arithmetic, which NaN and inf would poison
+        raise ValueError("matrix entries must be finite numbers")
     return a
 
 

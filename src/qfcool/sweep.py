@@ -20,7 +20,6 @@ in-process on the calling thread.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
@@ -111,9 +110,10 @@ class _Grid:
     Points run in (series, phi, eps_a) order, as a landscape emits them, and readers select
     them by axis index on the box ``shape``.  Construction builds the closed forms: a column
     per eps_a of each series and a row per phi, stacked as (S, 1, E) and (1, P, 1) arrays, each
-    report field of every point at T = 1 from one evaluation on those (``thermo``), the energies
-    and chi times T (``emitted``), and one closed-form discord per (eps_s, phi).  Each matrix
-    stack, all at T = 1 as ``thermo``, is built once, when a reader first asks.
+    report field of every point at T = 1 (``thermo``) and the energies and chi times T (``emitted``)
+    from one ``closed_forms._report_fields`` call on those, which writes the ratios, flags and
+    reversible limit for ``figures_of_merit`` too, and one closed-form discord per (eps_s, phi).
+    Each matrix stack, all at T = 1 as ``thermo``, is built once, when a reader first asks.
     """
 
     def __init__(self, series: Sequence[tuple[float, Sequence[float]]], phi_values: Sequence[float],
@@ -122,9 +122,12 @@ class _Grid:
         self.columns = [closed_forms._columns(eps_s, eps_a) for eps_s, eps_a in series]
         self.rows = [closed_forms._row(phi) for phi in phi_values]
         self.shape = n_series, n_phi, n_eps_a = len(series), len(self.rows), len(series[0][1])
-        self.column_box = _box(closed_forms._Column, self.columns, (n_series, 1, n_eps_a))
-        self.row_box = _box(closed_forms._Row, self.rows, (1, n_phi, 1))
-        self.thermo, self.emitted = self._thermo()
+        self.column_box = c = _box(closed_forms._Column, self.columns, (n_series, 1, n_eps_a))
+        self.row_box = r = _box(closed_forms._Row, self.rows, (1, n_phi, 1))
+        with np.errstate(all="ignore"):  # the guards raise what figures_of_merit raises
+            fields, scaled = closed_forms._report_fields(c, r, temperature, np.where, np.any)
+        self.thermo = dict(zip(ThermoReport.__match_args__, map(self.flat, fields)))  # NaN for None
+        self.emitted = dict(zip(closed_forms.SCALED_FIELDS, map(self.flat, scaled)))
         self.discord_analytic = [d for (eps_s, _), columns in zip(series, self.columns) for r in self.rows
                                  for d in [correlations.discord_analytic(eps_s, r.phi)] * len(columns)]
         self._spectra = {}  # by trace field name
@@ -132,21 +135,6 @@ class _Grid:
     def flat(self, value) -> np.ndarray:
         """A value on the box, or broadcast to it, as one value per point in grid order."""
         return np.broadcast_to(value, self.shape).ravel()
-
-    def _thermo(self) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
-        """``closed_forms._report`` on the box, flat (NaN for None): ``thermo`` at T = 1, ``emitted`` at T."""
-        c, r, t = self.column_box, self.row_box, self.temperature
-        p, pc_defined = c.entropy_reduction, c.eps_s > 0.0
-        with np.errstate(all="ignore"):  # the guards raise what _report raises
-            w_m, w_f, q, de_s, w = energies = closed_forms._energies(c, r)
-            defined = w > closed_forms.REVERSIBLE_WORK_FLOOR
-            cop, eta = (np.where(defined, p / x, np.nan) for x in (w, q))
-            chi = cop * p
-            scaled = closed_forms._scaled(t, (*energies, p, chi), c, defined, np.any)
-        fields = (w_m, w_f, q, de_s, p, p, w, cop, eta, chi, c.eps_a * r.sin > c.eps_s,
-                  pc_defined & (r.phi > c.phi_crit), c.phi_crit, pc_defined, ~defined)
-        return (dict(zip(ThermoReport.__match_args__, map(self.flat, fields))),
-                dict(zip(closed_forms.SCALED_FIELDS, map(self.flat, scaled))))
 
     @cached_property
     def reports(self) -> list[ThermoReport]:
@@ -239,10 +227,11 @@ def landscape(grid: SweepGrid,
     discord per point; the numeric basis search is left to dedicated
     single-point calls).
     """
-    if isinstance(quantities, str) or not isinstance(quantities, Iterable):
-        raise ValueError(f"quantities must be a set of selector names, got {quantities!r}")
-    unknown = set(quantities) - {"thermo", "correlations"}
-    if unknown:
+    try:  # a str is iterable, but of one-letter names; None and [["thermo"]] give no set either
+        selected = frozenset(None if isinstance(quantities, str) else quantities)
+    except TypeError:
+        raise ValueError(f"quantities must be a set of selector names, got {quantities!r}") from None
+    if unknown := selected - {"thermo", "correlations"}:
         raise ValueError(f"unknown quantity selectors: {sorted(unknown)}")
     g = _Grid([(grid.eps_s, grid.eps_a_values)], grid.phi_values, grid.temperature)
     es, eps_a, phi = grid.eps_s, grid.eps_a_values, grid.phi_values
@@ -250,4 +239,4 @@ def landscape(grid: SweepGrid,
                if 0.0 < es < r.sin and eps_a[0] <= es / r.sin <= eps_a[-1]]
     extraction = [BoundaryPoint(c.phi_crit, c.eps_a) for c in g.columns[0]
                   if es > 0.0 and phi[0] <= c.phi_crit <= phi[-1]]
-    return Landscape(tuple(_curve_points(g, "correlations" in quantities)), tuple(cooling), tuple(extraction))
+    return Landscape(tuple(_curve_points(g, "correlations" in selected)), tuple(cooling), tuple(extraction))

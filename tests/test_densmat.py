@@ -203,6 +203,27 @@ def test_public_functions_reject_invalid_states(function, message, state):
         _CALLER_MATRIX_FUNCTIONS[function](state)
 
 
+_NON_FINITE = pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf], ids=["nan", "+inf", "-inf"])
+
+
+@_NON_FINITE
+@pytest.mark.parametrize("function", sorted(_CALLER_MATRIX_FUNCTIONS))
+def test_public_functions_reject_non_finite_states(function, entry):
+    # refused before any arithmetic: inf - inf would warn, and a NaN would read as non-Hermitian
+    with pytest.raises(ValueError, match="^matrix entries must be finite numbers$"):
+        _CALLER_MATRIX_FUNCTIONS[function](np.diag([entry, 0.0, 0.0, 0.0]))
+
+
+@_NON_FINITE
+def test_validator_and_ergotropy_reject_non_finite_entries(entry):
+    # a non-finite real or imaginary part, in a state and in a Hamiltonian
+    bad, imaginary = np.diag([entry, 0.0, 0.0, 0.0]), np.diag([complex(0.0, entry), 0.0, 0.0, 0.0])
+    for call in (lambda: densmat.validate_density_matrix(bad), lambda: densmat.validate_density_matrix(imaginary),
+                 lambda: thermo.ergotropy(np.eye(4) / 4.0, bad)):
+        with pytest.raises(ValueError, match="^matrix entries must be finite numbers$"):
+            call()
+
+
 @pytest.mark.parametrize("function", [
     "concurrence", "mutual_information", "bloch_components", "discord_numeric",
     "optimal_measurement", "classical_correlations", "entanglement_of_formation"])

@@ -68,7 +68,8 @@ def test_matrix_route_calls_no_closed_form(monkeypatch, route):
     rho_m = protocol.run_protocol(params).rho_m
     grid = sweep._Grid([(params.eps_s, (params.eps_a,))], (params.phi,), params.temperature)
     probed = _probe(monkeypatch, ALLOWED | (EOF_MAP if route == "entanglement_of_formation" else set()))
-    assert {"thermal_entropy", "discord_analytic", "_concurrence", "_trace_summary"} <= set(probed.values())
+    assert {"thermal_entropy", "discord_analytic", "_concurrence", "_trace_summary",
+            "_report_fields"} <= set(probed.values())
     ROUTES[route](params, rho_m, grid)
 
 

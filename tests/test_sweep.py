@@ -420,11 +420,18 @@ def test_landscape_rejects_unknown_selector():
         landscape(landscape_grid(), quantities={"thermo", "plots"})
 
 
-@pytest.mark.parametrize("quantities", ["thermo", "correlations", None])
+@pytest.mark.parametrize("quantities", ["thermo", "correlations", None, [["thermo"]]])
 def test_landscape_rejects_a_selector_string(quantities):
-    # a str is iterable, and would be read as a set of one-letter selectors; None is no set
+    # a str is iterable, and would be read as a set of one-letter selectors; None is no set,
+    # and an iterable of unhashable items none of names
     with pytest.raises(ValueError, match="^quantities must be a set of selector names"):
         landscape(landscape_grid(), quantities=quantities)
+
+
+def test_landscape_reads_a_one_shot_selector_iterator():
+    # the unknown-name check must not use up the iterator before "correlations" is looked for
+    points = landscape(landscape_grid(), quantities=iter(["correlations"])).points
+    assert all(pt.correlations is not None for pt in points)
 
 
 def test_fixed_load_figures_grow_with_phi():
