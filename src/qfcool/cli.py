@@ -182,7 +182,7 @@ def _radians(opts: dict, angle: float) -> float:
 def cmd_run(opts: dict) -> int:
     params = ProtocolParams(opts["eps_s"], opts["eps_a"], _radians(opts, opts["phi"]),
                             opts["temperature"])
-    doc = _envelope("run", params=vars(params), trace=_trace_summary(params),
+    doc = _envelope("run", params=vars(params), trace=_trace_summary(params.eps_s, params.eps_a, params.phi),
                     thermo=vars(figures_of_merit(params)), correlations=vars(_correlations(params)))
     failed = False
     if opts["verify"]:

@@ -146,14 +146,16 @@ def _record(cls, *values):
 
 
 def level_splitting(eps: float, temperature: float) -> float:
-    """Energy gap giving bias ``eps`` at ``temperature``: 2 T atanh(eps)."""
+    """Energy gap giving bias ``eps`` at ``temperature``: 2 T atanh(eps), refused where it overflows."""
     if not 0.0 <= eps < 1.0:
         raise ValueError("eps must be in [0, 1)")
     if not _is_finite_real(temperature):
         raise ValueError("temperature must be a finite number")
     if temperature <= 0.0:
         raise ValueError("temperature must be positive")
-    return 2.0 * temperature * math.atanh(eps)
+    if not math.isfinite(gap := 2.0 * temperature * math.atanh(eps)):  # inf, or inf * 0.0 at eps = 0
+        raise ValueError(ENERGY_ERROR.format(float(temperature), "overflow"))
+    return gap
 
 
 # Each closed form is written once, in ``_columns`` or ``_energies``, at T = 1 on factors of one grid
@@ -355,8 +357,8 @@ def _correlations(params: ProtocolParams) -> CorrelationReport:
     return _record(CorrelationReport, c, eof_from_concurrence(c), mi, d, d, d, mi - d)
 
 
-def _trace_summary(p) -> dict:
-    """``run``'s trace block at point ``p`` (fields eps_s, eps_a and phi): the purity and
+def _trace_summary(es: float, ea: float, phi: float) -> dict:
+    """``run``'s trace block at the point (eps_s, eps_a, phi): the purity and
     entropy of each joint state by name, and under "marginals" each qubit marginal's
     Bloch vector, its purity (1 + |b|^2) / 2 and its entropy S(|b|).
 
@@ -365,7 +367,7 @@ def _trace_summary(p) -> dict:
     is rho_f_s x rho0_a, and |rho_f_s| = eps_a, so its purity is ((1 + eps_a^2) / 2)^2
     and its entropy 2 S(eps_a).
     """
-    es, ea, s, c = p.eps_s, p.eps_a, math.sin(p.phi), math.cos(p.phi)
+    s, c = math.sin(phi), math.cos(phi)
     product = {"purity": 0.25 * (1.0 + es * es) * (1.0 + ea * ea),
                "entropy": thermal_entropy(es) + thermal_entropy(ea)}
     doc = {"rho0": product, "rho_m": dict(product), "rho_f": dict(product), "marginals": {},
@@ -474,11 +476,10 @@ def optimize_working_point(objective: str, eps_s: float, phi: float,
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
-    lo = eps_s + EPS_A_CLAMP
-    hi = 1.0 - EPS_A_CLAMP
+    p = ProtocolParams(eps_s, eps_s, phi, temperature)  # before lo; each eps_a searched is in (eps_s, 1)
+    lo, hi = p.eps_s + EPS_A_CLAMP, 1.0 - EPS_A_CLAMP
     if lo >= hi:
         raise ValueError("eps_s leaves no room for an ancilla bias below 1")
-    p = ProtocolParams(eps_s, lo, phi, temperature)  # every eps_a searched lies in [lo, hi]
     row = _row(p.phi)
 
     def column(eps_a: float) -> _Column:

@@ -9,8 +9,8 @@ closed forms (the discord, its threshold, the mutual information, the
 X-state concurrence, ``eof_from_concurrence`` and ``CorrelationReport``)
 live in the numpy-free ``closed_forms`` module and are re-exported here.
 One stacked builder, ``_reports``, makes every matrix-route
-``CorrelationReport``: single point, landscape chunk and verify's discord
-subgrid.
+``CorrelationReport``, and its basis search, ``_discords``, gives verify's
+discord subgrid both one-sided discords without a record.
 
 All quantities are in nats, including the entanglement of formation (a
 maximally entangled pair has EoF = ln 2).
@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -405,19 +405,20 @@ def correlation_report(params: ProtocolParams, *, numeric_discord: bool = True) 
     return _reports(rho_m, [discord_analytic(params.eps_s, params.phi)], numeric_discord)[0]
 
 
-def _reports(rho_m: np.ndarray, discords: Sequence[float], numeric: bool = False,
-             mutual_info: Optional[Sequence[float]] = None) -> list[CorrelationReport]:
-    """One ``CorrelationReport`` per state of an ``(n, 4, 4)`` post-measurement stack, given its
-    closed-form discord and, if taken, its ``_mutual_information``; with ``numeric``, both one-sided
-    discords come from one basis search on the rows ``["A"] * n + ["S"] * n``.  No report depends
-    on the rest of the stack."""
-    n = len(discords)
-    conc, mi = _concurrence(rho_m).tolist(), mutual_info or _mutual_information(rho_m).tolist()
-    d_a = d_s = [None] * n
-    if numeric:
-        gains = [g for _, _, g in _optimal_measurements(
-            tuple(np.concatenate([c, c]) for c in _bloch_components(rho_m)), ["A"] * n + ["S"] * n)]
-        d_a, d_s = ([_discord(m, g) for m, g in zip(mi, side)] for side in (gains[:n], gains[n:]))
+def _reports(rho_m: np.ndarray, discords: Sequence[float], numeric: bool = False) -> list[CorrelationReport]:
+    """One ``CorrelationReport`` per state of an ``(n, 4, 4)`` post-measurement stack, given its closed-form
+    discord; with ``numeric``, both one-sided discords from ``_discords``.  No report reads the others."""
+    conc, mi = _concurrence(rho_m).tolist(), _mutual_information(rho_m).tolist()
+    d_a, d_s = _discords(rho_m, mi) if numeric else ([None] * len(discords),) * 2
     return [_record(CorrelationReport, c, eof_from_concurrence(c), m, a, s, d,
                     None if a is None else m - a)
             for c, m, a, s, d in zip(conc, mi, d_a, d_s, discords)]
+
+
+def _discords(rho_m: np.ndarray, mutual_info: Sequence[float]) -> tuple[list[float], list[float]]:
+    """The discords measured on A and on S of each state of an ``(n, 4, 4)`` stack with mutual information
+    ``mutual_info``, from one basis search on the rows ``["A"] * n + ["S"] * n``."""
+    n = len(rho_m)
+    gains = [g for _, _, g in _optimal_measurements(
+        tuple(np.concatenate([c, c]) for c in _bloch_components(rho_m)), ["A"] * n + ["S"] * n)]
+    return tuple([_discord(m, g) for m, g in zip(mutual_info, side)] for side in (gains[:n], gains[n:]))

@@ -95,7 +95,7 @@ class Landscape:
     work_extraction_boundary: tuple[BoundaryPoint, ...]
 
 
-_Point = namedtuple("_Point", "eps_s eps_a phi")
+_Discords = namedtuple("_Discords", "a s analytic concurrence")
 
 
 def _box(cls, table: list, shape: tuple) -> tuple:
@@ -107,18 +107,18 @@ class _Grid:
     """The cycle on validated axes: a series per register bias eps_s, each with its
     own eps_a axis of one common length, times one phi axis, at one temperature.
 
-    Points run in (series, phi, eps_a) order, as a landscape emits them, and readers select
-    them by axis index on the box ``shape``.  Construction builds the closed forms: a column
-    per eps_a of each series and a row per phi, stacked as (S, 1, E) and (1, P, 1) arrays, each
-    report field of every point at T = 1 (``thermo``) and the energies and chi times T (``emitted``)
-    from one ``closed_forms._report_fields`` call on those, which writes the ratios, flags and
-    reversible limit for ``figures_of_merit`` too, and one closed-form discord per (eps_s, phi).
-    Each matrix stack, all at T = 1 as ``thermo``, is built once, when a reader first asks.
+    Points run in (series, phi, eps_a) order, as a landscape emits them, and readers select them by axis index
+    on the box ``shape``.  Construction builds the closed forms: a column per eps_a of each series and a row per
+    phi, stacked as (S, 1, E) and (1, P, 1) arrays, each report field of every point at T = 1 (``thermo``) and
+    the energies and chi times T (``emitted``) from one ``closed_forms._report_fields`` call on those, which
+    writes the ratios, flags and reversible limit for ``figures_of_merit`` too, one closed-form discord per
+    (eps_s, phi) and the points' (eps_s, eps_a, phi) ``coordinates``, each per-point value once, flat, in grid
+    order.  Each matrix stack, all at T = 1 as ``thermo``, and each array read from them is built on first read.
     """
 
     def __init__(self, series: Sequence[tuple[float, Sequence[float]]], phi_values: Sequence[float],
                  temperature: float, discord_stride: int = 1):
-        self.temperature, self.discord_stride = temperature, discord_stride
+        self.discord_stride = discord_stride
         self.columns = [closed_forms._columns(eps_s, eps_a) for eps_s, eps_a in series]
         self.rows = [closed_forms._row(phi) for phi in phi_values]
         self.shape = n_series, n_phi, n_eps_a = len(series), len(self.rows), len(series[0][1])
@@ -128,8 +128,9 @@ class _Grid:
             fields, scaled = closed_forms._report_fields(c, r, temperature, np.where, np.any)
         self.thermo = dict(zip(ThermoReport.__match_args__, map(self.flat, fields)))  # NaN for None
         self.emitted = dict(zip(closed_forms.SCALED_FIELDS, map(self.flat, scaled)))
-        self.discord_analytic = [d for (eps_s, _), columns in zip(series, self.columns) for r in self.rows
-                                 for d in [correlations.discord_analytic(eps_s, r.phi)] * len(columns)]
+        self.discord_analytic = self.flat(np.array(
+            [[[correlations.discord_analytic(eps_s, row.phi)] for row in self.rows] for eps_s, _ in series]))
+        self.coordinates = tuple(tuple(self.flat(x).tolist()) for x in (c.eps_s, c.eps_a, r.phi))
         self._spectra = {}  # by trace field name
 
     def flat(self, value) -> np.ndarray:
@@ -144,26 +145,18 @@ class _Grid:
         return [closed_forms._record(ThermoReport, *values) for values in zip(*(v.tolist() for v in fields))]
 
     @cached_property
-    def points(self) -> list[_Point]:
-        c, r = self.column_box, self.row_box
-        return list(map(_Point, *(self.flat(x).tolist() for x in (c.eps_s, c.eps_a, r.phi))))
-
-    @cached_property
     def correlations(self) -> list[CorrelationReport]:
         """Each point's report without the basis search, from ``rho_m`` stacks of at most
         ``CHUNK_POINTS`` points: a landscape's, which never builds the whole trace."""
-        reports = []
-        for lo in range(0, len(self.points), CHUNK_POINTS):
-            eps_s, eps_a, phi = zip(*self.points[lo:lo + CHUNK_POINTS])
-            reports += correlations._reports(protocol._post_measurement_states(eps_s, eps_a, phi),
-                                             self.discord_analytic[lo:lo + CHUNK_POINTS])
-        return reports
+        chunks = (slice(lo, lo + CHUNK_POINTS) for lo in range(0, self.discord_analytic.size, CHUNK_POINTS))
+        return [report for part in chunks for report in correlations._reports(
+            protocol._post_measurement_states(*(x[part] for x in self.coordinates)),
+            self.discord_analytic[part].tolist())]
 
     @cached_property
     def trace(self) -> protocol.ProtocolTrace:
         """``run_protocol`` at every point, each field an (n, d, d) stack."""
-        c, r = self.column_box, self.row_box
-        return protocol._run_protocols(*(tuple(self.flat(x).tolist()) for x in (c.eps_s, c.eps_a, r.phi)))
+        return protocol._run_protocols(*self.coordinates)
 
     def spectrum(self, name: str) -> np.ndarray:
         """Ascending eigenvalues of each matrix of the trace field ``name``, taken once."""
@@ -189,21 +182,26 @@ class _Grid:
         return thermo._oracles(self.half_splittings, self.trace, self.entropy)
 
     @cached_property
-    def discord_reports(self) -> list[CorrelationReport]:
-        """``correlation_report`` at each point whose axis indices are all multiples of the
-        stride: both numeric discords from one search, the mutual information shared."""
+    def mutual_info(self) -> np.ndarray:
+        """The mutual information S(rho_m_s) + S(rho_m_a) - S(rho_m) of each point, from the shared entropies."""
+        return self.entropy("rho_m_s") + self.entropy("rho_m_a") - self.entropy("rho_m")
+
+    @cached_property
+    def discords(self) -> _Discords:
+        """``correlation_report``'s discords on A and on S (one search), closed form and concurrence, as
+        arrays over the points whose axis indices are all multiples of the stride, in grid order."""
         s = self.discord_stride
-        index = np.arange(len(self.discord_analytic)).reshape(self.shape)[::s, ::s, ::s].ravel()
-        mi = (self.entropy("rho_m_s") + self.entropy("rho_m_a") - self.entropy("rho_m"))[index].tolist()
-        return correlations._reports(self.trace.rho_m[index], [self.discord_analytic[k] for k in index],
-                                     numeric=True, mutual_info=mi)
+        index = np.arange(self.discord_analytic.size).reshape(self.shape)[::s, ::s, ::s].ravel()
+        rho_m = self.trace.rho_m[index]
+        d_a, d_s = correlations._discords(rho_m, self.mutual_info[index].tolist())
+        return _Discords(np.array(d_a), np.array(d_s), self.discord_analytic[index], correlations._concurrence(rho_m))
 
 
 def _curve_points(g: _Grid, include_correlations: bool) -> list[CurvePoint]:
     """Every point of ``g`` in grid order, its correlations only if asked for."""
     corr = g.correlations if include_correlations else [None] * len(g.reports)
-    return [closed_forms._record(CurvePoint, p.eps_a, p.phi, report, k)
-            for p, report, k in zip(g.points, g.reports, corr)]
+    return [closed_forms._record(CurvePoint, eps_a, phi, report, k)
+            for eps_a, phi, report, k in zip(*g.coordinates[1:], g.reports, corr)]
 
 
 def characteristic_curve(eps_s: float, phi: float, n_points: int,

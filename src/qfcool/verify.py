@@ -6,9 +6,10 @@ axis value, and its matrix stacks, each built once.  ``run_suite`` reads the sta
 (eps_s, eps_a, phi) grid through one table of invariant classes, ``CLASSES``.
 ``point_checks`` (``run --verify``) reads a one-point grid through the oracle classes,
 the two numeric-discord classes and ``trace_summary``, which between them check every
-number ``run`` prints but the concurrence and its EoF.  The discord classes run the
-basis search on both sides of each state of the discord subgrid, in one search, and
-compare it with the closed form.  Both routes run at T = 1, so T moves no check:
+number ``run`` prints but the concurrence and its EoF.  Every class is an array
+expression, no record: the discord classes read ``_Grid.discords``, one basis search
+on both sides of each state of the discord subgrid, against the closed form.  Both
+routes run at T = 1, so T moves no check:
 ``run_suite(n, s, T)`` is ``run_suite(n, s, 1.0)`` wherever T's energies are representable.
 """
 
@@ -133,7 +134,7 @@ def _numbers(doc: dict) -> Iterator[float]:
 
 def _trace_summary(g: _Grid) -> np.ndarray:
     """The largest deviation of each point's closed-form trace block from its matrices."""
-    closed = np.array([list(_numbers(closed_forms._trace_summary(p))) for p in g.points])
+    closed = np.array([list(_numbers(closed_forms._trace_summary(*p))) for p in zip(*g.coordinates)])
     return np.abs(closed - _trace_oracles(g)).max(axis=-1)
 
 
@@ -160,7 +161,7 @@ ORACLE_CLASSES = {
         g.flat(closed_forms._mutual_information(
             g.column_box.eps_s[:, :, :1], g.column_box.eps_a, g.row_box.cos,
             np.vectorize(thermal_entropy, otypes=[float]))),
-        g.entropy("rho_m_s") + g.entropy("rho_m_a") - g.entropy("rho_m"))),
+        g.mutual_info)),
     "discord_closed_form": (TOL_CLOSED_FORM, lambda g: _pointwise(
         g.discord_analytic, g.entropy("rho_m_s") - g.entropy("rho0_s"))),
     "thermal_entropy": (TOL_ENTROPY_FORM, lambda g: _pointwise(
@@ -199,12 +200,10 @@ CLASSES = {
     "phi_crit_root": (TOL_ROOT, _phi_crit_root),
     **{f"{field}_monotone_phi": (1e-9, _monotone_in_phi(field))
        for field in ("cop", "eta", "chi")},
-    "discord_symmetry": (TOL_DISCORD_NUMERIC, lambda g: [
-        abs(r.discord_a - r.discord_s) for r in g.discord_reports]),
-    "discord_numeric_vs_closed": (TOL_DISCORD_NUMERIC, lambda g: [
-        max(abs(d - r.discord_analytic) for d in (r.discord_a, r.discord_s)) for r in g.discord_reports]),
-    "entangled_implies_discordant": (0.0, lambda g: [
-        max(0.0, 1e-9 - r.discord_a) for r in g.discord_reports if r.concurrence > 1e-6]),
+    "discord_symmetry": (TOL_DISCORD_NUMERIC, lambda g: _pointwise(g.discords.a, g.discords.s)),
+    "discord_numeric_vs_closed": (TOL_DISCORD_NUMERIC, lambda g: _pointwise(
+        np.stack([g.discords.a, g.discords.s]), g.discords.analytic).max(axis=0)),
+    "entangled_implies_discordant": (0.0, lambda g: _positive(1e-9 - g.discords.a, g.discords.concurrence > 1e-6)),
 }
 
 

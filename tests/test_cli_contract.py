@@ -157,7 +157,7 @@ def test_run_json_bytes_equal_the_reference(capsys, eps_a, phi, with_verify):
     code, out = run_cli(capsys, *argv, *(["--verify"] if with_verify else []))
     assert code == 0
     # run prints closed forms alone; tests/test_referee.py checks their values
-    trace = closed_forms._trace_summary(params)
+    trace = closed_forms._trace_summary(params.eps_s, params.eps_a, params.phi)
     assert set(trace) == {"rho0", "rho_m", "rho_f", "rho_reset", "marginals"}
     ref = {"params": dataclasses.asdict(params), "trace": trace,
            "thermo": dataclasses.asdict(thermo.figures_of_merit(params)),

@@ -58,6 +58,8 @@ ROUTES = {
     "trace_summary": lambda p, rho, g: verify._trace_oracles(g),
     # the grid's own energy oracles and entropies, which must not read its closed-form box
     "grid_oracles": lambda p, rho, g: [g.oracles, *map(g.entropy, vars(g.trace))],
+    # the discord subgrid's basis search and concurrence, which verify's discord classes read
+    "grid_discords": lambda p, rho, g: g.discords,
     "entanglement_of_formation": lambda p, rho, g: correlations.entanglement_of_formation(rho),
 }
 

@@ -208,7 +208,7 @@ def _leaves(doc, prefix=""):
 def test_run_trace_block_matches_the_referee():
     with mpmath.workdps(referee.DPS):
         for point in RUN_POINTS:
-            value = dict(_leaves(_trace_summary(ProtocolParams(*point))))
+            value = dict(_leaves(_trace_summary(*point)))
             exact = dict(_leaves(referee.trace(*point)))
             assert len(value) == 38 and value.keys() == exact.keys()
             for key, x in value.items():

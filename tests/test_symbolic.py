@@ -201,7 +201,7 @@ def test_the_trace_block_holds_the_marginals_bloch_vectors():
     vectors = numeric(sp.Matrix([bloch(marginal(states[name[:-2]], name[-1].upper()))
                                  for name in ("rho0_s", "rho0_a", "rho_m_s", "rho_m_a", "rho_f_s", "rho_f_a")]))
     for eps_s, eps_a, phi, temperature in POINTS:
-        shipped = closed_forms._trace_summary(ProtocolParams(eps_s, eps_a, phi))["marginals"]
+        shipped = closed_forms._trace_summary(eps_s, eps_a, phi)["marginals"]
         for (name, summary), vector in zip(shipped.items(), vectors(eps_s, eps_a, phi, temperature)):
             assert all(close(b, complex(v).real) for b, v in zip(summary["bloch"], vector)), name
             length = math.hypot(*summary["bloch"])
@@ -238,7 +238,7 @@ def test_joint_purities_and_the_reset_spectrum():
     assert vanishes(sum(b ** 2 for b in bloch(marginal(RHO_F, "S"))) - EA ** 2)
     purity = numeric(product)
     for eps_s, eps_a, phi, temperature in POINTS:
-        shipped = closed_forms._trace_summary(ProtocolParams(eps_s, eps_a, phi))
+        shipped = closed_forms._trace_summary(eps_s, eps_a, phi)
         for name in ("rho0", "rho_m", "rho_f"):
             assert close(shipped[name]["purity"], purity(eps_s, eps_a, phi, temperature))
         assert close(shipped["rho_reset"]["purity"], ((1.0 + eps_a ** 2) / 2.0) ** 2)

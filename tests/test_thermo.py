@@ -389,6 +389,23 @@ def test_figures_of_merit_reject_energy_overflow():
         assert repr(getattr(hot, name)) == repr(getattr(unit, name)), name
 
 
+HOT = ProtocolParams(0.4, 0.8, 1.0, 1e308)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: thermo.level_splitting(0.8, 1e308),
+    lambda: thermo.level_splitting(0.8, 10 ** 308),  # an int T is named as a float
+    lambda: thermo.level_splitting(0.0, 1e308),  # 2 T first, as the closed forms take it: inf * 0.0
+    lambda: energy_model(HOT),
+    lambda: matrix_oracles(HOT),
+    lambda: figures_of_merit(HOT),
+], ids=["level_splitting", "integer-T", "zero-bias", "energy_model", "matrix_oracles", "figures_of_merit"])
+def test_a_level_splitting_that_overflows_is_refused_as_the_closed_forms_refuse_it(call):
+    # no inf gap, NaN Hamiltonian or NaN energy, but the error figures_of_merit raises
+    with pytest.raises(ValueError, match=r"^temperature 1e\+308 makes the cycle energies overflow$"):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # the axis-factored closed forms against the per-quantity expressions
 # ---------------------------------------------------------------------------

@@ -67,14 +67,15 @@ def _count_calls(monkeypatch, module, name):
 
 @pytest.mark.parametrize("n", [7, 12])
 def test_run_suite_does_no_per_point_python_work(monkeypatch, n):
-    # the classes read the grid's (series, phi, eps_a) box as arrays: no per-point record is built,
-    # the level splittings are taken per column, and of the thermal entropies only the mutual
-    # information's S(eps_s eps_a cos phi) is taken per point
-    monkeypatch.setattr(sweep._Grid, "points", property(lambda g: pytest.fail("read _Grid.points")))
+    # the classes read the grid's (series, phi, eps_a) box as arrays: no record is built, not even
+    # on the discord subgrid, the level splittings are taken per column, and of the thermal
+    # entropies only the mutual information's S(eps_s eps_a cos phi) is taken per point
+    records = _count_calls(monkeypatch, closed_forms, "_record")
     splittings = _count_calls(monkeypatch, closed_forms, "level_splitting")
     entropies = _count_calls(monkeypatch, closed_forms, "thermal_entropy")
     checks = verify.run_suite(n, 3)
     assert all(c.passed for c in checks)
+    assert records == []
     assert 0 < len(splittings) <= 2 * n * n  # n series of n eps_a columns
     assert n ** 3 < len(entropies) <= n ** 3 + 5 * n * n
 
@@ -303,7 +304,7 @@ def test_matrix_oracles_are_named_as_the_oracle_rows():
 def test_matrix_oracles_equal_the_stacked_oracle_rows_bit_for_bit():
     # the grid's oracles run at T = 1 at any grid temperature
     g = sweep._Grid(*verify._standard_axes(3, 1.7))
-    for i, point in enumerate(g.points):
+    for i, point in enumerate(zip(*g.coordinates)):
         oracles = thermo.matrix_oracles(ProtocolParams(*point))
         assert {name: value.hex() for name, value in oracles.items()} == {
             name: float(stack[i]).hex() for name, stack in g.oracles.items()}
@@ -326,8 +327,8 @@ def test_grid_reports_and_oracles_equal_single_point_calls(series, phis, tempera
     # whatever the grid's shape
     g = sweep._Grid(series, phis, temperature)
     expected = [(es, ea, phi) for es, eps_a in series for phi in phis for ea in eps_a]
-    assert [(p.eps_s, p.eps_a, p.phi) for p in g.points] == expected
-    for i, point in enumerate(g.points):
+    assert list(zip(*g.coordinates)) == expected
+    for i, point in enumerate(zip(*g.coordinates)):
         params = ProtocolParams(*point, temperature)
         assert _hex_fields(g.reports[i]) == _hex_fields(thermo.figures_of_merit(params))
         oracles = thermo.matrix_oracles(ProtocolParams(*point))
@@ -351,14 +352,13 @@ def test_grid_values_equal_their_direct_computation(temperature):
     # energy oracles, which meet it within ENERGY_ULPS; the matrix route runs at T = 1
     # whatever the grid's temperature
     g = sweep._Grid(*verify._standard_axes(5, temperature), 3)
-    points = [ProtocolParams(*p) for p in g.points]
+    points = [ProtocolParams(*p) for p in zip(*g.coordinates)]
     trace = g.trace
     assert not hasattr(g, "states")  # the trace is the only set of state stacks
     for name, state in vars(trace).items():
         assert _bits(g.spectrum(name)) == _bits(np.linalg.eigvalsh(state)), name
         assert _bits(g.entropy(name)) == _bits(densmat._vn_entropies(state)), name
-    assert (_bits(g.entropy("rho_m_s") + g.entropy("rho_m_a") - g.entropy("rho_m"))
-            == _bits(correlations._mutual_information(trace.rho_m)))
+    assert _bits(g.mutual_info) == _bits(correlations._mutual_information(trace.rho_m))
     assert not hasattr(g, "model")  # no Hamiltonian stack: the energies read the qubit marginals
     models = [thermo.energy_model(p) for p in points]  # at T = 1, as the grid's matrix route
 
@@ -408,7 +408,7 @@ def test_ergotropy_bound_pairs_rho_m_with_the_ascending_levels_of_H(monkeypatch,
     monkeypatch.setattr(thermo, "_ergotropy", lambda *args: calls.append(args) or real(*args))
     verify._ergotropy_bound(g)
     [(energy, levels, spectrum)] = calls
-    models = [thermo.energy_model(ProtocolParams(*p)) for p in g.points]
+    models = [thermo.energy_model(ProtocolParams(*p)) for p in zip(*g.coordinates)]
     # np.sort keeps tied levels in place; the one tie of unequal bits, the four zeros at
     # eps_s = eps_a = 0, one of them -0.0, is taken in IEEE total order, -0.0 first
     ascending = [sorted(np.diagonal(m.hamiltonian).real.tolist(), key=lambda e: (e, math.copysign(1.0, e)))
@@ -512,17 +512,31 @@ def test_numpy_integer_counts_equal_int_counts():
     assert verify.run_suite(np.int64(3), np.int32(2)) == verify.run_suite(3, 2)
 
 
+def _discord_numbers(grid) -> list[tuple]:
+    """(discord_a, discord_s, discord_analytic, concurrence, mutual_info) of each point of the
+    discord subgrid, as the grid holds them, in hex."""
+    s = grid.discord_stride
+    mutual_info = grid.mutual_info.reshape(grid.shape)[::s, ::s, ::s].ravel()
+    return [tuple(float(v).hex() for v in values) for values in zip(*grid.discords, mutual_info, strict=True)]
+
+
+def _report_numbers(params) -> tuple:
+    """The numbers of ``correlation_report(params)`` that ``_discord_numbers`` gives, in hex."""
+    r = correlations.correlation_report(params)
+    return tuple(v.hex() for v in (r.discord_a, r.discord_s, r.discord_analytic, r.concurrence, r.mutual_info))
+
+
 def test_discord_subgrid_reports_are_the_reports_run_emits():
-    # the discord classes check exactly the CorrelationReport of run
+    # the discord classes check exactly the numbers of the CorrelationReport of run, as arrays
     n, stride = 4, 3
     grid = sweep._Grid(*verify._standard_axes(n, 2.0), stride)
     # every stride-th value of each axis, in the grid's (eps_s, phi, eps_a) order
     phis = np.linspace(0.0, HALF_PI, n).tolist()[::stride]
     covered = [ProtocolParams(es, ea, phi, 2.0) for es in np.linspace(0.0, 0.9, n).tolist()[::stride]
                for phi in phis for ea in np.linspace(es, 0.95, n).tolist()[::stride]]
-    assert len(grid.discord_reports) == len(covered) == 8
-    for report, params in zip(grid.discord_reports, covered):
-        assert repr(report) == repr(correlations.correlation_report(params))
+    assert all(type(x) is np.ndarray and x.shape == (len(covered),) for x in grid.discords)
+    assert len(covered) == 8
+    assert _discord_numbers(grid) == [_report_numbers(params) for params in covered]
 
 
 @pytest.mark.parametrize("n, stride", [(4, 2), (5, 3), (7, 3), (3, 5)])
@@ -535,8 +549,7 @@ def test_discord_subgrid_is_every_stride_th_index_of_each_axis(n, stride):
                for k, ea in enumerate(eps_a) if k % stride == 0]
     grid = sweep._Grid(series, phis, temperature, stride)
     assert grid.shape == (n, n, n)
-    assert [repr(r) for r in grid.discord_reports] == [
-        repr(correlations.correlation_report(p)) for p in covered]
+    assert _discord_numbers(grid) == [_report_numbers(p) for p in covered]
 
 
 def _nested_rises(g, field: str) -> list[float]:
@@ -579,7 +592,7 @@ def test_point_checks_share_the_suite_tolerances():
 def _trace_deviation(params):
     """The largest deviation of the closed-form trace block from ``run_protocol``'s
     matrices, each number from the single-state kernels."""
-    closed, worst = closed_forms._trace_summary(params), 0.0
+    closed, worst = closed_forms._trace_summary(params.eps_s, params.eps_a, params.phi), 0.0
     for name, rho in vars(protocol.run_protocol(params)).items():
         qubit = rho.shape == (2, 2)
         summary = closed["marginals"][name] if qubit else closed[name]
@@ -595,7 +608,7 @@ def _trace_deviation(params):
 def _trace_oracle_docs(g):
     """The trace-block oracle as it was before it was stacked: one nested dict per point,
     kept as the reference for the stacked array's column order."""
-    docs = [{"marginals": {}} for _ in g.points]
+    docs = [{"marginals": {}} for _ in range(math.prod(g.shape))]
     for name, stack in vars(g.trace).items():
         purity, entropy = densmat._purity(stack).tolist(), g.entropy(name).tolist()
         if stack.shape[-1] == 4:
@@ -616,9 +629,9 @@ def test_trace_summary_passes_on_a_many_point_grid(temperature):
         ("trace_summary", 216, verify.TOL_MARGINAL, True)]
     # each point's worst deviation, as the per-point blocks gave it
     assert [d.hex() for d in verify._trace_summary(g)] == [
-        max(abs(c - m) for c, m in zip(verify._numbers(closed_forms._trace_summary(p)),
+        max(abs(c - m) for c, m in zip(verify._numbers(closed_forms._trace_summary(*p)),
                                        verify._numbers(doc), strict=True)).hex()
-        for p, doc in zip(g.points, _trace_oracle_docs(g))]
+        for p, doc in zip(zip(*g.coordinates), _trace_oracle_docs(g), strict=True)]
 
 
 def test_bloch_components_from_entries_are_the_pauli_expectations_bit_for_bit():
@@ -643,7 +656,7 @@ def test_trace_oracles_are_the_per_point_blocks_in_reading_order(series, phis):
     # column k of the stacked oracle is the k-th number _numbers reads from a point's block
     g = sweep._Grid(series, phis, 1.0)
     stacked = verify._trace_oracles(g)
-    assert isinstance(stacked, np.ndarray) and stacked.shape == (len(g.points), 38)
+    assert isinstance(stacked, np.ndarray) and stacked.shape == (math.prod(g.shape), 38)
     assert [[v.hex() for v in row] for row in stacked.tolist()] == [
         [v.hex() for v in verify._numbers(doc)] for doc in _trace_oracle_docs(g)]
 

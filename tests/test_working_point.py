@@ -145,6 +145,32 @@ def test_optimize_at_a_subnormal_temperature(capsys, objective, refused):
         assert json.loads(out)["working_point"]["eps_a_star"] == star
 
 
+@pytest.mark.parametrize("eps_s, message", [
+    (math.inf, "eps_s must be a finite number"),
+    (math.nan, "eps_s must be a finite number"),
+    ("0.4", "eps_s must be a finite number"),
+    (True, "eps_s must be a finite number"),
+    (10 ** 400, "eps_s must be a finite number"),
+    (1.5, r"eps_s must be in \[0, 1\)"),
+    (-0.1, r"eps_s must be in \[0, 1\)"),
+    (1.0 - 1e-9, "eps_s leaves no room for an ancilla bias below 1"),
+    (0.9999999999, "eps_s leaves no room for an ancilla bias below 1"),
+], ids=["inf", "nan", "str", "bool", "10**400", "1.5", "-0.1", "clamp", "above-clamp"])
+def test_optimize_names_the_bound_the_register_bias_breaks(eps_s, message):
+    # eps_s is validated before the search interval is built from it
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        optimize_working_point("cop", eps_s, 1.0)
+
+
+@pytest.mark.parametrize("value, message", [
+    ("inf", "eps_s must be a finite number"), ("1.5", "eps_s must be in [0, 1)"),
+])
+def test_optimize_refuses_a_bad_register_bias_as_run_does(capsys, value, message):
+    for command in (["optimize", "--objective", "cop"], ["run", "--eps-a", "0.8"]):
+        code = cli.main([*command, "--eps-s", value, "--phi", "1"])
+        assert (code, *capsys.readouterr()) == (2, "", f"error: {message}\n"), command
+
+
 def _known_defect(reason):
     return {"marks": pytest.mark.xfail(strict=True, reason=f"ROADMAP item 3: {reason}")}
 
