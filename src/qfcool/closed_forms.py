@@ -153,7 +153,7 @@ def level_splitting(eps: float, temperature: float) -> float:
         raise ValueError("temperature must be a finite number")
     if temperature <= 0.0:
         raise ValueError("temperature must be positive")
-    if not math.isfinite(gap := 2.0 * temperature * math.atanh(eps)):  # inf, or inf * 0.0 at eps = 0
+    if not math.isfinite(gap := 2.0 * (temperature * math.atanh(eps))):  # 2 T alone may overflow
         raise ValueError(ENERGY_ERROR.format(float(temperature), "overflow"))
     return gap
 
@@ -217,7 +217,7 @@ def _scaled(t, fields, c, defined, reduce=bool) -> tuple:
     overflows (x * 0.0 is then NaN), or a defined W or Q or a nonzero P rounds to 0."""
     w_m, w_f, q, de_s, w, load, chi = scaled = tuple(t * x for x in fields)
     overflow = defined & (chi * 0.0 != 0.0)
-    for x in (2.0 * t * c.atanh_a, *scaled[:6]):
+    for x in (2.0 * (t * c.atanh_a), *scaled[:6]):
         overflow = overflow | (x * 0.0 != 0.0)
     if reduce(overflow):
         raise ValueError(ENERGY_ERROR.format(t, "overflow"))
@@ -537,8 +537,8 @@ def eps_a_for_cooling_load(eps_s: float, load: float, temperature: float = 1.0) 
     The load is strictly increasing in eps_a above eps_s, so the solution
     on [eps_s, 1) is unique when it exists.
     """
-    if math.isnan(load):
-        raise ValueError(f"load must be a number, got {load!r}")
+    if not _is_finite_real(load):  # as ProtocolParams refuses its own fields
+        raise ValueError(f"load must be a finite number, got {load!r}")
     if load < 0.0:
         raise ValueError("cooling load must be nonnegative")
     hi = 1.0 - EPS_A_CLAMP

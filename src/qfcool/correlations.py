@@ -176,9 +176,9 @@ def _conditional_entropy_scan(local: np.ndarray, other: np.ndarray, m: np.ndarra
     for side A, ``t`` for S).  The 3-term contractions are explicit sums,
     so a row's ``(r, k)`` values do not depend on the other rows.  The two
     outcomes are summed in turn.  Each masks its dead branches
-    (probability at or below ``_PROB_FLOOR``) and its zero entropy terms
-    only when the call has one, so every value takes the same floating-point
-    operations either way.
+    (probability at or below ``_PROB_FLOOR``), and ``densmat._xlogx`` its
+    zero entropy terms, only when the call has one, so every value takes the
+    same floating-point operations either way.
     """
     # dot[:, c] = n . v[:, c]: n . local for c = 0 and (n @ m)_j for c = 1 + j
     v = np.concatenate([local[:, None], m.transpose(0, 2, 1)], axis=1)
@@ -197,17 +197,9 @@ def _conditional_entropy_scan(local: np.ndarray, other: np.ndarray, m: np.ndarra
             ratio = np.minimum(1.0, lengths / (2.0 * p))
         else:
             ratio = np.where(live, np.minimum(1.0, lengths / np.where(live, 2.0 * p, 1.0)), 0.0)
-        term = p * -(_entropy_term((1.0 + ratio) / 2.0) + _entropy_term((1.0 - ratio) / 2.0))
+        term = p * -(densmat._xlogx((1.0 + ratio) / 2.0) + densmat._xlogx((1.0 - ratio) / 2.0))
         total = total + (term if every else np.where(live, term, 0.0))
     return total
-
-
-def _entropy_term(q: np.ndarray) -> np.ndarray:
-    """q ln q elementwise, 0 where q is at or below ``ENTROPY_CUTOFF``."""
-    kept = q > densmat.ENTROPY_CUTOFF
-    if kept.all():
-        return q * np.log(q)
-    return np.where(kept, q * np.log(np.where(kept, q, 1.0)), 0.0)
 
 
 def optimal_measurement(rho, measured_side: str = "A") -> tuple[MeasurementBasis, float]:

@@ -10,7 +10,8 @@ Conventions used throughout the package:
 ``validate_density_matrix`` (and ``as_matrix``) check a caller's matrix where
 it enters a public function of the package, and ``_psd_sqrt`` checks that its
 input is Hermitian and PSD within the clamp; every other function here is an
-unchecked kernel on 2x2 and 4x4 matrices or on stacks of them.
+unchecked kernel on 2x2 and 4x4 matrices or on stacks of them.  ``_xlogx``
+holds the entropy cutoff rule of the whole matrix route.
 """
 
 from __future__ import annotations
@@ -86,15 +87,18 @@ def _partial_trace(a: np.ndarray, keep: str) -> np.ndarray:
     return 0 + a[..., ::2, ::2] + a[..., 1::2, 1::2] if keep == "S" else 0 + a[..., :2, :2] + a[..., 2:, 2:]
 
 
-def _spectrum_entropy(w: np.ndarray) -> np.ndarray:
-    """Entropies of ascending spectra ``(..., d)``.
+def _xlogx(q: np.ndarray) -> np.ndarray:
+    """q ln q elementwise, +0.0 where q is at or below ``ENTROPY_CUTOFF``: the cutoff rule of
+    every entropy of the matrix route, the spectra here and the discord's basis search."""
+    kept = q > ENTROPY_CUTOFF
+    if kept.all():
+        return q * np.log(q)
+    return np.where(kept, q * np.log(np.where(kept, q, 1.0)), 0.0)
 
-    Eigenvalues at or below the cutoff are replaced by 1, whose term
-    1 ln 1 is an exact zero; they lead each spectrum, so the sum equals
-    the sum over the kept eigenvalues alone bit for bit.
-    """
-    kept = np.where(w > ENTROPY_CUTOFF, w, 1.0)
-    return -(kept * np.log(kept)).sum(axis=-1)
+
+def _spectrum_entropy(w: np.ndarray) -> np.ndarray:
+    """Entropies of spectra ``(..., d)``, by ``_xlogx``."""
+    return -_xlogx(w).sum(axis=-1)
 
 
 def _vn_entropies(a: np.ndarray) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Closed forms against the 50-digit referee.
 
-``figures_of_merit`` at fixed interior and edge points: every figure of
-merit, energies over ``T``, each within an absolute bound and, where it is
-nonzero, a relative one.  The threshold angle, the separability angle and
-the mutual information on a fixed edge list and on seeded draws.  The
+``figures_of_merit`` at fixed interior and edge points and on seeded
+interior draws: every figure of merit, energies over ``T``, each within an
+absolute bound and, where it is nonzero, a relative one.  The threshold
+angle, the separability angle and the mutual information on a fixed edge
+list and on seeded draws.  The
 referee's Wootters concurrence and EoF against pure states and against the
 X-state form on protocol states.  The closed forms ``run`` prints (its trace
 block, concurrence and EoF) against the referee's matrices.
@@ -70,6 +71,37 @@ def test_delta_e_system_matches_the_referee_at_a_tiny_register_bias():
     with mpmath.workdps(referee.DPS):
         exact = referee.cycle(*point)["delta_e_system"]
         assert abs(value - exact) <= 1e-13 * abs(exact), (value, exact)
+
+
+def _interior_draws(seed, count=400):
+    """Seeded interior (eps_s, eps_a, phi, T), with T log-uniform in [1/4, 4]."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        eps_s = rng.uniform(0.05, 0.9)
+        yield (eps_s, rng.uniform(eps_s + 0.05, 0.99), rng.uniform(0.05, HALF_PI - 0.05),
+               2.0 ** rng.uniform(-2.0, 2.0))
+
+
+def test_figures_of_merit_match_the_referee_on_seeded_interior_draws():
+    # off the zero crossings of delta E_S (eps_a sin(phi) = eps_s) and of W_f (phi = phi_crit),
+    # which ROADMAP item 2 treats as regions of their own, every field is within 1e-13 relative
+    checked = 0
+    with mpmath.workdps(referee.DPS):
+        for eps_s, eps_a, phi, temperature in _interior_draws(47):
+            phi_crit = referee.phi_crit(eps_s, eps_a)
+            if abs(eps_a * math.sin(phi) - eps_s) < 0.05 or abs(phi - phi_crit) < 0.05:
+                continue
+            report = figures_of_merit(ProtocolParams(eps_s, eps_a, phi, temperature))
+            exact = referee.cycle(eps_s, eps_a, phi)
+            exact.update(cooling_load=exact["entropy_reduction"], phi_crit=phi_crit)
+            for name, value in exact.items():
+                scaled = getattr(report, name) / (temperature if name in OVER_T | {"cooling_load"} else 1.0)
+                assert abs(scaled - value) <= 1e-13 * abs(value), (eps_s, eps_a, phi, temperature, name)
+            flags = (report.in_cooling_window, report.work_extracting_feedback, report.phi_crit_defined,
+                     report.reversible_limit)
+            assert flags == (exact["delta_e_system"] > 0, phi > phi_crit, True, False)
+            checked += 1
+    assert checked >= 300  # 330 of the 400
 
 
 # (eps_s, eps_a, phi): a subnormal eps_s atanh(eps_s), eps_a = eps_s, eps_a near 1,

@@ -592,6 +592,14 @@ def test_eps_a_for_cooling_load_rejects_unreachable():
         eps_a_for_cooling_load(0.4, -0.1)
 
 
+@pytest.mark.parametrize("load", ["1", 10 ** 400, True, math.inf, -math.inf],
+                         ids=["str", "huge-int", "bool", "inf", "-inf"])
+def test_eps_a_for_cooling_load_refuses_a_load_that_is_not_a_finite_number(load):
+    # as ProtocolParams refuses its own fields: not a TypeError, an OverflowError or "not attainable"
+    with pytest.raises(ValueError, match=r"^load must be a finite number, got "):
+        eps_a_for_cooling_load(0.4, load)
+
+
 # ---------------------------------------------------------------------------
 # the grid's box against the scalar record
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from qfcool import sweep, thermo, verify
+from qfcool import closed_forms, sweep, thermo, verify
 from qfcool.densmat import SIGMA_Z
 from qfcool.protocol import ProtocolParams, _thermal_qubits, run_protocol
 from qfcool.thermo import (
@@ -392,18 +392,44 @@ def test_figures_of_merit_reject_energy_overflow():
 HOT = ProtocolParams(0.4, 0.8, 1.0, 1e308)
 
 
-@pytest.mark.parametrize("call", [
-    lambda: thermo.level_splitting(0.8, 1e308),
-    lambda: thermo.level_splitting(0.8, 10 ** 308),  # an int T is named as a float
-    lambda: thermo.level_splitting(0.0, 1e308),  # 2 T first, as the closed forms take it: inf * 0.0
-    lambda: energy_model(HOT),
-    lambda: matrix_oracles(HOT),
-    lambda: figures_of_merit(HOT),
-], ids=["level_splitting", "integer-T", "zero-bias", "energy_model", "matrix_oracles", "figures_of_merit"])
-def test_a_level_splitting_that_overflows_is_refused_as_the_closed_forms_refuse_it(call):
+def _refused(call):
     # no inf gap, NaN Hamiltonian or NaN energy, but the error figures_of_merit raises
-    with pytest.raises(ValueError, match=r"^temperature 1e\+308 makes the cycle energies overflow$"):
-        call()
+    def check():
+        with pytest.raises(ValueError, match=r"^temperature 1e\+308 makes the cycle energies overflow$"):
+            call()
+    return check
+
+
+def _zero_bias_at_1e308():
+    # T atanh(eps) is taken before 2 T, which overflows alone: the gap at eps = 0 is 0.0, and both
+    # routes accept the point
+    report = figures_of_merit(ProtocolParams(0.0, 0.0, 0.0, 1e308))
+    assert thermo.level_splitting(0.0, 1e308) == 0.0 == report.total_work and report.reversible_limit
+
+
+@pytest.mark.parametrize("check", [
+    _refused(lambda: thermo.level_splitting(0.8, 1e308)),
+    _refused(lambda: thermo.level_splitting(0.8, 10 ** 308)),  # an int T is named as a float
+    _zero_bias_at_1e308,
+    _refused(lambda: energy_model(HOT)),
+    _refused(lambda: matrix_oracles(HOT)),
+    _refused(lambda: figures_of_merit(HOT)),
+], ids=["level_splitting", "integer-T", "zero-bias", "energy_model", "matrix_oracles", "figures_of_merit"])
+def test_a_level_splitting_that_overflows_is_refused_as_the_closed_forms_refuse_it(check):
+    check()
+
+
+def test_a_temperature_whose_double_overflows_is_accepted_where_every_energy_fits():
+    # 2 T is inf at T = 1e308, but 2 T atanh(eps) is not: every energy is T times its T = 1 value
+    params = ProtocolParams(0.1, 0.2, 1.0, 1e308)
+    unit, hot = figures_of_merit(ProtocolParams(0.1, 0.2, 1.0)), figures_of_merit(params)
+    for name in closed_forms.SCALED_FIELDS:
+        assert getattr(hot, name) == 1e308 * getattr(unit, name), name
+    model = energy_model(params)
+    assert math.isfinite(model.omega_s) and math.isfinite(model.omega_a)
+    for name, oracle in matrix_oracles(params).items():
+        unit_of = 1.0 if name == "entropy_reduction" else 1e308
+        assert abs(getattr(hot, name) - oracle) <= 1e-10 * unit_of, name
 
 
 # ---------------------------------------------------------------------------
