@@ -28,8 +28,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .closed_forms import (
-    EPS_A_CLAMP, MAX_GRID_POINTS, OBJECTIVES, ProtocolParams, _correlations, _require_count, _trace_summary,
-    discord_threshold, figures_of_merit, optimize_working_point,
+    EPS_A_CLAMP, MAX_GRID_POINTS, OBJECTIVES, ProtocolParams, _correlations, _real, _require_count,
+    _trace_summary, discord_threshold, figures_of_merit, optimize_working_point,
 )
 
 if TYPE_CHECKING:  # annotations only: the matrix layer loads numpy
@@ -127,8 +127,8 @@ def _json_doc(doc: dict) -> str:
 def _load_config(path: str) -> dict[str, str]:
     """Flat ``key = value`` file; keys match flag names, '#' starts a comment."""
     values: dict[str, str] = {}
-    try:  # like every other config error, a file that is not UTF-8 names its path
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    try:  # a BOM is dropped; like every other config error, a file that is not UTF-8 names its path
+        lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
     for lineno, raw in enumerate(lines, 1):
@@ -391,8 +391,8 @@ def _merge(args: argparse.Namespace, declared: dict[str, _Option]) -> dict[str, 
 
     A config value goes through its flag's converter and choices.  The options
     are merged in a fixed order, and the first bad one is reported: the
-    temperature, checked as ProtocolParams checks it (at a point valid at any T,
-    so also where the output does not depend on it); phi_degrees; the command's
+    temperature, checked by ``closed_forms._real`` as every scalar input is (so also
+    where the output does not depend on it); phi_degrees; the command's
     own options; the other common ones; then a config key that no command declares, or
     ``config``: a file names no other (a key of another command passes, so one file
     can serve several commands).
@@ -416,7 +416,7 @@ def _merge(args: argparse.Namespace, declared: dict[str, _Option]) -> dict[str, 
         if value is _REQUIRED:
             raise ValueError(f"missing required option --{name.replace('_', '-')}")
         if name == "temperature":
-            ProtocolParams(0.0, 0.0, 0.0, value)
+            _real(name, value, "temperature")
         opts[name] = value
     unknown = [name for name in config if name not in _DECLARED]  # in file order
     if unknown:

@@ -11,6 +11,8 @@ public names under their old paths.  Every closed-form quantity of the
 cycle at a point is a field of one record, ``figures_of_merit(params)``,
 all written once, in ``_report_fields``, for a point and for a grid's box;
 those of its states are in ``_correlations(params)`` and ``_trace_summary``.
+Every input is checked once, where it enters: each scalar (a bias, the angle,
+the temperature, a concurrence) by ``_real``, each count by ``_require_count``.
 
 Units: k_B = hbar = 1; the temperature enters as a multiplicative scale.
 All entropies are in nats.
@@ -66,6 +68,37 @@ def _is_finite_real(value) -> bool:
         return False
 
 
+# The domain of each scalar input: its test on a float and the bound its error names.
+_DOMAINS = {
+    "bias": (lambda x: 0.0 <= x < 1.0, "be in [0, 1)"),
+    "open bias": (lambda x: 0.0 < x < 1.0, "be in (0, 1)"),
+    "angle": (lambda x: 0.0 <= x <= math.pi / 2, "be in [0, pi/2]"),
+    "temperature": (lambda x: x > 0.0, "be positive"),
+    "concurrence": (lambda x: 0.0 <= x <= 1.0 + 1e-12, "lie in [0, 1]"),  # rounding slack above 1
+}
+
+
+def _real(name: str, value, domain: str) -> float:
+    """``value`` as a float: a finite real (``_is_finite_real``) inside ``_DOMAINS[domain]``.
+    The rule for every scalar that enters the library, as ``_require_count`` is for every count."""
+    if not _is_finite_real(value):
+        raise ValueError(f"{name} must be a finite number")
+    inside, bound = _DOMAINS[domain]
+    if not inside(value := float(value)):
+        raise ValueError(f"{name} must {bound}")
+    return value
+
+
+def _require_count(name: str, value: int, least: int, most: float = math.inf) -> None:
+    """A count is an integer (``int`` or numpy, not ``bool``) of at least ``least`` and at most ``most``."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value!r}")
+    if value > most:
+        raise ValueError(f"{name} must be at most {most}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ProtocolParams:
     """Full configuration of one cooling cycle.
@@ -73,10 +106,8 @@ class ProtocolParams:
     ``eps_s`` and ``eps_a`` are the register and ancilla polarization
     biases (ground minus excited population), ``phi`` the measurement
     angle in radians (axis ``(sin phi, 0, cos phi)`` in the x-z plane),
-    ``temperature`` the bath temperature with k_B = 1.  Any finite real
-    number except ``bool`` is accepted (numpy scalars included) and stored
-    as ``float``.  The limit cases ``eps_s == eps_a`` and ``eps_s == 0``
-    are accepted.
+    ``temperature`` the bath temperature with k_B = 1.  Each field passes
+    ``_real`` and is stored as ``float``; ``eps_s`` may equal ``eps_a`` or 0.
     """
 
     eps_s: float
@@ -85,20 +116,10 @@ class ProtocolParams:
     temperature: float = 1.0
 
     def __post_init__(self):
-        for name in ("eps_s", "eps_a", "phi", "temperature"):
-            if not _is_finite_real(getattr(self, name)):
-                raise ValueError(f"{name} must be a finite number")
-            object.__setattr__(self, name, float(getattr(self, name)))
-        if not 0.0 <= self.eps_s < 1.0:
-            raise ValueError("eps_s must be in [0, 1)")
-        if not 0.0 <= self.eps_a < 1.0:
-            raise ValueError("eps_a must be in [0, 1)")
+        for name, domain in zip(self.__match_args__, ("bias", "bias", "angle", "temperature")):
+            object.__setattr__(self, name, _real(name, getattr(self, name), domain))
         if self.eps_s > self.eps_a:
             raise ValueError("eps_s must not exceed eps_a")
-        if not 0.0 <= self.phi <= math.pi / 2:
-            raise ValueError("phi must be in [0, pi/2]")
-        if self.temperature <= 0.0:
-            raise ValueError("temperature must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -147,14 +168,9 @@ def _record(cls, *values):
 
 def level_splitting(eps: float, temperature: float) -> float:
     """Energy gap giving bias ``eps`` at ``temperature``: 2 T atanh(eps), refused where it overflows."""
-    if not 0.0 <= eps < 1.0:
-        raise ValueError("eps must be in [0, 1)")
-    if not _is_finite_real(temperature):
-        raise ValueError("temperature must be a finite number")
-    if temperature <= 0.0:
-        raise ValueError("temperature must be positive")
+    eps, temperature = _real("eps", eps, "bias"), _real("temperature", temperature, "temperature")
     if not math.isfinite(gap := 2.0 * (temperature * math.atanh(eps))):  # 2 T alone may overflow
-        raise ValueError(ENERGY_ERROR.format(float(temperature), "overflow"))
+        raise ValueError(ENERGY_ERROR.format(temperature, "overflow"))
     return gap
 
 
@@ -295,17 +311,13 @@ def discord_analytic(eps_s: float, phi: float) -> float:
     Depends only on the register bias and measurement angle: the entropy
     gap S(thermal(eps_s cos phi)) - S(thermal(eps_s)).
     """
-    if not 0.0 <= eps_s < 1.0:
-        raise ValueError("eps_s must be in [0, 1)")
-    if not 0.0 <= phi <= math.pi / 2:
-        raise ValueError("phi must be in [0, pi/2]")
+    eps_s, phi = _real("eps_s", eps_s, "bias"), _real("phi", phi, "angle")
     return thermal_entropy(eps_s * math.cos(phi)) - thermal_entropy(eps_s)
 
 
 def discord_threshold(eps_s: float) -> float:
     """Minimum discord guaranteeing real cooling: value at sin(phi) = eps_s."""
-    if not 0.0 < eps_s < 1.0:
-        raise ValueError("eps_s must be in (0, 1)")
+    eps_s = _real("eps_s", eps_s, "open bias")
     return discord_analytic(eps_s, math.asin(eps_s))
 
 
@@ -335,8 +347,7 @@ class CorrelationReport:
 
 def eof_from_concurrence(c: float) -> float:
     """Entanglement of formation (nats) as a function of concurrence."""
-    if not 0.0 <= c <= 1.0 + 1e-12:
-        raise ValueError("concurrence must lie in [0, 1]")
+    c = _real("concurrence", c, "concurrence")
     return binary_entropy((1.0 + math.sqrt(max(0.0, 1.0 - c * c))) / 2.0)
 
 
@@ -419,16 +430,6 @@ class SeparabilityBoundary:
 
     phi: float
     status: str
-
-
-def _require_count(name: str, value: int, least: int, most: float = math.inf) -> None:
-    """A count is an integer (``int`` or numpy, not ``bool``) of at least ``least`` and at most ``most``."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ValueError(f"{name} must be at least {least}, got {value!r}")
-    if value > most:
-        raise ValueError(f"{name} must be at most {most}, got {value!r}")
 
 
 def _bisect(holds: Callable[[float], bool], lo: float, hi: float) -> float:

@@ -29,7 +29,7 @@ import numpy as np
 from . import closed_forms, correlations, densmat, protocol, thermo
 from .closed_forms import (  # re-exported
     EPS_A_CLAMP, OBJECTIVES, CorrelationReport, ProtocolParams, SeparabilityBoundary, ThermoReport,
-    WorkingPoint, _is_finite_real, _require_count, eps_a_for_cooling_load,
+    WorkingPoint, _is_finite_real, _real, _require_count, eps_a_for_cooling_load,
     optimize_working_point, separability_boundary,
 )
 
@@ -48,11 +48,10 @@ class SweepGrid:
     temperature: float = 1.0
 
     def __post_init__(self):
-        # Finiteness first (NaN passes every bound), then ProtocolParams at the
-        # two corners: on strictly increasing axes they bound every point.
-        for name in ("eps_s", "temperature"):
-            if not _is_finite_real(getattr(self, name)):
-                raise ValueError(f"{name} must be a finite number")
+        # The scalars by closed_forms._real, then the axes, then ProtocolParams at
+        # the two corners: on strictly increasing axes they bound every point.
+        for name, domain in (("eps_s", "bias"), ("temperature", "temperature")):
+            object.__setattr__(self, name, _real(name, getattr(self, name), domain))
         for name in ("phi_values", "eps_a_values"):
             values = tuple(getattr(self, name))
             if not all(map(_is_finite_real, values)):
@@ -61,11 +60,9 @@ class SweepGrid:
                 raise ValueError(f"{name} must not be empty")
             object.__setattr__(self, name, tuple(map(float, values)))
         eps_a, phi = self.eps_a_values, self.phi_values
-        p = ProtocolParams(self.eps_s, eps_a[0], phi[0], self.temperature)
-        ProtocolParams(p.eps_s, eps_a[-1], phi[-1], p.temperature)
-        object.__setattr__(self, "eps_s", p.eps_s)
-        object.__setattr__(self, "temperature", p.temperature)
-        # Last, so that a reversed eps_a axis from eps_s >= 1 names eps_s.
+        ProtocolParams(self.eps_s, eps_a[0], phi[0], self.temperature)
+        ProtocolParams(self.eps_s, eps_a[-1], phi[-1], self.temperature)
+        # Last, so that a reversed axis from an end out of its domain names that bound.
         for name, values in (("phi_values", phi), ("eps_a_values", eps_a)):
             if any(b <= a for a, b in zip(values, values[1:])):
                 raise ValueError(f"{name} must be strictly increasing")

@@ -312,6 +312,14 @@ def test_threshold_value(capsys):
     assert abs(doc["delta_min"] - 1.35e-2) <= 5e-4
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("args", [("threshold",), ("run", "--eps-a", "0.8", "--phi", "1.0"),
+                                  ("optimize", "--objective", "cop", "--phi", "1.0")],
+                         ids=lambda args: args[0])
+def test_every_command_words_a_non_finite_register_bias_alike(capsys, args, value):
+    assert run_cli(capsys, *args, "--eps-s", value) == (2, "", "error: eps_s must be a finite number\n")
+
+
 def test_threshold_domain_error(capsys):
     code, _, err = run_cli(capsys, "threshold", "--eps-s", "0.0")
     assert code == 2
@@ -550,6 +558,14 @@ def test_config_file_rejects_malformed_lines(capsys, tmp_path):
     code, _, err = run_cli(capsys, "run", "--config", str(config))
     assert code == 2
     assert "key = value" in err
+
+
+def test_a_config_file_with_a_byte_order_mark_reads_as_without(capsys, tmp_path):
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_bytes(b"eps_s = 0.4\neps_a = 0.8\nphi = 1.0\ntemperature = 2\n")
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    outputs = [run_cli(capsys, "run", "--config", str(path)) for path in (plain, marked)]
+    assert outputs[1] == outputs[0] and outputs[0][0] == 0
 
 
 def test_a_config_file_that_is_not_utf8_is_named(capsys, tmp_path):

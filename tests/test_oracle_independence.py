@@ -21,7 +21,7 @@ import pytest
 from qfcool import closed_forms, correlations, protocol, sweep, thermo, verify
 from qfcool.closed_forms import ProtocolParams
 
-ALLOWED = {"ProtocolParams", "_record", "_require_count", "_is_finite_real", "level_splitting"}
+ALLOWED = {"ProtocolParams", "_record", "_require_count", "_is_finite_real", "_real", "level_splitting"}
 EOF_MAP = {"eof_from_concurrence", "binary_entropy"}
 POINT = (0.4, 0.8, 1.0)
 

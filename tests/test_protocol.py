@@ -1,4 +1,5 @@
 import math
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qfcool.closed_forms import _is_finite_real
-from qfcool import protocol
+from qfcool import closed_forms, protocol, sweep
 from qfcool.densmat import (
     ATOL, ID2, PAULI, SIGMA_X, SIGMA_Z, _expectation, _partial_trace, _vn_entropies,
     validate_density_matrix,
@@ -84,6 +85,56 @@ def test_params_reject_booleans(name, flag):
 ], ids=lambda v: repr(v)[:20])
 def test_is_finite_real_truth_table(value, expected):
     assert _is_finite_real(value) is expected
+
+
+GOOD_POINT = dict(eps_s=0.2, eps_a=0.5, phi=0.7, temperature=1.0)
+# Every entry whose scalar goes through closed_forms._real: the name its errors give,
+# a call with that scalar set to a value, a value outside its domain and the bound named.
+REAL_ENTRIES = {
+    **{f"ProtocolParams-{name}": (name, lambda v, name=name: ProtocolParams(**{**GOOD_POINT, name: v}),
+                                  bad, bound)
+       for name, bad, bound in (("eps_s", -0.1, "be in [0, 1)"), ("eps_a", 1.0, "be in [0, 1)"),
+                                ("phi", 2.0, "be in [0, pi/2]"), ("temperature", 0.0, "be positive"))},
+    "level_splitting-eps": ("eps", lambda v: closed_forms.level_splitting(v, 1.0), 1.0, "be in [0, 1)"),
+    "level_splitting-temperature": ("temperature", lambda v: closed_forms.level_splitting(0.3, v),
+                                    -1.0, "be positive"),
+    "discord_analytic-eps_s": ("eps_s", lambda v: closed_forms.discord_analytic(v, 1.0), -0.1, "be in [0, 1)"),
+    "discord_analytic-phi": ("phi", lambda v: closed_forms.discord_analytic(0.3, v), -0.1, "be in [0, pi/2]"),
+    "discord_threshold-eps_s": ("eps_s", closed_forms.discord_threshold, 0.0, "be in (0, 1)"),
+    "eof_from_concurrence": ("concurrence", closed_forms.eof_from_concurrence, 1.01, "lie in [0, 1]"),
+    "SweepGrid-eps_s": ("eps_s", lambda v: sweep.SweepGrid(v, (0.7,), (0.5,)), 1.0, "be in [0, 1)"),
+    "SweepGrid-temperature": ("temperature", lambda v: sweep.SweepGrid(0.2, (0.7,), (0.5,), v),
+                              0.0, "be positive"),
+}
+NOT_FINITE = {"str": "0.3", "bool": True, "np.bool_": np.bool_(True), "nan": math.nan,
+              "inf": math.inf, "-inf": -math.inf, "int-beyond-float": 10 ** 400}
+
+
+@pytest.mark.parametrize("entry", list(REAL_ENTRIES))
+@pytest.mark.parametrize("value", list(NOT_FINITE.values()), ids=list(NOT_FINITE))
+def test_every_scalar_entry_refuses_a_value_that_is_not_a_finite_real(entry, value):
+    name, call, _, _ = REAL_ENTRIES[entry]
+    with pytest.raises(ValueError, match=f"^{name} must be a finite number$"):
+        call(value)
+
+
+@pytest.mark.parametrize("entry", list(REAL_ENTRIES))
+def test_every_scalar_entry_names_the_bound_of_its_domain(entry):
+    name, call, bad, bound = REAL_ENTRIES[entry]
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must {bound}')}$"):
+        call(bad)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(eps_s=0.9, eps_a=0.4, phi=2.0), "phi must be in [0, pi/2]"),
+    (dict(eps_s=1.5, eps_a=math.nan, phi=2.0), "eps_s must be in [0, 1)"),
+    (dict(eps_s=0.2, eps_a=math.nan, phi=2.0, temperature=0.0), "eps_a must be a finite number"),
+    (dict(eps_s=0.9, eps_a=0.4, phi=0.5, temperature=-1.0), "temperature must be positive"),
+    (dict(eps_s=0.9, eps_a=0.4, phi=0.5), "eps_s must not exceed eps_a"),
+])
+def test_params_name_the_first_failing_field_and_the_bias_order_last(kwargs, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ProtocolParams(**kwargs)
 
 
 # ---------------------------------------------------------------------------
