@@ -11,7 +11,7 @@ import pytest
 from qfcool import closed_forms, correlations, densmat, protocol, sweep, thermo, verify
 from qfcool.protocol import ProtocolParams
 
-from make_suite_reprs import BENCH_STRATA, key
+from make_suite_reprs import BENCH_STRATA, POINTS, STRATA, key, point_key
 
 HALF_PI = math.pi / 2
 
@@ -211,56 +211,6 @@ def test_run_suite_passes_at_any_temperature(temperature):
     checks = verify.run_suite(6, 3, temperature)
     assert [c.name for c in checks if not c.passed] == []
     assert checks == verify.run_suite(6, 3, 1.0)
-    if temperature in (1e-300, 1e300):  # the strata that suite_reprs.json pins at T = 0.8 alone
-        for n, stride in BENCH_STRATA:
-            assert verify.run_suite(n, stride, temperature) == verify.run_suite(n, stride, 0.8), (n, stride)
-
-
-# run_suite(4, 2, 1.0) before energy deviations were taken in units of T
-# and before the discord search was stacked: (name, points, max_deviation).
-# reset_marginals is the later partial-trace check, and discord_symmetry is
-# the Newton-refined basis search's.  mutual_information and phi_crit_root are
-# those of the one-formula closed forms (joint entropy S(eps_s) + S(eps_a), and
-# the threshold's root divided through by atanh(eps_s)).  discord_closed_form and
-# thermal_entropy read the entropies of the trace's initial marginals, and the
-# energy classes the energies of its qubit marginals.
-SUITE_4_2 = [
-    ("work_measurement", 64, 6.661338147750939e-16),
-    ("work_feedback", 64, 8.881784197001252e-16),
-    ("heat_reset", 64, 6.661338147750939e-16),
-    ("delta_e_system", 64, 4.787836793695988e-16),
-    ("entropy_reduction", 64, 4.85722573273506e-16),
-    ("total_work", 64, 1.1657341758564144e-15),
-    ("energy_conservation", 64, 8.881784197001252e-16),
-    ("mutual_information", 64, 8.881784197001252e-16),
-    ("discord_closed_form", 64, 2.7755575615628914e-16),
-    ("thermal_entropy", 64, 3.0531133177191805e-16),
-    ("purity_transfer", 64, 8.881784197001252e-16),
-    ("swap_limit", 16, 4.440892098500626e-16),
-    ("entropy_invariance", 64, 1.27675647831893e-15),
-    ("reset_marginals", 64, 5.551115123125783e-16),
-    ("post_measurement_ancilla_marginal", 64, 3.3306690738754696e-16),
-    ("work_positive", 48, 0.0),
-    ("heat_bounds_load", 64, 0.0),
-    ("entropy_reduction_nonnegative", 64, 0.0),
-    ("eta_bounded", 57, 0.0),
-    ("ergotropy_bound", 64, 4.440892098500626e-16),
-    ("cooling_window_sign", 45, 0.0),
-    ("no_cooling_below_bias", 24, 0.0),
-    ("phi_crit_root", 48, 2.220446049250313e-16),
-    ("cop_monotone_phi", 42, 0.0),
-    ("eta_monotone_phi", 42, 0.0),
-    ("chi_monotone_phi", 42, 0.0),
-    ("discord_symmetry", 8, 1.1102230246251565e-16),
-    ("discord_numeric_vs_closed", 8, 2.220446049250313e-16),
-    ("entangled_implies_discordant", 2, 0.0),
-]
-
-
-def test_run_suite_at_unit_temperature_is_unchanged():
-    expected = [verify.Check(name, points, worst, verify.CLASSES[name][0])
-                for name, points, worst in SUITE_4_2]
-    assert verify.run_suite(4, 2, 1.0) == expected
 
 
 def test_run_suite_scores_the_discord_subgrid_in_few_kernel_calls(monkeypatch):
@@ -420,22 +370,29 @@ def test_ergotropy_bound_pairs_rho_m_with_the_ascending_levels_of_H(monkeypatch,
     assert (np.abs(grid - public) <= ENERGY_ULPS * np.finfo(float).eps * g.half_splittings.sum(axis=-1)).all()
 
 
-# repr(run_suite(n, stride, T)) per class at the benchmark's strata and at
-# stride 1, recorded before the grid shared its spectra, energies, level
-# splittings, phi rows and closed-form discords; the 0.8 strata's
-# mutual_information and phi_crit_root as SUITE_4_2's.  Since the suite
-# compares both routes at T = 1, it pins one T per stratum, and the benchmark's
-# strata at both ends of the range of T the suite accepts read their T = 0.8 pin.
+# The one bit pin of run_suite and point_checks: repr(Check) per class, as
+# tests/make_suite_reprs.py writes it (rerun it only for a deliberate change of
+# a deviation).  Since the suite compares both routes at T = 1, it pins one T
+# per stratum, and the benchmark's strata at T = 1 and at both ends of the range
+# of T the suite accepts read their T = 0.8 pin.
 SUITE_REPRS = json.loads((pathlib.Path(__file__).parent / "suite_reprs.json").read_text())
 
 
 @pytest.mark.parametrize("stratum", [
-    *SUITE_REPRS, *(key(n, stride, t) for t in (1e-300, 1e300) for n, stride in BENCH_STRATA)])
+    *(key(*s) for s in STRATA),
+    *(key(n, stride, t) for t in (1e-300, 1.0, 1e300) for n, stride in BENCH_STRATA)])
 def test_run_suite_reprs_are_unchanged(stratum):
     n, stride, temperature = stratum.split()
     checks = verify.run_suite(int(n), int(stride), float(temperature))
     pinned = stratum if stratum in SUITE_REPRS else key(int(n), int(stride), 0.8)
     assert [repr(c) for c in checks] == SUITE_REPRS[pinned]
+
+
+@pytest.mark.parametrize("point", POINTS, ids=lambda p: point_key(*p))
+def test_point_checks_reprs_are_unchanged(point):
+    # what run --verify prints: the oracle classes, the numeric discords and the trace block
+    checks = verify.point_checks(ProtocolParams(*point))
+    assert [repr(c) for c in checks] == SUITE_REPRS[point_key(*point)]
 
 
 def _perturbed_reset_state(real):
@@ -711,112 +668,6 @@ def test_checks_score_a_class_table_of_their_own():
     checks = verify._checks({"extra": (1e-3, lambda g: [5e-4, 2e-3])}, grid)
     assert checks == [verify.Check(name="extra", points=2, max_deviation=2e-3, tolerance=1e-3)]
     assert not checks[0].passed
-
-
-# The same suite and point_checks at four points, as reprs: every deviation
-# the oracle classes report is the same float whichever route produced it.
-# point_checks ends with the numeric discords and the trace block of run.
-SUITE_4_2_REPR = [
-    ("work_measurement", 64, "6.661338147750939e-16"),
-    ("work_feedback", 64, "8.881784197001252e-16"),
-    ("heat_reset", 64, "6.661338147750939e-16"),
-    ("delta_e_system", 64, "4.787836793695988e-16"),
-    ("entropy_reduction", 64, "4.85722573273506e-16"),
-    ("total_work", 64, "1.1657341758564144e-15"),
-    ("energy_conservation", 64, "8.881784197001252e-16"),
-    ("mutual_information", 64, "8.881784197001252e-16"),
-    ("discord_closed_form", 64, "2.7755575615628914e-16"),
-    ("thermal_entropy", 64, "3.0531133177191805e-16"),
-    ("purity_transfer", 64, "8.881784197001252e-16"),
-    ("swap_limit", 16, "4.440892098500626e-16"),
-    ("entropy_invariance", 64, "1.27675647831893e-15"),
-    ("reset_marginals", 64, "5.551115123125783e-16"),
-    ("post_measurement_ancilla_marginal", 64, "3.3306690738754696e-16"),
-    ("work_positive", 48, "0.0"),
-    ("heat_bounds_load", 64, "0.0"),
-    ("entropy_reduction_nonnegative", 64, "0.0"),
-    ("eta_bounded", 57, "0.0"),
-    ("ergotropy_bound", 64, "4.440892098500626e-16"),
-    ("cooling_window_sign", 45, "0.0"),
-    ("no_cooling_below_bias", 24, "0.0"),
-    ("phi_crit_root", 48, "2.220446049250313e-16"),
-    ("cop_monotone_phi", 42, "0.0"),
-    ("eta_monotone_phi", 42, "0.0"),
-    ("chi_monotone_phi", 42, "0.0"),
-    ("discord_symmetry", 8, "1.1102230246251565e-16"),
-    ("discord_numeric_vs_closed", 8, "2.220446049250313e-16"),
-    ("entangled_implies_discordant", 2, "0.0"),
-]
-POINT_CHECKS_REPR = {
-    (0.4, 0.8, 1.0, 1.0): [
-        ("work_measurement", "2.220446049250313e-16"),
-        ("work_feedback", "1.1102230246251565e-16"),
-        ("heat_reset", "2.220446049250313e-16"),
-        ("delta_e_system", "9.71445146547012e-17"),
-        ("entropy_reduction", "5.551115123125783e-17"),
-        ("total_work", "4.440892098500626e-16"),
-        ("energy_conservation", "3.3306690738754696e-16"),
-        ("mutual_information", "1.1102230246251565e-16"),
-        ("discord_closed_form", "0.0"),
-        ("thermal_entropy", "2.220446049250313e-16"),
-        ("discord_symmetry", "1.6653345369377348e-16"),
-        ("discord_numeric_vs_closed", "2.220446049250313e-16"),
-        ("trace_summary", "3.885780586188048e-16"),
-    ],
-    (0.3, 0.999999999, 1.2, 1.0): [
-        ("work_measurement", "3.552713678800501e-15"),
-        ("work_feedback", "2.6645352591003757e-15"),
-        ("heat_reset", "0.0"),
-        ("delta_e_system", "1.3877787807814457e-16"),
-        ("entropy_reduction", "2.500019080642346e-10"),
-        ("total_work", "8.881784197001252e-16"),
-        ("energy_conservation", "1.7763568394002505e-15"),
-        ("mutual_information", "5.551115123125783e-16"),
-        ("discord_closed_form", "1.1102230246251565e-16"),
-        ("thermal_entropy", "3.42357222655675e-16"),
-        ("discord_symmetry", "3.3306690738754696e-16"),
-        ("discord_numeric_vs_closed", "4.107825191113079e-15"),
-        ("trace_summary", "1.422364945889019e-15"),
-    ],
-    (0.5, 0.5, math.pi / 2, 1e300): [
-        ("work_measurement", "0.0"),
-        ("work_feedback", "1.1102230246251565e-16"),
-        ("heat_reset", "5.551115123125783e-17"),
-        ("delta_e_system", "5.551115123125783e-17"),
-        ("entropy_reduction", "2.220446049250313e-16"),
-        ("total_work", "1.1102230246251565e-16"),
-        ("energy_conservation", "1.1102230246251565e-16"),
-        ("mutual_information", "4.440892098500626e-16"),
-        ("discord_closed_form", "1.1102230246251565e-16"),
-        ("thermal_entropy", "1.1102230246251565e-16"),
-        ("discord_symmetry", "0.0"),
-        ("discord_numeric_vs_closed", "4.440892098500626e-16"),
-        ("trace_summary", "4.440892098500626e-16"),
-    ],
-    (0.2, 0.6, 0.3, 1e-300): [
-        ("work_measurement", "5.551115123125783e-17"),
-        ("work_feedback", "6.938893903907228e-18"),
-        ("heat_reset", "5.551115123125783e-17"),
-        ("delta_e_system", "1.214306433183765e-17"),
-        ("entropy_reduction", "5.551115123125783e-17"),
-        ("total_work", "5.551115123125783e-17"),
-        ("energy_conservation", "1.1102230246251565e-16"),
-        ("mutual_information", "4.440892098500626e-16"),
-        ("discord_closed_form", "2.220446049250313e-16"),
-        ("thermal_entropy", "0.0"),
-        ("discord_symmetry", "1.6653345369377348e-16"),
-        ("discord_numeric_vs_closed", "6.106226635438361e-16"),
-        ("trace_summary", "2.220446049250313e-16"),
-    ],
-}
-
-
-def test_oracle_deviations_are_unchanged_bit_for_bit():
-    assert [(c.name, c.points, repr(c.max_deviation))
-            for c in verify.run_suite(4, 2, 1.0)] == SUITE_4_2_REPR
-    for (es, ea, phi, t), expected in POINT_CHECKS_REPR.items():
-        checks = verify.point_checks(ProtocolParams(es, ea, phi, t))
-        assert [(c.name, repr(c.max_deviation)) for c in checks] == expected
 
 
 @pytest.mark.parametrize("field", ["heat_reset", "work_feedback", "entropy_reduction"])
