@@ -276,11 +276,12 @@ def figures_of_merit(params: ProtocolParams) -> ThermoReport:
 # ---------------------------------------------------------------------------
 
 def binary_entropy(x: float) -> float:
-    """-x ln x - (1-x) ln(1-x), with 0 ln 0 = 0."""
+    """-x ln x - (1-x) ln(1-x), with 0 ln 0 = 0; ln(1-x) as log1p(-x), exact for small x."""
     out = 0.0
-    for q in (x, 1.0 - x):
-        if q > ENTROPY_CUTOFF:
-            out -= q * math.log(q)
+    if x > ENTROPY_CUTOFF:
+        out -= x * math.log(x)
+    if 1.0 - x > ENTROPY_CUTOFF:
+        out -= (1.0 - x) * math.log1p(-x)
     return out
 
 

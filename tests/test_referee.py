@@ -18,7 +18,7 @@ import pytest
 
 from qfcool.closed_forms import (
     ProtocolParams, _correlations, _trace_summary, figures_of_merit, mutual_information_analytic,
-    separability_boundary,
+    separability_boundary, thermal_entropy,
 )
 from qfcool.protocol import run_protocol
 
@@ -140,6 +140,15 @@ def test_mutual_information_matches_the_referee():
             value = mutual_information_analytic(ProtocolParams(*point))
             exact = referee.mutual_information(*point)
             assert abs(value - exact) <= 2e-15, (point, value, exact)
+
+
+def test_thermal_entropy_matches_the_referee_up_to_the_clamp():
+    # near unit bias the population x = (1 - eps) / 2 is tiny, and log(1 - x) would
+    # lose its digits to the rounding of 1 - x
+    with mpmath.workdps(referee.DPS):
+        for eps in (1 - 1e-9, 1 - 1e-6, 1 - 1e-3, 0.9, 0.5, 1e-3):
+            exact = referee._entropy(mpmath.mpf(eps))
+            assert abs(thermal_entropy(eps) - exact) <= 2e-16 * exact, (eps, thermal_entropy(eps), exact)
 
 
 def test_separability_angle_matches_the_referee():
