@@ -8,11 +8,11 @@ numpy, and no closed form can reach a matrix kernel, which keeps the
 density-matrix oracles that check these forms independent of them.
 ``protocol``, ``thermo``, ``correlations`` and ``sweep`` re-export the
 public names under their old paths.  Every closed-form quantity of the
-cycle at a point is a field of one record, ``figures_of_merit(params)``,
-all written once, in ``_report_fields``, for a point and for a grid's box;
+cycle at a point is a field of one record, ``figures_of_merit(params)``, whose
+fields ``_report_fields`` returns as emitted, for a point and a grid's box alike;
 those of its states are in ``_correlations(params)`` and ``_trace_summary``.
-Every input is checked once, where it enters: each scalar (a bias, the angle,
-the temperature, a concurrence) by ``_real``, each count by ``_require_count``.
+Every input is checked once, where it enters: each scalar (a bias, the angle, the
+temperature, a concurrence, a cooling load) by ``_real``, each count by ``_require_count``.
 
 Units: k_B = hbar = 1; the temperature enters as a multiplicative scale.
 All entropies are in nats.
@@ -75,6 +75,7 @@ _DOMAINS = {
     "angle": (lambda x: 0.0 <= x <= math.pi / 2, "be in [0, pi/2]"),
     "temperature": (lambda x: x > 0.0, "be positive"),
     "concurrence": (lambda x: 0.0 <= x <= 1.0 + 1e-12, "lie in [0, 1]"),  # rounding slack above 1
+    "load": (lambda x: x >= 0.0, "be nonnegative"),
 }
 
 
@@ -180,9 +181,6 @@ def level_splitting(eps: float, temperature: float) -> float:
 # in ``_scaled``, on a grid's box of stacked columns and rows or on the floats of ``figures_of_merit``.
 _Column = namedtuple("_Column", "eps_s eps_a atanh_s atanh_a a y ea_atanh_a entropy_reduction phi_crit")
 _Row = namedtuple("_Row", "phi sin sin2 cos cos2")
-# The ``ThermoReport`` fields that carry T, in ``_scaled``'s order.
-SCALED_FIELDS = ("work_measurement", "work_feedback", "heat_reset", "delta_e_system", "total_work",
-                 "cooling_load", "chi")
 
 
 def _columns(eps_s: float, eps_a_values) -> list[_Column]:
@@ -226,7 +224,7 @@ def _energies(c, r) -> tuple:
     return w_m, c.y * r.sin - c.a * r.cos2, q, de_s, -de_s + q
 
 
-def _scaled(t, fields, c, defined, reduce=bool) -> tuple:
+def _scaled(t, fields, c, defined, reduce) -> tuple:
     """``fields`` at T = 1 (W_m, W_f, Q, dE_S, W, the cooling load P and chi, NaN off ``defined``,
     the reversible limit) times ``t``, of floats or arrays, by * == != & | alone.  Raises if ``reduce``
     of a guard holds: a product or the ancilla's level splitting 2 T atanh(eps_a), the larger,
@@ -243,22 +241,23 @@ def _scaled(t, fields, c, defined, reduce=bool) -> tuple:
 
 
 def _report_fields(c, r, t, where=lambda condition, a, b: a if condition else b, reduce=bool) -> tuple:
-    """Every ``ThermoReport`` field at T = 1 in field order (NaN for cop, eta and chi where W / T <= the
-    floor) and the SCALED_FIELDS at ``t``, of floats or of the box with ``np.where``, ``np.any``."""
+    """Every ``ThermoReport`` field in field order, of floats or of the box with ``np.where``, ``np.any``,
+    twice: at T = 1, NaN for cop, eta and chi where W / T <= the floor, and as emitted at ``t``, the
+    energies and chi times ``t`` (``_scaled``) and cop, eta and chi None there."""
     p, (w_m, w_f, q, de_s, w) = c.entropy_reduction, _energies(c, r)
     defined = w > REVERSIBLE_WORK_FLOOR  # W at T = 1, so T does not move the limit
     cop, eta = (where(defined, p / where(defined, x, 1.0), math.nan) for x in (w, q))
     chi, pc_defined = cop * p, c.eps_s > 0.0
-    return ((w_m, w_f, q, de_s, p, p, w, cop, eta, chi, c.eps_a * r.sin > c.eps_s,
-             pc_defined & (r.phi > c.phi_crit), c.phi_crit, pc_defined, where(defined, False, True)),
-            _scaled(t, (w_m, w_f, q, de_s, w, p, chi), c, defined, reduce))
+    tail = (c.eps_a * r.sin > c.eps_s, pc_defined & (r.phi > c.phi_crit), c.phi_crit, pc_defined,
+            where(defined, False, True))  # the flags and phi_crit, which T does not move
+    tw_m, tw_f, tq, tde_s, tw, load, tchi = _scaled(t, (w_m, w_f, q, de_s, w, p, chi), c, defined, reduce)
+    return ((w_m, w_f, q, de_s, p, p, w, cop, eta, chi, *tail),
+            (tw_m, tw_f, tq, tde_s, p, load, tw, *(where(defined, x, None) for x in (cop, eta, tchi)), *tail))
 
 
 def _report(c: _Column, r: _Row, t: float) -> ThermoReport:
     """``figures_of_merit`` at (column, row) and temperature ``t``: cop, eta, chi None where reversible."""
-    fields, (w_m, w_f, q, de_s, w, load, chi) = _report_fields(c, r, t)
-    ratios = (None, None, None) if fields[-1] else (*fields[7:9], chi)  # cop, eta, chi
-    return _record(ThermoReport, w_m, w_f, q, de_s, fields[4], load, w, *ratios, *fields[10:])
+    return _record(ThermoReport, *_report_fields(c, r, t)[1])
 
 
 def figures_of_merit(params: ProtocolParams) -> ThermoReport:
@@ -539,10 +538,7 @@ def eps_a_for_cooling_load(eps_s: float, load: float, temperature: float = 1.0) 
     The load is strictly increasing in eps_a above eps_s, so the solution
     on [eps_s, 1) is unique when it exists.
     """
-    if not _is_finite_real(load):  # as ProtocolParams refuses its own fields
-        raise ValueError(f"load must be a finite number, got {load!r}")
-    if load < 0.0:
-        raise ValueError("cooling load must be nonnegative")
+    load = _real("load", load, "load")
     hi = 1.0 - EPS_A_CLAMP
     p = ProtocolParams(eps_s, hi, 0.0, temperature)  # every eps_a searched lies in [eps_s, hi]
 

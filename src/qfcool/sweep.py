@@ -107,9 +107,9 @@ class _Grid:
     Points run in (series, phi, eps_a) order, as a landscape emits them, and readers select them by axis index
     on the box ``shape``.  Construction builds the closed forms: a column per eps_a of each series and a row per
     phi, stacked as (S, 1, E) and (1, P, 1) arrays, each report field of every point at T = 1 (``thermo``) and
-    the energies and chi times T (``emitted``) from one ``closed_forms._report_fields`` call on those, which
-    writes the ratios, flags and reversible limit for ``figures_of_merit`` too, one closed-form discord per
-    (eps_s, phi) and the points' (eps_s, eps_a, phi) ``coordinates``, each per-point value once, flat, in grid
+    each field as emitted, on the box in field order (``emitted``), from one ``closed_forms._report_fields``
+    call on those, which ``figures_of_merit`` makes on floats, one closed-form discord per (eps_s, phi) and the
+    points' (eps_s, eps_a, phi) ``coordinates``, each per-point value once, flat (``emitted`` aside), in grid
     order.  Each matrix stack, all at T = 1 as ``thermo``, and each array read from them is built on first read.
     """
 
@@ -122,9 +122,8 @@ class _Grid:
         self.column_box = c = _box(closed_forms._Column, self.columns, (n_series, 1, n_eps_a))
         self.row_box = r = _box(closed_forms._Row, self.rows, (1, n_phi, 1))
         with np.errstate(all="ignore"):  # the guards raise what figures_of_merit raises
-            fields, scaled = closed_forms._report_fields(c, r, temperature, np.where, np.any)
+            fields, self.emitted = closed_forms._report_fields(c, r, temperature, np.where, np.any)
         self.thermo = dict(zip(ThermoReport.__match_args__, map(self.flat, fields)))  # NaN for None
-        self.emitted = dict(zip(closed_forms.SCALED_FIELDS, map(self.flat, scaled)))
         self.discord_analytic = self.flat(np.array(
             [[[correlations.discord_analytic(eps_s, row.phi)] for row in self.rows] for eps_s, _ in series]))
         self.coordinates = tuple(tuple(self.flat(x).tolist()) for x in (c.eps_s, c.eps_a, r.phi))
@@ -136,10 +135,9 @@ class _Grid:
 
     @cached_property
     def reports(self) -> list[ThermoReport]:
-        """Each point's ``figures_of_merit`` record, zipped from ``thermo`` and ``emitted``."""
-        fields = [np.where(self.thermo["reversible_limit"], None, v) if name in OBJECTIVES else v
-                  for name, v in {**self.thermo, **self.emitted}.items()]
-        return [closed_forms._record(ThermoReport, *values) for values in zip(*(v.tolist() for v in fields))]
+        """Each point's ``figures_of_merit`` record, zipped from ``emitted``."""
+        fields = (self.flat(v).tolist() for v in self.emitted)
+        return [closed_forms._record(ThermoReport, *values) for values in zip(*fields)]
 
     @cached_property
     def correlations(self) -> list[CorrelationReport]:

@@ -150,13 +150,14 @@ def test_landscape_runs_each_decomposition_once_per_chunk(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def reference_boundary(eps_s, eps_a, tol=1e-6, scan_points=181):
-    """The per-angle algorithm: Wootters concurrence of each scanned angle up
-    to the first entangled one, then bisection of that bracket."""
+    """The per-angle algorithm: Wootters concurrence of every scanned angle, scored as one
+    stack, up to the first entangled one, then bisection of that bracket."""
     def entangled(phi):
         return concurrence(run_protocol(ProtocolParams(eps_s, eps_a, phi)).rho_m) > 1e-12
 
     phis = np.linspace(0.0, HALF_PI, scan_points).tolist()
-    first = next((k for k, phi in enumerate(phis) if entangled(phi)), None)
+    hits = np.flatnonzero(correlations._concurrence(phi_stack(eps_s, eps_a, phis)) > 1e-12).tolist()
+    first = hits[0] if hits else None
     if first == 0:
         return SeparabilityBoundary(phi=0.0, status="always_entangled")
     if first is None:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from qfcool import closed_forms, sweep, thermo, verify
+from qfcool import sweep, thermo, verify
 from qfcool.densmat import SIGMA_Z
 from qfcool.protocol import ProtocolParams, _thermal_qubits, run_protocol
 from qfcool.thermo import (
@@ -419,12 +419,23 @@ def test_a_level_splitting_that_overflows_is_refused_as_the_closed_forms_refuse_
     check()
 
 
+# The ThermoReport fields that carry T: each energy and chi.
+T_FIELDS = ("work_measurement", "work_feedback", "heat_reset", "delta_e_system", "cooling_load",
+            "total_work", "chi")
+
+
 def test_a_temperature_whose_double_overflows_is_accepted_where_every_energy_fits():
-    # 2 T is inf at T = 1e308, but 2 T atanh(eps) is not: every energy is T times its T = 1 value
+    # 2 T is inf at T = 1e308, but 2 T atanh(eps) is not: every energy and chi is T times its
+    # T = 1 value, and every other field is its T = 1 value, bit for bit (None where that is None)
+    for point in ((0.0, 0.0, 0.0), (0.1, 0.2, 1.0)):  # a reversible-limit point, then an interior one
+        unit, hot = figures_of_merit(ProtocolParams(*point)), figures_of_merit(ProtocolParams(*point, 1e308))
+        assert (unit.cop is None) == (point == (0.0, 0.0, 0.0))
+        for name in ThermoReport.__match_args__:
+            expected = getattr(unit, name)
+            if name in T_FIELDS and expected is not None:
+                expected *= 1e308
+            assert repr(getattr(hot, name)) == repr(expected), (point, name)
     params = ProtocolParams(0.1, 0.2, 1.0, 1e308)
-    unit, hot = figures_of_merit(ProtocolParams(0.1, 0.2, 1.0)), figures_of_merit(params)
-    for name in closed_forms.SCALED_FIELDS:
-        assert getattr(hot, name) == 1e308 * getattr(unit, name), name
     model = energy_model(params)
     assert math.isfinite(model.omega_s) and math.isfinite(model.omega_a)
     for name, oracle in matrix_oracles(params).items():
