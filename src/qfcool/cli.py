@@ -4,10 +4,11 @@ Subcommands: run | sweep | optimize | threshold | verify.
 Exit codes: 0 ok, 2 usage/domain error or out of memory, 3 verification failure.
 
 Output is deterministic: identical invocations produce byte-identical
-documents; every command runs in-process.  The sweep CSV columns are
-declared once, in ``_SWEEP_COLUMNS``; the other CSV headers are the keys
-of the records their rows come from (``run`` writes ``key,value`` rows
-of its flattened document).  Angles are radians unless
+documents; every command runs in-process.  A sweep CSV row holds the four
+coordinates (eps_s, eps_a, phi, T), then the record columns declared once,
+in ``_SWEEP_COLUMNS``; the other CSV headers are the keys of the records
+their rows come from (``run`` writes ``key,value`` rows of its flattened
+document).  Angles are radians unless
 --phi-degrees is given.  ``threshold``, ``optimize`` and ``run`` run on
 the numpy-free ``closed_forms`` module alone; ``sweep`` and ``verify``
 import the matrix layer (and numpy) when they start and read one evaluator,
@@ -22,7 +23,6 @@ import argparse
 import json
 import math
 import sys
-from collections import namedtuple
 from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -33,13 +33,12 @@ from .closed_forms import (
 )
 
 if TYPE_CHECKING:  # annotations only: the matrix layer loads numpy
-    from . import sweep, verify
+    from . import verify
 
 SCHEMA_VERSION = 1
 
-# The sweep CSV, declared once: each column and the _SweepPoint attribute it writes.
+# The sweep CSV's record columns, declared once: each column and the CurvePoint path it reads.
 _SWEEP_COLUMNS = {
-    "eps_s": "eps_s", "eps_a": "eps_a", "phi": "phi", "T": "temperature",
     "P": "thermo.cooling_load", "W": "thermo.total_work", "Q": "thermo.heat_reset",
     "cop": "thermo.cop", "eta": "thermo.eta", "chi": "thermo.chi",
     "in_cooling_window": "thermo.in_cooling_window",
@@ -47,11 +46,7 @@ _SWEEP_COLUMNS = {
     "discord": "correlations.discord_analytic", "mutual_info": "correlations.mutual_info",
     "concurrence": "correlations.concurrence", "eof": "correlations.eof",
 }
-CSV_HEADER = ",".join(_SWEEP_COLUMNS)
-_BOUNDARY_COLUMNS = dict(list(_SWEEP_COLUMNS.items())[:3])  # eps_s, eps_a, phi
-# A CurvePoint or BoundaryPoint, by keyword, with its grid's eps_s and temperature.
-_SweepPoint = namedtuple("_SweepPoint", "eps_s temperature eps_a phi thermo correlations",
-                         defaults=(None, None))
+CSV_HEADER = ",".join(("eps_s", "eps_a", "phi", "T", *_SWEEP_COLUMNS))
 
 _DEFAULT_SWEEP_PHIS = (0.0, math.pi / 4, 2 * math.pi / 5)
 
@@ -82,11 +77,6 @@ def _csv(header: Iterable[str], rows: Iterable[Iterable]) -> str:
 def _records_csv(records: Sequence[dict]) -> str:
     """Rows of dicts with the same keys, which name the columns."""
     return _csv(records[0], [record.values() for record in records])
-
-
-def _table_csv(columns: dict[str, str], sources: Iterable) -> str:
-    """A column per ``columns`` key, read from each source at its dotted attribute path."""
-    return _csv(columns, map(attrgetter(*columns.values()), sources))
 
 
 def _flatten(prefix: str, value: Any) -> Iterator[tuple[str, Any]]:
@@ -197,14 +187,6 @@ def cmd_run(opts: dict) -> int:
     return 3 if failed else 0
 
 
-def _point_doc(point: sweep.CurvePoint) -> dict:
-    """The point's fields, its reports as their vars() (not copied), without absent correlations."""
-    doc = {"eps_a": point.eps_a, "phi": point.phi, "thermo": vars(point.thermo)}
-    if point.correlations is not None:
-        doc["correlations"] = vars(point.correlations)
-    return doc
-
-
 def cmd_sweep(opts: dict) -> int:
     from . import sweep
     import numpy as np
@@ -228,22 +210,22 @@ def cmd_sweep(opts: dict) -> int:
     output = opts["output"]
     if opts["format"] == "json":
         doc = _envelope("sweep", grid={**vars(grid), "eps_a_clamp": EPS_A_CLAMP},
-                        points=[_point_doc(p) for p in result.points])
+                        points=[{**vars(p), "thermo": vars(p.thermo), "correlations": vars(p.correlations)}
+                                for p in result.points])
         if landscape_mode:
             doc["cooling_window_boundary"] = [b._asdict() for b in result.cooling_window_boundary]
             doc["work_extraction_boundary"] = [b._asdict() for b in result.work_extraction_boundary]
         _emit(_json_doc(doc), output)
         return 0
-    eps_s, temperature = grid.eps_s, grid.temperature
-    _emit(_table_csv(_SWEEP_COLUMNS, [_SweepPoint(eps_s, temperature, **vars(p))
-                                      for p in result.points]), output)
+    eps_s, temperature, record = grid.eps_s, grid.temperature, attrgetter(*_SWEEP_COLUMNS.values())
+    _emit(_csv(CSV_HEADER.split(","), [(eps_s, p.eps_a, p.phi, temperature, *record(p))
+                                       for p in result.points]), output)
     if landscape_mode:
         if output:
             base = Path(output)
             for name, series in (("cooling", result.cooling_window_boundary),
                                  ("work", result.work_extraction_boundary)):
-                _emit(_table_csv(_BOUNDARY_COLUMNS, [_SweepPoint(eps_s, temperature, **b._asdict())
-                                                     for b in series]),
+                _emit(_csv(("eps_s", "eps_a", "phi"), [(eps_s, b.eps_a, b.phi) for b in series]),
                       base.with_name(f"{base.stem}_{name}_boundary.csv"))
         else:
             print("note: boundary series need --output in csv mode (or use --format json)",

@@ -93,8 +93,7 @@ def _concurrence(r: np.ndarray) -> np.ndarray:
     """Concurrence of a state or of each state in a stack ``(..., 4, 4)``.
 
     The ``lambda_i`` are the eigenvalues of ``sqrt(sqrt(r) r~ sqrt(r))``.
-    Raises if any state fails a check of either square root: Hermitian
-    input and the PSD clamp.
+    Raises if any state fails the PSD clamp of either square root.
     """
     sq = densmat._psd_sqrt(r)
     inner = sq @ _SPIN_FLIP @ r.conj() @ _SPIN_FLIP @ sq
@@ -144,9 +143,13 @@ def _bloch_components(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return c[..., 1:, 0], c[..., 0, 1:], c[..., 1:, 1:]
 
 
-def _check_side(measured_side: str) -> None:
+def _searched(rho, measured_side: str, caller: str) -> tuple[np.ndarray, tuple]:
+    """Check the side, then ``rho`` as ``caller``'s state; return the state and the
+    ``(polar, azimuth, gain)`` of its search on ``measured_side`` (see ``_optimal_measurements``)."""
     if measured_side not in ("S", "A"):
         raise ValueError(f"measured_side must be 'S' or 'A', got {measured_side!r}")
+    r = _two_qubit_state(rho, caller)
+    return r, _optimal_measurements(_bloch_components(r[None]), [measured_side])[0]
 
 
 def _axes(polar: np.ndarray, azimuth: np.ndarray) -> np.ndarray:
@@ -211,9 +214,7 @@ def optimal_measurement(rho, measured_side: str = "A") -> tuple[MeasurementBasis
     ``DiscordOptimizationError`` if the search has not settled after 100
     Newton steps.
     """
-    _check_side(measured_side)
-    r = _two_qubit_state(rho, "optimal_measurement")
-    [(polar, azimuth, gain)] = _optimal_measurements(_bloch_components(r[None]), [measured_side])
+    _, (polar, azimuth, gain) = _searched(rho, measured_side, "optimal_measurement")
     return MeasurementBasis(polar, azimuth), gain
 
 
@@ -365,9 +366,7 @@ def discord_numeric(rho, measured_side: str = "A") -> float:
     I(rho) minus the maximal one-sided classical correlation found by
     the (deterministic) basis search.
     """
-    _check_side(measured_side)
-    r = _two_qubit_state(rho, "discord_numeric")
-    [(_, _, gain)] = _optimal_measurements(_bloch_components(r[None]), [measured_side])
+    r, (_, _, gain) = _searched(rho, measured_side, "discord_numeric")
     return _discord(float(_mutual_information(r)), gain)
 
 
@@ -380,10 +379,8 @@ def _discord(mi: float, gain: float) -> float:
 
 def classical_correlations(rho, measured_side: str = "A") -> float:
     """Classical share of correlations: I(rho) - discord for the given side."""
-    _check_side(measured_side)
-    r = _two_qubit_state(rho, "classical_correlations")
+    r, (_, _, gain) = _searched(rho, measured_side, "classical_correlations")
     mi = float(_mutual_information(r))
-    [(_, _, gain)] = _optimal_measurements(_bloch_components(r[None]), [measured_side])
     return mi - _discord(mi, gain)
 
 

@@ -9,9 +9,9 @@ Conventions used throughout the package:
 
 ``validate_density_matrix`` (and ``as_matrix``) check a caller's matrix where
 it enters a public function of the package, and ``_psd_sqrt`` checks that its
-input is Hermitian and PSD within the clamp; every other function here is an
-unchecked kernel on 2x2 and 4x4 matrices or on stacks of them.  ``_xlogx``
-holds the entropy cutoff rule of the whole matrix route.
+input, Hermitian wherever it comes from, is PSD within the clamp; every other
+function here is an unchecked kernel on 2x2 and 4x4 matrices or on stacks of
+them.  ``_xlogx`` holds the entropy cutoff rule of the whole matrix route.
 """
 
 from __future__ import annotations
@@ -123,13 +123,11 @@ def _bloch(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _psd_sqrt(a: np.ndarray) -> np.ndarray:
-    """Hermitian PSD square root S with S @ S == a, of a matrix or a stack.
+    """Hermitian PSD square root S with S @ S == a, of a Hermitian matrix or a stack.
 
     Eigenvalues in [-PSD_CLAMP, 0) are clamped to zero; raises if any
-    matrix is not Hermitian or has an eigenvalue below -PSD_CLAMP.
+    matrix has an eigenvalue below -PSD_CLAMP.
     """
-    if not _all_hermitian(a):
-        raise ValueError("psd_sqrt expects a Hermitian matrix")
     w, v = np.linalg.eigh(a)
     low = w[..., 0]
     negative = low < -PSD_CLAMP

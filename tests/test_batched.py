@@ -271,19 +271,11 @@ def test_spectrum_entropy_of_a_stack_matches_the_masked_sum(rng):
         assert repr(float(value)) == repr(float(-(live * np.log(live)).sum()))
 
 
-_NON_HERMITIAN = np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex)
-_NON_HERMITIAN[0, 1] = 0.1
-_NON_PSD = np.diag([0.75, 0.5, -0.25, 0.0]).astype(complex)
-
-
-@pytest.mark.parametrize("message, bad", [
-    ("psd_sqrt expects a Hermitian matrix", _NON_HERMITIAN),
-    (r"psd_sqrt expects a PSD matrix \(min eigenvalue -2\.500e-01\)", _NON_PSD),
-], ids=["hermitian", "psd"])
 @pytest.mark.parametrize("position", [0, 4, 9])
-def test_stack_with_one_invalid_matrix_raises(message, bad, position):
+def test_stack_with_one_invalid_matrix_raises(position):
     stack = phi_stack(0.4, 0.8, np.linspace(0.0, HALF_PI, 10).tolist())
-    stack[position] = bad
+    stack[position] = np.diag([0.75, 0.5, -0.25, 0.0])
+    message = r"psd_sqrt expects a PSD matrix \(min eigenvalue -2\.500e-01\)"
     with pytest.raises(ValueError, match=message):
         densmat._psd_sqrt(stack)
     with pytest.raises(ValueError, match=message):

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import qfcool
-from qfcool import cli, closed_forms, protocol, sweep
+from qfcool import closed_forms, protocol, sweep
 from qfcool.cli import CSV_HEADER, main
 
 HALF_PI_STR = "1.5707963267948966"
@@ -170,18 +170,15 @@ def test_sweep_undefined_cop_is_empty_field(capsys):
     assert first_row[header.index("chi")] == ""
 
 
-def test_point_documents_equal_the_deep_copied_dataclasses():
-    grid = sweep.SweepGrid(0.0, (0.0, 0.7, math.pi / 2), (0.0, 0.5, 1.0 - sweep.EPS_A_CLAMP), 0.8)
-    points = sweep.landscape(grid, {"thermo", "correlations"}).points
-    points += tuple(sweep.landscape(grid).points)  # without correlations
-    for point in points:
-        expected = {"eps_a": point.eps_a, "phi": point.phi,
-                    "thermo": dataclasses.asdict(point.thermo)}
-        if point.correlations is not None:
-            expected["correlations"] = dataclasses.asdict(point.correlations)
-        assert cli._point_doc(point) == expected
-        assert json.dumps(cli._point_doc(point), sort_keys=True) == json.dumps(
-            expected, sort_keys=True)
+def test_sweep_json_points_equal_the_deep_copied_dataclasses(capsys):
+    code, out, _ = run_cli(capsys, "sweep", "--eps-s", "0", "--phi", "0", "--phi", "0.7",
+                           "--phi", HALF_PI_STR, "--n-eps-a", "3", "--temperature", "0.8")
+    assert code == 0
+    doc = json.loads(out)
+    grid = sweep.SweepGrid(0.0, (0.0, 0.7, math.pi / 2), tuple(doc["grid"]["eps_a_values"]), 0.8)
+    expected = [dataclasses.asdict(p) for p in sweep.landscape(grid, {"thermo", "correlations"}).points]
+    assert doc["points"] == expected
+    assert json.dumps(doc["points"], sort_keys=True) == json.dumps(expected, sort_keys=True)
 
 
 def test_landscape_json_includes_boundary_series(capsys):

@@ -104,14 +104,10 @@ def test_record_csv_headers_are_literal(capsys, args, header):
 
 def test_every_sweep_column_names_a_record_field():
     reports = {"thermo": closed_forms.ThermoReport, "correlations": correlations.CorrelationReport}
-    point_fields = {f.name for cls in (sweep.SweepGrid, sweep.CurvePoint)
-                    for f in dataclasses.fields(cls)}
     for column, path in cli._SWEEP_COLUMNS.items():
-        record, _, name = path.rpartition(".")
-        if record:
-            assert name in {f.name for f in dataclasses.fields(reports[record])}, column
-        else:
-            assert name in point_fields, column
+        record, _, name = path.partition(".")
+        assert record in reports, column
+        assert name in {f.name for f in dataclasses.fields(reports[record])}, column
 
 
 # ---------------------------------------------------------------------------
@@ -209,17 +205,6 @@ def test_landscape_json_bytes_equal_the_reference(capsys):
               for name in ("cooling_window_boundary", "work_extraction_boundary")}}
     assert ref["cooling_window_boundary"] and ref["work_extraction_boundary"]
     assert out == _reference_bytes("sweep", **ref)
-
-
-def test_thermo_only_point_documents_equal_the_reference():
-    grid = sweep.SweepGrid(0.4, (0.0, 0.9, HALF_PI), (0.4, 0.7, 1.0 - EPS_A_CLAMP), 0.6)
-    points = sweep.landscape(grid).points
-    assert all(p.correlations is None for p in points)
-    doc = cli._envelope("sweep", grid={**vars(grid), "eps_a_clamp": EPS_A_CLAMP},
-                        points=[cli._point_doc(p) for p in points])
-    text = cli._json_doc(doc)
-    assert text == _reference_bytes("sweep", grid=_grid_ref(grid), points=_points_ref(points))
-    assert '"correlations"' not in text and '"cop": null' in text
 
 
 def test_threshold_json_bytes_equal_the_reference(capsys):
