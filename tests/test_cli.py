@@ -181,6 +181,32 @@ def test_sweep_json_points_equal_the_deep_copied_dataclasses(capsys):
     assert json.dumps(doc["points"], sort_keys=True) == json.dumps(expected, sort_keys=True)
 
 
+def test_landscape_csv_rows_are_the_grid_coordinates_then_the_point_records(capsys):
+    args = ("sweep", "--eps-s", "0.4", "--landscape", "--n-phi", "4", "--n-eps-a", "3",
+            "--temperature", "0.6")
+    _, text, _ = run_cli(capsys, *args, "--format", "csv")
+    _, out, _ = run_cli(capsys, *args)
+    doc = json.loads(out)
+    fields = [("thermo", "cooling_load"), ("thermo", "total_work"), ("thermo", "heat_reset"),
+              ("thermo", "cop"), ("thermo", "eta"), ("thermo", "chi"),
+              ("thermo", "in_cooling_window"), ("thermo", "work_extracting_feedback"),
+              ("correlations", "discord_analytic"), ("correlations", "mutual_info"),
+              ("correlations", "concurrence"), ("correlations", "eof")]
+
+    def cell(value):
+        if value is None:
+            return ""
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        return format(value or 0.0, ".12g")
+
+    lines = text.splitlines()
+    assert lines[0] == CSV_HEADER and len(lines) == 1 + len(doc["points"]) == 1 + 4 * 3
+    for line, p in zip(lines[1:], doc["points"]):
+        values = [0.4, p["eps_a"], p["phi"], 0.6, *(p[record][name] for record, name in fields)]
+        assert line.split(",") == [cell(v) for v in values]
+
+
 def test_landscape_json_includes_boundary_series(capsys):
     code, out, _ = run_cli(capsys, "sweep", "--eps-s", "0.4", "--landscape",
                            "--n-phi", "6", "--n-eps-a", "5")

@@ -207,6 +207,16 @@ def test_one_sided_measures_reject_an_unknown_side(bell_state, function):
         function(bell_state, "B")
 
 
+@pytest.mark.parametrize("function", [discord_numeric, optimal_measurement, classical_correlations])
+def test_one_sided_measures_check_the_side_before_the_state(function):
+    non_hermitian = np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex)
+    non_hermitian[0, 1] = 0.1
+    with pytest.raises(ValueError, match="^measured_side must be 'S' or 'A', got 'B'$"):
+        function(non_hermitian, "B")
+    with pytest.raises(ValueError, match="^density matrix must be Hermitian$"):
+        function(non_hermitian, "A")
+
+
 def test_optimizer_iteration_cap_raises(monkeypatch, random_density):
     # a random state, whose search settles but takes more than one step; a protocol
     # state's search starts on its optimal axis (a principal axis) and settles in one
