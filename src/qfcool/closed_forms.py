@@ -87,7 +87,7 @@ def _real(name: str, value, domain: str) -> float:
     inside, bound = _DOMAINS[domain]
     if not inside(value := float(value)):
         raise ValueError(f"{name} must {bound}")
-    return value
+    return value + 0.0  # a negative zero enters as +0.0
 
 
 def _require_count(name: str, value: int, least: int, most: float = math.inf) -> None:

@@ -58,7 +58,7 @@ class SweepGrid:
                 raise ValueError(f"{name} must all be finite numbers")
             if not values:
                 raise ValueError(f"{name} must not be empty")
-            object.__setattr__(self, name, tuple(map(float, values)))
+            object.__setattr__(self, name, tuple(float(v) + 0.0 for v in values))
         eps_a, phi = self.eps_a_values, self.phi_values
         ProtocolParams(self.eps_s, eps_a[0], phi[0], self.temperature)
         ProtocolParams(self.eps_s, eps_a[-1], phi[-1], self.temperature)

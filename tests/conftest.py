@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,23 @@ def bell_state():
     """|Phi+><Phi+| = (|00> + |11>)(<00| + <11|)/2."""
     v = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
     return np.outer(v, v.conj())
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """``calls(owner, name)`` wraps ``owner.name`` under every binding of that object, in ``owner``
+    and in each loaded qfcool module, and returns the list of each call's positional arguments."""
+    def probe(owner, name):
+        real, recorded = getattr(owner, name), []
+
+        def wrapper(*args, **kwargs):
+            recorded.append(args)
+            return real(*args, **kwargs)
+        modules = [m for key, m in list(sys.modules.items()) if key.partition(".")[0] == "qfcool"]
+        for holder in [owner, *(m for m in modules if m is not owner and vars(m).get(name) is real)]:
+            monkeypatch.setattr(holder, name, wrapper)
+        return recorded
+    return probe
 
 
 @pytest.fixture

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qfcool import closed_forms, correlations, densmat, protocol, sweep, verify
+from qfcool import correlations, densmat, protocol, sweep, verify
 from qfcool.correlations import concurrence, correlation_report, mutual_information
 from qfcool.protocol import ProtocolParams, run_protocol
 from qfcool.sweep import SeparabilityBoundary, SweepGrid, characteristic_curve, landscape
@@ -111,38 +111,6 @@ def test_landscape_points_equal_single_point_calls_over_the_domain(eps_s, fracti
         params = ProtocolParams(eps_s, pt.eps_a, pt.phi, temperature)
         assert repr(pt.thermo) == repr(figures_of_merit(params))
         assert repr(pt.correlations) == repr(correlation_report(params, numeric_discord=False))
-
-
-def test_landscape_evaluates_each_axis_factor_once(monkeypatch):
-    calls = {"discord_analytic": 0, "_phi_crit": 0}
-    for module, name in ((correlations, "discord_analytic"), (closed_forms, "_phi_crit")):
-        real = getattr(module, name)
-
-        def counted(*args, _real=real, _name=name):
-            calls[_name] += 1
-            return _real(*args)
-        monkeypatch.setattr(module, name, counted)
-    grid = SweepGrid(0.4, tuple(np.linspace(0.0, HALF_PI, 25)), tuple(np.linspace(0.4, TOP, 101)))
-    result = landscape(grid, {"thermo", "correlations"})
-    assert len(result.points) == 25 * 101
-    assert result.work_extraction_boundary
-    # one closed-form discord per phi row, one threshold angle per eps_a column
-    assert calls == {"discord_analytic": 25, "_phi_crit": 101}
-
-
-def test_landscape_runs_each_decomposition_once_per_chunk(monkeypatch):
-    calls = {"eigh": 0, "eigvalsh": 0}
-    for name in calls:
-        real = getattr(np.linalg, name)
-
-        def counted(a, _real=real, _name=name):
-            calls[_name] += 1
-            return _real(a)
-        monkeypatch.setattr(np.linalg, name, counted)
-    landscape(edge_grid(0.4), {"thermo", "correlations"})
-    # 527 points in 3 chunks: 3 eigh (two square roots and the flip
-    # spectrum) and 3 eigvalsh (both marginals and the joint state) each
-    assert calls == {"eigh": 9, "eigvalsh": 9}
 
 
 # ---------------------------------------------------------------------------

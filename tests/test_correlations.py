@@ -375,7 +375,7 @@ def test_stacked_search_rows_equal_one_row_searches(search_rows, budget, monkeyp
         assert [v.hex() for v in row] == [v.hex() for v in one]
 
 
-def test_stacked_search_rows_equal_one_row_searches_when_every_row_backtracks(search_rows, monkeypatch):
+def test_stacked_search_rows_equal_one_row_searches_when_every_row_backtracks(search_rows, calls, monkeypatch):
     # every Newton turn 1e4 times too long: each row halves its step until the
     # entropy does not rise, so rows leave the backtracking loop at different halvings
     real, newton_calls = correlations._newton_steps, []
@@ -388,13 +388,13 @@ def test_stacked_search_rows_equal_one_row_searches_when_every_row_backtracks(se
     monkeypatch.setattr(correlations, "_newton_steps", overshooting)
     blochs, sides, _ = search_rows
     alone = _one_row_searches(blochs, sides)
-    calls, newton_calls[:] = _record_kernel_calls(monkeypatch), []
+    scans, newton_calls[:] = calls(correlations, "_conditional_entropy_scan"), []
     stacked = correlations._optimal_measurements(blochs, sides)
     assert len(stacked) == len(alone) == 256
     for row, one in zip(stacked, alone):
         assert [v.hex() for v in row] == [v.hex() for v in one]
     # far more one-axis rescoring calls than Newton steps: the rows backtracked
-    assert sum(k == 1 for _, k in calls) > 10 * len(newton_calls)
+    assert sum(axes.shape[-2] == 1 for *_, axes in scans) > 10 * len(newton_calls)
 
 
 def test_refined_axes_score_no_higher_than_a_dense_scan_or_their_seed(search_rows):
@@ -434,29 +434,17 @@ def test_the_closed_form_discord_axes_are_stationary():
     assert max(slope_a.max(), slope_s.max()) <= 1e-12
 
 
-def _record_kernel_calls(monkeypatch):
-    """(rows, axes per row) of every kernel call, recorded from now on."""
-    calls = []
-    real = correlations._conditional_entropy_scan
-
-    def recorded(local, other, m, axes):
-        calls.append((len(local), axes.shape[-2]))
-        return real(local, other, m, axes)
-
-    monkeypatch.setattr(correlations, "_conditional_entropy_scan", recorded)
-    return calls
-
-
-def test_kernel_calls_stay_within_the_memory_budget(monkeypatch):
-    calls = _record_kernel_calls(monkeypatch)
+def test_kernel_calls_stay_within_the_memory_budget(calls):
+    scans = calls(correlations, "_conditional_entropy_scan")
     states = np.array([rho_m_at(0.1 * k, 0.9, 0.3 * k) for k in range(1, 6)] * 2)
     correlations._optimal_measurements(correlations._bloch_components(states), ["A"] * 5 + ["S"] * 5)
+    shapes = [(len(local), axes.shape[-2]) for local, _, _, axes in scans]  # (rows, axes per row)
     seed_axes = 31 * 32 + 1  # the upper hemisphere of the 64 x 32 seed grid, one pole axis
-    assert calls[0][1] == seed_axes
+    assert shapes[0][1] == seed_axes
     assert correlations._seed().tobytes() == _seed_axes().tobytes()
     assert len(np.unique(_seed_axes(), axis=0)) == seed_axes
-    assert all(r * k <= 4096 for r, k in calls)
-    assert sum(r for r, k in calls if k == seed_axes) == 10  # every row scanned its seed once
+    assert all(r * k <= 4096 for r, k in shapes)
+    assert sum(r for r, k in shapes if k == seed_axes) == 10  # every row scanned its seed once
 
 
 # ---------------------------------------------------------------------------

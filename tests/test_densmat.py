@@ -238,13 +238,10 @@ def test_tensor_is_bit_identical_to_kron(rng):
         assert _tensor(a, b).tobytes() == np.kron(a, b).tobytes()
 
 
-def test_ergotropy_reuses_the_validation_spectrum(random_density, monkeypatch):
+def test_ergotropy_reuses_the_validation_spectrum(random_density, calls):
     # one eigvalsh validates the caller's state and gives its populations; the other is H's
     rho, h = random_density(4), np.diag([1.5, 0.5, -0.5, -1.5]).astype(complex)
     expected = thermo.ergotropy(rho, h)
-    calls = []
-    real = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or real(a))
+    spectra = calls(np.linalg, "eigvalsh")
     assert thermo.ergotropy(rho, h) == expected
-    assert len(calls) == 2
-    assert calls[0].tobytes() == rho.tobytes() and calls[1].tobytes() == h.tobytes()
+    assert [args[0].tobytes() for args in spectra] == [rho.tobytes(), h.tobytes()]

@@ -189,11 +189,8 @@ def test_sweep_grid_stores_floats():
         assert type(value) is float
 
 
-def test_scalar_searches_and_grids_validate_once(monkeypatch):
-    made = []
-    real = ProtocolParams.__post_init__
-    monkeypatch.setattr(ProtocolParams, "__post_init__",
-                        lambda self: made.append(None) or real(self))
+def test_scalar_searches_and_grids_validate_once(calls):
+    made = calls(ProtocolParams, "__post_init__")
     grid = SweepGrid(0.4, (0.0, 0.7, HALF_PI), (0.4, 0.6, TOP))
     assert len(made) == 2  # the grid's two corners
     landscape(grid, {"thermo", "correlations"})
@@ -538,17 +535,6 @@ def test_separability_boundary_matches_mpmath_at_the_edges(rng):
         assert abs(result.phi - phi) <= 1e-10, (eps_s, eps_a)
         statuses.add(status)
     assert statuses == {"interior", "never_entangled"}
-
-
-def test_separability_boundary_runs_no_eigendecomposition(monkeypatch):
-    calls = []
-    for name in ("eigh", "eigvalsh"):
-        real = getattr(np.linalg, name)
-        monkeypatch.setattr(np.linalg, name,
-                            lambda a, _real=real, _name=name: calls.append(_name) or _real(a))
-    for eps_s, eps_a in ((0.4, 0.8), (0.0, 0.5), (0.05, TOP)):
-        separability_boundary(eps_s, eps_a)
-    assert calls == []
 
 
 @given(eps_s=st.floats(0.0, 1.0, exclude_max=True), eps_a=st.floats(0.0, 1.0, exclude_max=True),

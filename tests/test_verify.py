@@ -3,7 +3,6 @@ import itertools
 import json
 import math
 import pathlib
-import sys
 
 import numpy as np
 import pytest
@@ -16,11 +15,8 @@ from make_suite_reprs import BENCH_STRATA, POINTS, STRATA, key, point_key
 HALF_PI = math.pi / 2
 
 
-def test_run_suite_evaluates_the_grid_as_one_stacked_trace(monkeypatch):
-    calls = []
-    real = protocol._run_protocols
-    monkeypatch.setattr(protocol, "_run_protocols",
-                        lambda *columns: calls.append(columns) or real(*columns))
+def test_run_suite_evaluates_the_grid_as_one_stacked_trace(calls, monkeypatch):
+    traces = calls(protocol, "_run_protocols")
     monkeypatch.setattr(protocol, "run_protocol", None)
     checks = verify.run_suite(grid_n=3, discord_stride=2)
     # the standard grid's points in the grid's (eps_s, phi, eps_a) order
@@ -28,76 +24,8 @@ def test_run_suite_evaluates_the_grid_as_one_stacked_trace(monkeypatch):
     order = [(es, ea, phi) for es in np.linspace(0.0, verify.EPS_S_MAX, 3).tolist() for phi in phis
              for ea in np.linspace(es, verify.EPS_A_MAX, 3).tolist()]
     assert sorted(order) == sorted((p.eps_s, p.eps_a, p.phi) for p in verify.standard_grid(3))
-    assert calls == [tuple(zip(*order))]
+    assert traces == [tuple(zip(*order))]
     assert all(c.passed for c in checks)
-
-
-def _count_eig_calls(monkeypatch, call):
-    counts = {"eigvalsh": 0, "eigh": 0}
-    for name in counts:
-        real = getattr(np.linalg, name)
-
-        def counted(*args, _name=name, _real=real, **kwargs):
-            counts[_name] += 1
-            return _real(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
-    call()
-    monkeypatch.undo()
-    return counts
-
-
-def test_run_suite_eigensolver_calls_do_not_grow_with_the_grid(monkeypatch):
-    small = _count_eig_calls(monkeypatch, lambda: verify.run_suite(4, 3))
-    large = _count_eig_calls(monkeypatch, lambda: verify.run_suite(7, 3))
-    assert small == large
-    # the budget itself, so that a spectrum taken a second time shows
-    assert _count_eig_calls(monkeypatch, lambda: verify.run_suite(12, 3)) == {"eigvalsh": 8, "eigh": 4}
-
-
-def _count_calls(monkeypatch, module, name):
-    """A list that grows by one at each call of ``module.name``, under every name a qfcool
-    module binds it to."""
-    calls, real = [], getattr(module, name)
-    for mod in [m for key, m in list(sys.modules.items()) if key.partition(".")[0] == "qfcool"]:
-        if getattr(mod, name, None) is real:
-            monkeypatch.setattr(mod, name, lambda *args: calls.append(None) or real(*args))
-    return calls
-
-
-@pytest.mark.parametrize("n", [7, 12])
-def test_run_suite_does_no_per_point_python_work(monkeypatch, n):
-    # the classes read the grid's (series, phi, eps_a) box as arrays: no record is built, not even
-    # on the discord subgrid, the level splittings are taken per column, and of the thermal
-    # entropies only the mutual information's S(eps_s eps_a cos phi) is taken per point
-    records = _count_calls(monkeypatch, closed_forms, "_record")
-    splittings = _count_calls(monkeypatch, closed_forms, "level_splitting")
-    entropies = _count_calls(monkeypatch, closed_forms, "thermal_entropy")
-    checks = verify.run_suite(n, 3)
-    assert all(c.passed for c in checks)
-    assert records == []
-    assert 0 < len(splittings) <= 2 * n * n  # n series of n eps_a columns
-    assert n ** 3 < len(entropies) <= n ** 3 + 5 * n * n
-
-
-def test_point_checks_eigensolver_budget(monkeypatch):
-    # run --verify: one spectrum per trace field, all ten of which the trace block reads,
-    # shared with the oracles' entropy reduction and the mutual information
-    counts = _count_eig_calls(monkeypatch, lambda: verify.point_checks(ProtocolParams(0.4, 0.8, 1.0)))
-    assert counts == {"eigvalsh": 10, "eigh": 4}
-
-
-def test_the_suite_evaluates_the_closed_forms_a_fixed_number_of_times(monkeypatch):
-    # one evaluation on the grid's box, and run_suite's one more at the phi_crit roots
-    counts = []
-    for call in (lambda: verify.run_suite(4, 3), lambda: verify.run_suite(7, 3),
-                 lambda: verify.point_checks(ProtocolParams(0.4, 0.8, 1.0))):
-        calls, real = [], closed_forms._energies
-        monkeypatch.setattr(closed_forms, "_energies", lambda c, r: calls.append(None) or real(c, r))
-        call()
-        monkeypatch.undo()
-        counts.append(len(calls))
-    assert counts == [2, 2, 1]
 
 
 def _reference_deviations(points):
@@ -213,28 +141,14 @@ def test_run_suite_passes_at_any_temperature(temperature):
     assert checks == verify.run_suite(6, 3, 1.0)
 
 
-def test_run_suite_scores_the_discord_subgrid_in_few_kernel_calls(monkeypatch):
-    # 64 subgrid states x 2 sides: 32 seed calls of 4 rows and a few Newton
-    # steps of one call each (one zoom search per row made 2944 calls)
-    calls = []
-    real = correlations._conditional_entropy_scan
-    monkeypatch.setattr(correlations, "_conditional_entropy_scan",
-                        lambda *args: calls.append(None) or real(*args))
-    checks = verify.run_suite(12, 3)
-    assert all(c.passed for c in checks)
-    assert 0 < len(calls) <= 150
-
-
-def test_phi_crit_root_evaluates_one_root_per_phi_series(monkeypatch):
+def test_phi_crit_root_evaluates_one_root_per_phi_series(calls):
     # the root angle depends on (eps_s, eps_a, T) alone: one per series, not per point.
     # The suite evaluates the closed form twice, whatever the grid's size: once on the
     # whole box, then once at every root, each a column whose row is its phi_crit.
-    grid_n, calls = 7, []
-    real = closed_forms._energies
-    monkeypatch.setattr(closed_forms, "_energies", lambda c, r: calls.append((c, r)) or real(c, r))
+    grid_n, energies = 7, calls(closed_forms, "_energies")
     checks = {c.name: c for c in verify.run_suite(grid_n, 3)}
-    assert len(calls) == 2
-    (box_c, box_r), (c, r) = calls
+    assert len(energies) == 2
+    (box_c, box_r), (c, r) = energies
     assert np.broadcast(box_c.eps_a, box_r.phi).shape == (grid_n,) * 3
     roots = list(zip(c.eps_s.ravel().tolist(), c.eps_a.ravel().tolist(), c.phi_crit.ravel().tolist(),
                      np.broadcast_to(r.phi, c.phi_crit.shape).ravel().tolist()))
@@ -347,17 +261,16 @@ _PHIS_5 = np.linspace(0.0, HALF_PI, 5).tolist()
     ([(0.0, np.linspace(0.0, verify.EPS_A_MAX, 5).tolist())], _PHIS_5, 0.8),
     ([(es, [es]) for es in np.linspace(0.0, verify.EPS_S_MAX, 5).tolist()], _PHIS_5, 0.8),
 ], ids=["T=1e-300", "T=0.8", "T=1e300", "eps_s=0", "eps_s=eps_a"])
-def test_ergotropy_bound_pairs_rho_m_with_the_ascending_levels_of_H(monkeypatch, axes):
+def test_ergotropy_bound_pairs_rho_m_with_the_ascending_levels_of_H(calls, axes):
     # the passive state pairs rho_m's descending eigenvalues with H's ascending levels, which
     # the grid writes from its half splittings as those of |11>, |01>, |10>, |00> (ascending
     # where eps_s <= eps_a), not by eigvalsh; H is at T = 1 whatever the grid's temperature, so
     # the grid's ergotropy meets the public one within ENERGY_ULPS at every T, its energy
     # tr(H rho_m) being read from the qubit marginals
-    g = sweep._Grid(*axes)
-    calls, real = [], thermo._ergotropy
-    monkeypatch.setattr(thermo, "_ergotropy", lambda *args: calls.append(args) or real(*args))
+    g, real = sweep._Grid(*axes), thermo._ergotropy
+    ergotropies = calls(thermo, "_ergotropy")
     verify._ergotropy_bound(g)
-    [(energy, levels, spectrum)] = calls
+    [(energy, levels, spectrum)] = ergotropies
     models = [thermo.energy_model(ProtocolParams(*p)) for p in zip(*g.coordinates)]
     # np.sort keeps tied levels in place; the one tie of unequal bits, the four zeros at
     # eps_s = eps_a = 0, one of them -0.0, is taken in IEEE total order, -0.0 first
