@@ -106,11 +106,13 @@ class _Grid:
 
     Points run in (series, phi, eps_a) order, as a landscape emits them, and readers select them by axis index
     on the box ``shape``.  Construction builds the closed forms: a column per eps_a of each series and a row per
-    phi, stacked as (S, 1, E) and (1, P, 1) arrays, each report field of every point at T = 1 (``thermo``) and
-    each field as emitted, on the box in field order (``emitted``), from one ``closed_forms._report_fields``
-    call on those, which ``figures_of_merit`` makes on floats, one closed-form discord per (eps_s, phi) and the
-    points' (eps_s, eps_a, phi) ``coordinates``, each per-point value once, flat (``emitted`` aside), in grid
-    order.  Each matrix stack, all at T = 1 as ``thermo``, and each array read from them is built on first read.
+    phi, stacked as (S, 1, E) and (1, P, 1) arrays, every report field on the box in field order at T = 1 and as
+    emitted (``emitted``), from one ``closed_forms._report_fields`` call on those, which ``figures_of_merit``
+    makes on floats, one closed-form discord per (eps_s, phi) and the points' (eps_s, eps_a, phi)
+    ``coordinates`` in grid order.  A value that lives on an axis (a coordinate; a column's entropy reduction,
+    cooling load and ``phi_crit``; an (eps_s, phi) discord) is one Python object, which the records of every
+    point on that axis share (``values``).  The flat T = 1 fields (``thermo``, which only ``verify`` reads),
+    each matrix stack (all at T = 1) and each array read from them are built on first read.
     """
 
     def __init__(self, series: Sequence[tuple[float, Sequence[float]]], phi_values: Sequence[float],
@@ -122,21 +124,31 @@ class _Grid:
         self.column_box = c = _box(closed_forms._Column, self.columns, (n_series, 1, n_eps_a))
         self.row_box = r = _box(closed_forms._Row, self.rows, (1, n_phi, 1))
         with np.errstate(all="ignore"):  # the guards raise what figures_of_merit raises
-            fields, self.emitted = closed_forms._report_fields(c, r, temperature, np.where, np.any)
-        self.thermo = dict(zip(ThermoReport.__match_args__, map(self.flat, fields)))  # NaN for None
-        self.discord_analytic = self.flat(np.array(
-            [[[correlations.discord_analytic(eps_s, row.phi)] for row in self.rows] for eps_s, _ in series]))
-        self.coordinates = tuple(tuple(self.flat(x).tolist()) for x in (c.eps_s, c.eps_a, r.phi))
+            self._unit_fields, self.emitted = closed_forms._report_fields(c, r, temperature, np.where, np.any)
+        self._discord_box = np.array(
+            [[[correlations.discord_analytic(eps_s, row.phi)] for row in self.rows] for eps_s, _ in series])
+        self.discord_analytic = self.flat(self._discord_box)
+        self.coordinates = tuple(tuple(self.values(x)) for x in (c.eps_s, c.eps_a, r.phi))
         self._spectra = {}  # by trace field name
 
     def flat(self, value) -> np.ndarray:
         """A value on the box, or broadcast to it, as one value per point in grid order."""
         return np.broadcast_to(value, self.shape).ravel()
 
+    def values(self, value: np.ndarray) -> list:
+        """``flat(value)`` as Python objects; a value on a smaller box than the grid's holds one object per
+        axis value, which every point that it broadcasts to shares."""
+        return self.flat(value if value.shape == self.shape else value.astype(object)).tolist()
+
+    @cached_property
+    def thermo(self) -> dict[str, np.ndarray]:
+        """Each report field of every point at T = 1 by ``ThermoReport`` field name, NaN for None."""
+        return dict(zip(ThermoReport.__match_args__, map(self.flat, self._unit_fields)))
+
     @cached_property
     def reports(self) -> list[ThermoReport]:
         """Each point's ``figures_of_merit`` record, zipped from ``emitted``."""
-        fields = (self.flat(v).tolist() for v in self.emitted)
+        fields = (self.values(v) for v in self.emitted)
         return [closed_forms._record(ThermoReport, *values) for values in zip(*fields)]
 
     @cached_property
@@ -144,9 +156,9 @@ class _Grid:
         """Each point's report without the basis search, from ``rho_m`` stacks of at most
         ``CHUNK_POINTS`` points: a landscape's, which never builds the whole trace."""
         chunks = (slice(lo, lo + CHUNK_POINTS) for lo in range(0, self.discord_analytic.size, CHUNK_POINTS))
+        discords = self.values(self._discord_box)
         return [report for part in chunks for report in correlations._reports(
-            protocol._post_measurement_states(*(x[part] for x in self.coordinates)),
-            self.discord_analytic[part].tolist())]
+            protocol._post_measurement_states(*(x[part] for x in self.coordinates)), discords[part])]
 
     @cached_property
     def trace(self) -> protocol.ProtocolTrace:

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from qfcool import cli, correlations, thermo, verify
+from qfcool import cli, thermo, verify
 from qfcool.correlations import discord_analytic, discord_numeric
 from qfcool.densmat import _expectation
 from qfcool.protocol import ProtocolParams, _thermal_qubits, run_protocol

@@ -705,9 +705,11 @@ def test_closed_form_paths_do_not_load_numpy(statement, args, code):
     "run --eps-s {z} --eps-a 0.5 --phi {z}", "run --eps-s {z} --eps-a 0.5 --phi {z} --format csv",
     "run --eps-s {z} --eps-a 0.5 --phi {z} --verify", "sweep --eps-s {z} --phi {z} --n-eps-a 3 --format json",
     "sweep --landscape --eps-s {z} --n-phi 2 --n-eps-a 3 --format json",
-], ids=["run", "run-csv", "run-verify", "sweep", "landscape"])
+    "optimize --objective chi --eps-s {z} --phi {z}", "optimize --objective chi --eps-s {z} --phi {z} --format csv",
+], ids=["run", "run-csv", "run-verify", "sweep", "landscape", "optimize", "optimize-csv"])
 def test_a_negative_zero_input_prints_as_zero(capsys, command):
-    # closed_forms._real and SweepGrid read -0.0 as +0.0, as every computed zero is written
+    # closed_forms._real and SweepGrid read -0.0 as +0.0, as every computed zero is written,
+    # and optimize echoes its inputs as validated
     negative, zero = (run_cli(capsys, *command.format(z=z).split()) for z in ("-0.0", "0"))
     assert negative == zero
 

@@ -412,6 +412,25 @@ def test_landscape_columns_are_iso_discord():
         assert max(loads) - min(loads) > 0.1  # the load does vary meanwhile
 
 
+def test_landscape_records_share_each_axis_value(calls):
+    # a value that lives on an axis is one object, held by every record on that axis, and the
+    # grid's T = 1 flat fields, which only verify reads, are never built for a landscape
+    grids = calls(sweep._Grid, "__init__")
+    points = landscape(SweepGrid(0.4, (0.3, 0.9, 1.4), (0.45, 0.6, 0.75, 0.9)), {"thermo", "correlations"}).points
+    rows = [points[i:i + 4] for i in range(0, 12, 4)]
+    for column in zip(*rows):
+        first = column[0]
+        assert all(pt.eps_a is first.eps_a for pt in column)
+        for name in ("cooling_load", "entropy_reduction", "phi_crit"):
+            assert all(getattr(pt.thermo, name) is getattr(first.thermo, name) for pt in column)
+    for row in rows:
+        first = row[0]
+        assert all(pt.phi is first.phi for pt in row)
+        assert all(pt.correlations.discord_analytic is first.correlations.discord_analytic for pt in row)
+    [(g, *_)] = grids
+    assert "thermo" not in vars(g)
+
+
 def test_landscape_rejects_unknown_selector():
     with pytest.raises(ValueError):
         landscape(landscape_grid(), quantities={"thermo", "plots"})
