@@ -226,6 +226,112 @@ def test_stacked_kernels_on_random_states(random_density):
         assert repr(float(mi[k])) == repr(mutual_information(rho))
 
 
+# ---------------------------------------------------------------------------
+# the separability certificate leaves the Wootters route's bits
+# ---------------------------------------------------------------------------
+# _concurrence writes +0.0 for the states whose partial-transpose determinant
+# clears the margin and sends the rest to _wootters as one stack; it must
+# equal _wootters on the whole stack bit for bit, on any BLAS kernel.
+
+def partial_transpose(a):
+    """Each matrix of a stack ``(..., 4, 4)`` transposed on the ancilla."""
+    return a.reshape(a.shape[:-2] + (2, 2, 2, 2)).swapaxes(-3, -1).reshape(a.shape)
+
+
+_SINGLET = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
+# Not a state: its eigenvalues are -0.125 and 0.375 three times.  Its partial transpose, the
+# Werner state at p = 1/2, has determinant 1.22e-3, so the separability certificate clears it,
+# and only the Cholesky guard sends it to the square root that raises.
+WERNER_HALF_TRANSPOSED = partial_transpose(0.5 * np.outer(_SINGLET, _SINGLET) + 0.125 * np.eye(4))
+
+
+def cleared(stack):
+    return np.linalg.det(partial_transpose(stack)).real > correlations._SEPARABLE_DET
+
+
+def _local_unitaries(rng, n):
+    """n seeded products U_S x U_A of 2x2 unitaries (QR with the phase fix)."""
+    g = rng.normal(size=(2, n, 2, 2)) + 1j * rng.normal(size=(2, n, 2, 2))
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    u = q * (d / np.abs(d))[..., None, :]
+    return densmat._tensor(u[0], u[1])
+
+
+def ginibre_states():
+    """Seeded Ginibre states of ranks 1 to 4, each mixed with p I/4 for p in {0, 0.3, 0.6, 0.8}."""
+    rng, stacks = np.random.default_rng(6101), []
+    for rank in (1, 2, 3, 4):
+        g = rng.normal(size=(800, 4, rank)) + 1j * rng.normal(size=(800, 4, rank))
+        rho = g @ densmat._dagger(g)
+        rho /= np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
+        stacks += [(1.0 - p) * part + 0.25 * p * np.eye(4) for p, part in zip((0.0, 0.3, 0.6, 0.8),
+                                                                            np.split(rho, 4))]
+    return np.concatenate(stacks)
+
+
+def bell_mixtures():
+    """p |Phi+><Phi+| + (1 - p) sigma, sigma a seeded mixture of four product states, at p within a
+    factor 1 -+ 10^-k (k from 1 to 9) of the PPT boundary p*, under seeded local unitaries."""
+    rng, n = np.random.default_rng(6102), 2000
+    kets = rng.normal(size=(2, n, 4, 2)) + 1j * rng.normal(size=(2, n, 4, 2))
+    kets /= np.linalg.norm(kets, axis=-1, keepdims=True)
+    products = np.einsum("kni,knj->knij", kets[0], kets[1]).reshape(n, 4, 4)
+    sigma = np.einsum("nk,nki,nkj->nij", rng.dirichlet(np.ones(4), n), products, products.conj())
+    bell = np.zeros((4, 4))
+    bell[::3, ::3] = 0.5
+
+    def mix(p):
+        return p[:, None, None] * bell + (1.0 - p)[:, None, None] * sigma
+    low, high = np.zeros(n), np.ones(n)  # the least partial-transpose eigenvalue is concave in p
+    for _ in range(60):
+        mid = 0.5 * (low + high)
+        inside = np.linalg.eigvalsh(partial_transpose(mix(mid)))[:, 0] >= 0.0
+        low, high = np.where(inside, mid, low), np.where(inside, high, mid)
+    p = low * (1.0 + rng.choice([-1.0, 1.0], n) * 10.0 ** -rng.uniform(1.0, 9.0, n))
+    u = _local_unitaries(rng, n)
+    return u @ mix(p) @ densmat._dagger(u)
+
+
+def landscape_states(eps_s):
+    """The rho_m stack of the 25 x 101 landscape at eps_s, with eps_a from eps_s to the clamp."""
+    phi, eps_a = np.meshgrid(np.linspace(0.0, HALF_PI, 25), np.linspace(eps_s, TOP, 101), indexing="ij")
+    return protocol._post_measurement_states([eps_s] * phi.size, eps_a.ravel().tolist(), phi.ravel().tolist())
+
+
+@pytest.mark.parametrize("states", [ginibre_states, bell_mixtures, lambda: landscape_states(0.05),
+                                    lambda: landscape_states(0.4)],
+                         ids=["ginibre", "bell_mixtures", "landscape-0.05", "landscape-0.4"])
+def test_certified_concurrence_is_the_wootters_route_bit_for_bit(states):
+    stack = states()
+    assert 0 < cleared(stack).sum() < len(stack)
+    assert correlations._concurrence(stack).tobytes() == correlations._wootters(stack).tobytes()
+
+
+def noisy_product(noise):
+    """A product pure state mixed with ``noise`` of white noise."""
+    ket = np.kron([0.6, 0.8j], [1.0, 1.0]) / math.sqrt(2.0)
+    return (1.0 - noise) * np.outer(ket, ket.conj()) + 0.25 * noise * np.eye(4)
+
+
+@pytest.mark.parametrize("rho", [
+    # the eps_a clamp at eps_s = 0.36, phi = 0: separable, det(PT) = 1.2e-20, Wootters 5.6e-17
+    protocol._post_measurement_states((0.36,), (TOP,), (0.0,))[0],
+    # det(PT) = 1.5e-44, Wootters 1.5e-9
+    noisy_product(1e-14),
+], ids=["clamp", "noisy-product"])
+def test_a_positive_determinant_inside_the_margin_keeps_the_wootters_value(rho):
+    # a margin of 0 would clear these states, which the Wootters route reads positive
+    assert 0.0 < np.linalg.det(partial_transpose(rho)).real <= correlations._SEPARABLE_DET
+    value = correlations._wootters(rho)
+    assert value > 0.0
+    assert correlations._concurrence(rho).tobytes() == value.tobytes()
+
+
+def test_the_certificate_clears_the_guard_case():
+    assert cleared(WERNER_HALF_TRANSPOSED)
+
+
 def test_spectrum_entropy_of_a_stack_matches_the_masked_sum(rng):
     spectra = []
     for kept in (1, 2, 3, 4, 4, 4):
@@ -239,11 +345,14 @@ def test_spectrum_entropy_of_a_stack_matches_the_masked_sum(rng):
         assert repr(float(value)) == repr(float(-(live * np.log(live)).sum()))
 
 
-@pytest.mark.parametrize("position", [0, 4, 9])
-def test_stack_with_one_invalid_matrix_raises(position):
+@pytest.mark.parametrize("position, bad, least", [
+    *(pytest.param(k, np.diag([0.75, 0.5, -0.25, 0.0]), r"-2\.500e-01", id=str(k)) for k in (0, 4, 9)),
+    *(pytest.param(k, WERNER_HALF_TRANSPOSED, r"-1\.250e-01", id=f"{k}-werner-transposed") for k in (0, 4, 9)),
+])
+def test_stack_with_one_invalid_matrix_raises(position, bad, least):
     stack = phi_stack(0.4, 0.8, np.linspace(0.0, HALF_PI, 10).tolist())
-    stack[position] = np.diag([0.75, 0.5, -0.25, 0.0])
-    message = r"psd_sqrt expects a PSD matrix \(min eigenvalue -2\.500e-01\)"
+    stack[position] = bad
+    message = rf"psd_sqrt expects a PSD matrix \(min eigenvalue {least}\)"
     with pytest.raises(ValueError, match=message):
         densmat._psd_sqrt(stack)
     with pytest.raises(ValueError, match=message):

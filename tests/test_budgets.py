@@ -1,10 +1,12 @@
 """Call budgets as one table: a call, the ``(owner, name)`` pairs the ``calls`` fixture probes,
-each with an exact count or an inclusive ``(least, most)`` range, and the reason. A call asserts its result."""
+each with an exact count or an inclusive ``(least, most)`` range, and the reason. A call asserts its result.
+A ``Rows`` range bounds the rows of the stacks a probe is given, not its calls."""
 
 import contextlib
 import io
 import json
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -31,9 +33,15 @@ def _per_point(n):  # n series of n eps_a columns
             (closed_forms, "thermal_entropy"): (n ** 3 + 1, n ** 3 + 5 * n * n)}
 
 
-def _landscape(n_phi, n_eps_a, temperature=1.0):
-    phis, eps_a = tuple(np.linspace(0.0, HALF_PI, n_phi)), tuple(np.linspace(0.4, TOP, n_eps_a))
-    result = landscape(SweepGrid(0.4, phis, eps_a, temperature), {"thermo", "correlations"})
+class Rows(NamedTuple):
+    """An inclusive range on the rows of the ``(n, 4, 4)`` stacks, the first arguments, of a probe's calls."""
+    least: int
+    most: int
+
+
+def _landscape(n_phi, n_eps_a, temperature=1.0, eps_s=0.4):
+    phis, eps_a = tuple(np.linspace(0.0, HALF_PI, n_phi)), tuple(np.linspace(eps_s, TOP, n_eps_a))
+    result = landscape(SweepGrid(eps_s, phis, eps_a, temperature), {"thermo", "correlations"})
     assert len(result.points) == n_phi * n_eps_a and result.work_extraction_boundary
 
 
@@ -67,6 +75,10 @@ BUDGETS = [
     pytest.param(lambda: _landscape(17, 31, 0.8), _eig(9, 9),
                  "527 points in 3 chunks: 3 eigh (two square roots and the flip spectrum) and "
                  "3 eigvalsh (both marginals and the joint state) each", id="landscape-527"),
+    pytest.param(lambda: _landscape(25, 101, eps_s=0.05), {(correlations, "_wootters"): Rows(174, 200)},
+                 "the partial-transpose determinant clears the separable states: of 2,525 only the 173 "
+                 "entangled ones and 3 separable ones inside its margin reach the square roots",
+                 id="landscape-certified"),
     pytest.param(lambda: [separability_boundary(*p) for p in ((0.4, 0.8), (0.0, 0.5), (0.05, TOP))],
                  _eig(0, 0), "the separability boundary is a closed form", id="separability_boundary"),
     pytest.param(_run_verify, {(protocol, "_measured"): 1},
@@ -81,7 +93,8 @@ def test_call_budget(calls, call, budget, reason):
     call()
     for (owner, name), want in budget.items():
         least, most = want if isinstance(want, tuple) else (want, want)
-        count = len(recorded[owner, name])
+        made = recorded[owner, name]
+        count = sum(len(args[0]) for args in made) if isinstance(want, Rows) else len(made)
         assert least <= count <= most, (name, count, reason)
 
 
