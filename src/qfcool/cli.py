@@ -241,9 +241,8 @@ def cmd_threshold(opts: dict) -> int:
 
 
 def cmd_optimize(opts: dict) -> int:
-    # echoed as validated: a negative-zero input as +0.0, as closed_forms._real reads it
-    head = {"objective": opts["objective"], "eps_s": opts["eps_s"] + 0.0,
-            "phi": _radians(opts, opts["phi"]) + 0.0}
+    head = {"objective": opts["objective"], "eps_s": _real("eps_s", opts["eps_s"], "bias"),
+            "phi": _real("phi", _radians(opts, opts["phi"]), "angle")}
     temperature = opts["temperature"]
     point = vars(optimize_working_point(**head, temperature=temperature))
     if opts["format"] == "json":

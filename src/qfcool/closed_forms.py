@@ -132,10 +132,10 @@ class ThermoReport:
     """Complete energy/entropy bookkeeping of one parameter point.
 
     Each energy (``cooling_load`` = T P among them) and ``chi`` is T times its
-    value at T = 1, one correctly rounded product; every other field is its T = 1
-    value.  ``cop``, ``eta`` and ``chi`` are None when ``reversible_limit`` is set
-    (W / T at most REVERSIBLE_WORK_FLOOR), never infinities.  There a product may
-    round to a signed zero: at (0, 2.02e-105, 0) and T = 1e-115 ``cooling_load`` is 0.0.
+    value at T = 1, one correctly rounded product, plus 0.0, so no zero is signed, not
+    even one that underflows (at (0, 2.02e-105, 0) and T = 1e-115 ``cooling_load`` is
+    0.0); every other field is its T = 1 value.  ``cop``, ``eta`` and ``chi`` are None
+    when ``reversible_limit`` is set (W / T at most REVERSIBLE_WORK_FLOOR), never infinities.
     ``phi_crit_defined`` is False for eps_s = 0, where the feedback never
     strictly extracts work and the threshold angle degenerates to 0.
     """
@@ -216,20 +216,20 @@ def _phi_crit(eps_s: float, eps_a: float, atanh_s: float, atanh_a: float) -> flo
 
 
 def _energies(c, r) -> tuple:
-    """W_m, W_f, Q, dE_S and W (which rises with eps_a) at T = 1 at (column, row), of floats or of arrays
-    that broadcast (columns (S, 1, E), rows (1, P, 1)): only + - * / run on them, so the bits are the same."""
+    """W_m, W_f, Q, dE_S and W (rising with eps_a) at T = 1 at (column, row), of floats or of arrays that
+    broadcast (columns (S, 1, E), rows (1, P, 1)): only + - * / run, so the bits, zero signs too, match."""
     q = (c.eps_a - c.eps_s * r.sin) * c.atanh_a
-    de_s = 0.0 - (c.eps_s - c.eps_a * r.sin) * c.atanh_s  # 0.0 - x is -x but for a zero, which stays +0.0
-    w_m = 0.0 - (c.eps_s * r.sin2 * c.atanh_s + c.ea_atanh_a)
+    de_s = -(c.eps_s - c.eps_a * r.sin) * c.atanh_s
+    w_m = -(c.eps_s * r.sin2 * c.atanh_s + c.ea_atanh_a)
     return w_m, c.y * r.sin - c.a * r.cos2, q, de_s, -de_s + q
 
 
 def _scaled(t, fields, c, defined, reduce) -> tuple:
     """``fields`` at T = 1 (W_m, W_f, Q, dE_S, W, the cooling load P and chi, NaN off ``defined``,
-    the reversible limit) times ``t``, of floats or arrays, by * == != & | alone.  Raises if ``reduce``
-    of a guard holds: a product or the ancilla's level splitting 2 T atanh(eps_a), the larger,
-    overflows (x * 0.0 is then NaN), or a defined W or Q or a nonzero P rounds to 0."""
-    w_m, w_f, q, de_s, w, load, chi = scaled = tuple(t * x for x in fields)
+    the reversible limit) as ``t * x + 0.0``, a zero as +0.0, of floats or arrays, by * + == != & | alone.
+    Raises if ``reduce`` of a guard holds: a product or the ancilla's level splitting 2 T atanh(eps_a),
+    the larger, overflows (x * 0.0 is then NaN), or a defined W or Q or a nonzero P rounds to 0."""
+    w_m, w_f, q, de_s, w, load, chi = scaled = tuple(t * x + 0.0 for x in fields)
     overflow = defined & (chi * 0.0 != 0.0)
     for x in (2.0 * (t * c.atanh_a), *scaled[:6]):
         overflow = overflow | (x * 0.0 != 0.0)

@@ -269,22 +269,22 @@ def _optimal_measurements(blochs, sides: Sequence[str]) -> list:
     local, other = np.where(on_a, b, a), np.where(on_a, a, b)
     m = np.where(on_a[..., None], t.transpose(0, 2, 1), t)
 
-    def scan(rows, per_call, axes_of):
-        # the values of each row's candidate axes, at most per_call rows per kernel call
-        return np.concatenate([
-            _conditional_entropy_scan(local[rows[part]], other[rows[part]], m[rows[part]], axes_of(part))
-            for part in (slice(lo, lo + per_call) for lo in range(0, len(rows), per_call))])
+    def scan(rows, axes):
+        # values on the shared (k, 3) axes or on each row's own, _SCAN_BUDGET // k rows (at least 1) a call
+        per_call = max(1, _SCAN_BUDGET // axes.shape[-2])
+        parts = (slice(lo, lo + per_call) for lo in range(0, len(rows), per_call))
+        return np.concatenate([_conditional_entropy_scan(local[rows[p]], other[rows[p]], m[rows[p]],
+                                                         axes if axes.ndim == 2 else axes[p]) for p in parts])
 
     seed, active = _seed(), np.arange(len(local))
-    # a budget below one seed (993 axes) still scores one row per call
-    values = scan(active, max(1, _SCAN_BUDGET // len(seed)), lambda _: seed)
+    values = scan(active, seed)
     pick = values.argmin(axis=1)
     axes, conditional = seed[pick], values[active, pick]
     # the principal axes (row, axis, component): the eigenvectors of x x^T + M M^T
     columns = m.transpose(2, 0, 1)
     gram = local[:, :, None] * local[:, None] + _dot(columns[..., None], columns[:, :, None])
     principal = np.linalg.eigh(gram)[1].transpose(0, 2, 1)
-    values = scan(active, _SCAN_BUDGET // 3, lambda part: principal[part])
+    values = scan(active, principal)
     pick = values.argmin(axis=1)
     lower = values[active, pick] < conditional  # the grid wins ties
     axes[lower], conditional[lower] = principal[lower, pick[lower]], values[lower, pick[lower]]
@@ -299,7 +299,7 @@ def _optimal_measurements(blochs, sides: Sequence[str]) -> list:
             rows, angle = active[trying], turn[trying]
             n = np.cos(angle) * axes[:, rows] + np.sin(angle) * unit[:, trying]
             n /= np.sqrt(_dot(n, n))
-            value = scan(rows, _SCAN_BUDGET, lambda part: n.T[part, None])[:, 0]
+            value = scan(rows, n.T[:, None])[:, 0]
             taken = value <= conditional[rows]
             axes[:, rows[taken]], conditional[rows[taken]] = n[:, taken], value[taken]
             leaving[trying[taken]] = angle[taken] < _MOVE_TOL

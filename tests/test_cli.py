@@ -732,13 +732,13 @@ def test_package_names_resolve_lazily_to_their_defining_objects():
     proc = python_subprocess("-c", textwrap.dedent("""
         import json, sys
         import qfcool
-        numpy_before = "numpy" in sys.modules
-        listed = set(dir(qfcool))
+        listed = set(dir(qfcool))  # which imports no qfcool submodule and no numpy
+        loaded = sorted(m for m in sys.modules if m.startswith("qfcool.") or m.partition(".")[0] == "numpy")
         module = qfcool.sweep.__name__
         names = {}
         exec("from qfcool import *", names)
         print(json.dumps({
-            "numpy_before": numpy_before,
+            "loaded": loaded,
             "module": module,
             "unbound": [n for n in qfcool.__all__ if n not in names],
             "not_defining_object": [n for n in qfcool.__all__ if n in names and getattr(
@@ -747,9 +747,9 @@ def test_package_names_resolve_lazily_to_their_defining_objects():
             "all": len(qfcool.__all__),
         }))"""))
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {"numpy_before": False, "module": "qfcool.sweep",
-                                       "unbound": [],
+    assert json.loads(proc.stdout) == {"loaded": [], "module": "qfcool.sweep", "unbound": [],
                                        "not_defining_object": [], "not_in_dir": [], "all": 30}
+    assert set(qfcool.__all__) <= set(dir(qfcool))  # __dir__'s body, in this process too
     assert qfcool.landscape is sweep.landscape
     with pytest.raises(AttributeError, match="has no attribute 'melt'"):
         qfcool.melt

@@ -3,7 +3,8 @@
 Inputs are drawn with a log-uniform temperature in [1e-300, 1e300] and
 with the domain edges: ``eps_s = 0``, ``eps_s = eps_a``, ``eps_a`` at the
 sweep's clamp ``1 - 1e-9``, and ``phi`` at 0 and pi/2.  Every document a
-command writes holds only finite numbers, and bad input exits 2 with a
+command writes holds only finite numbers, none of them a negative zero (a
+zero is written as 0 in CSV and 0.0 in JSON), and bad input exits 2 with a
 one-line error that names the bad parameter.
 """
 
@@ -71,8 +72,13 @@ def emit(args, fmt):
     return code, stderr.getvalue(), docs
 
 
+def _emittable(value: float) -> bool:
+    """A number a document may hold: finite, and a zero only as +0.0."""
+    return math.isfinite(value) and (value != 0.0 or math.copysign(1.0, value) > 0.0)
+
+
 def _finite(value: float) -> float:
-    assert math.isfinite(value), value
+    assert _emittable(value), value
     return value
 
 
@@ -90,7 +96,7 @@ def assert_finite(name: str, text: str) -> None:
                 value = float(field)
             except ValueError:
                 continue
-            assert math.isfinite(value), (name, row)
+            assert _emittable(value), (name, row)
 
 
 def assert_error_line(err: str, name: str) -> None:
@@ -105,6 +111,9 @@ def assert_error_line(err: str, name: str) -> None:
 # optimize's bracket closes on a reversible limit here (it once emitted -Infinity)
 @example(point=(0.034965, 0.5, HALF_PI, 1e300), objective="cop", fmt="json")
 @example(point=(0.034965, CLAMP, HALF_PI, 1e-300), objective="eta", fmt="csv")
+# a negative energy times T underflows to a zero: W_m here, W_f and dE_S at T = 5e-324
+@example(point=(0.0, 1e-12, 1.0, 1e-300), objective="cop", fmt="json")
+@example(point=(0.4, CLAMP, 0.0, 5e-324), objective="cop", fmt="json")
 def test_emitted_documents_hold_only_finite_numbers(point, objective, fmt):
     eps_s, eps_a, phi, t = point
     for command, args in commands(eps_s, eps_a, phi, objective).items():

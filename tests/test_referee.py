@@ -7,18 +7,22 @@ angle, the separability angle and the mutual information on a fixed edge
 list and on seeded draws.  The
 referee's Wootters concurrence and EoF against pure states and against the
 X-state form on protocol states.  The closed forms ``run`` prints (its trace
-block, concurrence and EoF) against the referee's matrices.
+block, concurrence and EoF) against the referee's matrices.  The library's
+own forms run on mpmath numbers, through its global ``math``, against its
+float record and trace block.
 """
 
 import math
 import random
+import types
 
 import mpmath
 import pytest
 
+from qfcool import closed_forms
 from qfcool.closed_forms import (
-    ProtocolParams, _correlations, _trace_summary, figures_of_merit, mutual_information_analytic,
-    separability_boundary, thermal_entropy,
+    ProtocolParams, ThermoReport, _correlations, _trace_summary, figures_of_merit,
+    mutual_information_analytic, separability_boundary, thermal_entropy,
 )
 from qfcool.protocol import run_protocol
 
@@ -262,3 +266,41 @@ def test_run_concurrence_and_eof_match_the_referee():
             report, state = _correlations(ProtocolParams(*point)), referee.measured_state(*point)
             assert abs(report.concurrence - referee.concurrence(state)) <= 1e-13, point
             assert abs(report.eof - referee.entanglement_of_formation(state)) <= 1e-13, point
+
+
+# What closed_forms reads from its global math, on mpmath numbers; math.hypot takes three
+# arguments, mpmath.hypot two
+MP_MATH = types.SimpleNamespace(
+    atanh=mpmath.atanh, log=mpmath.log, log1p=mpmath.log1p, sin=mpmath.sin, cos=mpmath.cos,
+    asin=mpmath.asin, sqrt=mpmath.sqrt, hypot=lambda *xs: mpmath.norm(xs), nan=mpmath.nan,
+    pi=mpmath.pi, isfinite=mpmath.isfinite)
+
+
+def test_the_library_forms_run_on_mpmath_numbers(monkeypatch):
+    # every elementary function of closed_forms goes through its global math, so swapping that
+    # global evaluates the library's own forms at 300 bits: every number comes back an mpf (a float
+    # would be one that leaked past the namespace) and the record is the referee's to 1e-40 (a
+    # leaked float added to an mpf stays an mpf), and the float record and trace block lie within
+    # 1e-15 relative of it
+    point = (0.4, 0.8, 1.0)
+    report, trace = figures_of_merit(ProtocolParams(*point)), dict(_leaves(_trace_summary(*point)))
+    monkeypatch.setattr(closed_forms, "math", MP_MATH)
+    with mpmath.workprec(300):
+        es, ea, phi = map(mpmath.mpf, point)
+        [column], row = closed_forms._columns(es, [ea]), closed_forms._row(phi)
+        unit, emitted = closed_forms._report_fields(column, row, mpmath.mpf(1))
+        exact_trace = dict(_leaves(closed_forms._trace_summary(es, ea, phi)))
+    numbers = [x for x in (*column, *row, *unit, *emitted) if not isinstance(x, bool)]
+    assert numbers and all(isinstance(x, mpmath.mpf) for x in numbers)
+    # and so is every number of the trace block but its Bloch vectors' literal 0.0 components
+    assert all(isinstance(x, mpmath.mpf) or (".bloch." in key and x == 0.0)
+               for key, x in exact_trace.items())
+    exact = {**dict(zip(ThermoReport.__match_args__, emitted)), **exact_trace}
+    with mpmath.workdps(referee.DPS):
+        for name, value in referee.cycle(*point).items():
+            assert abs(exact[name] - value) <= 1e-40 * abs(value), name
+    for name, value in {**vars(report), **trace}.items():
+        if isinstance(value, float):
+            assert abs(value - exact[name]) <= 1e-15 * abs(exact[name]), (name, value, exact[name])
+        else:
+            assert value == exact[name], name

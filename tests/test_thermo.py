@@ -227,15 +227,20 @@ def test_figures_of_merit_reversible_point():
     assert abs(report.total_work) <= 1e-15
 
 
-@pytest.mark.parametrize("temperature", [1e-300, 1.0, 2.3, 1e300])
+# Points with a negative energy whose product with T underflows, by temperature: W_m at (0, 1e-12, 1)
+# and T = 1e-300; W_f and dE_S at (0.4, 1 - 1e-9, 0) and T = 5e-324, which refuses the edges' energies
+_UNDERFLOWING = {1e-300: [(0.0, 1e-12, 1.0)], 5e-324: [(0.4, 1.0 - 1e-9, 0.0)]}
+
+
+@pytest.mark.parametrize("temperature", [5e-324, 1e-300, 1.0, 2.3, 1e300])
 def test_no_energy_is_a_negative_zero_on_the_zero_energy_edges(temperature):
     # eps_s = 0 (the register holds no energy) and the reversible corner eps_a = eps_s,
-    # phi = pi/2 (no energy moves); JSON would print a -0.0 as such
+    # phi = pi/2 (no energy moves), then the underflowing products; JSON would print a -0.0 as such
     points = [(0.0, eps_a, phi) for eps_a in (0.0, 0.5, 1.0 - 1e-9) for phi in (0.0, 0.7, HALF_PI)]
     points += [(eps, eps, HALF_PI) for eps in (0.0, 0.1, 0.4, 0.9)]
     energies = ("work_measurement", "work_feedback", "heat_reset", "delta_e_system",
                 "cooling_load", "total_work")
-    for point in points:
+    for point in (points if temperature > 5e-324 else []) + _UNDERFLOWING.get(temperature, []):
         report = figures_of_merit(ProtocolParams(*point, temperature=temperature))
         for name in energies:
             value = getattr(report, name)
@@ -327,8 +332,9 @@ def test_reversible_flag_scales_with_temperature():
 
 def _times(t, unit):
     """The record at temperature ``t``, as the repr of each field, from the record at T = 1: each
-    energy and chi ``t *`` its T = 1 value, one product, and every other field as it is."""
-    return {name: repr(t * v if name in _T_FIELDS and v is not None else v)
+    energy and chi ``t * v + 0.0`` of its T = 1 value ``v``, one product whose zero is +0.0, and
+    every other field as it is."""
+    return {name: repr(t * v + 0.0 if name in _T_FIELDS and v is not None else v)
             for name, v in vars(unit).items()}
 
 
@@ -337,6 +343,8 @@ def _times(t, unit):
 @example(eps_s=0.4, fraction=1.0, phi=1.0, log10_t=-15.0)
 @example(eps_s=0.5, fraction=0.0, phi=HALF_PI, log10_t=300.0)
 @example(eps_s=0.0, fraction=0.5, phi=0.3, log10_t=-300.0)
+# (0, 1e-12, 1.0) at T = 1e-300, where W_m = -1e-12 * 1e-300 underflows to a zero
+@example(eps_s=0.0, fraction=1e-12 / 0.95, phi=1.0, log10_t=-300.0)
 # (0.4, 0.8, 1.0) at T = 2.3, where cop once moved by an ulp, and at a subnormal T
 @example(eps_s=0.4, fraction=0.4 / 0.55, phi=1.0, log10_t=math.log10(2.3))
 @example(eps_s=0.4, fraction=0.4 / 0.55, phi=1.0, log10_t=-314.0)
