@@ -36,6 +36,7 @@ import math
 import numbers
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Optional
 
 # Eigenvalues at or below this threshold count as exactly zero in entropies.
@@ -157,14 +158,21 @@ class ThermoReport:
     reversible_limit: bool
 
 
-def _record(cls, *values):
-    """A ``cls`` instance holding ``values`` (every field, in field order), built
-    without the frozen ``__init__``, which sets each field by ``object.__setattr__``.
-    It skips ``__post_init__`` too, so it is only for the records that validate
-    nothing: ``ThermoReport``, ``CorrelationReport`` and ``CurvePoint``."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(zip(cls.__match_args__, values))
-    return obj
+@cache
+def _record(cls):
+    """The constructor ``make(*values)`` of ``cls`` records (every field, in field order), generated once per
+    class as ``dataclasses`` generates ``__init__``: straight-line stores into the new instance's own
+    ``__dict__``, in field order, so every record shares the class's keys, where the frozen ``__init__`` sets
+    each field by ``object.__setattr__``.  It skips ``__post_init__`` too, so it is only for the records that
+    validate nothing: ``ThermoReport``, ``CorrelationReport`` and ``CurvePoint``.  One record built by the
+    frozen ``__init__`` first lays out those keys, which a dict store does not grow on Python 3.10."""
+    names = cls.__match_args__
+    cls(*(None,) * len(names))
+    params = ", ".join(f"_{i}" for i in range(len(names)))
+    stores = "".join(f"\n    d[{name!r}] = _{i}" for i, name in enumerate(names))
+    namespace = {"new": object.__new__, "cls": cls}
+    exec(f"def make({params}):\n    o = new(cls)\n    d = o.__dict__{stores}\n    return o", namespace)
+    return namespace["make"]
 
 
 def level_splitting(eps: float, temperature: float) -> float:
@@ -257,7 +265,7 @@ def _report_fields(c, r, t, where=lambda condition, a, b: a if condition else b,
 
 def _report(c: _Column, r: _Row, t: float) -> ThermoReport:
     """``figures_of_merit`` at (column, row) and temperature ``t``: cop, eta, chi None where reversible."""
-    return _record(ThermoReport, *_report_fields(c, r, t)[1])
+    return _record(ThermoReport)(*_report_fields(c, r, t)[1])
 
 
 def figures_of_merit(params: ProtocolParams) -> ThermoReport:
@@ -365,7 +373,7 @@ def _correlations(params: ProtocolParams) -> CorrelationReport:
     (the basis search, which finds the same value, checks them under ``run --verify``)."""
     c = _concurrence(params.eps_s, params.eps_a, params.phi)
     mi, d = mutual_information_analytic(params), discord_analytic(params.eps_s, params.phi)
-    return _record(CorrelationReport, c, eof_from_concurrence(c), mi, d, d, d, mi - d)
+    return _record(CorrelationReport)(c, eof_from_concurrence(c), mi, d, d, d, mi - d)
 
 
 def _trace_summary(es: float, ea: float, phi: float) -> dict:

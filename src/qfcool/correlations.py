@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -418,17 +418,22 @@ def classical_correlations(rho, measured_side: str = "A") -> float:
 def correlation_report(params: ProtocolParams, *, numeric_discord: bool = True) -> CorrelationReport:
     """Evaluate all correlation measures on the post-measurement state."""
     rho_m = protocol._post_measurement_states((params.eps_s,), (params.eps_a,), (params.phi,))
-    return _reports(rho_m, [discord_analytic(params.eps_s, params.phi)], numeric_discord)[0]
+    return _reports([rho_m], [discord_analytic(params.eps_s, params.phi)], numeric_discord)[0]
 
 
-def _reports(rho_m: np.ndarray, discords: Sequence[float], numeric: bool = False) -> list[CorrelationReport]:
-    """One ``CorrelationReport`` per state of an ``(n, 4, 4)`` post-measurement stack, given its closed-form
-    discord; with ``numeric``, both one-sided discords from ``_discords``.  No report reads the others."""
-    conc, mi = _concurrence(rho_m).tolist(), _mutual_information(rho_m).tolist()
-    d_a, d_s = _discords(rho_m, mi) if numeric else ([None] * len(discords),) * 2
-    return [_record(CorrelationReport, c, eof_from_concurrence(c), m, a, s, d,
-                    None if a is None else m - a)
-            for c, m, a, s, d in zip(conc, mi, d_a, d_s, discords)]
+def _reports(stacks: Iterable[np.ndarray], discords: Sequence[float],
+             numeric: bool = False) -> list[CorrelationReport]:
+    """One ``CorrelationReport`` per state of the ``(n, 4, 4)`` post-measurement stacks, in order, given its
+    closed-form discord; with ``numeric``, both one-sided discords from ``_discords``.  No report reads the
+    others.  A zero concurrence's EoF is stored as +0.0, which ``eof_from_concurrence(0.0)`` returns."""
+    make, reports = _record(CorrelationReport), []
+    for rho_m in stacks:
+        conc, mi = _concurrence(rho_m).tolist(), _mutual_information(rho_m).tolist()
+        d_a, d_s = _discords(rho_m, mi) if numeric else ([None] * len(mi),) * 2
+        eof = [eof_from_concurrence(c) if c else 0.0 for c in conc]
+        classical = [m - a for m, a in zip(mi, d_a)] if numeric else d_a
+        reports += map(make, conc, eof, mi, d_a, d_s, discords[len(reports):len(reports) + len(mi)], classical)
+    return reports
 
 
 def _discords(rho_m: np.ndarray, mutual_info: Sequence[float]) -> tuple[list[float], list[float]]:

@@ -22,6 +22,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -147,18 +148,16 @@ class _Grid:
 
     @cached_property
     def reports(self) -> list[ThermoReport]:
-        """Each point's ``figures_of_merit`` record, zipped from ``emitted``."""
-        fields = (self.values(v) for v in self.emitted)
-        return [closed_forms._record(ThermoReport, *values) for values in zip(*fields)]
+        """Each point's ``figures_of_merit`` record, built from the columns of ``emitted``."""
+        return list(map(closed_forms._record(ThermoReport), *(self.values(v) for v in self.emitted)))
 
     @cached_property
     def correlations(self) -> list[CorrelationReport]:
         """Each point's report without the basis search, from ``rho_m`` stacks of at most
         ``CHUNK_POINTS`` points: a landscape's, which never builds the whole trace."""
         chunks = (slice(lo, lo + CHUNK_POINTS) for lo in range(0, self.discord_analytic.size, CHUNK_POINTS))
-        discords = self.values(self._discord_box)
-        return [report for part in chunks for report in correlations._reports(
-            protocol._post_measurement_states(*(x[part] for x in self.coordinates)), discords[part])]
+        return correlations._reports((protocol._post_measurement_states(*(x[part] for x in self.coordinates))
+                                      for part in chunks), self.values(self._discord_box))
 
     @cached_property
     def trace(self) -> protocol.ProtocolTrace:
@@ -206,9 +205,8 @@ class _Grid:
 
 def _curve_points(g: _Grid, include_correlations: bool) -> list[CurvePoint]:
     """Every point of ``g`` in grid order, its correlations only if asked for."""
-    corr = g.correlations if include_correlations else [None] * len(g.reports)
-    return [closed_forms._record(CurvePoint, eps_a, phi, report, k)
-            for eps_a, phi, report, k in zip(*g.coordinates[1:], g.reports, corr)]
+    corr = g.correlations if include_correlations else repeat(None)
+    return list(map(closed_forms._record(CurvePoint), *g.coordinates[1:], g.reports, corr))
 
 
 def characteristic_curve(eps_s: float, phi: float, n_points: int,

@@ -34,7 +34,7 @@ def stacked_reports(points):
     states, as a landscape chunk and verify's discord subgrid build them."""
     rho_m = protocol._post_measurement_states([p.eps_s for p in points], [p.eps_a for p in points],
                                               [p.phi for p in points])
-    return correlations._reports(rho_m, [correlations.discord_analytic(p.eps_s, p.phi) for p in points])
+    return correlations._reports([rho_m], [correlations.discord_analytic(p.eps_s, p.phi) for p in points])
 
 
 def phi_stack(eps_s, eps_a, phis):
@@ -306,6 +306,17 @@ def test_certified_concurrence_is_the_wootters_route_bit_for_bit(states):
     stack = states()
     assert 0 < cleared(stack).sum() < len(stack)
     assert correlations._concurrence(stack).tobytes() == correlations._wootters(stack).tobytes()
+
+
+@pytest.mark.parametrize("eps_s", [0.05, 0.4])
+def test_landscape_eof_is_the_eof_of_its_concurrence_bit_for_bit(eps_s):
+    # a landscape maps only the positive concurrences and stores +0.0 for the others
+    grid = SweepGrid(eps_s, tuple(np.linspace(0.0, HALF_PI, 25)), tuple(np.linspace(eps_s, TOP, 101)))
+    points = [p.correlations for p in landscape(grid, {"thermo", "correlations"}).points]
+    assert 0 < sum(k.concurrence == 0.0 for k in points) < len(points) == 2525
+    assert ([k.eof.hex() for k in points]
+            == [correlations.eof_from_concurrence(k.concurrence).hex() for k in points])
+    assert all(math.copysign(1.0, k.eof) == 1.0 for k in points)
 
 
 def noisy_product(noise):

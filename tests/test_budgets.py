@@ -69,15 +69,18 @@ BUDGETS = [
                  {**_eig(10, 4), (closed_forms, "_energies"): 1},
                  "run --verify: one spectrum per trace field, shared with the oracles' entropy reduction "
                  "and the mutual information; the closed forms once", id="point_checks"),
-    pytest.param(lambda: _landscape(25, 101), {(closed_forms, "discord_analytic"): 25, (closed_forms, "_phi_crit"): 101},
-                 "one closed-form discord per phi row, one threshold angle per eps_a column",
-                 id="landscape-25x101"),
+    pytest.param(lambda: _landscape(25, 101), {(closed_forms, "discord_analytic"): 25, (closed_forms, "_phi_crit"): 101,
+                                               (closed_forms, "_record"): 3},
+                 "one closed-form discord per phi row, one threshold angle per eps_a column; one record "
+                 "constructor per record class, not one per point", id="landscape-25x101"),
     pytest.param(lambda: _landscape(17, 31, 0.8), _eig(9, 9),
                  "527 points in 3 chunks: 3 eigh (two square roots and the flip spectrum) and "
                  "3 eigvalsh (both marginals and the joint state) each", id="landscape-527"),
-    pytest.param(lambda: _landscape(25, 101, eps_s=0.05), {(correlations, "_wootters"): Rows(174, 200)},
+    pytest.param(lambda: _landscape(25, 101, eps_s=0.05), {(correlations, "_wootters"): Rows(174, 200),
+                                                           (closed_forms, "eof_from_concurrence"): 174},
                  "the partial-transpose determinant clears the separable states: of 2,525 only the 173 "
-                 "entangled ones and 3 separable ones inside its margin reach the square roots",
+                 "entangled ones and 3 separable ones inside its margin reach the square roots; only the 174 "
+                 "points of positive concurrence reach the EoF map, the others read +0.0",
                  id="landscape-certified"),
     pytest.param(lambda: [separability_boundary(*p) for p in ((0.4, 0.8), (0.0, 0.5), (0.05, TOP))],
                  _eig(0, 0), "the separability boundary is a closed form", id="separability_boundary"),

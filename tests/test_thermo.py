@@ -458,7 +458,7 @@ def test_a_temperature_whose_double_overflows_is_accepted_where_every_energy_fit
 def per_quantity_report(es, ea, phi, t):
     """Every figure of merit from its own closed-form expression at T = 1, each
     recomputing its transcendentals (as figures_of_merit did before the
-    closed forms were factored by grid axis), then each energy and chi times t."""
+    closed forms were factored by grid axis), then each energy and chi times t, plus 0.0."""
     # 0.0 - x rather than -x: a zero energy is +0.0
     w_m = 0.0 - (es * math.sin(phi) ** 2 * math.atanh(es) + ea * math.atanh(ea))
     y = ea * math.atanh(es) + es * math.atanh(ea)
@@ -475,10 +475,11 @@ def per_quantity_report(es, ea, phi, t):
         pc = math.asin(2.0 * es / (y1 + math.hypot(y1, 2.0 * es)))
     reversible = w <= REVERSIBLE_WORK_FLOOR
     cop = None if reversible else reduction / w
-    return ThermoReport(
-        work_measurement=t * w_m, work_feedback=t * w_f, heat_reset=t * q, delta_e_system=t * de_s,
-        entropy_reduction=reduction, cooling_load=t * reduction, total_work=t * w, cop=cop,
-        eta=None if reversible else reduction / q, chi=None if reversible else t * (cop * reduction),
+    return ThermoReport(  # each T-scaled product + 0.0, so an underflowing one is +0.0
+        work_measurement=t * w_m + 0.0, work_feedback=t * w_f + 0.0, heat_reset=t * q + 0.0,
+        delta_e_system=t * de_s + 0.0, entropy_reduction=reduction, cooling_load=t * reduction + 0.0,
+        total_work=t * w + 0.0, cop=cop, eta=None if reversible else reduction / q,
+        chi=None if reversible else t * (cop * reduction) + 0.0,
         in_cooling_window=ea * math.sin(phi) > es,
         work_extracting_feedback=(phi > pc) if es > 0.0 else False,
         phi_crit=pc, phi_crit_defined=es > 0.0, reversible_limit=reversible)
@@ -489,6 +490,7 @@ def per_quantity_report(es, ea, phi, t):
        phi=st.one_of(st.sampled_from([0.0, HALF_PI]), st.floats(0.0, HALF_PI)),
        log10_t=st.floats(-300.0, 300.0))
 @example(eps_s=0.3, fraction=1.0, phi=1.2, log10_t=0.3)
+@example(eps_s=0.0, fraction=1.401298464324817e-45, phi=0.0, log10_t=-234.0)  # t * W_m underflows
 def test_closed_forms_equal_the_per_quantity_expressions_bit_for_bit(eps_s, fraction, phi,
                                                                      log10_t):
     eps_a = eps_s + fraction * (1.0 - 1e-9 - eps_s)  # up to the sweep's clamp
