@@ -164,8 +164,9 @@ def _record(cls):
     class as ``dataclasses`` generates ``__init__``: straight-line stores into the new instance's own
     ``__dict__``, in field order, so every record shares the class's keys, where the frozen ``__init__`` sets
     each field by ``object.__setattr__``.  It skips ``__post_init__`` too, so it is only for the records that
-    validate nothing: ``ThermoReport``, ``CorrelationReport`` and ``CurvePoint``.  One record built by the
-    frozen ``__init__`` first lays out those keys, which a dict store does not grow on Python 3.10."""
+    validate nothing: ``ThermoReport``, ``CorrelationReport``, ``CurvePoint`` and ``verify``'s ``Check``.  One
+    record built by the frozen ``__init__`` first lays out those keys, which a dict store does not grow on
+    Python 3.10."""
     names = cls.__match_args__
     cls(*(None,) * len(names))
     params = ", ".join(f"_{i}" for i in range(len(names)))

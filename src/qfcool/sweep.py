@@ -94,11 +94,18 @@ class Landscape:
 
 
 _Discords = namedtuple("_Discords", "a s analytic concurrence")
+# The trace fields that are diagonal by construction: the initial state and its marginals.
+_DIAGONAL = frozenset({"rho0", "rho0_s", "rho0_a"})
 
 
 def _box(cls, table: list, shape: tuple) -> tuple:
     """A table of ``cls`` records (columns or rows) as one ``cls`` of arrays shaped ``shape``."""
     return cls(*np.moveaxis(np.array(table, dtype=float), -1, 0).reshape(-1, *shape))
+
+
+def _mapped(function, values: np.ndarray) -> np.ndarray:
+    """``function`` of each of ``values`` as a Python float, one call each, as a float array of their shape."""
+    return np.array(list(map(function, values.ravel().tolist())), dtype=float).reshape(values.shape)
 
 
 class _Grid:
@@ -165,9 +172,14 @@ class _Grid:
         return protocol._run_protocols(*self.coordinates)
 
     def spectrum(self, name: str) -> np.ndarray:
-        """Ascending eigenvalues of each matrix of the trace field ``name``, taken once."""
+        """Ascending eigenvalues of each matrix of the trace field ``name``, taken once.  The initial
+        states are diagonal, so theirs is the sorted real diagonal: what ``eigvalsh`` returns for an
+        exactly diagonal matrix, whose Householder reflectors are identities, whose tridiagonal form
+        splits into 1x1 blocks and whose largest entry, at least 1/4, needs no scaling."""
         if name not in self._spectra:
-            self._spectra[name] = np.linalg.eigvalsh(getattr(self.trace, name))
+            stack = getattr(self.trace, name)
+            self._spectra[name] = (np.sort(np.diagonal(stack, axis1=-2, axis2=-1).real, axis=-1)
+                                   if name in _DIAGONAL else np.linalg.eigvalsh(stack))
         return self._spectra[name]
 
     def entropy(self, name: str) -> np.ndarray:
@@ -178,8 +190,8 @@ class _Grid:
     def half_splittings(self) -> np.ndarray:
         """(omega_s/2, omega_a/2) at T = 1 of each point, shape (n, 2): ``level_splitting`` of each
         bias of each column, broadcast over phi."""
-        c, split = self.column_box, np.vectorize(closed_forms.level_splitting, otypes=[float])
-        half = 0.5 * split(np.stack([c.eps_s, c.eps_a], axis=-1), 1.0)
+        c, split = self.column_box, lambda eps: closed_forms.level_splitting(eps, 1.0)
+        half = 0.5 * _mapped(split, np.stack([c.eps_s, c.eps_a], axis=-1))
         return np.broadcast_to(half, (*self.shape, 2)).reshape(-1, 2)
 
     @cached_property

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import closed_forms, densmat, thermo
 from .closed_forms import MAX_GRID_POINTS, ProtocolParams, _require_count, thermal_entropy
-from .sweep import _Grid, _box
+from .sweep import _Grid, _box, _mapped
 
 TOL_CLOSED_FORM = 1e-10
 TOL_ENTROPY_FORM = 1e-12
@@ -49,13 +49,17 @@ class Check:
         return self.max_deviation <= self.tolerance
 
 
+_new_check = closed_forms._record(Check)
+
+
 def _standard_axes(n: int, temperature: float) -> tuple[list, list[float], float]:
     """``standard_grid``'s axes, (eps_s, its eps_a axis) series, phi and T, with T
     validated at any n by the upper corner each axis runs to."""
     _require_count("n", n, 0)
     _require_count("grid points", int(n) ** 3, 0, MAX_GRID_POINTS)  # before any axis is built
     temperature = ProtocolParams(EPS_S_MAX, EPS_A_MAX, math.pi / 2, temperature).temperature
-    series = [(es, np.linspace(es, EPS_A_MAX, n).tolist()) for es in np.linspace(0.0, EPS_S_MAX, n).tolist()]
+    eps_s = np.linspace(0.0, EPS_S_MAX, n)  # then every series' eps_a axis from its eps_s, in one call
+    series = list(zip(eps_s.tolist(), np.linspace(eps_s, EPS_A_MAX, n, axis=-1).tolist()))
     return series, np.linspace(0.0, math.pi / 2, n).tolist(), temperature
 
 
@@ -67,7 +71,7 @@ def standard_grid(n: int = 12, temperature: float = 1.0) -> list[ProtocolParams]
 
 def _by_column(g: _Grid, value: Callable[[float], float]) -> np.ndarray:
     """``value`` of each point's eps_a, taken once per column of the box."""
-    return g.flat(np.vectorize(value, otypes=[float])(g.column_box.eps_a))
+    return g.flat(_mapped(value, g.column_box.eps_a))
 
 
 def _pointwise(closed, matrix: np.ndarray) -> np.ndarray:
@@ -160,7 +164,7 @@ ORACLE_CLASSES = {
     "mutual_information": (TOL_CLOSED_FORM, lambda g: _pointwise(
         g.flat(closed_forms._mutual_information(
             g.column_box.eps_s[:, :, :1], g.column_box.eps_a, g.row_box.cos,
-            np.vectorize(thermal_entropy, otypes=[float]))),
+            lambda x: _mapped(thermal_entropy, x))),
         g.mutual_info)),
     "discord_closed_form": (TOL_CLOSED_FORM, lambda g: _pointwise(
         g.discord_analytic, g.entropy("rho_m_s") - g.entropy("rho0_s"))),
@@ -221,7 +225,7 @@ def _check(name: str, tolerance: float, deviations) -> Check:
     """Worst of a class's per-point deviations, an array or a list, as a Python float: +0.0 when
     it checked none or each is a zero, and NaN, which fails the class, when any is NaN."""
     d = np.asarray(deviations, dtype=float)
-    return Check(name=name, points=d.size, max_deviation=float(d.max(initial=0.0)) + 0.0, tolerance=tolerance)
+    return _new_check(name, d.size, float(d.max(initial=0.0)) + 0.0, tolerance)
 
 
 def _checks(classes: dict, grid: _Grid) -> list[Check]:

@@ -51,24 +51,26 @@ def _run_verify():
     assert (code, json.loads(out.getvalue())["verification"]["passed"]) == (0, True)
 
 
-SUITE = "one eigensolver call per stacked spectrum, whatever the grid's size"
+SUITE = ("one eigensolver call per stacked spectrum, whatever the grid's size, but none for the diagonal "
+         "initial state and its marginals, whose spectra are their sorted diagonals")
 ROOTS = "the closed forms once on the grid's box and once at the phi_crit roots"
 BOX = ("no record, not even on the discord subgrid; level splittings per column; of the thermal "
        "entropies only the mutual information's S(eps_s eps_a cos phi) per point")
 BUDGETS = [
-    pytest.param(_suite(4), {**_eig(8, 4), (closed_forms, "_energies"): 2},
+    pytest.param(_suite(4), {**_eig(5, 4), (closed_forms, "_energies"): 2},
                  f"{SUITE}; {ROOTS}", id="run_suite-4"),
-    pytest.param(_suite(7), {**_eig(8, 4), (closed_forms, "_energies"): 2, **_per_point(7)},
+    pytest.param(_suite(7), {**_eig(5, 4), (closed_forms, "_energies"): 2, **_per_point(7)},
                  f"{SUITE}; {ROOTS}; {BOX}", id="run_suite-7"),
-    pytest.param(_suite(12), {**_eig(8, 4), **_per_point(12),
+    pytest.param(_suite(12), {**_eig(5, 4), **_per_point(12),
                               (correlations, "_conditional_entropy_scan"): (1, 150)},
                  f"{SUITE}; {BOX}; the discord subgrid's 64 states x 2 sides in 32 seed calls of 4 rows "
                  "and a few Newton steps of one call each (one zoom search per row made 2944)",
                  id="run_suite-12"),
     pytest.param(lambda: verify.point_checks(ProtocolParams(0.4, 0.8, 1.0)),
-                 {**_eig(10, 4), (closed_forms, "_energies"): 1},
+                 {**_eig(7, 4), (closed_forms, "_energies"): 1},
                  "run --verify: one spectrum per trace field, shared with the oracles' entropy reduction "
-                 "and the mutual information; the closed forms once", id="point_checks"),
+                 "and the mutual information, by eigvalsh but for the three diagonal initial states; the "
+                 "closed forms once", id="point_checks"),
     pytest.param(lambda: _landscape(25, 101), {(closed_forms, "discord_analytic"): 25, (closed_forms, "_phi_crit"): 101,
                                                (closed_forms, "_record"): 3},
                  "one closed-form discord per phi row, one threshold angle per eps_a column; one record "

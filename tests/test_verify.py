@@ -593,3 +593,38 @@ def test_oracle_classes_check_the_emitted_reports(corrupt_closed_form, field):
         [field, "energy_conservation"] if field == "work_feedback" else [field])
     # the class reads the reports alone: 1e-6 off the oracle
     assert checks[field].max_deviation == pytest.approx(1e-6, rel=1e-6)
+
+
+_EDGE_POINTS = [(0.0, 0.0, 0.0), (0.0, 1.0 - 1e-9, HALF_PI), (0.4, 0.4, 1.0), (0.9, 1.0 - 1e-9, 0.3),
+                (5e-324, 1e-300, 1.2)]
+
+
+@pytest.mark.parametrize("axes", [verify._standard_axes(n, 1.0) for n in range(2, 13)]
+                         + [([(es, (ea,))], (phi,), 1.0) for es, ea, phi in _EDGE_POINTS],
+                         ids=[f"standard-{n}" for n in range(2, 13)] + [f"point-{p}" for p in _EDGE_POINTS])
+def test_diagonal_spectra_are_the_eigvalsh_of_their_stacks_bit_for_bit(axes):
+    # the initial state and its marginals are diagonal by construction, and their sorted
+    # diagonal is what eigvalsh returns for such a matrix, down to the last bit
+    g = sweep._Grid(*axes)
+    for name in sweep._DIAGONAL:
+        stack = getattr(g.trace, name)
+        assert not (stack - stack * np.eye(stack.shape[-1])).any(), name
+        assert g.spectrum(name).tobytes() == np.linalg.eigvalsh(stack).tobytes(), name
+
+
+@pytest.mark.parametrize("n", range(2, 41))
+def test_standard_eps_a_axes_are_each_series_linspace_bit_for_bit(n):
+    # one linspace with an array start writes the axis of each series as its own linspace would
+    series, _, _ = verify._standard_axes(n, 1.0)
+    assert [es for es, _ in series] == np.linspace(0.0, verify.EPS_S_MAX, n).tolist()
+    for es, eps_a in series:
+        assert all(type(ea) is float for ea in eps_a)
+        assert np.array(eps_a).tobytes() == np.linspace(es, verify.EPS_A_MAX, n).tobytes(), es
+
+
+def test_mapped_calls_the_function_once_per_value_as_vectorize_does():
+    seen, values = [], np.linspace(0.1, 0.9, 12).reshape(2, 1, 6)
+    mapped = sweep._mapped(lambda x: seen.append(x) or closed_forms.thermal_entropy(x), values)
+    assert seen == values.ravel().tolist() and all(type(x) is float for x in seen)
+    vectorized = np.vectorize(closed_forms.thermal_entropy, otypes=[float])(values)
+    assert mapped.shape == values.shape and mapped.tobytes() == vectorized.tobytes()
